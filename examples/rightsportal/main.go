@@ -147,7 +147,11 @@ func run() error {
 	// physically deletes expired PD (tombstones and retained ciphertext
 	// included) without anyone asking. The portal runs on the simulated
 	// machine clock, so five years pass in one call.
-	sweeper := sys.Rights().StartSweeper(rights.SweeperOptions{Interval: time.Hour})
+	grace := time.Hour
+	if err := sys.ApplyTuning(core.Tuning{SweepInterval: &grace}); err != nil {
+		return err
+	}
+	sweeper := sys.StartSweeper()
 	defer sweeper.Stop()
 	clk, ok := sys.SimClock()
 	if !ok {

@@ -83,11 +83,6 @@ type Stats struct {
 	LatencyHist latencyhist.Hist
 }
 
-// LatencyBuckets is the histogram width: 2^29 µs ≈ 9 minutes tops.
-// (Deprecated alias for latencyhist.Buckets, kept for callers that size
-// windows off the admission stats.)
-const LatencyBuckets = latencyhist.Buckets
-
 // Quantile estimates the q-quantile (q in [0,1], e.g. 0.99) of the
 // latencies recorded in the histogram — a thin wrapper over
 // latencyhist.Hist.Quantile, which takes each bucket at its upper bound

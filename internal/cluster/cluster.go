@@ -111,7 +111,9 @@ type Cluster struct {
 	mu      sync.Mutex
 	pending map[pendKey]time.Time // -> retry deadline
 	faults  map[int]int           // node -> remaining injected failures
-	kick    func()                // propagator wakeup, set while one runs
+
+	// prop is the cluster's one propagator; enqueue kicks its loop.
+	prop *Propagator
 }
 
 // Boot builds a fleet of opts.Nodes fresh nodes on one shared clock and
@@ -165,6 +167,7 @@ func New(nodes []*core.System, window time.Duration) (*Cluster, error) {
 		pending: make(map[pendKey]time.Time),
 		faults:  make(map[int]int),
 	}
+	c.prop = newPropagator(c)
 	c.reconcile()
 	return c, nil
 }
@@ -484,11 +487,8 @@ func (c *Cluster) enqueue(subject string, node int) {
 	if _, ok := c.pending[k]; !ok {
 		c.pending[k] = c.clock.Now().Add(c.window)
 	}
-	kick := c.kick
 	c.mu.Unlock()
-	if kick != nil {
-		kick()
-	}
+	c.prop.loop.Kick()
 }
 
 // PendingSyncs reports how many (subject, node) syncs await retry.

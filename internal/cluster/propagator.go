@@ -1,13 +1,13 @@
 // The bounded-window propagation loop. A cross-node mutation that fails on
 // some copy-holding node (node briefly unreachable, injected fault) is not
 // lost: the cluster queues the (subject, node) sync with a deadline one
-// PropagationWindow out, and the Propagator — a background loop modeled on
-// the rights.Sweeper — retries every due sync, re-arming failures for the
-// next window. The guarantee is the window bound: once the node is
-// reachable again, the mutation lands within one PropagationWindow. The
-// loop waits on simclock.Waiter, so simulated-clock tests drive it
-// deterministically: enqueue a failure, advance the clock past the window,
-// Sync(), assert the copy is dead.
+// PropagationWindow out, and the Propagator — a simclock.Loop whose
+// interval is the window and whose deadline is the earliest queued retry —
+// retries every due sync, re-arming failures for the next window. The
+// guarantee is the window bound: once the node is reachable again, the
+// mutation lands within one PropagationWindow. Simulated-clock tests drive
+// it deterministically: enqueue a failure, advance the clock past the
+// window, Sync(), assert the copy is dead.
 package cluster
 
 import (
@@ -54,8 +54,9 @@ func (c *Cluster) retryPending(force bool) (retried, failed int) {
 	return retried, failed
 }
 
-// earliestPending reports the soonest retry deadline in the queue.
-func (c *Cluster) earliestPending() (time.Time, bool) {
+// earliestPending reports the soonest retry deadline in the queue — the
+// propagator loop's due.
+func (c *Cluster) earliestPending(time.Time) (time.Time, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var min time.Time
@@ -65,13 +66,6 @@ func (c *Cluster) earliestPending() (time.Time, bool) {
 		}
 	}
 	return min, !min.IsZero()
-}
-
-// setKick installs (or clears) the propagator wakeup called by enqueue.
-func (c *Cluster) setKick(fn func()) {
-	c.mu.Lock()
-	c.kick = fn
-	c.mu.Unlock()
 }
 
 // PropagatorStats counts the background propagator's activity.
@@ -85,81 +79,46 @@ type PropagatorStats struct {
 	LastPass time.Time
 }
 
-// Propagator is the background retry loop. Start/Stop are idempotent and a
-// stopped propagator can be restarted.
+// Propagator is the cluster's background retry loop. Every cluster has
+// exactly one (StartPropagator), stopped until started. The loop is held
+// rather than embedded: its interval is the cluster's PropagationWindow
+// and is not separately settable.
 type Propagator struct {
-	c *Cluster
-	// wake is the kick channel: enqueue, Sync, Stop and a window change
-	// nudge the loop out of its clock wait.
-	wake chan struct{}
+	c    *Cluster
+	loop *simclock.Loop
 
-	mu          sync.Mutex
-	cond        *sync.Cond
-	running     bool
-	stop        chan struct{}
-	done        chan struct{}
-	forced      bool
-	lastCovered time.Time
-	stats       PropagatorStats
+	mu    sync.Mutex
+	stats PropagatorStats
 }
 
-// NewPropagator builds a propagator for the cluster. Call Start to run it.
-func NewPropagator(c *Cluster) *Propagator {
-	p := &Propagator{c: c, wake: make(chan struct{}, 1)}
-	p.cond = sync.NewCond(&p.mu)
+func newPropagator(c *Cluster) *Propagator {
+	p := &Propagator{c: c}
+	p.loop = simclock.NewLoop(c.clock, c.window, p.pass, c.earliestPending)
 	return p
 }
 
-// StartPropagator builds and starts a background propagator.
+// StartPropagator starts the cluster's propagator (a no-op when it is
+// already running) and returns it.
 func (c *Cluster) StartPropagator() *Propagator {
-	p := NewPropagator(c)
-	p.Start()
-	return p
+	c.prop.Start()
+	return c.prop
 }
 
 // Start launches the background loop. Starting a running propagator is a
 // no-op.
-func (p *Propagator) Start() {
-	p.mu.Lock()
-	if p.running {
-		p.mu.Unlock()
-		return
-	}
-	p.running = true
-	p.stop = make(chan struct{})
-	p.done = make(chan struct{})
-	stop, done := p.stop, p.done
-	p.mu.Unlock()
-	p.c.setKick(p.kickWake)
-	go p.loop(stop, done)
-}
+func (p *Propagator) Start() { p.loop.Start() }
 
 // Stop halts the loop and waits for it to exit; an in-flight pass
 // finishes. Stopping a stopped propagator is a no-op.
-func (p *Propagator) Stop() {
-	p.mu.Lock()
-	if !p.running {
-		p.mu.Unlock()
-		return
-	}
-	p.running = false
-	stop, done := p.stop, p.done
-	p.mu.Unlock()
-	p.c.setKick(nil)
-	close(stop)
-	p.kickWake()
-	<-done
-	p.mu.Lock()
-	p.cond.Broadcast() // unblock Sync callers
-	p.mu.Unlock()
-}
+func (p *Propagator) Stop() { p.loop.Stop() }
 
 // Running reports whether the loop is active.
-func (p *Propagator) Running() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.running
-}
+func (p *Propagator) Running() bool { return p.loop.Running() }
+
+// Sync forces a pass retrying every queued sync — due or not — and blocks
+// until it completes (or the propagator stops): the deterministic join
+// point for simclock tests.
+func (p *Propagator) Sync() { p.loop.Sync() }
 
 // Stats snapshots the propagator counters.
 func (p *Propagator) Stats() PropagatorStats {
@@ -168,114 +127,13 @@ func (p *Propagator) Stats() PropagatorStats {
 	return p.stats
 }
 
-// Sync forces a pass retrying every queued sync — due or not — and blocks
-// until it completes (or the propagator stops): the deterministic join
-// point for simclock tests.
-func (p *Propagator) Sync() {
-	target := p.c.clock.Now()
-	p.mu.Lock()
-	if !p.running {
-		p.mu.Unlock()
-		return
-	}
-	p.forced = true
-	p.mu.Unlock()
-	p.kickWake()
-	p.mu.Lock()
-	for p.running && p.lastCovered.Before(target) {
-		p.cond.Wait()
-	}
-	p.mu.Unlock()
-}
-
-// kickWake nudges the loop; a pending nudge is enough, extra ones drop.
-func (p *Propagator) kickWake() {
-	select {
-	case p.wake <- struct{}{}:
-	default:
-	}
-}
-
-// loop is the propagator body: run a pass whenever a queued sync is due
-// (or a Sync forces one), otherwise sleep until the earliest deadline or
-// one PropagationWindow, whichever is sooner. Right after a pass the loop
-// always goes through the wait path, so a sync that keeps failing is
-// retried once per window instead of spinning.
-func (p *Propagator) loop(stop, done chan struct{}) {
-	defer close(done)
-	ranPass := false
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		now := p.c.clock.Now()
-		p.mu.Lock()
-		forced := p.forced
-		p.forced = false
-		p.mu.Unlock()
-		run := forced
-		if !run && !ranPass {
-			if dl, ok := p.c.earliestPending(); ok && !now.Before(dl) {
-				run = true
-			}
-		}
-		if run {
-			p.pass(forced)
-			ranPass = true
-			continue
-		}
-		target := now.Add(p.c.window)
-		if dl, ok := p.c.earliestPending(); ok && dl.After(now) && dl.Before(target) {
-			target = dl
-		}
-		p.waitUntil(target, stop)
-		ranPass = false
-	}
-}
-
 // pass runs one retry pass and records its outcome.
-func (p *Propagator) pass(force bool) {
-	start := p.c.clock.Now()
-	retried, failed := p.c.retryPending(force)
+func (p *Propagator) pass(start time.Time, forced bool) {
+	retried, failed := p.c.retryPending(forced)
 	p.mu.Lock()
+	defer p.mu.Unlock()
 	p.stats.Passes++
 	p.stats.Retried += uint64(retried)
 	p.stats.Failed += uint64(failed)
 	p.stats.LastPass = start
-	if start.After(p.lastCovered) {
-		p.lastCovered = start
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-}
-
-// waitUntil blocks until the shared clock reaches target, a kick arrives,
-// or stop closes.
-func (p *Propagator) waitUntil(target time.Time, stop chan struct{}) {
-	w, ok := p.c.clock.(simclock.Waiter)
-	if !ok {
-		// Unknown clock implementation: poll at a coarse real-time cadence
-		// so the window bound still holds approximately.
-		select {
-		case <-time.After(50 * time.Millisecond):
-		case <-p.wake:
-		case <-stop:
-		}
-		return
-	}
-	cancel := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		select {
-		case <-stop:
-			close(cancel)
-		case <-p.wake:
-			close(cancel)
-		case <-finished:
-		}
-	}()
-	w.WaitUntil(target, cancel)
-	close(finished)
 }

@@ -1,10 +1,10 @@
 package coldtier
 
-// The background repacker: a ticker-driven loop (the rights.Sweeper
-// pattern) that fires repack passes on the machine clock. The pass itself
-// lives in dbfs — the repacker only owns cadence, lifecycle and counters,
-// so the package stays free of a dbfs dependency and core can wire the two
-// together with a closure carrying the DED's capability token.
+// The background repacker: a periodic simclock.Loop that fires repack
+// passes on the machine clock. The pass itself lives in dbfs — the
+// repacker only owns the counters, so the package stays free of a dbfs
+// dependency and core can wire the two together with a closure carrying
+// the DED's capability token.
 
 import (
 	"sync"
@@ -63,103 +63,22 @@ type Options struct {
 }
 
 // Repacker is the background demotion loop: every Interval it runs one
-// repack pass against its target. Start/Stop are idempotent and a stopped
-// repacker can be restarted; it waits on simclock.Waiter, so simclock tests
-// drive it deterministically (advance, Sync, assert).
+// repack pass against its target. The embedded simclock.Loop is its whole
+// lifecycle (Start/Stop/Sync/Interval/SetInterval).
 type Repacker struct {
-	clock  simclock.Clock
+	*simclock.Loop
 	target Target
-	// wake nudges the loop out of its clock wait (Sync, Stop,
-	// SetInterval).
-	wake chan struct{}
 
-	mu          sync.Mutex
-	interval    time.Duration
-	cond        *sync.Cond
-	running     bool
-	stop        chan struct{}
-	done        chan struct{}
-	forced      bool
-	last        time.Time
-	lastCovered time.Time
-	stats       Stats
+	mu    sync.Mutex
+	stats Stats
 }
 
 // NewRepacker builds a repacker over target on clock. Call Start to run it.
 func NewRepacker(clock simclock.Clock, target Target, opts Options) *Repacker {
-	if clock == nil {
-		clock = simclock.Real{}
-	}
-	iv := opts.Interval
-	if iv <= 0 {
-		iv = DefaultRepackInterval
-	}
-	rp := &Repacker{clock: clock, target: target, interval: iv, wake: make(chan struct{}, 1)}
-	rp.cond = sync.NewCond(&rp.mu)
+	rp := &Repacker{target: target}
+	rp.Loop = simclock.NewLoop(clock, DefaultRepackInterval, rp.pass, nil)
+	rp.SetInterval(opts.Interval)
 	return rp
-}
-
-// Interval reports the current pass cadence.
-func (rp *Repacker) Interval() time.Duration {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	return rp.interval
-}
-
-// SetInterval changes the pass cadence at runtime (d <= 0 restores
-// DefaultRepackInterval) and kicks a sleeping loop so the new cadence takes
-// effect immediately.
-func (rp *Repacker) SetInterval(d time.Duration) {
-	if d <= 0 {
-		d = DefaultRepackInterval
-	}
-	rp.mu.Lock()
-	rp.interval = d
-	rp.mu.Unlock()
-	rp.kickWake()
-}
-
-// Start launches the background loop. Starting a running repacker is a
-// no-op.
-func (rp *Repacker) Start() {
-	rp.mu.Lock()
-	if rp.running {
-		rp.mu.Unlock()
-		return
-	}
-	rp.running = true
-	rp.stop = make(chan struct{})
-	rp.done = make(chan struct{})
-	rp.last = rp.clock.Now()
-	stop, done := rp.stop, rp.done
-	rp.mu.Unlock()
-	go rp.loop(stop, done)
-}
-
-// Stop halts the loop and waits for it to exit; an in-flight pass finishes.
-// Stopping a stopped repacker is a no-op.
-func (rp *Repacker) Stop() {
-	rp.mu.Lock()
-	if !rp.running {
-		rp.mu.Unlock()
-		return
-	}
-	rp.running = false
-	stop, done := rp.stop, rp.done
-	rp.mu.Unlock()
-	close(stop)
-	rp.kickWake()
-	<-done
-	rp.mu.Lock()
-	rp.cond.Broadcast() // unblock Sync callers
-	rp.mu.Unlock()
-}
-
-// Running reports whether the loop is active.
-func (rp *Repacker) Running() bool {
-	rp.mu.Lock()
-	defer rp.mu.Unlock()
-	return rp.running
 }
 
 // Stats snapshots the repacker counters.
@@ -169,63 +88,11 @@ func (rp *Repacker) Stats() Stats {
 	return rp.stats
 }
 
-// Sync forces a repack pass covering the instant of the call and blocks
-// until it completes (or the repacker stops) — the deterministic join
-// point for simclock tests.
-func (rp *Repacker) Sync() {
-	target := rp.clock.Now()
-	rp.mu.Lock()
-	if !rp.running {
-		rp.mu.Unlock()
-		return
-	}
-	rp.forced = true
-	rp.mu.Unlock()
-	rp.kickWake()
-	rp.mu.Lock()
-	for rp.running && rp.lastCovered.Before(target) {
-		rp.cond.Wait()
-	}
-	rp.mu.Unlock()
-}
-
-// kickWake nudges the loop; a pending nudge is enough, extra ones drop.
-func (rp *Repacker) kickWake() {
-	select {
-	case rp.wake <- struct{}{}:
-	default:
-	}
-}
-
-// loop is the repacker body: run a pass once Interval has elapsed since the
-// last one (or a Sync forces one), otherwise sleep until the pass is due.
-func (rp *Repacker) loop(stop, done chan struct{}) {
-	defer close(done)
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		now := rp.clock.Now()
-		rp.mu.Lock()
-		forced := rp.forced
-		rp.forced = false
-		next := rp.last.Add(rp.interval)
-		rp.mu.Unlock()
-		if forced || !now.Before(next) {
-			rp.pass()
-			continue
-		}
-		rp.waitUntil(next, stop)
-	}
-}
-
 // pass runs one repack and records its outcome.
-func (rp *Repacker) pass() {
-	start := rp.clock.Now()
+func (rp *Repacker) pass(start time.Time, _ bool) {
 	st, err := rp.target.RepackPass(start)
 	rp.mu.Lock()
+	defer rp.mu.Unlock()
 	rp.stats.Passes++
 	if err != nil {
 		rp.stats.Errors++
@@ -233,38 +100,4 @@ func (rp *Repacker) pass() {
 	rp.stats.Demoted += uint64(st.Demoted)
 	rp.stats.DedupHits += uint64(st.DedupHits)
 	rp.stats.LastPass = start
-	rp.last = start
-	if start.After(rp.lastCovered) {
-		rp.lastCovered = start
-	}
-	rp.cond.Broadcast()
-	rp.mu.Unlock()
-}
-
-// waitUntil blocks until the machine clock reaches target, a kick arrives,
-// or stop closes.
-func (rp *Repacker) waitUntil(target time.Time, stop chan struct{}) {
-	w, ok := rp.clock.(simclock.Waiter)
-	if !ok {
-		// Unknown clock implementation: poll at a coarse real-time cadence.
-		select {
-		case <-time.After(50 * time.Millisecond):
-		case <-rp.wake:
-		case <-stop:
-		}
-		return
-	}
-	cancel := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		select {
-		case <-stop:
-			close(cancel)
-		case <-rp.wake:
-			close(cancel)
-		case <-finished:
-		}
-	}()
-	w.WaitUntil(target, cancel)
-	close(finished)
 }

@@ -30,32 +30,25 @@ func (ct *countTarget) count() int {
 	return ct.passes
 }
 
+// TestRepackerLifecycle: the repacker is a periodic loop over its target —
+// one pass per Interval, each accumulated into Stats. (Start/Stop/Sync
+// themselves are simclock.Loop's, tested there.)
 func TestRepackerLifecycle(t *testing.T) {
 	clk := simclock.NewSim(simclock.Epoch)
 	ct := &countTarget{stats: PassStats{Demoted: 3, DedupHits: 1}}
 	rp := NewRepacker(clk, ct, Options{Interval: time.Minute})
-
-	// Sync before Start is a no-op, not a hang.
-	rp.Sync()
-	if got := ct.count(); got != 0 {
-		t.Fatalf("passes before Start = %d, want 0", got)
-	}
-
 	rp.Start()
-	rp.Start() // idempotent
-	if !rp.Running() {
-		t.Fatal("Running = false after Start")
-	}
+	defer rp.Stop()
 	rp.Sync()
-	if got := ct.count(); got < 1 {
-		t.Fatalf("passes after first Sync = %d, want >= 1", got)
+	if got := ct.count(); got != 1 {
+		t.Fatalf("passes after first Sync = %d, want 1", got)
 	}
 
 	clk.Advance(2 * time.Minute)
 	rp.Sync()
 	st := rp.Stats()
-	if st.Passes < 2 {
-		t.Fatalf("Stats.Passes = %d, want >= 2", st.Passes)
+	if st.Passes < 2 || int(st.Passes) != ct.count() {
+		t.Fatalf("Stats.Passes = %d with %d target passes, want equal and >= 2", st.Passes, ct.count())
 	}
 	if st.Demoted != st.Passes*3 || st.DedupHits != st.Passes {
 		t.Fatalf("Stats = %+v, want Demoted = 3*Passes, DedupHits = Passes", st)
@@ -75,27 +68,6 @@ func TestRepackerLifecycle(t *testing.T) {
 	if rp.Interval() != DefaultRepackInterval {
 		t.Fatalf("Interval = %v, want default %v", rp.Interval(), DefaultRepackInterval)
 	}
-
-	rp.Stop()
-	rp.Stop() // idempotent
-	if rp.Running() {
-		t.Fatal("Running = true after Stop")
-	}
-	stopped := ct.count()
-	clk.Advance(time.Hour)
-	rp.Sync() // no-op while stopped
-	if got := ct.count(); got != stopped {
-		t.Fatalf("passes grew to %d after Stop (was %d)", got, stopped)
-	}
-
-	// A stopped repacker restarts.
-	rp.Start()
-	clk.Advance(DefaultRepackInterval)
-	rp.Sync()
-	if got := ct.count(); got <= stopped {
-		t.Fatalf("passes after restart = %d, want > %d", got, stopped)
-	}
-	rp.Stop()
 }
 
 func TestRepackerCountsErrors(t *testing.T) {

@@ -22,9 +22,9 @@
 // Controllers never free-run on goroutine timing: Tick is an explicit
 // step, timestamped by the caller's clock, so simclock tests and the SC6
 // experiment drive the loop deterministically. Group adds the background
-// driver for production use — a loop sleeping on simclock.Waiter exactly
-// like the retention sweeper — plus the States snapshot the core API and
-// rgpdctl surface.
+// driver for production use — a simclock.Loop, the same one the retention
+// sweeper runs on — plus the States snapshot the core API and rgpdctl
+// surface.
 //
 // Oscillation is structurally bounded: each law moves at most one step (or
 // one backoff) per tick, moves only while the signal is outside the band,
@@ -279,18 +279,13 @@ func (c *Controller) Knob() float64 {
 const DefaultTickInterval = time.Second
 
 // Group drives a set of controllers: explicit Tick for deterministic
-// callers, or a background loop (Start/Stop) sleeping one interval at a
-// time on the machine clock — simclock.Waiter when available, exactly like
-// the retention sweeper, so simclock tests advance it deterministically.
+// callers, or the embedded simclock.Loop (Start/Stop/Sync) ticking once per
+// interval on the machine clock, so simclock tests advance it
+// deterministically.
 type Group struct {
-	clock    simclock.Clock
-	interval time.Duration
-	cs       []*Controller
-
-	mu      sync.Mutex
-	running bool
-	stop    chan struct{}
-	done    chan struct{}
+	*simclock.Loop
+	clock simclock.Clock
+	cs    []*Controller
 }
 
 // NewGroup builds a driver over controllers. interval <= 0 means
@@ -299,21 +294,19 @@ func NewGroup(clock simclock.Clock, interval time.Duration, cs ...*Controller) *
 	if clock == nil {
 		clock = simclock.Real{}
 	}
-	if interval <= 0 {
-		interval = DefaultTickInterval
-	}
-	return &Group{clock: clock, interval: interval, cs: cs}
+	g := &Group{clock: clock, cs: cs}
+	g.Loop = simclock.NewLoop(clock, DefaultTickInterval, g.tick, nil)
+	g.SetInterval(interval)
+	return g
 }
 
 // Controllers returns the driven controllers.
 func (g *Group) Controllers() []*Controller { return g.cs }
 
-// Interval reports the tick cadence.
-func (g *Group) Interval() time.Duration { return g.interval }
-
 // Tick steps every controller once at the current clock instant.
-func (g *Group) Tick() {
-	now := g.clock.Now()
+func (g *Group) Tick() { g.tick(g.clock.Now(), false) }
+
+func (g *Group) tick(now time.Time, _ bool) {
 	for _, c := range g.cs {
 		c.Tick(now)
 	}
@@ -326,84 +319,4 @@ func (g *Group) States() []State {
 		out[i] = c.State()
 	}
 	return out
-}
-
-// Start launches the background tick loop. Starting a running group is a
-// no-op.
-func (g *Group) Start() {
-	g.mu.Lock()
-	if g.running {
-		g.mu.Unlock()
-		return
-	}
-	g.running = true
-	g.stop = make(chan struct{})
-	g.done = make(chan struct{})
-	stop, done := g.stop, g.done
-	g.mu.Unlock()
-	go g.loop(stop, done)
-}
-
-// Stop halts the loop and waits for it to exit. Stopping a stopped group
-// is a no-op.
-func (g *Group) Stop() {
-	g.mu.Lock()
-	if !g.running {
-		g.mu.Unlock()
-		return
-	}
-	g.running = false
-	stop, done := g.stop, g.done
-	g.mu.Unlock()
-	close(stop)
-	<-done
-}
-
-// Running reports whether the background loop is active.
-func (g *Group) Running() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.running
-}
-
-func (g *Group) loop(stop, done chan struct{}) {
-	defer close(done)
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		g.waitOne(stop)
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		g.Tick()
-	}
-}
-
-// waitOne sleeps one interval on the machine clock, interruptible by stop.
-func (g *Group) waitOne(stop chan struct{}) {
-	target := g.clock.Now().Add(g.interval)
-	w, ok := g.clock.(simclock.Waiter)
-	if !ok {
-		select {
-		case <-time.After(g.interval):
-		case <-stop:
-		}
-		return
-	}
-	cancel := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		select {
-		case <-stop:
-			close(cancel)
-		case <-finished:
-		}
-	}()
-	w.WaitUntil(target, cancel)
-	close(finished)
 }

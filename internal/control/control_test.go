@@ -312,6 +312,9 @@ func TestGroupTickAndStates(t *testing.T) {
 	}
 }
 
+// The background driver ticks the controllers off the simclock: advance,
+// Sync, and the controller has stepped — with no real-time polling. (The
+// Start/Stop lifecycle itself is simclock.Loop's, tested there.)
 func TestGroupBackgroundLoopSimclock(t *testing.T) {
 	p := &plant{gain: 1, knob: 10}
 	c := newPlantController(t, AIMD, p, 10)
@@ -319,33 +322,16 @@ func TestGroupBackgroundLoopSimclock(t *testing.T) {
 	g := NewGroup(clk, time.Second, c)
 	g.Start()
 	defer g.Stop()
-	if !g.Running() {
-		t.Fatal("group not running after Start")
-	}
-	// Advance until the controller has climbed into band. Each Advance
-	// wakes the loop's WaitUntil; poll the state to absorb scheduling.
-	deadline := time.Now().Add(10 * time.Second)
-	for c.State().Ticks < 30 {
+	for i := 1; i <= 30; i++ {
 		clk.Advance(time.Second)
-		if time.Now().After(deadline) {
-			t.Fatalf("background loop stalled: %+v", c.State())
+		g.Sync()
+		if got := c.State().Ticks; got < uint64(i) {
+			t.Fatalf("after %d advances: %d ticks", i, got)
 		}
-		time.Sleep(time.Millisecond)
 	}
-	g.Stop()
-	if g.Running() {
-		t.Fatal("group still running after Stop")
+	if st := c.State(); st.Adjusts == 0 || st.Knob <= 10 {
+		t.Fatalf("background ticks never moved the knob: %+v", st)
 	}
-	ticksAtStop := c.State().Ticks
-	clk.Advance(10 * time.Second)
-	time.Sleep(5 * time.Millisecond)
-	if got := c.State().Ticks; got != ticksAtStop {
-		t.Fatalf("loop ticked after Stop: %d -> %d", ticksAtStop, got)
-	}
-	// Idempotent Start/Stop.
-	g.Stop()
-	g.Start()
-	g.Stop()
 }
 
 // Concurrent State/Knob readers against a ticking driver — exercised under

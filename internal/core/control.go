@@ -59,6 +59,26 @@ func clampf(v, lo, hi float64) float64 {
 	return math.Min(math.Max(v, lo), hi)
 }
 
+// windowedRatio builds a controller Read over two monotonic counters: the
+// growth of num over the growth of den since the previous reading, or
+// neutral when den did not move. The window opens at the counters' current
+// values, so the first tick observes post-boot traffic only.
+func windowedRatio(neutral float64, counters func() (num, den uint64)) func() float64 {
+	var mu sync.Mutex
+	prevNum, prevDen := counters()
+	return func() float64 {
+		num, den := counters()
+		mu.Lock()
+		defer mu.Unlock()
+		dn, dd := num-prevNum, den-prevDen
+		prevNum, prevDen = num, den
+		if dd == 0 {
+			return neutral
+		}
+		return float64(dn) / float64(dd)
+	}
+}
+
 // buildControlGroup wires the five controllers. Called once from Boot;
 // controllers whose subsystem is ablated away (membrane cache disabled,
 // cold-tier demotion off) are skipped rather than fighting the ablation.
@@ -69,15 +89,6 @@ func (s *System) buildControlGroup() (*control.Group, error) {
 	// summed over every journal. AIMD — a too-long window pads every
 	// commit's latency, so retreat is multiplicative.
 	{
-		var mu sync.Mutex
-		var prevTxns, prevGroups uint64
-		// Seed the window with the boot-time counters so the first tick
-		// observes post-boot traffic, not Format's journal activity.
-		for _, fs := range s.pdFSs {
-			st := fs.JournalStats()
-			prevTxns += st.TxnsCommitted
-			prevGroups += st.GroupCommits
-		}
 		initial := clampf(float64(s.opts.CommitWindow)/float64(time.Millisecond), 0, ctlCommitWindowMaxMs)
 		c, err := control.New(control.Config{
 			Name:    "commit-window",
@@ -88,22 +99,14 @@ func (s *System) buildControlGroup() (*control.Group, error) {
 			Max:     ctlCommitWindowMaxMs,
 			Initial: initial,
 			Step:    0.25,
-			Read: func() float64 {
-				var txns, groups uint64
+			Read: windowedRatio(ctlGroupOccupancy, func() (txns, groups uint64) {
 				for _, fs := range s.pdFSs {
 					st := fs.JournalStats()
 					txns += st.TxnsCommitted
 					groups += st.GroupCommits
 				}
-				mu.Lock()
-				defer mu.Unlock()
-				dt, dg := txns-prevTxns, groups-prevGroups
-				prevTxns, prevGroups = txns, groups
-				if dg == 0 {
-					return ctlGroupOccupancy
-				}
-				return float64(dt) / float64(dg)
-			},
+				return txns, groups
+			}),
 			Apply: func(v float64) error {
 				w := time.Duration(v * float64(time.Millisecond))
 				return s.ApplyTuning(Tuning{CommitWindow: &w})
@@ -166,8 +169,6 @@ func (s *System) buildControlGroup() (*control.Group, error) {
 	// scanning vs retention slack consumed), approach the density target
 	// in fixed steps.
 	{
-		var mu sync.Mutex
-		var prevDeleted, prevPasses uint64
 		const minS, maxS = 1.0, 900.0
 		c, err := control.New(control.Config{
 			Name:    "sweep-interval",
@@ -178,21 +179,10 @@ func (s *System) buildControlGroup() (*control.Group, error) {
 			Max:     maxS,
 			Initial: clampf(s.opts.SweepInterval.Seconds(), minS, maxS),
 			Step:    5,
-			Read: func() float64 {
-				sw := s.Sweeper()
-				if sw == nil {
-					return ctlExpiriesPerPass
-				}
-				st := sw.Stats()
-				mu.Lock()
-				defer mu.Unlock()
-				dd, dp := st.Deleted-prevDeleted, st.Passes-prevPasses
-				prevDeleted, prevPasses = st.Deleted, st.Passes
-				if dp == 0 {
-					return ctlExpiriesPerPass
-				}
-				return float64(dd) / float64(dp)
-			},
+			Read: windowedRatio(ctlExpiriesPerPass, func() (deleted, passes uint64) {
+				st := s.rights.Sweeper().Stats()
+				return st.Deleted, st.Passes
+			}),
 			Apply: func(v float64) error {
 				d := time.Duration(v * float64(time.Second))
 				return s.ApplyTuning(Tuning{SweepInterval: &d})
@@ -209,9 +199,6 @@ func (s *System) buildControlGroup() (*control.Group, error) {
 	// (reclaim memory) while comfortably above it. Skipped when the boot
 	// ablated the cache away — the controller must not undo an ablation.
 	if cap0 := s.store.MembraneCacheCap(); cap0 >= 0 {
-		var mu sync.Mutex
-		boot := s.store.Stats()
-		prevHits, prevMisses := boot.CacheHits, boot.CacheMisses
 		c, err := control.New(control.Config{
 			Name:    "membrane-cache",
 			Mode:    control.HillClimb,
@@ -221,17 +208,10 @@ func (s *System) buildControlGroup() (*control.Group, error) {
 			Max:     ctlCacheMax,
 			Initial: clampf(float64(cap0), ctlCacheMin, ctlCacheMax),
 			Step:    ctlCacheStep,
-			Read: func() float64 {
+			Read: windowedRatio(ctlCacheHitRate, func() (hits, lookups uint64) {
 				st := s.store.Stats()
-				mu.Lock()
-				defer mu.Unlock()
-				dh, dm := st.CacheHits-prevHits, st.CacheMisses-prevMisses
-				prevHits, prevMisses = st.CacheHits, st.CacheMisses
-				if dh+dm == 0 {
-					return ctlCacheHitRate
-				}
-				return float64(dh) / float64(dh+dm)
-			},
+				return st.CacheHits, st.CacheHits + st.CacheMisses
+			}),
 			Apply: func(v float64) error {
 				n := int(math.Round(v))
 				return s.ApplyTuning(Tuning{MembraneCache: &n})
@@ -250,8 +230,6 @@ func (s *System) buildControlGroup() (*control.Group, error) {
 	// demotion is disabled (ColdAfter 0) — the controller must not undo
 	// the ablation.
 	if s.store.ColdAfter() > 0 {
-		var mu sync.Mutex
-		var prevDemoted, prevPasses uint64
 		const minS, maxS = 1.0, 900.0
 		c, err := control.New(control.Config{
 			Name:    "repack-interval",
@@ -260,23 +238,12 @@ func (s *System) buildControlGroup() (*control.Group, error) {
 			Band:    0.5,
 			Min:     minS,
 			Max:     maxS,
-			Initial: clampf(s.repackInterval.Seconds(), minS, maxS),
+			Initial: clampf(s.opts.ColdInterval.Seconds(), minS, maxS),
 			Step:    5,
-			Read: func() float64 {
-				rp := s.Repacker()
-				if rp == nil {
-					return ctlDemotionsPerPass
-				}
-				st := rp.Stats()
-				mu.Lock()
-				defer mu.Unlock()
-				dd, dp := st.Demoted-prevDemoted, st.Passes-prevPasses
-				prevDemoted, prevPasses = st.Demoted, st.Passes
-				if dp == 0 {
-					return ctlDemotionsPerPass
-				}
-				return float64(dd) / float64(dp)
-			},
+			Read: windowedRatio(ctlDemotionsPerPass, func() (demoted, passes uint64) {
+				st := s.repacker.Stats()
+				return st.Demoted, st.Passes
+			}),
 			Apply: func(v float64) error {
 				d := time.Duration(v * float64(time.Second))
 				return s.ApplyTuning(Tuning{RepackInterval: &d})

@@ -233,13 +233,12 @@ type System struct {
 
 	// tuneMu serializes ApplyTuning documents (individual knob writes are
 	// already safe; the mutex makes multi-knob documents apply without
-	// interleaving) and guards the sweeper/repacker handles + desired
-	// intervals.
-	tuneMu         sync.Mutex
-	sweeper        *rights.Sweeper
-	sweepInterval  time.Duration
-	repacker       *coldtier.Repacker
-	repackInterval time.Duration
+	// interleaving).
+	tuneMu sync.Mutex
+	// repacker is the cold-tier repacker, built at Boot and stopped until
+	// StartRepacker; like the rights engine's sweeper it holds its own
+	// interval, so ApplyTuning and Tuning() talk to the live object.
+	repacker *coldtier.Repacker
 
 	// ctl is the control plane (nil unless Options.Control).
 	ctl *control.Group
@@ -382,8 +381,11 @@ func Boot(opts Options) (*System, error) {
 		return nil, fmt.Errorf("core: builtins: %w", err)
 	}
 	s.rights = rights.New(s.ps, s.ded, s.log, opts.Clock)
-	s.sweepInterval = opts.SweepInterval
-	s.repackInterval = opts.ColdInterval
+	s.rights.Sweeper().SetInterval(opts.SweepInterval)
+	s.repacker = coldtier.NewRepacker(opts.Clock, coldtier.TargetFunc(
+		func(now time.Time) (coldtier.PassStats, error) {
+			return s.store.RepackCold(dedTok, now)
+		}), coldtier.Options{Interval: opts.ColdInterval})
 	// Boot-time knob installs go through the same door an operator uses
 	// (ApplyTuning), so the tuning snapshot is coherent from tick zero.
 	var boot Tuning

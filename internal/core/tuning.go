@@ -6,10 +6,10 @@ package core
 // SetSerialOps); this file consolidates them behind one Tuning document:
 // ApplyTuning validates the whole document up front (a bad document
 // applies nothing), then applies each present knob atomically, and
-// Tuning() snapshots every knob's current value. The old setters remain as
-// thin deprecated wrappers; the control plane (control.go) adjusts knobs
-// only through this API, so a human reading System.Tuning() always sees
-// what the controllers did.
+// Tuning() snapshots every knob's current value. The per-layer setters are
+// what ApplyTuning calls; the control plane (control.go) adjusts knobs only
+// through this API, so a human reading System.Tuning() always sees what the
+// controllers did.
 
 import (
 	"errors"
@@ -55,15 +55,13 @@ type Tuning struct {
 	// SerialOps toggles the inode layer's serial-ablation mode on every
 	// DBFS filesystem instance.
 	SerialOps *bool `json:"serial_ops,omitempty"`
-	// SweepInterval re-paces the retention sweeper (applied live when the
-	// sweeper is running, remembered for StartSweeper otherwise).
+	// SweepInterval re-paces the retention sweeper, running or not.
 	SweepInterval *time.Duration `json:"sweep_interval,omitempty"`
 	// ColdAfter is the cold tier's idle threshold: records untouched this
 	// long demote to their subject's compressed archive on the repacker's
 	// next pass (0 disables demotion; promotion always works).
 	ColdAfter *time.Duration `json:"cold_after,omitempty"`
-	// RepackInterval re-paces the cold-tier repacker (applied live when it
-	// is running, remembered for StartRepacker otherwise).
+	// RepackInterval re-paces the cold-tier repacker, running or not.
 	RepackInterval *time.Duration `json:"repack_interval,omitempty"`
 }
 
@@ -159,19 +157,13 @@ func (s *System) ApplyTuning(t Tuning) error {
 		}
 	}
 	if t.SweepInterval != nil {
-		s.sweepInterval = *t.SweepInterval
-		if s.sweeper != nil {
-			s.sweeper.SetInterval(*t.SweepInterval)
-		}
+		s.rights.Sweeper().SetInterval(*t.SweepInterval)
 	}
 	if t.ColdAfter != nil {
 		s.store.ConfigureColdTier(*t.ColdAfter)
 	}
 	if t.RepackInterval != nil {
-		s.repackInterval = *t.RepackInterval
-		if s.repacker != nil {
-			s.repacker.SetInterval(*t.RepackInterval)
-		}
+		s.repacker.SetInterval(*t.RepackInterval)
 	}
 	return nil
 }
@@ -185,15 +177,9 @@ func (s *System) Tuning() Tuning {
 	cache := s.store.MembraneCacheCap()
 	workers := s.rights.Workers()
 	serial := s.pdFSs[0].SerialOps()
-	sweep := s.sweepInterval
-	if s.sweeper != nil {
-		sweep = s.sweeper.Interval()
-	}
+	sweep := s.rights.Sweeper().Interval()
 	coldAfter := s.store.ColdAfter()
-	repack := s.repackInterval
-	if s.repacker != nil {
-		repack = s.repacker.Interval()
-	}
+	repack := s.repacker.Interval()
 	t := Tuning{
 		CommitWindow:   &window,
 		GroupMaxBatch:  &maxBatch,
@@ -216,51 +202,30 @@ func (s *System) Tuning() Tuning {
 	return t
 }
 
-// StartSweeper starts the machine's background retention sweeper at the
-// tuned interval and returns it; if it is already running it is returned
-// unchanged. The sweeper's cadence follows ApplyTuning's SweepInterval
-// from then on.
+// StartSweeper starts the machine's background retention sweeper — the
+// rights engine's one sweeper — and returns it; if it is already running it
+// is returned unchanged. Its cadence is ApplyTuning's SweepInterval, before
+// and after the start.
 func (s *System) StartSweeper() *rights.Sweeper {
-	s.tuneMu.Lock()
-	defer s.tuneMu.Unlock()
-	if s.sweeper == nil {
-		s.sweeper = rights.NewSweeper(s.rights, rights.SweeperOptions{Interval: s.sweepInterval})
-	}
-	s.sweeper.Start()
-	return s.sweeper
+	sw := s.rights.Sweeper()
+	sw.Start()
+	return sw
 }
 
-// Sweeper returns the machine's retention sweeper, or nil before the
-// first StartSweeper.
-func (s *System) Sweeper() *rights.Sweeper {
-	s.tuneMu.Lock()
-	defer s.tuneMu.Unlock()
-	return s.sweeper
-}
+// Sweeper returns the machine's retention sweeper (stopped until
+// StartSweeper).
+func (s *System) Sweeper() *rights.Sweeper { return s.rights.Sweeper() }
 
-// StartRepacker starts the machine's background cold-tier repacker at the
-// tuned interval and returns it; if it is already running it is returned
-// unchanged. The repacker drives dbfs.Store.RepackCold with the DED's
-// capability and follows ApplyTuning's RepackInterval from then on. With
-// ColdAfter unset the passes run and demote nothing.
+// StartRepacker starts the machine's background cold-tier repacker and
+// returns it; if it is already running it is returned unchanged. The
+// repacker drives dbfs.Store.RepackCold with the DED's capability at
+// ApplyTuning's RepackInterval. With ColdAfter unset the passes run and
+// demote nothing.
 func (s *System) StartRepacker() *coldtier.Repacker {
-	s.tuneMu.Lock()
-	defer s.tuneMu.Unlock()
-	if s.repacker == nil {
-		tok := s.ded.Token()
-		s.repacker = coldtier.NewRepacker(s.opts.Clock, coldtier.TargetFunc(
-			func(now time.Time) (coldtier.PassStats, error) {
-				return s.store.RepackCold(tok, now)
-			}), coldtier.Options{Interval: s.repackInterval})
-	}
 	s.repacker.Start()
 	return s.repacker
 }
 
-// Repacker returns the machine's cold-tier repacker, or nil before the
-// first StartRepacker.
-func (s *System) Repacker() *coldtier.Repacker {
-	s.tuneMu.Lock()
-	defer s.tuneMu.Unlock()
-	return s.repacker
-}
+// Repacker returns the machine's cold-tier repacker (stopped until
+// StartRepacker).
+func (s *System) Repacker() *coldtier.Repacker { return s.repacker }

@@ -111,13 +111,14 @@ func TestApplyTuningRoundTrip(t *testing.T) {
 	}
 }
 
-// TestApplyTuningDeprecatedWrappersAgree pins the consolidation contract:
-// the old scattered setters and the unified API act on the same state.
-func TestApplyTuningDeprecatedWrappersAgree(t *testing.T) {
+// TestApplyTuningAndLayerSettersShareState pins the consolidation contract:
+// a layer's own setter and the unified API act on the same state, so
+// Tuning() reports what either wrote.
+func TestApplyTuningAndLayerSettersShareState(t *testing.T) {
 	s := bootTest(t)
 	s.Rights().SetWorkers(5)
 	if got := *s.Tuning().RightsWorkers; got != 5 {
-		t.Fatalf("Tuning().RightsWorkers = %d after deprecated SetWorkers", got)
+		t.Fatalf("Tuning().RightsWorkers = %d after Engine.SetWorkers", got)
 	}
 	if err := s.ApplyTuning(Tuning{RightsWorkers: ptr(2)}); err != nil {
 		t.Fatal(err)
@@ -127,7 +128,7 @@ func TestApplyTuningDeprecatedWrappersAgree(t *testing.T) {
 	}
 	s.DBFS().ConfigureMembraneCache(128)
 	if got := *s.Tuning().MembraneCache; got != 128 {
-		t.Fatalf("Tuning().MembraneCache = %d after deprecated setter", got)
+		t.Fatalf("Tuning().MembraneCache = %d after Store.ConfigureMembraneCache", got)
 	}
 }
 
@@ -278,7 +279,7 @@ func TestControlPlaneSkipsAblatedCache(t *testing.T) {
 }
 
 // TestControlBackgroundLoop runs the group loop on the machine simclock:
-// advancing the clock drives ticks, Stop halts them.
+// advance, Sync, and every controller has ticked.
 func TestControlBackgroundLoop(t *testing.T) {
 	s, err := Boot(Options{AuthorityBits: 1024, Control: true, ControlInterval: time.Second})
 	if err != nil {
@@ -290,24 +291,13 @@ func TestControlBackgroundLoop(t *testing.T) {
 	}
 	s.StartControl()
 	defer s.StopControl()
-	// Keep advancing: the loop registers its wait target off the clock it
-	// reads, so each advance releases at most one pending tick.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		sim.Advance(time.Second)
-		ticks := uint64(0)
-		for _, st := range s.Controllers() {
-			ticks += st.Ticks
+	sim.Advance(time.Second)
+	s.ctl.Sync()
+	for _, st := range s.Controllers() {
+		if st.Ticks == 0 {
+			t.Fatalf("controller %s never ticked on the background loop", st.Name)
 		}
-		if ticks > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("no controller ticks after advancing the simclock")
-		}
-		time.Sleep(time.Millisecond)
 	}
-	s.StopControl()
 }
 
 // TestControlConvergesOnCacheSignal drives a real signal end to end: a hot

@@ -117,9 +117,8 @@ func (cs *coldShard) init() {
 // repack pass. Zero (the default) disables demotion; promotion of
 // already-archived records always works. Safe at runtime.
 //
-// Deprecated: when the store is owned by a core.System, tune it through
-// System.ApplyTuning (core.Tuning.ColdAfter). Direct use remains correct
-// for standalone stores.
+// For a store owned by a core.System, System.ApplyTuning
+// (core.Tuning.ColdAfter) is the door: it calls this setter.
 func (s *Store) ConfigureColdTier(after time.Duration) {
 	if after < 0 {
 		after = 0

@@ -603,9 +603,8 @@ func (s *Store) ShardScans() []uint64 {
 // eviction), while disable/enable transitions swap the cache pointer —
 // a freshly enabled cache starts empty and refills under the shard locks.
 //
-// Deprecated: when the store is owned by a core.System, tune it through
-// System.ApplyTuning (core.Tuning.MembraneCache). Direct use remains
-// correct for standalone stores and ablation tests.
+// For a store owned by a core.System, System.ApplyTuning
+// (core.Tuning.MembraneCache) is the door: it calls this setter.
 func (s *Store) ConfigureMembraneCache(capacity int) {
 	if capacity < 0 {
 		s.mcacheCap.Store(-1)
@@ -1012,17 +1011,28 @@ func (s *Store) recordInos(sr shardRef, r ref) (tree inode.Ino, data, sens, mem 
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	sens, err = sr.fs.Lookup(tree, recName+sensSuffix)
-	if errors.Is(err, inode.ErrChildNotFound) {
-		sens = 0
-	} else if err != nil {
-		return 0, 0, 0, 0, err
-	}
+	// Membrane before sens: a racing reader's promotion (which runs under
+	// the shard read lock) writes data, sens, membrane in that order, so a
+	// visible membrane proves the sens part is visible too.
 	mem, err = sr.fs.Lookup(tree, recName+memSuffix)
+	if errors.Is(err, inode.ErrChildNotFound) {
+		// Possibly mid-promotion: wait for it on the cold mutex
+		// (promoteIfCold reports true once the record is hot) before
+		// calling the membrane missing.
+		if promoted, perr := s.promoteIfCold(sr, r, tree); perr == nil && promoted {
+			mem, err = sr.fs.Lookup(tree, recName+memSuffix)
+		}
+	}
 	if errors.Is(err, inode.ErrChildNotFound) {
 		return 0, 0, 0, 0, fmt.Errorf("%w: %s", ErrNoMembrane, r.pdid)
 	}
 	if err != nil {
+		return 0, 0, 0, 0, err
+	}
+	sens, err = sr.fs.Lookup(tree, recName+sensSuffix)
+	if errors.Is(err, inode.ErrChildNotFound) {
+		sens = 0
+	} else if err != nil {
 		return 0, 0, 0, 0, err
 	}
 	return tree, data, sens, mem, nil

@@ -473,10 +473,9 @@ func (fs *FS) CacheStats() blockdev.Stats { return fs.dev.Stats() }
 // group-commit-disabled ablation baseline — call this right after Mount.
 // Safe at runtime: the journal re-reads both parameters per commit group.
 //
-// Deprecated: when the filesystem is owned by a core.System, tune it
-// through System.ApplyTuning (core.Tuning.CommitWindow/GroupMaxBatch) so
-// the tuning snapshot and the control plane stay coherent. Direct use
-// remains correct for standalone FS instances.
+// For a filesystem owned by a core.System, System.ApplyTuning
+// (core.Tuning.CommitWindow/GroupMaxBatch) is the door: it calls this
+// setter on every instance.
 func (fs *FS) ConfigureJournal(window time.Duration, maxBatch int) {
 	fs.log.Configure(window, maxBatch)
 }
@@ -492,10 +491,10 @@ func (fs *FS) JournalConfig() (window time.Duration, maxBatch int) {
 // measurements (SC5). Durability waits still happen outside the lock, as
 // they always did. Switch only while the filesystem is idle.
 //
-// Deprecated: when the filesystem is owned by a core.System, toggle it
-// through System.ApplyTuning (core.Tuning.SerialOps); a standalone
-// instance that wants the mode from the start sets Options.SerialOps at
-// Format instead of flipping it afterwards.
+// For a filesystem owned by a core.System, System.ApplyTuning
+// (core.Tuning.SerialOps) is the door: it calls this setter on every
+// instance. A standalone instance that wants the mode from the start sets
+// Options.SerialOps at Format.
 func (fs *FS) SetSerialOps(on bool) { fs.serialOps.Store(on) }
 
 // SerialOps reports whether the serial-ablation mode is on.

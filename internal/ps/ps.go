@@ -171,9 +171,9 @@ func (s *Store) DefaultWorkers() int {
 // requests; maintenance invocations (rights execution — a legal
 // obligation) are never shed. Passing nil removes admission control.
 //
-// Deprecated: core.Boot installs the controller; runtime changes to its
-// parameters go through System.ApplyTuning (core.Tuning.AdmissionMaxPending)
-// rather than swapping the controller, which would discard its counters.
+// core.Boot installs a core.System's controller with this setter; at
+// runtime System.ApplyTuning (core.Tuning.AdmissionMaxPending) is the door,
+// since swapping the controller would discard its counters.
 func (s *Store) ConfigureAdmission(c *admission.Controller) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -194,9 +194,8 @@ func (s *Store) Admission() *admission.Controller {
 // registered processing, so limits cannot silently target a typo. A rate
 // <= 0 removes the limit. Requires a configured admission controller.
 //
-// Deprecated: when the store is owned by a core.System, set limits through
-// System.ApplyTuning (core.Tuning.RateLimits) so the tuning snapshot stays
-// coherent. The registry validation lives here either way.
+// For a store owned by a core.System, System.ApplyTuning
+// (core.Tuning.RateLimits) is the door: it calls this setter.
 func (s *Store) SetRateLimit(purposeName string, ratePerSec, burst float64) error {
 	s.mu.Lock()
 	c := s.adm

@@ -46,10 +46,12 @@ type Engine struct {
 	workers int // 0 = follow ps.DefaultWorkers
 
 	// due is the retention due-index (see sweeper.go), fed by the DBFS
-	// expiry notifier; sweepMu serializes whole sweep passes (manual
+	// expiry notifier; sweeper is the engine's one background sweeper,
+	// woken by the index; sweepMu serializes whole sweep passes (manual
 	// SweepExpired calls and background Sweeper passes alike); swept
 	// records whether the priming full pass has completed.
 	due     *dueIndex
+	sweeper *Sweeper
 	sweepMu sync.Mutex
 	swept   bool
 	// sweepScanHook, when set (tests only), runs between a sweep pass's
@@ -67,17 +69,21 @@ func New(p *ps.Store, d *ded.DED, log *audit.Log, clock simclock.Clock) *Engine 
 	store := d.Store()
 	e := &Engine{ps: p, d: d, log: log, clock: clock,
 		due: newDueIndex(store.NumShards(), store.ShardOf)}
+	e.sweeper = newSweeper(e)
 	store.SetExpiryNotifier(e.due.note)
 	return e
 }
+
+// Sweeper returns the engine's background retention sweeper — stopped
+// until its Start is called.
+func (e *Engine) Sweeper() *Sweeper { return e.sweeper }
 
 // SetWorkers overrides the per-record fan-out width of the cross-record
 // rights. Zero (the default) follows the Processing Store's pool size; one
 // restores the serial PR-2 behaviour (the SC3 ablation baseline).
 //
-// Deprecated: when the engine is owned by a core.System, set the width
-// through System.ApplyTuning (core.Tuning.RightsWorkers). Direct use
-// remains correct for standalone engines and ablation tests.
+// For an engine owned by a core.System, System.ApplyTuning
+// (core.Tuning.RightsWorkers) is the door: it calls this setter.
 func (e *Engine) SetWorkers(n int) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -483,7 +489,7 @@ func (e *Engine) Restrict(pdid string, restricted bool) error {
 // pass that scans every subject and seeds the retention due-index; later
 // calls are scoped — they consult the index and scan only subjects with a
 // deadline actually due, so shards with no due records take no shard lock
-// (see sweeper.go, and StartSweeper for the background ticker form). The
+// (see sweeper.go, and Engine.Sweeper for the background ticker form). The
 // scan fans out over the worker pool, the expired records are deleted as
 // one maintenance ps.InvokeBatch on the DED executor, and on a delete
 // failure the successfully deleted pdids are still returned alongside the

@@ -12,12 +12,12 @@
 //     subjects that are actually due — shards with no due records take no
 //     shard lock at all (dbfs.ShardScans proves it). The first sweep is a
 //     full priming pass that scans everything and seeds exact deadlines.
-//   - the Sweeper: a ticker-driven background loop that sleeps until the
-//     earliest deadline (or one Interval, whichever is sooner), wakes on
-//     deadline notifications, and fires scoped sweeps. It waits on
-//     simclock.Waiter, so tests drive it deterministically: a record
-//     expired at T is physically deleted by T+Interval — Interval is the
-//     grace window — and with exact deadline wakeups usually right at T.
+//   - the Sweeper: a simclock.Loop that sleeps until the earliest deadline
+//     (or one Interval, whichever is sooner), wakes on deadline
+//     notifications, and fires scoped sweeps. Simulated-clock tests drive
+//     it deterministically: a record expired at T is physically deleted by
+//     T+Interval — Interval is the grace window — and with exact deadline
+//     wakeups usually right at T.
 package rights
 
 import (
@@ -38,8 +38,9 @@ import (
 // notifier under the subject's shard write lock, so the per-shard mutexes
 // here must stay leaf locks: the index never calls into the store.
 type dueIndex struct {
-	kickMu sync.Mutex
-	kick   func() // sweeper wakeup, set while a Sweeper runs
+	// kick is the engine sweeper's Loop.Kick, wired once by newSweeper: a
+	// non-blocking nudge, safe under the caller's shard lock.
+	kick func()
 
 	// shardOf and shards mirror the store's subject-shard geometry (count
 	// and hash), fixed at construction — see newDueIndex.
@@ -73,21 +74,6 @@ type dueShard struct {
 type dueScan struct {
 	shard    uint32
 	subjects []string
-}
-
-func (ix *dueIndex) setKick(fn func()) {
-	ix.kickMu.Lock()
-	ix.kick = fn
-	ix.kickMu.Unlock()
-}
-
-func (ix *dueIndex) doKick() {
-	ix.kickMu.Lock()
-	fn := ix.kick
-	ix.kickMu.Unlock()
-	if fn != nil {
-		fn()
-	}
 }
 
 // note min-merges a subject's retention deadline — the DBFS expiry
@@ -130,7 +116,7 @@ func (ix *dueIndex) noteDeadline(subjectID string, expiry time.Time, kick bool) 
 	}
 	d.mu.Unlock()
 	if lowered && kick {
-		ix.doKick()
+		ix.kick()
 	}
 }
 
@@ -432,120 +418,32 @@ type SweeperStats struct {
 	LastPass time.Time
 }
 
-// SweeperOptions configures a background sweeper.
-type SweeperOptions struct {
-	// Interval is the maximum gap between sweep passes — the grace
-	// window of the retention guarantee: a record expired at T is
-	// physically deleted by T+Interval even if every deadline signal
-	// were lost, and with the due-index's exact wakeups normally at the
-	// first instant after T. Default one minute.
-	Interval time.Duration
-}
-
-// Sweeper is the deadline-aware background retention sweeper: a
-// ticker-driven loop firing scoped SweepExpired passes. Start/Stop are
-// idempotent and a stopped sweeper can be restarted.
-type Sweeper struct {
-	eng *Engine
-	// wake is the kick channel: deadline notifications, Sync, Stop and
-	// SetInterval nudge the loop out of its clock wait.
-	wake chan struct{}
-
-	mu          sync.Mutex
-	interval    time.Duration
-	cond        *sync.Cond
-	running     bool
-	stop        chan struct{}
-	done        chan struct{}
-	forced      bool
-	lastCovered time.Time
-	stats       SweeperStats
-}
-
-// DefaultSweepInterval is the fallback pass cadence when
-// SweeperOptions.Interval is unset.
+// DefaultSweepInterval is the sweeper's pass cadence until SetInterval
+// changes it.
 const DefaultSweepInterval = time.Minute
 
-// NewSweeper builds a sweeper for the engine. Call Start to run it.
-func NewSweeper(e *Engine, opts SweeperOptions) *Sweeper {
-	iv := opts.Interval
-	if iv <= 0 {
-		iv = DefaultSweepInterval
-	}
-	sw := &Sweeper{eng: e, interval: iv, wake: make(chan struct{}, 1)}
-	sw.cond = sync.NewCond(&sw.mu)
+// Sweeper is the engine's deadline-aware background retention sweeper: a
+// simclock.Loop firing scoped SweepExpired passes. Its Interval is the
+// grace window of the retention guarantee — a record expired at T is
+// physically deleted by T+Interval even if every deadline signal were
+// lost, and with the due-index's exact wakeups normally at the first
+// instant after T. Every engine has exactly one (Engine.Sweeper), stopped
+// until Start.
+type Sweeper struct {
+	*simclock.Loop
+	eng *Engine
+
+	mu    sync.Mutex
+	stats SweeperStats
+}
+
+// newSweeper builds the engine's sweeper and points the due-index's
+// deadline notifications at it.
+func newSweeper(e *Engine) *Sweeper {
+	sw := &Sweeper{eng: e}
+	sw.Loop = simclock.NewLoop(e.clock, DefaultSweepInterval, sw.pass, sw.due)
+	e.due.kick = sw.Kick
 	return sw
-}
-
-// Interval reports the current pass cadence.
-func (sw *Sweeper) Interval() time.Duration {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.interval
-}
-
-// SetInterval changes the pass cadence at runtime (d <= 0 restores
-// DefaultSweepInterval) and kicks a sleeping loop so the new cadence takes
-// effect immediately rather than after the old interval elapses.
-func (sw *Sweeper) SetInterval(d time.Duration) {
-	if d <= 0 {
-		d = DefaultSweepInterval
-	}
-	sw.mu.Lock()
-	sw.interval = d
-	sw.mu.Unlock()
-	sw.kickWake()
-}
-
-// StartSweeper builds and starts a background sweeper on the engine.
-func (e *Engine) StartSweeper(opts SweeperOptions) *Sweeper {
-	sw := NewSweeper(e, opts)
-	sw.Start()
-	return sw
-}
-
-// Start launches the background loop. Starting a running sweeper is a
-// no-op.
-func (sw *Sweeper) Start() {
-	sw.mu.Lock()
-	if sw.running {
-		sw.mu.Unlock()
-		return
-	}
-	sw.running = true
-	sw.stop = make(chan struct{})
-	sw.done = make(chan struct{})
-	stop, done := sw.stop, sw.done
-	sw.mu.Unlock()
-	sw.eng.due.setKick(sw.kickWake)
-	go sw.loop(stop, done)
-}
-
-// Stop halts the loop and waits for it to exit; in-flight passes finish.
-// Stopping a stopped sweeper is a no-op.
-func (sw *Sweeper) Stop() {
-	sw.mu.Lock()
-	if !sw.running {
-		sw.mu.Unlock()
-		return
-	}
-	sw.running = false
-	stop, done := sw.stop, sw.done
-	sw.mu.Unlock()
-	sw.eng.due.setKick(nil)
-	close(stop)
-	sw.kickWake()
-	<-done
-	sw.mu.Lock()
-	sw.cond.Broadcast() // unblock Sync callers
-	sw.mu.Unlock()
-}
-
-// Running reports whether the loop is active.
-func (sw *Sweeper) Running() bool {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.running
 }
 
 // Stats snapshots the sweeper counters.
@@ -555,85 +453,18 @@ func (sw *Sweeper) Stats() SweeperStats {
 	return sw.stats
 }
 
-// Sync forces a sweep pass covering the instant of the call and blocks
-// until it completes (or the sweeper stops) — the deterministic join point
-// for simclock tests: advance the clock, Sync, assert.
-func (sw *Sweeper) Sync() {
-	target := sw.eng.clock.Now()
-	sw.mu.Lock()
-	if !sw.running {
-		sw.mu.Unlock()
-		return
-	}
-	sw.forced = true
-	sw.mu.Unlock()
-	sw.kickWake()
-	sw.mu.Lock()
-	for sw.running && sw.lastCovered.Before(target) {
-		sw.cond.Wait()
-	}
-	sw.mu.Unlock()
-}
-
-// kickWake nudges the loop; a pending nudge is enough, extra ones drop.
-func (sw *Sweeper) kickWake() {
-	select {
-	case sw.wake <- struct{}{}:
-	default:
-	}
-}
-
-// loop is the sweeper body: run a pass whenever something is due (or a
-// Sync forces one), otherwise sleep until the earliest deadline or one
-// Interval, whichever is sooner. Right after a pass the loop always goes
-// through the wait path, so a record that cannot be deleted (its deadline
-// re-armed in the past) is retried once per Interval instead of spinning.
-func (sw *Sweeper) loop(stop, done chan struct{}) {
-	defer close(done)
-	ranPass := false
-	for {
-		select {
-		case <-stop:
-			return
-		default:
-		}
-		now := sw.eng.clock.Now()
-		sw.mu.Lock()
-		forced := sw.forced
-		sw.forced = false
-		interval := sw.interval
-		sw.mu.Unlock()
-		run := forced
-		if !run && !ranPass {
-			if e, ok := sw.eng.due.earliestDeadline(); ok && e.Before(now) {
-				run = true
-			}
-		}
-		if run {
-			sw.pass()
-			ranPass = true
-			continue
-		}
-		target := now.Add(interval)
-		if e, ok := sw.eng.due.earliestDeadline(); ok {
-			// Wake at the first instant strictly after the deadline
-			// (expiry is strict-after). A deadline already in the past
-			// here means the pass just failed on it: keep the Interval
-			// backoff instead.
-			if t := e.Add(time.Nanosecond); t.After(now) && t.Before(target) {
-				target = t
-			}
-		}
-		sw.waitUntil(target, stop)
-		ranPass = false
-	}
+// due is the first instant strictly after the earliest retention deadline
+// (expiry is strict-after).
+func (sw *Sweeper) due(time.Time) (time.Time, bool) {
+	e, ok := sw.eng.due.earliestDeadline()
+	return e.Add(time.Nanosecond), ok
 }
 
 // pass runs one sweep and records its outcome.
-func (sw *Sweeper) pass() {
-	start := sw.eng.clock.Now()
+func (sw *Sweeper) pass(start time.Time, _ bool) {
 	deleted, info, err := sw.eng.sweepOnce()
 	sw.mu.Lock()
+	defer sw.mu.Unlock()
 	sw.stats.Passes++
 	if info.full {
 		sw.stats.FullPasses++
@@ -645,38 +476,4 @@ func (sw *Sweeper) pass() {
 	sw.stats.ShardsScanned += uint64(info.shardsScanned)
 	sw.stats.SubjectsScanned += uint64(info.subjectsScanned)
 	sw.stats.LastPass = start
-	if start.After(sw.lastCovered) {
-		sw.lastCovered = start
-	}
-	sw.cond.Broadcast()
-	sw.mu.Unlock()
-}
-
-// waitUntil blocks until the machine clock reaches target, a kick
-// arrives, or stop closes.
-func (sw *Sweeper) waitUntil(target time.Time, stop chan struct{}) {
-	w, ok := sw.eng.clock.(simclock.Waiter)
-	if !ok {
-		// Unknown clock implementation: poll at a coarse real-time
-		// cadence so deadlines are still met within the grace window.
-		select {
-		case <-time.After(50 * time.Millisecond):
-		case <-sw.wake:
-		case <-stop:
-		}
-		return
-	}
-	cancel := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		select {
-		case <-stop:
-			close(cancel)
-		case <-sw.wake:
-			close(cancel)
-		case <-finished:
-		}
-	}()
-	w.WaitUntil(target, cancel)
-	close(finished)
 }

@@ -2,7 +2,6 @@ package rights
 
 import (
 	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -59,6 +58,14 @@ func (r *rig) countRecords(t *testing.T, subject string) int {
 	return len(pdids)
 }
 
+// startSweeper starts the engine's sweeper with the given grace window.
+func startSweeper(e *Engine, interval time.Duration) *Sweeper {
+	sw := e.Sweeper()
+	sw.SetInterval(interval)
+	sw.Start()
+	return sw
+}
+
 // waitFor polls cond (real time) until it holds or the deadline passes —
 // the join point for asserting the sweeper's autonomous (non-Sync) wakeups.
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -80,7 +87,7 @@ func TestSweeperExpiryOnTickBoundary(t *testing.T) {
 	r := newRig(t)
 	const ttl = 24 * time.Hour
 	r.seedWithTTL(t, "boundary", ttl, time.Time{}) // created at the epoch
-	sw := r.engine.StartSweeper(SweeperOptions{Interval: time.Hour})
+	sw := startSweeper(r.engine, time.Hour)
 	defer sw.Stop()
 
 	// Exactly at the deadline: not expired, nothing erased.
@@ -107,7 +114,7 @@ func TestSweeperExpiryOnTickBoundary(t *testing.T) {
 func TestSweeperWakesOnAdvance(t *testing.T) {
 	r := newRig(t)
 	r.seedWithTTL(t, "autonomous", time.Hour, time.Time{})
-	sw := r.engine.StartSweeper(SweeperOptions{Interval: 12 * time.Hour})
+	sw := startSweeper(r.engine, 12*time.Hour)
 	defer sw.Stop()
 
 	r.clock.Advance(time.Hour + time.Millisecond)
@@ -156,7 +163,7 @@ func TestSweeperExpiryDuringRunningSweep(t *testing.T) {
 	r.engine.sweepScanHook = nil
 
 	// …and the sweeper's next pass — within late's grace window — must.
-	sw := r.engine.StartSweeper(SweeperOptions{Interval: time.Hour})
+	sw := startSweeper(r.engine, time.Hour)
 	defer sw.Stop()
 	sw.Sync()
 	if got := r.countRecords(t, "late"); got != 0 {
@@ -170,43 +177,36 @@ func TestSweeperExpiryDuringRunningSweep(t *testing.T) {
 // any clock movement or forced pass.
 func TestSweeperAlreadyExpiredInsert(t *testing.T) {
 	r := newRig(t)
-	sw := r.engine.StartSweeper(SweeperOptions{Interval: 12 * time.Hour})
+	sw := startSweeper(r.engine, 12*time.Hour)
 	defer sw.Stop()
 	sw.Sync() // prime on an empty store
 
 	r.clock.Advance(48 * time.Hour)
 	// CreatedAt at the epoch with a 1h TTL: expired 47h ago at insert.
 	r.seedWithTTL(t, "stale", time.Hour, simclock.Epoch)
+	// The pass counts its deletions after making them: join on the count.
 	waitFor(t, "kick-driven sweep of an already-expired insert", func() bool {
-		return r.countRecords(t, "stale") == 0
+		return sw.Stats().Deleted == 1
 	})
-	if st := sw.Stats(); st.Deleted != 1 {
-		t.Fatalf("sweeper stats deleted = %d, want 1", st.Deleted)
+	if got := r.countRecords(t, "stale"); got != 0 {
+		t.Fatalf("stale records = %d after the counted sweep, want 0", got)
 	}
 }
 
-// TestSweeperStopRestartIdempotence: double Start is a no-op, double Stop
-// is a no-op, a restarted sweeper keeps enforcing deadlines, and stopping
-// leaves no loop goroutine behind.
+// TestSweeperStopRestartIdempotence: a stopped sweeper erases nothing
+// however far the clock moves, and a restarted one sweeps the backlog. (The
+// Start/Stop lifecycle itself is simclock.Loop's, tested there.)
 func TestSweeperStopRestartIdempotence(t *testing.T) {
 	r := newRig(t)
 	r.seedWithTTL(t, "first", time.Hour, time.Time{})
-	before := runtime.NumGoroutine()
 
-	sw := NewSweeper(r.engine, SweeperOptions{Interval: time.Hour})
-	sw.Start()
-	sw.Start() // idempotent: no second loop
+	sw := startSweeper(r.engine, time.Hour)
 	r.clock.Advance(time.Hour + time.Nanosecond)
 	sw.Sync()
 	if got := r.countRecords(t, "first"); got != 0 {
 		t.Fatalf("first records = %d, want 0", got)
 	}
 	sw.Stop()
-	sw.Stop() // idempotent
-	if sw.Running() {
-		t.Fatal("Running after Stop")
-	}
-	sw.Sync() // no-op on a stopped sweeper, must not block
 
 	// While stopped, a record expires; nothing may erase it.
 	r.seedWithTTL(t, "second", time.Hour, time.Time{})
@@ -217,15 +217,71 @@ func TestSweeperStopRestartIdempotence(t *testing.T) {
 
 	// Restart: the backlog is swept again.
 	sw.Start()
+	defer sw.Stop()
 	sw.Sync()
 	if got := r.countRecords(t, "second"); got != 0 {
 		t.Fatalf("second records after restart = %d, want 0", got)
 	}
-	sw.Stop()
+}
 
-	waitFor(t, "sweeper goroutines to exit", func() bool {
-		return runtime.NumGoroutine() <= before+1
+// sleepSpy is the rig's Sim clock announcing every WaitUntil the sweeper
+// loop enters, so a test knows the loop has aimed its sleep.
+type sleepSpy struct {
+	*simclock.Sim
+	entered chan time.Time
+}
+
+func (s sleepSpy) WaitUntil(t time.Time, cancel <-chan struct{}) bool {
+	s.entered <- t
+	return s.Sim.WaitUntil(t, cancel)
+}
+
+// TestSweeperSingleLoopKeepsDeadlineWakeups is the regression test for the
+// one-kick-slot bug: the due-index had one wakeup slot but every
+// StartSweeper minted a new loop, so a second start stole the first's
+// wakeups and whichever stopped first cleared the slot for the survivor.
+// Now the engine owns one sweeper wired to the index once: start twice,
+// stop via the first handle, restart — a deadline lowered while the loop
+// sleeps still wakes it, and the pass happens at the deadline, not one
+// Interval later.
+func TestSweeperSingleLoopKeepsDeadlineWakeups(t *testing.T) {
+	r := newRig(t)
+	r.ensureUserType(t)
+	// The loop goes to sleep a handful of times here; 64 never blocks it.
+	spy := sleepSpy{Sim: r.clock, entered: make(chan time.Time, 64)}
+	eng := New(r.ps, r.d, r.log, spy)
+	const interval = 12 * time.Hour
+
+	first := startSweeper(eng, interval)
+	second := startSweeper(eng, interval)
+	if first != second {
+		t.Fatal("a second start minted a second sweeper")
+	}
+	first.Stop()
+	for len(spy.entered) > 0 { // the stopped run's sleeps
+		<-spy.entered
+	}
+	second.Start()
+	defer second.Stop()
+	select {
+	case target := <-spy.entered:
+		if want := simclock.Epoch.Add(interval); !target.Equal(want) {
+			t.Fatalf("idle sweeper sleeps until %v, want one Interval (%v)", target, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("sweeper never went to sleep")
+	}
+
+	// The loop is asleep for 12h. Only the index's kick can re-aim it at
+	// this record's one-hour deadline.
+	r.seedWithTTL(t, "late-comer", time.Hour, time.Time{})
+	deadline := r.clock.Advance(time.Hour + time.Nanosecond)
+	waitFor(t, "sweep at the lowered deadline", func() bool {
+		return second.Stats().Deleted == 1
 	})
+	if got := second.Stats().LastPass; !got.Equal(deadline) {
+		t.Fatalf("deleting pass ran at %v, want the deadline instant %v", got, deadline)
+	}
 }
 
 // TestSweeperGraceWindow is the acceptance property under -race: across a
@@ -248,7 +304,7 @@ func TestSweeperGraceWindow(t *testing.T) {
 		r.seedWithTTL(t, subject, ttl, time.Time{})
 		recs[i] = recInfo{subject: subject, deadline: simclock.Epoch.Add(ttl)}
 	}
-	sw := r.engine.StartSweeper(SweeperOptions{Interval: 30 * time.Minute})
+	sw := startSweeper(r.engine, 30*time.Minute)
 	defer sw.Stop()
 
 	for step := 0; step < 2*n; step++ {

@@ -25,9 +25,8 @@ import (
 	"repro/internal/xrand"
 )
 
-// OpClass is one class of macro-workload operation. Distinct from OpKind
-// (the YCSB-style micro mixes above): a macro class maps to a whole system
-// entry point, not a storage primitive.
+// OpClass is one class of macro-workload operation: a class maps to a
+// whole system entry point, not a storage primitive.
 type OpClass int
 
 // Macro op classes, in canonical order.

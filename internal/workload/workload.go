@@ -1,15 +1,13 @@
 // Package workload generates the deterministic populations and operation
-// mixes driving the benchmark harness: synthetic subjects, Listing-1-style
-// user records, consent distributions, and YCSB-like read/update/erase
-// mixes with Zipf-skewed subject popularity.
+// traces driving the benchmark harness: synthetic subjects, Listing-1-style
+// user records, Zipf-skewed subject pickers, and (macro.go) the seeded
+// GDPRBench-style macro mixes.
 package workload
 
 import (
-	"fmt"
 	"strconv"
 
 	"repro/internal/dbfs"
-	"repro/internal/membrane"
 	"repro/internal/xrand"
 )
 
@@ -52,89 +50,6 @@ func UserRecord(rng *xrand.RNG, subjectID string) dbfs.Record {
 		"name":              dbfs.S(first + " " + last + " (" + subjectID + ")"),
 		"pwd":               dbfs.S("pw-" + subjectID),
 		"year_of_birthdate": dbfs.I(int64(1940 + rng.Intn(70))),
-	}
-}
-
-// ConsentProfile draws a consent map: each purpose is granted with
-// probability grantProb, as GrantAll or (viewProb of the time) the view.
-func ConsentProfile(rng *xrand.RNG, purposes []string, view string, grantProb, viewProb float64) map[string]membrane.Grant {
-	out := make(map[string]membrane.Grant, len(purposes))
-	for _, p := range purposes {
-		switch {
-		case !rng.Bool(grantProb):
-			out[p] = membrane.Grant{Kind: membrane.GrantNone}
-		case view != "" && rng.Bool(viewProb):
-			out[p] = membrane.Grant{Kind: membrane.GrantView, View: view}
-		default:
-			out[p] = membrane.Grant{Kind: membrane.GrantAll}
-		}
-	}
-	return out
-}
-
-// OpKind is one operation type in a mix.
-type OpKind int
-
-// Operation kinds.
-const (
-	OpRead OpKind = iota + 1
-	OpUpdate
-	OpErase
-	OpAccessReport
-)
-
-// String names the kind.
-func (k OpKind) String() string {
-	switch k {
-	case OpRead:
-		return "read"
-	case OpUpdate:
-		return "update"
-	case OpErase:
-		return "erase"
-	case OpAccessReport:
-		return "access-report"
-	default:
-		return fmt.Sprintf("op(%d)", int(k))
-	}
-}
-
-// Mix is a normalized operation mix.
-type Mix struct {
-	Name   string
-	Read   float64
-	Update float64
-	Erase  float64
-	Access float64
-}
-
-// Standard mixes, YCSB-flavoured with a GDPR twist: mix D adds the
-// rights traffic (erasures and access reports) a regulated operator sees.
-func MixA() Mix { return Mix{Name: "A", Read: 0.50, Update: 0.50} }
-
-// MixB is read-mostly.
-func MixB() Mix { return Mix{Name: "B", Read: 0.95, Update: 0.05} }
-
-// MixC is read-only.
-func MixC() Mix { return Mix{Name: "C", Read: 1.00} }
-
-// MixD models GDPR operations traffic.
-func MixD() Mix {
-	return Mix{Name: "D", Read: 0.90, Update: 0.05, Erase: 0.025, Access: 0.025}
-}
-
-// Draw picks an operation kind according to the mix.
-func (m Mix) Draw(rng *xrand.RNG) OpKind {
-	f := rng.Float64()
-	switch {
-	case f < m.Read:
-		return OpRead
-	case f < m.Read+m.Update:
-		return OpUpdate
-	case f < m.Read+m.Update+m.Erase:
-		return OpErase
-	default:
-		return OpAccessReport
 	}
 }
 

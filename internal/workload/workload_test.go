@@ -3,7 +3,6 @@ package workload
 import (
 	"testing"
 
-	"repro/internal/membrane"
 	"repro/internal/xrand"
 )
 
@@ -44,56 +43,6 @@ func TestUserRecordShape(t *testing.T) {
 	}
 }
 
-func TestConsentProfile(t *testing.T) {
-	rng := xrand.New(2)
-	purposes := []string{"p1", "p2", "p3"}
-	all := ConsentProfile(rng, purposes, "v", 1.0, 0.0)
-	for _, p := range purposes {
-		if all[p].Kind != membrane.GrantAll {
-			t.Fatalf("grant = %+v", all[p])
-		}
-	}
-	none := ConsentProfile(rng, purposes, "v", 0.0, 0.0)
-	for _, p := range purposes {
-		if none[p].Kind != membrane.GrantNone {
-			t.Fatalf("grant = %+v", none[p])
-		}
-	}
-	views := ConsentProfile(rng, purposes, "v", 1.0, 1.0)
-	for _, p := range purposes {
-		if views[p].Kind != membrane.GrantView || views[p].View != "v" {
-			t.Fatalf("grant = %+v", views[p])
-		}
-	}
-}
-
-func TestMixDraw(t *testing.T) {
-	rng := xrand.New(3)
-	m := MixD()
-	counts := map[OpKind]int{}
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[m.Draw(rng)]++
-	}
-	frac := func(k OpKind) float64 { return float64(counts[k]) / n }
-	if f := frac(OpRead); f < 0.88 || f > 0.92 {
-		t.Fatalf("read frac = %.3f", f)
-	}
-	if f := frac(OpUpdate); f < 0.04 || f > 0.06 {
-		t.Fatalf("update frac = %.3f", f)
-	}
-	if counts[OpErase] == 0 || counts[OpAccessReport] == 0 {
-		t.Fatalf("counts = %v", counts)
-	}
-	// Read-only mix C never yields anything else.
-	c := MixC()
-	for i := 0; i < 1000; i++ {
-		if k := c.Draw(rng); k != OpRead {
-			t.Fatalf("mix C drew %v", k)
-		}
-	}
-}
-
 func TestPickerZipfSkew(t *testing.T) {
 	rng := xrand.New(4)
 	ids := SubjectIDs(1000)
@@ -127,14 +76,5 @@ func TestPickerEmpty(t *testing.T) {
 	p := NewPicker(xrand.New(1), nil, 1.5)
 	if got := p.Pick(); got != "" {
 		t.Fatalf("empty Pick = %q", got)
-	}
-}
-
-func TestOpKindStrings(t *testing.T) {
-	if OpRead.String() != "read" || OpAccessReport.String() != "access-report" {
-		t.Fatal("names wrong")
-	}
-	if MixA().Name != "A" || MixB().Read != 0.95 {
-		t.Fatal("mix definitions wrong")
 	}
 }
