@@ -430,6 +430,69 @@ func (f *Faulty) InjectedFaults() (readErrs, tornWrites uint64) {
 	return f.injectedReadErrs, f.tornWrites
 }
 
+// PowerCut wraps a Device and passes block writes through until a budget
+// is spent, then fails every further write with ErrIO — the device
+// equivalent of pulling the power cord mid commit. Crash tests put it UNDER
+// a filesystem (and its buffer cache), run an operation, and remount from
+// the wrapped device's bytes. It deliberately does not implement
+// VectorWriter, so batched writes degrade to per-block writes and the cut
+// lands at an exact block boundary.
+type PowerCut struct {
+	dev Device
+
+	mu     sync.Mutex
+	budget int // writes still allowed; negative = unlimited
+	writes uint64
+}
+
+var _ Device = (*PowerCut)(nil)
+
+// NewPowerCut wraps dev with an unlimited budget.
+func NewPowerCut(dev Device) *PowerCut { return &PowerCut{dev: dev, budget: -1} }
+
+// SetBudget allows n more block writes; a negative n lifts the limit.
+func (c *PowerCut) SetBudget(n int) {
+	c.mu.Lock()
+	c.budget = n
+	c.mu.Unlock()
+}
+
+// Writes reports how many block writes have passed through.
+func (c *PowerCut) Writes() uint64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.writes
+}
+
+// ReadBlock implements Device.
+func (c *PowerCut) ReadBlock(n uint64, buf []byte) error { return c.dev.ReadBlock(n, buf) }
+
+// WriteBlock implements Device, failing once the budget is spent.
+func (c *PowerCut) WriteBlock(n uint64, data []byte) error {
+	c.mu.Lock()
+	ok := c.budget != 0
+	if ok {
+		c.writes++
+		if c.budget > 0 {
+			c.budget--
+		}
+	}
+	c.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("%w: power cut", ErrIO)
+	}
+	return c.dev.WriteBlock(n, data)
+}
+
+// NumBlocks implements Device.
+func (c *PowerCut) NumBlocks() uint64 { return c.dev.NumBlocks() }
+
+// Sync implements Device.
+func (c *PowerCut) Sync() error { return c.dev.Sync() }
+
+// Stats implements Device.
+func (c *PowerCut) Stats() Stats { return c.dev.Stats() }
+
 // Partition is a window [start, start+nblocks) onto a parent device. The
 // per-shard inode filesystems each format one partition of the PD disk, so
 // shard-disjoint mutations never share a superblock, bitmap or journal —

@@ -23,11 +23,13 @@ package dbfs
 // triggering reader holds, serialized per shard by cold.mu (the shard
 // read lock already excludes every mutator, and the inode layer is
 // internally safe, so a promotion's hot-file writes cannot race a
-// mutator). Crash ordering is archive-first on demote and hot-first on
-// promote: a crash between the two leaves the record present in both
-// tiers, and every read path prefers the hot copy, so nothing is lost and
-// nothing stale is served; the next repack pass of the subject rewrites
-// the archive entry.
+// mutator). Each step — the archive rewrite, a record's hot files appearing
+// (promotion), a record's hot files going away (demotion) — is one inode
+// operation scope, hence one transaction. Crash ordering between the steps
+// is archive-first on demote: a crash after the archive write leaves the
+// record present in both tiers, and every read path prefers the hot copy,
+// so nothing is lost and nothing stale is served; the next repack pass of
+// the subject rewrites the archive entry.
 //
 // A promoted record's archive entry is retained (stale, never served —
 // hot wins): if the record re-idles unchanged, re-demotion
@@ -161,12 +163,12 @@ func (s *Store) ensureColdRoots() error {
 		} {
 			ino, err := fs.Lookup(inode.RootIno, spec.name)
 			if errors.Is(err, inode.ErrChildNotFound) {
-				ino, err = fs.AllocInode(inode.ModeTree, spec.name+"-root")
+				err = fs.Do([]inode.Ino{inode.RootIno}, func(op *inode.Op) (err error) {
+					ino, err = makeTree(op, inode.RootIno, spec.name, spec.name+"-root")
+					return err
+				})
 				if err != nil {
 					return fmt.Errorf("dbfs: create %s tree on instance %d: %w", spec.name, i, err)
-				}
-				if err := fs.AddChild(inode.RootIno, spec.name, ino); err != nil {
-					return fmt.Errorf("dbfs: link %s tree on instance %d: %w", spec.name, i, err)
 				}
 			} else if err != nil {
 				return fmt.Errorf("dbfs: resolve %s tree on instance %d: %w", spec.name, i, err)
@@ -246,10 +248,10 @@ func (s *Store) coldArchiveStore(sr shardRef, cs *coldShard, subjectID string, a
 		if err != nil {
 			return err
 		}
-		if err := sr.fs.RemoveChild(sr.coldRoot, subjectID); err != nil {
-			return err
-		}
-		if err := sr.fs.FreeInode(ino); err != nil {
+		err = sr.fs.Do([]inode.Ino{sr.coldRoot, ino}, func(op *inode.Op) error {
+			return removeFile(op, sr.coldRoot, subjectID, ino)
+		})
+		if err != nil {
 			return err
 		}
 		delete(cs.saved, subjectID)
@@ -267,35 +269,26 @@ func (s *Store) coldArchiveStore(sr shardRef, cs *coldShard, subjectID string, a
 	return nil
 }
 
-// writeOrReplaceFile writes contents under parent as name, creating the
-// file inode or truncating an existing one.
+// writeOrReplaceFile makes contents the file parent/name in one
+// transaction: a new file is created and linked, an existing one has its
+// contents replaced in place.
 func writeOrReplaceFile(fs *inode.FS, parent inode.Ino, name, tag string, contents []byte) error {
 	ino, err := fs.Lookup(parent, name)
-	if errors.Is(err, inode.ErrChildNotFound) {
-		ino, err = fs.AllocInode(inode.ModeFile, tag)
-		if err != nil {
-			return err
-		}
-		if len(contents) > 0 {
-			if _, err := fs.WriteAt(ino, 0, contents); err != nil {
-				_ = fs.FreeInode(ino)
-				return err
-			}
-		}
-		return fs.AddChild(parent, name, ino)
-	}
-	if err != nil {
+	create := errors.Is(err, inode.ErrChildNotFound)
+	if err != nil && !create {
 		return err
 	}
-	if err := fs.Truncate(ino, 0); err != nil {
-		return err
+	mutated := ino
+	if create {
+		mutated = parent
 	}
-	if len(contents) > 0 {
-		if _, err := fs.WriteAt(ino, 0, contents); err != nil {
+	return fs.Do([]inode.Ino{mutated}, func(op *inode.Op) error {
+		if create {
+			_, err := createFile(op, parent, name, tag, contents)
 			return err
 		}
-	}
-	return nil
+		return op.Replace(ino, contents)
+	})
 }
 
 // promoteIfCold rematerializes an archived record in the hot tier —
@@ -331,18 +324,12 @@ func (s *Store) promoteIfCold(sr shardRef, r ref, tree inode.Ino) (bool, error) 
 		delete(cs.archived, r.pdid)
 		return false, nil
 	}
-	// Hot-first rewrite, membrane last — the same visibility rule as
-	// Insert. A crash mid-promotion leaves a partial hot copy shadowed by
-	// the membrane-keyed listings and a complete archive entry.
-	if _, err := s.writeFileInode(sr.fs, tree, recName+dataSuffix, "record", parts[coldPartData]); err != nil {
-		return false, err
-	}
-	if sens := parts[coldPartSens]; sens != nil {
-		if _, err := s.writeFileInode(sr.fs, tree, recName+sensSuffix, "record-sens", sens); err != nil {
-			return false, err
-		}
-	}
-	if _, err := s.writeFileInode(sr.fs, tree, recName+memSuffix, "membrane", parts[coldPartMem]); err != nil {
+	// The hot copy is one transaction, like Insert: racing readers and a
+	// crash see the whole record hot or only its archive entry.
+	err = sr.fs.Do([]inode.Ino{tree}, func(op *inode.Op) error {
+		return createRecordFiles(op, tree, recName, parts[coldPartData], parts[coldPartSens], parts[coldPartMem])
+	})
+	if err != nil {
 		return false, err
 	}
 	cs.touches[r.pdid] = s.clock.Now()
@@ -570,12 +557,14 @@ func (s *Store) readRecordPartsLocked(sr shardRef, r ref, tree inode.Ino) (map[s
 	return parts, nil
 }
 
-// removeRecordFilesLocked unlinks and frees a hot record's files, membrane
-// first (Delete's visibility rule: listings key on the membrane file).
-// Caller holds the shard write lock.
+// removeRecordFilesLocked unlinks and frees a hot record's files in one
+// transaction (listings see the whole record or none of it) and forgets its
+// cached membrane. Caller holds the shard write lock.
 func (s *Store) removeRecordFilesLocked(sr shardRef, r ref, tree inode.Ino) error {
 	recName := strconv.FormatUint(r.recNo, 10)
-	for _, suffix := range []string{memSuffix, sensSuffix, dataSuffix} {
+	var inos [3]inode.Ino // data, sens, mem
+	declared := []inode.Ino{tree}
+	for i, suffix := range []string{dataSuffix, sensSuffix, memSuffix} {
 		ino, err := sr.fs.Lookup(tree, recName+suffix)
 		if errors.Is(err, inode.ErrChildNotFound) {
 			continue
@@ -583,17 +572,18 @@ func (s *Store) removeRecordFilesLocked(sr shardRef, r ref, tree inode.Ino) erro
 		if err != nil {
 			return err
 		}
-		if err := sr.fs.RemoveChild(tree, recName+suffix); err != nil {
-			return err
-		}
-		if suffix == memSuffix {
-			if mc := s.mcache.Load(); mc != nil {
-				mc.drop(sr.idx, r.pdid)
-			}
-		}
-		if err := sr.fs.FreeInode(ino); err != nil {
-			return err
-		}
+		inos[i] = ino
+		declared = append(declared, ino)
+	}
+	err := sr.fs.Do(declared, func(op *inode.Op) error {
+		return removeRecordFiles(op, tree, recName, inos[0], inos[1], inos[2])
+	})
+	if err != nil {
+		s.cacheInvalidate(sr, r.pdid)
+		return err
+	}
+	if mc := s.mcache.Load(); mc != nil {
+		mc.drop(sr.idx, r.pdid)
 	}
 	return nil
 }
@@ -703,7 +693,12 @@ func (s *Store) SnapshotMembranes(tok *lsm.Token, label string) (int, error) {
 		if err != nil {
 			return 0, err
 		}
-		if _, err := s.writeFileInode(fs, s.cold.snapRoots[i], label, "snapshot:"+clipTag(label), enc); err != nil {
+		snapRoot := s.cold.snapRoots[i]
+		err = fs.Do([]inode.Ino{snapRoot}, func(op *inode.Op) error {
+			_, err := createFile(op, snapRoot, label, "snapshot:"+clipTag(label), enc)
+			return err
+		})
+		if err != nil {
 			return 0, fmt.Errorf("dbfs: write snapshot %q: %w", label, err)
 		}
 	}

@@ -307,45 +307,37 @@ func CreateShards(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, c
 		clock = simclock.Real{}
 	}
 	s := newStore(fss, guard, vault, clock, uint32(shards))
-	for _, spec := range []struct {
-		name string
-		dst  *inode.Ino
-	}{
-		{schemaRootName, &s.schemaRoot},
-		{formatRootName, &s.formatRoot},
-	} {
-		ino, err := s.metaFS().AllocInode(inode.ModeTree, spec.name+"-root")
-		if err != nil {
-			return nil, fmt.Errorf("dbfs: create %s tree: %w", spec.name, err)
-		}
-		if err := s.metaFS().AddChild(inode.RootIno, spec.name, ino); err != nil {
-			return nil, fmt.Errorf("dbfs: link %s tree: %w", spec.name, err)
-		}
-		*spec.dst = ino
-	}
 	for i, fs := range fss {
-		for _, spec := range []struct {
-			name string
-			dst  *inode.Ino
-		}{
-			{subjectRootName, &s.subjectRoots[i]},
-			{tablesRootName, &s.tablesRoots[i]},
-		} {
-			ino, err := fs.AllocInode(inode.ModeTree, spec.name+"-root")
-			if err != nil {
-				return nil, fmt.Errorf("dbfs: create %s tree on instance %d: %w", spec.name, i, err)
-			}
-			if err := fs.AddChild(inode.RootIno, spec.name, ino); err != nil {
-				return nil, fmt.Errorf("dbfs: link %s tree on instance %d: %w", spec.name, i, err)
-			}
-			*spec.dst = ino
-		}
 		var cfg [24]byte
 		binary.LittleEndian.PutUint64(cfg[0:], uint64(len(fss)))
 		binary.LittleEndian.PutUint64(cfg[8:], uint64(i))
 		binary.LittleEndian.PutUint64(cfg[16:], uint64(shards))
-		if _, err := s.writeFileInode(fs, inode.RootIno, shardCfgName, "shard-config", cfg[:]); err != nil {
-			return nil, fmt.Errorf("dbfs: create shard config on instance %d: %w", i, err)
+		trees := []struct {
+			name string
+			dst  *inode.Ino
+		}{
+			{schemaRootName, &s.schemaRoot},
+			{formatRootName, &s.formatRoot},
+			{subjectRootName, &s.subjectRoots[i]},
+			{tablesRootName, &s.tablesRoots[i]},
+		}
+		if i > 0 {
+			trees = trees[2:] // schema and format live on instance 0 only
+		}
+		// One instance's whole DBFS layout is one transaction.
+		err := fs.Do([]inode.Ino{inode.RootIno}, func(op *inode.Op) error {
+			for _, spec := range trees {
+				ino, err := makeTree(op, inode.RootIno, spec.name, spec.name+"-root")
+				if err != nil {
+					return fmt.Errorf("%s tree: %w", spec.name, err)
+				}
+				*spec.dst = ino
+			}
+			_, err := createFile(op, inode.RootIno, shardCfgName, "shard-config", cfg[:])
+			return err
+		})
+		if err != nil {
+			return nil, fmt.Errorf("dbfs: format instance %d: %w", i, err)
 		}
 	}
 	if err := s.ensureColdRoots(); err != nil {
@@ -521,24 +513,69 @@ func readAll(fs *inode.FS, ino inode.Ino) ([]byte, error) {
 	return buf, nil
 }
 
-// writeFileInode creates a file inode on fs with contents, tagged tag,
-// linked under parent as name.
-func (s *Store) writeFileInode(fs *inode.FS, parent inode.Ino, name, tag string, contents []byte) (inode.Ino, error) {
-	ino, err := fs.AllocInode(inode.ModeFile, tag)
+// makeTree is a scope step: allocate a tree inode tagged tag and link it
+// under parent as name.
+func makeTree(op *inode.Op, parent inode.Ino, name, tag string) (inode.Ino, error) {
+	ino, err := op.Alloc(inode.ModeTree, tag)
 	if err != nil {
 		return 0, err
 	}
-	if len(contents) > 0 {
-		if _, err := fs.WriteAt(ino, 0, contents); err != nil {
-			_ = fs.FreeInode(ino)
-			return 0, err
-		}
-	}
-	if err := fs.AddChild(parent, name, ino); err != nil {
-		_ = fs.FreeInode(ino)
+	return ino, op.Link(parent, name, ino)
+}
+
+// createFile is a scope step: allocate a file inode tagged tag holding
+// contents and link it under parent as name.
+func createFile(op *inode.Op, parent inode.Ino, name, tag string, contents []byte) (inode.Ino, error) {
+	ino, err := op.Alloc(inode.ModeFile, tag)
+	if err != nil {
 		return 0, err
 	}
-	return ino, nil
+	if err := op.Write(ino, 0, contents); err != nil {
+		return 0, err
+	}
+	return ino, op.Link(parent, name, ino)
+}
+
+// removeFile is a scope step: unlink name → ino from parent and free ino.
+func removeFile(op *inode.Op, parent inode.Ino, name string, ino inode.Ino) error {
+	if err := op.Unlink(parent, name, ino); err != nil {
+		return err
+	}
+	return op.Free(ino)
+}
+
+// createRecordFiles is the scope step that materializes one record under
+// its type tree: data, the sensitive part when the type has one, and the
+// membrane. The three files and their links are one transaction, so a
+// record is never visible (or durable) without its membrane.
+func createRecordFiles(op *inode.Op, tree inode.Ino, recName string, data, sens, mem []byte) error {
+	if _, err := createFile(op, tree, recName+dataSuffix, "record", data); err != nil {
+		return err
+	}
+	if sens != nil {
+		if _, err := createFile(op, tree, recName+sensSuffix, "record-sens", sens); err != nil {
+			return err
+		}
+	}
+	_, err := createFile(op, tree, recName+memSuffix, "membrane", mem)
+	return err
+}
+
+// removeRecordFiles is the scope step that unlinks and frees one record's
+// files; an inode number of 0 means the record has no such file.
+func removeRecordFiles(op *inode.Op, tree inode.Ino, recName string, data, sens, mem inode.Ino) error {
+	for _, f := range []struct {
+		suffix string
+		ino    inode.Ino
+	}{{memSuffix, mem}, {sensSuffix, sens}, {dataSuffix, data}} {
+		if f.ino == 0 {
+			continue
+		}
+		if err := removeFile(op, tree, recName+f.suffix, f.ino); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // check mediates an access through the LSM guard.
@@ -656,38 +693,10 @@ func (s *Store) CreateType(tok *lsm.Token, sch *Schema) error {
 	if _, ok := s.schemas[sch.Name]; ok {
 		return fmt.Errorf("%w: %q", ErrTypeExists, sch.Name)
 	}
-	meta := s.metaFS()
-	tb, err := meta.AllocInode(inode.ModeTree, "table:"+sch.Name)
-	if err != nil {
-		return fmt.Errorf("dbfs: create type %q: %w", sch.Name, err)
-	}
-	if err := meta.AddChild(s.schemaRoot, sch.Name, tb); err != nil {
-		return fmt.Errorf("dbfs: create type %q: %w", sch.Name, err)
-	}
 	raw, err := EncodeSchema(sch)
 	if err != nil {
 		return err
 	}
-	if _, err := s.writeFileInode(meta, tb, defFileName, "schema-def", raw); err != nil {
-		return fmt.Errorf("dbfs: create type %q def: %w", sch.Name, err)
-	}
-	var seq [8]byte
-	if _, err := s.writeFileInode(meta, tb, seqFileName, "schema-seq", seq[:]); err != nil {
-		return fmt.Errorf("dbfs: create type %q seq: %w", sch.Name, err)
-	}
-	// Second major tree, per instance: tables/<type> links every subject's
-	// record tree of this type on that instance, for fast per-table
-	// enumeration without crossing filesystems.
-	for i, fs := range s.fss {
-		subs, err := fs.AllocInode(inode.ModeTree, "table-subjects:"+clipTag(sch.Name))
-		if err != nil {
-			return fmt.Errorf("dbfs: create type %q subjects on instance %d: %w", sch.Name, i, err)
-		}
-		if err := fs.AddChild(s.tablesRoots[i], sch.Name, subs); err != nil {
-			return fmt.Errorf("dbfs: create type %q subjects on instance %d: %w", sch.Name, i, err)
-		}
-	}
-	// Format descriptor.
 	entries := make([]formatEntry, 0, len(sch.Fields))
 	for _, f := range sch.Fields {
 		entries = append(entries, formatEntry{Field: f.Name, Type: f.Type, Sensitive: f.Sensitive})
@@ -696,8 +705,41 @@ func (s *Store) CreateType(tok *lsm.Token, sch *Schema) error {
 	if err != nil {
 		return fmt.Errorf("dbfs: encode format %q: %w", sch.Name, err)
 	}
-	if _, err := s.writeFileInode(meta, s.formatRoot, sch.Name, "format:"+sch.Name, fraw); err != nil {
-		return fmt.Errorf("dbfs: create format %q: %w", sch.Name, err)
+	// Second major tree, per instance: tables/<type> links every subject's
+	// record tree of this type on that instance, for fast per-table
+	// enumeration without crossing filesystems.
+	subsTag := "table-subjects:" + clipTag(sch.Name)
+	// Everything the type needs on the metadata instance — table tree, def,
+	// seq, subject list, format descriptor — is one transaction.
+	err = s.metaFS().Do([]inode.Ino{s.schemaRoot, s.formatRoot, s.tablesRoots[0]}, func(op *inode.Op) error {
+		tb, err := makeTree(op, s.schemaRoot, sch.Name, "table:"+sch.Name)
+		if err != nil {
+			return err
+		}
+		if _, err := createFile(op, tb, defFileName, "schema-def", raw); err != nil {
+			return err
+		}
+		var seq [8]byte
+		if _, err := createFile(op, tb, seqFileName, "schema-seq", seq[:]); err != nil {
+			return err
+		}
+		if _, err := makeTree(op, s.tablesRoots[0], sch.Name, subsTag); err != nil {
+			return err
+		}
+		_, err = createFile(op, s.formatRoot, sch.Name, "format:"+sch.Name, fraw)
+		return err
+	})
+	if err != nil {
+		return fmt.Errorf("dbfs: create type %q: %w", sch.Name, err)
+	}
+	for i := 1; i < len(s.fss); i++ {
+		err := s.fss[i].Do([]inode.Ino{s.tablesRoots[i]}, func(op *inode.Op) error {
+			_, err := makeTree(op, s.tablesRoots[i], sch.Name, subsTag)
+			return err
+		})
+		if err != nil {
+			return fmt.Errorf("dbfs: create type %q subjects on instance %d: %w", sch.Name, i, err)
+		}
 	}
 	s.schemas[sch.Name] = sch
 	s.formats[sch.Name] = entries
@@ -790,46 +832,49 @@ func (s *Store) resolve(pdid string) (ref, *Schema, error) {
 // holding subject's records of the given type on the subject's filesystem
 // instance, maintaining both major trees: subjects/<subj>/<type> and
 // tables/<type>/<subj>. Caller holds the subject's shard lock (write-side
-// when create is set); the inode FS serializes the cross-shard AddChild on
-// the instance's table subject list internally.
+// when create is set). First touch — the subject tree if the subject is new,
+// its record tree, and the link from the instance's table subject list — is
+// one operation scope over the shared parents it mutates, so a subject is
+// never left in one major tree but not the other.
 func (s *Store) subjectTypeTree(sr shardRef, typeName, subjectID string, create bool) (inode.Ino, error) {
 	subjIno, err := sr.fs.Lookup(sr.subjRoot, subjectID)
-	if errors.Is(err, inode.ErrChildNotFound) {
-		if !create {
-			return 0, fmt.Errorf("%w: subject %q", ErrNoRecord, subjectID)
-		}
-		subjIno, err = sr.fs.AllocInode(inode.ModeTree, "subject:"+clipTag(subjectID))
-		if err != nil {
-			return 0, err
-		}
-		if err := sr.fs.AddChild(sr.subjRoot, subjectID, subjIno); err != nil {
-			return 0, err
-		}
-	} else if err != nil {
+	newSubject := errors.Is(err, inode.ErrChildNotFound)
+	if err != nil && !newSubject {
 		return 0, err
 	}
-	tIno, err := sr.fs.Lookup(subjIno, typeName)
-	if errors.Is(err, inode.ErrChildNotFound) {
+	if newSubject && !create {
+		return 0, fmt.Errorf("%w: subject %q", ErrNoRecord, subjectID)
+	}
+	if !newSubject {
+		tIno, err := sr.fs.Lookup(subjIno, typeName)
+		if err == nil || !errors.Is(err, inode.ErrChildNotFound) {
+			return tIno, err
+		}
 		if !create {
 			return 0, fmt.Errorf("%w: subject %q has no %q records", ErrNoRecord, subjectID, typeName)
 		}
-		tIno, err = sr.fs.AllocInode(inode.ModeTree, "records:"+clipTag(typeName))
-		if err != nil {
-			return 0, err
+	}
+	subs, err := sr.fs.Lookup(sr.tablesRoot, typeName)
+	if err != nil {
+		return 0, err
+	}
+	declared := []inode.Ino{subs, subjIno}
+	if newSubject {
+		declared[1] = sr.subjRoot
+	}
+	var tIno inode.Ino
+	err = sr.fs.Do(declared, func(op *inode.Op) (err error) {
+		if newSubject {
+			if subjIno, err = makeTree(op, sr.subjRoot, subjectID, "subject:"+clipTag(subjectID)); err != nil {
+				return err
+			}
 		}
-		if err := sr.fs.AddChild(subjIno, typeName, tIno); err != nil {
-			return 0, err
+		if tIno, err = makeTree(op, subjIno, typeName, "records:"+clipTag(typeName)); err != nil {
+			return err
 		}
-		// Second major tree: link the subject's record tree from the
-		// instance's table subject list for fast per-table enumeration.
-		subs, err := sr.fs.Lookup(sr.tablesRoot, typeName)
-		if err != nil {
-			return 0, err
-		}
-		if err := sr.fs.AddChild(subs, subjectID, tIno); err != nil {
-			return 0, err
-		}
-	} else if err != nil {
+		return op.Link(subs, subjectID, tIno)
+	})
+	if err != nil {
 		return 0, err
 	}
 	return tIno, nil
@@ -959,18 +1004,13 @@ func (s *Store) Insert(tok *lsm.Token, typeName, subjectID string, rec Record, m
 	if err != nil {
 		return fail(err)
 	}
-	recName := strconv.FormatUint(recNo, 10)
-	if _, err := s.writeFileInode(sr.fs, tree, recName+dataSuffix, "record", sealed); err != nil {
-		return fail(err)
-	}
-	if sealedSens != nil {
-		if _, err := s.writeFileInode(sr.fs, tree, recName+sensSuffix, "record-sens", sealedSens); err != nil {
-			return fail(err)
-		}
-	}
-	// The membrane lands last: a record becomes visible to listings (which
-	// key on the membrane file) only once it is complete.
-	if _, err := s.writeFileInode(sr.fs, tree, recName+memSuffix, "membrane", memBytes); err != nil {
+	// One commit point: data, sensitive part, membrane and their links are
+	// one transaction, so listings (and a crash) see the whole record or
+	// none of it, and a failure leaves nothing to clean up but the keys.
+	err = sr.fs.Do([]inode.Ino{tree}, func(op *inode.Op) error {
+		return createRecordFiles(op, tree, strconv.FormatUint(recNo, 10), sealed, sealedSens, memBytes)
+	})
+	if err != nil {
 		return fail(err)
 	}
 	if mc := s.mcache.Load(); mc != nil {
@@ -1011,18 +1051,9 @@ func (s *Store) recordInos(sr shardRef, r ref) (tree inode.Ino, data, sens, mem 
 	if err != nil {
 		return 0, 0, 0, 0, err
 	}
-	// Membrane before sens: a racing reader's promotion (which runs under
-	// the shard read lock) writes data, sens, membrane in that order, so a
-	// visible membrane proves the sens part is visible too.
+	// A record's files are linked by one transaction (Insert, promotion), so
+	// a visible data file proves the membrane and sens part are visible too.
 	mem, err = sr.fs.Lookup(tree, recName+memSuffix)
-	if errors.Is(err, inode.ErrChildNotFound) {
-		// Possibly mid-promotion: wait for it on the cold mutex
-		// (promoteIfCold reports true once the record is hot) before
-		// calling the membrane missing.
-		if promoted, perr := s.promoteIfCold(sr, r, tree); perr == nil && promoted {
-			mem, err = sr.fs.Lookup(tree, recName+memSuffix)
-		}
-	}
 	if errors.Is(err, inode.ErrChildNotFound) {
 		return 0, 0, 0, 0, fmt.Errorf("%w: %s", ErrNoMembrane, r.pdid)
 	}
@@ -1190,15 +1221,13 @@ func (s *Store) putMembraneLocked(sr shardRef, r ref, m *membrane.Membrane) erro
 	if err != nil {
 		return err
 	}
-	// Replace contents: truncate then rewrite. A failure mid-replace leaves
-	// the stored bytes torn, so the cache entry must not keep serving the
-	// pre-write image — invalidate and let the next read surface the state
-	// of the disk.
-	if err := sr.fs.Truncate(memIno, 0); err != nil {
-		s.cacheInvalidate(sr, r.pdid)
-		return err
-	}
-	if _, err := sr.fs.WriteAt(memIno, 0, raw); err != nil {
+	// Replace the contents in place, as one transaction: the stored bytes
+	// are the old membrane or the new one, never a mix. A failure that
+	// surfaces after the enqueue (the journal refused the commit group) can
+	// still leave memory ahead of the disk, so the cache entry is
+	// invalidated on any error and the next read surfaces the stored state.
+	err = sr.fs.Do([]inode.Ino{memIno}, func(op *inode.Op) error { return op.Replace(memIno, raw) })
+	if err != nil {
 		s.cacheInvalidate(sr, r.pdid)
 		return err
 	}
@@ -1324,19 +1353,21 @@ func (s *Store) Update(tok *lsm.Token, pdid string, rec Record) error {
 			return fmt.Errorf("dbfs: update %s: seal sensitive: %w", pdid, err)
 		}
 	}
-	if err := sr.fs.Truncate(dataIno, 0); err != nil {
-		return err
+	// Both parts are replaced in place by one transaction: a reader or a
+	// crash sees the old record or the new one, never one part of each.
+	declared := []inode.Ino{dataIno}
+	withSens := sensIno != 0 && sealedSens != nil
+	if withSens {
+		declared = append(declared, sensIno)
 	}
-	if _, err := sr.fs.WriteAt(dataIno, 0, sealed); err != nil {
-		return err
-	}
-	if sensIno != 0 && sealedSens != nil {
-		if err := sr.fs.Truncate(sensIno, 0); err != nil {
+	err = sr.fs.Do(declared, func(op *inode.Op) error {
+		if err := op.Replace(dataIno, sealed); err != nil || !withSens {
 			return err
 		}
-		if _, err := sr.fs.WriteAt(sensIno, 0, sealedSens); err != nil {
-			return err
-		}
+		return op.Replace(sensIno, sealedSens)
+	})
+	if err != nil {
+		return err
 	}
 	// The membrane bytes are untouched, but the record moved: bump its
 	// cache version so any cached membrane re-validates against disk.
@@ -1405,34 +1436,26 @@ func (s *Store) Delete(tok *lsm.Token, pdid string) error {
 	if err != nil {
 		return err
 	}
-	recName := strconv.FormatUint(r.recNo, 10)
-	// Mirror Insert's visibility rule (membrane written last): remove the
-	// membrane FIRST, so the lock-free listings — which key on the
-	// membrane file — never surface a record whose data is already gone.
-	if err := sr.fs.RemoveChild(tree, recName+memSuffix); err != nil {
+	// One commit point: the three unlinks and frees are one transaction, so
+	// the lock-free listings (and a crash) see the whole record or none of
+	// it — never a membrane whose data is already gone.
+	declared := []inode.Ino{tree, dataIno, memIno}
+	if sensIno != 0 {
+		declared = append(declared, sensIno)
+	}
+	err = sr.fs.Do(declared, func(op *inode.Op) error {
+		return removeRecordFiles(op, tree, strconv.FormatUint(r.recNo, 10), dataIno, sensIno, memIno)
+	})
+	if err != nil {
+		// A commit that failed after the enqueue leaves memory ahead of the
+		// disk; the next read must surface the stored state.
+		s.cacheInvalidate(sr, pdid)
 		return err
 	}
-	// The record is now invisible; forget it in the cache so no read can
-	// resurrect the membrane of a half-deleted record.
+	// The record is gone; forget it in the cache so no read can resurrect
+	// its membrane.
 	if mc := s.mcache.Load(); mc != nil {
 		mc.drop(sr.idx, pdid)
-	}
-	if err := sr.fs.FreeInode(memIno); err != nil {
-		return err
-	}
-	if sensIno != 0 {
-		if err := sr.fs.RemoveChild(tree, recName+sensSuffix); err != nil {
-			return err
-		}
-		if err := sr.fs.FreeInode(sensIno); err != nil {
-			return err
-		}
-	}
-	if err := sr.fs.RemoveChild(tree, recName+dataSuffix); err != nil {
-		return err
-	}
-	if err := sr.fs.FreeInode(dataIno); err != nil {
-		return err
 	}
 	// Shred keys so any residues (ciphertext) stay unreadable forever.
 	if _, err := s.vault.Shred(pdid); err != nil &&

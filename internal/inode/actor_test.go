@@ -101,7 +101,7 @@ func TestActorParkAndReEnsure(t *testing.T) {
 
 // TestTwoInodeOpsNoDeadlock cross-links two trees from two goroutines in
 // opposite argument orders. Naive lock-in-argument-order would deadlock;
-// the ascending-inode forwarding rule in exec2 must not. The test fails by
+// the ascending-inode forwarding rule in execAll must not. The test fails by
 // timeout if ownership ever cycles.
 func TestTwoInodeOpsNoDeadlock(t *testing.T) {
 	_, fs := newFS(t, 2048)
@@ -238,50 +238,6 @@ func TestSerialOpsAblation(t *testing.T) {
 	}
 }
 
-// cuttableDev passes writes through until its budget is spent, then fails
-// them — pulling the power cord mid commit. Like the WAL tests' cutoffDev
-// it deliberately does not implement VectorWriter, so batched journal
-// writes degrade to per-block writes and the cut lands on a block boundary.
-type cuttableDev struct {
-	dev blockdev.Device
-
-	mu     sync.Mutex
-	budget int // negative = unlimited
-}
-
-func (c *cuttableDev) ReadBlock(n uint64, buf []byte) error { return c.dev.ReadBlock(n, buf) }
-func (c *cuttableDev) NumBlocks() uint64                    { return c.dev.NumBlocks() }
-func (c *cuttableDev) Stats() blockdev.Stats                { return c.dev.Stats() }
-
-func (c *cuttableDev) setBudget(n int) {
-	c.mu.Lock()
-	c.budget = n
-	c.mu.Unlock()
-}
-
-func (c *cuttableDev) WriteBlock(n uint64, data []byte) error {
-	c.mu.Lock()
-	ok := c.budget != 0
-	if c.budget > 0 {
-		c.budget--
-	}
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: power cut", blockdev.ErrIO)
-	}
-	return c.dev.WriteBlock(n, data)
-}
-
-func (c *cuttableDev) Sync() error {
-	c.mu.Lock()
-	ok := c.budget != 0
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: power cut", blockdev.ErrIO)
-	}
-	return c.dev.Sync()
-}
-
 // TestCacheWriteBackCrashOrdering is the write-back crash-injection
 // contract: with a deliberately tiny buffer cache (evictions churning
 // throughout) the power is cut after a transaction's journal data blocks
@@ -290,7 +246,7 @@ func (c *cuttableDev) Sync() error {
 // record — and a fresh mount must recover exactly the pre-cut state.
 func TestCacheWriteBackCrashOrdering(t *testing.T) {
 	mem := blockdev.MustMem(512)
-	cut := &cuttableDev{dev: mem, budget: -1}
+	cut := blockdev.NewPowerCut(mem)
 	fs, err := Format(cut, Options{
 		NInodes:       64,
 		JournalBlocks: 64,
@@ -319,7 +275,7 @@ func TestCacheWriteBackCrashOrdering(t *testing.T) {
 	// The overwrite transaction journals [desc][data][itab] then the
 	// commit record. Budget 2 lets desc+data through and cuts before the
 	// commit block can land.
-	cut.setBudget(2)
+	cut.SetBudget(2)
 	torn := bytes.Repeat([]byte{0x5A}, blockdev.BlockSize)
 	if _, err := fs.WriteAt(ino, 0, torn); err == nil {
 		t.Fatal("cut write reported success")

@@ -220,9 +220,12 @@ func (o *Options) withDefaults() {
 // WAL commit groups. Reads go through the journal's in-flight overlay
 // (wal.Log.ReadThrough), then the block buffer cache, then the device.
 //
+// Every mutation is an operation scope (see Do in op.go): one transaction,
+// one commit point, however many inodes and steps it spans.
+//
 // Lock ordering: actor ownership (or serialMu in the ablation mode) →
 // metaMu → wal internals → buffer cache. Multi-inode operations acquire
-// actors in ascending inode order only (see exec2), so ownership cycles
+// actors in ascending inode order only (see execAll), so ownership cycles
 // cannot form.
 type FS struct {
 	dev   blockdev.Device // I/O path: the buffer cache when enabled, else raw
@@ -240,6 +243,17 @@ type FS struct {
 	metaMu sync.Mutex
 	bitmap []byte // in-memory block allocation bitmap, one bit per device block
 	itab   []dinode
+	// claimed marks table slots reserved by an open operation scope: free
+	// in itab (so no transaction's image of the table block shows them)
+	// but not available to other allocations. See Op.Alloc.
+	claimed []bool
+	// blkHint and inoHint are lowest-free hints for the two first-fit
+	// scans: every data block below blkHint is allocated, every slot below
+	// inoHint is allocated or claimed. Allocations advance them; frees,
+	// aborts and released claims pull them back down, so the allocation
+	// order is exactly the naive lowest-first scan's.
+	blkHint uint64
+	inoHint uint64
 
 	// actorsMu guards the live-actor registry and each daemon's inflight
 	// count.
@@ -319,6 +333,9 @@ func Format(dev blockdev.Device, opts Options) (*FS, error) {
 		sb:       sb,
 		bitmap:   make([]byte, bitmapBlocks*blockdev.BlockSize),
 		itab:     make([]dinode, sb.NInodes),
+		claimed:  make([]bool, sb.NInodes),
+		blkHint:  sb.DataStart,
+		inoHint:  1,
 		maxChunk: chunkLimit(sb.JournalBlocks),
 		actors:   make(map[Ino]*idaemon),
 	}
@@ -425,6 +442,9 @@ func Mount(dev blockdev.Device, clock simclock.Clock) (*FS, error) {
 		log:      log,
 		bitmap:   make([]byte, sb.BitmapBlocks*blockdev.BlockSize),
 		itab:     make([]dinode, sb.NInodes),
+		claimed:  make([]bool, sb.NInodes),
+		blkHint:  sb.DataStart,
+		inoHint:  1,
 		maxChunk: chunkLimit(sb.JournalBlocks),
 		actors:   make(map[Ino]*idaemon),
 	}
@@ -583,33 +603,40 @@ func (fs *FS) exec(ino Ino, fn func()) {
 		fs.serialMu.Unlock()
 		return
 	}
+	fs.actorExec(ino, fn)
+}
+
+// actorExec sends fn to ino's daemon and waits for it.
+func (fs *FS) actorExec(ino Ino, fn func()) {
 	d := fs.ensure(ino)
 	req := &ireq{fn: fn, done: make(chan struct{})}
 	d.ch <- req
 	<-req.done
 }
 
-// exec2 runs fn while holding BOTH inodes' actors. Ownership is always
-// acquired in ascending inode order — the lower actor's request forwards
-// into the higher actor — so a daemon only ever waits on a strictly higher
-// inode and ownership cycles (deadlocks) cannot form, whatever the callers'
-// argument order.
-func (fs *FS) exec2(a, b Ino, fn func()) {
-	if a == b {
-		fs.exec(a, fn)
-		return
-	}
+// execAll runs fn while holding the actors of every inode in inos, which
+// must be ascending and distinct (Do sorts its declared set). Ownership is
+// acquired in that order — each actor's request forwards into the next
+// higher actor — so a daemon only ever waits on a strictly higher inode and
+// ownership cycles (deadlocks) cannot form, whatever order the callers
+// named the inodes in. With no inodes fn runs on the caller's goroutine. In
+// the ablation mode the whole of fn runs under serialMu instead.
+func (fs *FS) execAll(inos []Ino, fn func()) {
 	if fs.serialOps.Load() {
 		fs.serialMu.Lock()
 		fn()
 		fs.serialMu.Unlock()
 		return
 	}
-	lo, hi := a, b
-	if lo > hi {
-		lo, hi = hi, lo
+	fs.forward(inos, fn)
+}
+
+func (fs *FS) forward(inos []Ino, fn func()) {
+	if len(inos) == 0 {
+		fn()
+		return
 	}
-	fs.exec(lo, func() { fs.exec(hi, fn) })
+	fs.actorExec(inos[0], func() { fs.forward(inos[1:], fn) })
 }
 
 // LiveActors reports how many inode daemons are currently running (test and
@@ -691,25 +718,6 @@ func (fs *FS) loadAlive(ino Ino) (dinode, error) {
 	return d, nil
 }
 
-// stageItabBlockLocked encodes inode-table block ib wholly from the
-// in-memory table into tx. Unlike the old read-modify-write flush, no
-// device read is needed: the table mirror is authoritative, and because
-// every stage-and-enqueue happens in one metaMu critical section, snapshot
-// order equals commit order — the journal can never flush a newer image of
-// the block before an older one (see mtx.enqueue).
-func (fs *FS) stageItabBlockLocked(tx *wal.Txn, ib uint64) error {
-	buf := make([]byte, blockdev.BlockSize)
-	base := ib * InodesPerBlock
-	for j := uint64(0); j < InodesPerBlock; j++ {
-		idx := base + j
-		if idx >= fs.sb.NInodes {
-			break
-		}
-		encodeInode(fs.itab[idx], buf[j*InodeSize:(j+1)*InodeSize])
-	}
-	return tx.Write(fs.sb.InodeStart+ib, buf)
-}
-
 // readBlock reads block n, preferring the image buffered in tx (a
 // transaction observes its own writes), then any enqueued-but-not-yet-
 // checkpointed image in the journal overlay, then the buffer cache, then
@@ -725,12 +733,6 @@ func (fs *FS) readBlock(tx *wal.Txn, n uint64, buf []byte) error {
 }
 
 // --- metadata transactions ---
-
-// pub is one working inode copy to publish into the table at enqueue.
-type pub struct {
-	ino Ino
-	d   *dinode
-}
 
 // mtx wraps one journal transaction with the deferred shared-metadata
 // bookkeeping that replaces staging under a big lock: block allocations
@@ -749,23 +751,35 @@ func (fs *FS) begin() *mtx { return &mtx{fs: fs, tx: fs.log.Begin()} }
 
 func (m *mtx) readBlock(n uint64, buf []byte) error { return m.fs.readBlock(m.tx, n, buf) }
 
-// alloc claims a free data block. The bit is set in memory now, but the
-// bitmap block is staged only at enqueue and the bit is released again if
-// the transaction aborts. A crash can therefore expose a durable set bit
-// whose transaction never committed — a space leak, never corruption.
+// alloc claims the lowest free data block. The bit is set in memory now,
+// but the bitmap block is staged only at enqueue and the bit is released
+// again if the transaction aborts. A crash can therefore expose a durable
+// set bit whose transaction never committed — a space leak, never
+// corruption.
 func (m *mtx) alloc() (uint64, error) {
 	fs := m.fs
 	fs.metaMu.Lock()
-	for b := fs.sb.DataStart; b < fs.sb.NBlocks; b++ {
+	defer fs.metaMu.Unlock()
+	for b := fs.blkHint; b < fs.sb.NBlocks; b++ {
 		if fs.bitmap[b/8]&(1<<(b%8)) == 0 {
 			fs.bitmap[b/8] |= 1 << (b % 8)
-			fs.metaMu.Unlock()
+			fs.blkHint = b + 1
 			m.allocs = append(m.allocs, b)
 			return b, nil
 		}
 	}
-	fs.metaMu.Unlock()
+	fs.blkHint = fs.sb.NBlocks
 	return 0, ErrNoSpace
+}
+
+// clearBitsLocked marks blocks free in the in-memory bitmap.
+func (fs *FS) clearBitsLocked(blocks []uint64) {
+	for _, b := range blocks {
+		fs.bitmap[b/8] &^= 1 << (b % 8)
+		if b < fs.blkHint {
+			fs.blkHint = b
+		}
+	}
 }
 
 // free schedules block b for release. Both the in-memory bit clear and the
@@ -782,60 +796,132 @@ func (m *mtx) free(b uint64) error {
 	return nil
 }
 
+// claimSlot reserves the lowest free inode table slot for an operation
+// scope. The slot stays ModeFree in the table until the scope publishes it.
+func (fs *FS) claimSlot() (Ino, error) {
+	fs.metaMu.Lock()
+	defer fs.metaMu.Unlock()
+	for i := fs.inoHint; i < fs.sb.NInodes; i++ {
+		if fs.itab[i].Mode == ModeFree && !fs.claimed[i] {
+			fs.claimed[i] = true
+			fs.inoHint = i + 1
+			return Ino(i), nil
+		}
+	}
+	fs.inoHint = fs.sb.NInodes
+	return 0, fmt.Errorf("%w: inode table full", ErrNoSpace)
+}
+
+// releaseSlotLocked drops any reservation of slot ino and, if the slot is
+// free in the table (an aborted claim, or an inode just published as
+// freed), makes it the allocator's next candidate again.
+func (fs *FS) releaseSlotLocked(ino Ino) {
+	fs.claimed[ino] = false
+	if fs.itab[ino].Mode == ModeFree && uint64(ino) < fs.inoHint {
+		fs.inoHint = uint64(ino)
+	}
+}
+
+// addBlock appends b to the small set s unless present.
+func addBlock(s []uint64, b uint64) []uint64 {
+	for _, x := range s {
+		if x == b {
+			return s
+		}
+	}
+	return append(s, b)
+}
+
+// stageItabBlockLocked encodes inode-table block ib into the transaction:
+// each slot from the in-memory table, except that the dirty working copies
+// in ws stand in for their slots (they are published only once the
+// enqueue has succeeded). No device read is needed: the table mirror is
+// authoritative, and because every stage-and-enqueue happens in one metaMu
+// critical section, snapshot order equals commit order — the journal can
+// never flush a newer image of the block before an older one.
+func (m *mtx) stageItabBlockLocked(ib uint64, ws []*opInode) error {
+	fs := m.fs
+	buf := make([]byte, blockdev.BlockSize)
+	base := ib * InodesPerBlock
+	for j := uint64(0); j < InodesPerBlock && base+j < fs.sb.NInodes; j++ {
+		d := &fs.itab[base+j]
+		for _, w := range ws {
+			if w.dirty && uint64(w.ino) == base+j {
+				d = &w.d
+			}
+		}
+		encodeInode(*d, buf[j*InodeSize:(j+1)*InodeSize])
+	}
+	return m.tx.Write(fs.sb.InodeStart+ib, buf)
+}
+
 // enqueue is the commit point of an operation: one metaMu critical section
 // applies the deferred frees, stages every touched bitmap block and inode
-// table block from the in-memory mirrors, publishes the working inode
-// copies, and enqueues the transaction. Fusing snapshot and enqueue makes
-// snapshot order equal commit order: the WAL flushes groups strictly in
-// enqueue order and aborts wholesale on failure, so the newest durable
-// image of a shared block always reflects every earlier published update,
-// and an image captured "too early" by a later transaction can never
-// become durable before its own transaction. On error the deferred frees
-// are rolled back (still allocated, worst case a leak) and the returned
-// error is the operation's outcome.
-func (m *mtx) enqueue(pubs ...pub) (*wal.Ticket, error) {
+// table block, enqueues the transaction, and publishes the dirty working
+// copies (slots a scope held privately become real table entries here).
+// Fusing snapshot and enqueue makes snapshot order equal commit order: the
+// WAL flushes groups strictly in enqueue order and aborts wholesale on
+// failure, so the newest durable image of a shared block always reflects
+// every earlier published update, and an image captured "too early" by a
+// later transaction can never become durable before its own transaction.
+// On error nothing is published, the deferred frees are rolled back (still
+// allocated, worst case a leak) and the returned error is the operation's
+// outcome.
+func (m *mtx) enqueue(ws []*opInode) (*wal.Ticket, error) {
 	fs := m.fs
 	fs.metaMu.Lock()
 	defer fs.metaMu.Unlock()
-	for _, b := range m.frees {
-		fs.bitmap[b/8] &^= 1 << (b % 8)
-	}
-	rollbackFrees := func() {
+	hint := fs.blkHint
+	fs.clearBitsLocked(m.frees)
+	tk, err := m.stageAndEnqueueLocked(ws)
+	if err != nil {
 		for _, b := range m.frees {
 			fs.bitmap[b/8] |= 1 << (b % 8)
 		}
-	}
-	bmBlocks := make(map[uint64]struct{})
-	for _, b := range m.allocs {
-		bmBlocks[(b/8)/blockdev.BlockSize] = struct{}{}
-	}
-	for _, b := range m.frees {
-		bmBlocks[(b/8)/blockdev.BlockSize] = struct{}{}
-	}
-	for bm := range bmBlocks {
-		start := bm * blockdev.BlockSize
-		if err := m.tx.Write(fs.sb.BitmapStart+bm, fs.bitmap[start:start+blockdev.BlockSize]); err != nil {
-			rollbackFrees()
-			return nil, err
-		}
-	}
-	itabBlocks := make(map[uint64]struct{})
-	for _, p := range pubs {
-		fs.itab[p.ino] = *p.d
-		itabBlocks[uint64(p.ino)/InodesPerBlock] = struct{}{}
-	}
-	for ib := range itabBlocks {
-		if err := fs.stageItabBlockLocked(m.tx, ib); err != nil {
-			rollbackFrees()
-			return nil, err
-		}
-	}
-	tk, err := m.tx.Enqueue()
-	if err != nil {
-		rollbackFrees()
+		fs.blkHint = hint
 		return nil, err
 	}
+	for _, w := range ws {
+		if !w.dirty {
+			continue
+		}
+		fs.itab[w.ino] = w.d
+		w.dirty, w.fresh = false, false
+		fs.releaseSlotLocked(w.ino)
+	}
 	return tk, nil
+}
+
+// stageAndEnqueueLocked stages the bitmap blocks of every allocation and
+// free and the table blocks of every dirty working copy, then enqueues.
+func (m *mtx) stageAndEnqueueLocked(ws []*opInode) (*wal.Ticket, error) {
+	fs := m.fs
+	var set [8]uint64
+	blocks := set[:0]
+	for _, b := range m.allocs {
+		blocks = addBlock(blocks, (b/8)/blockdev.BlockSize)
+	}
+	for _, b := range m.frees {
+		blocks = addBlock(blocks, (b/8)/blockdev.BlockSize)
+	}
+	for _, bm := range blocks {
+		start := bm * blockdev.BlockSize
+		if err := m.tx.Write(fs.sb.BitmapStart+bm, fs.bitmap[start:start+blockdev.BlockSize]); err != nil {
+			return nil, err
+		}
+	}
+	blocks = set[:0]
+	for _, w := range ws {
+		if w.dirty {
+			blocks = addBlock(blocks, uint64(w.ino)/InodesPerBlock)
+		}
+	}
+	for _, ib := range blocks {
+		if err := m.stageItabBlockLocked(ib, ws); err != nil {
+			return nil, err
+		}
+	}
+	return m.tx.Enqueue()
 }
 
 // abort abandons the transaction and releases any blocks it allocated.
@@ -843,150 +929,47 @@ func (m *mtx) abort() {
 	m.tx.Abort()
 	if len(m.allocs) > 0 {
 		m.fs.metaMu.Lock()
-		for _, b := range m.allocs {
-			m.fs.bitmap[b/8] &^= 1 << (b % 8)
-		}
+		m.fs.clearBitsLocked(m.allocs)
 		m.fs.metaMu.Unlock()
 	}
 	m.allocs, m.frees = nil, nil
 }
 
-// waitTickets waits for every enqueued chunk of a multi-transaction
-// mutation, returning the first error. Must be called outside every lock
-// and actor.
+// waitTickets waits for every enqueued transaction of an operation (more
+// than one only when it spilled), returning the first error. Must be
+// called outside every lock and actor.
 func waitTickets(tks []*wal.Ticket) error {
-	_, err := waitChunks(tks)
-	return err
-}
-
-// waitChunks waits for enqueued chunk tickets in order and reports how many
-// flushed durably before the first failure (draining the rest so journal
-// accounting stays consistent). Must be called outside every lock and
-// actor.
-func waitChunks(tks []*wal.Ticket) (ok int, err error) {
-	for i, tk := range tks {
-		if tk != nil {
-			if werr := tk.Wait(); werr != nil {
-				for _, rest := range tks[i+1:] {
-					if rest != nil {
-						_ = rest.Wait()
-					}
-				}
-				return ok, werr
-			}
+	var first error
+	for _, tk := range tks {
+		if err := tk.Wait(); err != nil && first == nil {
+			first = err
 		}
-		ok = i + 1
 	}
-	return ok, nil
+	return first
 }
 
 // --- public API ---
+//
+// Each mutating call below is a one-step operation scope (op.go).
 
 // AllocInode allocates a fresh inode of the given mode with an optional
-// tag. The whole claim — slot scan, table write, staging, enqueue — is one
-// metaMu critical section; no actor is involved because the slot has no
-// owner until this returns.
+// tag. No actor is involved: the slot has no owner until this returns.
 func (fs *FS) AllocInode(mode Mode, tag string) (Ino, error) {
-	if mode == ModeFree {
-		return 0, fmt.Errorf("%w: cannot allocate ModeFree", ErrBadInode)
-	}
-	if len(tag) > MaxTagLen {
-		return 0, fmt.Errorf("%w: %d bytes", ErrTagTooLong, len(tag))
-	}
-	serial := fs.serialOps.Load()
-	if serial {
-		fs.serialMu.Lock()
-	}
-	ino, tk, err := fs.claimInode(mode, tag)
-	if serial {
-		fs.serialMu.Unlock()
-	}
+	var ino Ino
+	err := fs.Do(nil, func(op *Op) (err error) {
+		ino, err = op.Alloc(mode, tag)
+		return err
+	})
 	if err != nil {
 		return 0, err
 	}
-	if err := tk.Wait(); err != nil {
-		// Roll the in-memory allocation back so the slot is not leaked
-		// for the rest of the mount — unless something linked the failed
-		// inode while we waited.
-		fs.metaMu.Lock()
-		if fs.itab[ino].Links == 0 {
-			fs.itab[ino] = dinode{}
-		}
-		fs.metaMu.Unlock()
-		return 0, fmt.Errorf("inode: alloc %d: %w", ino, err)
-	}
 	return ino, nil
-}
-
-// claimInode scans for a free slot, claims it, and enqueues its table
-// block. The durability wait is the caller's.
-func (fs *FS) claimInode(mode Mode, tag string) (Ino, *wal.Ticket, error) {
-	fs.metaMu.Lock()
-	defer fs.metaMu.Unlock()
-	for i := uint64(1); i < fs.sb.NInodes; i++ {
-		if fs.itab[i].Mode != ModeFree {
-			continue
-		}
-		fs.itab[i] = dinode{
-			Mode:      mode,
-			MTimeNano: fs.clock.Now().UnixNano(),
-			Tag:       tag,
-		}
-		tx := fs.log.Begin()
-		if err := fs.stageItabBlockLocked(tx, i/InodesPerBlock); err != nil {
-			tx.Abort()
-			fs.itab[i] = dinode{}
-			return 0, nil, fmt.Errorf("inode: alloc %d: %w", i, err)
-		}
-		tk, err := tx.Enqueue()
-		if err != nil {
-			fs.itab[i] = dinode{}
-			return 0, nil, fmt.Errorf("inode: alloc %d: %w", i, err)
-		}
-		return Ino(i), tk, nil
-	}
-	return 0, nil, fmt.Errorf("%w: inode table full", ErrNoSpace)
 }
 
 // FreeInode releases ino and all its data blocks. Tree inodes must be empty.
 // Data blocks are not zeroed; see the package comment.
 func (fs *FS) FreeInode(ino Ino) error {
-	if err := fs.rangeCheck(ino); err != nil {
-		return err
-	}
-	var (
-		tk    *wal.Ticket
-		opErr error
-	)
-	fs.exec(ino, func() {
-		d, err := fs.loadAlive(ino)
-		if err != nil {
-			opErr = err
-			return
-		}
-		if d.Mode == ModeTree && d.Size > 0 {
-			opErr = fmt.Errorf("%w: inode %d", ErrTreeNotEmpty, ino)
-			return
-		}
-		m := fs.begin()
-		if err := fs.freeInodeBlocks(m, &d); err != nil {
-			m.abort()
-			opErr = err
-			return
-		}
-		d = dinode{}
-		tk, opErr = m.enqueue(pub{ino, &d})
-		if opErr != nil {
-			m.abort()
-		}
-	})
-	if opErr != nil {
-		return opErr
-	}
-	if tk != nil {
-		return tk.Wait()
-	}
-	return nil
+	return fs.Do([]Ino{ino}, func(op *Op) error { return op.Free(ino) })
 }
 
 // freeInodeBlocks releases every data block mapped by the working copy d,
@@ -1045,72 +1028,43 @@ func (fs *FS) freeInodeBlocks(m *mtx, d *dinode) error {
 
 // SecureFreeInode zeroes every data block of ino before releasing it. This
 // is the "shred" variant used in ablation experiments; it defeats free-space
-// residue but NOT journal residue (old images are already logged).
+// residue but NOT journal residue (old images are already logged). The
+// barrier and the raw zero pass are part of the operation, so this is
+// always a scope of its own.
 func (fs *FS) SecureFreeInode(ino Ino) error {
-	if err := fs.rangeCheck(ino); err != nil {
-		return err
-	}
-	var (
-		tk    *wal.Ticket
-		opErr error
-	)
-	fs.exec(ino, func() {
+	return fs.Do([]Ino{ino}, func(op *Op) error {
 		// Drain the commit queue first: a queued checkpoint landing after
 		// the zero pass would resurrect the very bytes this variant
 		// scrubs. (The committer never needs this actor, so waiting here
 		// cannot deadlock.)
 		fs.log.Barrier()
-		d, err := fs.loadAlive(ino)
+		w, err := op.alive(ino)
 		if err != nil {
-			opErr = err
-			return
-		}
-		if d.Mode == ModeTree && d.Size > 0 {
-			opErr = fmt.Errorf("%w: inode %d", ErrTreeNotEmpty, ino)
-			return
+			return err
 		}
 		zero := make([]byte, blockdev.BlockSize)
-		nblocks := (d.Size + blockdev.BlockSize - 1) / blockdev.BlockSize
+		nblocks := (w.d.Size + blockdev.BlockSize - 1) / blockdev.BlockSize
 		// Zero pass: direct device writes bypass the journal on purpose —
 		// a journaled zero write would log the zeros, not remove old
 		// images, and the point of this variant is to scrub home
 		// locations only. Through the buffer cache these zeros are dirty
 		// until the freeing transaction's commit group flushes; that
 		// flush ends with a device Sync, which drains them to the raw
-		// device before the durability wait below returns.
+		// device before the durability wait returns.
 		for bi := uint64(0); bi < nblocks; bi++ {
-			phys, err := fs.bmap(nil, &d, bi, false)
+			phys, err := fs.bmap(nil, &w.d, bi, false)
 			if err != nil {
-				opErr = err
-				return
+				return err
 			}
 			if phys == 0 {
 				continue
 			}
 			if err := fs.dev.WriteBlock(phys, zero); err != nil {
-				opErr = err
-				return
+				return err
 			}
 		}
-		m := fs.begin()
-		if err := fs.freeInodeBlocks(m, &d); err != nil {
-			m.abort()
-			opErr = err
-			return
-		}
-		d = dinode{}
-		tk, opErr = m.enqueue(pub{ino, &d})
-		if opErr != nil {
-			m.abort()
-		}
+		return op.Free(ino)
 	})
-	if opErr != nil {
-		return opErr
-	}
-	if tk != nil {
-		return tk.Wait()
-	}
-	return nil
 }
 
 // Stat returns metadata for ino. It reads the table mirror directly (one
@@ -1137,36 +1091,7 @@ func (fs *FS) Stat(ino Ino) (Info, error) {
 
 // SetTag replaces the tag of ino.
 func (fs *FS) SetTag(ino Ino, tag string) error {
-	if len(tag) > MaxTagLen {
-		return fmt.Errorf("%w: %d bytes", ErrTagTooLong, len(tag))
-	}
-	if err := fs.rangeCheck(ino); err != nil {
-		return err
-	}
-	var (
-		tk    *wal.Ticket
-		opErr error
-	)
-	fs.exec(ino, func() {
-		d, err := fs.loadAlive(ino)
-		if err != nil {
-			opErr = err
-			return
-		}
-		d.Tag = tag
-		m := fs.begin()
-		tk, opErr = m.enqueue(pub{ino, &d})
-		if opErr != nil {
-			m.abort()
-		}
-	})
-	if opErr != nil {
-		return opErr
-	}
-	if tk != nil {
-		return tk.Wait()
-	}
-	return nil
+	return fs.Do([]Ino{ino}, func(op *Op) error { return op.SetTag(ino, tag) })
 }
 
 // bmap maps file-relative block bi of the working copy d to a device
@@ -1288,91 +1213,15 @@ func (fs *FS) loadPtrBlock(m *mtx, dbl, slot uint64, alloc bool) (uint64, error)
 }
 
 // WriteAt writes p at byte offset off in ino, extending the file as needed.
-// Large writes are split across multiple journal transactions, each of which
-// is individually atomic. All chunks are staged (and enqueued) under the
-// inode's actor, then awaited together after ownership is released, so a
-// large write's own chunks form natural commit groups.
+// It returns len(p) once the write is durable. A write that stages more
+// blocks than one journal transaction carries spills into consecutive
+// transactions (see the scope's spill rule), each individually atomic; on
+// error the count is 0 even if leading chunks of such a write landed.
 func (fs *FS) WriteAt(ino Ino, off uint64, p []byte) (int, error) {
-	if err := fs.rangeCheck(ino); err != nil {
+	if err := fs.Do([]Ino{ino}, func(op *Op) error { return op.Write(ino, off, p) }); err != nil {
 		return 0, err
 	}
-	if (off+uint64(len(p))+blockdev.BlockSize-1)/blockdev.BlockSize > MaxFileBlocks {
-		return 0, ErrFileTooBig
-	}
-	var (
-		tickets []*wal.Ticket
-		ends    []int // bytes staged through each enqueued chunk
-		opErr   error
-	)
-	fs.exec(ino, func() {
-		d, err := fs.loadAlive(ino)
-		if err != nil {
-			opErr = err
-			return
-		}
-		written := 0
-		for written < len(p) {
-			m := fs.begin()
-			chunkBlocks := 0
-			for written < len(p) && chunkBlocks < fs.maxChunk {
-				cur := off + uint64(written)
-				bi := cur / blockdev.BlockSize
-				bo := cur % blockdev.BlockSize
-				n := blockdev.BlockSize - bo
-				if int(n) > len(p)-written {
-					n = uint64(len(p) - written)
-				}
-				phys, err := fs.bmap(m, &d, bi, true)
-				if err != nil {
-					m.abort()
-					opErr = err
-					return
-				}
-				buf := make([]byte, blockdev.BlockSize)
-				if bo != 0 || n != blockdev.BlockSize {
-					if err := m.readBlock(phys, buf); err != nil {
-						m.abort()
-						opErr = err
-						return
-					}
-				}
-				copy(buf[bo:], p[written:written+int(n)])
-				if err := m.tx.Write(phys, buf); err != nil {
-					m.abort()
-					opErr = err
-					return
-				}
-				written += int(n)
-				chunkBlocks++
-			}
-			if end := off + uint64(written); end > d.Size {
-				d.Size = end
-			}
-			d.MTimeNano = fs.clock.Now().UnixNano()
-			tk, err := m.enqueue(pub{ino, &d})
-			if err != nil {
-				m.abort()
-				opErr = err
-				return
-			}
-			tickets = append(tickets, tk)
-			ends = append(ends, written)
-		}
-	})
-	// The returned byte count reflects only what actually became durable;
-	// a durability failure supersedes a staging error.
-	okN, werr := waitChunks(tickets)
-	durable := 0
-	if okN > 0 {
-		durable = ends[okN-1]
-	}
-	if werr != nil {
-		return durable, werr
-	}
-	if opErr != nil {
-		return durable, opErr
-	}
-	return durable, nil
+	return len(p), nil
 }
 
 // ReadAt reads into p from byte offset off. It returns the number of bytes
@@ -1436,60 +1285,7 @@ func (fs *FS) ReadAt(ino Ino, off uint64, p []byte) (int, error) {
 // Truncate shrinks ino to size (growing is done by WriteAt). Whole blocks
 // past the new end are freed; the partial tail block is not scrubbed.
 func (fs *FS) Truncate(ino Ino, size uint64) error {
-	if err := fs.rangeCheck(ino); err != nil {
-		return err
-	}
-	var (
-		tk    *wal.Ticket
-		opErr error
-	)
-	fs.exec(ino, func() {
-		d, err := fs.loadAlive(ino)
-		if err != nil {
-			opErr = err
-			return
-		}
-		if size >= d.Size {
-			return
-		}
-		keep := (size + blockdev.BlockSize - 1) / blockdev.BlockSize
-		total := (d.Size + blockdev.BlockSize - 1) / blockdev.BlockSize
-		m := fs.begin()
-		for bi := keep; bi < total; bi++ {
-			phys, err := fs.bmap(m, &d, bi, false)
-			if err != nil {
-				m.abort()
-				opErr = err
-				return
-			}
-			if phys == 0 {
-				continue
-			}
-			if err := m.free(phys); err != nil {
-				m.abort()
-				opErr = err
-				return
-			}
-			if err := fs.clearMapping(m, &d, bi); err != nil {
-				m.abort()
-				opErr = err
-				return
-			}
-		}
-		d.Size = size
-		d.MTimeNano = fs.clock.Now().UnixNano()
-		tk, opErr = m.enqueue(pub{ino, &d})
-		if opErr != nil {
-			m.abort()
-		}
-	})
-	if opErr != nil {
-		return opErr
-	}
-	if tk != nil {
-		return tk.Wait()
-	}
-	return nil
+	return fs.Do([]Ino{ino}, func(op *Op) error { return op.Truncate(ino, size) })
 }
 
 // clearMapping zeroes the pointer to file block bi (direct or indirect) in

@@ -2,10 +2,10 @@ package inode
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"repro/internal/blockdev"
-	"repro/internal/wal"
 )
 
 // This file implements named tree links between inodes. The paper's DBFS is
@@ -13,12 +13,11 @@ import (
 // list of (name, child-ino) entries in their data bytes, exactly like a
 // minimal directory format. plainfs reuses the same links as directories.
 //
-// Two-inode operations (link and unlink touch both the parent tree and the
-// child's link count) hold both actors via exec2, which always forwards
-// from the lower inode into the higher — the ordered-forwarding rule that
-// makes deadlock impossible. RemoveChild only learns the child inode from
-// the parent's entry list, so it peeks under the parent alone, then
-// retakes both actors in order and revalidates (Biscuit's lock-in-order +
+// Link and unlink touch both the parent tree and the child's link count;
+// they are the Op.Link / Op.Unlink steps of an operation scope, which holds
+// both actors in ascending order. RemoveChild only learns the child inode
+// from the parent's entry list, so it peeks under the parent alone, then
+// opens a scope over both and revalidates (Biscuit's lock-in-order +
 // recheck pattern), retrying if a concurrent mutation moved the name.
 
 // Dirent is one (name, ino) link inside a tree inode.
@@ -151,272 +150,38 @@ func (fs *FS) loadTreeBytes(d *dinode, t Ino) ([]byte, error) {
 	return buf, nil
 }
 
-// storeTree rewrites the full entry list of tree inode t through its
-// working copy d. The caller owns t's actor. Transactions are enqueued, not
-// awaited — the returned tickets are waited on by the caller AFTER actor
-// ownership is released, so tree mutations group-commit like everything
-// else. On error, the caller still owns the returned tickets.
-func (fs *FS) storeTree(d *dinode, t Ino, ents []Dirent) ([]*wal.Ticket, error) {
-	payload := encodeDirents(ents)
-	oldSize := d.Size
-	var tickets []*wal.Ticket
-
-	// Write new payload (if any), then shrink if the tree got smaller.
-	written := 0
-	for written < len(payload) {
-		m := fs.begin()
-		chunk := 0
-		for written < len(payload) && chunk < fs.maxChunk {
-			cur := uint64(written)
-			bi := cur / blockdev.BlockSize
-			bo := cur % blockdev.BlockSize
-			n := uint64(blockdev.BlockSize - bo)
-			if int(n) > len(payload)-written {
-				n = uint64(len(payload) - written)
-			}
-			phys, err := fs.bmap(m, d, bi, true)
-			if err != nil {
-				m.abort()
-				return tickets, err
-			}
-			buf := make([]byte, blockdev.BlockSize)
-			if bo != 0 || n != blockdev.BlockSize {
-				if err := m.readBlock(phys, buf); err != nil {
-					m.abort()
-					return tickets, err
-				}
-			}
-			copy(buf[bo:], payload[written:written+int(n)])
-			if err := m.tx.Write(phys, buf); err != nil {
-				m.abort()
-				return tickets, err
-			}
-			written += int(n)
-			chunk++
-		}
-		d.Size = maxU64(d.Size, uint64(written))
-		d.MTimeNano = fs.clock.Now().UnixNano()
-		tk, err := m.enqueue(pub{t, d})
-		if err != nil {
-			m.abort()
-			return tickets, err
-		}
-		tickets = append(tickets, tk)
-	}
-	newSize := uint64(len(payload))
-	m := fs.begin()
-	if newSize < oldSize {
-		// Shrink: free whole blocks past the new end.
-		keep := (newSize + blockdev.BlockSize - 1) / blockdev.BlockSize
-		total := (oldSize + blockdev.BlockSize - 1) / blockdev.BlockSize
-		for bi := keep; bi < total; bi++ {
-			phys, err := fs.bmap(m, d, bi, false)
-			if err != nil {
-				m.abort()
-				return tickets, err
-			}
-			if phys == 0 {
-				continue
-			}
-			if err := m.free(phys); err != nil {
-				m.abort()
-				return tickets, err
-			}
-			if err := fs.clearMapping(m, d, bi); err != nil {
-				m.abort()
-				return tickets, err
-			}
-		}
-		d.MTimeNano = fs.clock.Now().UnixNano()
-	}
-	d.Size = newSize
-	tk, err := m.enqueue(pub{t, d})
-	if err != nil {
-		m.abort()
-		return tickets, err
-	}
-	tickets = append(tickets, tk)
-	return tickets, nil
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// AddChild links child under parent with the given name. The name must be
-// unique within parent. Both actors are held (in ascending inode order) so
-// the parent's entry rewrite and the child's link-count bump are one
-// atomic step with respect to other tree operations.
+// AddChild links child under parent with the given name, as one
+// transaction: the parent's entry rewrite and the child's link-count bump
+// commit together. The name must be unique within parent.
 func (fs *FS) AddChild(parent Ino, name string, child Ino) error {
-	if name == "" || len(name) > maxNameLen {
-		return fmt.Errorf("inode: invalid child name %q", name)
-	}
-	if err := fs.rangeCheck(parent); err != nil {
-		return err
-	}
-	if err := fs.rangeCheck(child); err != nil {
-		return err
-	}
-	var (
-		tickets []*wal.Ticket
-		opErr   error
-	)
-	fs.exec2(parent, child, func() {
-		pd, err := fs.loadAlive(parent)
-		if err != nil {
-			opErr = err
-			return
-		}
-		if _, err := fs.loadAlive(child); err != nil {
-			opErr = err
-			return
-		}
-		ents, err := fs.loadTree(&pd, parent)
-		if err != nil {
-			opErr = err
-			return
-		}
-		for _, e := range ents {
-			if e.Name == name {
-				opErr = fmt.Errorf("%w: %q under inode %d", ErrChildExists, name, parent)
-				return
-			}
-		}
-		ents = append(ents, Dirent{Name: name, Ino: child})
-		tickets, opErr = fs.storeTree(&pd, parent, ents)
-		if opErr != nil {
-			return
-		}
-		// Reload the child AFTER the store so that when parent == child
-		// (a tree linked to itself) the bump applies to the freshly
-		// published copy, not a pre-store snapshot.
-		cd := fs.loadInode(child)
-		cd.Links++
-		m := fs.begin()
-		tk, err := m.enqueue(pub{child, &cd})
-		if err != nil {
-			m.abort()
-			opErr = err
-			return
-		}
-		tickets = append(tickets, tk)
-	})
-	if werr := waitTickets(tickets); werr != nil {
-		return werr
-	}
-	return opErr
+	return fs.Do([]Ino{parent, child}, func(op *Op) error { return op.Link(parent, name, child) })
 }
 
-// RemoveChild unlinks the named child from parent. The child inode itself is
-// not freed; callers decide (FreeInode) once Links drops to zero.
+// RemoveChild unlinks the named child from parent, as one transaction. The
+// child inode itself is not freed; callers decide (FreeInode) once Links
+// drops to zero.
 //
 // The child inode is only discoverable from the parent's entries, so the
-// operation peeks under the parent's actor alone, then retakes parent AND
-// child in ascending order and revalidates that the name still maps to the
-// same child — retrying if a concurrent mutation won the race. Forwarding
-// stays ascending-only in both phases, so no cycle can form.
+// operation peeks under the parent's actor alone, then opens a scope over
+// parent AND child and revalidates that the name still maps to the same
+// child — retrying if a concurrent mutation won the race.
 func (fs *FS) RemoveChild(parent Ino, name string) error {
-	if err := fs.rangeCheck(parent); err != nil {
-		return err
-	}
 	for {
-		var (
-			child Ino
-			found bool
-			opErr error
-		)
-		fs.exec(parent, func() {
-			pd, err := fs.loadAlive(parent)
-			if err != nil {
-				opErr = err
-				return
-			}
-			ents, err := fs.loadTree(&pd, parent)
-			if err != nil {
-				opErr = err
-				return
-			}
-			for _, e := range ents {
-				if e.Name == name {
-					child, found = e.Ino, true
-					return
-				}
-			}
-		})
-		if opErr != nil {
-			return opErr
+		child, err := fs.Lookup(parent, name)
+		if err != nil {
+			return err
 		}
-		if !found {
-			return fmt.Errorf("%w: %q under inode %d", ErrChildNotFound, name, parent)
+		// A corrupt entry can name an out-of-range child; the scope then
+		// owns the parent alone and Unlink skips the link-count update.
+		declared := []Ino{parent, child}
+		if fs.rangeCheck(child) != nil {
+			declared = declared[:1]
 		}
-
-		// A corrupt entry can name an out-of-range child; fall back to
-		// parent-only ownership and skip the link-count update, exactly
-		// like the pre-actor code's range guard.
-		target := parent
-		if child != 0 && uint64(child) < fs.sb.NInodes {
-			target = child
+		err = fs.Do(declared, func(op *Op) error { return op.Unlink(parent, name, child) })
+		if !errors.Is(err, errLinkMoved) {
+			return err
 		}
-		var (
-			tickets []*wal.Ticket
-			done    bool
-		)
-		fs.exec2(parent, target, func() {
-			pd, err := fs.loadAlive(parent)
-			if err != nil {
-				opErr = err
-				return
-			}
-			ents, err := fs.loadTree(&pd, parent)
-			if err != nil {
-				opErr = err
-				return
-			}
-			idx := -1
-			for i, e := range ents {
-				if e.Name == name && e.Ino == child {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				// Lost the race between peek and retake; retry.
-				return
-			}
-			done = true
-			ents = append(ents[:idx], ents[idx+1:]...)
-			tickets, opErr = fs.storeTree(&pd, parent, ents)
-			if opErr != nil {
-				return
-			}
-			if target != child {
-				return
-			}
-			cd := fs.loadInode(child)
-			if cd.Mode != ModeFree && cd.Links > 0 {
-				cd.Links--
-				m := fs.begin()
-				tk, err := m.enqueue(pub{child, &cd})
-				if err != nil {
-					m.abort()
-					opErr = err
-					return
-				}
-				tickets = append(tickets, tk)
-			}
-		})
-		if werr := waitTickets(tickets); werr != nil {
-			return werr
-		}
-		if opErr != nil {
-			return opErr
-		}
-		if done {
-			return nil
-		}
+		// Lost the race between peek and scope; retry.
 	}
 }
 

@@ -3,43 +3,12 @@ package wal
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/blockdev"
 )
-
-// cutoffDev passes writes through to an underlying device until its budget
-// of block writes is spent, then fails every write — the device equivalent
-// of pulling the power cord mid commit. It deliberately does not implement
-// blockdev.VectorWriter so the WAL's batched writes degrade to per-block
-// writes and the cut lands at an exact block boundary.
-type cutoffDev struct {
-	dev blockdev.Device
-
-	mu     sync.Mutex
-	budget int
-}
-
-func (c *cutoffDev) ReadBlock(n uint64, buf []byte) error { return c.dev.ReadBlock(n, buf) }
-func (c *cutoffDev) NumBlocks() uint64                    { return c.dev.NumBlocks() }
-func (c *cutoffDev) Sync() error                          { return c.dev.Sync() }
-func (c *cutoffDev) Stats() blockdev.Stats                { return c.dev.Stats() }
-
-func (c *cutoffDev) WriteBlock(n uint64, data []byte) error {
-	c.mu.Lock()
-	ok := c.budget > 0
-	if ok {
-		c.budget--
-	}
-	c.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: power cut", blockdev.ErrIO)
-	}
-	return c.dev.WriteBlock(n, data)
-}
 
 // enqueueOne seals a one-block transaction writing fill(v) to home block n.
 func enqueueOne(t *testing.T, l *Log, n uint64, v byte) *Ticket {
@@ -160,7 +129,8 @@ func TestCrashMidGroupCommit(t *testing.T) {
 	mem := blockdev.MustMem(64)
 	// Earlier group: one txn, one data block = 3 journal writes + 1
 	// checkpoint write.
-	cut := &cutoffDev{dev: mem, budget: 4}
+	cut := blockdev.NewPowerCut(mem)
+	cut.SetBudget(4)
 	l, err := Open(cut, 0, 32)
 	if err != nil {
 		t.Fatal(err)
@@ -173,9 +143,7 @@ func TestCrashMidGroupCommit(t *testing.T) {
 	// Torn group: two txns, one data block each. Journal layout is
 	// [desc1][data1][desc2][data2][commit]; a budget of 4 cuts the power
 	// after data2, before the commit marker.
-	cut.mu.Lock()
-	cut.budget = 4
-	cut.mu.Unlock()
+	cut.SetBudget(4)
 	tk1 := enqueueOne(t, l, 50, 0x51)
 	tk2 := enqueueOne(t, l, 51, 0x52)
 	err1, err2 := tk1.Wait(), tk2.Wait()
