@@ -11,12 +11,11 @@
 // membrane-cache read speedup plus the parallel rights-engine scaling,
 // SC4's admission-controlled goodput ratio past saturation, SC5's
 // actor-core contention speedup plus the block cache's read absorption,
-// SC6's control-plane convergence/band/oscillation invariants, SC7's
-// cold-tier footprint/shred-safety contract, SC8's multi-node routing
-// speedups plus the cross-node erasure-propagation invariants, and SC9's
-// per-op-class macro throughput floors and p99 ceilings plus the exact
-// regulator invariants (zero residue, zero erased-readable, zero consent
-// mismatches).
+// SC7's cold-tier footprint/shred-safety contract, SC8's multi-node
+// routing speedups plus the cross-node erasure-propagation invariants, and
+// SC9's per-op-class macro throughput floors and p99 ceilings plus the
+// exact regulator invariants (zero residue, zero erased-readable, zero
+// consent mismatches).
 //
 // A baseline entry with no generated result — or a generated result with no
 // baseline entry — is a configuration error (exit 2) named after the
@@ -201,41 +200,6 @@ func gateSC5(out io.Writer, baseRaw json.RawMessage, curPath string, maxRegress 
 		{"read_absorption", base.Summary.ReadAbsorption, cur.Summary.ReadAbsorption},
 	} {
 		mok, err := checkFloor(out, "SC5", m.name, m.base, m.cur, maxRegress)
-		if err != nil {
-			return false, err
-		}
-		ok = mok && ok
-	}
-	return ok, nil
-}
-
-// gateSC6 compares the control-plane headline: all four controllers
-// re-converge after each load step (controllers_converged), land within
-// their band of the hand-tuned static optimum (within_band), and hold
-// still afterwards (amplitude_bounded). SC6 is fully deterministic (pure
-// arithmetic on a sim clock), so these are expected to match the baseline
-// exactly; the regress margin only absorbs a deliberate retune.
-func gateSC6(out io.Writer, baseRaw json.RawMessage, curPath string, maxRegress float64) (bool, error) {
-	var base, cur bench.SC6Report
-	if err := decodeReport(baseRaw, "baseline", "SC6", &base); err != nil {
-		return false, err
-	}
-	if err := decodeFile(curPath, "SC6", &cur); err != nil {
-		return false, err
-	}
-	if base.Experiment != "SC6" || len(base.Rows) == 0 || cur.Experiment != "SC6" || len(cur.Rows) == 0 {
-		return false, confErrf("experiment SC6: malformed report (baseline or %s)", curPath)
-	}
-	ok := true
-	for _, m := range []struct {
-		name      string
-		base, cur float64
-	}{
-		{"controllers_converged", base.Summary.ControllersConverged, cur.Summary.ControllersConverged},
-		{"within_band", base.Summary.WithinBand, cur.Summary.WithinBand},
-		{"amplitude_bounded", base.Summary.AmplitudeBounded, cur.Summary.AmplitudeBounded},
-	} {
-		mok, err := checkFloor(out, "SC6", m.name, m.base, m.cur, maxRegress)
 		if err != nil {
 			return false, err
 		}
@@ -429,7 +393,6 @@ var gates = map[string]func(io.Writer, json.RawMessage, string, float64) (bool, 
 	"SC3": gateSC3,
 	"SC4": gateSC4,
 	"SC5": gateSC5,
-	"SC6": gateSC6,
 	"SC7": gateSC7,
 	"SC8": gateSC8,
 	"SC9": gateSC9,

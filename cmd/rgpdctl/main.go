@@ -2,7 +2,7 @@
 // and purpose declarations offline, renders the Fig. 1 dataset, and boots a
 // probe machine to report the storage-stack counters.
 //
-//	rgpdctl types file.rgpd [-alias derived=stored ...]
+//	rgpdctl types file.rgpd [derived=stored ...]   # each pair aliases a derived field
 //	rgpdctl purposes file.purpose
 //	rgpdctl fig1
 //	rgpdctl fmt file.rgpd      # canonical formatting
@@ -63,9 +63,10 @@ func main() {
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `usage:
-  rgpdctl types <file.rgpd> [alias derived=stored ...]   validate type declarations
+func usage() { fmt.Fprintln(os.Stderr, usageText) }
+
+const usageText = `usage:
+  rgpdctl types <file.rgpd> [derived=stored ...]         validate type declarations
   rgpdctl purposes <file.purpose>                        validate purpose declarations
   rgpdctl fmt <file.rgpd>                                print canonical form
   rgpdctl fig1                                           render the Figure 1 dataset
@@ -75,8 +76,7 @@ func usage() {
   rgpdctl macro <scenario> [seed] [-trace]               run a macro scenario (CI scale), print its scorecard
     knobs: commit_window=2ms group_max_batch=8 admission_max_pending=64 membrane_cache=512
            rights_workers=4 serial_ops=true sweep_interval=30s rate_limit=<purpose>:<rate>:<burst>
-           cold_after=1h repack_interval=1m`)
-}
+           cold_after=1h repack_interval=1m`
 
 func readFile(path string) (string, error) {
 	b, err := os.ReadFile(path)
@@ -158,10 +158,9 @@ func cmdFmt(args []string) error {
 	return nil
 }
 
-// probeOpts sizes the small machine status and tune boot. The control
-// plane is on so both commands can show live controller state, and the
-// cold tier is enabled so status exercises a demote/promote round trip
-// and tune lists the repack-interval controller.
+// probeOpts sizes the small machine status and tune boot. The cold tier is
+// enabled so status exercises a demote/promote round trip and tune shows a
+// live cold_after.
 func probeOpts() core.Options {
 	return core.Options{
 		PDDiskBlocks:  4096,
@@ -169,15 +168,14 @@ func probeOpts() core.Options {
 		NInodes:       512,
 		JournalBlocks: 64,
 		AuthorityBits: 1024,
-		Control:       true,
 		ColdAfter:     time.Hour,
 	}
 }
 
 // cmdStatus boots a small machine, runs a short PD + NPD probe workload,
 // and prints the storage-stack counters — the quickest way to see the
-// journal batching, the block buffer cache and the self-tuning control
-// plane doing their jobs.
+// journal batching, the block buffer cache and the cold tier doing their
+// jobs.
 func cmdStatus() error {
 	sys, err := core.Boot(probeOpts())
 	if err != nil {
@@ -245,15 +243,6 @@ func cmdStatus() error {
 	fmt.Printf("cold tier:   records=%d demotions=%d promotions=%d dedup-hits=%d snapshots=%d bytes-saved=%d\n",
 		st.DBFS.ColdRecords, st.DBFS.Demotions, st.DBFS.Promotions, st.DBFS.ColdDedupHits,
 		st.DBFS.SnapshotsTaken, st.DBFS.ColdBytesSaved)
-
-	// A few control ticks over the probe traffic, then the live state.
-	for i := 0; i < 3; i++ {
-		sys.ControlTick()
-	}
-	for _, cst := range sys.Controllers() {
-		fmt.Printf("control:     %-16s %-10s knob=%-10.2f signal=%-8.3f target=%.3f±%.0f%% adjusts=%d converged=%v\n",
-			cst.Name, cst.Mode, cst.Knob, cst.Signal, cst.Target, cst.Band*100, cst.Adjusts, cst.Converged)
-	}
 	return nil
 }
 
@@ -276,7 +265,7 @@ func parseTuning(args []string) (core.Tuning, error) {
 	for _, a := range args {
 		k, v, ok := strings.Cut(a, "=")
 		if !ok {
-			return t, fmt.Errorf("tune: %q is not knob=value", a)
+			return t, fmt.Errorf("%q is not knob=value", a)
 		}
 		var err error
 		switch k {
@@ -328,7 +317,7 @@ func parseTuning(args []string) (core.Tuning, error) {
 		case "rate_limit":
 			parts := strings.Split(v, ":")
 			if len(parts) != 3 {
-				return t, fmt.Errorf("tune: rate_limit wants <purpose>:<rate>:<burst>, got %q", v)
+				return t, fmt.Errorf("rate_limit wants <purpose>:<rate>:<burst>, got %q", v)
 			}
 			var rate, burst float64
 			if rate, err = strconv.ParseFloat(parts[1], 64); err == nil {
@@ -339,20 +328,19 @@ func parseTuning(args []string) (core.Tuning, error) {
 				}
 			}
 		default:
-			return t, fmt.Errorf("tune: unknown knob %q (see usage)", k)
+			return t, fmt.Errorf("unknown knob %q (see usage)", k)
 		}
 		if err != nil {
-			return t, fmt.Errorf("tune: %s: %v", k, err)
+			return t, fmt.Errorf("%s: %v", k, err)
 		}
 	}
 	return t, nil
 }
 
-// cmdTune boots a probe machine with the control plane on, shows its
-// tuning snapshot, and — when knob=value arguments are given — applies
-// them as one validated document through System.ApplyTuning, the same API
-// the controllers steer through. A document with any invalid knob applies
-// nothing.
+// cmdTune boots a probe machine, shows its tuning snapshot, and — when
+// knob=value arguments are given — applies them as one validated document
+// through System.ApplyTuning, the machine's one runtime-tuning door. A
+// document with any invalid or unparsable knob applies nothing.
 func cmdTune(args []string) error {
 	sys, err := core.Boot(probeOpts())
 	if err != nil {
@@ -361,17 +349,13 @@ func cmdTune(args []string) error {
 	fmt.Println("tuning (boot):")
 	printTuning(sys.Tuning())
 	if len(args) == 0 {
-		for _, cst := range sys.Controllers() {
-			fmt.Printf("controller:  %-16s %-10s knob=%-10.2f target=%.3f±%.0f%%\n",
-				cst.Name, cst.Mode, cst.Knob, cst.Target, cst.Band*100)
-		}
 		return nil
 	}
 	doc, err := parseTuning(args)
-	if err != nil {
-		return err
+	if err == nil {
+		err = sys.ApplyTuning(doc)
 	}
-	if err := sys.ApplyTuning(doc); err != nil {
+	if err != nil {
 		return fmt.Errorf("tune: rejected (nothing applied): %w", err)
 	}
 	fmt.Println("tuning (after ApplyTuning):")

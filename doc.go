@@ -5,14 +5,14 @@
 // The implementation lives under internal/ (see DESIGN.md for the system
 // inventory, the storage commit path, the membrane read path, the
 // admission-and-deadlines story, the actor FS core + block buffer cache,
-// the control plane + tuning API, the content-addressed compressed
+// the tuning API, the content-addressed compressed
 // cold tier with shred-safe membrane snapshots, the multi-node
 // subject router with its durable cross-node copy ledger, and the
 // deterministic macro-workload subsystem with its regulator-grade
 // scenario scorecards), the runnable entry points under cmd/ and
 // examples/, and the benchmark harness in bench_test.go plus
 // cmd/benchfig, whose registry regenerates every reproduced artifact
-// and the SC1-SC9 scaling experiments; cmd/benchgate holds CI to the
+// and the SC scaling experiments (SC1-SC5, SC7-SC9); cmd/benchgate holds CI to the
 // checked-in BENCH_baseline.json floors.
 //
 // References:

@@ -78,8 +78,9 @@ type Stats struct {
 	LatencyTotal time.Duration
 	LatencyMax   time.Duration
 	// LatencyHist buckets completed-invocation latencies by power of two
-	// (see internal/latencyhist). Coarse by design — it exists so the
-	// control plane can estimate a p99 without per-sample history.
+	// (see internal/latencyhist). Coarse by design — it lets readers of
+	// ps.Stats estimate a tail (Quantile, or a windowed p99 via
+	// latencyhist.Hist.Delta) without per-sample history.
 	LatencyHist latencyhist.Hist
 }
 
@@ -87,8 +88,7 @@ type Stats struct {
 // latencies recorded in the histogram — a thin wrapper over
 // latencyhist.Hist.Quantile, which takes each bucket at its upper bound
 // (conservative), returns zero when empty, and clamps q to [0,1] (NaN
-// counts as 0) so the p99 signal feeding the admission controller never
-// goes undefined.
+// counts as 0) so a reported admitted-latency tail never goes undefined.
 func (s Stats) Quantile(q float64) time.Duration {
 	return s.LatencyHist.Quantile(q)
 }
@@ -103,6 +103,14 @@ type bucket struct {
 	burst  float64
 	tokens float64
 	last   time.Time
+}
+
+// refill credits the tokens earned since the last refill, capped at burst.
+func (b *bucket) refill(now time.Time) {
+	if dt := now.Sub(b.last); dt > 0 {
+		b.tokens = min(b.tokens+b.rate*dt.Seconds(), b.burst)
+	}
+	b.last = now
 }
 
 // Controller is the admission gate in front of ps_invoke. Safe for
@@ -176,8 +184,11 @@ func (c *Controller) Limits() []Limit {
 
 // SetPurposeLimit installs (or replaces) the token bucket for a purpose:
 // ratePerSec tokens per second, holding at most burst. A rate <= 0 removes
-// the limit. The bucket starts full, so a fresh limit admits one burst
-// immediately.
+// the limit. A purpose with no limit yet starts with a full bucket, so a
+// fresh limit admits one burst immediately. Replacing a limit keeps the
+// bucket's tokens — refilled at the old rate up to now, then clamped to the
+// new burst — so re-applying the same limit (a config reload) is a no-op
+// and never lets the purpose burst again.
 func (c *Controller) SetPurposeLimit(purpose string, ratePerSec, burst float64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -188,12 +199,15 @@ func (c *Controller) SetPurposeLimit(purpose string, ratePerSec, burst float64) 
 	if burst < 1 {
 		burst = 1
 	}
-	c.buckets[purpose] = &bucket{
-		rate:   ratePerSec,
-		burst:  burst,
-		tokens: burst,
-		last:   c.clock.Now(),
+	now := c.clock.Now()
+	b, ok := c.buckets[purpose]
+	if !ok {
+		c.buckets[purpose] = &bucket{rate: ratePerSec, burst: burst, tokens: burst, last: now}
+		return
 	}
+	b.refill(now)
+	b.rate, b.burst = ratePerSec, burst
+	b.tokens = min(b.tokens, burst)
 }
 
 // Admit asks to admit one invocation for the purpose. On success it
@@ -210,14 +224,7 @@ func (c *Controller) Admit(purpose string) (release func(latency time.Duration),
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if b, ok := c.buckets[purpose]; ok {
-		now := c.clock.Now()
-		if dt := now.Sub(b.last); dt > 0 {
-			b.tokens += b.rate * dt.Seconds()
-			if b.tokens > b.burst {
-				b.tokens = b.burst
-			}
-		}
-		b.last = now
+		b.refill(c.clock.Now())
 		if b.tokens < 1 {
 			c.stats.RejectedRate++
 			return nil, fmt.Errorf("%w: purpose %q", ErrRateLimited, purpose)

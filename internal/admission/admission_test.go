@@ -135,6 +135,36 @@ func TestRemoveLimit(t *testing.T) {
 	}
 }
 
+// TestReplaceLimitKeepsTokens: replacing a purpose's limit keeps its
+// bucket's tokens (refilled up to now, clamped to the new burst) instead of
+// handing it a fresh full bucket.
+func TestReplaceLimitKeepsTokens(t *testing.T) {
+	clk := simclock.NewSim(simclock.Epoch)
+	c := New(Options{Clock: clk})
+	c.SetPurposeLimit("p", 1, 4)
+	for i := 0; i < 4; i++ {
+		if _, err := c.Admit("p"); err != nil {
+			t.Fatalf("admit %d within burst: %v", i, err)
+		}
+	}
+	c.SetPurposeLimit("p", 1, 4) // same limit again: still empty
+	if _, err := c.Admit("p"); !errors.Is(err, ErrRateLimited) {
+		t.Fatalf("after re-set: err = %v, want ErrRateLimited", err)
+	}
+	// Three seconds earn three tokens at the old rate; the new burst of 2
+	// clamps them.
+	clk.Advance(3 * time.Second)
+	c.SetPurposeLimit("p", 10, 2)
+	for i := 0; i < 2; i++ {
+		if _, err := c.Admit("p"); err != nil {
+			t.Fatalf("admit %d after replace: %v", i, err)
+		}
+	}
+	if _, err := c.Admit("p"); !errors.Is(err, ErrRateLimited) {
+		t.Fatalf("third admit after replace: err = %v, want ErrRateLimited", err)
+	}
+}
+
 func TestQuantileClampsQ(t *testing.T) {
 	// A populated histogram: 100 completions in bucket 3 ([8,16)us), 10 in
 	// bucket 6 ([64,128)us). Bucket upper bounds: 16us and 128us.

@@ -92,7 +92,6 @@ func Registry() []Experiment {
 		{ID: "SC3", Title: "Membrane cache x parallel rights: read-path throughput", Paper: "§3 ded_load_membrane cost, scaled (north star)", Run: runSC3},
 		{ID: "SC4", Title: "Admission control: goodput/rejects/p99 past saturation", Paper: "heavy-traffic enforcement, scaled (north star)", Run: runSC4},
 		{ID: "SC5", Title: "Actor inode core x block buffer cache: intra-shard contention", Paper: "§3 DBFS storage stack, scaled (north star)", Run: runSC5},
-		{ID: "SC6", Title: "Self-tuning control plane: step-response convergence", Paper: "runtime self-tuning, scaled (north star)", Run: runSC6},
 		{ID: "SC7", Title: "Content-addressable compressed cold tier: footprint, promotion, shred safety", Paper: "storage limitation at scale (north star)", Run: runSC7},
 		{ID: "SC8", Title: "Multi-node subject routing: scaling + cross-node erasure propagation", Paper: "multi-machine controllers (§5), scaled (north star)", Run: runSC8},
 		{ID: "SC9", Title: "GDPRBench-style macro workloads: per-class tails + regulator invariants", Paper: "realistic controller traffic, scaled (north star)", Run: runSC9},

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 	"sort"
 	"strconv"
 	"sync"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/baseline"
 	"repro/internal/blockdev"
 	"repro/internal/collect"
-	"repro/internal/control"
 	"repro/internal/core"
 	"repro/internal/cryptoshred"
 	"repro/internal/dbfs"
@@ -1778,255 +1776,6 @@ func runSC5(w io.Writer, p Params) error {
 	fmt.Fprintln(w, "  expectation: >=2x intra-shard throughput at 8 writers and >=10x fewer device reads on")
 	fmt.Fprintln(w, "  the hot re-read — contention the per-shard instances of PR-2 cannot remove")
 	return writeJSON(p, "SC5", &report)
-}
-
-// --- SC6: self-tuning control plane: step response to a load change ---
-
-// SC6Row is one controller's outcome in one load phase, serialized into
-// BENCH_SC6.json for the CI regression gate.
-type SC6Row struct {
-	Controller string  `json:"controller"`
-	Mode       string  `json:"mode"`
-	Phase      string  `json:"phase"`
-	Load       float64 `json:"load"`
-	// TicksToConverge is the phase-relative tick at which the controller
-	// first reported convergence (-1 = never within the budget).
-	TicksToConverge int     `json:"ticks_to_converge"`
-	KnobFinal       float64 `json:"knob_final"`
-	// KnobOpt / SignalOpt are the hand-tuned static optimum: the knob a
-	// grid search picks for this load, and the signal it achieves.
-	KnobOpt     float64 `json:"knob_opt"`
-	SignalFinal float64 `json:"signal_final"`
-	SignalOpt   float64 `json:"signal_opt"`
-	Target      float64 `json:"target"`
-	// MarginVsOpt is |signal_final - signal_opt| / target: how far the
-	// converged operating point sits from the hand-tuned one.
-	MarginVsOpt float64 `json:"margin_vs_opt"`
-	// PostAmplitude is the knob's peak-to-peak swing over the
-	// post-convergence observation window (0 = perfectly still).
-	PostAmplitude float64 `json:"post_amplitude"`
-}
-
-// SC6Report is the BENCH_SC6.json schema.
-type SC6Report struct {
-	Experiment string   `json:"experiment"`
-	Schema     int      `json:"schema"`
-	Comment    string   `json:"comment,omitempty"`
-	Rows       []SC6Row `json:"rows"`
-	Summary    struct {
-		// ControllersConverged counts controllers that converged in every
-		// phase (4.0 = all).
-		ControllersConverged float64 `json:"controllers_converged"`
-		// WithinBand is 1.0 when every converged operating point is within
-		// the controller's band of both its target and the grid-searched
-		// static optimum.
-		WithinBand float64 `json:"within_band"`
-		// AmplitudeBounded is 1.0 when no controller's post-convergence
-		// peak-to-peak knob swing exceeds one step.
-		AmplitudeBounded float64 `json:"amplitude_bounded"`
-		WorstMargin      float64 `json:"worst_margin"`
-		TotalTicks       int     `json:"total_ticks"`
-	} `json:"summary"`
-}
-
-// sc6Plant is a closed-form stand-in for one knob's observed signal: the
-// same shape as the counters core wires (group occupancy, p99/SLO ratio,
-// expiries per pass, cache hit rate) — monotone non-decreasing in the knob,
-// scaled by the offered load — but with no scheduler or allocator noise, so
-// the experiment isolates the controller dynamics and CI can gate
-// convergence itself deterministically.
-type sc6Plant struct {
-	knob float64
-	load float64
-	sig  func(knob, load float64) float64
-}
-
-// runSC6 is the control-plane step-response experiment: four controllers
-// mirroring the production setpoints (core.Options.Control) run on the sim
-// clock against their plants. Phase one converges at load 1x; then the
-// offered load steps to 2x and back down to 0.5x. For every phase the
-// converged operating point is compared against a hand-tuned static
-// optimum (grid search over the knob range at that load), and a
-// post-convergence window checks the knob holds still — bounded
-// oscillation by construction, asserted by measurement.
-func runSC6(w io.Writer, p Params) error {
-	sim := simclock.NewSim(simclock.Epoch)
-	interval := time.Second
-
-	// Plants and controllers, mirroring internal/core/control.go's modes,
-	// targets, bands and steps.
-	specs := []struct {
-		name                                  string
-		mode                                  control.Mode
-		sig                                   func(knob, load float64) float64
-		target, band, min, max, initial, step float64
-	}{
-		// Group-commit occupancy: coalescing grows with the window and the
-		// arrival rate, saturating at the batch bound.
-		{"commit-window", control.AIMD,
-			func(k, l float64) float64 { return math.Min(1+l*0.5*k, 16) },
-			4.0, 0.25, 0, 20, 0, 0.3},
-		// Admitted-latency p99 over the SLO: queueing delay grows with the
-		// admission bound and the offered load.
-		{"admission-queue", control.AIMD,
-			func(k, l float64) float64 { return l * k / 64 },
-			1.0, 0.2, 1, 4096, 64, 4},
-		// Expiries reclaimed per sweep pass: the expiry rate times the
-		// pass gap.
-		{"sweep-interval", control.HillClimb,
-			func(k, l float64) float64 { return l * 0.25 * k },
-			8.0, 0.5, 1, 900, 60, 5},
-		// Membrane-cache hit rate: capacity against a working set that
-		// scales with load.
-		{"membrane-cache", control.HillClimb,
-			func(k, l float64) float64 { return k / (k + l*256) },
-			0.9, 0.05, 64, 65536, 1024, 256},
-	}
-
-	plants := make([]*sc6Plant, len(specs))
-	ctrls := make([]*control.Controller, len(specs))
-	for i, sp := range specs {
-		pl := &sc6Plant{knob: sp.initial, load: 1, sig: sp.sig}
-		plants[i] = pl
-		c, err := control.New(control.Config{
-			Name: sp.name, Mode: sp.mode,
-			Target: sp.target, Band: sp.band,
-			Min: sp.min, Max: sp.max, Initial: sp.initial, Step: sp.step,
-			Read:  func() float64 { return pl.sig(pl.knob, pl.load) },
-			Apply: func(v float64) error { pl.knob = v; return nil },
-		})
-		if err != nil {
-			return fmt.Errorf("bench: SC6 %s: %w", sp.name, err)
-		}
-		ctrls[i] = c
-	}
-	group := control.NewGroup(sim, interval, ctrls...)
-
-	// optimum grid-searches the best static knob for a load.
-	optimum := func(i int, load float64) (knob, sig float64) {
-		sp := specs[i]
-		best, bestSig := sp.min, sp.sig(sp.min, load)
-		const points = 4000
-		for g := 0; g <= points; g++ {
-			k := sp.min + (sp.max-sp.min)*float64(g)/points
-			s := sp.sig(k, load)
-			if math.Abs(s-sp.target) < math.Abs(bestSig-sp.target) {
-				best, bestSig = k, s
-			}
-		}
-		return best, bestSig
-	}
-
-	report := SC6Report{Experiment: "SC6", Schema: 1}
-	report.Summary.WithinBand = 1
-	report.Summary.AmplitudeBounded = 1
-	const maxTicks, postTicks = 400, 25
-	phases := []struct {
-		name string
-		load float64
-	}{{"warm", 1}, {"step-up", 2}, {"step-down", 0.5}}
-	convergedEverywhere := make([]bool, len(specs))
-	for i := range convergedEverywhere {
-		convergedEverywhere[i] = true
-	}
-	for _, ph := range phases {
-		for _, pl := range plants {
-			pl.load = ph.load
-		}
-		convAt := make([]int, len(ctrls))
-		for i := range convAt {
-			convAt[i] = -1
-		}
-		for tick := 1; tick <= maxTicks; tick++ {
-			group.Tick()
-			sim.Advance(interval)
-			report.Summary.TotalTicks++
-			all := true
-			for i, c := range ctrls {
-				if c.State().Converged {
-					if convAt[i] == -1 {
-						convAt[i] = tick
-					}
-				} else {
-					all = false
-				}
-			}
-			if all {
-				break
-			}
-		}
-		// Post-convergence window: the knob must hold still under constant
-		// load (a neutral plant reads in band, so any move is oscillation).
-		minK := make([]float64, len(ctrls))
-		maxK := make([]float64, len(ctrls))
-		for i, c := range ctrls {
-			minK[i], maxK[i] = c.Knob(), c.Knob()
-		}
-		for t := 0; t < postTicks; t++ {
-			group.Tick()
-			sim.Advance(interval)
-			report.Summary.TotalTicks++
-			for i, c := range ctrls {
-				k := c.Knob()
-				minK[i] = math.Min(minK[i], k)
-				maxK[i] = math.Max(maxK[i], k)
-			}
-		}
-		for i := range ctrls {
-			sp := specs[i]
-			kOpt, sOpt := optimum(i, ph.load)
-			sFinal := plants[i].sig(plants[i].knob, ph.load)
-			margin := math.Abs(sFinal-sOpt) / sp.target
-			amp := maxK[i] - minK[i]
-			row := SC6Row{
-				Controller:      sp.name,
-				Mode:            sp.mode.String(),
-				Phase:           ph.name,
-				Load:            ph.load,
-				TicksToConverge: convAt[i],
-				KnobFinal:       plants[i].knob,
-				KnobOpt:         kOpt,
-				SignalFinal:     sFinal,
-				SignalOpt:       sOpt,
-				Target:          sp.target,
-				MarginVsOpt:     margin,
-				PostAmplitude:   amp,
-			}
-			report.Rows = append(report.Rows, row)
-			if convAt[i] == -1 {
-				convergedEverywhere[i] = false
-			}
-			if margin > sp.band || math.Abs(sFinal-sp.target) > sp.band*sp.target {
-				report.Summary.WithinBand = 0
-			}
-			if amp > sp.step {
-				report.Summary.AmplitudeBounded = 0
-			}
-			report.Summary.WorstMargin = math.Max(report.Summary.WorstMargin, margin)
-		}
-	}
-	for _, ok := range convergedEverywhere {
-		if ok {
-			report.Summary.ControllersConverged++
-		}
-	}
-
-	rows := make([][]string, 0, len(report.Rows))
-	for _, r := range report.Rows {
-		rows = append(rows, []string{
-			r.Controller, r.Mode, r.Phase, fmt.Sprintf("%.1fx", r.Load),
-			strconv.Itoa(r.TicksToConverge), fmt.Sprintf("%.2f", r.KnobFinal),
-			fmt.Sprintf("%.2f", r.KnobOpt), fmt.Sprintf("%.3f", r.SignalFinal),
-			fmt.Sprintf("%.3f", r.SignalOpt), fmt.Sprintf("%.3f", r.Target),
-			fmt.Sprintf("%.3f", r.MarginVsOpt), fmt.Sprintf("%.2f", r.PostAmplitude),
-		})
-	}
-	table(w, []string{"controller", "mode", "phase", "load", "ticks", "knob", "knob*", "signal", "signal*", "target", "margin", "post p2p"}, rows)
-	fmt.Fprintf(w, "  converged controllers (all phases): %.0f/4; worst margin vs hand-tuned optimum: %.3f\n",
-		report.Summary.ControllersConverged, report.Summary.WorstMargin)
-	fmt.Fprintln(w, "  expectation: every controller re-converges after each load step to within its band of the")
-	fmt.Fprintln(w, "  grid-searched static optimum, and holds perfectly still afterwards (no oscillation)")
-	return writeJSON(p, "SC6", &report)
 }
 
 // --- SC7: content-addressable compressed cold tier ---

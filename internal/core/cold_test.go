@@ -3,15 +3,13 @@ package core
 // Tests for the cold-tier wiring: boot-time knobs route through ApplyTuning,
 // the tuning document validates and round-trips the cold knobs, the
 // background repacker demotes on the machine clock with reads staying
-// transparent, and the control plane gains (or correctly skips) the
-// repack-interval controller.
+// transparent.
 
 import (
 	"errors"
 	"testing"
 	"time"
 
-	"repro/internal/control"
 	"repro/internal/dbfs"
 )
 
@@ -122,42 +120,5 @@ func TestRepackerDemotesAndReadsStayTransparent(t *testing.T) {
 	}
 	if st := s.DBFS().Stats(); st.Promotions != 1 {
 		t.Fatalf("store Promotions = %d, want 1", st.Promotions)
-	}
-}
-
-func TestControlPlaneColdController(t *testing.T) {
-	s, err := Boot(Options{AuthorityBits: 1024, Control: true, ColdAfter: time.Hour})
-	if err != nil {
-		t.Fatal(err)
-	}
-	byName := map[string]control.State{}
-	for _, st := range s.Controllers() {
-		byName[st.Name] = st
-	}
-	if _, ok := byName["repack-interval"]; !ok {
-		t.Fatalf("repack-interval controller missing: %v", s.Controllers())
-	}
-	if len(byName) != 5 {
-		t.Fatalf("len(Controllers) = %d with cold tier on, want 5", len(byName))
-	}
-	// Neutral ticks (no repacker running) hold the knob.
-	for i := 0; i < control.DefaultConvergeAfter+1; i++ {
-		s.ControlTick()
-	}
-	for _, st := range s.Controllers() {
-		if st.Name == "repack-interval" && st.Adjusts != 0 {
-			t.Fatalf("repack-interval moved on neutral signal: %+v", st)
-		}
-	}
-
-	// With demotion ablated away (ColdAfter 0) the controller is skipped.
-	s2, err := Boot(Options{AuthorityBits: 1024, Control: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range s2.Controllers() {
-		if st.Name == "repack-interval" {
-			t.Fatal("repack-interval controller present despite ColdAfter 0")
-		}
 	}
 }

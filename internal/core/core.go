@@ -16,13 +16,8 @@
 //
 // Runtime knobs flow through one door: ApplyTuning applies a validated
 // core.Tuning document atomically per knob (nothing applies if any knob is
-// invalid) and Tuning() snapshots the live configuration. Options.Control
-// starts the self-tuning control plane (control.go): five feedback
-// controllers from internal/control steering the WAL commit window, the
-// admission queue bound, the sweeper interval, the membrane-cache
-// capacity and the cold-tier repack interval from the counters the system
-// already exports — through the same ApplyTuning API an operator uses. DESIGN.md ("Control plane & tuning
-// API") documents the controller law and setpoints; SC6 gates convergence.
+// invalid) and Tuning() snapshots the live configuration. DESIGN.md
+// ("Tuning API") lists the knobs.
 package core
 
 import (
@@ -39,7 +34,6 @@ import (
 	"repro/internal/builtins"
 	"repro/internal/coldtier"
 	"repro/internal/collect"
-	"repro/internal/control"
 	"repro/internal/cryptoshred"
 	"repro/internal/dbfs"
 	"repro/internal/ded"
@@ -143,19 +137,6 @@ type Options struct {
 	// across runs, which needs reproducible ciphertext); nil keeps the
 	// crypto/rand default.
 	CryptoRand io.Reader
-	// Control enables the self-tuning control plane: one feedback
-	// controller per runtime knob (commit window, admission bound, sweep
-	// interval, membrane-cache capacity), each steering through
-	// ApplyTuning off the counters the system already exports. Snapshot
-	// via Controllers(); drive deterministically with ControlTick or in
-	// the background with StartControl.
-	Control bool
-	// ControlInterval is the control plane's tick cadence (0 =
-	// control.DefaultTickInterval).
-	ControlInterval time.Duration
-	// ControlSLO is the admitted-latency p99 objective the admission
-	// controller steers MaxPending toward (0 = 50ms).
-	ControlSLO time.Duration
 	// NodeName labels this machine when it runs as one node of a
 	// multi-node cluster (internal/cluster): it appears in the cluster's
 	// status output and per-node error reports. Empty for standalone
@@ -203,9 +184,6 @@ func (o *Options) withDefaults() {
 	if o.ColdInterval <= 0 {
 		o.ColdInterval = coldtier.DefaultRepackInterval
 	}
-	if o.ControlSLO <= 0 {
-		o.ControlSLO = 50 * time.Millisecond
-	}
 }
 
 // System is a booted rgpdOS machine.
@@ -239,9 +217,6 @@ type System struct {
 	// StartRepacker; like the rights engine's sweeper it holds its own
 	// interval, so ApplyTuning and Tuning() talk to the live object.
 	repacker *coldtier.Repacker
-
-	// ctl is the control plane (nil unless Options.Control).
-	ctl *control.Group
 }
 
 // Boot assembles and starts a machine.
@@ -387,7 +362,7 @@ func Boot(opts Options) (*System, error) {
 			return s.store.RepackCold(dedTok, now)
 		}), coldtier.Options{Interval: opts.ColdInterval})
 	// Boot-time knob installs go through the same door an operator uses
-	// (ApplyTuning), so the tuning snapshot is coherent from tick zero.
+	// (ApplyTuning), so the tuning snapshot is coherent from boot.
 	var boot Tuning
 	if opts.MembraneCache != 0 {
 		mc := opts.MembraneCache
@@ -400,11 +375,6 @@ func Boot(opts Options) (*System, error) {
 	if boot.MembraneCache != nil || boot.ColdAfter != nil {
 		if err := s.ApplyTuning(boot); err != nil {
 			return nil, fmt.Errorf("core: boot tuning: %w", err)
-		}
-	}
-	if opts.Control {
-		if s.ctl, err = s.buildControlGroup(); err != nil {
-			return nil, fmt.Errorf("core: control plane: %w", err)
 		}
 	}
 	return s, nil

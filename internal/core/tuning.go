@@ -1,15 +1,15 @@
 package core
 
-// The unified runtime-tuning API. PRs 2-5 each grew a knob with its own
-// setter scattered across layers (ps.ConfigureAdmission / SetRateLimit,
-// dbfs.ConfigureMembraneCache, rights.SetWorkers, inode ConfigureJournal /
-// SetSerialOps); this file consolidates them behind one Tuning document:
+// The unified runtime-tuning API. Every runtime knob has its own setter in
+// its layer (ps.ConfigureAdmission / SetRateLimit, dbfs.ConfigureMembraneCache,
+// rights.SetWorkers, inode ConfigureJournal / SetSerialOps, the sweeper's and
+// repacker's SetInterval); this file puts them behind one Tuning document:
 // ApplyTuning validates the whole document up front (a bad document
 // applies nothing), then applies each present knob atomically, and
 // Tuning() snapshots every knob's current value. The per-layer setters are
-// what ApplyTuning calls; the control plane (control.go) adjusts knobs only
-// through this API, so a human reading System.Tuning() always sees what the
-// controllers did.
+// what ApplyTuning calls, and Boot installs its boot-time knobs through
+// ApplyTuning too, so System.Tuning() always reports the live value of every
+// knob whoever set it.
 
 import (
 	"errors"

@@ -1,21 +1,18 @@
 package core
 
-// Tests for the unified runtime-tuning API (ApplyTuning / Tuning) and the
-// self-tuning control plane wiring: validation rejects whole documents,
-// every knob round-trips, concurrent appliers and snapshotters are
-// race-free, and the booted controllers steer their knobs only through
-// the API.
+// Tests for the unified runtime-tuning API (ApplyTuning / Tuning):
+// validation rejects whole documents, every knob round-trips, boot-time
+// knobs show in the snapshot, and concurrent appliers and snapshotters are
+// race-free.
 
 import (
 	"errors"
-	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/control"
-	"repro/internal/dbfs"
-	"repro/internal/rights"
+	"repro/internal/admission"
 )
 
 func ptr[T any](v T) *T { return &v }
@@ -67,6 +64,8 @@ func TestApplyTuningRoundTrip(t *testing.T) {
 		RightsWorkers:       ptr(3),
 		SerialOps:           ptr(true),
 		SweepInterval:       ptr(90 * time.Second),
+		ColdAfter:           ptr(6 * time.Hour),
+		RepackInterval:      ptr(2 * time.Minute),
 	}
 	if err := s.ApplyTuning(doc); err != nil {
 		t.Fatalf("ApplyTuning: %v", err)
@@ -86,6 +85,16 @@ func TestApplyTuningRoundTrip(t *testing.T) {
 	}
 	if *got.SweepInterval != 90*time.Second {
 		t.Fatalf("SweepInterval = %v", *got.SweepInterval)
+	}
+	if *got.ColdAfter != 6*time.Hour || *got.RepackInterval != 2*time.Minute {
+		t.Fatalf("cold knobs = %v/%v", *got.ColdAfter, *got.RepackInterval)
+	}
+	// The snapshot is a complete document: applying it back changes nothing.
+	if err := s.ApplyTuning(got); err != nil {
+		t.Fatalf("ApplyTuning(Tuning()): %v", err)
+	}
+	if again := s.Tuning(); !reflect.DeepEqual(again, got) {
+		t.Fatalf("snapshot did not round-trip: %+v vs %+v", again, got)
 	}
 	// Setting one journal parameter preserves the other.
 	if err := s.ApplyTuning(Tuning{CommitWindow: ptr(time.Millisecond)}); err != nil {
@@ -111,6 +120,32 @@ func TestApplyTuningRoundTrip(t *testing.T) {
 	}
 }
 
+// TestApplyTuningSnapshotKeepsRateLimitTokens: re-applying a snapshot is a
+// no-op for rate limits too — it must not refill a purpose's token bucket
+// and let the purpose burst again.
+func TestApplyTuningSnapshotKeepsRateLimitTokens(t *testing.T) {
+	s := bootTest(t)
+	setupUserType(t, s)
+	registerComputeAge(t, s)
+	if err := s.ApplyTuning(Tuning{RateLimits: []RateLimit{{Purpose: "purpose3", RatePerSec: 1, Burst: 2}}}); err != nil {
+		t.Fatal(err)
+	}
+	adm := s.PS().Admission()
+	for i := 0; i < 2; i++ {
+		release, err := adm.Admit("purpose3")
+		if err != nil {
+			t.Fatalf("admit %d within burst: %v", i, err)
+		}
+		release(0)
+	}
+	if err := s.ApplyTuning(s.Tuning()); err != nil {
+		t.Fatalf("ApplyTuning(Tuning()): %v", err)
+	}
+	if _, err := adm.Admit("purpose3"); !errors.Is(err, admission.ErrRateLimited) {
+		t.Fatalf("admit after snapshot re-apply: err = %v, want ErrRateLimited", err)
+	}
+}
+
 // TestApplyTuningAndLayerSettersShareState pins the consolidation contract:
 // a layer's own setter and the unified API act on the same state, so
 // Tuning() reports what either wrote.
@@ -133,12 +168,21 @@ func TestApplyTuningAndLayerSettersShareState(t *testing.T) {
 }
 
 func TestApplyTuningSweeperLive(t *testing.T) {
-	s, err := Boot(Options{AuthorityBits: 1024, SweepInterval: 2 * time.Minute})
+	s, err := Boot(Options{
+		AuthorityBits:  1024,
+		SweepInterval:  2 * time.Minute,
+		CommitWindow:   2 * time.Millisecond,
+		AdmissionQueue: 32,
+		MembraneCache:  -1,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if *s.Tuning().SweepInterval != 2*time.Minute {
-		t.Fatalf("boot SweepInterval = %v", *s.Tuning().SweepInterval)
+	// Boot-time knobs show in the snapshot, a cache ablation included.
+	if got := s.Tuning(); *got.SweepInterval != 2*time.Minute || *got.CommitWindow != 2*time.Millisecond ||
+		*got.AdmissionMaxPending != 32 || *got.MembraneCache != -1 {
+		t.Fatalf("boot knobs: sweep %v window %v admission %d cache %d",
+			*got.SweepInterval, *got.CommitWindow, *got.AdmissionMaxPending, *got.MembraneCache)
 	}
 	sw := s.StartSweeper()
 	defer sw.Stop()
@@ -196,154 +240,4 @@ func TestApplyTuningConcurrent(t *testing.T) {
 		}
 	}()
 	wg.Wait()
-}
-
-// TestControlPlaneBoot verifies Options.Control wires one controller per
-// knob, that their knobs mirror the booted configuration, and that
-// ControlTick steers exclusively through ApplyTuning-visible state.
-func TestControlPlaneBoot(t *testing.T) {
-	s, err := Boot(Options{
-		AuthorityBits:  1024,
-		Control:        true,
-		CommitWindow:   2 * time.Millisecond,
-		AdmissionQueue: 32,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	states := s.Controllers()
-	byName := map[string]control.State{}
-	for _, st := range states {
-		byName[st.Name] = st
-	}
-	for _, want := range []string{"commit-window", "admission-queue", "sweep-interval", "membrane-cache"} {
-		if _, ok := byName[want]; !ok {
-			t.Fatalf("controller %q missing; have %v", want, states)
-		}
-	}
-	if len(states) != 4 {
-		t.Fatalf("len(Controllers) = %d, want 4", len(states))
-	}
-	if k := byName["commit-window"].Knob; k != 2.0 {
-		t.Fatalf("commit-window knob = %v ms, want 2", k)
-	}
-	if k := byName["admission-queue"].Knob; k != 32 {
-		t.Fatalf("admission-queue knob = %v, want 32", k)
-	}
-	if k := byName["sweep-interval"].Knob; k != rights.DefaultSweepInterval.Seconds() {
-		t.Fatalf("sweep-interval knob = %v s", k)
-	}
-	// Ticks with no traffic read neutral signals everywhere: after the
-	// converge streak every controller reports Converged with zero moves.
-	for i := 0; i < control.DefaultConvergeAfter+1; i++ {
-		s.ControlTick()
-	}
-	for _, st := range s.Controllers() {
-		if st.Adjusts != 0 {
-			t.Fatalf("%s moved on neutral signal: %+v", st.Name, st)
-		}
-		if !st.Converged {
-			t.Fatalf("%s not converged after neutral ticks: %+v", st.Name, st)
-		}
-	}
-}
-
-// TestControlPlaneUnboundedAdmission pins the seeding rule: booting the
-// control plane over an unbounded admission queue installs a finite bound
-// (the controller cannot steer "unbounded").
-func TestControlPlaneUnboundedAdmission(t *testing.T) {
-	s, err := Boot(Options{AuthorityBits: 1024, Control: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := *s.Tuning().AdmissionMaxPending; got != ctlAdmissionDefault {
-		t.Fatalf("AdmissionMaxPending = %d, want seeded %d", got, ctlAdmissionDefault)
-	}
-}
-
-// TestControlPlaneSkipsAblatedCache: with the membrane cache disabled at
-// boot, no cache controller is created (it must not undo the ablation).
-func TestControlPlaneSkipsAblatedCache(t *testing.T) {
-	s, err := Boot(Options{AuthorityBits: 1024, Control: true, MembraneCache: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, st := range s.Controllers() {
-		if st.Name == "membrane-cache" {
-			t.Fatal("membrane-cache controller present despite ablation")
-		}
-	}
-	if got := *s.Tuning().MembraneCache; got != -1 {
-		t.Fatalf("MembraneCache = %d, want -1", got)
-	}
-}
-
-// TestControlBackgroundLoop runs the group loop on the machine simclock:
-// advance, Sync, and every controller has ticked.
-func TestControlBackgroundLoop(t *testing.T) {
-	s, err := Boot(Options{AuthorityBits: 1024, Control: true, ControlInterval: time.Second})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, ok := s.SimClock()
-	if !ok {
-		t.Fatal("default boot clock is not a simclock")
-	}
-	s.StartControl()
-	defer s.StopControl()
-	sim.Advance(time.Second)
-	s.ctl.Sync()
-	for _, st := range s.Controllers() {
-		if st.Ticks == 0 {
-			t.Fatalf("controller %s never ticked on the background loop", st.Name)
-		}
-	}
-}
-
-// TestControlConvergesOnCacheSignal drives a real signal end to end: a hot
-// working set larger than a tiny cache starves the hit rate, and the
-// controller grows the capacity through ApplyTuning until the rate enters
-// the band.
-func TestControlConvergesOnCacheSignal(t *testing.T) {
-	s, err := Boot(Options{AuthorityBits: 1024, Control: true, MembraneCache: 64})
-	if err != nil {
-		t.Fatal(err)
-	}
-	setupUserType(t, s)
-	tok := s.DEDToken()
-	pdids := make([]string, 0, 256)
-	for i := 0; i < 256; i++ {
-		subj := fmt.Sprintf("c%03d", i)
-		pdid, err := s.DBFS().Insert(tok, "user", subj, dbfs.Record{
-			"name": dbfs.S("u" + subj), "pwd": dbfs.S("pw"), "year_of_birthdate": dbfs.I(1990),
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pdids = append(pdids, pdid)
-	}
-	grew := false
-	for round := 0; round < 40; round++ {
-		for _, pdid := range pdids {
-			if _, err := s.DBFS().GetMembrane(tok, pdid); err != nil {
-				t.Fatal(err)
-			}
-		}
-		s.ControlTick()
-		for _, st := range s.Controllers() {
-			if st.Name == "membrane-cache" && st.Knob > 64 {
-				grew = true
-			}
-		}
-		if grew {
-			break
-		}
-	}
-	if !grew {
-		t.Fatalf("cache controller never grew a starved cache: %+v", s.Controllers())
-	}
-	// The move went through the tuning API: the snapshot sees it.
-	if got := *s.Tuning().MembraneCache; got <= 64 {
-		t.Fatalf("Tuning().MembraneCache = %d, knob move bypassed the API?", got)
-	}
 }

@@ -91,9 +91,9 @@ func newMembraneCache(capacity, nshards int) *membraneCache {
 // resize re-bounds the cache to roughly capacity entries in place,
 // preserving entries, versions and counters: each shard's cap is adjusted
 // under its own mutex and overflow evicts from the LRU tail. Preserving
-// entries matters to the control plane — a capacity controller steering on
-// hit rate would oscillate forever if every adjustment wiped the cache it
-// is measuring.
+// entries matters because ApplyTuning resizes a live cache: an operator's
+// resize must not cold-start the cache and send every following membrane
+// read to disk.
 func (c *membraneCache) resize(capacity int) {
 	if capacity <= 0 {
 		capacity = DefaultMembraneCacheCap

@@ -1,7 +1,8 @@
 // Package latencyhist is the shared power-of-two latency histogram: a
 // fixed-width array of buckets where bucket i counts samples in
 // [2^i, 2^(i+1)) microseconds. It exists so every per-sample-history-free
-// tail estimate in the system — the admission controller's p99 signal, the
+// tail estimate in the system — the admission controller's latency
+// histogram (and the p99 the end-to-end benchmark reads from it), the
 // macro-workload scorecard's per-op-class p50/p99/p99.9 — shares one bucket
 // math and one conservative quantile, instead of each package growing its
 // own slightly-different copy.
@@ -60,8 +61,8 @@ func (h Hist) Total() uint64 {
 
 // Delta returns the bucket-wise difference h - prev: the histogram of the
 // samples recorded since prev was snapshotted. Callers windowing a
-// monotonically growing histogram (the control plane's p99 signal) diff
-// successive snapshots with it.
+// monotonically growing histogram (the end-to-end benchmark's admission
+// p99 over its measured window) diff successive snapshots with it.
 func (h Hist) Delta(prev Hist) Hist {
 	var out Hist
 	for i := range h {
@@ -74,8 +75,8 @@ func (h Hist) Delta(prev Hist) Hist {
 // samples, taking each bucket at its upper bound (conservative: the
 // estimate rounds up). Zero when empty. q is clamped to [0,1] (NaN counts
 // as 0): float-to-uint conversion of a negative or NaN value is
-// implementation-defined by the Go spec, and tail signals feeding feedback
-// controllers or CI gates must never go undefined.
+// implementation-defined by the Go spec, and tail figures reported by the
+// scorecard, the benchmarks and the CI gates must never go undefined.
 func (h Hist) Quantile(q float64) time.Duration {
 	if math.IsNaN(q) || q < 0 {
 		q = 0

@@ -6,8 +6,9 @@ import (
 )
 
 // Loop is the one background-loop lifecycle every ticker-driven component
-// shares (retention sweeper, cold-tier repacker, cluster propagator,
-// control group). The component supplies two callbacks:
+// shares — its three users are the retention sweeper, the cold-tier
+// repacker and the cluster propagator. The component supplies two
+// callbacks:
 //
 //   - pass(now, forced) does the work; forced means a Sync asked for it.
 //   - due(now), optional, reports the earliest outstanding deadline. A nil
