@@ -7,13 +7,10 @@ package repro
 import (
 	"io"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/baseline"
-	"repro/internal/bench"
 	"repro/internal/blockdev"
 	"repro/internal/collect"
 	"repro/internal/core"
@@ -504,145 +501,11 @@ func BenchmarkTTLSweep(b *testing.B) {
 	}
 }
 
-// --- SC1: subject-sharded DBFS + concurrent DED executor ---
-
-// registerScoring registers the SC1 scaling workload (shared with
-// internal/bench.runSC1, which prints the same sweep as a table): a
-// full-view scoring pass under purpose1 whose per-record cost is dominated
-// by simulated processing latency — the part the concurrent executor
-// overlaps across subjects.
-func registerScoring(b *testing.B, s *core.System) {
-	b.Helper()
-	if err := s.PS().Register(bench.ScoreDecl(), bench.ScoreImpl(), false); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// --- SC2: WAL group-commit + per-shard inode FS ---
-
-// BenchmarkConcurrentInsert measures concurrent DBFS insert throughput
-// under the storage-stack configurations SC2 sweeps: the PR-1 baseline
-// (one FS, one txn per flush) against group commit and per-shard FS
-// instances. The PD disk sleeps its flush cost so the serialization the
-// refactor removes is wall-clock visible (see internal/bench.runSC2).
-func BenchmarkConcurrentInsert(b *testing.B) {
-	const workers = 8
-	for _, cfg := range []struct {
-		name  string
-		fs    int
-		batch int
-	}{
-		{"fs=1/nogroup", 1, 1},
-		{"fs=1/group", 1, 0},
-		{"fs=4/group", 4, 0},
-	} {
-		b.Run(cfg.name, func(b *testing.B) {
-			// The filesystems are fixed size, so the machine is rebuilt
-			// off the clock before the subject population exhausts the
-			// inode tables (same pattern as BenchmarkRightToBeForgotten).
-			const pool = 48 // iterations per machine
-			build := func() *core.System {
-				s, err := core.Boot(core.Options{
-					AuthorityBits: 1024, PDDiskBlocks: 1 << 16, NInodes: 1 << 14,
-					FSInstances: cfg.fs, GroupCommitMaxBatch: cfg.batch, Workers: workers,
-					PDLatency: blockdev.LatencyModel{SyncCost: 50 * time.Microsecond, Sleep: true},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := s.DeclareTypesDSL(listing1DSL, aliasOpts()); err != nil {
-					b.Fatal(err)
-				}
-				return s
-			}
-			s := build()
-			tok := s.DEDToken()
-			const n = 32 // inserts per iteration, spread over workers
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if i > 0 && i%pool == 0 {
-					b.StopTimer()
-					s = build()
-					tok = s.DEDToken()
-					b.StartTimer()
-				}
-				var wg sync.WaitGroup
-				errs := make(chan error, workers)
-				var next atomic.Int64
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(rng *xrand.RNG) {
-						defer wg.Done()
-						for {
-							j := int(next.Add(1)) - 1
-							if j >= n {
-								return
-							}
-							subj := "cs" + strconv.Itoa((i%pool)*n+j)
-							if _, err := s.DBFS().Insert(tok, "user", subj, workload.UserRecord(rng, subj), nil); err != nil {
-								errs <- err
-								return
-							}
-						}
-					}(xrand.New(uint64(7 + w)))
-				}
-				wg.Wait()
-				close(errs)
-				for err := range errs {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "inserts/s")
-		})
-	}
-}
-
-// BenchmarkInvokeBatch sweeps the DED executor pool over per-subject
-// invocations: serial vs 1/4/16 workers on 64 distinct subjects. With
-// subject-sharded DBFS locks the batch modes scale with workers until the
-// processing latency is fully overlapped.
-func BenchmarkInvokeBatch(b *testing.B) {
-	const n = 64
-	for _, workers := range []int{0, 1, 4, 16} {
-		name := "workers=" + strconv.Itoa(workers)
-		if workers == 0 {
-			name = "serial"
-		}
-		b.Run(name, func(b *testing.B) {
-			s, subjects := bootBench(b, n)
-			registerScoring(b, s)
-			reqs := make([]ps.InvokeRequest, len(subjects))
-			for i, subject := range subjects {
-				reqs[i] = ps.InvokeRequest{Processing: "purpose1", TypeName: "user", SubjectFilter: subject}
-			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if workers == 0 {
-					for _, req := range reqs {
-						if _, err := s.PS().Invoke(req); err != nil {
-							b.Fatal(err)
-						}
-					}
-					continue
-				}
-				for _, item := range s.PS().InvokeBatch(reqs, workers) {
-					if item.Err != nil {
-						b.Fatal(item.Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "inv/s")
-		})
-	}
-}
-
-// --- SC3: membrane cache x parallel rights ---
+// --- Read path: membrane cache and rights fan-out ---
 
 // BenchmarkMembraneRead measures the DED's ded_load_membrane primitive —
-// dbfs.GetMembrane — with the decoded-membrane cache on vs off. The PD disk
-// sleeps its per-block read cost, so the inode walk and device reads the
-// cache removes are wall-clock visible on top of the skipped JSON decode
-// (see internal/bench.runSC3 for the full contention sweep).
+// dbfs.GetMembrane — with the decoded-membrane cache on vs off: a hit
+// skips the inode walk, the device reads and the decode.
 func BenchmarkMembraneRead(b *testing.B) {
 	for _, cfg := range []struct {
 		name  string
@@ -655,7 +518,6 @@ func BenchmarkMembraneRead(b *testing.B) {
 			s, err := core.Boot(core.Options{
 				AuthorityBits: 1024, PDDiskBlocks: 1 << 15, NInodes: 1 << 13,
 				MembraneCache: cfg.cache,
-				PDLatency:     blockdev.LatencyModel{ReadCost: 10 * time.Microsecond, Sleep: true},
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -692,14 +554,13 @@ func BenchmarkMembraneRead(b *testing.B) {
 
 // BenchmarkAccessBatch sweeps the rights engine's per-subject fan-out:
 // subject-access reports for 16 subjects at 1 vs 8 workers over 8 per-shard
-// FS instances (reads sleep, so the overlap is wall-clock visible).
+// FS instances.
 func BenchmarkAccessBatch(b *testing.B) {
 	for _, workers := range []int{1, 8} {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			s, err := core.Boot(core.Options{
 				AuthorityBits: 1024, PDDiskBlocks: 1 << 16, NInodes: 1 << 14,
 				FSInstances: 8, Workers: 8,
-				PDLatency: blockdev.LatencyModel{ReadCost: 10 * time.Microsecond, Sleep: true},
 			})
 			if err != nil {
 				b.Fatal(err)

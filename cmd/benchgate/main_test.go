@@ -12,34 +12,35 @@ import (
 	"repro/internal/bench"
 )
 
-// sc2Report builds a minimal valid SC2 report with the given headline.
-func sc2Report(bestSpeedup float64) *bench.SC2Report {
-	r := &bench.SC2Report{Experiment: "SC2", Schema: 1, Workers: 8, Subjects: 4}
-	r.Rows = []bench.SC2Row{{Config: "x", Inserts: 4, InsertsPerSec: 1}}
-	r.Summary.BestSpeedup = bestSpeedup
-	r.Summary.BestInsertsPerSec = 1
-	r.Summary.BaselineInsertsPerSec = 1
+// sc7Report builds a minimal valid SC7 report with the given footprint
+// ratio; every invariant holds and the hot path costs what it does with the
+// tier disabled.
+func sc7Report(footprint float64) *bench.SC7Report {
+	r := &bench.SC7Report{Experiment: "SC7", Schema: 1}
+	r.Rows = []bench.SC7Row{{Phase: "hot", Config: "x", Records: 4}}
+	r.Summary.FootprintRatio = footprint
+	r.Summary.HotPathOpsBaseline = 10
+	r.Summary.HotPathOpsColdOn = 10
+	r.Summary.HotPathOpsRatio = 1
+	r.Summary.PromoteOpsPerRecord = 30
+	r.Summary.RedemotionDedupHits = 24
+	r.Summary.ArchiveUndecodable = true
+	r.Summary.SnapshotUndecodable = true
 	return r
 }
 
-// sc3Report builds a minimal valid SC3 report with all four headlines set
-// to v.
-func sc3Report(v float64) *bench.SC3Report {
-	r := &bench.SC3Report{Experiment: "SC3", Schema: 1, Workers: 8, Subjects: 4}
-	r.Rows = []bench.SC3Row{{Config: "x", Mode: "readloop", Ops: 1, OpsPerSec: 1}}
-	r.Summary.CacheSpeedupDisjoint = v
-	r.Summary.CacheSpeedupOverlap = v
-	r.Summary.AccessSpeedup = v
-	r.Summary.SweepSpeedup = v
-	return r
-}
-
-// sc4Report builds a minimal valid SC4 report with the given gated ratio.
-func sc4Report(ratio float64) *bench.SC4Report {
-	r := &bench.SC4Report{Experiment: "SC4", Schema: 1, Clients: 8, Subjects: 4, QueueBound: 8}
-	r.Rows = []bench.SC4Row{{Config: "admission 2x", Controlled: true, Offered: 4}}
-	r.Summary.ControlledGoodputRatio = ratio
-	r.Summary.CapacityPerSec = 100
+// sc8Report builds a minimal valid SC8 report with all four routing
+// speedups set to v and every copy-ledger invariant holding.
+func sc8Report(v float64) *bench.SC8Report {
+	r := &bench.SC8Report{Experiment: "SC8", Schema: 1}
+	r.Rows = []bench.SC8Row{{Nodes: 1, InsertSpeedup: 1, AccessSpeedup: 1}}
+	r.Summary.InsertSpeedup2 = v
+	r.Summary.InsertSpeedup4 = v
+	r.Summary.AccessSpeedup2 = v
+	r.Summary.AccessSpeedup4 = v
+	r.Summary.ErasePropagated = true
+	r.Summary.LedgerDrained = true
+	r.Summary.RetriedWithinWindow = true
 	return r
 }
 
@@ -100,27 +101,27 @@ func TestRunEdgePaths(t *testing.T) {
 	}{
 		{
 			name:     "missing experiment in results",
-			baseline: map[string]any{"SC2": sc2Report(2), "SC4": sc4Report(0.9)},
-			results:  map[string]any{"SC2": sc2Report(2)},
+			baseline: map[string]any{"SC7": sc7Report(5), "SC8": sc8Report(2)},
+			results:  map[string]any{"SC7": sc7Report(5)},
 			wantConfigErr: []string{
-				"experiment SC4",
+				"experiment SC8",
 				"baseline entry present but",
 				"was not generated",
 			},
 		},
 		{
 			name:     "missing experiment in baseline",
-			baseline: map[string]any{"SC2": sc2Report(2)},
-			results:  map[string]any{"SC2": sc2Report(2), "SC4": sc4Report(0.9)},
+			baseline: map[string]any{"SC7": sc7Report(5)},
+			results:  map[string]any{"SC7": sc7Report(5), "SC8": sc8Report(2)},
 			wantConfigErr: []string{
-				"experiment SC4",
+				"experiment SC8",
 				"has no entry for it",
 			},
 		},
 		{
 			name:     "baseline entry without a registered gate",
-			baseline: map[string]any{"SC99": sc2Report(2)},
-			results:  map[string]any{"SC99": sc2Report(2)},
+			baseline: map[string]any{"SC99": sc7Report(5)},
+			results:  map[string]any{"SC99": sc7Report(5)},
 			wantConfigErr: []string{
 				"experiment SC99",
 				"no registered gate",
@@ -128,36 +129,53 @@ func TestRunEdgePaths(t *testing.T) {
 		},
 		{
 			name:     "zero floor disables the gate",
-			baseline: map[string]any{"SC4": sc4Report(0)},
-			results:  map[string]any{"SC4": sc4Report(0.9)},
+			baseline: map[string]any{"SC7": sc7Report(0)},
+			results:  map[string]any{"SC7": sc7Report(5)},
 			wantConfigErr: []string{
-				"experiment SC4",
-				`baseline summary metric "controlled_goodput_ratio" is 0.00`,
+				"experiment SC7",
+				`baseline summary metric "footprint_ratio" is 0.00`,
 				"would disable the gate",
 			},
 		},
 		{
 			name:     "zero floor in a multi-metric gate",
-			baseline: map[string]any{"SC3": sc3Report(0)},
-			results:  map[string]any{"SC3": sc3Report(4)},
+			baseline: map[string]any{"SC8": sc8Report(0)},
+			results:  map[string]any{"SC8": sc8Report(2)},
 			wantConfigErr: []string{
-				"experiment SC3",
-				`baseline summary metric "cache_speedup_disjoint" is 0.00`,
+				"experiment SC8",
+				`baseline summary metric "insert_speedup_2" is 0.00`,
 			},
 		},
 		{
 			name:     "regression exactly at the threshold passes",
-			baseline: map[string]any{"SC4": sc4Report(1.0)},
-			results:  map[string]any{"SC4": sc4Report(0.75)}, // floor is exactly 0.75
+			baseline: map[string]any{"SC8": sc8Report(1.0)},
+			results:  map[string]any{"SC8": sc8Report(0.75)}, // floor is exactly 0.75
 			wantOK:   true,
 		},
 		{
 			name:     "regression just past the threshold fails",
-			baseline: map[string]any{"SC4": sc4Report(1.0)},
-			results:  map[string]any{"SC4": sc4Report(0.7499)},
+			baseline: map[string]any{"SC8": sc8Report(1.0)},
+			results:  map[string]any{"SC8": sc8Report(0.7499)},
 			wantRegression: []string{
 				"FAIL",
-				"SC4 controlled_goodput_ratio regressed more than 25%",
+				"SC8 insert_speedup_2 regressed more than 25%",
+			},
+		},
+		{
+			// The cold tier must not tax untouched records at all: one
+			// extra device op in ten fails even though it is inside the
+			// regress margin.
+			name:     "hot path paying any extra device op fails",
+			baseline: map[string]any{"SC7": sc7Report(5)},
+			results: map[string]any{"SC7": func() *bench.SC7Report {
+				r := sc7Report(5)
+				r.Summary.HotPathOpsColdOn = 11
+				r.Summary.HotPathOpsRatio = 1.1
+				return r
+			}()},
+			wantRegression: []string{
+				"FAIL",
+				"SC7 invariant hot_path_ops_unchanged does not hold",
 			},
 		},
 	}
@@ -226,7 +244,7 @@ func TestRunBaselineFileProblems(t *testing.T) {
 		t.Fatalf("schema-1 baseline: %v, want named schema config error", err)
 	}
 
-	good := writeBaseline(t, dir, map[string]any{"SC4": sc4Report(0.9)})
+	good := writeBaseline(t, dir, map[string]any{"SC7": sc7Report(5)})
 	if err := run(good, filepath.Join(dir, "missing-dir"), 0.2, &out); !errors.As(err, &cfg) {
 		t.Fatalf("missing results dir: %v, want *configError", err)
 	}

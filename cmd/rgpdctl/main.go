@@ -75,7 +75,7 @@ const usageText = `usage:
   rgpdctl nodes                                          boot a probe cluster, show routing + erase propagation
   rgpdctl macro <scenario> [seed] [-trace]               run a macro scenario (CI scale), print its scorecard
     knobs: commit_window=2ms group_max_batch=8 admission_max_pending=64 membrane_cache=512
-           rights_workers=4 serial_ops=true sweep_interval=30s rate_limit=<purpose>:<rate>:<burst>
+           rights_workers=4 sweep_interval=30s rate_limit=<purpose>:<rate>:<burst>
            cold_after=1h repack_interval=1m`
 
 func readFile(path string) (string, error) {
@@ -248,8 +248,8 @@ func cmdStatus() error {
 
 // printTuning renders a full tuning snapshot (all fields non-nil).
 func printTuning(t core.Tuning) {
-	fmt.Printf("  commit_window=%v group_max_batch=%d membrane_cache=%d rights_workers=%d serial_ops=%v sweep_interval=%v\n",
-		*t.CommitWindow, *t.GroupMaxBatch, *t.MembraneCache, *t.RightsWorkers, *t.SerialOps, *t.SweepInterval)
+	fmt.Printf("  commit_window=%v group_max_batch=%d membrane_cache=%d rights_workers=%d sweep_interval=%v\n",
+		*t.CommitWindow, *t.GroupMaxBatch, *t.MembraneCache, *t.RightsWorkers, *t.SweepInterval)
 	fmt.Printf("  cold_after=%v repack_interval=%v\n", *t.ColdAfter, *t.RepackInterval)
 	if t.AdmissionMaxPending != nil {
 		fmt.Printf("  admission_max_pending=%d\n", *t.AdmissionMaxPending)
@@ -293,11 +293,6 @@ func parseTuning(args []string) (core.Tuning, error) {
 			var n int
 			if n, err = strconv.Atoi(v); err == nil {
 				t.RightsWorkers = &n
-			}
-		case "serial_ops":
-			var b bool
-			if b, err = strconv.ParseBool(v); err == nil {
-				t.SerialOps = &b
 			}
 		case "sweep_interval":
 			var d time.Duration

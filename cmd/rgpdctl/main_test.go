@@ -24,7 +24,6 @@ func TestParseTuning(t *testing.T) {
 		"admission_max_pending": {"admission_max_pending=64", core.Tuning{AdmissionMaxPending: ptr(64)}},
 		"membrane_cache":        {"membrane_cache=-1", core.Tuning{MembraneCache: ptr(-1)}},
 		"rights_workers":        {"rights_workers=4", core.Tuning{RightsWorkers: ptr(4)}},
-		"serial_ops":            {"serial_ops=true", core.Tuning{SerialOps: ptr(true)}},
 		"sweep_interval":        {"sweep_interval=30s", core.Tuning{SweepInterval: ptr(30 * time.Second)}},
 		"rate_limit": {"rate_limit=purpose3:2.5:4", core.Tuning{RateLimits: []core.RateLimit{
 			{Purpose: "purpose3", RatePerSec: 2.5, Burst: 4}}}},
@@ -70,7 +69,7 @@ func TestParseTuning(t *testing.T) {
 		"sweep_interval=30",          // duration without a unit
 		"repack_interval=soon",       // not a duration
 		"group_max_batch=eight",      // not an integer
-		"serial_ops=perhaps",         // not a bool
+		"serial_ops=true",            // removed knob: unknown
 	} {
 		if _, err := parseTuning([]string{bad}); err == nil {
 			t.Fatalf("parseTuning(%q) succeeded, want an error", bad)

@@ -12,8 +12,9 @@
 // scenario scorecards), the runnable entry points under cmd/ and
 // examples/, and the benchmark harness in bench_test.go plus
 // cmd/benchfig, whose registry regenerates every reproduced artifact
-// and the SC scaling experiments (SC1-SC5, SC7-SC9); cmd/benchgate holds CI to the
-// checked-in BENCH_baseline.json floors.
+// and the SC scaling experiments (SC7-SC9); cmd/benchgate holds CI to the
+// checked-in BENCH_baseline.json floors. benchmarks/ holds the end-to-end
+// wall-clock workloads.
 //
 // References:
 //

@@ -87,11 +87,6 @@ func Registry() []Experiment {
 		{ID: "OV4", Title: "DBFS vs plain file-based FS at record granularity", Paper: "§2 DBFS", Run: runOV4},
 		{ID: "OV5", Title: "Sensitive-field separation cost", Paper: "§2 sensitivity levels", Run: runOV5},
 		{ID: "OV6", Title: "TTL sweeper (storage limitation)", Paper: "§2/§4 TTL", Run: runOV6},
-		{ID: "SC1", Title: "Subject-sharded DBFS + concurrent DED executor scaling", Paper: "§2 DED model, scaled (north star)", Run: runSC1},
-		{ID: "SC2", Title: "WAL group-commit x per-shard FS: concurrent insert throughput", Paper: "§3 DBFS storage stack, scaled (north star)", Run: runSC2},
-		{ID: "SC3", Title: "Membrane cache x parallel rights: read-path throughput", Paper: "§3 ded_load_membrane cost, scaled (north star)", Run: runSC3},
-		{ID: "SC4", Title: "Admission control: goodput/rejects/p99 past saturation", Paper: "heavy-traffic enforcement, scaled (north star)", Run: runSC4},
-		{ID: "SC5", Title: "Actor inode core x block buffer cache: intra-shard contention", Paper: "§3 DBFS storage stack, scaled (north star)", Run: runSC5},
 		{ID: "SC7", Title: "Content-addressable compressed cold tier: footprint, promotion, shred safety", Paper: "storage limitation at scale (north star)", Run: runSC7},
 		{ID: "SC8", Title: "Multi-node subject routing: scaling + cross-node erasure propagation", Paper: "multi-machine controllers (§5), scaled (north star)", Run: runSC8},
 		{ID: "SC9", Title: "GDPRBench-style macro workloads: per-class tails + regulator invariants", Paper: "realistic controller traffic, scaled (north star)", Run: runSC9},
@@ -241,52 +236,6 @@ func computeAgeImpl() *ded.Func {
 				return ded.Output{}, err
 			}
 			return ded.Output{NonPD: int64(now.Year()) - yob.I}, nil
-		},
-	}
-}
-
-// scorePause is the simulated per-record processing cost of the scaling
-// workload: the time a realistic F_pd spends outside rgpdOS (model scoring,
-// an external enrichment call) while the DED waits. It is what the
-// concurrent executor overlaps across subjects, exactly like blockdev's
-// simulated NVMe costs model device time.
-const scorePause = 200 * time.Microsecond
-
-// ScoreDecl is the scaling workload's purpose: full-view scoring consented
-// under Listing 1's purpose1. Exported (with ScoreImpl) so the root
-// testing.B benchmarks measure the exact workload SC1 reports on.
-func ScoreDecl() *purpose.Decl {
-	return &purpose.Decl{
-		Name:        "purpose1",
-		Description: "Score the user profile",
-		Basis:       purpose.BasisConsent,
-		Reads:       []string{"user.name", "user.year_of_birthdate"},
-	}
-}
-
-// ScoreImpl hashes the visible fields (a stand-in for feature extraction)
-// and pays scorePause of simulated processing latency per record.
-func ScoreImpl() *ded.Func {
-	return &ded.Func{
-		Name:          "score_profile",
-		Purpose:       "purpose1",
-		DeclaredReads: []string{"user.name", "user.year_of_birthdate"},
-		Fn: func(c *ded.Ctx) (ded.Output, error) {
-			name, err := c.Field("name")
-			if err != nil {
-				return ded.Output{}, err
-			}
-			yob, err := c.Field("year_of_birthdate")
-			if err != nil {
-				return ded.Output{}, err
-			}
-			h := uint64(14695981039346656037)
-			for _, b := range []byte(name.S) {
-				h = (h ^ uint64(b)) * 1099511628211
-			}
-			h ^= uint64(yob.I)
-			time.Sleep(scorePause)
-			return ded.Output{NonPD: int64(h % 1000)}, nil
 		},
 	}
 }

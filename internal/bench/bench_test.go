@@ -8,7 +8,7 @@ import (
 func TestRegistryComplete(t *testing.T) {
 	// Every experiment in DESIGN.md's per-experiment index must exist.
 	want := []string{"F1L", "F1R", "F2V1", "F2V2", "F3", "F4P", "L1", "L23",
-		"IA", "IF", "OV1", "OV2", "OV3", "OV4", "OV5", "OV6", "SC1", "SC2", "SC3", "SC4", "SC5", "SC7", "SC8", "SC9"}
+		"IA", "IF", "OV1", "OV2", "OV3", "OV4", "OV5", "OV6", "SC7", "SC8", "SC9"}
 	reg := Registry()
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(reg), len(want))

@@ -5,13 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
-	"repro/internal/admission"
 	"repro/internal/baseline"
 	"repro/internal/blockdev"
 	"repro/internal/collect"
@@ -317,8 +313,8 @@ func runIA(w io.Writer, p Params) error {
 		if err != nil {
 			return err
 		}
-		// rights.ExportJSON is exercised via the engine; size the payload.
-		raw, err := exportJSON(report)
+		// Size the machine-readable export payload.
+		raw, err := rights.ExportJSON(report)
 		if err != nil {
 			return err
 		}
@@ -705,1077 +701,6 @@ func runOV6(w io.Writer, p Params) error {
 	table(w, []string{"expired fraction", "swept", "total us", "us/record"}, rows)
 	fmt.Fprintln(w, "  expectation: sweep cost is linear in expired records (membrane scan + physical delete)")
 	return nil
-}
-
-// --- SC1: subject-sharded concurrency scaling ---
-
-// runSC1 measures the PR-1 refactor: per-subject invocations dispatched
-// through ps.InvokeBatch onto the DED worker pool, against the serial
-// one-at-a-time loop the system was limited to before. Each invocation
-// targets a distinct subject, so the subject-sharded DBFS locks never
-// contend and the executor overlaps the per-record processing latency.
-func runSC1(w io.Writer, p Params) error {
-	n := p.subjects(64, 16)
-	sys, subjects, err := seedSystem(n, p.Seed+13, 1)
-	if err != nil {
-		return err
-	}
-	if err := sys.PS().Register(ScoreDecl(), ScoreImpl(), false); err != nil {
-		return err
-	}
-	reqs := make([]ps.InvokeRequest, len(subjects))
-	for i, subject := range subjects {
-		reqs[i] = ps.InvokeRequest{Processing: "purpose1", TypeName: "user", SubjectFilter: subject}
-	}
-
-	// Serial baseline: the pre-sharding execution model.
-	start := time.Now()
-	for _, req := range reqs {
-		res, err := sys.PS().Invoke(req)
-		if err != nil {
-			return err
-		}
-		if res.Processed != 1 {
-			return fmt.Errorf("bench: SC1 serial processed %d, want 1", res.Processed)
-		}
-	}
-	serial := time.Since(start)
-	rows := [][]string{{"serial", us(serial), perOp(serial, n), "1.00x"}}
-
-	for _, workers := range []int{1, 4, 16} {
-		start = time.Now()
-		for _, item := range sys.PS().InvokeBatch(reqs, workers) {
-			if item.Err != nil {
-				return item.Err
-			}
-			if item.Res.Processed != 1 {
-				return fmt.Errorf("bench: SC1 batch processed %d, want 1", item.Res.Processed)
-			}
-		}
-		elapsed := time.Since(start)
-		rows = append(rows, []string{
-			fmt.Sprintf("batch/%-2d", workers), us(elapsed), perOp(elapsed, n),
-			fmt.Sprintf("%.2fx", float64(serial)/float64(elapsed)),
-		})
-	}
-	table(w, []string{"mode (workers)", "total us", "us/invocation", "speedup"}, rows)
-	fmt.Fprintln(w, "  expectation: >=2x serial throughput at 4 workers — distinct subjects hit distinct")
-	fmt.Fprintln(w, "  DBFS lock shards, and the executor overlaps each DED's per-record processing latency")
-	return nil
-}
-
-// exportJSON sizes an access report payload (shared with runIA).
-func exportJSON(report *rights.AccessReport) ([]byte, error) {
-	return rights.ExportJSON(report)
-}
-
-// --- SC2: storage-stack scaling — group commit x per-shard FS ---
-
-// SC2Row is one configuration's measurement in the SC2 sweep, serialized
-// into BENCH_SC2.json for the CI regression gate.
-type SC2Row struct {
-	Config            string  `json:"config"`
-	FSInstances       int     `json:"fs_instances"`
-	CommitWindowUS    int64   `json:"commit_window_us"`
-	GroupCommit       bool    `json:"group_commit"`
-	Workers           int     `json:"workers"`
-	Inserts           int     `json:"inserts"`
-	WallUS            int64   `json:"wall_us"`
-	InsertsPerSec     float64 `json:"inserts_per_sec"`
-	SpeedupVsBaseline float64 `json:"speedup_vs_baseline"`
-	TxnsPerGroup      float64 `json:"txns_per_group"`
-}
-
-// SC2Report is the BENCH_SC2.json schema.
-type SC2Report struct {
-	Experiment string `json:"experiment"`
-	Schema     int    `json:"schema"`
-	// Comment carries provenance notes (the checked-in baseline explains
-	// that its summary is a conservative cross-machine floor).
-	Comment  string   `json:"comment,omitempty"`
-	Workers  int      `json:"workers"`
-	Subjects int      `json:"subjects"`
-	Rows     []SC2Row `json:"rows"`
-	Summary  struct {
-		BaselineInsertsPerSec float64 `json:"baseline_inserts_per_sec"`
-		BestInsertsPerSec     float64 `json:"best_inserts_per_sec"`
-		BestConfig            string  `json:"best_config"`
-		BestSpeedup           float64 `json:"best_speedup"`
-	} `json:"summary"`
-}
-
-// runSC2 measures this PR's storage-stack refactor: concurrent inserts from
-// a fixed worker pool, swept over commit-window size and FS-instance count.
-// The PD disk sleeps its flush cost (blockdev.LatencyModel.Sleep), so what
-// the wall clock sees is exactly what the refactor targets: the PR-1
-// baseline (one filesystem, one transaction per flush) pays every barrier
-// serially through one journal, group commit amortizes barriers across
-// concurrently arriving transactions, and per-shard FS instances let the
-// remaining barriers wait in parallel.
-func runSC2(w io.Writer, p Params) error {
-	n := p.subjects(256, 48)
-	const workers = 8
-	syncCost := 100 * time.Microsecond
-	if p.Small {
-		syncCost = 50 * time.Microsecond
-	}
-	type cfg struct {
-		name   string
-		fs     int
-		window time.Duration
-		batch  int // 1 disables group commit, 0 = wal default
-	}
-	cfgs := []cfg{
-		{"pr1-baseline fs=1 nogroup", 1, 0, 1},
-		{"group fs=1", 1, 0, 0},
-		{"shard fs=4 nogroup", 4, 0, 1},
-		{"shard+group fs=4", 4, 0, 0},
-		{"shard+group fs=4 win=100us", 4, 100 * time.Microsecond, 0},
-		{"shard+group fs=8", 8, 0, 0},
-	}
-	if p.Small {
-		cfgs = []cfg{cfgs[0], cfgs[1], cfgs[3], cfgs[5]}
-	}
-
-	report := SC2Report{Experiment: "SC2", Schema: 1, Workers: workers, Subjects: n}
-	rows := make([][]string, 0, len(cfgs))
-	for _, c := range cfgs {
-		opts := bootOpts(n)
-		opts.FSInstances = c.fs
-		opts.CommitWindow = c.window
-		opts.GroupCommitMaxBatch = c.batch
-		opts.Workers = workers
-		opts.PDLatency = blockdev.LatencyModel{SyncCost: syncCost, Sleep: true}
-		sys, err := core.Boot(opts)
-		if err != nil {
-			return err
-		}
-		if err := sys.DeclareTypesDSL(listing1DSL, aliasOpts()); err != nil {
-			return err
-		}
-		// Pre-generate records off the clock; the timed region is pure
-		// concurrent insert load against DBFS.
-		rng := xrand.New(p.Seed + 21)
-		subjects := workload.SubjectIDs(n)
-		records := make([]dbfs.Record, n)
-		for i, subject := range subjects {
-			records[i] = workload.UserRecord(rng, subject)
-		}
-		tok := sys.DEDToken()
-		var (
-			wg   sync.WaitGroup
-			next atomic.Int64
-		)
-		insertErrs := make(chan error, workers)
-		start := time.Now()
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= n {
-						return
-					}
-					if _, err := sys.DBFS().Insert(tok, "user", subjects[i], records[i], nil); err != nil {
-						insertErrs <- err
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		close(insertErrs)
-		for err := range insertErrs {
-			return fmt.Errorf("bench: SC2 %s: %w", c.name, err)
-		}
-		js := sys.DBFS().JournalStats()
-		txnsPerGroup := 0.0
-		if js.GroupCommits > 0 {
-			txnsPerGroup = float64(js.TxnsCommitted) / float64(js.GroupCommits)
-		}
-		row := SC2Row{
-			Config:         c.name,
-			FSInstances:    c.fs,
-			CommitWindowUS: c.window.Microseconds(),
-			GroupCommit:    c.batch != 1,
-			Workers:        workers,
-			Inserts:        n,
-			WallUS:         elapsed.Microseconds(),
-			InsertsPerSec:  float64(n) / elapsed.Seconds(),
-			TxnsPerGroup:   txnsPerGroup,
-		}
-		report.Rows = append(report.Rows, row)
-	}
-	base := report.Rows[0].InsertsPerSec
-	report.Summary.BaselineInsertsPerSec = base
-	for i := range report.Rows {
-		r := &report.Rows[i]
-		if base > 0 {
-			r.SpeedupVsBaseline = r.InsertsPerSec / base
-		}
-		if r.InsertsPerSec > report.Summary.BestInsertsPerSec {
-			report.Summary.BestInsertsPerSec = r.InsertsPerSec
-			report.Summary.BestConfig = r.Config
-			report.Summary.BestSpeedup = r.SpeedupVsBaseline
-		}
-		rows = append(rows, []string{
-			r.Config, strconv.Itoa(r.FSInstances), strconv.FormatInt(r.CommitWindowUS, 10),
-			fmt.Sprintf("%t", r.GroupCommit), strconv.Itoa(r.Inserts),
-			fmt.Sprintf("%.0f", r.InsertsPerSec), fmt.Sprintf("%.1f", r.TxnsPerGroup),
-			fmt.Sprintf("%.2fx", r.SpeedupVsBaseline),
-		})
-	}
-	table(w, []string{"config", "fs", "window us", "group", "inserts", "inserts/s", "txns/group", "speedup"}, rows)
-	fmt.Fprintln(w, "  expectation: group commit shrinks flush count (txns/group > 1), per-shard FS overlaps the")
-	fmt.Fprintln(w, "  remaining flushes; combined >=2x the PR-1 baseline at 8 workers")
-	return writeJSON(p, "SC2", &report)
-}
-
-// --- SC3: read-path scaling — membrane cache x parallel rights sweeps ---
-
-// SC3Row is one configuration's measurement in the SC3 sweep, serialized
-// into BENCH_SC3.json for the CI regression gate.
-type SC3Row struct {
-	Config string `json:"config"`
-	// Mode is "readloop" (raw concurrent GetMembrane load), "access"
-	// (subject-access reports) or "sweep" (TTL sweeper).
-	Mode    string `json:"mode"`
-	Cache   bool   `json:"cache"`
-	Overlap bool   `json:"overlap,omitempty"`
-	Workers int    `json:"workers"`
-	Ops     int    `json:"ops"`
-	WallUS  int64  `json:"wall_us"`
-	// OpsPerSec is membrane reads/s (readloop), reports/s (access) or
-	// deletions/s (sweep).
-	OpsPerSec float64 `json:"ops_per_sec"`
-	// Speedup is relative to the mode's baseline row (cache off for
-	// readloop, one worker for access/sweep).
-	Speedup      float64 `json:"speedup"`
-	CacheHitRate float64 `json:"cache_hit_rate"`
-}
-
-// SC3Report is the BENCH_SC3.json schema.
-type SC3Report struct {
-	Experiment string `json:"experiment"`
-	Schema     int    `json:"schema"`
-	// Comment carries provenance notes (the checked-in baseline explains
-	// that its summary is a conservative cross-machine floor).
-	Comment  string   `json:"comment,omitempty"`
-	Workers  int      `json:"workers"`
-	Subjects int      `json:"subjects"`
-	Rows     []SC3Row `json:"rows"`
-	Summary  struct {
-		// CacheSpeedup* compare cache on vs off on the same readloop shape.
-		CacheSpeedupDisjoint float64 `json:"cache_speedup_disjoint"`
-		CacheSpeedupOverlap  float64 `json:"cache_speedup_overlap"`
-		// AccessSpeedup / SweepSpeedup compare the parallel rights engine
-		// at the full worker pool vs one worker.
-		AccessSpeedup float64 `json:"access_speedup"`
-		SweepSpeedup  float64 `json:"sweep_speedup"`
-	} `json:"summary"`
-}
-
-// runSC3 measures this PR's read-path work. Phase one is a membrane-read
-// contention sweep: a fixed worker pool hammers GetMembrane over disjoint
-// vs overlapping record batches, with the decoded-membrane cache enabled vs
-// disabled. The PD disk sleeps its per-block read cost, so what the cache
-// removes — the inode walk and device reads behind every membrane fetch,
-// all serialized behind one filesystem lock — is wall-clock visible, on top
-// of the JSON decode it also skips. Every fetched membrane is identity-
-// checked, so the cached and uncached runs demonstrably serve the same
-// answers. Phase two measures the parallel rights engine on the now-cheap
-// read path: subject-access reports and the TTL sweeper at 1 worker vs the
-// full pool, on a machine whose per-shard FS instances (SC2) let the
-// per-record device time actually overlap.
-func runSC3(w io.Writer, p Params) error {
-	n := p.subjects(48, 12)
-	const perSubject = 4
-	const workers = 8
-	reads := p.ops(2048, 768)
-	lat := blockdev.DefaultLatency()
-	lat.Sleep = true
-
-	// seed boots a machine with n subjects x perSubject records inserted
-	// directly through DBFS (membranes default from the Listing 1 schema:
-	// TTL 1Y, purpose1/3 consented).
-	seed := func(cache, fsInstances int) (*core.System, []string, []string, error) {
-		opts := bootOpts(n * perSubject)
-		opts.MembraneCache = cache
-		opts.FSInstances = fsInstances
-		opts.Workers = workers
-		opts.PDLatency = lat
-		// Ablation isolation: the block buffer cache (SC5) would absorb
-		// the very device reads whose cost this experiment sweeps, hiding
-		// the membrane cache's effect in both arms. Disable it so SC3
-		// keeps measuring the read path against raw device latency.
-		opts.BlockCache = -1
-		sys, err := core.Boot(opts)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		if err := sys.DeclareTypesDSL(listing1DSL, aliasOpts()); err != nil {
-			return nil, nil, nil, err
-		}
-		rng := xrand.New(p.Seed + 31)
-		subjects := workload.SubjectIDs(n)
-		tok := sys.DEDToken()
-		pdids := make([]string, 0, n*perSubject)
-		for _, subject := range subjects {
-			for k := 0; k < perSubject; k++ {
-				pdid, err := sys.DBFS().Insert(tok, "user", subject, workload.UserRecord(rng, subject), nil)
-				if err != nil {
-					return nil, nil, nil, err
-				}
-				pdids = append(pdids, pdid)
-			}
-		}
-		return sys, subjects, pdids, nil
-	}
-
-	// runRead drives the read loop: each worker issues reads/workers
-	// GetMembrane calls over its batch (its own partition when disjoint,
-	// the full record list when overlapping) and verifies every membrane's
-	// identity against the pdid it asked for.
-	runRead := func(sys *core.System, pdids []string, overlap bool) (time.Duration, error) {
-		tok := sys.DEDToken()
-		per := reads / workers
-		var wg sync.WaitGroup
-		errCh := make(chan error, workers)
-		start := time.Now()
-		for wk := 0; wk < workers; wk++ {
-			batch := pdids
-			if !overlap {
-				chunk := (len(pdids) + workers - 1) / workers
-				lo := wk * chunk
-				if lo >= len(pdids) {
-					batch = nil
-				} else {
-					hi := min(lo+chunk, len(pdids))
-					batch = pdids[lo:hi]
-				}
-			}
-			wg.Add(1)
-			go func(wk int, batch []string) {
-				defer wg.Done()
-				if len(batch) == 0 {
-					return
-				}
-				for k := 0; k < per; k++ {
-					pdid := batch[(wk+k)%len(batch)]
-					m, err := sys.DBFS().GetMembrane(tok, pdid)
-					if err != nil {
-						errCh <- err
-						return
-					}
-					if m.PDID != pdid {
-						errCh <- fmt.Errorf("bench: SC3 read %s got membrane of %s", pdid, m.PDID)
-						return
-					}
-				}
-			}(wk, batch)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		close(errCh)
-		for err := range errCh {
-			return 0, err
-		}
-		return elapsed, nil
-	}
-
-	report := SC3Report{Experiment: "SC3", Schema: 1, Workers: workers, Subjects: n}
-	addRow := func(r SC3Row) { report.Rows = append(report.Rows, r) }
-
-	// Phase one: the cache ablation, fresh machine per row so hit rates and
-	// device state are comparable.
-	baselines := map[bool]float64{} // overlap -> cache-off reads/s
-	for _, cfg := range []struct {
-		name    string
-		cache   int
-		overlap bool
-	}{
-		{"readloop nocache disjoint", -1, false},
-		{"readloop cache disjoint", 0, false},
-		{"readloop nocache overlap", -1, true},
-		{"readloop cache overlap", 0, true},
-	} {
-		sys, _, pdids, err := seed(cfg.cache, 1)
-		if err != nil {
-			return fmt.Errorf("bench: SC3 %s: %w", cfg.name, err)
-		}
-		elapsed, err := runRead(sys, pdids, cfg.overlap)
-		if err != nil {
-			return fmt.Errorf("bench: SC3 %s: %w", cfg.name, err)
-		}
-		hitRate := cacheHitRate(sys)
-		ops := (reads / workers) * workers
-		row := SC3Row{
-			Config: cfg.name, Mode: "readloop", Cache: cfg.cache >= 0,
-			Overlap: cfg.overlap, Workers: workers, Ops: ops,
-			WallUS:    elapsed.Microseconds(),
-			OpsPerSec: float64(ops) / elapsed.Seconds(),
-			Speedup:   1, CacheHitRate: hitRate,
-		}
-		if cfg.cache < 0 {
-			baselines[cfg.overlap] = row.OpsPerSec
-		} else if base := baselines[cfg.overlap]; base > 0 {
-			row.Speedup = row.OpsPerSec / base
-			if cfg.overlap {
-				report.Summary.CacheSpeedupOverlap = row.Speedup
-			} else {
-				report.Summary.CacheSpeedupDisjoint = row.Speedup
-			}
-		}
-		addRow(row)
-	}
-
-	// Phase two: rights-engine scaling with the cache on and the PD disk
-	// split across per-shard FS instances (fs=8), 1 worker vs the pool.
-	var accessBase, sweepBase float64
-	for _, rw := range []int{1, workers} {
-		sys, subjects, _, err := seed(0, 8)
-		if err != nil {
-			return fmt.Errorf("bench: SC3 access: %w", err)
-		}
-		rw := rw
-		if err := sys.ApplyTuning(core.Tuning{RightsWorkers: &rw}); err != nil {
-			return fmt.Errorf("bench: SC3 access: %w", err)
-		}
-		start := time.Now()
-		reps, err := sys.Rights().AccessBatch(subjects)
-		if err != nil {
-			return fmt.Errorf("bench: SC3 access: %w", err)
-		}
-		elapsed := time.Since(start)
-		for i, rep := range reps {
-			if got := len(rep.Data["user"]); got != perSubject {
-				return fmt.Errorf("bench: SC3 access %s exported %d records, want %d", subjects[i], got, perSubject)
-			}
-		}
-		row := SC3Row{
-			Config: fmt.Sprintf("access workers=%d", rw), Mode: "access",
-			Cache: true, Workers: rw, Ops: n,
-			WallUS:    elapsed.Microseconds(),
-			OpsPerSec: float64(n) / elapsed.Seconds(),
-			Speedup:   1, CacheHitRate: cacheHitRate(sys),
-		}
-		if rw == 1 {
-			accessBase = row.OpsPerSec
-		} else if accessBase > 0 {
-			row.Speedup = row.OpsPerSec / accessBase
-			report.Summary.AccessSpeedup = row.Speedup
-		}
-		addRow(row)
-	}
-	for _, rw := range []int{1, workers} {
-		sys, _, pdids, err := seed(0, 8)
-		if err != nil {
-			return fmt.Errorf("bench: SC3 sweep: %w", err)
-		}
-		clk, ok := sys.SimClock()
-		if !ok {
-			return fmt.Errorf("bench: sim clock required")
-		}
-		clk.Advance(370 * 24 * time.Hour) // Listing 1 TTL is 1Y: all expired
-		rw := rw
-		if err := sys.ApplyTuning(core.Tuning{RightsWorkers: &rw}); err != nil {
-			return fmt.Errorf("bench: SC3 sweep: %w", err)
-		}
-		start := time.Now()
-		deleted, err := sys.Rights().SweepExpired()
-		if err != nil {
-			return fmt.Errorf("bench: SC3 sweep: %w", err)
-		}
-		elapsed := time.Since(start)
-		if len(deleted) != len(pdids) {
-			return fmt.Errorf("bench: SC3 sweep deleted %d, want %d", len(deleted), len(pdids))
-		}
-		row := SC3Row{
-			Config: fmt.Sprintf("sweep workers=%d", rw), Mode: "sweep",
-			Cache: true, Workers: rw, Ops: len(deleted),
-			WallUS:    elapsed.Microseconds(),
-			OpsPerSec: float64(len(deleted)) / elapsed.Seconds(),
-			Speedup:   1, CacheHitRate: cacheHitRate(sys),
-		}
-		if rw == 1 {
-			sweepBase = row.OpsPerSec
-		} else if sweepBase > 0 {
-			row.Speedup = row.OpsPerSec / sweepBase
-			report.Summary.SweepSpeedup = row.Speedup
-		}
-		addRow(row)
-	}
-
-	rows := make([][]string, 0, len(report.Rows))
-	for _, r := range report.Rows {
-		rows = append(rows, []string{
-			r.Config, r.Mode, fmt.Sprintf("%t", r.Cache), strconv.Itoa(r.Workers),
-			strconv.Itoa(r.Ops), strconv.FormatInt(r.WallUS, 10),
-			fmt.Sprintf("%.0f", r.OpsPerSec), fmt.Sprintf("%.2f", r.CacheHitRate),
-			fmt.Sprintf("%.2fx", r.Speedup),
-		})
-	}
-	table(w, []string{"config", "mode", "cache", "workers", "ops", "wall us", "ops/s", "hit rate", "speedup"}, rows)
-	fmt.Fprintln(w, "  expectation: >=2x membrane-read throughput with the cache on (hit rate ~1 after insert")
-	fmt.Fprintln(w, "  write-through), and access/sweep wall time scaling with rights-engine workers")
-	return writeJSON(p, "SC3", &report)
-}
-
-// cacheHitRate reads the machine's membrane-cache hit fraction.
-func cacheHitRate(sys *core.System) float64 {
-	st := sys.Stats().DBFS
-	if st.CacheHits+st.CacheMisses == 0 {
-		return 0
-	}
-	return float64(st.CacheHits) / float64(st.CacheHits+st.CacheMisses)
-}
-
-// --- SC4: admission control under an offered-load sweep ---
-
-// SC4Row is one (configuration, offered load) measurement in the SC4
-// sweep, serialized into BENCH_SC4.json for the CI regression gate.
-type SC4Row struct {
-	Config      string  `json:"config"`
-	Controlled  bool    `json:"controlled"`
-	RateLimited bool    `json:"rate_limited,omitempty"`
-	OfferedMult float64 `json:"offered_mult"`
-	// OfferedPerSec is the open-loop arrival rate; Offered the arrival
-	// count over the window.
-	OfferedPerSec float64 `json:"offered_per_sec"`
-	Offered       int     `json:"offered"`
-	Rejected      int     `json:"rejected"`
-	RejectRate    float64 `json:"reject_rate"`
-	// CompletedWithinSLO counts admitted invocations that finished inside
-	// the latency SLO; GoodputPerSec is that count over the offered
-	// window, and GoodputVsCapacity normalizes it by the closed-loop
-	// capacity (the pre-saturation goodput).
-	CompletedWithinSLO int     `json:"completed_within_slo"`
-	GoodputPerSec      float64 `json:"goodput_per_sec"`
-	GoodputVsCapacity  float64 `json:"goodput_vs_capacity"`
-	P50AdmittedUS      int64   `json:"p50_admitted_us"`
-	P99AdmittedUS      int64   `json:"p99_admitted_us"`
-	PeakQueueDepth     int     `json:"peak_queue_depth"`
-	WallUS             int64   `json:"wall_us"`
-}
-
-// SC4Report is the BENCH_SC4.json schema.
-type SC4Report struct {
-	Experiment string `json:"experiment"`
-	Schema     int    `json:"schema"`
-	// Comment carries provenance notes (the checked-in baseline explains
-	// that its summary is a conservative cross-machine floor).
-	Comment    string `json:"comment,omitempty"`
-	Clients    int    `json:"clients"`
-	Subjects   int    `json:"subjects"`
-	QueueBound int    `json:"queue_bound"`
-	// CapacityPerSec is the closed-loop (pre-saturation) goodput the
-	// open-loop rows are normalized against; SLOUS the latency SLO.
-	CapacityPerSec float64  `json:"capacity_per_sec"`
-	SLOUS          int64    `json:"slo_us"`
-	Rows           []SC4Row `json:"rows"`
-	Summary        struct {
-		CapacityPerSec float64 `json:"capacity_per_sec"`
-		// ControlledGoodputRatio is the gated headline: the fraction of
-		// pre-saturation goodput the admission-controlled machine
-		// sustains at 2x-saturation offered load.
-		ControlledGoodputRatio   float64 `json:"controlled_goodput_ratio"`
-		UncontrolledGoodputRatio float64 `json:"uncontrolled_goodput_ratio"`
-		ControlledRejectRate     float64 `json:"controlled_reject_rate"`
-		ControlledP99US          int64   `json:"controlled_p99_us"`
-		UncontrolledP99US        int64   `json:"uncontrolled_p99_us"`
-	} `json:"summary"`
-}
-
-// sc4Run aggregates one open-loop run.
-type sc4Run struct {
-	offered   int
-	rejected  int
-	withinSLO int
-	p50, p99  time.Duration
-	peakDepth int
-	wall      time.Duration
-}
-
-// sc4OpenLoop offers single-record scoring invokes at a fixed arrival
-// rate for the window, one goroutine per arrival (an open-loop client
-// population: arrivals do not slow down when the machine backs up — the
-// regime where an uncontrolled queue grows without bound). Every arrival
-// ends as exactly one of: completed (latency recorded), rejected
-// (admission), or an error that aborts the experiment. The run's wall
-// time spans arrival start to last completion — an uncontrolled backlog
-// shows up as drain time.
-func sc4OpenLoop(sys *core.System, pdids []string, rate float64, window, slo time.Duration) (sc4Run, error) {
-	n := int(rate * window.Seconds())
-	interarrival := time.Duration(float64(time.Second) / rate)
-	lats := make([]time.Duration, n) // -1 = rejected
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		if d := time.Until(start.Add(time.Duration(i) * interarrival)); d > 0 {
-			time.Sleep(d)
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			t0 := time.Now()
-			_, err := sys.PS().Invoke(ps.InvokeRequest{
-				Processing: "purpose1", PDRef: pdids[i%len(pdids)],
-			})
-			switch {
-			case err == nil:
-				lats[i] = time.Since(t0)
-			case errors.Is(err, admission.ErrOverloaded):
-				lats[i] = -1
-			default:
-				errs[i] = err
-			}
-		}(i)
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	for _, err := range errs {
-		if err != nil {
-			return sc4Run{}, err
-		}
-	}
-	run := sc4Run{offered: n, wall: wall}
-	var admitted []time.Duration
-	for _, lat := range lats {
-		if lat < 0 {
-			run.rejected++
-			continue
-		}
-		admitted = append(admitted, lat)
-		if lat <= slo {
-			run.withinSLO++
-		}
-	}
-	if len(admitted) > 0 {
-		sort.Slice(admitted, func(i, j int) bool { return admitted[i] < admitted[j] })
-		run.p50 = admitted[len(admitted)/2]
-		run.p99 = admitted[(len(admitted)-1)*99/100]
-	}
-	run.peakDepth = sys.PS().Stats().Admission.PeakDepth
-	return run, nil
-}
-
-// runSC4 measures this PR's admission control: an offered-load sweep past
-// saturation. The machine's bottleneck is real and serialized — the PD
-// disk sleeps its per-block costs and the machine runs one filesystem
-// instance, so every single-record invoke pays its record-data inode walk
-// and device reads behind that instance's lock (membranes are served by
-// the PR-3 cache, exactly as in production; the data path cannot be),
-// which is the resource an unbounded queue piles onto.
-// Phase one measures closed-loop capacity (the pre-saturation goodput);
-// phase two offers load at multiples of that capacity through three
-// configurations: no admission control (the unbounded-queue baseline),
-// the bounded admission queue, and the queue plus a per-purpose token
-// bucket at capacity. Goodput counts completions within a latency SLO
-// derived from the queue bound, so unbounded queueing shows up as what it
-// is: arrivals that complete, eventually, uselessly late.
-func runSC4(w io.Writer, p Params) error {
-	n := p.subjects(32, 16)
-	closedOps := p.ops(150, 60)
-	window := 2500 * time.Millisecond
-	if p.Small {
-		window = 1200 * time.Millisecond
-	}
-	// The admission queue bound equals the closed-loop client count, so
-	// the controlled machine never holds more in flight than the
-	// configuration its capacity was measured with — admitted latency
-	// stays at pre-saturation levels by construction.
-	const clients = 8
-	const queueBound = clients
-	lat := blockdev.LatencyModel{
-		ReadCost:  20 * time.Microsecond,
-		WriteCost: 30 * time.Microsecond,
-		SyncCost:  60 * time.Microsecond,
-		Sleep:     true,
-	}
-
-	// boot assembles one machine: wall clock (token buckets refill in
-	// real time), slept PD device (single-record data reads serialize
-	// behind the one filesystem instance — the genuine bottleneck the
-	// queue piles onto), n seeded subjects, the scoring processing
-	// registered.
-	boot := func(maxPending int) (*core.System, []string, error) {
-		opts := bootOpts(n)
-		opts.Clock = simclock.Real{}
-		opts.PDLatency = lat
-		opts.Workers = clients
-		opts.AdmissionQueue = maxPending
-		sys, err := core.Boot(opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		if err := sys.DeclareTypesDSL(listing1DSL, aliasOpts()); err != nil {
-			return nil, nil, err
-		}
-		rng := xrand.New(p.Seed + 41)
-		subjects := workload.SubjectIDs(n)
-		tok := sys.DEDToken()
-		pdids := make([]string, 0, n)
-		for _, subject := range subjects {
-			pdid, err := sys.DBFS().Insert(tok, "user", subject, workload.UserRecord(rng, subject), nil)
-			if err != nil {
-				return nil, nil, err
-			}
-			pdids = append(pdids, pdid)
-		}
-		if err := sys.PS().Register(ScoreDecl(), ScoreImpl(), false); err != nil {
-			return nil, nil, err
-		}
-		return sys, pdids, nil
-	}
-
-	// Phase one: closed-loop capacity — a fixed client population issuing
-	// back-to-back invokes, the classical pre-saturation goodput — and
-	// the pre-saturation latency distribution the SLO derives from.
-	capSys, capPDIDs, err := boot(0)
-	if err != nil {
-		return fmt.Errorf("bench: SC4 capacity boot: %w", err)
-	}
-	var (
-		wg      sync.WaitGroup
-		nextOp  atomic.Int64
-		capErrs = make(chan error, clients)
-	)
-	closedLats := make([]time.Duration, closedOps)
-	start := time.Now()
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			for {
-				i := int(nextOp.Add(1)) - 1
-				if i >= closedOps {
-					return
-				}
-				t0 := time.Now()
-				if _, err := capSys.PS().Invoke(ps.InvokeRequest{
-					Processing: "purpose1", PDRef: capPDIDs[i%len(capPDIDs)],
-				}); err != nil {
-					capErrs <- err
-					return
-				}
-				closedLats[i] = time.Since(t0)
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(capErrs)
-	for err := range capErrs {
-		return fmt.Errorf("bench: SC4 capacity: %w", err)
-	}
-	capacity := float64(closedOps) / time.Since(start).Seconds()
-	// The SLO: three pre-saturation p99s plus fixed scheduler headroom. A
-	// controlled machine (in-flight bounded at the measured concurrency)
-	// meets it structurally; an unbounded backlog cannot.
-	sort.Slice(closedLats, func(i, j int) bool { return closedLats[i] < closedLats[j] })
-	closedP99 := closedLats[(len(closedLats)-1)*99/100]
-	slo := 3*closedP99 + 20*time.Millisecond
-
-	report := SC4Report{
-		Experiment: "SC4", Schema: 1, Clients: clients, Subjects: n,
-		QueueBound: queueBound, CapacityPerSec: capacity, SLOUS: slo.Microseconds(),
-	}
-	report.Summary.CapacityPerSec = capacity
-
-	cfgs := []struct {
-		name        string
-		maxPending  int
-		rateLimited bool
-		mult        float64
-	}{
-		{"admission 0.5x", queueBound, false, 0.5},
-		{"uncontrolled 2x", 0, false, 2.0},
-		{"admission 2x", queueBound, false, 2.0},
-		{"admission+rate 2x", queueBound, true, 2.0},
-	}
-	rows := make([][]string, 0, len(cfgs))
-	for _, c := range cfgs {
-		sys, pdids, err := boot(c.maxPending)
-		if err != nil {
-			return fmt.Errorf("bench: SC4 %s boot: %w", c.name, err)
-		}
-		if c.rateLimited {
-			if err := sys.ApplyTuning(core.Tuning{RateLimits: []core.RateLimit{
-				{Purpose: "purpose1", RatePerSec: capacity, Burst: queueBound},
-			}}); err != nil {
-				return fmt.Errorf("bench: SC4 %s: %w", c.name, err)
-			}
-		}
-		rate := capacity * c.mult
-		run, err := sc4OpenLoop(sys, pdids, rate, window, slo)
-		if err != nil {
-			return fmt.Errorf("bench: SC4 %s: %w", c.name, err)
-		}
-		// Goodput over the full wall (arrivals + backlog drain): an
-		// uncontrolled machine pays its queue twice, as blown SLOs and
-		// as drain time.
-		goodput := float64(run.withinSLO) / run.wall.Seconds()
-		row := SC4Row{
-			Config: c.name, Controlled: c.maxPending > 0, RateLimited: c.rateLimited,
-			OfferedMult: c.mult, OfferedPerSec: rate, Offered: run.offered,
-			Rejected: run.rejected, RejectRate: float64(run.rejected) / float64(run.offered),
-			CompletedWithinSLO: run.withinSLO,
-			GoodputPerSec:      goodput,
-			GoodputVsCapacity:  goodput / capacity,
-			P50AdmittedUS:      run.p50.Microseconds(),
-			P99AdmittedUS:      run.p99.Microseconds(),
-			PeakQueueDepth:     run.peakDepth,
-			WallUS:             run.wall.Microseconds(),
-		}
-		report.Rows = append(report.Rows, row)
-		switch c.name {
-		case "admission 2x":
-			report.Summary.ControlledGoodputRatio = row.GoodputVsCapacity
-			report.Summary.ControlledRejectRate = row.RejectRate
-			report.Summary.ControlledP99US = row.P99AdmittedUS
-		case "uncontrolled 2x":
-			report.Summary.UncontrolledGoodputRatio = row.GoodputVsCapacity
-			report.Summary.UncontrolledP99US = row.P99AdmittedUS
-		}
-		rows = append(rows, []string{
-			row.Config, fmt.Sprintf("%.1fx", row.OfferedMult), fmt.Sprintf("%.0f", row.OfferedPerSec),
-			strconv.Itoa(row.Offered), strconv.Itoa(row.Rejected),
-			fmt.Sprintf("%.0f%%", row.RejectRate*100),
-			fmt.Sprintf("%.0f", row.GoodputPerSec), fmt.Sprintf("%.2f", row.GoodputVsCapacity),
-			strconv.FormatInt(row.P50AdmittedUS, 10), strconv.FormatInt(row.P99AdmittedUS, 10),
-			strconv.Itoa(row.PeakQueueDepth),
-		})
-	}
-
-	fmt.Fprintf(w, "  capacity (closed loop, %d clients): %.0f invokes/s; SLO %v; queue bound %d\n",
-		clients, capacity, slo, queueBound)
-	table(w, []string{"config", "offered", "offered/s", "arrivals", "rejected", "rej rate",
-		"goodput/s", "vs capacity", "p50 us", "p99 us", "peak depth"}, rows)
-	fmt.Fprintln(w, "  expectation: admission holds >=90% of pre-saturation goodput at 2x offered load with a")
-	fmt.Fprintln(w, "  bounded p99; the uncontrolled machine queues without bound — its p99 explodes and its")
-	fmt.Fprintln(w, "  within-SLO goodput collapses, even though every arrival eventually completes")
-	return writeJSON(p, "SC4", &report)
-}
-
-// --- SC5: actor-model inode core + shared block buffer cache ---
-
-// SC5Row is one configuration's measurement in the SC5 comparison,
-// serialized into BENCH_SC5.json for the CI regression gate.
-type SC5Row struct {
-	Config      string  `json:"config"`
-	Mode        string  `json:"mode"` // "contend" or "reread"
-	Workers     int     `json:"workers"`
-	Ops         int     `json:"ops"`
-	WallUS      int64   `json:"wall_us"`
-	OpsPerSec   float64 `json:"ops_per_sec"`
-	DeviceReads uint64  `json:"device_reads"`
-	CacheHits   uint64  `json:"cache_hits"`
-	Writebacks  uint64  `json:"writebacks"`
-}
-
-// SC5Report is the BENCH_SC5.json schema.
-type SC5Report struct {
-	Experiment string `json:"experiment"`
-	Schema     int    `json:"schema"`
-	// Comment carries provenance notes (the checked-in baseline explains
-	// that its summary is a conservative cross-machine floor).
-	Comment string   `json:"comment,omitempty"`
-	Rows    []SC5Row `json:"rows"`
-	Summary struct {
-		BaselineOpsPerSec  float64 `json:"baseline_ops_per_sec"`
-		ActorOpsPerSec     float64 `json:"actor_ops_per_sec"`
-		ContentionSpeedup  float64 `json:"contention_speedup"`
-		NoCacheDeviceReads uint64  `json:"nocache_device_reads"`
-		CacheDeviceReads   uint64  `json:"cache_device_reads"`
-		ReadAbsorption     float64 `json:"read_absorption"`
-	} `json:"summary"`
-}
-
-// runSC5 measures this PR's storage-core refactor inside ONE filesystem
-// instance — the contention PR-2's per-shard instances cannot remove. Phase
-// one (contend) runs 8 writers, each doing read-modify-write cycles on its
-// own inode of the same FS, over a disk that sleeps its read cost: the
-// pre-actor baseline (one big FS lock, no block cache) serializes every
-// staged device read behind that lock, while the actor core lets distinct
-// inodes proceed in parallel and the buffer cache absorbs the re-reads.
-// Phase two (reread) isolates the cache: repeated full reads of one file,
-// counting raw device reads with the cache on vs off.
-func runSC5(w io.Writer, p Params) error {
-	const workers = 8
-	opsPerWorker := p.ops(200, 40)
-	readCost := 30 * time.Microsecond
-
-	contend := func(config string, serial bool, cacheBlocks int) (SC5Row, error) {
-		mem, err := blockdev.NewMem(4096, blockdev.LatencyModel{ReadCost: readCost, Sleep: true})
-		if err != nil {
-			return SC5Row{}, err
-		}
-		fs, err := inode.Format(mem, inode.Options{
-			NInodes:       64,
-			JournalBlocks: 256,
-			Clock:         simclock.NewSim(simclock.Epoch),
-			CacheBlocks:   cacheBlocks,
-			SerialOps:     serial,
-		})
-		if err != nil {
-			return SC5Row{}, err
-		}
-		inos := make([]inode.Ino, workers)
-		block := make([]byte, blockdev.BlockSize)
-		for i := range inos {
-			if inos[i], err = fs.AllocInode(inode.ModeFile, "sc5"); err != nil {
-				return SC5Row{}, err
-			}
-			// Materialize the block so every timed write is a partial
-			// overwrite that must stage a device read.
-			if _, err := fs.WriteAt(inos[i], 0, block); err != nil {
-				return SC5Row{}, err
-			}
-		}
-		var wg sync.WaitGroup
-		workErrs := make(chan error, workers)
-		start := time.Now()
-		for wk := 0; wk < workers; wk++ {
-			wg.Add(1)
-			go func(wk int) {
-				defer wg.Done()
-				buf := make([]byte, 64)
-				ino := inos[wk]
-				for i := 0; i < opsPerWorker; i++ {
-					off := uint64((i % 8) * 64)
-					if _, err := fs.ReadAt(ino, off, buf); err != nil {
-						workErrs <- err
-						return
-					}
-					buf[0]++
-					if _, err := fs.WriteAt(ino, off, buf); err != nil {
-						workErrs <- err
-						return
-					}
-				}
-			}(wk)
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		close(workErrs)
-		for err := range workErrs {
-			return SC5Row{}, fmt.Errorf("bench: SC5 %s: %w", config, err)
-		}
-		total := workers * opsPerWorker
-		cs := fs.CacheStats()
-		return SC5Row{
-			Config:      config,
-			Mode:        "contend",
-			Workers:     workers,
-			Ops:         total,
-			WallUS:      elapsed.Microseconds(),
-			OpsPerSec:   float64(total) / elapsed.Seconds(),
-			DeviceReads: mem.Stats().Reads,
-			CacheHits:   cs.CacheHits,
-			Writebacks:  cs.Writebacks,
-		}, nil
-	}
-
-	const (
-		rereadBlocks = 16
-		rereadPasses = 32
-	)
-	reread := func(config string, cacheBlocks int) (SC5Row, error) {
-		mem := blockdev.MustMem(4096)
-		fs, err := inode.Format(mem, inode.Options{
-			NInodes:       64,
-			JournalBlocks: 256,
-			Clock:         simclock.NewSim(simclock.Epoch),
-			CacheBlocks:   cacheBlocks,
-		})
-		if err != nil {
-			return SC5Row{}, err
-		}
-		ino, err := fs.AllocInode(inode.ModeFile, "sc5-hot")
-		if err != nil {
-			return SC5Row{}, err
-		}
-		data := make([]byte, rereadBlocks*blockdev.BlockSize)
-		if _, err := fs.WriteAt(ino, 0, data); err != nil {
-			return SC5Row{}, err
-		}
-		// Prime once so both arms start from a read steady state, then
-		// count raw device reads across the hot passes alone.
-		if _, err := fs.ReadAt(ino, 0, data); err != nil {
-			return SC5Row{}, err
-		}
-		base := mem.Stats().Reads
-		start := time.Now()
-		for i := 0; i < rereadPasses; i++ {
-			if _, err := fs.ReadAt(ino, 0, data); err != nil {
-				return SC5Row{}, err
-			}
-		}
-		elapsed := time.Since(start)
-		cs := fs.CacheStats()
-		return SC5Row{
-			Config:      config,
-			Mode:        "reread",
-			Workers:     1,
-			Ops:         rereadPasses,
-			WallUS:      elapsed.Microseconds(),
-			OpsPerSec:   float64(rereadPasses) / elapsed.Seconds(),
-			DeviceReads: mem.Stats().Reads - base,
-			CacheHits:   cs.CacheHits,
-			Writebacks:  cs.Writebacks,
-		}, nil
-	}
-
-	report := SC5Report{Experiment: "SC5", Schema: 1}
-	baseRow, err := contend("fsmu-baseline serial nocache", true, -1)
-	if err != nil {
-		return err
-	}
-	actorRow, err := contend("actors+bcache", false, 0)
-	if err != nil {
-		return err
-	}
-	noCacheRead, err := reread("reread nocache", -1)
-	if err != nil {
-		return err
-	}
-	cacheRead, err := reread("reread bcache", 0)
-	if err != nil {
-		return err
-	}
-	report.Rows = []SC5Row{baseRow, actorRow, noCacheRead, cacheRead}
-	report.Summary.BaselineOpsPerSec = baseRow.OpsPerSec
-	report.Summary.ActorOpsPerSec = actorRow.OpsPerSec
-	if baseRow.OpsPerSec > 0 {
-		report.Summary.ContentionSpeedup = actorRow.OpsPerSec / baseRow.OpsPerSec
-	}
-	report.Summary.NoCacheDeviceReads = noCacheRead.DeviceReads
-	report.Summary.CacheDeviceReads = cacheRead.DeviceReads
-	absorbed := cacheRead.DeviceReads
-	if absorbed == 0 {
-		absorbed = 1 // a fully absorbing cache still reports a finite ratio
-	}
-	report.Summary.ReadAbsorption = float64(noCacheRead.DeviceReads) / float64(absorbed)
-
-	rows := make([][]string, 0, len(report.Rows))
-	for _, r := range report.Rows {
-		rows = append(rows, []string{
-			r.Config, r.Mode, strconv.Itoa(r.Workers), strconv.Itoa(r.Ops),
-			strconv.FormatInt(r.WallUS, 10), fmt.Sprintf("%.0f", r.OpsPerSec),
-			strconv.FormatUint(r.DeviceReads, 10), strconv.FormatUint(r.CacheHits, 10),
-			strconv.FormatUint(r.Writebacks, 10),
-		})
-	}
-	table(w, []string{"config", "mode", "workers", "ops", "wall us", "ops/s", "dev reads", "hits", "writebacks"}, rows)
-	fmt.Fprintf(w, "  contention speedup (actors+bcache vs serial fs.mu baseline, %d writers, one FS): %.2fx\n",
-		workers, report.Summary.ContentionSpeedup)
-	fmt.Fprintf(w, "  hot re-read absorption (device reads nocache/bcache): %d/%d = %.1fx\n",
-		report.Summary.NoCacheDeviceReads, report.Summary.CacheDeviceReads, report.Summary.ReadAbsorption)
-	fmt.Fprintln(w, "  expectation: >=2x intra-shard throughput at 8 writers and >=10x fewer device reads on")
-	fmt.Fprintln(w, "  the hot re-read — contention the per-shard instances of PR-2 cannot remove")
-	return writeJSON(p, "SC5", &report)
 }
 
 // --- SC7: content-addressable compressed cold tier ---

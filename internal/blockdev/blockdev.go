@@ -62,21 +62,6 @@ type LatencyModel struct {
 	ReadCost  time.Duration // per block read
 	WriteCost time.Duration // per block write
 	SyncCost  time.Duration // per sync barrier
-	// Sleep makes each operation actually sleep its cost (outside the
-	// device lock) in addition to accounting it. Concurrency experiments
-	// use it so device time is visible to wall-clock measurements — the
-	// storage-stack analogue of SC1's simulated processing pause: what
-	// group commit amortizes and per-shard filesystems overlap is exactly
-	// this waiting.
-	Sleep bool
-}
-
-// pause sleeps d when the model is in sleeping mode. Never call it while
-// holding the device lock: partitions of one device must wait in parallel.
-func (l LatencyModel) pause(d time.Duration) {
-	if l.Sleep && d > 0 {
-		time.Sleep(d)
-	}
 }
 
 // DefaultLatency approximates NVMe flash: 10us reads, 20us writes, 50us
@@ -182,7 +167,6 @@ func (m *Mem) ReadBlock(n uint64, buf []byte) error {
 	m.stats.BytesRead += BlockSize
 	m.stats.SimLatency += m.lat.ReadCost
 	m.mu.Unlock()
-	m.lat.pause(m.lat.ReadCost)
 	return nil
 }
 
@@ -201,7 +185,6 @@ func (m *Mem) WriteBlock(n uint64, data []byte) error {
 	m.stats.BytesWritten += BlockSize
 	m.stats.SimLatency += m.lat.WriteCost
 	m.mu.Unlock()
-	m.lat.pause(m.lat.WriteCost)
 	return nil
 }
 
@@ -216,7 +199,6 @@ func (m *Mem) Sync() error {
 	m.stats.Syncs++
 	m.stats.SimLatency += m.lat.SyncCost
 	m.mu.Unlock()
-	m.lat.pause(m.lat.SyncCost)
 	return nil
 }
 
@@ -251,7 +233,6 @@ func (m *Mem) WriteBlocks(ns []uint64, data [][]byte) error {
 		m.stats.SimLatency += m.lat.WriteCost
 	}
 	m.mu.Unlock()
-	m.lat.pause(time.Duration(len(ns)) * m.lat.WriteCost)
 	return nil
 }
 

@@ -93,27 +93,20 @@ type Options struct {
 	// more transactions before flushing a commit group. Default 0 (drain
 	// immediately; concurrent arrivals still coalesce).
 	CommitWindow time.Duration
-	// GroupCommitMaxBatch bounds journal transactions per commit group
-	// (0 = the wal default, 1 disables group commit — the pre-group-commit
-	// baseline for ablations).
-	GroupCommitMaxBatch int
-	// PDLatency overrides the PD disk's latency model (zero value =
-	// blockdev.DefaultLatency()). Storage-concurrency experiments set
-	// Sleep to make device time wall-clock visible.
-	PDLatency blockdev.LatencyModel
 	// MembraneCache bounds DBFS's decoded-membrane cache (entries across
-	// all shards): 0 = the dbfs default, negative disables the cache —
-	// the ablation configuration SC3 compares against.
+	// all shards): 0 = the dbfs default, negative disables the cache, so
+	// every membrane read reaches the device (SC8 counts device ops that
+	// way).
 	MembraneCache int
 	// BlockCache bounds each inode filesystem instance's shared write-back
 	// block buffer cache (in blocks): 0 = the inode default
-	// (inode.DefaultCacheBlocks), negative disables the cache — the
-	// ablation configuration SC5 compares against.
+	// (inode.DefaultCacheBlocks), negative disables the cache, so every
+	// block read and write reaches the device (as for MembraneCache).
 	BlockCache int
 	// AdmissionQueue bounds how many non-maintenance ps_invoke requests
 	// may be admitted (queued or running) at once; the excess is rejected
 	// with admission.ErrOverloaded instead of queueing without bound —
-	// the "heavy traffic" protection SC4 measures. Zero means unbounded
+	// the machine's protection against heavy traffic. Zero means unbounded
 	// admission: the controller still tracks depth, latency and
 	// per-purpose rate limits (refilled off Clock), it just never rejects
 	// on depth.
@@ -172,9 +165,6 @@ func (o *Options) withDefaults() {
 	if o.FSInstances <= 0 {
 		o.FSInstances = 1
 	}
-	if o.PDLatency == (blockdev.LatencyModel{}) {
-		o.PDLatency = blockdev.DefaultLatency()
-	}
 	if o.Shards == 0 {
 		o.Shards = dbfs.DefaultShards
 	}
@@ -227,7 +217,7 @@ func Boot(opts Options) (*System, error) {
 	// Purpose-kernel topology.
 	s.machine = kernel.NewMachine(opts.Machine)
 	var err error
-	if s.pdDev, err = blockdev.NewMem(opts.PDDiskBlocks, opts.PDLatency); err != nil {
+	if s.pdDev, err = blockdev.NewMem(opts.PDDiskBlocks, blockdev.DefaultLatency()); err != nil {
 		return nil, fmt.Errorf("core: pd disk: %w", err)
 	}
 	if s.npdDev, err = blockdev.NewMem(opts.NPDDiskBlocks, blockdev.DefaultLatency()); err != nil {
@@ -311,7 +301,6 @@ func Boot(opts Options) (*System, error) {
 		JournalBlocks: opts.JournalBlocks,
 		Clock:         opts.Clock,
 		CommitWindow:  opts.CommitWindow,
-		GroupMaxBatch: opts.GroupCommitMaxBatch,
 		CacheBlocks:   opts.BlockCache,
 	}
 	s.pdFSs = make([]*inode.FS, opts.FSInstances)

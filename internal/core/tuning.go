@@ -2,7 +2,7 @@ package core
 
 // The unified runtime-tuning API. Every runtime knob has its own setter in
 // its layer (ps.ConfigureAdmission / SetRateLimit, dbfs.ConfigureMembraneCache,
-// rights.SetWorkers, inode ConfigureJournal / SetSerialOps, the sweeper's and
+// rights.SetWorkers, inode ConfigureJournal, the sweeper's and
 // repacker's SetInterval); this file puts them behind one Tuning document:
 // ApplyTuning validates the whole document up front (a bad document
 // applies nothing), then applies each present knob atomically, and
@@ -52,9 +52,6 @@ type Tuning struct {
 	// RightsWorkers overrides the rights engine's fan-out width (0 =
 	// follow the executor pool).
 	RightsWorkers *int `json:"rights_workers,omitempty"`
-	// SerialOps toggles the inode layer's serial-ablation mode on every
-	// DBFS filesystem instance.
-	SerialOps *bool `json:"serial_ops,omitempty"`
 	// SweepInterval re-paces the retention sweeper, running or not.
 	SweepInterval *time.Duration `json:"sweep_interval,omitempty"`
 	// ColdAfter is the cold tier's idle threshold: records untouched this
@@ -151,11 +148,6 @@ func (s *System) ApplyTuning(t Tuning) error {
 	if t.RightsWorkers != nil {
 		s.rights.SetWorkers(*t.RightsWorkers)
 	}
-	if t.SerialOps != nil {
-		for _, fs := range s.pdFSs {
-			fs.SetSerialOps(*t.SerialOps)
-		}
-	}
 	if t.SweepInterval != nil {
 		s.rights.Sweeper().SetInterval(*t.SweepInterval)
 	}
@@ -176,7 +168,6 @@ func (s *System) Tuning() Tuning {
 	window, maxBatch := s.pdFSs[0].JournalConfig()
 	cache := s.store.MembraneCacheCap()
 	workers := s.rights.Workers()
-	serial := s.pdFSs[0].SerialOps()
 	sweep := s.rights.Sweeper().Interval()
 	coldAfter := s.store.ColdAfter()
 	repack := s.repacker.Interval()
@@ -185,7 +176,6 @@ func (s *System) Tuning() Tuning {
 		GroupMaxBatch:  &maxBatch,
 		MembraneCache:  &cache,
 		RightsWorkers:  &workers,
-		SerialOps:      &serial,
 		SweepInterval:  &sweep,
 		ColdAfter:      &coldAfter,
 		RepackInterval: &repack,

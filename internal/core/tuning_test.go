@@ -62,7 +62,6 @@ func TestApplyTuningRoundTrip(t *testing.T) {
 		RateLimits:          []RateLimit{{Purpose: "purpose3", RatePerSec: 5, Burst: 10}},
 		MembraneCache:       ptr(512),
 		RightsWorkers:       ptr(3),
-		SerialOps:           ptr(true),
 		SweepInterval:       ptr(90 * time.Second),
 		ColdAfter:           ptr(6 * time.Hour),
 		RepackInterval:      ptr(2 * time.Minute),
@@ -80,8 +79,8 @@ func TestApplyTuningRoundTrip(t *testing.T) {
 	if len(got.RateLimits) != 1 || got.RateLimits[0] != (RateLimit{Purpose: "purpose3", RatePerSec: 5, Burst: 10}) {
 		t.Fatalf("RateLimits = %+v", got.RateLimits)
 	}
-	if *got.MembraneCache != 512 || *got.RightsWorkers != 3 || !*got.SerialOps {
-		t.Fatalf("cache/workers/serial = %d/%d/%v", *got.MembraneCache, *got.RightsWorkers, *got.SerialOps)
+	if *got.MembraneCache != 512 || *got.RightsWorkers != 3 {
+		t.Fatalf("cache/workers = %d/%d", *got.MembraneCache, *got.RightsWorkers)
 	}
 	if *got.SweepInterval != 90*time.Second {
 		t.Fatalf("SweepInterval = %v", *got.SweepInterval)
@@ -110,13 +109,6 @@ func TestApplyTuningRoundTrip(t *testing.T) {
 	}
 	if got = s.Tuning(); len(got.RateLimits) != 0 {
 		t.Fatalf("rate limit not removed: %+v", got.RateLimits)
-	}
-	// Undo the serial ablation so follow-on asserts below stay meaningful.
-	if err := s.ApplyTuning(Tuning{SerialOps: ptr(false)}); err != nil {
-		t.Fatal(err)
-	}
-	if got = s.Tuning(); *got.SerialOps {
-		t.Fatal("SerialOps still set")
 	}
 }
 

@@ -3,8 +3,7 @@ package dbfs
 // Shard-geometry tests: the mount-time shard count (CreateShards /
 // core.Options.Shards), its persistence in the per-instance shard config,
 // the legacy 16-byte config fallback, and the shard-collision balance
-// sweep the SC3 experiment left open — the measured basis for
-// DefaultShards = 64.
+// sweep — the measured basis for DefaultShards = 64.
 
 import (
 	"encoding/binary"
@@ -162,7 +161,7 @@ func TestShardCountMismatchRejected(t *testing.T) {
 	}
 }
 
-// TestShardBalanceSweep is the shard-collision sweep SC3 left open: over a
+// TestShardBalanceSweep is the shard-collision sweep: over a
 // realistic synthetic subject population (the "sNNNNNN" IDs the workload
 // generator emits — workload itself imports dbfs, so the format is
 // replicated here), measure per-shard load skew for candidate shard

@@ -111,7 +111,7 @@ type formatEntry struct {
 
 // DefaultShards sizes the subject-shard lock table when no explicit count
 // is configured at Create. Subjects hash onto shards, so operations on
-// distinct subjects almost never contend; the SC3 shard-collision sweep
+// distinct subjects almost never contend; the shard-collision sweep
 // (TestShardBalanceSweep) picked 64 as the largest count keeping
 // worst-shard skew near 1x at realistic subject populations.
 const DefaultShards = 64

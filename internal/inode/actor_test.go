@@ -201,43 +201,6 @@ func TestConcurrentRemoveSameName(t *testing.T) {
 	}
 }
 
-// TestSerialOpsAblation runs the same workload with the pre-actor serial
-// mode on: results must be identical, only the concurrency differs. This
-// keeps the SC5 baseline configuration honest.
-func TestSerialOpsAblation(t *testing.T) {
-	_, fs := newFS(t, 1024)
-	fs.SetSerialOps(true)
-	ino, err := fs.AllocInode(ModeFile, "serial")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			buf := []byte{byte(w + 1)}
-			for r := 0; r < 10; r++ {
-				if _, err := fs.WriteAt(ino, uint64(w), buf); err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	got := make([]byte, 4)
-	if _, err := fs.ReadAt(ino, 0, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, []byte{1, 2, 3, 4}) {
-		t.Fatalf("serial-mode result = %v", got)
-	}
-	if n := fs.LiveActors(); n != 0 {
-		t.Fatalf("serial mode spawned %d actors", n)
-	}
-}
-
 // TestCacheWriteBackCrashOrdering is the write-back crash-injection
 // contract: with a deliberately tiny buffer cache (evictions churning
 // throughout) the power is cut after a transaction's journal data blocks

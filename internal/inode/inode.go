@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/blockdev"
@@ -179,12 +178,9 @@ type Options struct {
 	// CacheBlocks bounds the shared write-back block buffer cache placed
 	// between the inode layer (journal included) and the device, in
 	// blocks. 0 selects DefaultCacheBlocks; negative disables the cache
-	// entirely (the SC5 ablation baseline).
+	// entirely, so every read and write reaches the device (what
+	// device-op counting rigs and crash tests want).
 	CacheBlocks int
-	// SerialOps starts the filesystem in the pre-actor serial ablation
-	// mode (see SetSerialOps) — the SC5 baseline configures it here
-	// instead of flipping the mode after Format.
-	SerialOps bool
 }
 
 func (o *Options) withDefaults() {
@@ -223,10 +219,9 @@ func (o *Options) withDefaults() {
 // Every mutation is an operation scope (see Do in op.go): one transaction,
 // one commit point, however many inodes and steps it spans.
 //
-// Lock ordering: actor ownership (or serialMu in the ablation mode) →
-// metaMu → wal internals → buffer cache. Multi-inode operations acquire
-// actors in ascending inode order only (see execAll), so ownership cycles
-// cannot form.
+// Lock ordering: actor ownership → metaMu → wal internals → buffer cache.
+// Multi-inode operations acquire actors in ascending inode order only (see
+// execAll), so ownership cycles cannot form.
 type FS struct {
 	dev   blockdev.Device // I/O path: the buffer cache when enabled, else raw
 	raw   blockdev.Device // the device handed to Format/Mount, below the cache
@@ -259,12 +254,6 @@ type FS struct {
 	// count.
 	actorsMu sync.Mutex
 	actors   map[Ino]*idaemon
-
-	// serialOps switches every operation onto one big mutex instead of
-	// the actors — the pre-actor behaviour, kept as a measurable ablation
-	// baseline for SC5.
-	serialOps atomic.Bool
-	serialMu  sync.Mutex
 }
 
 // chunkLimit derives the per-transaction data-block budget from the journal
@@ -339,7 +328,6 @@ func Format(dev blockdev.Device, opts Options) (*FS, error) {
 		maxChunk: chunkLimit(sb.JournalBlocks),
 		actors:   make(map[Ino]*idaemon),
 	}
-	fs.serialOps.Store(opts.SerialOps)
 	// Mark metadata region (everything before DataStart) as allocated.
 	for b := uint64(0); b < sb.DataStart; b++ {
 		fs.bitmap[b/8] |= 1 << (b % 8)
@@ -489,8 +477,8 @@ func (fs *FS) CacheStats() blockdev.Stats { return fs.dev.Stats() }
 // ConfigureJournal sets the group-commit parameters on a mounted
 // filesystem (see wal.Log.Configure). Format applies Options.CommitWindow
 // and GroupMaxBatch itself; Mount cannot take options without breaking its
-// signature, so remount paths that need a tuned window — or the
-// group-commit-disabled ablation baseline — call this right after Mount.
+// signature, so remount paths that need a tuned window call this right
+// after Mount.
 // Safe at runtime: the journal re-reads both parameters per commit group.
 //
 // For a filesystem owned by a core.System, System.ApplyTuning
@@ -504,21 +492,6 @@ func (fs *FS) ConfigureJournal(window time.Duration, maxBatch int) {
 func (fs *FS) JournalConfig() (window time.Duration, maxBatch int) {
 	return fs.log.Config()
 }
-
-// SetSerialOps switches the filesystem into the pre-actor ablation mode:
-// every operation's staging phase (device reads included) serializes under
-// one mutex, reproducing the old single-fs.mu behaviour for baseline
-// measurements (SC5). Durability waits still happen outside the lock, as
-// they always did. Switch only while the filesystem is idle.
-//
-// For a filesystem owned by a core.System, System.ApplyTuning
-// (core.Tuning.SerialOps) is the door: it calls this setter on every
-// instance. A standalone instance that wants the mode from the start sets
-// Options.SerialOps at Format.
-func (fs *FS) SetSerialOps(on bool) { fs.serialOps.Store(on) }
-
-// SerialOps reports whether the serial-ablation mode is on.
-func (fs *FS) SerialOps() bool { return fs.serialOps.Load() }
 
 // UsedBlocks reports how many device blocks are currently allocated
 // (metadata region included) — the footprint number the cold-tier
@@ -594,20 +567,8 @@ func (fs *FS) serve(d *idaemon) {
 	}
 }
 
-// exec runs fn under ino's actor (or under serialMu in the ablation mode)
-// and returns when it has completed.
+// exec sends fn to ino's daemon and returns when it has completed.
 func (fs *FS) exec(ino Ino, fn func()) {
-	if fs.serialOps.Load() {
-		fs.serialMu.Lock()
-		fn()
-		fs.serialMu.Unlock()
-		return
-	}
-	fs.actorExec(ino, fn)
-}
-
-// actorExec sends fn to ino's daemon and waits for it.
-func (fs *FS) actorExec(ino Ino, fn func()) {
 	d := fs.ensure(ino)
 	req := &ireq{fn: fn, done: make(chan struct{})}
 	d.ch <- req
@@ -619,24 +580,13 @@ func (fs *FS) actorExec(ino Ino, fn func()) {
 // acquired in that order — each actor's request forwards into the next
 // higher actor — so a daemon only ever waits on a strictly higher inode and
 // ownership cycles (deadlocks) cannot form, whatever order the callers
-// named the inodes in. With no inodes fn runs on the caller's goroutine. In
-// the ablation mode the whole of fn runs under serialMu instead.
+// named the inodes in. With no inodes fn runs on the caller's goroutine.
 func (fs *FS) execAll(inos []Ino, fn func()) {
-	if fs.serialOps.Load() {
-		fs.serialMu.Lock()
-		fn()
-		fs.serialMu.Unlock()
-		return
-	}
-	fs.forward(inos, fn)
-}
-
-func (fs *FS) forward(inos []Ino, fn func()) {
 	if len(inos) == 0 {
 		fn()
 		return
 	}
-	fs.actorExec(inos[0], func() { fs.forward(inos[1:], fn) })
+	fs.exec(inos[0], func() { fs.execAll(inos[1:], fn) })
 }
 
 // LiveActors reports how many inode daemons are currently running (test and

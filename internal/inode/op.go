@@ -23,8 +23,7 @@ import (
 //   - Ascending acquisition. The declared actors are taken in ascending
 //     inode order whatever the argument order (each actor's request forwards
 //     into the next higher one), so a daemon only ever waits on a strictly
-//     higher inode and ownership cycles cannot form. In the serial ablation
-//     mode the whole scope runs under serialMu instead.
+//     higher inode and ownership cycles cannot form.
 //   - Private claims. An inode allocated by the scope reserves its table
 //     slot in memory only (fs.claimed); the slot stays ModeFree in the table
 //     mirror, so no other transaction's image of the shared table block can

@@ -427,45 +427,3 @@ func TestScopesOverlappingNoDeadlock(t *testing.T) {
 		t.Fatalf("Check = %+v, %v; want %d inodes", rep, err, ntrees+1)
 	}
 }
-
-// TestSerialOpsSerializesWholeScope checks the ablation mode: a multi-step
-// scope runs under serialMu as a whole and spawns no actors.
-func TestSerialOpsSerializesWholeScope(t *testing.T) {
-	_, fs := newFS(t, 1024)
-	fs.SetSerialOps(true)
-	dir, _ := fs.AllocInode(ModeTree, "dir")
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for r := 0; r < 10; r++ {
-				name := fmt.Sprintf("f%d-%d", w, r)
-				err := fs.Do([]Ino{dir}, func(op *Op) error {
-					// serialMu is held: no other scope can be inside.
-					if fs.serialMu.TryLock() {
-						fs.serialMu.Unlock()
-						return errors.New("scope running without serialMu")
-					}
-					ino, err := op.Alloc(ModeFile, name)
-					if err != nil {
-						return err
-					}
-					return op.Link(dir, name, ino)
-				})
-				if err != nil {
-					t.Error(err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	kids, err := fs.Children(dir)
-	if err != nil || len(kids) != 40 {
-		t.Fatalf("children = %d, %v; want 40", len(kids), err)
-	}
-	if n := fs.LiveActors(); n != 0 {
-		t.Fatalf("serial mode spawned %d actors", n)
-	}
-}

@@ -105,7 +105,7 @@ func findDirent(b []byte, name string) (Ino, bool, error) {
 }
 
 // loadTree reads and decodes the entries of the working tree copy d. The
-// caller owns d's inode (actor or serial mode).
+// caller owns d's inode actor.
 func (fs *FS) loadTree(d *dinode, t Ino) ([]Dirent, error) {
 	buf, err := fs.loadTreeBytes(d, t)
 	if err != nil {

@@ -80,7 +80,7 @@ func (e *Engine) Sweeper() *Sweeper { return e.sweeper }
 
 // SetWorkers overrides the per-record fan-out width of the cross-record
 // rights. Zero (the default) follows the Processing Store's pool size; one
-// restores the serial PR-2 behaviour (the SC3 ablation baseline).
+// runs them serially (TestParallelRightsMatchSerial checks both agree).
 //
 // For an engine owned by a core.System, System.ApplyTuning
 // (core.Tuning.RightsWorkers) is the door: it calls this setter.
