@@ -1,6 +1,7 @@
 package dbfs
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
@@ -138,11 +139,51 @@ func (e *crashEnv) reboot(t *testing.T) (*Store, inode.CheckReport) {
 	if err != nil {
 		t.Fatalf("fsck after the cut: %v", err)
 	}
+	lookupsMatchDisk(t, fs)
 	s, err := Open([]*inode.FS{fs}, e.guard, e.vault, e.clock)
 	if err != nil {
 		t.Fatalf("dbfs.Open after the cut: %v", err)
 	}
 	return s, rep
+}
+
+// lookupsMatchDisk walks every tree from the root, decoding each payload
+// straight from its bytes, and demands that Lookup resolve every entry to
+// the inode the disk names. The walk builds each tree's resident index, so
+// a second Check then compares every index with its payload.
+func lookupsMatchDisk(t *testing.T, fs *inode.FS) {
+	t.Helper()
+	seen := map[inode.Ino]bool{inode.RootIno: true}
+	for queue := []inode.Ino{inode.RootIno}; len(queue) > 0; queue = queue[1:] {
+		tree := queue[0]
+		info, err := fs.Stat(tree)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Mode != inode.ModeTree {
+			continue
+		}
+		buf := make([]byte, info.Size)
+		if _, err := fs.ReadAt(tree, 0, buf); err != nil {
+			t.Fatal(err)
+		}
+		for off := 0; off < len(buf); {
+			n := int(binary.LittleEndian.Uint16(buf[off:]))
+			name := string(buf[off+2 : off+2+n])
+			want := inode.Ino(binary.LittleEndian.Uint64(buf[off+2+n:]))
+			off += 2 + n + 8
+			if got, err := fs.Lookup(tree, name); err != nil || got != want {
+				t.Fatalf("Lookup(%d, %q) = %d, %v; the disk names %d", tree, name, got, err, want)
+			}
+			if !seen[want] {
+				seen[want] = true
+				queue = append(queue, want)
+			}
+		}
+	}
+	if _, err := fs.Check(); err != nil {
+		t.Fatalf("fsck over the built indexes: %v", err)
+	}
 }
 
 // listed reports whether pdid shows in the subject listing and in the type

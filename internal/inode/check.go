@@ -24,14 +24,27 @@ type CheckReport struct {
 // the first structural violation — a live inode unreachable from the root,
 // a link count that differs from the number of entries naming the inode, an
 // entry naming a free or out-of-range inode, a block owned twice, or an
-// owned block whose bitmap bit is clear. Run it on an idle filesystem
+// owned block whose bitmap bit is clear. It also compares every resident
+// tree index with the payload it decodes from disk (Check always reads the
+// disk), so a stale index is a violation too. Run it on an idle filesystem
 // (crash tests call it right after Mount).
 func (fs *FS) Check() (CheckReport, error) {
 	var rep CheckReport
 	fs.metaMu.Lock()
 	itab := append([]dinode(nil), fs.itab...)
 	bitmap := append([]byte(nil), fs.bitmap...)
+	resident := make(map[Ino][]Dirent, len(fs.trees))
+	var idxErr error
+	for t, idx := range fs.trees {
+		resident[t] = append([]Dirent(nil), idx.ents...)
+		if err := idx.consistent(); err != nil && idxErr == nil {
+			idxErr = fmt.Errorf("inode: check: index of tree %d: %w", t, err)
+		}
+	}
 	fs.metaMu.Unlock()
+	if idxErr != nil {
+		return rep, idxErr
+	}
 
 	owner := make(map[uint64]Ino)
 	own := func(ino Ino, b uint64) error {
@@ -118,6 +131,12 @@ func (fs *FS) Check() (CheckReport, error) {
 		if err != nil {
 			return rep, fmt.Errorf("inode: check: tree %d: %w", t, err)
 		}
+		if idx, ok := resident[t]; ok {
+			if err := sameEntries(idx, ents); err != nil {
+				return rep, fmt.Errorf("inode: check: index of tree %d: %w", t, err)
+			}
+			delete(resident, t)
+		}
 		for _, e := range ents {
 			if fs.rangeCheck(e.Ino) != nil || itab[e.Ino].Mode == ModeFree {
 				return rep, fmt.Errorf("inode: check: entry %q of tree %d names dead inode %d", e.Name, t, e.Ino)
@@ -127,6 +146,11 @@ func (fs *FS) Check() (CheckReport, error) {
 				seen[e.Ino] = true
 				queue = append(queue, e.Ino)
 			}
+		}
+	}
+	for t := range resident {
+		if itab[t].Mode != ModeTree {
+			return rep, fmt.Errorf("inode: check: index kept for inode %d, which is %v", t, itab[t].Mode)
 		}
 	}
 	for i := 1; i < len(itab); i++ {
@@ -141,4 +165,18 @@ func (fs *FS) Check() (CheckReport, error) {
 		}
 	}
 	return rep, nil
+}
+
+// sameEntries reports the first difference between a resident index's
+// entries and the entries decoded from disk.
+func sameEntries(idx, disk []Dirent) error {
+	for i := 0; i < len(idx) && i < len(disk); i++ {
+		if idx[i] != disk[i] {
+			return fmt.Errorf("entry %d is %q -> %d, disk has %q -> %d", i, idx[i].Name, idx[i].Ino, disk[i].Name, disk[i].Ino)
+		}
+	}
+	if len(idx) != len(disk) {
+		return fmt.Errorf("%d entries, disk has %d", len(idx), len(disk))
+	}
+	return nil
 }

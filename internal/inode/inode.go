@@ -254,6 +254,11 @@ type FS struct {
 	// count.
 	actorsMu sync.Mutex
 	actors   map[Ino]*idaemon
+
+	// trees holds the resident index of every tree inode used since Mount
+	// (see treeIndex for who may read and publish one). The map is guarded
+	// by metaMu.
+	trees map[Ino]*treeIndex
 }
 
 // chunkLimit derives the per-transaction data-block budget from the journal
@@ -327,6 +332,7 @@ func Format(dev blockdev.Device, opts Options) (*FS, error) {
 		inoHint:  1,
 		maxChunk: chunkLimit(sb.JournalBlocks),
 		actors:   make(map[Ino]*idaemon),
+		trees:    make(map[Ino]*treeIndex),
 	}
 	// Mark metadata region (everything before DataStart) as allocated.
 	for b := uint64(0); b < sb.DataStart; b++ {
@@ -435,6 +441,7 @@ func Mount(dev blockdev.Device, clock simclock.Clock) (*FS, error) {
 		inoHint:  1,
 		maxChunk: chunkLimit(sb.JournalBlocks),
 		actors:   make(map[Ino]*idaemon),
+		trees:    make(map[Ino]*treeIndex),
 	}
 	for i := uint64(0); i < sb.BitmapBlocks; i++ {
 		if err := io.ReadBlock(sb.BitmapStart+i, fs.bitmap[i*blockdev.BlockSize:(i+1)*blockdev.BlockSize]); err != nil {
@@ -836,6 +843,7 @@ func (m *mtx) enqueue(ws []*opInode) (*wal.Ticket, error) {
 			continue
 		}
 		fs.itab[w.ino] = w.d
+		fs.publishTreeLocked(w)
 		w.dirty, w.fresh = false, false
 		fs.releaseSlotLocked(w.ino)
 	}

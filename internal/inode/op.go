@@ -1,7 +1,6 @@
 package inode
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -31,17 +30,20 @@ import (
 //     enqueue and released on abort — a crash never leaves an allocated
 //     inode that nothing links.
 //   - Single enqueue. Every step stages into one mtx against working inode
-//     copies that later steps see; tree payloads are rewritten once, at
-//     commit. One metaMu critical section stages the metadata, publishes
-//     every touched inode and enqueues; the actors are released and the
-//     caller waits on one ticket. Readers and a crash see all of the
-//     operation or none of it; abort is the only cleanup.
+//     copies that later steps see. Link steps edit a view of the tree's
+//     resident index without copying it, and commit writes each edited
+//     tree's changed tail once. One metaMu critical section stages the
+//     metadata, publishes every touched inode and its index edit, and
+//     enqueues; the actors are released and the caller waits on one
+//     ticket. Readers and a crash see all of the operation or none of it;
+//     abort is the only cleanup.
 //   - Spill rule. An operation that stages fs.maxChunk blocks enqueues what
 //     it has (publishing the working copies as they stand) and continues in
 //     a fresh transaction — the chunking large writes always had, and the
 //     one case that is not atomic. Tree links are flushed with the final
 //     transaction, so a spilled operation can leave allocated-but-unlinked
-//     inodes after a crash, never a link to missing contents.
+//     inodes after a crash, never a link to missing contents. A spill
+//     publishes the index edit of a tree only once its tail is written.
 //
 // Lock order: (caller's locks) → actors, ascending → metaMu → wal.mu.
 
@@ -54,7 +56,8 @@ var ErrNotDeclared = errors.New("inode: inode not declared by the operation scop
 var errLinkMoved = fmt.Errorf("%w: link moved", ErrChildNotFound)
 
 // opInode is a scope's working copy of one inode. Steps mutate d (and, for
-// trees, ents) in place; enqueue publishes dirty copies into the table.
+// trees, the edit view) in place; enqueue publishes dirty copies into the
+// table.
 type opInode struct {
 	ino Ino
 	d   dinode
@@ -62,13 +65,17 @@ type opInode struct {
 	// reserved in fs.claimed.
 	fresh bool
 	dirty bool
-	// Tree state, loaded by the first link step: the decoded entries, the
-	// payload they were decoded from (so the rewrite can skip unchanged
-	// leading blocks), and whether the entries await a rewrite.
-	ents      []Dirent
-	raw       []byte
-	loaded    bool
-	entsDirty bool
+	// Tree edit, staged against the resident index idx without copying it:
+	// the scope's view of the tree is idx.ents[:keep] followed by tail, and
+	// keepOff is the payload offset where tail starts. edited marks a view
+	// whose tail is not written yet, staged one whose tail is in the
+	// current transaction and that enqueue applies to idx.
+	idx     *treeIndex
+	keep    int
+	keepOff uint64
+	tail    []Dirent
+	edited  bool
+	staged  bool
 }
 
 // Op is an open operation scope; see Do. Its methods are the step bodies
@@ -157,11 +164,11 @@ func (op *Op) alive(ino Ino) (*opInode, error) {
 	return w, nil
 }
 
-// commit rewrites every tree whose entries changed and enqueues the
+// commit writes the changed tail of every edited tree and enqueues the
 // scope's transaction.
 func (op *Op) commit() error {
 	for _, w := range op.inodes {
-		if w.entsDirty {
+		if w.edited {
 			if err := op.storeTree(w); err != nil {
 				return err
 			}
@@ -184,13 +191,19 @@ func (op *Op) enqueue() error {
 }
 
 // abort drops the current transaction, the blocks it allocated and every
-// inode slot the scope still holds privately.
+// inode slot the scope still holds privately. Index edits are never applied
+// before enqueue, so there is nothing to undo — except after a spill, when
+// the journal may already hold part of a tree's unpublished tail: that
+// tree's index is dropped and the next use re-reads what the disk has.
 func (op *Op) abort() {
 	op.m.abort()
 	op.fs.metaMu.Lock()
 	for _, w := range op.inodes {
 		if w.fresh {
 			op.fs.releaseSlotLocked(w.ino)
+		}
+		if len(op.tickets) > 0 && (w.edited || w.staged) {
+			delete(op.fs.trees, w.ino)
 		}
 	}
 	op.fs.metaMu.Unlock()
@@ -275,13 +288,10 @@ func (op *Op) shrink(w *opInode, size uint64) error {
 
 // replace makes p the whole contents of w in place: mapped blocks are
 // overwritten, missing ones allocated, and only a surplus tail is freed —
-// a same-size rewrite touches no bitmap block. The first skip blocks are
-// known to hold the right bytes already and are left alone.
-func (op *Op) replace(w *opInode, p []byte, skip uint64) error {
-	if from := skip * blockdev.BlockSize; from < uint64(len(p)) {
-		if err := op.writeRange(w, from, p[from:], true); err != nil {
-			return err
-		}
+// a same-size rewrite touches no bitmap block.
+func (op *Op) replace(w *opInode, p []byte) error {
+	if err := op.writeRange(w, 0, p, true); err != nil {
+		return err
 	}
 	if uint64(len(p)) < w.d.Size {
 		if err := op.shrink(w, uint64(len(p))); err != nil {
@@ -293,38 +303,109 @@ func (op *Op) replace(w *opInode, p []byte, skip uint64) error {
 	return nil
 }
 
-// loadEnts decodes w's tree entries on first use.
-func (op *Op) loadEnts(w *opInode) error {
-	if w.loaded {
+// view starts tree w's edit on its resident index, loading the index on
+// first use; a tree this scope allocated starts empty.
+func (op *Op) view(w *opInode) error {
+	if w.idx != nil {
 		return nil
 	}
-	raw, err := op.fs.loadTreeBytes(&w.d, w.ino)
-	if err != nil {
-		return err
+	if w.d.Mode != ModeTree {
+		return fmt.Errorf("%w: inode %d is %v", ErrNotTree, w.ino, w.d.Mode)
 	}
-	ents, err := decodeDirents(raw)
-	if err != nil {
-		return err
+	if w.fresh {
+		w.idx = newTreeIndex(nil)
+	} else {
+		idx, err := op.fs.loadIndex(w.ino)
+		if err != nil {
+			return err
+		}
+		w.idx = idx
 	}
-	w.raw, w.ents, w.loaded = raw, ents, true
+	w.resetView()
 	return nil
 }
 
-// storeTree rewrites tree w's payload from its entries, skipping the
-// leading blocks the edit left byte-identical (an append only stages the
-// tail block).
-func (op *Op) storeTree(w *opInode) error {
-	payload := encodeDirents(w.ents)
-	var skip uint64
-	for end := blockdev.BlockSize; end <= len(payload) && end <= len(w.raw) &&
-		bytes.Equal(payload[end-blockdev.BlockSize:end], w.raw[end-blockdev.BlockSize:end]); end += blockdev.BlockSize {
-		skip++
+// resetView makes w's view the index as it stands, with nothing staged.
+func (w *opInode) resetView() {
+	w.keep, w.keepOff, w.tail = len(w.idx.ents), w.d.Size, nil
+	w.edited, w.staged = false, false
+}
+
+// find locates name in w's view: a position below w.keep is an index
+// entry, one at or above it is w.tail[pos-w.keep]. The index is scanned
+// only for a name its map holds.
+func (w *opInode) find(name string) (pos int, ino Ino, ok bool) {
+	for j, e := range w.tail {
+		if e.Name == name {
+			return w.keep + j, e.Ino, true
+		}
 	}
-	if err := op.replace(w, payload, skip); err != nil {
+	if _, ok := w.idx.inos[name]; !ok {
+		return 0, 0, false
+	}
+	for i, e := range w.idx.ents[:w.keep] {
+		if e.Name == name {
+			return i, e.Ino, true
+		}
+	}
+	return 0, 0, false
+}
+
+// storeTree stages tree w's changed tail: the view's entries from keep
+// onward, encoded at keepOff with the rest of their last block zeroed, and
+// frees whole blocks past the new end. Each block it stages holds exactly
+// the bytes a rewrite of the whole payload would put there; no block that
+// ends before keepOff is read or staged.
+func (op *Op) storeTree(w *opInode) error {
+	from, p := w.keepOff, encodeDirents(w.tail)
+	if bo := from % blockdev.BlockSize; len(p) == 0 && bo != 0 && from < w.d.Size {
+		// Only trailing entries went: rewrite the live prefix of the block
+		// they leave partly used, so their bytes are zeroed.
+		phys, err := op.fs.bmap(op.m, &w.d, from/blockdev.BlockSize, false)
+		if err != nil {
+			return err
+		}
+		blk := make([]byte, blockdev.BlockSize)
+		if err := op.m.readBlock(phys, blk); err != nil {
+			return err
+		}
+		from, p = from-bo, blk[:bo]
+	}
+	if err := op.writeRange(w, from, p, true); err != nil {
 		return err
 	}
-	w.raw, w.entsDirty = payload, false
+	if end := from + uint64(len(p)); end < w.d.Size {
+		if err := op.shrink(w, end); err != nil {
+			return err
+		}
+	}
+	w.d.MTimeNano = op.fs.clock.Now().UnixNano()
+	w.dirty = true
+	w.edited, w.staged = false, true
 	return nil
+}
+
+// publishTreeLocked applies the staged edit of w to its resident index, or
+// drops the index of a freed inode. enqueue calls it with metaMu held, in
+// the critical section that publishes w's table slot.
+func (fs *FS) publishTreeLocked(w *opInode) {
+	if w.d.Mode == ModeFree {
+		delete(fs.trees, w.ino)
+		return
+	}
+	if !w.staged {
+		return
+	}
+	idx := w.idx
+	for _, e := range idx.ents[w.keep:] {
+		delete(idx.inos, e.Name)
+	}
+	idx.ents = append(idx.ents[:w.keep], w.tail...)
+	for _, e := range w.tail {
+		idx.inos[e.Name] = e.Ino
+	}
+	fs.trees[w.ino] = idx
+	w.resetView()
 }
 
 // --- steps ---
@@ -347,19 +428,27 @@ func (op *Op) Alloc(mode Mode, tag string) (Ino, error) {
 		d:     dinode{Mode: mode, MTimeNano: op.fs.clock.Now().UnixNano(), Tag: tag},
 		fresh: true,
 		dirty: true,
-		// A new tree has no entries to read.
-		loaded: mode == ModeTree,
 	})
 	return ino, nil
 }
 
-// Write stages p at byte offset off of file or tree inode ino, extending
-// it as needed.
+// file is alive for the steps that change raw contents. A tree's payload
+// changes only through Link and Unlink, which keep its index in step.
+func (op *Op) file(ino Ino) (*opInode, error) {
+	w, err := op.alive(ino)
+	if err == nil && w.d.Mode == ModeTree {
+		err = fmt.Errorf("inode: raw contents change to tree inode %d", ino)
+	}
+	return w, err
+}
+
+// Write stages p at byte offset off of file inode ino, extending it as
+// needed.
 func (op *Op) Write(ino Ino, off uint64, p []byte) error {
 	if (off+uint64(len(p))+blockdev.BlockSize-1)/blockdev.BlockSize > MaxFileBlocks {
 		return ErrFileTooBig
 	}
-	w, err := op.alive(ino)
+	w, err := op.file(ino)
 	if err != nil {
 		return err
 	}
@@ -378,19 +467,16 @@ func (op *Op) Replace(ino Ino, p []byte) error {
 	if (uint64(len(p))+blockdev.BlockSize-1)/blockdev.BlockSize > MaxFileBlocks {
 		return ErrFileTooBig
 	}
-	w, err := op.alive(ino)
+	w, err := op.file(ino)
 	if err != nil {
 		return err
 	}
-	if w.d.Mode == ModeTree {
-		return fmt.Errorf("inode: replace contents of tree inode %d", ino)
-	}
-	return op.replace(w, p, 0)
+	return op.replace(w, p)
 }
 
-// Truncate shrinks ino to size (growing is done by Write).
+// Truncate shrinks file inode ino to size (growing is done by Write).
 func (op *Op) Truncate(ino Ino, size uint64) error {
-	w, err := op.alive(ino)
+	w, err := op.file(ino)
 	if err != nil {
 		return err
 	}
@@ -418,16 +504,14 @@ func (op *Op) Link(parent Ino, name string, child Ino) error {
 	if err != nil {
 		return err
 	}
-	if err := op.loadEnts(pw); err != nil {
+	if err := op.view(pw); err != nil {
 		return err
 	}
-	for _, e := range pw.ents {
-		if e.Name == name {
-			return fmt.Errorf("%w: %q under inode %d", ErrChildExists, name, parent)
-		}
+	if _, _, ok := pw.find(name); ok {
+		return fmt.Errorf("%w: %q under inode %d", ErrChildExists, name, parent)
 	}
-	pw.ents = append(pw.ents, Dirent{Name: name, Ino: child})
-	pw.entsDirty = true
+	pw.tail = append(pw.tail, Dirent{Name: name, Ino: child})
+	pw.edited = true
 	cw.d.Links++
 	cw.dirty = true
 	return nil
@@ -437,27 +521,31 @@ func (op *Op) Link(parent Ino, name string, child Ino) error {
 // child's link count; the child itself is not freed. It fails with an
 // ErrChildNotFound-wrapped error when the name is absent or maps to a
 // different inode. An entry naming an out-of-range inode (corruption) is
-// removed without a link-count update.
+// removed without a link-count update. Every entry after the removed one
+// moves down, so it joins the tail that commit re-encodes.
 func (op *Op) Unlink(parent Ino, name string, child Ino) error {
 	pw, err := op.alive(parent)
 	if err != nil {
 		return err
 	}
-	if err := op.loadEnts(pw); err != nil {
+	if err := op.view(pw); err != nil {
 		return err
 	}
-	idx := -1
-	for i, e := range pw.ents {
-		if e.Name == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 || pw.ents[idx].Ino != child {
+	pos, ino, ok := pw.find(name)
+	if !ok || ino != child {
 		return fmt.Errorf("%w: %q under inode %d", errLinkMoved, name, parent)
 	}
-	pw.ents = append(pw.ents[:idx], pw.ents[idx+1:]...)
-	pw.entsDirty = true
+	if j := pos - pw.keep; j >= 0 {
+		pw.tail = append(pw.tail[:j], pw.tail[j+1:]...)
+	} else {
+		shifted := pw.idx.ents[pos+1 : pw.keep]
+		for _, e := range pw.idx.ents[pos:pw.keep] {
+			pw.keepOff -= direntSize(e.Name)
+		}
+		pw.tail = append(append(make([]Dirent, 0, len(shifted)+len(pw.tail)), shifted...), pw.tail...)
+		pw.keep = pos
+	}
+	pw.edited = true
 	if op.fs.rangeCheck(child) != nil {
 		return nil
 	}
@@ -479,15 +567,20 @@ func (op *Op) Free(ino Ino) error {
 	if err != nil {
 		return err
 	}
-	if w.d.Mode == ModeTree && ((w.d.Size > 0 && !w.loaded) || len(w.ents) > 0) {
-		return fmt.Errorf("%w: inode %d", ErrTreeNotEmpty, ino)
+	if w.d.Mode == ModeTree {
+		nonEmpty := w.d.Size > 0
+		if w.idx != nil {
+			nonEmpty = w.keep+len(w.tail) > 0
+		}
+		if nonEmpty {
+			return fmt.Errorf("%w: inode %d", ErrTreeNotEmpty, ino)
+		}
 	}
 	if err := op.fs.freeInodeBlocks(op.m, &w.d); err != nil {
 		return err
 	}
-	w.d = dinode{}
-	w.ents, w.raw, w.entsDirty = nil, nil, false
-	w.dirty = true
+	// The zero inode is ModeFree: publishing it drops the tree's index.
+	*w = opInode{ino: w.ino, fresh: w.fresh, dirty: true}
 	return nil
 }
 

@@ -51,10 +51,10 @@ func encodeDirents(ents []Dirent) []byte {
 }
 
 // decodeDirents unpacks tree content; a truncated tail is an error because
-// tree mutations are journaled and must never be torn. Hot DBFS subject
-// trees hold hundreds of entries and are re-decoded on every lookup, so the
-// decode counts entries first (one exact allocation, no growslice) and
-// carves all names out of a single string conversion of the payload.
+// tree mutations are journaled and must never be torn. A tree is decoded
+// once, when its resident index is built, so the decode counts entries first
+// (one exact allocation, no growslice) and carves all names out of a single
+// string conversion of the payload.
 func decodeDirents(b []byte) ([]Dirent, error) {
 	count := 0
 	for off := 0; off < len(b); count++ {
@@ -82,72 +82,99 @@ func decodeDirents(b []byte) ([]Dirent, error) {
 	return ents, nil
 }
 
-// findDirent scans packed tree content for one name without materializing
-// the entry list — the Lookup fast path allocates nothing beyond the
-// payload read itself.
-func findDirent(b []byte, name string) (Ino, bool, error) {
-	off := 0
-	for off < len(b) {
-		if off+2 > len(b) {
-			return 0, false, fmt.Errorf("inode: corrupt tree entry header at %d", off)
-		}
-		n := int(binary.LittleEndian.Uint16(b[off:]))
-		off += 2
-		if off+n+8 > len(b) {
-			return 0, false, fmt.Errorf("inode: corrupt tree entry body at %d", off)
-		}
-		if n == len(name) && string(b[off:off+n]) == name {
-			return Ino(binary.LittleEndian.Uint64(b[off+n:])), true, nil
-		}
-		off += n + 8
-	}
-	return 0, false, nil
+// direntSize is the encoded size of an entry named name.
+func direntSize(name string) uint64 { return uint64(2 + len(name) + 8) }
+
+// treeIndex is the resident decoded form of one tree inode's payload: its
+// entries in on-disk order and a name→child map over them, kept in
+// fs.trees so that Lookup is a map probe and a link step encodes only the
+// entries it changed. Biscuit's idaemon keeps per-inode state resident in
+// the same way (idaemon_ensure).
+//
+// Rules: an index is built from disk on the first use of its tree and only
+// ever read or built by a request running on the tree's actor. A scope
+// stages its edits beside the index (see opInode) and the enqueue critical
+// section applies them under metaMu, together with the tree's table slot,
+// so a reader sees exactly what the journal overlay would show it. Freeing
+// the tree drops its index; a Mount starts with none. FS.Check, on an idle
+// filesystem, reads every index under metaMu and compares it with the
+// payload it decodes from disk.
+type treeIndex struct {
+	ents []Dirent
+	inos map[string]Ino
 }
 
-// loadTree reads and decodes the entries of the working tree copy d. The
-// caller owns d's inode actor.
-func (fs *FS) loadTree(d *dinode, t Ino) ([]Dirent, error) {
-	buf, err := fs.loadTreeBytes(d, t)
+func newTreeIndex(ents []Dirent) *treeIndex {
+	idx := &treeIndex{ents: ents, inos: make(map[string]Ino, len(ents))}
+	for _, e := range ents {
+		idx.inos[e.Name] = e.Ino
+	}
+	return idx
+}
+
+// consistent reports the first way the name map disagrees with the
+// entries.
+func (idx *treeIndex) consistent() error {
+	for _, e := range idx.ents {
+		if ino, ok := idx.inos[e.Name]; !ok || ino != e.Ino {
+			return fmt.Errorf("entry %q -> %d is mapped to %d", e.Name, e.Ino, ino)
+		}
+	}
+	if len(idx.inos) != len(idx.ents) {
+		return fmt.Errorf("%d names mapped for %d entries", len(idx.inos), len(idx.ents))
+	}
+	return nil
+}
+
+// loadIndex returns tree t's resident index, decoding its payload from disk
+// on first use. The caller owns t's actor.
+func (fs *FS) loadIndex(t Ino) (*treeIndex, error) {
+	fs.metaMu.Lock()
+	d, idx := fs.itab[t], fs.trees[t]
+	fs.metaMu.Unlock()
+	if d.Mode == ModeFree {
+		return nil, fmt.Errorf("%w: %d is free", ErrBadInode, t)
+	}
+	if idx != nil {
+		return idx, nil
+	}
+	ents, err := fs.loadTree(&d, t)
 	if err != nil {
 		return nil, err
 	}
-	return decodeDirents(buf)
+	idx = newTreeIndex(ents)
+	fs.metaMu.Lock()
+	fs.trees[t] = idx
+	fs.metaMu.Unlock()
+	return idx, nil
 }
 
-// loadTreeBytes reads the packed entry payload of the working tree copy d
-// without decoding it. The caller owns d's inode.
-func (fs *FS) loadTreeBytes(d *dinode, t Ino) ([]byte, error) {
+// loadTree reads and decodes the on-disk entries of tree t, whose inode is
+// d. Only index builds and Check read tree payloads.
+func (fs *FS) loadTree(d *dinode, t Ino) ([]Dirent, error) {
 	if d.Mode != ModeTree {
 		return nil, fmt.Errorf("%w: inode %d is %v", ErrNotTree, t, d.Mode)
 	}
 	buf := make([]byte, d.Size)
-	read := 0
 	blk := make([]byte, blockdev.BlockSize)
-	for read < len(buf) {
-		cur := uint64(read)
-		bi := cur / blockdev.BlockSize
-		bo := cur % blockdev.BlockSize
-		n := blockdev.BlockSize - bo
-		if int(n) > len(buf)-read {
-			n = uint64(len(buf) - read)
-		}
-		phys, err := fs.bmap(nil, d, bi, false)
+	for read := 0; read < len(buf); {
+		bo := uint64(read) % blockdev.BlockSize
+		n := min(int(blockdev.BlockSize-bo), len(buf)-read)
+		phys, err := fs.bmap(nil, d, uint64(read)/blockdev.BlockSize, false)
 		if err != nil {
 			return nil, err
 		}
-		if phys == 0 {
-			for i := uint64(0); i < n; i++ {
-				buf[read+int(i)] = 0
-			}
-		} else {
+		if phys != 0 {
 			if err := fs.readBlock(nil, phys, blk); err != nil {
 				return nil, err
 			}
-			copy(buf[read:read+int(n)], blk[bo:bo+n])
+			copy(buf[read:read+n], blk[bo:])
+		} else {
+			clear(buf[read : read+n])
 		}
-		read += int(n)
+		read += n
 	}
-	return buf, nil
+	return decodeDirents(buf)
 }
 
 // AddChild links child under parent with the given name, as one
@@ -185,7 +212,8 @@ func (fs *FS) RemoveChild(parent Ino, name string) error {
 	}
 }
 
-// Lookup resolves the named child of parent.
+// Lookup resolves the named child of parent: a probe of the parent's
+// resident index, with no block read once the index is built.
 func (fs *FS) Lookup(parent Ino, name string) (Ino, error) {
 	if err := fs.rangeCheck(parent); err != nil {
 		return 0, err
@@ -196,17 +224,12 @@ func (fs *FS) Lookup(parent Ino, name string) (Ino, error) {
 		opErr error
 	)
 	fs.exec(parent, func() {
-		pd, err := fs.loadAlive(parent)
+		idx, err := fs.loadIndex(parent)
 		if err != nil {
 			opErr = err
 			return
 		}
-		buf, err := fs.loadTreeBytes(&pd, parent)
-		if err != nil {
-			opErr = err
-			return
-		}
-		child, found, opErr = findDirent(buf, name)
+		child, found = idx.inos[name]
 	})
 	if opErr != nil {
 		return 0, opErr
@@ -217,7 +240,8 @@ func (fs *FS) Lookup(parent Ino, name string) (Ino, error) {
 	return child, nil
 }
 
-// Children lists the links of a tree inode in insertion order.
+// Children lists the links of a tree inode in insertion order. The slice
+// is the caller's copy.
 func (fs *FS) Children(parent Ino) ([]Dirent, error) {
 	if err := fs.rangeCheck(parent); err != nil {
 		return nil, err
@@ -227,12 +251,12 @@ func (fs *FS) Children(parent Ino) ([]Dirent, error) {
 		opErr error
 	)
 	fs.exec(parent, func() {
-		pd, err := fs.loadAlive(parent)
+		idx, err := fs.loadIndex(parent)
 		if err != nil {
 			opErr = err
 			return
 		}
-		ents, opErr = fs.loadTree(&pd, parent)
+		ents = append([]Dirent(nil), idx.ents...)
 	})
 	return ents, opErr
 }
