@@ -1,7 +1,8 @@
 package repro
 
-// One testing.B benchmark per reproduced table/figure (the same code paths
-// as cmd/benchfig; see DESIGN.md §3 for the experiment index). Run with:
+// testing.B micro-benchmarks of the paper's figures, listings and
+// mechanisms. They are ungated; the tracked wall-clock numbers come from
+// benchmarks/ (see DESIGN.md "Experiment index"). Run with:
 //
 //	go test -bench=. -benchmem
 import (
@@ -122,7 +123,7 @@ func BenchmarkFig1RightRender(b *testing.B) {
 // --- Figure 2 violations ---
 
 // BenchmarkFig2JournalLeak measures the baseline insert+delete+forensic-scan
-// cycle that demonstrates the F2V1 violation.
+// cycle that demonstrates the Fig. 2 journal-leak violation.
 func BenchmarkFig2JournalLeak(b *testing.B) {
 	dev := blockdev.MustMem(1 << 14)
 	eng, err := baseline.New(dev, simclock.NewSim(simclock.Epoch))
@@ -154,7 +155,7 @@ func BenchmarkFig2JournalLeak(b *testing.B) {
 }
 
 // BenchmarkFig2UAF measures the stale-pointer read in the process-centric
-// heap (F2V2).
+// heap (Fig. 2).
 func BenchmarkFig2UAF(b *testing.B) {
 	h := baseline.NewHeap(true)
 	b.ResetTimer()
@@ -187,7 +188,7 @@ func BenchmarkFig3MembraneDecide(b *testing.B) {
 // --- Figure 4: the DED pipeline ---
 
 // BenchmarkDEDStages measures one full ps_invoke over a single subject —
-// the eight-stage pipeline of Fig. 4 (F4P).
+// the eight-stage pipeline of Fig. 4.
 func BenchmarkDEDStages(b *testing.B) {
 	s, subjects := bootBench(b, 100)
 	registerAge(b, s)
@@ -213,7 +214,7 @@ func BenchmarkListing1ParseCompile(b *testing.B) {
 }
 
 // BenchmarkListing23Invoke measures ps_invoke across the whole user table
-// (Listings 2-3, L23).
+// (Listings 2-3).
 func BenchmarkListing23Invoke(b *testing.B) {
 	s, _ := bootBench(b, 100)
 	registerAge(b, s)
@@ -283,7 +284,7 @@ func BenchmarkRightToBeForgotten(b *testing.B) {
 	}
 }
 
-// --- Overheads (OV1-OV6) ---
+// --- Overheads ---
 
 func BenchmarkOverheadRgpdOS(b *testing.B) {
 	s, subjects := bootBench(b, 100)
@@ -293,32 +294,6 @@ func BenchmarkOverheadRgpdOS(b *testing.B) {
 		if _, err := s.PS().Invoke(ps.InvokeRequest{
 			Processing: "purpose3", TypeName: "user", SubjectFilter: subjects[i%len(subjects)],
 		}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkOverheadBaseline(b *testing.B) {
-	dev := blockdev.MustMem(1 << 14)
-	eng, err := baseline.New(dev, simclock.NewSim(simclock.Epoch))
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := eng.CreateTable("user"); err != nil {
-		b.Fatal(err)
-	}
-	ids := make([]string, 100)
-	for i := range ids {
-		id, err := eng.Insert("user", "s"+strconv.Itoa(i), map[string]string{"yob": "1990"},
-			map[string]bool{"purpose3": true}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		ids[i] = id
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.ProcessToHeap(ids[i%len(ids)], "purpose3"); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -342,7 +317,7 @@ func BenchmarkOverheadRawMap(b *testing.B) {
 }
 
 // BenchmarkMembraneAblation compares the consented pipeline against
-// maintenance mode (filter ablated) on the same store (OV2).
+// maintenance mode (filter ablated) on the same store.
 func BenchmarkMembraneAblation(b *testing.B) {
 	s, subjects := bootBench(b, 100)
 	registerAge(b, s)
@@ -369,7 +344,7 @@ func BenchmarkMembraneAblation(b *testing.B) {
 }
 
 // BenchmarkKernelIPC compares block IO through the IO-driver kernel against
-// direct device access (OV3).
+// direct device access.
 func BenchmarkKernelIPC(b *testing.B) {
 	bus := kernel.NewBus(time.Microsecond, time.Nanosecond)
 	dev := blockdev.MustMem(256)
@@ -397,7 +372,7 @@ func BenchmarkKernelIPC(b *testing.B) {
 	})
 }
 
-// BenchmarkDBFSVsPlainFS contrasts record insertion (OV4).
+// BenchmarkDBFSVsPlainFS contrasts record insertion.
 func BenchmarkDBFSVsPlainFS(b *testing.B) {
 	// Both sides cycle a bounded pool so b.N growth cannot exhaust the
 	// fixed-size filesystems; the machine is rebuilt off the clock.
@@ -434,7 +409,7 @@ func BenchmarkDBFSVsPlainFS(b *testing.B) {
 }
 
 // BenchmarkSensitiveSplit measures the extra cost of separately stored
-// sensitive fields (OV5).
+// sensitive fields.
 func BenchmarkSensitiveSplit(b *testing.B) {
 	for _, sens := range []bool{false, true} {
 		name := "plain-only"
@@ -481,7 +456,7 @@ func BenchmarkSensitiveSplit(b *testing.B) {
 	}
 }
 
-// BenchmarkTTLSweep measures the storage-limitation sweeper (OV6).
+// BenchmarkTTLSweep measures the storage-limitation sweeper.
 func BenchmarkTTLSweep(b *testing.B) {
 	s, _ := bootBench(b, 100)
 	clk, ok := s.SimClock()

@@ -1,13 +1,15 @@
-// Command benchfig regenerates the paper's figures, listings and
-// illustration experiments (see DESIGN.md §3 for the index).
+// Command benchfig runs the gated scale experiments SC7–SC9 (see DESIGN.md
+// "Experiment index") and, with -jsondir, writes the BENCH_<ID>.json files
+// that cmd/benchgate compares against BENCH_baseline.json.
 //
 // Usage:
 //
 //	benchfig -list
-//	benchfig -exp F2V1            # one experiment
+//	benchfig -exp SC9             # one experiment
 //	benchfig -all                 # everything
 //	benchfig -all -small          # fast configuration
-//	benchfig -exp OV1 -subjects 500 -ops 2000 -seed 7
+//	benchfig -exp SC9 -subjects 500 -seed 7
+//	benchfig -exp SC9 -small -jsondir out
 package main
 
 import (
@@ -25,13 +27,12 @@ func main() {
 		all      = flag.Bool("all", false, "run every experiment")
 		small    = flag.Bool("small", false, "small/fast configuration")
 		subjects = flag.Int("subjects", 0, "override subject population")
-		ops      = flag.Int("ops", 0, "override operation count")
 		seed     = flag.Uint64("seed", 42, "random seed")
 		jsonDir  = flag.String("jsondir", "", "directory for BENCH_<ID>.json result files")
 	)
 	flag.Parse()
 
-	p := bench.Params{Seed: *seed, Subjects: *subjects, Ops: *ops, Small: *small, JSONDir: *jsonDir}
+	p := bench.Params{Seed: *seed, Subjects: *subjects, Small: *small, JSONDir: *jsonDir}
 	switch {
 	case *list:
 		fmt.Println("experiments (id — title — paper artifact):")

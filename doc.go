@@ -10,10 +10,11 @@
 // subject router with its durable cross-node copy ledger, and the
 // deterministic macro-workload subsystem with its regulator-grade
 // scenario scorecards), the runnable entry points under cmd/ and
-// examples/, and the benchmark harness in bench_test.go plus
-// cmd/benchfig, whose registry regenerates every reproduced artifact
-// and the SC scaling experiments (SC7-SC9); cmd/benchgate holds CI to the
-// checked-in BENCH_baseline.json floors. benchmarks/ holds the end-to-end
+// examples/, and the benchmark harness: micro-benchmarks in bench_test.go,
+// cmd/benchfig, which runs the device-op-counted scale experiments
+// SC7-SC9, and cmd/benchgate, which holds CI to the checked-in
+// BENCH_baseline.json floors. The paper's figures and listings are held by
+// exact tests in the owning packages. benchmarks/ holds the end-to-end
 // wall-clock workloads.
 //
 // References:

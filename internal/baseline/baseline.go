@@ -5,20 +5,21 @@
 //
 // The engine does everything right at its own level — it records consent per
 // row, checks it before processing, honours TTLs, and deletes rows on
-// erasure requests. The experiments then demonstrate the paper's two §1
+// erasure requests. The tests then demonstrate the paper's two §1
 // criticisms:
 //
-//   - F2V1: the filesystem below the engine "can take actions that
-//     contradict" it — the journal and the freed blocks retain plaintext
-//     images of rows the engine deleted, so the right to be forgotten is
-//     violated one layer down.
-//   - F2V2: the OS is process-centric — rows are copied into the process
-//     heap, and a function holding a stale pointer (a use-after-free, cf.
-//     the paper's MineSweeper citation) can read another subject's data
-//     that was never consented to it.
+//   - TestJournalLeakViolation: the filesystem below the engine "can take
+//     actions that contradict" it — the journal and the freed blocks retain
+//     plaintext images of rows the engine deleted, so the right to be
+//     forgotten is violated one layer down.
+//   - TestHeapUseAfterFree: the OS is process-centric — a process copies
+//     rows into its heap (modelled by Heap), and a function holding a stale
+//     pointer (a use-after-free, cf. the paper's MineSweeper citation) can
+//     read another subject's data that was never consented to it.
 //
-// The same scenarios run against rgpdOS return zero violations, which is
-// the architectural claim of the paper in executable form.
+// The same scenarios run against rgpdOS return zero violations (rights
+// TestEraseSubjectEndToEnd, kernel TestDomainLifecycle), which is the
+// architectural claim of the paper in executable form.
 package baseline
 
 import (
@@ -65,7 +66,6 @@ type Engine struct {
 	mu     sync.Mutex
 	tables map[string]bool
 	seq    map[string]uint64
-	heap   *Heap
 }
 
 // New creates an engine over a freshly formatted plain filesystem.
@@ -85,15 +85,11 @@ func New(dev blockdev.Device, clock simclock.Clock) (*Engine, error) {
 		clock:  clock,
 		tables: make(map[string]bool),
 		seq:    make(map[string]uint64),
-		heap:   NewHeap(true),
 	}, nil
 }
 
 // FS exposes the underlying filesystem (residue scans).
 func (e *Engine) FS() *plainfs.FS { return e.fs }
-
-// Heap exposes the process heap (the UAF experiment).
-func (e *Engine) Heap() *Heap { return e.heap }
 
 // CreateTable declares a table.
 func (e *Engine) CreateTable(name string) error {
@@ -195,21 +191,6 @@ func (e *Engine) Get(id, purposeName string) (map[string]string, error) {
 		out[k] = v
 	}
 	return out, nil
-}
-
-// ProcessToHeap loads a consented row into the process heap and returns the
-// pointer — Fig. 2's process-centric flow: "the process brings data to its
-// domain (virtual address space)".
-func (e *Engine) ProcessToHeap(id, purposeName string) (Ptr, error) {
-	fields, err := e.Get(id, purposeName)
-	if err != nil {
-		return Ptr{}, err
-	}
-	raw, err := json.Marshal(fields)
-	if err != nil {
-		return Ptr{}, fmt.Errorf("baseline: marshal for heap: %w", err)
-	}
-	return e.heap.Alloc(raw), nil
 }
 
 // Delete removes a row: the engine's implementation of erasure. It removes

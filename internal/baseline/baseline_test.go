@@ -80,7 +80,7 @@ func TestEngineErrors(t *testing.T) {
 }
 
 func TestJournalLeakViolation(t *testing.T) {
-	// F2V1, the paper's §1 example: the engine deletes a row, yet the
+	// The paper's §1 example (Fig. 2): the engine deletes a row, yet the
 	// plaintext survives below it in the filesystem (journal/free space),
 	// recoverable by scanning the raw device.
 	e, dev, _ := newEngine(t)
@@ -133,7 +133,7 @@ func TestEraseSubjectLeavesResidue(t *testing.T) {
 }
 
 func TestHeapUseAfterFree(t *testing.T) {
-	// F2V2: process-centric memory lets a stale pointer read another
+	// Process-centric memory (Fig. 2) lets a stale pointer read another
 	// subject's data (Fig. 2's f2 accidentally accessing pd2).
 	h := NewHeap(true)
 	pd1 := h.Alloc([]byte("pd1:alice:salary=90k"))
@@ -185,24 +185,5 @@ func TestHeapNormalOps(t *testing.T) {
 	q := h.Alloc([]byte("new"))
 	if q.idx != p.idx {
 		t.Fatalf("freelist not reused: %d vs %d", q.idx, p.idx)
-	}
-}
-
-func TestProcessToHeap(t *testing.T) {
-	e, _, _ := newEngine(t)
-	_ = e.CreateTable("user")
-	id, _ := e.Insert("user", "alice", map[string]string{"name": "Alice"},
-		map[string]bool{"analytics": true}, 0)
-	ptr, err := e.ProcessToHeap(id, "analytics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw, err := e.Heap().Deref(ptr)
-	if err != nil || !strings.Contains(string(raw), "Alice") {
-		t.Fatalf("heap contents = %q, %v", raw, err)
-	}
-	// Consent still enforced on the way in.
-	if _, err := e.ProcessToHeap(id, "ads"); !errors.Is(err, ErrConsentDenied) {
-		t.Fatalf("ProcessToHeap without consent err = %v", err)
 	}
 }

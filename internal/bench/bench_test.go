@@ -6,9 +6,8 @@ import (
 )
 
 func TestRegistryComplete(t *testing.T) {
-	// Every experiment in DESIGN.md's per-experiment index must exist.
-	want := []string{"F1L", "F1R", "F2V1", "F2V2", "F3", "F4P", "L1", "L23",
-		"IA", "IF", "OV1", "OV2", "OV3", "OV4", "OV5", "OV6", "SC7", "SC8", "SC9"}
+	// Exactly the gated experiments in DESIGN.md's experiment index.
+	want := []string{"SC7", "SC8", "SC9"}
 	reg := Registry()
 	if len(reg) != len(want) {
 		t.Fatalf("registry has %d experiments, want %d", len(reg), len(want))
@@ -21,8 +20,8 @@ func TestRegistryComplete(t *testing.T) {
 			t.Fatalf("experiment %s incomplete: %+v", id, reg[i])
 		}
 	}
-	if _, ok := Lookup("F2V1"); !ok {
-		t.Fatal("Lookup(F2V1) failed")
+	if _, ok := Lookup("SC9"); !ok {
+		t.Fatal("Lookup(SC9) failed")
 	}
 	if _, ok := Lookup("ghost"); ok {
 		t.Fatal("Lookup(ghost) succeeded")
@@ -43,27 +42,5 @@ func TestEveryExperimentRunsSmall(t *testing.T) {
 				t.Fatalf("%s produced no output", e.ID)
 			}
 		})
-	}
-}
-
-func TestExpectationsHold(t *testing.T) {
-	// The headline claims must be visible in the experiment outputs.
-	var out strings.Builder
-	e, _ := Lookup("F2V1")
-	if err := e.Run(&out, Params{Seed: 1, Small: true}); err != nil {
-		t.Fatal(err)
-	}
-	s := out.String()
-	if !strings.Contains(s, "baseline") || !strings.Contains(s, "rgpdOS") {
-		t.Fatalf("F2V1 output:\n%s", s)
-	}
-	// The baseline line must report violated=true, the rgpdOS line false.
-	for _, line := range strings.Split(s, "\n") {
-		if strings.Contains(line, "baseline (Fig.2)") && !strings.Contains(line, "true") {
-			t.Fatalf("baseline did not violate: %s", line)
-		}
-		if strings.Contains(line, "rgpdOS") && strings.Contains(line, "true") {
-			t.Fatalf("rgpdOS violated: %s", line)
-		}
 	}
 }

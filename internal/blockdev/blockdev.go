@@ -9,8 +9,9 @@
 // model routes device access through dedicated IO-driver kernels.
 //
 // The device deliberately exposes its raw contents (ReadRaw) because the
-// journal-leak experiment (DESIGN.md F2V1) must scan a disk image for
-// residues of "deleted" personal data, exactly as a forensic tool would.
+// journal-leak tests (baseline TestJournalLeakViolation, rights
+// TestEraseSubjectEndToEnd) must scan a disk image for residues of
+// "deleted" personal data, exactly as a forensic tool would.
 package blockdev
 
 import (

@@ -70,10 +70,6 @@ type Options struct {
 	// AuthorityBits sizes the escrow keypair (default 2048; tests use
 	// 1024).
 	AuthorityBits int
-	// Machine sets the kernel topology resources and IPC costs.
-	Machine kernel.MachineOptions
-	// DirectIO bypasses the IO-driver kernels (monolithic ablation, OV3).
-	DirectIO bool
 	// Workers sizes the DED executor pool used by InvokeBatch: how many
 	// invocations (for distinct subjects, thanks to DBFS subject sharding)
 	// run concurrently. Defaults to GOMAXPROCS.
@@ -156,9 +152,6 @@ func (o *Options) withDefaults() {
 	if o.AuthorityBits == 0 {
 		o.AuthorityBits = 2048
 	}
-	if o.Machine.CPUs == 0 {
-		o.Machine = kernel.DefaultMachineOptions()
-	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
@@ -215,7 +208,8 @@ func Boot(opts Options) (*System, error) {
 	s := &System{opts: opts}
 
 	// Purpose-kernel topology.
-	s.machine = kernel.NewMachine(opts.Machine)
+	mopts := kernel.DefaultMachineOptions()
+	s.machine = kernel.NewMachine(mopts)
 	var err error
 	if s.pdDev, err = blockdev.NewMem(opts.PDDiskBlocks, blockdev.DefaultLatency()); err != nil {
 		return nil, fmt.Errorf("core: pd disk: %w", err)
@@ -245,7 +239,7 @@ func Boot(opts Options) (*System, error) {
 	// Initial partition: rgpdOS gets the PD-processing share, the GP
 	// kernel the bulk of the rest, drivers a sliver each. Rebalance at
 	// runtime via Machine.Partition.
-	cpus, pages := opts.Machine.CPUs, opts.Machine.MemPages
+	cpus, pages := mopts.CPUs, mopts.MemPages
 	assign := []struct {
 		name  string
 		cpu   float64
@@ -269,16 +263,14 @@ func Boot(opts Options) (*System, error) {
 		return nil, fmt.Errorf("core: partition: %w", err)
 	}
 
-	// Device views: PD IO crosses the bus to its driver kernel unless the
-	// monolithic ablation is requested.
-	var pdView, npdView blockdev.Device = s.pdDev, s.npdDev
-	if !opts.DirectIO {
-		if pdView, err = kernel.NewRemoteDevice(s.machine.Bus, RgpdOSKernel, PDDriverKernel); err != nil {
-			return nil, fmt.Errorf("core: pd remote device: %w", err)
-		}
-		if npdView, err = kernel.NewRemoteDevice(s.machine.Bus, GPKernel, NPDDriverKernel); err != nil {
-			return nil, fmt.Errorf("core: npd remote device: %w", err)
-		}
+	// Device views: PD and NPD IO cross the bus to their driver kernels.
+	pdView, err := kernel.NewRemoteDevice(s.machine.Bus, RgpdOSKernel, PDDriverKernel)
+	if err != nil {
+		return nil, fmt.Errorf("core: pd remote device: %w", err)
+	}
+	npdView, err := kernel.NewRemoteDevice(s.machine.Bus, GPKernel, NPDDriverKernel)
+	if err != nil {
+		return nil, fmt.Errorf("core: npd remote device: %w", err)
 	}
 
 	// Security substrate.

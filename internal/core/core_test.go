@@ -64,17 +64,19 @@ func setupUserType(t *testing.T, s *System) {
 	s.RegisterSource("user", collect.NewWebFormSource("user_form.html"))
 }
 
-func registerComputeAge(t *testing.T, s *System) {
+// registerComputeAge registers Listing 2's compute_age under the named
+// purpose of Listing 1's consent block.
+func registerComputeAge(t *testing.T, s *System, purposeName string) {
 	t.Helper()
 	decl := &purpose.Decl{
-		Name:        "purpose3",
+		Name:        purposeName,
 		Description: "Compute the age of the input user",
 		Basis:       purpose.BasisConsent,
 		Reads:       []string{"user.year_of_birthdate"},
 	}
 	impl := &ded.Func{
 		Name:          "compute_age",
-		Purpose:       "purpose3",
+		Purpose:       purposeName,
 		DeclaredReads: []string{"user.year_of_birthdate"},
 		Fn: func(c *ded.Ctx) (ded.Output, error) {
 			yob, err := c.Field("year_of_birthdate")
@@ -122,7 +124,7 @@ func TestEndToEndListingFlow(t *testing.T) {
 	// user via the web form, invoke compute_age through PS.
 	s := bootTest(t)
 	setupUserType(t, s)
-	registerComputeAge(t, s)
+	registerComputeAge(t, s, "purpose3")
 
 	if err := s.SubmitForm("user", "chiraz", dbfs.Record{
 		"name": dbfs.S("Chiraz Benamor"), "pwd": dbfs.S("secret"),
@@ -153,6 +155,17 @@ func TestEndToEndListingFlow(t *testing.T) {
 			t.Fatalf("plaintext %q on PD disk at %v", secret, hits)
 		}
 	}
+	// Listing 1 grants purpose2 "none": the same function registered
+	// under purpose2 processes nothing, because every membrane denies it.
+	registerComputeAge(t, s, "purpose2")
+	res, err = s.PS().Invoke(ps.InvokeRequest{Processing: "purpose2", TypeName: "user"})
+	if err != nil {
+		t.Fatalf("Invoke purpose2: %v", err)
+	}
+	if res.Processed != 0 || len(res.Outputs) != 0 || len(res.PDRefs) != 0 ||
+		len(res.Filtered) != 1 || res.Filtered["consent-denied"] != 1 {
+		t.Fatalf("purpose2 (consent none) res = %+v", res)
+	}
 }
 
 func TestEnforcementInvariants(t *testing.T) {
@@ -177,7 +190,7 @@ func TestEnforcementInvariants(t *testing.T) {
 func TestRightsThroughSystem(t *testing.T) {
 	s := bootTest(t)
 	setupUserType(t, s)
-	registerComputeAge(t, s)
+	registerComputeAge(t, s, "purpose3")
 	rng := xrand.New(7)
 	for _, subject := range testSubjectIDs(5) {
 		if err := s.SubmitForm("user", subject, testUserRecord(rng, subject)); err != nil {
@@ -228,19 +241,6 @@ func TestAlertWorkflowThroughSystem(t *testing.T) {
 	info, err := s.PS().Get("newsletter")
 	if err != nil || info.State != ps.StateActive {
 		t.Fatalf("info = %+v, %v", info, err)
-	}
-}
-
-func TestDirectIOAblation(t *testing.T) {
-	s, err := Boot(Options{AuthorityBits: 1024, DirectIO: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.DeclareTypesDSL(listing1, aliasOpts()); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.Stats().Bus.Messages; got != 0 {
-		t.Fatalf("DirectIO bus messages = %d, want 0", got)
 	}
 }
 

@@ -94,7 +94,7 @@ func TestGeneratedPDFlowThroughPS(t *testing.T) {
 func TestConsentWithdrawalAffectsNextInvoke(t *testing.T) {
 	s := bootTest(t)
 	setupUserType(t, s)
-	registerComputeAge(t, s)
+	registerComputeAge(t, s, "purpose3")
 	rng := xrand.New(9)
 	subjects := testSubjectIDs(10)
 	for _, subject := range subjects {
@@ -141,7 +141,7 @@ func TestConsentWithdrawalAffectsNextInvoke(t *testing.T) {
 func TestAuditChainAcrossFullScenario(t *testing.T) {
 	s := bootTest(t)
 	setupUserType(t, s)
-	registerComputeAge(t, s)
+	registerComputeAge(t, s, "purpose3")
 	if err := s.SubmitForm("user", "bob", dbfs.Record{
 		"name": dbfs.S("Bob"), "pwd": dbfs.S("x"), "year_of_birthdate": dbfs.I(1970),
 	}); err != nil {

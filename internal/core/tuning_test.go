@@ -20,7 +20,7 @@ func ptr[T any](v T) *T { return &v }
 func TestApplyTuningValidation(t *testing.T) {
 	s := bootTest(t)
 	setupUserType(t, s)
-	registerComputeAge(t, s)
+	registerComputeAge(t, s, "purpose3")
 	before := s.Tuning()
 	cases := []struct {
 		name string
@@ -54,7 +54,7 @@ func TestApplyTuningValidation(t *testing.T) {
 func TestApplyTuningRoundTrip(t *testing.T) {
 	s := bootTest(t)
 	setupUserType(t, s)
-	registerComputeAge(t, s)
+	registerComputeAge(t, s, "purpose3")
 	doc := Tuning{
 		CommitWindow:        ptr(3 * time.Millisecond),
 		GroupMaxBatch:       ptr(7),
@@ -118,7 +118,7 @@ func TestApplyTuningRoundTrip(t *testing.T) {
 func TestApplyTuningSnapshotKeepsRateLimitTokens(t *testing.T) {
 	s := bootTest(t)
 	setupUserType(t, s)
-	registerComputeAge(t, s)
+	registerComputeAge(t, s, "purpose3")
 	if err := s.ApplyTuning(Tuning{RateLimits: []RateLimit{{Purpose: "purpose3", RatePerSec: 1, Burst: 2}}}); err != nil {
 		t.Fatal(err)
 	}

@@ -195,7 +195,8 @@ type Invocation struct {
 }
 
 // StageTimings records wall-clock time per pipeline stage (measurement
-// instrumentation for the F4P experiment; not simulation state).
+// instrumentation read by the E2E ladder's ded.*_us rows; not simulation
+// state).
 type StageTimings struct {
 	Type2Req      time.Duration
 	LoadMembrane  time.Duration

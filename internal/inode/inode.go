@@ -21,8 +21,8 @@
 // them, and every mutation's pre-/post-images flow through the journal. Both
 // behaviours match production filesystems and are exactly why a file-based
 // OS below a "GDPR-compliant" database can violate the right to be forgotten
-// (DESIGN.md F2V1). rgpdOS's DBFS neutralizes them by storing only
-// ciphertext in inodes (see internal/cryptoshred).
+// (baseline TestJournalLeakViolation). rgpdOS's DBFS neutralizes them by
+// storing only ciphertext in inodes (see internal/cryptoshred).
 package inode
 
 import (

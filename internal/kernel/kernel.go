@@ -15,7 +15,7 @@
 // only inside IO-driver kernels, and other kernels reach devices through
 // RemoteDevice, which turns every block operation into a bus message — so
 // the hop count and simulated cost of the split-kernel design are
-// measurable (experiment OV3).
+// measurable (the E2E ladder's kernel.bus_* rows).
 //
 // The package also provides Domain, the memory abstraction behind Idea 2
 // (data-centric execution): a processing function runs inside the PD's

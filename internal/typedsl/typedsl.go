@@ -8,8 +8,8 @@
 // dbfs.Schema plus membrane defaults, and can print an AST back to canonical
 // source (parse∘print is the identity, property-tested).
 //
-// Faithfulness notes, recorded here because the L1 experiment replays the
-// paper's listing verbatim:
+// Faithfulness notes, recorded here because TestParseListing1Verbatim replays
+// the paper's listing verbatim:
 //   - Listing 1 spells sensitivity "hight"; the parser accepts it as "high".
 //   - Listing 1's consent block grants purpose3 the value "ano", an
 //     abbreviation of the view "v_ano"; the compiler resolves consent values

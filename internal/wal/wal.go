@@ -7,7 +7,7 @@
 // centrepiece of the paper's §1 motivating claim: a filesystem's logging
 // mechanism can violate the right to be forgotten, because data deleted at a
 // higher layer survives as block images inside the journal region. The
-// journal-leak experiment (DESIGN.md F2V1) scans this region for residues.
+// baseline package's TestJournalLeakViolation finds those residues.
 //
 // On-disk format, one commit group of k transactions:
 //
