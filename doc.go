@@ -11,11 +11,12 @@
 // deterministic macro-workload subsystem with its regulator-grade
 // scenario scorecards), the runnable entry points under cmd/ and
 // examples/, and the benchmark harness: micro-benchmarks in bench_test.go,
-// cmd/benchfig, which runs the device-op-counted scale experiments
-// SC7-SC9, and cmd/benchgate, which holds CI to the checked-in
-// BENCH_baseline.json floors. The paper's figures and listings are held by
-// exact tests in the owning packages. benchmarks/ holds the end-to-end
-// wall-clock workloads.
+// and the device-op-counted scale experiments SC7-SC9 as golden tests
+// (TestSC7Golden in internal/dbfs, TestSC8Golden in internal/cluster,
+// TestSC9Golden in internal/workload), each compared exactly with its
+// checked-in testdata/*.golden.json. The paper's figures and listings are
+// held by exact tests in the owning packages. benchmarks/ holds the
+// end-to-end wall-clock workloads.
 //
 // References:
 //

@@ -70,8 +70,8 @@ var (
 	ErrBadNode = errors.New("cluster: no such node")
 	// ErrHomeNode reports a copy requested on the subject's own home node.
 	ErrHomeNode = errors.New("cluster: target is the subject's home node")
-	// ErrInjected is the fault-injection error (FailNode) used by tests and
-	// the SC8 benchmark to exercise the partial-failure path.
+	// ErrInjected is the fault-injection error (FailNode) used by tests
+	// (among them TestSC8Golden) to exercise the partial-failure path.
 	ErrInjected = errors.New("cluster: injected fault")
 )
 

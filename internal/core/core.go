@@ -122,9 +122,9 @@ type Options struct {
 	// adjustable via ApplyTuning (RepackInterval).
 	ColdInterval time.Duration
 	// CryptoRand overrides the vault's entropy source. ONLY for
-	// deterministic experiments (SC7 asserts byte-identical archive output
-	// across runs, which needs reproducible ciphertext); nil keeps the
-	// crypto/rand default.
+	// deterministic experiments (the SC8 and SC9 golden tests need
+	// byte-identical results across runs, hence reproducible ciphertext);
+	// nil keeps the crypto/rand default.
 	CryptoRand io.Reader
 	// NodeName labels this machine when it runs as one node of a
 	// multi-node cluster (internal/cluster): it appears in the cluster's

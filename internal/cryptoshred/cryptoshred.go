@@ -114,7 +114,7 @@ func NewVault(authorityPub *rsa.PublicKey) *Vault {
 }
 
 // SetRand replaces the vault's entropy source. ONLY for deterministic
-// simulation (the SC7 experiment needs byte-identical ciphertext across
+// simulation (the SC7 golden test needs byte-identical ciphertext across
 // runs to assert byte-identical archive output); production vaults keep
 // the crypto/rand default. Set before concurrent use, or leave alone.
 func (v *Vault) SetRand(r io.Reader) {

@@ -189,37 +189,6 @@ func TestValidateMalformedMix(t *testing.T) {
 	}
 }
 
-// TestScorecardByteIdentical is the determinism witness for the whole
-// pipeline: two fresh machines, same seed, byte-identical scorecard JSON.
-func TestScorecardByteIdentical(t *testing.T) {
-	run := func() []byte {
-		sc, _ := LookupScenario("health-records")
-		mix := sc.MixFor(true)
-		ops, err := Generate(mix, 42)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sys := bootMacroSystem(t, mix, ops, 42)
-		card, err := RunScenario(NewSystemTarget(sys), sc,
-			RunConfig{Seed: 42, Small: true, Pace: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !card.Clean() {
-			t.Fatalf("invariants violated: %+v", card.Invariants)
-		}
-		j, err := card.JSON()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return j
-	}
-	a, b := run(), run()
-	if !bytes.Equal(a, b) {
-		t.Fatalf("scorecards differ:\n--- run 1 ---\n%s\n--- run 2 ---\n%s", a, b)
-	}
-}
-
 // TestSoakCluster2 drives the mixed breach-response trace concurrently
 // over a 2-node fleet — the -race harness for the macro path. Outcomes are
 // unordered, but nothing may genuinely fail.

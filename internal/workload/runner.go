@@ -52,7 +52,7 @@ type RunConfig struct {
 // enough for the mix's seeded population plus every insert the trace will
 // issue, doubling from the usual probe-machine floor. The NPD disk must at
 // least hold its half-share inode table (inodes/2 at 16 per block) plus the
-// audit trail the run appends. The SC9 bench, rgpdctl macro and the scenario
+// audit trail the run appends. TestSC9Golden, rgpdctl macro and the scenario
 // examples all size their machines with it.
 func BootSizing(mix MacroMix, ops []Op) (blocks, npdBlocks, inodes uint64) {
 	inserts := 0

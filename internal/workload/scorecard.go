@@ -1,12 +1,12 @@
 // The macro scorecard: per-op-class throughput and tail latency (shared
 // power-of-two histogram from internal/latencyhist) plus the regulator
-// invariants, serialized deterministically for benchgate and narrated for
-// humans by WriteScorecard.
+// invariants. Its JSON encoding is deterministic (fixed field order,
+// canonical class order), so TestSC9Golden compares it byte for byte with
+// testdata/sc9.golden.json; WriteScorecard narrates it for humans.
 
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"time"
@@ -135,16 +135,6 @@ func (s *Scorecard) Clean() bool {
 	inv := s.Invariants
 	return inv.ResidueHits == 0 && inv.ErasedReadable == 0 &&
 		inv.ConsentMismatches == 0 && inv.AccessChecked > 0
-}
-
-// JSON serializes the scorecard deterministically (fixed field order,
-// canonical class order, trailing newline) — the byte-identity witness.
-func (s *Scorecard) JSON() ([]byte, error) {
-	raw, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return nil, err
-	}
-	return append(raw, '\n'), nil
 }
 
 // WriteScorecard narrates the card for humans (examples, rgpdctl macro).
