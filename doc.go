@@ -4,7 +4,7 @@
 //
 // The implementation lives under internal/ (see DESIGN.md for the system
 // inventory, the storage commit path, the membrane read path, the
-// admission-and-deadlines story, the actor FS core + block buffer cache,
+// admission-and-deadlines story, the per-inode locks + block buffer cache,
 // the tuning API, the content-addressed compressed
 // cold tier with shred-safe membrane snapshots, the multi-node
 // subject router with its durable cross-node copy ledger, and the
@@ -24,7 +24,7 @@
 //     DSN 2023 (arXiv:2205.10929) — the reproduced paper.
 //   - Cutler, Kaashoek, Morris, "The benefits and costs of writing a
 //     POSIX kernel in a high-level language", OSDI 2018 — Biscuit, the
-//     model for internal/inode's per-inode daemon actors and
+//     model for internal/inode's operation scopes (op_begin/op_end) and
 //     internal/blockdev's write-back buffer cache.
 //   - ext3/JBD2 journaling — the model for internal/wal's group commit
 //     (multi-transaction commit records sealed by one flush barrier).

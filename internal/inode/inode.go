@@ -9,13 +9,13 @@
 // (internal/dbfs) and the traditional file-based filesystem
 // (internal/plainfs) are built on it.
 //
-// Concurrency follows Biscuit's filesystem: each live inode is owned by a
-// daemon goroutine (an actor) serving requests over a channel, so operations
-// on different inodes run in parallel while operations on one inode
-// serialize without any big lock. A shared write-back block buffer cache
-// (blockdev.Cached) sits between the actors (and the journal's checkpoint
-// writes) and the device, absorbing repeated block reads. See DESIGN.md
-// "Actor FS core & buffer cache".
+// Concurrency: each inode in use has its own lock, taken on the caller's
+// goroutine, so operations on different inodes run in parallel while
+// operations on one inode serialize without any big lock. A shared
+// write-back block buffer cache (blockdev.Cached) sits between the inode
+// operations (and the journal's checkpoint writes) and the device,
+// absorbing repeated block reads. See DESIGN.md "Inode locks & buffer
+// cache".
 //
 // Deliberate realism: freeing an inode releases its blocks but does NOT zero
 // them, and every mutation's pre-/post-images flow through the journal. Both
@@ -198,18 +198,17 @@ func (o *Options) withDefaults() {
 // FS is a mounted inode filesystem. All methods are safe for concurrent
 // use.
 //
-// Ownership model (Biscuit idaemon style): every operation on an inode runs
-// as a request served by that inode's daemon goroutine, so per-inode state
-// (the working dinode copy, its block pointers, its data blocks) has exactly
-// one writer at a time with no lock held across device I/O. Metadata shared
-// between inodes — the allocation bitmap and the inode table array — is
-// guarded by metaMu; helpers suffixed *Locked require it, and the suffix is
-// deliberate so a call site without the lock reads as wrong in review.
+// Ownership model: every operation on an inode runs under that inode's
+// lock (see exec), so per-inode state (the working dinode copy, its block
+// pointers, its data blocks) has exactly one writer at a time. Metadata
+// shared between inodes — the allocation bitmap and the inode table array —
+// is guarded by metaMu; helpers suffixed *Locked require it, and the suffix
+// is deliberate so a call site without the lock reads as wrong in review.
 // metaMu is only ever held for in-memory staging (bitmap scans, table
 // publishes, encoding blocks into a transaction), never across device
 // reads, device writes, or durability waits.
 //
-// Durability: mutations stage a journal transaction under actor ownership,
+// Durability: mutations stage a journal transaction under the inode locks,
 // enqueue it inside one metaMu critical section (see mtx.enqueue for why
 // snapshot order must equal enqueue order), and wait for the commit group
 // outside every lock — which is what lets concurrent writers coalesce into
@@ -219,9 +218,9 @@ func (o *Options) withDefaults() {
 // Every mutation is an operation scope (see Do in op.go): one transaction,
 // one commit point, however many inodes and steps it spans.
 //
-// Lock ordering: actor ownership → metaMu → wal internals → buffer cache.
-// Multi-inode operations acquire actors in ascending inode order only (see
-// execAll), so ownership cycles cannot form.
+// Lock ordering: inode locks, ascending → metaMu → wal internals → buffer
+// cache. Multi-inode operations take inode locks in ascending inode order
+// only (see execAll), so wait cycles cannot form.
 type FS struct {
 	dev   blockdev.Device // I/O path: the buffer cache when enabled, else raw
 	raw   blockdev.Device // the device handed to Format/Mount, below the cache
@@ -250,10 +249,10 @@ type FS struct {
 	blkHint uint64
 	inoHint uint64
 
-	// actorsMu guards the live-actor registry and each daemon's inflight
-	// count.
-	actorsMu sync.Mutex
-	actors   map[Ino]*idaemon
+	// locksMu guards the per-inode lock registry and each entry's users
+	// count. It is never held while waiting on an inode's lock.
+	locksMu sync.Mutex
+	locks   map[Ino]*ilock
 
 	// trees holds the resident index of every tree inode used since Mount
 	// (see treeIndex for who may read and publish one). The map is guarded
@@ -331,7 +330,7 @@ func Format(dev blockdev.Device, opts Options) (*FS, error) {
 		blkHint:  sb.DataStart,
 		inoHint:  1,
 		maxChunk: chunkLimit(sb.JournalBlocks),
-		actors:   make(map[Ino]*idaemon),
+		locks:    make(map[Ino]*ilock),
 		trees:    make(map[Ino]*treeIndex),
 	}
 	// Mark metadata region (everything before DataStart) as allocated.
@@ -440,7 +439,7 @@ func Mount(dev blockdev.Device, clock simclock.Clock) (*FS, error) {
 		blkHint:  sb.DataStart,
 		inoHint:  1,
 		maxChunk: chunkLimit(sb.JournalBlocks),
-		actors:   make(map[Ino]*idaemon),
+		locks:    make(map[Ino]*ilock),
 		trees:    make(map[Ino]*treeIndex),
 	}
 	for i := uint64(0); i < sb.BitmapBlocks; i++ {
@@ -513,95 +512,62 @@ func (fs *FS) UsedBlocks() uint64 {
 	return n
 }
 
-// --- actor machinery ---
+// --- per-inode locks ---
 
-// idaemon is one live inode's daemon goroutine: requests arrive over ch and
-// are served strictly in order, so the daemon's inode has exactly one
-// mutator at a time. inflight counts requests that have claimed the daemon
-// (ensured) but not yet finished; it is guarded by fs.actorsMu.
-type idaemon struct {
-	ino      Ino
-	ch       chan *ireq
-	inflight int
+// ilock is the lock of one inode in use. users counts the callers that hold
+// or wait for it; it is guarded by fs.locksMu, and the entry leaves the
+// registry when it drops to zero, so the registry only ever holds the
+// inodes in use.
+type ilock struct {
+	sync.Mutex
+	users int
 }
 
-// ireq is one request to an inode daemon.
-type ireq struct {
-	fn   func()
-	done chan struct{}
-}
-
-// ensure returns ino's daemon, spawning one if the inode has no live actor,
-// and claims one inflight slot so the daemon cannot park before this
-// request is served (Biscuit's idaemon_ensure).
-func (fs *FS) ensure(ino Ino) *idaemon {
-	fs.actorsMu.Lock()
-	d := fs.actors[ino]
-	if d == nil {
-		d = &idaemon{ino: ino, ch: make(chan *ireq)}
-		fs.actors[ino] = d
-		go fs.serve(d)
+// lock takes ino's lock on the caller's goroutine, creating its registry
+// entry on first use. locksMu is released before waiting on the entry.
+func (fs *FS) lock(ino Ino) {
+	fs.locksMu.Lock()
+	l := fs.locks[ino]
+	if l == nil {
+		l = &ilock{}
+		fs.locks[ino] = l
 	}
-	d.inflight++
-	fs.actorsMu.Unlock()
-	return d
+	l.users++
+	fs.locksMu.Unlock()
+	l.Lock()
 }
 
-// serve is the daemon loop: serve a request, release its claim, and park
-// (deregister and exit) once no claimed requests remain. Claims are taken
-// under actorsMu before the send, so a parked daemon can never strand a
-// claimant: either the claim lands before the park decision (inflight > 0,
-// the daemon keeps serving) or after the deregistration (the claimant
-// spawns a fresh daemon).
-func (fs *FS) serve(d *idaemon) {
-	for req := range d.ch {
-		req.fn()
-		fs.actorsMu.Lock()
-		d.inflight--
-		parked := d.inflight == 0
-		if parked {
-			if fs.actors[d.ino] == d {
-				delete(fs.actors, d.ino)
-			}
-		}
-		fs.actorsMu.Unlock()
-		// Park bookkeeping happens before the completion signal so a
-		// sequential caller observes a fully drained registry.
-		close(req.done)
-		if parked {
-			return
-		}
+// unlock releases ino's lock and drops its entry once no caller holds or
+// waits for it. Release and drop happen in one locksMu section, so a caller
+// that finds no entry can never lock a fresh one beside the old holder.
+func (fs *FS) unlock(ino Ino) {
+	fs.locksMu.Lock()
+	l := fs.locks[ino]
+	l.Unlock()
+	if l.users--; l.users == 0 {
+		delete(fs.locks, ino)
 	}
+	fs.locksMu.Unlock()
 }
 
-// exec sends fn to ino's daemon and returns when it has completed.
-func (fs *FS) exec(ino Ino, fn func()) {
-	d := fs.ensure(ino)
-	req := &ireq{fn: fn, done: make(chan struct{})}
-	d.ch <- req
-	<-req.done
-}
+// exec runs fn while holding ino's lock.
+func (fs *FS) exec(ino Ino, fn func()) { fs.execAll([]Ino{ino}, fn) }
 
-// execAll runs fn while holding the actors of every inode in inos, which
-// must be ascending and distinct (Do sorts its declared set). Ownership is
-// acquired in that order — each actor's request forwards into the next
-// higher actor — so a daemon only ever waits on a strictly higher inode and
-// ownership cycles (deadlocks) cannot form, whatever order the callers
-// named the inodes in. With no inodes fn runs on the caller's goroutine.
+// execAll runs fn while holding the locks of every inode in inos, which
+// must be ascending and distinct (Do sorts its declared set). Locks are
+// taken in that order, so a caller only ever waits on an inode strictly
+// higher than every one it holds and no wait cycle (deadlock) can form,
+// whatever order the callers named the inodes in.
 func (fs *FS) execAll(inos []Ino, fn func()) {
-	if len(inos) == 0 {
-		fn()
-		return
+	for _, ino := range inos {
+		fs.lock(ino)
 	}
-	fs.exec(inos[0], func() { fs.execAll(inos[1:], fn) })
-}
-
-// LiveActors reports how many inode daemons are currently running (test and
-// introspection hook for the park lifecycle).
-func (fs *FS) LiveActors() int {
-	fs.actorsMu.Lock()
-	defer fs.actorsMu.Unlock()
-	return len(fs.actors)
+	defer func() {
+		for _, ino := range inos {
+			fs.unlock(ino)
+		}
+	}()
+	fn()
 }
 
 // --- inode encoding ---
@@ -657,8 +623,9 @@ func (fs *FS) rangeCheck(ino Ino) error {
 }
 
 // loadInode snapshots ino's table slot. Every table-slot write happens
-// under metaMu, so the copy is taken under it too; within an actor-owned
-// operation the copy is then private until it is published back at enqueue.
+// under metaMu, so the copy is taken under it too; within an operation that
+// holds the inode's lock the copy is then private until it is published back
+// at enqueue.
 func (fs *FS) loadInode(ino Ino) dinode {
 	fs.metaMu.Lock()
 	d := fs.itab[ino]
@@ -895,7 +862,7 @@ func (m *mtx) abort() {
 
 // waitTickets waits for every enqueued transaction of an operation (more
 // than one only when it spilled), returning the first error. Must be
-// called outside every lock and actor.
+// called outside every lock, inode locks included.
 func waitTickets(tks []*wal.Ticket) error {
 	var first error
 	for _, tk := range tks {
@@ -911,7 +878,7 @@ func waitTickets(tks []*wal.Ticket) error {
 // Each mutating call below is a one-step operation scope (op.go).
 
 // AllocInode allocates a fresh inode of the given mode with an optional
-// tag. No actor is involved: the slot has no owner until this returns.
+// tag. No inode lock is taken: the slot has no owner until this returns.
 func (fs *FS) AllocInode(mode Mode, tag string) (Ino, error) {
 	var ino Ino
 	err := fs.Do(nil, func(op *Op) (err error) {
@@ -993,8 +960,8 @@ func (fs *FS) SecureFreeInode(ino Ino) error {
 	return fs.Do([]Ino{ino}, func(op *Op) error {
 		// Drain the commit queue first: a queued checkpoint landing after
 		// the zero pass would resurrect the very bytes this variant
-		// scrubs. (The committer never needs this actor, so waiting here
-		// cannot deadlock.)
+		// scrubs. (The committer never takes an inode lock, so waiting
+		// here cannot deadlock.)
 		fs.log.Barrier()
 		w, err := op.alive(ino)
 		if err != nil {
@@ -1026,7 +993,7 @@ func (fs *FS) SecureFreeInode(ino Ino) error {
 }
 
 // Stat returns metadata for ino. It reads the table mirror directly (one
-// metaMu snapshot) rather than queueing on the inode's actor: slot
+// metaMu snapshot) rather than waiting for the inode's lock: slot
 // publishes are atomic under metaMu, so the snapshot is always a committed
 // operation boundary.
 func (fs *FS) Stat(ino Ino) (Info, error) {
@@ -1185,7 +1152,7 @@ func (fs *FS) WriteAt(ino Ino, off uint64, p []byte) (int, error) {
 // ReadAt reads into p from byte offset off. It returns the number of bytes
 // read; reads beyond the file size are truncated, and a read starting at or
 // past the end returns 0 with no error (the caller checks Size via Stat).
-// The read runs under the inode's actor, so it never observes a torn
+// The read runs under the inode's lock, so it never observes a torn
 // multi-block write on its inode — but reads of different inodes proceed
 // in parallel.
 func (fs *FS) ReadAt(ino Ino, off uint64, p []byte) (int, error) {

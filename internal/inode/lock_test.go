@@ -12,13 +12,21 @@ import (
 	"repro/internal/simclock"
 )
 
-// TestActorSerializesOneInode hammers a single inode from many goroutines,
+// liveLocks reports how many inodes have a lock registry entry, that is,
+// a caller holding or waiting for their lock.
+func (fs *FS) liveLocks() int {
+	fs.locksMu.Lock()
+	defer fs.locksMu.Unlock()
+	return len(fs.locks)
+}
+
+// TestLockSerializesOneInode hammers a single inode from many goroutines,
 // each doing read-modify-write cycles on its own 64-byte slot of the SAME
 // device block. A partial-block write reads the block image and rewrites it
 // whole, so any two interleaved cycles that are not serialized lose one
-// slot's update. The actor must serialize them: every slot ends at exactly
-// its round count.
-func TestActorSerializesOneInode(t *testing.T) {
+// slot's update. The inode's lock must serialize them: every slot ends at
+// exactly its round count.
+func TestLockSerializesOneInode(t *testing.T) {
 	_, fs := newFS(t, 1024)
 	ino, err := fs.AllocInode(ModeFile, "shared")
 	if err != nil {
@@ -71,11 +79,12 @@ func TestActorSerializesOneInode(t *testing.T) {
 	}
 }
 
-// TestActorParkAndReEnsure checks the idaemon lifecycle: the registry
-// drains to empty after sequential operations (daemons park on idle), and
-// a parked inode's next operation re-ensures a fresh daemon that serves
-// correctly — over many churn cycles.
-func TestActorParkAndReEnsure(t *testing.T) {
+// TestLockEntryDroppedWhenIdle checks the lock registry's lifecycle: the
+// registry drains to empty after sequential operations (an entry is dropped
+// once no caller holds or waits for it), and a dropped inode's next
+// operation creates a fresh entry that serves correctly — over many churn
+// cycles.
+func TestLockEntryDroppedWhenIdle(t *testing.T) {
 	_, fs := newFS(t, 1024)
 	ino, err := fs.AllocInode(ModeFile, "churn")
 	if err != nil {
@@ -93,7 +102,7 @@ func TestActorParkAndReEnsure(t *testing.T) {
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("cycle %d data corrupted", cycle)
 		}
-		if n := fs.LiveActors(); n != 0 {
+		if n := fs.liveLocks(); n != 0 {
 			t.Fatalf("cycle %d: %d live actors after sequential op, want 0 (park broken)", cycle, n)
 		}
 	}
@@ -101,8 +110,8 @@ func TestActorParkAndReEnsure(t *testing.T) {
 
 // TestTwoInodeOpsNoDeadlock cross-links two trees from two goroutines in
 // opposite argument orders. Naive lock-in-argument-order would deadlock;
-// the ascending-inode forwarding rule in execAll must not. The test fails by
-// timeout if ownership ever cycles.
+// the ascending-inode lock order in execAll must not. The test fails by
+// timeout if lock waits ever cycle.
 func TestTwoInodeOpsNoDeadlock(t *testing.T) {
 	_, fs := newFS(t, 2048)
 	t1, err := fs.AllocInode(ModeTree, "t1")

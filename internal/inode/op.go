@@ -19,10 +19,10 @@ import (
 //     nothing else can know their number before the scope commits. A step
 //     on an inode that is neither declared nor allocated by the scope fails
 //     with ErrNotDeclared.
-//   - Ascending acquisition. The declared actors are taken in ascending
-//     inode order whatever the argument order (each actor's request forwards
-//     into the next higher one), so a daemon only ever waits on a strictly
-//     higher inode and ownership cycles cannot form.
+//   - Ascending acquisition. The declared inodes' locks are taken in
+//     ascending inode order whatever the argument order, so a caller only
+//     ever waits on an inode strictly higher than every one it holds and
+//     wait cycles cannot form.
 //   - Private claims. An inode allocated by the scope reserves its table
 //     slot in memory only (fs.claimed); the slot stays ModeFree in the table
 //     mirror, so no other transaction's image of the shared table block can
@@ -34,7 +34,7 @@ import (
 //     resident index without copying it, and commit writes each edited
 //     tree's changed tail once. One metaMu critical section stages the
 //     metadata, publishes every touched inode and its index edit, and
-//     enqueues; the actors are released and the caller waits on one
+//     enqueues; the inode locks are released and the caller waits on one
 //     ticket. Readers and a crash see all of the operation or none of it;
 //     abort is the only cleanup.
 //   - Spill rule. An operation that stages fs.maxChunk blocks enqueues what
@@ -45,7 +45,7 @@ import (
 //     inodes after a crash, never a link to missing contents. A spill
 //     publishes the index edit of a tree only once its tail is written.
 //
-// Lock order: (caller's locks) → actors, ascending → metaMu → wal.mu.
+// Lock order: (caller's locks) → inode locks, ascending → metaMu → wal.mu.
 
 // ErrNotDeclared reports a scope step on an inode the scope neither
 // declared nor allocated.

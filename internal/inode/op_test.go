@@ -188,7 +188,7 @@ func TestScopeAbortLeavesNothing(t *testing.T) {
 }
 
 // TestScopeUndeclaredRejected checks that a step on an inode outside the
-// declared set fails instead of mutating an inode whose actor is not held.
+// declared set fails instead of mutating an inode whose lock is not held.
 func TestScopeUndeclaredRejected(t *testing.T) {
 	_, fs := newFS(t, 512)
 	a, _ := fs.AllocInode(ModeFile, "a")
@@ -327,9 +327,9 @@ func TestAllocatorHintsMatchNaiveScan(t *testing.T) {
 
 // TestScopesOverlappingNoDeadlock runs scopes over overlapping declared
 // sets, named in random order, against single-call operations on the same
-// inodes. Ascending acquisition must keep ownership acyclic (the test is
-// bounded by go test -timeout), every link must balance, and every daemon
-// must have parked at the end.
+// inodes. Ascending acquisition must keep lock waits acyclic (the test is
+// bounded by go test -timeout), every link must balance, and every lock
+// registry entry must have been dropped at the end.
 func TestScopesOverlappingNoDeadlock(t *testing.T) {
 	_, fs := newFS(t, 4096)
 	const ntrees = 5
@@ -420,7 +420,7 @@ func TestScopesOverlappingNoDeadlock(t *testing.T) {
 			t.Fatalf("tree %d: %d children left, %v", tr, len(kids), err)
 		}
 	}
-	if n := fs.LiveActors(); n != 0 {
+	if n := fs.liveLocks(); n != 0 {
 		t.Fatalf("%d live actors after all scopes finished, want 0", n)
 	}
 	if rep, err := fs.Check(); err != nil || rep.Inodes != ntrees+1 {

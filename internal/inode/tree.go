@@ -15,9 +15,9 @@ import (
 //
 // Link and unlink touch both the parent tree and the child's link count;
 // they are the Op.Link / Op.Unlink steps of an operation scope, which holds
-// both actors in ascending order. RemoveChild only learns the child inode
-// from the parent's entry list, so it peeks under the parent alone, then
-// opens a scope over both and revalidates (Biscuit's lock-in-order +
+// both inode locks in ascending order. RemoveChild only learns the child
+// inode from the parent's entry list, so it peeks under the parent alone,
+// then opens a scope over both and revalidates (Biscuit's lock-in-order +
 // recheck pattern), retrying if a concurrent mutation moved the name.
 
 // Dirent is one (name, ino) link inside a tree inode.
@@ -88,14 +88,13 @@ func direntSize(name string) uint64 { return uint64(2 + len(name) + 8) }
 // treeIndex is the resident decoded form of one tree inode's payload: its
 // entries in on-disk order and a name→child map over them, kept in
 // fs.trees so that Lookup is a map probe and a link step encodes only the
-// entries it changed. Biscuit's idaemon keeps per-inode state resident in
-// the same way (idaemon_ensure).
+// entries it changed.
 //
 // Rules: an index is built from disk on the first use of its tree and only
-// ever read or built by a request running on the tree's actor. A scope
-// stages its edits beside the index (see opInode) and the enqueue critical
-// section applies them under metaMu, together with the tree's table slot,
-// so a reader sees exactly what the journal overlay would show it. Freeing
+// ever read or built by a caller holding the tree's lock. A scope stages
+// its edits beside the index (see opInode) and the enqueue critical section
+// applies them under metaMu, together with the tree's table slot, so a
+// reader sees exactly what the journal overlay would show it. Freeing
 // the tree drops its index; a Mount starts with none. FS.Check, on an idle
 // filesystem, reads every index under metaMu and compares it with the
 // payload it decodes from disk.
@@ -127,7 +126,7 @@ func (idx *treeIndex) consistent() error {
 }
 
 // loadIndex returns tree t's resident index, decoding its payload from disk
-// on first use. The caller owns t's actor.
+// on first use. The caller holds t's lock.
 func (fs *FS) loadIndex(t Ino) (*treeIndex, error) {
 	fs.metaMu.Lock()
 	d, idx := fs.itab[t], fs.trees[t]
@@ -189,7 +188,7 @@ func (fs *FS) AddChild(parent Ino, name string, child Ino) error {
 // drops to zero.
 //
 // The child inode is only discoverable from the parent's entries, so the
-// operation peeks under the parent's actor alone, then opens a scope over
+// operation peeks under the parent's lock alone, then opens a scope over
 // parent AND child and revalidates that the name still maps to the same
 // child — retrying if a concurrent mutation won the race.
 func (fs *FS) RemoveChild(parent Ino, name string) error {

@@ -75,9 +75,9 @@ func bytesPerRun(runs int, f func()) uint64 {
 
 // TestTreeIndexLookupCostIndependentOfSize pins the resident index's cost
 // shape with counts, not time: once a tree's index is built, a lookup reads
-// no block and allocates the same whatever the tree's size, and a link
-// stages only the tail of the payload and allocates within 1.5x of a link
-// into a small tree.
+// no block and allocates the same whatever the tree's size — at most once,
+// for the parent's lock registry entry — and a link stages only the tail of
+// the payload and allocates within 1.5x of a link into a small tree.
 func TestTreeIndexLookupCostIndependentOfSize(t *testing.T) {
 	type cost struct {
 		lookupAllocs   float64
@@ -144,6 +144,9 @@ func TestTreeIndexLookupCostIndependentOfSize(t *testing.T) {
 		}
 		if c.linkDataBlocks > 2 {
 			t.Errorf("a link staged %d data blocks, want at most 2", c.linkDataBlocks)
+		}
+		if c.lookupAllocs > 1 {
+			t.Errorf("a warm lookup made %v allocations, want at most 1", c.lookupAllocs)
 		}
 	}
 	if small.lookupAllocs != large.lookupAllocs {
