@@ -4,13 +4,14 @@
 // them: ad_targeting (needs full profiles; many users refuse) and
 // audience_stats (an anonymized view; most users accept). The example shows
 // the membrane filter partitioning the population per purpose, a live
-// consent withdrawal shrinking the next run, and the dynamic purpose check
-// catching an implementation that probes beyond its declaration.
+// consent withdrawal shrinking the next run, and the purpose-bounded view
+// blocking an implementation that probes beyond its declaration.
 //
 //	go run ./examples/adtech
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 
@@ -141,7 +142,7 @@ func run() error {
 	// Population-scale fan-out: one invocation per subject, dispatched
 	// concurrently through the DED executor. Distinct subjects land on
 	// distinct DBFS lock shards, so the batch scales with Options.Workers
-	// while each run keeps its own zeroized domain and audit trail.
+	// while each run keeps its own views and audit trail.
 	reqs := make([]ps.InvokeRequest, len(subjects))
 	for i, s := range subjects {
 		reqs[i] = ps.InvokeRequest{Processing: "audience_stats", TypeName: "profile", SubjectFilter: s}
@@ -171,8 +172,9 @@ func run() error {
 	fmt.Printf("  after %s withdrew: ad_targeting processed %d (was %d)\n",
 		victim, resT2.Processed, resT.Processed)
 
-	// A sloppy implementation probes past its declaration: the dynamic
-	// purpose check files an alert for the sysadmin.
+	// A sloppy implementation probes past its declaration: the view holds
+	// only declared fields, so the probe fails the run before any output
+	// exists, and the audit log records the blocked attempt.
 	if err := register("reach_report", "Weekly reach report",
 		[]string{"profile.year_of_birthdate"},
 		func(c *ded.Ctx) (ded.Output, error) {
@@ -191,12 +193,10 @@ func run() error {
 			return err
 		}
 	}
-	if _, err := invoke("reach_report"); err != nil {
-		return err
+	res, err := invoke("reach_report")
+	if !errors.Is(err, ded.ErrUndeclaredRead) {
+		return fmt.Errorf("reach_report: undeclared probe not blocked (result %v, err %v)", res, err)
 	}
-	for _, a := range sys.PS().PendingAlerts() {
-		fmt.Printf("  ALERT #%d (%s phase): processing %q accessed undeclared %v — awaiting sysadmin\n",
-			a.ID, a.Phase, a.Processing, a.Report.Undeclared)
-	}
+	fmt.Printf("  BLOCKED: reach_report probed an undeclared field; no output returned\n    %v\n", err)
 	return nil
 }

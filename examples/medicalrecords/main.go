@@ -149,9 +149,6 @@ func run() error {
 	impl := &ded.Func{Name: "avg_age", Purpose: "research",
 		DeclaredReads: []string{"patient.age"},
 		Fn: func(c *ded.Ctx) (ded.Output, error) {
-			if c.Has("diagnosis") {
-				return ded.Output{}, fmt.Errorf("diagnosis visible to research")
-			}
 			v, err := c.Field("age")
 			if err != nil {
 				return ded.Output{}, err

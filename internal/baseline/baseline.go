@@ -17,9 +17,14 @@
 //     pointer (a use-after-free, cf. the paper's MineSweeper citation) can
 //     read another subject's data that was never consented to it.
 //
-// The same scenarios run against rgpdOS return zero violations (rights
-// TestEraseSubjectEndToEnd, kernel TestDomainLifecycle), which is the
-// architectural claim of the paper in executable form.
+// The same scenarios run against rgpdOS return zero violations, which is
+// the architectural claim of the paper in executable form: rights
+// TestEraseSubjectEndToEnd for the first; for the second, Go's memory
+// safety (the Heap's safe mode, TestSafeHeapBlocksUAF) plus the DED's
+// purpose-bounded view (ded TestUndeclaredReadFailsRun), which never puts
+// an unconsented or undeclared field in reach of the function. Zeroizing
+// what a function saw is not claimed: an in-process Go function shares the
+// heap it could be scrubbed from.
 package baseline
 
 import (
@@ -255,8 +260,7 @@ type cell struct {
 // Heap models a process heap. In unsafe mode (the baseline's reality),
 // dereferencing a freed-and-reused pointer silently returns the *current*
 // bytes of the cell — another allocation's data. In safe mode it returns
-// ErrDangling, which is what a memory-safe runtime (or rgpdOS's zeroized
-// domains) gives you.
+// ErrDangling, which is what a memory-safe runtime such as Go's gives you.
 type Heap struct {
 	unsafe bool
 

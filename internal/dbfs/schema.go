@@ -512,9 +512,11 @@ func partsOf(s *Schema) (plain, sensitive map[string]bool) {
 	return plain, sensitive
 }
 
-// ProjectView filters rec down to the fields a grant exposes. GrantNone
+// ProjectView filters rec down to the fields that the grant exposes and
+// that declared (a purpose's reads of this type) contains: the view a
+// processing runs on holds nothing its purpose did not declare. GrantNone
 // yields an error: the caller should never have reached the data.
-func ProjectView(s *Schema, rec Record, g membrane.Grant) (Record, error) {
+func ProjectView(s *Schema, rec Record, g membrane.Grant, declared map[string]bool) (Record, error) {
 	if !g.Allows() {
 		return nil, fmt.Errorf("%w: grant is none", ErrFieldHidden)
 	}
@@ -522,9 +524,9 @@ func ProjectView(s *Schema, rec Record, g membrane.Grant) (Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(Record, len(visible))
-	for name, v := range rec {
-		if visible[name] {
+	out := make(Record, len(declared))
+	for name := range declared {
+		if v, ok := rec[name]; ok && visible[name] {
 			out[name] = v
 		}
 	}

@@ -294,19 +294,26 @@ func TestProjectView(t *testing.T) {
 		"pwd":               S("secret"),
 		"year_of_birthdate": I(1985),
 	}
+	every := map[string]bool{"name": true, "pwd": true, "year_of_birthdate": true}
 	// Listing 2's scenario: purpose3 sees only v_ano.
-	got, err := ProjectView(s, rec, membrane.Grant{Kind: membrane.GrantView, View: "v_ano"})
+	got, err := ProjectView(s, rec, membrane.Grant{Kind: membrane.GrantView, View: "v_ano"}, every)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got["year_of_birthdate"].I != 1985 {
 		t.Fatalf("projection = %v", got)
 	}
-	all, err := ProjectView(s, rec, membrane.Grant{Kind: membrane.GrantAll})
+	all, err := ProjectView(s, rec, membrane.Grant{Kind: membrane.GrantAll}, every)
 	if err != nil || len(all) != 3 {
 		t.Fatalf("GrantAll projection = %v, %v", all, err)
 	}
-	if _, err := ProjectView(s, rec, membrane.Grant{Kind: membrane.GrantNone}); !errors.Is(err, ErrFieldHidden) {
+	// A declared set narrows even a GrantAll view: an undeclared field is
+	// not in the view at all.
+	narrow, err := ProjectView(s, rec, membrane.Grant{Kind: membrane.GrantAll}, map[string]bool{"name": true})
+	if err != nil || len(narrow) != 1 || narrow["name"].S != "Alice" {
+		t.Fatalf("declared-set projection = %v, %v", narrow, err)
+	}
+	if _, err := ProjectView(s, rec, membrane.Grant{Kind: membrane.GrantNone}, every); !errors.Is(err, ErrFieldHidden) {
 		t.Fatalf("GrantNone projection err = %v", err)
 	}
 }

@@ -13,21 +13,24 @@
 //	ded_store          persist generated PD in DBFS
 //	ded_return         return non-PD values and references to PD — never PD
 //
-// Execution is data-centric (Idea 2): for each invocation, the records are
-// staged into a kernel.Domain owned by the PD, the function runs against
-// that domain under a seccomp-style sandbox profile, and the domain is
-// zeroized when the DED completes, so no stale reference can reach another
-// subject's bytes. Field accesses are traced and compared against the
-// purpose declaration, providing the dynamic half of the §3(4)
-// purpose-matching check.
+// The view enforces the purpose (§3(4)): ded_load_data projects each record
+// onto the fields its membrane grants and its purpose declares, and the
+// function runs on that view under a seccomp-style sandbox profile. Reading
+// or probing a field the purpose does not declare fails the run with
+// ErrUndeclaredRead before any output exists, and the attempt is audited as
+// a blocked alert; a declared field the grant hides reads as ErrFieldHidden
+// and the run goes on.
+//
+// The view is the part of data-centric execution (Idea 2) that an
+// in-process Go function allows. It cannot zeroize what the function saw:
+// the function shares the DED's heap, so any copy it makes outlives the run
+// until the garbage collector reclaims it, unscrubbed. A function confined
+// to its own worker process is the version that can.
 package ded
 
 import (
 	"errors"
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/audit"
@@ -45,8 +48,12 @@ var (
 	ErrNoTarget = errors.New("ded: invocation has no PD reference or type")
 	// ErrNotFunc reports an invocation whose implementation has no body.
 	ErrNotFunc = errors.New("ded: implementation has no function body")
-	// ErrFieldHidden re-exports the view violation for Ctx.Field callers.
+	// ErrFieldHidden re-exports the view violation for Ctx.Field callers:
+	// the purpose declares the field, the record's grant hides it.
 	ErrFieldHidden = dbfs.ErrFieldHidden
+	// ErrUndeclaredRead reports a processing that read or probed a field
+	// its purpose does not declare; the run fails with no output.
+	ErrUndeclaredRead = errors.New("ded: processing touched a field its purpose does not declare")
 	// ErrPDInOutput reports a processing returning raw PD in its non-PD
 	// output slot (caught by the return-scrubbing check).
 	ErrPDInOutput = errors.New("ded: processing attempted to return raw personal data")
@@ -72,8 +79,9 @@ type GeneratedPD struct {
 }
 
 // Ctx is the window an F_pd^r function gets onto one PD record: only the
-// fields exposed by the granted view are reachable, every access is traced,
-// and all side effects must go through the sandboxed Env.
+// declared fields the grant exposes are reachable, touching an undeclared
+// one fails the run, and all side effects must go through the sandboxed
+// Env. A Ctx belongs to one call of the function.
 type Ctx struct {
 	env       *sandbox.Env
 	clock     simclock.Clock
@@ -81,9 +89,12 @@ type Ctx struct {
 	typeName  string
 	subjectID string
 	view      dbfs.Record
+	declared  map[string]bool
 
-	mu       sync.Mutex
-	accessed map[string]bool
+	// undeclared is the first "type.field" touched outside the purpose's
+	// reads; the DED fails the run on it even if the function swallowed
+	// the error.
+	undeclared string
 }
 
 // PDID identifies the record being processed.
@@ -107,18 +118,25 @@ func (c *Ctx) Now() (time.Time, error) {
 	return c.clock.Now(), nil
 }
 
-// Has reports whether a field is visible under the granted view — Listing
-// 2's "is age allowed to be seen?" check. The probe is traced like a read.
+// Has reports whether a declared field is visible under the granted view —
+// Listing 2's "is age allowed to be seen?" check. Probing an undeclared
+// field returns false and fails the run like a read would.
 func (c *Ctx) Has(field string) bool {
-	c.trace(field)
+	if !c.declared[field] {
+		c.refuse(field)
+		return false
+	}
 	_, ok := c.view[field]
 	return ok
 }
 
-// Field returns a visible field's value; fields outside the granted view
-// yield ErrFieldHidden.
+// Field returns a visible field's value. A field the purpose does not
+// declare yields ErrUndeclaredRead (and fails the run); a declared field
+// the grant hides yields ErrFieldHidden.
 func (c *Ctx) Field(field string) (dbfs.Value, error) {
-	c.trace(field)
+	if !c.declared[field] {
+		return dbfs.Value{}, fmt.Errorf("%w: %s on %s", ErrUndeclaredRead, c.refuse(field), c.pdid)
+	}
 	v, ok := c.view[field]
 	if !ok {
 		return dbfs.Value{}, fmt.Errorf("%w: %q on %s", ErrFieldHidden, field, c.pdid)
@@ -126,21 +144,13 @@ func (c *Ctx) Field(field string) (dbfs.Value, error) {
 	return v, nil
 }
 
-func (c *Ctx) trace(field string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.accessed[c.typeName+"."+field] = true
-}
-
-func (c *Ctx) accessedRefs() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]string, 0, len(c.accessed))
-	for ref := range c.accessed {
-		out = append(out, ref)
+// refuse records the first undeclared access and returns its reference.
+func (c *Ctx) refuse(field string) string {
+	ref := c.typeName + "." + field
+	if c.undeclared == "" {
+		c.undeclared = ref
 	}
-	sort.Strings(out)
-	return out
+	return ref
 }
 
 // Func is the implementation half of a data processing. Exactly one of Fn
@@ -154,7 +164,7 @@ type Func struct {
 	Purpose string
 	// DeclaredReads lists the "type.field" references the implementation
 	// statically declares; the PS checks them against the purpose at
-	// registration, the DED verifies them dynamically.
+	// registration. At run time the purpose's own reads bound the view.
 	DeclaredReads []string
 	// Fn is the read-only processing body.
 	Fn func(*Ctx) (Output, error)
@@ -225,8 +235,6 @@ type Result struct {
 	Processed int
 	// Filtered counts records rejected by their membranes, by reason.
 	Filtered map[string]int
-	// DynamicReads lists the observed "type.field" accesses.
-	DynamicReads []string
 	// Timings breaks the run down by pipeline stage.
 	Timings StageTimings
 }
@@ -235,18 +243,16 @@ type Result struct {
 // enforcement rule 4: "DED is the only component that is able to access
 // DBFS directly".
 //
-// A DED is safe for concurrent use: each Run stages its records into a
-// private zeroized kernel.Domain, and DBFS serializes per-subject state
-// behind subject-sharded locks, so invocations for distinct subjects
-// execute in parallel (see RunBatch).
+// A DED is safe for concurrent use: each Run keeps its views and contexts
+// to itself, and DBFS serializes per-subject state behind subject-sharded
+// locks, so invocations for distinct subjects execute in parallel (see
+// RunBatch).
 type DED struct {
 	store  *dbfs.Store
 	tok    *lsm.Token
 	log    *audit.Log
 	clock  simclock.Clock
 	ledger *membrane.Ledger
-
-	invSeq atomic.Uint64
 }
 
 // New wires a DED. The token must carry lsm.CapDBFS (minted by the kernel
@@ -387,13 +393,4 @@ func schemaName(inv Invocation, pass []admitted) string {
 		return ty
 	}
 	return ""
-}
-
-func keysSorted(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -157,9 +157,6 @@ func TestComputeAgeOverType(t *testing.T) {
 	if len(res.Outputs) != 1 || res.Outputs[0].(int64) != 33 { // 2023 - 1990
 		t.Fatalf("Outputs = %v", res.Outputs)
 	}
-	if len(res.DynamicReads) != 1 || res.DynamicReads[0] != "user.year_of_birthdate" {
-		t.Fatalf("DynamicReads = %v", res.DynamicReads)
-	}
 }
 
 func TestViewHidesFields(t *testing.T) {
@@ -169,7 +166,8 @@ func TestViewHidesFields(t *testing.T) {
 		Name:    "nosy",
 		Purpose: "purpose3",
 		Fn: func(c *Ctx) (Output, error) {
-			// purpose3's grant is view v_ano: name must be invisible.
+			// The purpose declares name, but purpose3's grant is view
+			// v_ano: name must be invisible, and the run goes on.
 			if c.Has("name") {
 				return Output{}, errors.New("name visible under v_ano")
 			}
@@ -180,22 +178,63 @@ func TestViewHidesFields(t *testing.T) {
 			return Output{NonPD: true}, nil
 		},
 	}
-	res, err := e.ded.Run(Invocation{Purpose: purpose3(), Impl: nosy, PDRef: alice})
+	decl := purpose3()
+	decl.Reads = append(decl.Reads, "user.name")
+	res, err := e.ded.Run(Invocation{Purpose: decl, Impl: nosy, PDRef: alice})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if res.Processed != 1 {
 		t.Fatalf("Processed = %d", res.Processed)
 	}
-	// The attempted access was traced, enabling the dynamic purpose check.
-	found := false
-	for _, r := range res.DynamicReads {
-		if r == "user.name" {
-			found = true
-		}
+}
+
+// TestUndeclaredReadFailsRun: under a grant that shows every field, a
+// processing that reads, swallows or probes a field its purpose does not
+// declare gets ErrUndeclaredRead, no result and exactly one audit alert.
+func TestUndeclaredReadFailsRun(t *testing.T) {
+	cases := []struct {
+		name string
+		fn   func(*Ctx) (Output, error)
+	}{
+		{"field", func(c *Ctx) (Output, error) {
+			v, err := c.Field("name")
+			if err != nil {
+				return Output{}, err
+			}
+			return Output{NonPD: len(v.S)}, nil
+		}},
+		{"field-swallowed", func(c *Ctx) (Output, error) {
+			_, _ = c.Field("name")
+			return Output{NonPD: 1}, nil
+		}},
+		{"has", func(c *Ctx) (Output, error) {
+			if c.Has("name") {
+				return Output{NonPD: 2}, nil
+			}
+			return Output{NonPD: 1}, nil
+		}},
 	}
-	if !found {
-		t.Fatalf("hidden-field probe not traced: %v", res.DynamicReads)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t)
+			alice, _ := e.seedUsers(t)
+			// purpose1's grant is GrantAll: name is consented, not declared.
+			decl := &purpose.Decl{Name: "purpose1", Description: "birth-year statistics",
+				Basis: purpose.BasisConsent, Reads: []string{"user.year_of_birthdate"}}
+			impl := &Func{Name: "sneaky", Purpose: "purpose1",
+				DeclaredReads: []string{"user.year_of_birthdate"}, Fn: tc.fn}
+			res, err := e.ded.Run(Invocation{Purpose: decl, Impl: impl, PDRef: alice})
+			if !errors.Is(err, ErrUndeclaredRead) {
+				t.Fatalf("err = %v, want ErrUndeclaredRead", err)
+			}
+			if res != nil {
+				t.Fatalf("result = %+v, want nil", res)
+			}
+			if n := e.log.CountByKind()[audit.KindAlert]; n != 1 {
+				t.Fatalf("audit alerts = %d, want 1", n)
+			}
+		})
 	}
 }
 

@@ -1,10 +1,10 @@
 package ded
 
 // The batch executor runs many DED pipelines concurrently. Subjects are the
-// natural unit of parallelism in rgpdOS — every DED instance executes on one
-// subject's data inside its own zeroized kernel.Domain, and DBFS shards its
-// record locks by subject — so invocations targeting distinct subjects never
-// contend on shared mutable state and scale with workers. Invocations that
+// natural unit of parallelism in rgpdOS — every DED run works on its own
+// projected views of one subject's data, and DBFS shards its record locks
+// by subject — so invocations targeting distinct subjects never contend on
+// shared mutable state and scale with workers. Invocations that
 // touch the same subject are race-free at the record level: the subject's
 // DBFS shard lock serializes each access, and membrane mutations are atomic
 // read-modify-writes of the stored state (dbfs.MutateMembrane). Between
@@ -28,19 +28,15 @@ type BatchItem struct {
 }
 
 // RunBatch executes the invocations on a pool of workers goroutines, each
-// invocation through the full eight-stage pipeline in its own domain. A
-// workers value below one, or above the batch size, is clamped. Failures
-// are per-invocation: one failing run never aborts its siblings.
-func (d *DED) RunBatch(invs []Invocation, workers int) []BatchItem {
-	return d.RunBatchFunc(invs, workers, nil)
-}
-
-// RunBatchFunc is RunBatch with a per-invocation completion hook: when
-// non-nil, onDone(i, item) runs on the executing worker the moment
+// invocation through the full eight-stage pipeline. A workers value below
+// one, or above the batch size, is clamped. Failures are per-invocation:
+// one failing run never aborts its siblings.
+//
+// When non-nil, onDone(i, item) runs on the executing worker the moment
 // invocation i completes, before the batch returns. The Processing Store
 // uses it to release each request's admission-queue slot at its true
 // completion instant rather than at the end of the whole batch.
-func (d *DED) RunBatchFunc(invs []Invocation, workers int, onDone func(i int, item BatchItem)) []BatchItem {
+func (d *DED) RunBatch(invs []Invocation, workers int, onDone func(i int, item BatchItem)) []BatchItem {
 	out := make([]BatchItem, len(invs))
 	if len(invs) == 0 {
 		return out

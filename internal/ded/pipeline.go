@@ -2,37 +2,32 @@ package ded
 
 // The eight ded_* steps of a DED run as an explicit pipeline: each stage is
 // a named function over the run's state, and Run drives the stage list,
-// timing every step into Result.Timings. Keeping the stages first-class
-// (rather than one long function body) is what lets the executor reason
-// about runs uniformly — RunBatch schedules whole pipelines across workers,
-// and instrumentation/auditing hooks attach per stage.
+// timing every step into Result.Timings. RunBatch schedules whole pipelines
+// across workers.
 
 import (
 	"fmt"
-	"strconv"
 	"time"
 
 	"repro/internal/audit"
 	"repro/internal/dbfs"
-	"repro/internal/kernel"
 	"repro/internal/sandbox"
 )
 
 // runState carries one invocation through the pipeline. Each stage consumes
 // the fields earlier stages produced.
 type runState struct {
-	inv   Invocation
-	invID uint64
-	now   time.Time
-	res   *Result
+	inv Invocation
+	now time.Time
+	res *Result
 
 	pdids      []string        // after ded_type2req
 	candidates []candidate     // after ded_load_membrane
 	pass       []admitted      // after ded_filter
 	sch        *dbfs.Schema    // after ded_load_data
+	declared   map[string]bool // the purpose's reads of sch, after ded_load_data
 	rows       []loaded        // after ded_load_data
 	outputs    []Output        // after ded_execute
-	dynamic    map[string]bool // observed reads, after ded_execute
 }
 
 // stage is one named pipeline step. timing selects the StageTimings slot the
@@ -77,10 +72,9 @@ func (d *DED) Run(inv Invocation) (*Result, error) {
 		return nil, err
 	}
 	st := &runState{
-		inv:   inv,
-		invID: d.invSeq.Add(1),
-		now:   d.clock.Now(),
-		res:   &Result{Filtered: make(map[string]int)},
+		inv: inv,
+		now: d.clock.Now(),
+		res: &Result{Filtered: make(map[string]int)},
 	}
 	pipe := readPipeline
 	if inv.Impl.WriteFn != nil {
@@ -138,8 +132,8 @@ func (d *DED) stageFilter(st *runState) error {
 	return nil
 }
 
-// stageLoadData fetches the data for the surviving PD and projects the
-// granted views.
+// stageLoadData fetches the data for the surviving PD and projects each
+// record onto its grant and the purpose's declared reads.
 func (d *DED) stageLoadData(st *runState) error {
 	if len(st.pass) > 0 {
 		sch, err := d.store.SchemaOf(d.tok, schemaName(st.inv, st.pass))
@@ -147,13 +141,18 @@ func (d *DED) stageLoadData(st *runState) error {
 			return err
 		}
 		st.sch = sch
+		reads := st.inv.Purpose.ReadsOfType(sch.Name)
+		st.declared = make(map[string]bool, len(reads))
+		for _, f := range reads {
+			st.declared[f] = true
+		}
 	}
 	for _, a := range st.pass {
 		rec, err := d.store.GetRecord(d.tok, a.pdid)
 		if err != nil {
 			return fmt.Errorf("ded: load data %s: %w", a.pdid, err)
 		}
-		view, err := dbfs.ProjectView(st.sch, rec, a.grant)
+		view, err := dbfs.ProjectView(st.sch, rec, a.grant, st.declared)
 		if err != nil {
 			return fmt.Errorf("ded: project %s: %w", a.pdid, err)
 		}
@@ -162,20 +161,12 @@ func (d *DED) stageLoadData(st *runState) error {
 	return nil
 }
 
-// stageExecute runs the processing on the fetched data inside a zeroized
-// kernel domain under the sandbox profile.
+// stageExecute runs the processing on each projected view under the
+// sandbox profile. A touch of an undeclared field fails the run, whatever
+// the function did with the error.
 func (d *DED) stageExecute(st *runState) error {
-	domain := kernel.NewDomain("ded-" + strconv.FormatUint(st.invID, 10))
-	defer domain.Zeroize()
-	monitor := sandbox.NewMonitor(sandbox.DEDProfile())
-	env := sandbox.NewEnv(monitor)
-	st.dynamic = make(map[string]bool)
+	env := sandbox.NewEnv(sandbox.NewMonitor(sandbox.DEDProfile()))
 	for _, row := range st.rows {
-		// Stage the record into the PD's domain: the function executes in
-		// the data's world, not its own (Idea 2).
-		if err := domain.Put(row.pdid, []byte(fmt.Sprint(row.view))); err != nil {
-			return err
-		}
 		ctx := &Ctx{
 			env:       env,
 			clock:     d.clock,
@@ -183,11 +174,12 @@ func (d *DED) stageExecute(st *runState) error {
 			typeName:  row.m.TypeName,
 			subjectID: row.m.SubjectID,
 			view:      row.view,
-			accessed:  make(map[string]bool),
+			declared:  st.declared,
 		}
 		out, err := st.inv.Impl.Fn(ctx)
-		for _, ref := range ctx.accessedRefs() {
-			st.dynamic[ref] = true
+		if ctx.undeclared != "" {
+			d.log.Append(audit.KindAlert, st.inv.Purpose.Name, row.pdid, row.m.SubjectID, "blocked", "undeclared read "+ctx.undeclared)
+			return fmt.Errorf("ded: execute %s on %s: %w: %s", st.inv.Impl.Name, row.pdid, ErrUndeclaredRead, ctx.undeclared)
 		}
 		if err != nil {
 			d.log.Append(audit.KindProcessing, st.inv.Purpose.Name, row.pdid, row.m.SubjectID, "error", err.Error())
@@ -209,9 +201,6 @@ func (d *DED) stageExecute(st *runState) error {
 // timing slots.
 func (d *DED) stageBuildAndStore(st *runState) error {
 	for i, out := range st.outputs {
-		if out.NonPD != nil {
-			st.res.Outputs = append(st.res.Outputs, out.NonPD)
-		}
 		if out.Generated == nil {
 			continue
 		}
@@ -234,7 +223,11 @@ func (d *DED) stageBuildAndStore(st *runState) error {
 
 // stageReturn hands back non-PD values and references to PD — never PD.
 func (d *DED) stageReturn(st *runState) error {
-	st.res.DynamicReads = keysSorted(st.dynamic)
+	for _, out := range st.outputs {
+		if out.NonPD != nil {
+			st.res.Outputs = append(st.res.Outputs, out.NonPD)
+		}
+	}
 	return nil
 }
 

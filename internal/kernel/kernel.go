@@ -17,11 +17,10 @@
 // the hop count and simulated cost of the split-kernel design are
 // measurable (the E2E ladder's kernel.bus_* rows).
 //
-// The package also provides Domain, the memory abstraction behind Idea 2
-// (data-centric execution): a processing function runs inside the PD's
-// domain; when the DED finishes, the domain is zeroized and any later access
-// through a stale reference fails — the use-after-free accident of Fig. 2
-// becomes impossible by construction.
+// Idea 2's data-centric execution has no memory abstraction here: the DED
+// runs a processing in-process on a view bounded by its purpose, and Go's
+// memory safety rules out the use-after-free of Fig. 2, but nothing in one
+// Go process can zeroize what a function saw (see package ded).
 package kernel
 
 import (
@@ -69,10 +68,6 @@ var (
 	ErrKernelExists = errors.New("kernel: kernel already registered")
 	// ErrOverCommit reports a resource assignment exceeding the machine.
 	ErrOverCommit = errors.New("kernel: resource over-commit")
-	// ErrDomainSealed reports access to a zeroized domain.
-	ErrDomainSealed = errors.New("kernel: domain has been zeroized")
-	// ErrDomainNoEntry reports a missing key in a domain.
-	ErrDomainNoEntry = errors.New("kernel: no such domain entry")
 )
 
 // Request is one cross-kernel message.
@@ -453,95 +448,6 @@ func (p *Partitioner) Free() (cpus float64, pages uint64) {
 		cpus = 0
 	}
 	return cpus, pages
-}
-
-// --- PD memory domains (Idea 2) ---
-
-// Domain is a memory region owned by a set of personal data, in which a
-// processing function executes. The power balance of Fig. 3: the function
-// comes to the data's domain, not the data to the process's address space.
-// After the DED completes, Zeroize scrubs the region; stale references then
-// fail instead of silently reading another PD's bytes.
-type Domain struct {
-	owner string
-
-	mu       sync.Mutex
-	entries  map[string][]byte
-	sealed   bool
-	peakSize uint64
-}
-
-// NewDomain creates a domain owned by the PD set labelled owner (typically
-// the pdid list digest or the invocation id).
-func NewDomain(owner string) *Domain {
-	return &Domain{owner: owner, entries: make(map[string][]byte)}
-}
-
-// Owner reports the owning label.
-func (d *Domain) Owner() string { return d.owner }
-
-// Put copies value into the domain under key.
-func (d *Domain) Put(key string, value []byte) error {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.sealed {
-		return fmt.Errorf("%w: put %q", ErrDomainSealed, key)
-	}
-	cp := make([]byte, len(value))
-	copy(cp, value)
-	d.entries[key] = cp
-	var size uint64
-	for _, v := range d.entries {
-		size += uint64(len(v))
-	}
-	if size > d.peakSize {
-		d.peakSize = size
-	}
-	return nil
-}
-
-// Get copies the value stored under key out of the domain.
-func (d *Domain) Get(key string) ([]byte, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.sealed {
-		return nil, fmt.Errorf("%w: get %q", ErrDomainSealed, key)
-	}
-	v, ok := d.entries[key]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrDomainNoEntry, key)
-	}
-	out := make([]byte, len(v))
-	copy(out, v)
-	return out, nil
-}
-
-// Zeroize scrubs every entry and seals the domain. Idempotent.
-func (d *Domain) Zeroize() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	for k, v := range d.entries {
-		for i := range v {
-			v[i] = 0
-		}
-		delete(d.entries, k)
-	}
-	d.sealed = true
-}
-
-// Sealed reports whether the domain has been zeroized.
-func (d *Domain) Sealed() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.sealed
-}
-
-// PeakSize reports the high-water byte count, for the partitioner's memory
-// accounting.
-func (d *Domain) PeakSize() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.peakSize
 }
 
 // --- machine ---

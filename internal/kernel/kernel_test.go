@@ -215,57 +215,6 @@ func TestPartitionerRebalance(t *testing.T) {
 	}
 }
 
-func TestDomainLifecycle(t *testing.T) {
-	d := NewDomain("user/alice/1")
-	if d.Owner() != "user/alice/1" {
-		t.Fatalf("Owner = %q", d.Owner())
-	}
-	if err := d.Put("rec", []byte("plaintext pd")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := d.Get("rec")
-	if err != nil || string(got) != "plaintext pd" {
-		t.Fatalf("Get = %q, %v", got, err)
-	}
-	if _, err := d.Get("ghost"); !errors.Is(err, ErrDomainNoEntry) {
-		t.Fatalf("missing entry err = %v", err)
-	}
-	if d.PeakSize() != 12 {
-		t.Fatalf("PeakSize = %d", d.PeakSize())
-	}
-	d.Zeroize()
-	if !d.Sealed() {
-		t.Fatal("not sealed after Zeroize")
-	}
-	// Idea 2's guarantee: the stale reference fails, it does not read
-	// another PD's bytes.
-	if _, err := d.Get("rec"); !errors.Is(err, ErrDomainSealed) {
-		t.Fatalf("post-zeroize Get = %v, want ErrDomainSealed", err)
-	}
-	if err := d.Put("rec2", []byte("x")); !errors.Is(err, ErrDomainSealed) {
-		t.Fatalf("post-zeroize Put = %v, want ErrDomainSealed", err)
-	}
-	d.Zeroize() // idempotent
-}
-
-func TestDomainCopiesAtBoundaries(t *testing.T) {
-	d := NewDomain("x")
-	buf := []byte("original")
-	if err := d.Put("k", buf); err != nil {
-		t.Fatal(err)
-	}
-	buf[0] = 'X'
-	got, err := d.Get("k")
-	if err != nil || string(got) != "original" {
-		t.Fatalf("Put did not copy: %q", got)
-	}
-	got[0] = 'Y'
-	again, _ := d.Get("k")
-	if string(again) != "original" {
-		t.Fatal("Get did not copy")
-	}
-}
-
 func TestMachineInventory(t *testing.T) {
 	m := NewMachine(DefaultMachineOptions())
 	for _, k := range []struct {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"repro/internal/admission"
-	"repro/internal/ded"
 	"repro/internal/purpose"
 )
 
@@ -18,20 +17,12 @@ import (
 // admission gate: N producer goroutines hammer InvokeBatch far past the
 // admission queue's capacity K. Every offered request must come back as
 // exactly one of accepted or rejected (no silent drops), the accepted set
-// must keep the full invoke semantics (results, dynamic alerts,
-// Invocations), and draining the load must leave no goroutine behind.
+// must keep the full invoke semantics (results, Invocations), and draining
+// the load must leave no goroutine behind.
 func TestInvokeBatchQueueSaturationStress(t *testing.T) {
 	e := newEnv(t, nil)
 	subjects := e.seedSubjects(t, 16)
-	// The impl probes an undeclared field, so every ACCEPTED invocation
-	// raises exactly one dynamic alert — the accepted-set semantics probe.
-	impl := ageImpl()
-	inner := impl.Fn
-	impl.Fn = func(c *ded.Ctx) (ded.Output, error) {
-		c.Has("name")
-		return inner(c)
-	}
-	if err := e.ps.Register(decl3(), impl, false); err != nil {
+	if err := e.ps.Register(decl3(), ageImpl(), false); err != nil {
 		t.Fatal(err)
 	}
 	const capK = 6
@@ -103,19 +94,9 @@ func TestInvokeBatchQueueSaturationStress(t *testing.T) {
 		t.Fatalf("accepted %d < capacity %d", accepted.Load(), capK)
 	}
 
-	// Accepted-set semantics: every accepted run counted and raised its
-	// dynamic alert.
+	// Accepted-set semantics: every accepted run counted.
 	if got := e.ps.Invocations(); got != uint64(accepted.Load()) {
 		t.Fatalf("Invocations = %d, want accepted %d", got, accepted.Load())
-	}
-	dynamic := 0
-	for _, a := range e.ps.PendingAlerts() {
-		if a.Phase == "dynamic" && a.Processing == "purpose3" {
-			dynamic++
-		}
-	}
-	if dynamic != int(accepted.Load()) {
-		t.Fatalf("dynamic alerts = %d, want one per accepted invocation (%d)", dynamic, accepted.Load())
 	}
 
 	// The ps.Stats snapshot agrees, and the queue fully drained.

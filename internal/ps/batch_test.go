@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/audit"
 	"repro/internal/dbfs"
 	"repro/internal/ded"
 )
@@ -86,15 +87,16 @@ func TestInvokeBatchPerRequestFailure(t *testing.T) {
 	}
 }
 
-// TestInvokeBatchDynamicAlert checks that the dynamic purpose check fires
-// for batched invocations exactly as for serial ones.
-func TestInvokeBatchDynamicAlert(t *testing.T) {
+// TestInvokeBatchUndeclaredRead checks that an undeclared probe fails
+// batched invocations exactly as serial ones: every item gets
+// ErrUndeclaredRead and the audit log one blocked alert per item.
+func TestInvokeBatchUndeclaredRead(t *testing.T) {
 	e := newEnv(t, nil)
 	subjects := e.seedSubjects(t, 4)
 	impl := ageImpl()
 	inner := impl.Fn
 	impl.Fn = func(c *ded.Ctx) (ded.Output, error) {
-		c.Has("name") // undeclared probe: traced, raises the dynamic alert
+		c.Has("name") // undeclared probe: fails the run
 		return inner(c)
 	}
 	if err := e.ps.Register(decl3(), impl, false); err != nil {
@@ -105,18 +107,15 @@ func TestInvokeBatchDynamicAlert(t *testing.T) {
 		reqs[i] = InvokeRequest{Processing: "purpose3", TypeName: "user", SubjectFilter: s}
 	}
 	for i, item := range e.ps.InvokeBatch(reqs, 4) {
-		if item.Err != nil {
-			t.Fatalf("req %d: %v", i, item.Err)
+		if !errors.Is(item.Err, ded.ErrUndeclaredRead) || item.Res != nil {
+			t.Fatalf("req %d: %+v, want ErrUndeclaredRead and no result", i, item)
 		}
 	}
-	alerts := e.ps.PendingAlerts()
-	if len(alerts) != len(reqs) {
-		t.Fatalf("pending alerts = %d, want %d", len(alerts), len(reqs))
+	if n := e.log.CountByKind()[audit.KindAlert]; n != len(reqs) {
+		t.Fatalf("audit alerts = %d, want %d", n, len(reqs))
 	}
-	for _, a := range alerts {
-		if a.Phase != "dynamic" || a.Processing != "purpose3" {
-			t.Fatalf("alert = %+v", a)
-		}
+	if n := e.ps.Invocations(); n != 0 {
+		t.Fatalf("Invocations = %d, want 0", n)
 	}
 }
 

@@ -7,10 +7,10 @@
 // match its purpose raises an alert that requires explicit sysadmin
 // approval before the processing becomes invocable. Invoke is the only way
 // to run a processing: it instantiates a DED (enforcement rules 1 and 2 —
-// the PS alone holds stored processings and alone mints invocations), and
-// after the run it re-checks the purpose against the *observed* field
-// accesses, raising a dynamic alert on divergence (the runtime half of the
-// §3(4) purpose-matching problem).
+// the PS alone holds stored processings and alone mints invocations). The
+// runtime half of the §3(4) purpose-matching problem is the DED's: the
+// function sees only the fields its purpose declares, and touching any
+// other fails the invocation with ded.ErrUndeclaredRead.
 package ps
 
 import (
@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/admission"
@@ -98,15 +99,14 @@ type Info struct {
 	State       State
 }
 
-// Alert is a purpose-mismatch report requiring sysadmin attention.
+// Alert is a registration-time purpose-mismatch report requiring sysadmin
+// attention.
 type Alert struct {
 	ID         uint64
 	Processing string
-	// Phase is "register" (static check) or "dynamic" (post-run check).
-	Phase    string
-	Report   purpose.MatchReport
-	Resolved bool
-	Approved bool
+	Report     purpose.MatchReport
+	Resolved   bool
+	Approved   bool
 }
 
 // AcquireFunc populates DBFS from a collection source before an invocation
@@ -123,7 +123,7 @@ type Store struct {
 	procs    map[string]*Processing
 	alerts   []*Alert
 	alertSeq uint64
-	invoked  uint64
+	invoked  atomic.Uint64
 	// defaultWorkers is the executor pool size InvokeBatch falls back to
 	// when the caller passes workers <= 0; set by the kernel at boot.
 	defaultWorkers int
@@ -213,8 +213,8 @@ func (s *Store) SetRateLimit(purposeName string, ratePerSec, burst float64) erro
 
 // Stats snapshots the load counters.
 func (s *Store) Stats() Stats {
+	st := Stats{Invocations: s.invoked.Load()}
 	s.mu.Lock()
-	st := Stats{Invocations: s.invoked}
 	c := s.adm
 	s.mu.Unlock()
 	if c != nil {
@@ -275,7 +275,6 @@ func (s *Store) Register(decl *purpose.Decl, impl *ded.Func, builtin bool) error
 		s.alerts = append(s.alerts, &Alert{
 			ID:         s.alertSeq,
 			Processing: decl.Name,
-			Phase:      "register",
 			Report:     report,
 		})
 		s.procs[decl.Name] = p
@@ -385,12 +384,8 @@ func (s *Store) List() []string {
 	return out
 }
 
-// Invocations reports how many ps_invoke calls ran.
-func (s *Store) Invocations() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.invoked
-}
+// Invocations reports how many ps_invoke calls ran to completion.
+func (s *Store) Invocations() uint64 { return s.invoked.Load() }
 
 // InvokeRequest mirrors ps_invoke's parameters: "the reference of a data
 // processing operation, optionally a reference to PD, a data collection
@@ -420,37 +415,37 @@ type InvokeRequest struct {
 // prepare validates an invoke request against the registry, runs the
 // optional collection step, and lowers the request to a DED invocation. It
 // is the shared front half of Invoke and InvokeBatch.
-func (s *Store) prepare(req InvokeRequest) (*Processing, ded.Invocation, error) {
+func (s *Store) prepare(req InvokeRequest) (ded.Invocation, error) {
 	s.mu.Lock()
 	p, ok := s.procs[req.Processing]
 	if !ok {
 		s.mu.Unlock()
-		return nil, ded.Invocation{}, fmt.Errorf("%w: %q", ErrNotRegistered, req.Processing)
+		return ded.Invocation{}, fmt.Errorf("%w: %q", ErrNotRegistered, req.Processing)
 	}
 	if p.State != StateActive {
 		s.mu.Unlock()
-		return nil, ded.Invocation{}, fmt.Errorf("%w: %q is %v", ErrNotActive, req.Processing, p.State)
+		return ded.Invocation{}, fmt.Errorf("%w: %q is %v", ErrNotActive, req.Processing, p.State)
 	}
 	if req.Maintenance && !p.Builtin {
 		s.mu.Unlock()
-		return nil, ded.Invocation{}, fmt.Errorf("%w: %q", ErrMaintenanceReserved, req.Processing)
+		return ded.Invocation{}, fmt.Errorf("%w: %q", ErrMaintenanceReserved, req.Processing)
 	}
 	acquire := s.acquire
 	s.mu.Unlock()
 
 	if req.InitCollect {
 		if acquire == nil {
-			return nil, ded.Invocation{}, ErrNoCollector
+			return ded.Invocation{}, ErrNoCollector
 		}
 		ty := req.TypeName
 		if ty == "" && p.Decl.Produces != "" {
 			ty = p.Decl.Produces
 		}
 		if _, err := acquire(ty, req.CollectMethod, req.CollectSubjects); err != nil {
-			return nil, ded.Invocation{}, fmt.Errorf("ps: collection before invoke: %w", err)
+			return ded.Invocation{}, fmt.Errorf("ps: collection before invoke: %w", err)
 		}
 	}
-	return p, ded.Invocation{
+	return ded.Invocation{
 		Purpose:       p.Decl,
 		Impl:          p.Impl,
 		PDRef:         req.PDRef,
@@ -459,27 +454,6 @@ func (s *Store) prepare(req InvokeRequest) (*Processing, ded.Invocation, error) 
 		Params:        req.Params,
 		Maintenance:   req.Maintenance,
 	}, nil
-}
-
-// finish is the shared back half of an invocation: it counts the run and
-// re-checks the purpose against the observed field accesses, raising a
-// dynamic alert on divergence.
-func (s *Store) finish(p *Processing, res *ded.Result) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.invoked++
-	// Dynamic purpose check: observed accesses vs declaration.
-	if report := purpose.Match(p.Decl, res.DynamicReads); !report.OK {
-		s.alertSeq++
-		s.alerts = append(s.alerts, &Alert{
-			ID:         s.alertSeq,
-			Processing: p.Decl.Name,
-			Phase:      "dynamic",
-			Report:     report,
-		})
-		s.log.Append(audit.KindAlert, p.Decl.Name, "", "", "raised",
-			"dynamic undeclared reads: "+strings.Join(report.Undeclared, ","))
-	}
 }
 
 // Invoke is ps_invoke. When an admission controller is configured the
@@ -496,7 +470,7 @@ func (s *Store) Invoke(req InvokeRequest) (*ded.Result, error) {
 		start = time.Now()
 		defer func() { release(time.Since(start)) }()
 	}
-	p, inv, err := s.prepare(req)
+	inv, err := s.prepare(req)
 	if err != nil {
 		return nil, err
 	}
@@ -504,7 +478,7 @@ func (s *Store) Invoke(req InvokeRequest) (*ded.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.finish(p, res)
+	s.invoked.Add(1)
 	return res, nil
 }
 
@@ -515,8 +489,7 @@ func (s *Store) Invoke(req InvokeRequest) (*ded.Result, error) {
 // the DED. Outcomes keep request order and are per-request — one failure
 // never aborts its siblings, and an admission rejection is a typed outcome
 // (Rejected set, Err wrapping admission.ErrOverloaded), never a silent
-// drop. Every successful run still passes the dynamic purpose check and
-// counts toward Invocations.
+// drop. Every successful run counts toward Invocations.
 //
 // The whole batch is admitted up front: a batch is a burst arrival, so a
 // batch larger than the admission queue's free capacity sheds its tail.
@@ -534,7 +507,6 @@ func (s *Store) InvokeBatch(reqs []InvokeRequest, workers int) []ded.BatchItem {
 	out := make([]ded.BatchItem, len(reqs))
 	type job struct {
 		i       int
-		p       *Processing
 		inv     ded.Invocation
 		release func(time.Duration)
 		start   time.Time
@@ -550,7 +522,7 @@ func (s *Store) InvokeBatch(reqs []InvokeRequest, workers int) []ded.BatchItem {
 		if release != nil {
 			start = time.Now()
 		}
-		p, inv, err := s.prepare(req)
+		inv, err := s.prepare(req)
 		if err != nil {
 			if release != nil {
 				release(time.Since(start))
@@ -558,31 +530,28 @@ func (s *Store) InvokeBatch(reqs []InvokeRequest, workers int) []ded.BatchItem {
 			out[i].Err = err
 			continue
 		}
-		jobs = append(jobs, job{i: i, p: p, inv: inv, release: release, start: start})
+		jobs = append(jobs, job{i: i, inv: inv, release: release, start: start})
 	}
 	if len(jobs) == 0 {
 		return out
 	}
 	// The DED executor runs the admitted invocations; the completion hook
-	// releases each request's admission slot the moment it finishes, so
-	// queue depth stays truthful. The dynamic purpose check and the
-	// invocation count run afterwards in request order, so alert IDs and
-	// audit entries for a batch stay deterministic exactly as in the
-	// serial path.
+	// counts each successful run and releases its admission slot the
+	// moment it finishes, so queue depth stays truthful.
 	invs := make([]ded.Invocation, len(jobs))
 	for j, jb := range jobs {
 		invs[j] = jb.inv
 	}
-	items := s.d.RunBatchFunc(invs, workers, func(j int, _ ded.BatchItem) {
+	items := s.d.RunBatch(invs, workers, func(j int, item ded.BatchItem) {
+		if item.Err == nil {
+			s.invoked.Add(1)
+		}
 		if jobs[j].release != nil {
 			jobs[j].release(time.Since(jobs[j].start))
 		}
 	})
 	for j, item := range items {
 		out[jobs[j].i] = item
-		if item.Err == nil {
-			s.finish(jobs[j].p, item.Res)
-		}
 	}
 	return out
 }

@@ -160,7 +160,7 @@ func TestRegisterMismatchRaisesAlert(t *testing.T) {
 		t.Fatalf("pending Invoke err = %v", err)
 	}
 	alerts := e.ps.PendingAlerts()
-	if len(alerts) != 1 || alerts[0].Phase != "register" || alerts[0].Report.Undeclared[0] != "user.name" {
+	if len(alerts) != 1 || alerts[0].Report.Undeclared[0] != "user.name" {
 		t.Fatalf("alerts = %+v", alerts)
 	}
 	// Sysadmin approves: processing becomes active.
@@ -201,9 +201,11 @@ func TestRejectAlert(t *testing.T) {
 	}
 }
 
-func TestDynamicAlert(t *testing.T) {
+func TestUndeclaredReadFailsInvoke(t *testing.T) {
 	// An implementation that *declares* compliant reads but *performs*
-	// broader ones is caught after the run by the dynamic check.
+	// broader ones fails the invocation: the view holds only what the
+	// purpose declares, so nothing comes back and no alert waits for a
+	// sysadmin.
 	e := newEnv(t, nil)
 	e.seed(t)
 	sneaky := &ded.Func{
@@ -222,15 +224,15 @@ func TestDynamicAlert(t *testing.T) {
 	if err := e.ps.Register(decl3(), sneaky, false); err != nil {
 		t.Fatalf("Register: %v", err)
 	}
-	if _, err := e.ps.Invoke(InvokeRequest{Processing: "purpose3", TypeName: "user"}); err != nil {
-		t.Fatalf("Invoke: %v", err)
+	res, err := e.ps.Invoke(InvokeRequest{Processing: "purpose3", TypeName: "user"})
+	if !errors.Is(err, ded.ErrUndeclaredRead) || res != nil {
+		t.Fatalf("Invoke = %+v, %v; want ErrUndeclaredRead and no result", res, err)
 	}
-	alerts := e.ps.Alerts()
-	if len(alerts) != 1 || alerts[0].Phase != "dynamic" {
-		t.Fatalf("alerts = %+v", alerts)
+	if alerts := e.ps.PendingAlerts(); len(alerts) != 0 {
+		t.Fatalf("pending alerts = %+v, want none", alerts)
 	}
-	if alerts[0].Report.Undeclared[0] != "user.name" {
-		t.Fatalf("report = %+v", alerts[0].Report)
+	if n := e.ps.Invocations(); n != 0 {
+		t.Fatalf("Invocations = %d, want 0", n)
 	}
 }
 

@@ -16,11 +16,11 @@
 // §3(4) leaves "checking if a processing's implementation matches its
 // purpose" as an open problem, to be attacked with semantics/AI. The
 // reproduction implements the tractable core every such checker needs: the
-// implementation declares the fields it accesses (and the DED later verifies
-// the declaration dynamically, field read by field read); Match compares the
-// declared accesses against the purpose's reads clause and reports
-// undeclared accesses, which the Processing Store turns into sysadmin
-// alerts.
+// implementation declares the fields it accesses, and Match compares them
+// against the purpose's reads clause at registration, reporting undeclared
+// accesses, which the Processing Store turns into sysadmin alerts. At run
+// time the reads clause itself bounds what a processing can see: the DED
+// projects every record onto ReadsOfType, so an access outside it fails.
 package purpose
 
 import (
@@ -125,22 +125,6 @@ func (d *Decl) ReadsOfType(typeName string) []string {
 	return out
 }
 
-// TypesRead returns the distinct type names referenced by Reads.
-func (d *Decl) TypesRead() []string {
-	seen := make(map[string]bool)
-	for _, r := range d.Reads {
-		if ty, _, ok := strings.Cut(r, "."); ok {
-			seen[ty] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for ty := range seen {
-		out = append(out, ty)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // MatchReport is the verdict of the purpose↔implementation check.
 type MatchReport struct {
 	// OK is true when the implementation accesses no undeclared fields.
@@ -154,8 +138,7 @@ type MatchReport struct {
 }
 
 // Match compares a purpose's declared reads with the field accesses an
-// implementation declares (or that the DED observed at run time). Both sides
-// use "type.field" references.
+// implementation declares. Both sides use "type.field" references.
 func Match(d *Decl, implReads []string) MatchReport {
 	declared := make(map[string]bool, len(d.Reads))
 	for _, r := range d.Reads {

@@ -100,9 +100,6 @@ func TestReadsHelpers(t *testing.T) {
 	if got := d.ReadsOfType("user"); len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("ReadsOfType = %v", got)
 	}
-	if got := d.TypesRead(); len(got) != 2 || got[0] != "payment" || got[1] != "user" {
-		t.Fatalf("TypesRead = %v", got)
-	}
 }
 
 func TestMatch(t *testing.T) {
