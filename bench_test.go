@@ -346,15 +346,8 @@ func BenchmarkMembraneAblation(b *testing.B) {
 // BenchmarkKernelIPC compares block IO through the IO-driver kernel against
 // direct device access.
 func BenchmarkKernelIPC(b *testing.B) {
-	bus := kernel.NewBus(time.Microsecond, time.Nanosecond)
 	dev := blockdev.MustMem(256)
-	if _, err := kernel.NewBlockDriverKernel(bus, "io.disk0", dev); err != nil {
-		b.Fatal(err)
-	}
-	remote, err := kernel.NewRemoteDevice(bus, "rgpdos", "io.disk0")
-	if err != nil {
-		b.Fatal(err)
-	}
+	remote := kernel.NewRemoteDevice(kernel.NewBus(time.Microsecond, time.Nanosecond), dev)
 	buf := make([]byte, blockdev.BlockSize)
 	b.Run("bus", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -1,6 +1,6 @@
 // Command rgpdos boots a simulated rgpdOS machine and runs a demo workload,
-// printing the kernel topology, resource partition, enforcement events and
-// end-of-run statistics. It is the "boot the paper" entry point.
+// printing its enforcement events and end-of-run statistics (bus traffic
+// included). It is the "boot the paper" entry point.
 //
 //	rgpdos -subjects 100 -seed 7
 package main
@@ -56,14 +56,6 @@ func run(n int, seed uint64) error {
 	sys, err := core.Boot(core.Options{AuthorityBits: 1024, PDDiskBlocks: 1 << 15, NInodes: 1 << 14})
 	if err != nil {
 		return err
-	}
-	fmt.Println("kernel topology (purpose kernel model):")
-	for _, k := range sys.Machine().Kernels() {
-		fmt.Printf("  %-10s %s\n", k.Name, k.Class)
-	}
-	fmt.Println("resource partition:")
-	for _, s := range sys.Machine().Partition.Shares() {
-		fmt.Printf("  %-10s %.1f cpus, %d pages\n", s.Kernel, s.CPUs, s.MemPages)
 	}
 
 	alias := typedsl.CompileOptions{FieldAliases: map[string]string{"age": "year_of_birthdate"}}

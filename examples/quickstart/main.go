@@ -56,9 +56,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	for _, k := range sys.Machine().Kernels() {
-		fmt.Printf("  sub-kernel %-10s class=%s\n", k.Name, k.Class)
-	}
 
 	// Listing 1: declare the PD type (the "age" view field is derived from
 	// year_of_birthdate, per Listing 2).

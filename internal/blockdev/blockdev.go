@@ -76,7 +76,9 @@ func DefaultLatency() LatencyModel {
 }
 
 // Device is the block storage abstraction all filesystems in this repo sit
-// on. Implementations must be safe for concurrent use.
+// on. Implementations must be safe for concurrent use, and must not retain
+// a caller's buffer once a call returns: callers (and kernel.RemoteDevice,
+// which passes buffers through by reference) reuse them at once.
 type Device interface {
 	// ReadBlock copies block n into buf (len(buf) must be BlockSize).
 	ReadBlock(n uint64, buf []byte) error
@@ -94,8 +96,9 @@ type Device interface {
 // VectorWriter is the optional fast path for multi-block writes. The WAL
 // group-commit flush submits a whole commit group at once; devices that
 // implement it (Mem: one lock acquisition, kernel.RemoteDevice: one bus
-// message) amortize their per-operation cost across the batch. Writes are
-// applied in slice order, so a later entry for the same block wins.
+// message per batch, buffers passed by reference) amortize their
+// per-operation cost across the batch. Writes are applied in slice order,
+// so a later entry for the same block wins.
 type VectorWriter interface {
 	// WriteBlocks writes data[i] to block ns[i] for every i. len(ns) must
 	// equal len(data) and every buffer must be exactly BlockSize.

@@ -1,12 +1,13 @@
 // Package core assembles the complete rgpdOS machine — the paper's
 // contribution as a bootable system.
 //
-// Boot builds the purpose-kernel topology of §2: two IO-driver kernels (one
-// per simulated disk), the general-purpose kernel with its traditional
-// filesystem for non-personal data, and the rgpdOS kernel hosting DBFS, the
-// Processing Store, the DED, the built-in processings, the collection
-// registry and the rights engine. CPU and memory are partitioned across the
-// sub-kernels; all personal-data IO crosses the bus to its driver kernel.
+// Boot builds the machine of §2: two simulated disks, each reached only
+// through a bus-charged kernel.RemoteDevice (the IO-driver kernel
+// boundary), the general-purpose side with its traditional filesystem for
+// non-personal data, and the rgpdOS side hosting DBFS, the Processing
+// Store, the DED, the built-in processings, the collection registry and the
+// rights engine. The sub-kernels are named, not isolated: they share one
+// address space, and CPU and memory are not partitioned between them.
 //
 // The System type is the public API of the reproduction: examples, the
 // CLIs and the benchmark harness all program against it exactly as a data
@@ -46,14 +47,6 @@ import (
 	"repro/internal/rights"
 	"repro/internal/simclock"
 	"repro/internal/typedsl"
-)
-
-// Kernel names in the machine topology.
-const (
-	PDDriverKernel  = "io.pd0"
-	NPDDriverKernel = "io.npd0"
-	GPKernel        = "gp"
-	RgpdOSKernel    = "rgpdos"
 )
 
 // Options configures Boot.
@@ -173,7 +166,7 @@ func (o *Options) withDefaults() {
 type System struct {
 	opts Options
 
-	machine   *kernel.Machine
+	bus       *kernel.Bus
 	guard     *lsm.Guard
 	authority *cryptoshred.Authority
 	vault     *cryptoshred.Vault
@@ -207,9 +200,8 @@ func Boot(opts Options) (*System, error) {
 	opts.withDefaults()
 	s := &System{opts: opts}
 
-	// Purpose-kernel topology.
-	mopts := kernel.DefaultMachineOptions()
-	s.machine = kernel.NewMachine(mopts)
+	// PD and NPD IO cross the bus to their disks' IO-driver kernels.
+	s.bus = kernel.NewBus(time.Microsecond, time.Nanosecond)
 	var err error
 	if s.pdDev, err = blockdev.NewMem(opts.PDDiskBlocks, blockdev.DefaultLatency()); err != nil {
 		return nil, fmt.Errorf("core: pd disk: %w", err)
@@ -217,61 +209,8 @@ func Boot(opts Options) (*System, error) {
 	if s.npdDev, err = blockdev.NewMem(opts.NPDDiskBlocks, blockdev.DefaultLatency()); err != nil {
 		return nil, fmt.Errorf("core: npd disk: %w", err)
 	}
-	if _, err = kernel.NewBlockDriverKernel(s.machine.Bus, PDDriverKernel, s.pdDev); err != nil {
-		return nil, fmt.Errorf("core: pd driver: %w", err)
-	}
-	if _, err = kernel.NewBlockDriverKernel(s.machine.Bus, NPDDriverKernel, s.npdDev); err != nil {
-		return nil, fmt.Errorf("core: npd driver: %w", err)
-	}
-	for _, k := range []struct {
-		name  string
-		class kernel.Class
-	}{
-		{PDDriverKernel, kernel.ClassIODriver},
-		{NPDDriverKernel, kernel.ClassIODriver},
-		{GPKernel, kernel.ClassGeneralPurpose},
-		{RgpdOSKernel, kernel.ClassGDPR},
-	} {
-		if err := s.machine.AddKernel(k.name, k.class); err != nil {
-			return nil, fmt.Errorf("core: topology: %w", err)
-		}
-	}
-	// Initial partition: rgpdOS gets the PD-processing share, the GP
-	// kernel the bulk of the rest, drivers a sliver each. Rebalance at
-	// runtime via Machine.Partition.
-	cpus, pages := mopts.CPUs, mopts.MemPages
-	assign := []struct {
-		name  string
-		cpu   float64
-		pages uint64
-	}{
-		{GPKernel, cpus * 0.4, pages * 4 / 10},
-		{PDDriverKernel, cpus * 0.1, pages / 10},
-		{NPDDriverKernel, cpus * 0.1, pages / 10},
-	}
-	usedCPU, usedPages := 0.0, uint64(0)
-	for _, a := range assign {
-		if err := s.machine.Partition.Assign(a.name, a.cpu, a.pages); err != nil {
-			return nil, fmt.Errorf("core: partition: %w", err)
-		}
-		usedCPU += a.cpu
-		usedPages += a.pages
-	}
-	// rgpdOS takes the exact remainder so the machine is fully partitioned
-	// regardless of integer/float rounding.
-	if err := s.machine.Partition.Assign(RgpdOSKernel, cpus-usedCPU, pages-usedPages); err != nil {
-		return nil, fmt.Errorf("core: partition: %w", err)
-	}
-
-	// Device views: PD and NPD IO cross the bus to their driver kernels.
-	pdView, err := kernel.NewRemoteDevice(s.machine.Bus, RgpdOSKernel, PDDriverKernel)
-	if err != nil {
-		return nil, fmt.Errorf("core: pd remote device: %w", err)
-	}
-	npdView, err := kernel.NewRemoteDevice(s.machine.Bus, GPKernel, NPDDriverKernel)
-	if err != nil {
-		return nil, fmt.Errorf("core: npd remote device: %w", err)
-	}
+	pdView := kernel.NewRemoteDevice(s.bus, s.pdDev)
+	npdView := kernel.NewRemoteDevice(s.bus, s.npdDev)
 
 	// Security substrate.
 	s.guard = lsm.NewGuard()
@@ -286,8 +225,7 @@ func Boot(opts Options) (*System, error) {
 	// Filesystems. DBFS sits on FSInstances inode filesystems: one over
 	// the whole PD view, or — when sharding storage — one per equal
 	// partition of it, each with its own journal region. Partitions wrap
-	// the (possibly bus-routed) view, so split-kernel IO accounting is
-	// unchanged.
+	// the bus-routed view, so split-kernel IO accounting is unchanged.
 	inodeOpts := inode.Options{
 		NInodes:       (opts.NInodes + uint64(opts.FSInstances) - 1) / uint64(opts.FSInstances),
 		JournalBlocks: opts.JournalBlocks,
@@ -361,15 +299,6 @@ func Boot(opts Options) (*System, error) {
 	return s, nil
 }
 
-// MustBoot is Boot for examples and benchmarks; it panics on error.
-func MustBoot(opts Options) *System {
-	s, err := Boot(opts)
-	if err != nil {
-		panic(err)
-	}
-	return s
-}
-
 // --- component accessors ---
 
 // PS is the Processing Store — the only rgpdOS entry point for
@@ -386,12 +315,6 @@ func (s *System) InvokeBatch(reqs []ps.InvokeRequest) []ded.BatchItem {
 	return s.ps.InvokeBatch(reqs, 0) // 0 = the pool default set at boot
 }
 
-// InvokeAsync runs one ps_invoke request off the caller's goroutine; the
-// outcome arrives on the returned channel.
-func (s *System) InvokeAsync(req ps.InvokeRequest) <-chan ded.BatchItem {
-	return s.ps.InvokeAsync(req)
-}
-
 // Rights is the data-subject rights engine.
 func (s *System) Rights() *rights.Engine { return s.rights }
 
@@ -401,9 +324,6 @@ func (s *System) NodeName() string { return s.opts.NodeName }
 
 // Audit is the processing log.
 func (s *System) Audit() *audit.Log { return s.log }
-
-// Machine exposes the purpose-kernel topology (partition, bus stats).
-func (s *System) Machine() *kernel.Machine { return s.machine }
 
 // Guard exposes the LSM guard (denial records; experiments mint attacker
 // tokens against it).
@@ -506,7 +426,7 @@ type Stats struct {
 func (s *System) Stats() Stats {
 	return Stats{
 		DBFS:    s.store.Stats(),
-		Bus:     s.machine.Bus.Stats(),
+		Bus:     s.bus.Stats(),
 		PDDisk:  s.pdDev.Stats(),
 		NPDDisk: s.npdDev.Stats(),
 		Audit:   s.log.Len(),

@@ -178,36 +178,6 @@ func TestAuditChainAcrossFullScenario(t *testing.T) {
 	}
 }
 
-func TestPartitionRebalanceDuringWorkload(t *testing.T) {
-	// §2: kernels "cooperate to (dynamically) partition CPU and memory".
-	s := bootTest(t)
-	setupUserType(t, s)
-	if err := s.Machine().Partition.Rebalance(GPKernel, RgpdOSKernel, 1.0, 1000); err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
-	var rgpd, gp float64
-	for _, share := range s.Machine().Partition.Shares() {
-		switch share.Kernel {
-		case RgpdOSKernel:
-			rgpd = share.CPUs
-		case GPKernel:
-			gp = share.CPUs
-		}
-	}
-	if rgpd <= gp {
-		t.Fatalf("rebalance had no effect: rgpdos=%v gp=%v", rgpd, gp)
-	}
-	// The machine still works after rebalancing.
-	if err := s.SubmitForm("user", "carol", dbfs.Record{
-		"name": dbfs.S("Carol"), "pwd": dbfs.S("x"), "year_of_birthdate": dbfs.I(2000),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if n, err := s.Acquire("user", "web_form", []string{"carol"}); err != nil || n != 1 {
-		t.Fatalf("Acquire after rebalance = %d, %v", n, err)
-	}
-}
-
 func TestTTLSweepThroughSystemClock(t *testing.T) {
 	s := bootTest(t)
 	setupUserType(t, s)

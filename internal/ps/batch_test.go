@@ -119,24 +119,6 @@ func TestInvokeBatchUndeclaredRead(t *testing.T) {
 	}
 }
 
-func TestInvokeAsync(t *testing.T) {
-	e := newEnv(t, nil)
-	e.seed(t)
-	if err := e.ps.Register(decl3(), ageImpl(), false); err != nil {
-		t.Fatal(err)
-	}
-	item := <-e.ps.InvokeAsync(InvokeRequest{Processing: "purpose3", TypeName: "user"})
-	if item.Err != nil {
-		t.Fatal(item.Err)
-	}
-	if item.Res.Processed != 1 {
-		t.Fatalf("processed = %d", item.Res.Processed)
-	}
-	if e.ps.Invocations() != 1 {
-		t.Fatalf("Invocations = %d", e.ps.Invocations())
-	}
-}
-
 // TestInvokeBatchStress hammers InvokeBatch from several client goroutines
 // over both disjoint and overlapping subjects; run with -race this is the
 // end-to-end concurrency soak for the PD hot path (ps → ded → dbfs).

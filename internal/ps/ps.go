@@ -288,7 +288,9 @@ func (s *Store) Register(decl *purpose.Decl, impl *ded.Func, builtin bool) error
 }
 
 // Approve resolves an alert in favour of the processing (explicit sysadmin
-// approval, as the paper requires).
+// approval, as the paper requires): the processing becomes active and the
+// reads the alert named join its purpose's declared reads, so the DED's
+// view shows them.
 func (s *Store) Approve(alertID uint64, sysadmin string) error {
 	return s.resolve(alertID, sysadmin, true)
 }
@@ -316,16 +318,22 @@ func (s *Store) resolve(alertID uint64, sysadmin string, approve bool) error {
 	p, ok := s.procs[alert.Processing]
 	if ok && p.State == StatePending {
 		if approve {
+			// Replaced, never mutated: prepare hands p.Decl to runs
+			// outside the lock.
+			decl := *p.Decl
+			decl.Reads = append(append([]string(nil), p.Decl.Reads...), alert.Report.Undeclared...)
+			p.Decl = &decl
 			p.State = StateActive
 		} else {
 			p.State = StateRejected
 		}
 	}
-	outcome := "rejected"
+	outcome, detail := "rejected", "sysadmin="+sysadmin
 	if approve {
 		outcome = "approved"
+		detail += " reads: " + strings.Join(alert.Report.Undeclared, ",")
 	}
-	s.log.Append(audit.KindAlert, alert.Processing, "", "", outcome, "sysadmin="+sysadmin)
+	s.log.Append(audit.KindAlert, alert.Processing, "", "", outcome, detail)
 	return nil
 }
 
@@ -554,17 +562,4 @@ func (s *Store) InvokeBatch(reqs []InvokeRequest, workers int) []ded.BatchItem {
 		out[jobs[j].i] = item
 	}
 	return out
-}
-
-// InvokeAsync is ps_invoke detached from the caller: the invocation runs on
-// its own goroutine and the single outcome is delivered on the returned
-// channel, which is closed afterwards.
-func (s *Store) InvokeAsync(req InvokeRequest) <-chan ded.BatchItem {
-	ch := make(chan ded.BatchItem, 1)
-	go func() {
-		defer close(ch)
-		res, err := s.Invoke(req)
-		ch <- ded.BatchItem{Res: res, Err: err}
-	}()
-	return ch
 }

@@ -175,6 +175,57 @@ func TestRegisterMismatchRaisesAlert(t *testing.T) {
 	}
 }
 
+// TestApproveGrantsUndeclaredReads checks that approval grants what the
+// alert named: the approved field joins the purpose, so the DED's view
+// shows it, and the "approved" audit entry names it.
+func TestApproveGrantsUndeclaredReads(t *testing.T) {
+	e := newEnv(t, nil)
+	sch := userSchema()
+	sch.DefaultConsent = map[string]membrane.Grant{"purpose3": {Kind: membrane.GrantAll}}
+	if err := e.store.CreateType(e.tok, sch); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.store.Insert(e.tok, "user", "alice", dbfs.Record{
+		"name": dbfs.S("Alice"), "year_of_birthdate": dbfs.I(1990),
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	greedy := &ded.Func{
+		Name:          "compute_age",
+		Purpose:       "purpose3",
+		DeclaredReads: []string{"user.year_of_birthdate", "user.name"},
+		Fn: func(c *ded.Ctx) (ded.Output, error) {
+			name, err := c.Field("name")
+			if err != nil {
+				return ded.Output{}, err
+			}
+			return ded.Output{NonPD: int64(len(name.S))}, nil
+		},
+	}
+	if err := e.ps.Register(decl3(), greedy, false); !errors.Is(err, ErrPendingApproval) {
+		t.Fatalf("Register err = %v, want ErrPendingApproval", err)
+	}
+	if err := e.ps.Approve(e.ps.PendingAlerts()[0].ID, "root"); err != nil {
+		t.Fatalf("Approve: %v", err)
+	}
+	res, err := e.ps.Invoke(InvokeRequest{Processing: "purpose3", TypeName: "user"})
+	if err != nil {
+		t.Fatalf("post-approval Invoke: %v", err)
+	}
+	if res.Processed != 1 || res.Outputs[0] != int64(len("Alice")) {
+		t.Fatalf("result = %+v, want the approved field read", res)
+	}
+	var approved []audit.Entry
+	for _, en := range e.log.All() {
+		if en.Kind == audit.KindAlert && en.Outcome == "approved" {
+			approved = append(approved, en)
+		}
+	}
+	if len(approved) != 1 || approved[0].Detail != "sysadmin=root reads: user.name" {
+		t.Fatalf("approved audit entries = %+v", approved)
+	}
+}
+
 func TestRejectAlert(t *testing.T) {
 	e := newEnv(t, nil)
 	e.seed(t)

@@ -40,25 +40,12 @@ func (r *RNG) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Int63 returns a non-negative int64.
-func (r *RNG) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Intn returns an int in [0, n). It panics if n <= 0, matching math/rand.
 func (r *RNG) Intn(n int) int {
 	if n <= 0 {
 		panic("xrand: Intn called with n <= 0")
 	}
 	return int(r.Uint64() % uint64(n))
-}
-
-// Int63n returns an int64 in [0, n). It panics if n <= 0.
-func (r *RNG) Int63n(n int64) int64 {
-	if n <= 0 {
-		panic("xrand: Int63n called with n <= 0")
-	}
-	return int64(r.Uint64() % uint64(n))
 }
 
 // Float64 returns a float64 in [0, 1).
