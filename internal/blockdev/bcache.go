@@ -9,9 +9,13 @@ import (
 // Cached wraps a Device with an LRU-bounded, read-through, write-back block
 // buffer cache — the bcdaemon of Biscuit's filesystem collapsed into a
 // mutex-guarded wrapper. Reads are served from memory on a hit; writes only
-// dirty the cached copy and reach the device when Sync flushes, or when a
-// dirty block is evicted to make room. Sync flushes every dirty block (as
-// one vectored write) and then syncs the underlying device, so the wrapper
+// dirty the cached block and reach the device when Sync flushes, or when a
+// dirty block is evicted to make room. A write hands its buffer to the
+// cache, which keeps that slice as the block's image without copying it;
+// the cache never writes into an image, so a rewrite swaps in the new
+// slice and one buffer may back several blocks. Reads copy out. Blocks are
+// recorded as they turn dirty, and Sync flushes exactly those (as one
+// vectored write) and then syncs the underlying device, so the wrapper
 // preserves the Device contract: after Sync returns, everything written is
 // durable. That property is what lets the WAL run unmodified above a cache:
 // the journal's commit-record Sync drains the cache too, and home-location
@@ -36,6 +40,10 @@ type Cached struct {
 	entries map[uint64]*centry
 	// Intrusive LRU list: head is most recent, tail least.
 	head, tail *centry
+	// dirty lists entries in the order they turned dirty since the last
+	// successful Sync. An entry an eviction wrote back stays listed but
+	// clean, and Sync skips it.
+	dirty []*centry
 
 	bypassStart, bypassLen uint64
 
@@ -194,18 +202,23 @@ func (c *Cached) WriteBlock(n uint64, data []byte) error {
 	return err
 }
 
-// upsertDirty installs data as the dirty cached image of block n. Caller
-// holds c.mu.
+// upsertDirty installs data, uncopied, as the dirty cached image of block
+// n. Caller holds c.mu.
 func (c *Cached) upsertDirty(n uint64, data []byte) error {
-	if e, ok := c.entries[n]; ok {
-		copy(e.data, data)
+	e, ok := c.entries[n]
+	if !ok {
+		e = &centry{n: n}
+		c.entries[n] = e
+	}
+	e.data = data
+	if !e.dirty {
 		e.dirty = true
-		c.touch(e)
+		c.dirty = append(c.dirty, e)
+	}
+	c.touch(e)
+	if ok {
 		return nil
 	}
-	e := &centry{n: n, data: append([]byte(nil), data...), dirty: true}
-	c.entries[n] = e
-	c.touch(e)
 	return c.evict()
 }
 
@@ -247,27 +260,25 @@ func (c *Cached) WriteBlocks(ns []uint64, imgs [][]byte) error {
 func (c *Cached) Sync() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	var flush []*centry
-	for e := c.head; e != nil; e = e.next {
+	ns := make([]uint64, 0, len(c.dirty))
+	imgs := make([][]byte, 0, len(c.dirty))
+	for _, e := range c.dirty {
 		if e.dirty {
-			flush = append(flush, e)
+			ns = append(ns, e.n)
+			imgs = append(imgs, e.data)
 		}
 	}
-	if len(flush) > 0 {
-		ns := make([]uint64, len(flush))
-		imgs := make([][]byte, len(flush))
-		for i, e := range flush {
-			ns[i] = e.n
-			imgs[i] = e.data
-		}
+	if len(ns) > 0 {
 		if err := WriteBlocks(c.dev, ns, imgs); err != nil {
 			return fmt.Errorf("blockdev: cache flush: %w", err)
 		}
-		for _, e := range flush {
+		for _, e := range c.dirty {
 			e.dirty = false
 		}
-		c.writebacks.Add(uint64(len(flush)))
+		c.writebacks.Add(uint64(len(ns)))
 	}
+	clear(c.dirty)
+	c.dirty = c.dirty[:0]
 	return c.dev.Sync()
 }
 

@@ -314,3 +314,211 @@ func TestCachedBypass(t *testing.T) {
 		t.Fatalf("cacheable block not cached (len=%d)", c.Len())
 	}
 }
+
+// readEq fails the test unless block n reads back as want through dev.
+func readEq(t *testing.T, dev Device, n uint64, want []byte) {
+	t.Helper()
+	got := make([]byte, BlockSize)
+	if err := dev.ReadBlock(n, got); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("block %d byte0 = %#x, want %#x", n, got[0], want[0])
+	}
+}
+
+// TestCachedOwnsWriteBuffer: the cache keeps the slice a write hands it,
+// uncopied, and a rewrite swaps in the new slice instead of writing into
+// the old one.
+func TestCachedOwnsWriteBuffer(t *testing.T) {
+	mem := MustMem(32)
+	c, err := NewCached(mem, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := pat(0xA1), pat(0xB2)
+	if err := c.WriteBlock(5, a); err != nil {
+		t.Fatal(err)
+	}
+	if &c.entries[5].data[0] != &a[0] {
+		t.Fatal("WriteBlock copied the image")
+	}
+	if err := c.WriteBlock(5, b); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, pat(0xA1)) {
+		t.Fatal("rewrite wrote into the earlier buffer")
+	}
+	readEq(t, c, 5, pat(0xB2))
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	readEq(t, mem, 5, pat(0xB2))
+}
+
+// TestCachedSharedBufferSurvivesRewrite: one buffer handed down for two
+// blocks (as the secure-free zero block is) stays intact when one of them
+// is rewritten, and the other block keeps its image through the flush.
+func TestCachedSharedBufferSurvivesRewrite(t *testing.T) {
+	mem := MustMem(32)
+	c, err := NewCached(mem, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := pat(0x5E)
+	if err := c.WriteBlocks([]uint64{1, 2}, [][]byte{shared, shared}); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.WriteBlock(1, pat(0x01)); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shared, pat(0x5E)) {
+		t.Fatal("rewriting block 1 changed the buffer block 2 still holds")
+	}
+	readEq(t, c, 2, pat(0x5E))
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	readEq(t, mem, 1, pat(0x01))
+	readEq(t, mem, 2, pat(0x5E))
+}
+
+// TestCachedSyncFlushesDirtyList: Sync writes exactly the blocks dirty
+// since the last Sync — once each, however often they were rewritten, and
+// not again when an eviction already wrote them back — and a clean cache
+// syncs with no writes.
+func TestCachedSyncFlushesDirtyList(t *testing.T) {
+	mem := MustMem(64)
+	c, err := NewCached(mem, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := uint64(10); n < 14; n++ {
+		if err := c.WriteBlock(n, pat(byte(n))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.WriteBlock(12, pat(0x12)); err != nil {
+		t.Fatal(err)
+	}
+	// Two misses evict the two least recent dirty blocks, 10 and 11.
+	buf := make([]byte, BlockSize)
+	for _, n := range []uint64{20, 21} {
+		if err := c.ReadBlock(n, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if w := mem.Stats().Writes; w != 2 {
+		t.Fatalf("eviction writebacks = %d device writes, want 2", w)
+	}
+	// Block 10 comes back dirty as a new entry; its evicted one is clean.
+	if err := c.WriteBlock(10, pat(0x10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// The flush wrote 10, 12 and 13 once each.
+	if w := mem.Stats().Writes; w != 5 {
+		t.Fatalf("device writes after Sync = %d, want 5", w)
+	}
+	if wb := c.Stats().Writebacks; wb != 5 {
+		t.Fatalf("writebacks = %d, want 5", wb)
+	}
+	for n, v := range map[uint64]byte{10: 0x10, 11: 11, 12: 0x12, 13: 13} {
+		readEq(t, mem, n, pat(v))
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if w := mem.Stats().Writes; w != 5 {
+		t.Fatalf("a clean Sync wrote: %d device writes, want 5", w)
+	}
+}
+
+// TestCachedConcurrentOwnership: writers hand the cache a fresh uniform
+// buffer per write while readers, evictions and Syncs interleave. No
+// handed buffer may change, no read may mix two images, and after the last
+// Sync the device holds each block's cached image.
+func TestCachedConcurrentOwnership(t *testing.T) {
+	mem := MustMem(64)
+	c, err := NewCached(mem, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const (
+		writers = 4
+		rounds  = 200
+		nblocks = 8
+	)
+	var wg sync.WaitGroup
+	handed := make([][][]byte, writers)
+	errs := make(chan error, writers+2)
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				b := pat(byte(w*rounds + i))
+				handed[w] = append(handed[w], b)
+				n := uint64(i % nblocks)
+				var err error
+				if i%3 == 0 {
+					err = c.WriteBlocks([]uint64{n, n + nblocks}, [][]byte{b, b})
+				} else {
+					err = c.WriteBlock(n, b)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		buf := make([]byte, BlockSize)
+		for i := 0; i < writers*rounds; i++ {
+			if err := c.ReadBlock(uint64(i%(2*nblocks)), buf); err != nil {
+				errs <- err
+				return
+			}
+			if !bytes.Equal(buf, pat(buf[0])) {
+				errs <- fmt.Errorf("read of block %d mixes two images", i%(2*nblocks))
+				return
+			}
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		for i := 0; i < rounds; i++ {
+			if err := c.Sync(); err != nil {
+				errs <- err
+				return
+			}
+		}
+	}()
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	for w := range handed {
+		for i, b := range handed[w] {
+			if !bytes.Equal(b, pat(byte(w*rounds+i))) {
+				t.Fatalf("writer %d's buffer %d changed after it was handed down", w, i)
+			}
+		}
+	}
+	if err := c.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]byte, BlockSize)
+	for n := uint64(0); n < 2*nblocks; n++ {
+		if err := c.ReadBlock(n, want); err != nil {
+			t.Fatal(err)
+		}
+		readEq(t, mem, n, want)
+	}
+}

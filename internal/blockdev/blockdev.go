@@ -76,9 +76,12 @@ func DefaultLatency() LatencyModel {
 }
 
 // Device is the block storage abstraction all filesystems in this repo sit
-// on. Implementations must be safe for concurrent use, and must not retain
-// a caller's buffer once a call returns: callers (and kernel.RemoteDevice,
-// which passes buffers through by reference) reuse them at once.
+// on. Implementations must be safe for concurrent use. A buffer passed to
+// WriteBlock or WriteBlocks belongs to the device from then on: the device
+// may keep it as the block's image (Cached does), so the caller must not
+// modify it again, and the device never writes into it. A read buffer stays
+// the caller's: ReadBlock copies into it and retains nothing.
+// kernel.RemoteDevice passes both kinds through by reference.
 type Device interface {
 	// ReadBlock copies block n into buf (len(buf) must be BlockSize).
 	ReadBlock(n uint64, buf []byte) error

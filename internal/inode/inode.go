@@ -350,9 +350,11 @@ func Format(dev blockdev.Device, opts Options) (*FS, error) {
 	if err := io.WriteBlock(0, buf); err != nil {
 		return nil, fmt.Errorf("inode: write superblock: %w", err)
 	}
-	// Persist initial bitmap.
+	// Persist initial bitmap. The buffer cache keeps the slice it is
+	// handed, so it gets a copy of the live bitmap.
 	for i := uint64(0); i < bitmapBlocks; i++ {
-		if err := io.WriteBlock(sb.BitmapStart+i, fs.bitmap[i*blockdev.BlockSize:(i+1)*blockdev.BlockSize]); err != nil {
+		img := append([]byte(nil), fs.bitmap[i*blockdev.BlockSize:(i+1)*blockdev.BlockSize]...)
+		if err := io.WriteBlock(sb.BitmapStart+i, img); err != nil {
 			return nil, fmt.Errorf("inode: write bitmap: %w", err)
 		}
 	}
@@ -647,11 +649,8 @@ func (fs *FS) loadAlive(ino Ino) (dinode, error) {
 // checkpointed image in the journal overlay, then the buffer cache, then
 // the device. Runs without locks; the caller owns the relevant inode.
 func (fs *FS) readBlock(tx *wal.Txn, n uint64, buf []byte) error {
-	if tx != nil {
-		if img, ok := tx.Read(n); ok {
-			copy(buf, img)
-			return nil
-		}
+	if tx != nil && tx.Read(n, buf) {
+		return nil
 	}
 	return fs.log.ReadThrough(n, buf)
 }
@@ -830,8 +829,11 @@ func (m *mtx) stageAndEnqueueLocked(ws []*opInode) (*wal.Ticket, error) {
 		blocks = addBlock(blocks, (b/8)/blockdev.BlockSize)
 	}
 	for _, bm := range blocks {
+		// The transaction keeps the slice it is given, and the live bitmap
+		// changes under the next allocation: stage a copy.
 		start := bm * blockdev.BlockSize
-		if err := m.tx.Write(fs.sb.BitmapStart+bm, fs.bitmap[start:start+blockdev.BlockSize]); err != nil {
+		img := append([]byte(nil), fs.bitmap[start:start+blockdev.BlockSize]...)
+		if err := m.tx.Write(fs.sb.BitmapStart+bm, img); err != nil {
 			return nil, err
 		}
 	}
@@ -967,6 +969,8 @@ func (fs *FS) SecureFreeInode(ino Ino) error {
 		if err != nil {
 			return err
 		}
+		// One zero block serves every write: the cache may keep it for
+		// several blocks, and nothing writes into it.
 		zero := make([]byte, blockdev.BlockSize)
 		nblocks := (w.d.Size + blockdev.BlockSize - 1) / blockdev.BlockSize
 		// Zero pass: direct device writes bypass the journal on purpose —

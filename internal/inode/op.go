@@ -88,7 +88,6 @@ type Op struct {
 	declared []Ino // ascending, distinct
 	inodes   []*opInode
 	tickets  []*wal.Ticket
-	blk      []byte // scratch block image, reused by every staged block
 }
 
 // Do runs fn as one operation scope over the declared inodes and returns
@@ -216,10 +215,6 @@ func (op *Op) abort() {
 // unless pad is set, which zero-fills the tail of the last block instead
 // of reading it (contents replacement: nothing past the new end is live).
 func (op *Op) writeRange(w *opInode, off uint64, p []byte, pad bool) error {
-	if op.blk == nil {
-		op.blk = make([]byte, blockdev.BlockSize)
-	}
-	buf := op.blk
 	for written := 0; written < len(p); {
 		if op.m.tx.Len() >= op.fs.maxChunk {
 			if err := op.enqueue(); err != nil {
@@ -238,6 +233,8 @@ func (op *Op) writeRange(w *opInode, off uint64, p []byte, pad bool) error {
 		if err != nil {
 			return err
 		}
+		// A fresh image per staged block: the transaction keeps it.
+		buf := make([]byte, blockdev.BlockSize)
 		if bo != 0 || (n != blockdev.BlockSize && !pad) {
 			if err := op.m.readBlock(phys, buf); err != nil {
 				return err
@@ -245,9 +242,7 @@ func (op *Op) writeRange(w *opInode, off uint64, p []byte, pad bool) error {
 		}
 		copy(buf[bo:], p[written:written+n])
 		if pad {
-			for i := int(bo) + n; i < len(buf); i++ {
-				buf[i] = 0
-			}
+			clear(buf[int(bo)+n:])
 		}
 		if err := op.m.tx.Write(phys, buf); err != nil {
 			return err

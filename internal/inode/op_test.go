@@ -427,3 +427,63 @@ func TestScopesOverlappingNoDeadlock(t *testing.T) {
 		t.Fatalf("Check = %+v, %v; want %d inodes", rep, err, ntrees+1)
 	}
 }
+
+// TestStagedBitmapIsSnapshot: the journal and the buffer cache keep the
+// bitmap image they are handed, so Format and every transaction must hand
+// down a copy of the live bitmap. An allocation inside an open scope sets
+// its bit in the live bitmap at once; the cached bitmap block must still
+// read as the last committed image — right after Format, and after a
+// commit that staged the block.
+func TestStagedBitmapIsSnapshot(t *testing.T) {
+	dev, fs := newFS(t, 1024)
+	bitmap := func() []byte {
+		buf := make([]byte, blockdev.BlockSize)
+		if err := fs.dev.ReadBlock(fs.sb.BitmapStart, buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf
+	}
+	boom := errors.New("boom")
+	allocAndCheck := func(stage string) {
+		t.Helper()
+		committed := bitmap()
+		err := fs.Do([]Ino{RootIno}, func(op *Op) error {
+			ino, err := op.Alloc(ModeFile, "")
+			if err != nil {
+				return err
+			}
+			if err := op.Write(ino, 0, []byte{1}); err != nil {
+				return err
+			}
+			if !bytes.Equal(bitmap(), committed) {
+				return fmt.Errorf("%s: an uncommitted allocation shows in the cached bitmap block", stage)
+			}
+			return boom
+		})
+		if !errors.Is(err, boom) {
+			t.Fatal(err)
+		}
+	}
+	allocAndCheck("after Format")
+	ino, err := fs.AllocInode(ModeFile, "f")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.AddChild(RootIno, "f", ino); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs.WriteAt(ino, 0, []byte{1}); err != nil {
+		t.Fatal(err)
+	}
+	allocAndCheck("after a commit")
+	if _, err := fs.Check(); err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := Mount(dev, simclock.NewSim(simclock.Epoch))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := fs2.Check(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -15,13 +15,12 @@
 //
 // Each descriptor lists the home locations of the data blocks that follow
 // it; the single commit block seals the whole group with the transaction
-// count, the id of the last transaction, and a checksum over every
-// descriptor and data block. A group written by an older single-transaction
-// journal is simply the k=1 case (its commit block carries a zero count,
-// which recovery reads as one). Recovery scans the journal region, replays
-// every transaction inside a group with a valid commit block in ascending
-// transaction-id order, and discards torn groups — the standard redo-logging
-// protocol, extended to multi-transaction commit records.
+// count, the id of the last transaction, and a CRC32C checksum over every
+// descriptor and data block, stored in an 8-byte field whose upper half is
+// zero. Recovery scans the journal region, replays every transaction inside
+// a group with a valid commit block in ascending transaction-id order, and
+// discards torn groups — the standard redo-logging protocol, extended to
+// multi-transaction commit records.
 //
 // Commit path: transactions are sealed by their callers, enqueued, and
 // coalesced by a committer goroutine that drains the queue in batches, logs
@@ -34,10 +33,12 @@
 package wal
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/fnv"
+	"hash/crc32"
+	"slices"
 	"sync"
 	"time"
 
@@ -62,6 +63,10 @@ const (
 	// group. 1 disables batching (every transaction is its own group).
 	DefaultGroupBatch = 32
 )
+
+// castagnoli is the CRC32C table the commit-block checksum uses (the
+// polynomial of jbd2's v3 journal checksums).
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Sentinel errors.
 var (
@@ -235,9 +240,10 @@ func (l *Log) Begin() *Txn {
 	return &Txn{log: l}
 }
 
-// Write buffers a whole-block write to home block n. The data is copied, so
-// the caller may reuse the buffer. Writing the same block twice in one
-// transaction replaces the earlier image.
+// Write buffers a whole-block write to home block n. The transaction takes
+// ownership of data: the same slice is logged, checkpointed and kept by the
+// buffer cache, so the caller must not modify it afterwards. Writing the
+// same block twice in one transaction replaces the earlier image.
 func (t *Txn) Write(n uint64, data []byte) error {
 	if t.done {
 		return ErrTxnDone
@@ -247,31 +253,28 @@ func (t *Txn) Write(n uint64, data []byte) error {
 	}
 	for i, h := range t.home {
 		if h == n {
-			copy(t.data[i], data)
+			t.data[i] = data
 			return nil
 		}
 	}
 	if len(t.home) >= MaxBlocksPerTxn {
 		return fmt.Errorf("%w: %d blocks", ErrTxnTooLarge, len(t.home)+1)
 	}
-	cp := make([]byte, blockdev.BlockSize)
-	copy(cp, data)
 	t.home = append(t.home, n)
-	t.data = append(t.data, cp)
+	t.data = append(t.data, data)
 	return nil
 }
 
-// Read returns the buffered image of block n if this transaction wrote it,
-// giving read-your-writes semantics within a transaction.
-func (t *Txn) Read(n uint64) ([]byte, bool) {
+// Read copies the buffered image of block n into buf if this transaction
+// wrote it, giving read-your-writes semantics within a transaction.
+func (t *Txn) Read(n uint64, buf []byte) bool {
 	for i, h := range t.home {
 		if h == n {
-			out := make([]byte, blockdev.BlockSize)
-			copy(out, t.data[i])
-			return out, true
+			copy(buf, t.data[i])
+			return true
 		}
 	}
-	return nil, false
+	return false
 }
 
 // Len reports the number of distinct blocks buffered.
@@ -457,7 +460,7 @@ func (l *Log) committer() {
 func (l *Log) flushGroup(groupStart uint64, batch []*pendingTxn) error {
 	var (
 		nblocks = 1
-		sum     = fnv.New64a()
+		sum     uint32
 	)
 	for _, p := range batch {
 		nblocks += len(p.home) + 1
@@ -474,12 +477,12 @@ func (l *Log) flushGroup(groupStart uint64, batch []*pendingTxn) error {
 		for i, h := range p.home {
 			binary.LittleEndian.PutUint64(desc[headerSize+8*i:], h)
 		}
-		_, _ = sum.Write(desc)
+		sum = crc32.Update(sum, castagnoli, desc)
 		ns = append(ns, blk)
 		imgs = append(imgs, desc)
 		blk++
 		for _, img := range p.data {
-			_, _ = sum.Write(img)
+			sum = crc32.Update(sum, castagnoli, img)
 			ns = append(ns, blk)
 			imgs = append(imgs, img)
 			blk++
@@ -489,7 +492,7 @@ func (l *Log) flushGroup(groupStart uint64, batch []*pendingTxn) error {
 	binary.LittleEndian.PutUint32(com[0:], magic)
 	binary.LittleEndian.PutUint32(com[4:], blockTypeCommit)
 	binary.LittleEndian.PutUint64(com[8:], batch[len(batch)-1].txid)
-	binary.LittleEndian.PutUint64(com[16:], sum.Sum64())
+	binary.LittleEndian.PutUint64(com[16:], uint64(sum)) // upper half zero
 	binary.LittleEndian.PutUint32(com[24:], uint32(len(batch)))
 	ns = append(ns, blk)
 	imgs = append(imgs, com)
@@ -533,7 +536,7 @@ type replayTxn struct {
 // ok=false if the group is torn (no valid commit block sealing exactly the
 // parsed segments).
 func (l *Log) scanGroup(i uint64) (segs []replayTxn, end uint64, ok bool) {
-	sum := fnv.New64a()
+	var sum uint32
 	buf := make([]byte, blockdev.BlockSize)
 	j := i
 	for {
@@ -547,18 +550,13 @@ func (l *Log) scanGroup(i uint64) (segs []replayTxn, end uint64, ok bool) {
 			binary.LittleEndian.Uint32(buf[4:]) == blockTypeCommit {
 			// End of group: the commit block must seal exactly the
 			// segments parsed, carry the last segment's txid, and match
-			// the running checksum. A zero transaction count is the
-			// legacy single-transaction format.
+			// the running checksum.
 			if len(segs) == 0 {
 				return nil, 0, false
 			}
-			ntxns := binary.LittleEndian.Uint32(buf[24:])
-			if ntxns == 0 {
-				ntxns = 1
-			}
-			if int(ntxns) != len(segs) ||
+			if int(binary.LittleEndian.Uint32(buf[24:])) != len(segs) ||
 				binary.LittleEndian.Uint64(buf[8:]) != segs[len(segs)-1].txid ||
-				binary.LittleEndian.Uint64(buf[16:]) != sum.Sum64() {
+				binary.LittleEndian.Uint64(buf[16:]) != uint64(sum) {
 				return nil, 0, false
 			}
 			return segs, j + 1, true
@@ -572,7 +570,7 @@ func (l *Log) scanGroup(i uint64) (segs []replayTxn, end uint64, ok bool) {
 		if ntags == 0 || ntags > uint32(MaxBlocksPerTxn) || j+uint64(ntags)+2 > l.length {
 			return nil, 0, false
 		}
-		_, _ = sum.Write(buf)
+		sum = crc32.Update(sum, castagnoli, buf)
 		home := make([]uint64, ntags)
 		for k := uint32(0); k < ntags; k++ {
 			home[k] = binary.LittleEndian.Uint64(buf[headerSize+8*k:])
@@ -583,7 +581,7 @@ func (l *Log) scanGroup(i uint64) (segs []replayTxn, end uint64, ok bool) {
 			if err := l.dev.ReadBlock(l.start+j+1+uint64(k), img); err != nil {
 				return nil, 0, false
 			}
-			_, _ = sum.Write(img)
+			sum = crc32.Update(sum, castagnoli, img)
 			data = append(data, img)
 		}
 		segs = append(segs, replayTxn{txid: txid, home: home, data: data})
@@ -631,14 +629,9 @@ func (l *Log) Recover() (int, error) {
 		i = end
 	}
 
-	// Replay in ascending txid order so later images win.
-	for a := 0; a < len(txns); a++ {
-		for b := a + 1; b < len(txns); b++ {
-			if txns[b].txid < txns[a].txid {
-				txns[a], txns[b] = txns[b], txns[a]
-			}
-		}
-	}
+	// Replay in ascending txid order so later images win. Txids are
+	// unique, so the order is total.
+	slices.SortFunc(txns, func(a, b replayTxn) int { return cmp.Compare(a.txid, b.txid) })
 	for _, tx := range txns {
 		for i, h := range tx.home {
 			if err := l.dev.WriteBlock(h, tx.data[i]); err != nil {

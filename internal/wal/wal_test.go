@@ -120,11 +120,12 @@ func TestReadYourWrites(t *testing.T) {
 	if err := tx.Write(13, fill(9)); err != nil {
 		t.Fatal(err)
 	}
-	img, ok := tx.Read(13)
+	img := make([]byte, blockdev.BlockSize)
+	ok := tx.Read(13, img)
 	if !ok || !bytes.Equal(img, fill(9)) {
 		t.Fatal("Read did not observe buffered write")
 	}
-	if _, ok := tx.Read(14); ok {
+	if ok := tx.Read(14, img); ok {
 		t.Fatal("Read observed a block never written")
 	}
 }
@@ -384,5 +385,106 @@ func TestMaxBlocksPerTxnEnforced(t *testing.T) {
 	err := tx.Write(9999, fill(1))
 	if !errors.Is(err, ErrTxnTooLarge) {
 		t.Fatalf("over-limit Write err = %v, want ErrTxnTooLarge", err)
+	}
+}
+
+// TestRecoverRejectsCorruptGroup flips one byte of a committed group inside
+// the journal region — in a data block, and separately in the descriptor's
+// tag area — with the checkpoint lost. Magic, type, tag count, transaction
+// count and txid all still parse, so only the checksum can reject the
+// group: Recover must replay nothing and the home blocks keep their old
+// contents.
+func TestRecoverRejectsCorruptGroup(t *testing.T) {
+	// Journal layout of the one group: descriptor at 0, data at 1 and 2,
+	// commit at 3. The tag of home block 50 starts at headerSize;
+	// flipping its low byte's bit 2 would redirect it to block 54.
+	cases := []struct {
+		name   string
+		blk    uint64
+		off    int
+		replay int
+	}{
+		{"intact", 0, -1, 1},
+		{"data block", 2, 1234, 0},
+		{"descriptor tag", 0, headerSize, 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dev, l := newLog(t, 64, 0, 32)
+			tx := l.Begin()
+			if err := tx.Write(50, fill(0x5A)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Write(51, fill(0x5B)); err != nil {
+				t.Fatal(err)
+			}
+			if err := tx.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			// Crash before the checkpoint reached home: old contents.
+			for _, h := range []uint64{50, 51} {
+				if err := dev.WriteBlock(h, fill(0x11)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if tc.off >= 0 {
+				blk := make([]byte, blockdev.BlockSize)
+				if err := dev.ReadBlock(tc.blk, blk); err != nil {
+					t.Fatal(err)
+				}
+				blk[tc.off] ^= 0x04
+				if err := dev.WriteBlock(tc.blk, blk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			l2, err := Open(dev, 0, 32)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, err := l2.Recover()
+			if err != nil {
+				t.Fatalf("Recover: %v", err)
+			}
+			if n != tc.replay {
+				t.Fatalf("Recover replayed %d txns, want %d", n, tc.replay)
+			}
+			want := map[uint64][]byte{50: fill(0x11), 51: fill(0x11), 54: fill(0)}
+			if tc.replay == 1 {
+				want[50], want[51] = fill(0x5A), fill(0x5B)
+			}
+			got := make([]byte, blockdev.BlockSize)
+			for h, w := range want {
+				if err := dev.ReadBlock(h, got); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, w) {
+					t.Fatalf("block %d byte0 = %#x after Recover, want %#x", h, got[0], w[0])
+				}
+			}
+		})
+	}
+}
+
+// TestTxnWriteTakesOwnership: a staged image is the caller's slice, not a
+// copy, and a rewrite of the block in the same transaction swaps in the
+// new slice without writing into the old one.
+func TestTxnWriteTakesOwnership(t *testing.T) {
+	_, l := newLog(t, 16, 0, 8)
+	tx := l.Begin()
+	a, b := fill(1), fill(2)
+	if err := tx.Write(13, a); err != nil {
+		t.Fatal(err)
+	}
+	if &tx.data[0][0] != &a[0] {
+		t.Fatal("Write copied the image")
+	}
+	if err := tx.Write(13, b); err != nil {
+		t.Fatal(err)
+	}
+	if &tx.data[0][0] != &b[0] || !bytes.Equal(a, fill(1)) {
+		t.Fatal("rewrite did not swap in the new slice")
+	}
+	if err := tx.Commit(); err != nil {
+		t.Fatal(err)
 	}
 }
