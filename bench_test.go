@@ -520,15 +520,15 @@ func BenchmarkMembraneRead(b *testing.B) {
 	}
 }
 
-// BenchmarkAccessBatch sweeps the rights engine's per-subject fan-out:
-// subject-access reports for 16 subjects at 1 vs 8 workers over 8 per-shard
-// FS instances.
+// BenchmarkAccessBatch sweeps the rights engine's per-subject fan-out,
+// which follows the executor pool (Options.Workers): subject-access
+// reports for 16 subjects at 1 vs 8 workers over 8 per-shard FS instances.
 func BenchmarkAccessBatch(b *testing.B) {
 	for _, workers := range []int{1, 8} {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			s, err := core.Boot(core.Options{
 				AuthorityBits: 1024, PDDiskBlocks: 1 << 16, NInodes: 1 << 14,
-				FSInstances: 8, Workers: 8,
+				FSInstances: 8, Workers: workers,
 			})
 			if err != nil {
 				b.Fatal(err)
@@ -545,10 +545,6 @@ func BenchmarkAccessBatch(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-			}
-			workers := workers
-			if err := s.ApplyTuning(core.Tuning{RightsWorkers: &workers}); err != nil {
-				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

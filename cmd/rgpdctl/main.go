@@ -7,7 +7,6 @@
 //	rgpdctl fig1
 //	rgpdctl fmt file.rgpd      # canonical formatting
 //	rgpdctl status             # boot a probe machine, print its counters
-//	rgpdctl tune [knob=value ...]   # apply a tuning document on a probe machine
 //	rgpdctl nodes              # boot a probe cluster, show routing + erase propagation
 //	rgpdctl macro <scenario>   # run a macro workload scenario, print its scorecard
 package main
@@ -47,8 +46,6 @@ func main() {
 		err = cmdFig1()
 	case "status":
 		err = cmdStatus()
-	case "tune":
-		err = cmdTune(os.Args[2:])
 	case "nodes":
 		err = cmdNodes()
 	case "macro":
@@ -71,12 +68,8 @@ const usageText = `usage:
   rgpdctl fmt <file.rgpd>                                print canonical form
   rgpdctl fig1                                           render the Figure 1 dataset
   rgpdctl status                                         boot a probe machine, print its counters
-  rgpdctl tune [knob=value ...]                          apply a tuning document on a probe machine
   rgpdctl nodes                                          boot a probe cluster, show routing + erase propagation
-  rgpdctl macro <scenario> [seed] [-trace]               run a macro scenario (CI scale), print its scorecard
-    knobs: commit_window=2ms group_max_batch=8 admission_max_pending=64 membrane_cache=512
-           rights_workers=4 sweep_interval=30s rate_limit=<purpose>:<rate>:<burst>
-           cold_after=1h repack_interval=1m`
+  rgpdctl macro <scenario> [seed] [-trace]               run a macro scenario (CI scale), print its scorecard`
 
 func readFile(path string) (string, error) {
 	b, err := os.ReadFile(path)
@@ -158,9 +151,8 @@ func cmdFmt(args []string) error {
 	return nil
 }
 
-// probeOpts sizes the small machine status and tune boot. The cold tier is
-// enabled so status exercises a demote/promote round trip and tune shows a
-// live cold_after.
+// probeOpts sizes the small machine status boots. The cold tier is
+// enabled so status exercises a demote/promote round trip.
 func probeOpts() core.Options {
 	return core.Options{
 		PDDiskBlocks:  4096,
@@ -243,118 +235,6 @@ func cmdStatus() error {
 	fmt.Printf("cold tier:   records=%d demotions=%d promotions=%d dedup-hits=%d snapshots=%d bytes-saved=%d\n",
 		st.DBFS.ColdRecords, st.DBFS.Demotions, st.DBFS.Promotions, st.DBFS.ColdDedupHits,
 		st.DBFS.SnapshotsTaken, st.DBFS.ColdBytesSaved)
-	return nil
-}
-
-// printTuning renders a full tuning snapshot (all fields non-nil).
-func printTuning(t core.Tuning) {
-	fmt.Printf("  commit_window=%v group_max_batch=%d membrane_cache=%d rights_workers=%d sweep_interval=%v\n",
-		*t.CommitWindow, *t.GroupMaxBatch, *t.MembraneCache, *t.RightsWorkers, *t.SweepInterval)
-	fmt.Printf("  cold_after=%v repack_interval=%v\n", *t.ColdAfter, *t.RepackInterval)
-	if t.AdmissionMaxPending != nil {
-		fmt.Printf("  admission_max_pending=%d\n", *t.AdmissionMaxPending)
-	}
-	for _, rl := range t.RateLimits {
-		fmt.Printf("  rate_limit %s: %.1f/s burst %.1f\n", rl.Purpose, rl.RatePerSec, rl.Burst)
-	}
-}
-
-// parseTuning turns knob=value arguments into a core.Tuning document.
-func parseTuning(args []string) (core.Tuning, error) {
-	var t core.Tuning
-	for _, a := range args {
-		k, v, ok := strings.Cut(a, "=")
-		if !ok {
-			return t, fmt.Errorf("%q is not knob=value", a)
-		}
-		var err error
-		switch k {
-		case "commit_window":
-			var d time.Duration
-			if d, err = time.ParseDuration(v); err == nil {
-				t.CommitWindow = &d
-			}
-		case "group_max_batch":
-			var n int
-			if n, err = strconv.Atoi(v); err == nil {
-				t.GroupMaxBatch = &n
-			}
-		case "admission_max_pending":
-			var n int
-			if n, err = strconv.Atoi(v); err == nil {
-				t.AdmissionMaxPending = &n
-			}
-		case "membrane_cache":
-			var n int
-			if n, err = strconv.Atoi(v); err == nil {
-				t.MembraneCache = &n
-			}
-		case "rights_workers":
-			var n int
-			if n, err = strconv.Atoi(v); err == nil {
-				t.RightsWorkers = &n
-			}
-		case "sweep_interval":
-			var d time.Duration
-			if d, err = time.ParseDuration(v); err == nil {
-				t.SweepInterval = &d
-			}
-		case "cold_after":
-			var d time.Duration
-			if d, err = time.ParseDuration(v); err == nil {
-				t.ColdAfter = &d
-			}
-		case "repack_interval":
-			var d time.Duration
-			if d, err = time.ParseDuration(v); err == nil {
-				t.RepackInterval = &d
-			}
-		case "rate_limit":
-			parts := strings.Split(v, ":")
-			if len(parts) != 3 {
-				return t, fmt.Errorf("rate_limit wants <purpose>:<rate>:<burst>, got %q", v)
-			}
-			var rate, burst float64
-			if rate, err = strconv.ParseFloat(parts[1], 64); err == nil {
-				if burst, err = strconv.ParseFloat(parts[2], 64); err == nil {
-					t.RateLimits = append(t.RateLimits, core.RateLimit{
-						Purpose: parts[0], RatePerSec: rate, Burst: burst,
-					})
-				}
-			}
-		default:
-			return t, fmt.Errorf("unknown knob %q (see usage)", k)
-		}
-		if err != nil {
-			return t, fmt.Errorf("%s: %v", k, err)
-		}
-	}
-	return t, nil
-}
-
-// cmdTune boots a probe machine, shows its tuning snapshot, and — when
-// knob=value arguments are given — applies them as one validated document
-// through System.ApplyTuning, the machine's one runtime-tuning door. A
-// document with any invalid or unparsable knob applies nothing.
-func cmdTune(args []string) error {
-	sys, err := core.Boot(probeOpts())
-	if err != nil {
-		return err
-	}
-	fmt.Println("tuning (boot):")
-	printTuning(sys.Tuning())
-	if len(args) == 0 {
-		return nil
-	}
-	doc, err := parseTuning(args)
-	if err == nil {
-		err = sys.ApplyTuning(doc)
-	}
-	if err != nil {
-		return fmt.Errorf("tune: rejected (nothing applied): %w", err)
-	}
-	fmt.Println("tuning (after ApplyTuning):")
-	printTuning(sys.Tuning())
 	return nil
 }
 

@@ -5,7 +5,7 @@
 // The implementation lives under internal/ (see DESIGN.md for the system
 // inventory, the storage commit path, the membrane read path, the
 // admission-and-deadlines story, the per-inode locks + block buffer cache,
-// the tuning API, the content-addressed compressed
+// the boot-time configuration, the content-addressed compressed
 // cold tier with shred-safe membrane snapshots, the multi-node
 // subject router with its durable cross-node copy ledger, and the
 // deterministic macro-workload subsystem with its regulator-grade

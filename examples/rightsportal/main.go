@@ -51,7 +51,7 @@ func main() {
 
 func run() error {
 	fmt.Println("== subject rights portal ==")
-	sys, err := core.Boot(core.Options{AuthorityBits: 1024})
+	sys, err := core.Boot(core.Options{AuthorityBits: 1024, SweepInterval: time.Hour})
 	if err != nil {
 		return err
 	}
@@ -146,11 +146,8 @@ func run() error {
 	// background sweeper tracks every record's retention deadline and
 	// physically deletes expired PD (tombstones and retained ciphertext
 	// included) without anyone asking. The portal runs on the simulated
-	// machine clock, so five years pass in one call.
-	grace := time.Hour
-	if err := sys.ApplyTuning(core.Tuning{SweepInterval: &grace}); err != nil {
-		return err
-	}
+	// machine clock, so five years pass in one call; the sweeper's grace
+	// window is the hour given to Boot.
 	sweeper := sys.StartSweeper()
 	defer sweeper.Stop()
 	clk, ok := sys.SimClock()

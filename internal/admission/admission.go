@@ -26,7 +26,6 @@ package admission
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -116,13 +115,13 @@ func (b *bucket) refill(now time.Time) {
 // Controller is the admission gate in front of ps_invoke. Safe for
 // concurrent use.
 type Controller struct {
-	clock simclock.Clock
-
-	mu         sync.Mutex
+	clock      simclock.Clock
 	maxPending int
-	pending    int
-	stats      Stats
-	buckets    map[string]*bucket
+
+	mu      sync.Mutex
+	pending int
+	stats   Stats
+	buckets map[string]*bucket
 }
 
 // New builds a Controller.
@@ -140,46 +139,6 @@ func New(opts Options) *Controller {
 		maxPending: max,
 		buckets:    make(map[string]*bucket),
 	}
-}
-
-// MaxPending reports the configured queue bound (0 = unbounded).
-func (c *Controller) MaxPending() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.maxPending
-}
-
-// SetMaxPending changes the queue bound at runtime (n <= 0 means
-// unbounded). Lowering the bound below the current depth rejects new
-// admissions until enough in-flight invocations release — nothing already
-// admitted is cancelled.
-func (c *Controller) SetMaxPending(n int) {
-	if n < 0 {
-		n = 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.maxPending = n
-}
-
-// Limit is one purpose's configured rate limit, as reported by Limits.
-type Limit struct {
-	Purpose    string
-	RatePerSec float64
-	Burst      float64
-}
-
-// Limits snapshots every configured per-purpose rate limit, sorted by
-// purpose name.
-func (c *Controller) Limits() []Limit {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([]Limit, 0, len(c.buckets))
-	for p, b := range c.buckets {
-		out = append(out, Limit{Purpose: p, RatePerSec: b.rate, Burst: b.burst})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Purpose < out[j].Purpose })
-	return out
 }
 
 // SetPurposeLimit installs (or replaces) the token bucket for a purpose:

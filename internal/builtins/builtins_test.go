@@ -40,7 +40,7 @@ func newRig(t *testing.T) *rig {
 		t.Fatal(err)
 	}
 	guard := lsm.NewGuard()
-	store, err := dbfs.Create([]*inode.FS{fs}, guard, cryptoshred.NewVault(auth.PublicKey()), clock)
+	store, err := dbfs.Create([]*inode.FS{fs}, guard, cryptoshred.NewVault(auth.PublicKey()), clock, dbfs.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -64,7 +64,7 @@ type Options struct {
 
 // Repacker is the background demotion loop: every Interval it runs one
 // repack pass against its target. The embedded simclock.Loop is its whole
-// lifecycle (Start/Stop/Sync/Interval/SetInterval).
+// lifecycle (Start/Stop/Sync).
 type Repacker struct {
 	*simclock.Loop
 	target Target
@@ -75,9 +75,12 @@ type Repacker struct {
 
 // NewRepacker builds a repacker over target on clock. Call Start to run it.
 func NewRepacker(clock simclock.Clock, target Target, opts Options) *Repacker {
+	interval := opts.Interval
+	if interval <= 0 {
+		interval = DefaultRepackInterval
+	}
 	rp := &Repacker{target: target}
-	rp.Loop = simclock.NewLoop(clock, DefaultRepackInterval, rp.pass, nil)
-	rp.SetInterval(opts.Interval)
+	rp.Loop = simclock.NewLoop(clock, interval, rp.pass, nil)
 	return rp
 }
 

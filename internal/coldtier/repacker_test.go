@@ -59,15 +59,6 @@ func TestRepackerLifecycle(t *testing.T) {
 	if !st.LastPass.Equal(clk.Now()) {
 		t.Fatalf("LastPass = %v, want %v", st.LastPass, clk.Now())
 	}
-
-	rp.SetInterval(time.Second)
-	if rp.Interval() != time.Second {
-		t.Fatalf("Interval = %v after SetInterval", rp.Interval())
-	}
-	rp.SetInterval(0) // restores the default
-	if rp.Interval() != DefaultRepackInterval {
-		t.Fatalf("Interval = %v, want default %v", rp.Interval(), DefaultRepackInterval)
-	}
 }
 
 func TestRepackerCountsErrors(t *testing.T) {
@@ -86,11 +77,27 @@ func TestRepackerCountsErrors(t *testing.T) {
 	}
 }
 
+// sleepSpy is a Sim clock announcing every WaitUntil the loop enters.
+type sleepSpy struct {
+	*simclock.Sim
+	entered chan time.Time
+}
+
+func (s sleepSpy) WaitUntil(t time.Time, cancel <-chan struct{}) bool {
+	s.entered <- t
+	return s.Sim.WaitUntil(t, cancel)
+}
+
+// TestRepackerDefaultInterval: with Options.Interval unset, the started
+// repacker sleeps DefaultRepackInterval before its first pass.
 func TestRepackerDefaultInterval(t *testing.T) {
-	rp := NewRepacker(nil, TargetFunc(func(time.Time) (PassStats, error) {
+	spy := sleepSpy{Sim: simclock.NewSim(simclock.Epoch), entered: make(chan time.Time, 1)}
+	rp := NewRepacker(spy, TargetFunc(func(time.Time) (PassStats, error) {
 		return PassStats{}, nil
 	}), Options{})
-	if rp.Interval() != DefaultRepackInterval {
-		t.Fatalf("Interval = %v, want %v", rp.Interval(), DefaultRepackInterval)
+	rp.Start()
+	defer rp.Stop()
+	if got, want := <-spy.entered, simclock.Epoch.Add(DefaultRepackInterval); !got.Equal(want) {
+		t.Fatalf("first sleep until %v, want %v", got, want)
 	}
 }

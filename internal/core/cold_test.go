@@ -1,9 +1,8 @@
 package core
 
-// Tests for the cold-tier wiring: boot-time knobs route through ApplyTuning,
-// the tuning document validates and round-trips the cold knobs, the
-// background repacker demotes on the machine clock with reads staying
-// transparent.
+// Tests for Boot's wiring: the cold-tier, sweeper and cache options reach
+// their layers, bad options are rejected, and the background repacker
+// demotes on the machine clock with reads staying transparent.
 
 import (
 	"errors"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/dbfs"
+	"repro/internal/simclock"
 )
 
 func insertUser(t *testing.T, s *System, subject string) string {
@@ -24,67 +24,88 @@ func insertUser(t *testing.T, s *System, subject string) string {
 	return pdid
 }
 
+// sleepSpy is a Sim clock announcing every WaitUntil a background loop
+// enters, so a test reads the cadence a started loop was built with.
+type sleepSpy struct {
+	*simclock.Sim
+	entered chan time.Time
+}
+
+func (s sleepSpy) WaitUntil(t time.Time, cancel <-chan struct{}) bool {
+	s.entered <- t
+	return s.Sim.WaitUntil(t, cancel)
+}
+
+func newSleepSpy() sleepSpy {
+	// Each started loop here sleeps once or twice; 64 never blocks one.
+	return sleepSpy{Sim: simclock.NewSim(simclock.Epoch), entered: make(chan time.Time, 64)}
+}
+
 func TestBootColdTierWiring(t *testing.T) {
-	s, err := Boot(Options{AuthorityBits: 1024, ColdAfter: time.Hour, ColdInterval: 30 * time.Second})
+	spy := newSleepSpy()
+	s, err := Boot(Options{AuthorityBits: 1024, Clock: spy, ColdAfter: time.Hour, ColdInterval: 30 * time.Second})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got := s.Tuning()
-	if *got.ColdAfter != time.Hour {
-		t.Fatalf("Tuning().ColdAfter = %v, want 1h (boot knob must route through the tuning API)", *got.ColdAfter)
-	}
-	if *got.RepackInterval != 30*time.Second {
-		t.Fatalf("Tuning().RepackInterval = %v, want 30s", *got.RepackInterval)
-	}
 	if s.DBFS().ColdAfter() != time.Hour {
-		t.Fatalf("store ColdAfter = %v", s.DBFS().ColdAfter())
-	}
-}
-
-func TestApplyTuningColdValidation(t *testing.T) {
-	s := bootTest(t)
-	for _, tc := range []struct {
-		name string
-		doc  Tuning
-	}{
-		{"negative cold after", Tuning{ColdAfter: ptr(-time.Second)}},
-		{"zero repack interval", Tuning{RepackInterval: ptr(time.Duration(0))}},
-	} {
-		if err := s.ApplyTuning(tc.doc); !errors.Is(err, ErrBadTuning) {
-			t.Fatalf("%s: err = %v, want ErrBadTuning", tc.name, err)
-		}
-	}
-}
-
-func TestApplyTuningColdRoundTripAndLiveRepacker(t *testing.T) {
-	s := bootTest(t)
-	if err := s.ApplyTuning(Tuning{ColdAfter: ptr(2 * time.Hour), RepackInterval: ptr(45 * time.Second)}); err != nil {
-		t.Fatal(err)
-	}
-	got := s.Tuning()
-	if *got.ColdAfter != 2*time.Hour || *got.RepackInterval != 45*time.Second {
-		t.Fatalf("cold knobs = %v/%v", *got.ColdAfter, *got.RepackInterval)
+		t.Fatalf("store ColdAfter = %v, want 1h", s.DBFS().ColdAfter())
 	}
 	rp := s.StartRepacker()
 	defer rp.Stop()
-	if rp.Interval() != 45*time.Second {
-		t.Fatalf("repacker started at %v, want the tuned 45s", rp.Interval())
-	}
 	if s.Repacker() != rp {
 		t.Fatal("Repacker() does not return the started repacker")
 	}
-	if err := s.ApplyTuning(Tuning{RepackInterval: ptr(time.Minute)}); err != nil {
+	if got, want := <-spy.entered, simclock.Epoch.Add(30*time.Second); !got.Equal(want) {
+		t.Fatalf("repacker sleeps until %v, want one ColdInterval (%v)", got, want)
+	}
+}
+
+// TestBootOptionsReachLayers: the sweep cadence and the membrane-cache
+// ablation given to Boot are what the sweeper and the store run with.
+func TestBootOptionsReachLayers(t *testing.T) {
+	spy := newSleepSpy()
+	s, err := Boot(Options{AuthorityBits: 1024, Clock: spy, SweepInterval: 2 * time.Minute, MembraneCache: -1})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if rp.Interval() != time.Minute {
-		t.Fatalf("live repacker interval = %v after ApplyTuning", rp.Interval())
+	sw := s.StartSweeper()
+	if s.Sweeper() != sw {
+		t.Fatal("Sweeper() does not return the started sweeper")
 	}
-	// ColdAfter 0 disables demotion without touching the repacker.
-	if err := s.ApplyTuning(Tuning{ColdAfter: ptr(time.Duration(0))}); err != nil {
-		t.Fatal(err)
+	got := <-spy.entered
+	sw.Stop()
+	if want := simclock.Epoch.Add(2 * time.Minute); !got.Equal(want) {
+		t.Fatalf("idle sweeper sleeps until %v, want one SweepInterval (%v)", got, want)
 	}
-	if s.DBFS().ColdAfter() != 0 {
-		t.Fatalf("ColdAfter = %v after disable", s.DBFS().ColdAfter())
+
+	setupUserType(t, s)
+	pdid := insertUser(t, s, "alice")
+	for i := 0; i < 2; i++ {
+		if _, err := s.DBFS().GetMembrane(s.DEDToken(), pdid); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if st := s.DBFS().Stats(); st.CacheHits != 0 || st.CacheMisses != 0 || st.MembraneReads != 2 {
+		t.Fatalf("MembraneCache -1: hits %d misses %d reads %d, want 0/0/2",
+			st.CacheHits, st.CacheMisses, st.MembraneReads)
+	}
+}
+
+// TestBootRejectsBadOptions: a negative duration or queue bound fails Boot
+// with ErrBadOptions instead of silently meaning the default.
+func TestBootRejectsBadOptions(t *testing.T) {
+	for name, opts := range map[string]Options{
+		"CommitWindow":   {CommitWindow: -time.Millisecond},
+		"AdmissionQueue": {AdmissionQueue: -1},
+		"SweepInterval":  {SweepInterval: -time.Minute},
+		"ColdAfter":      {ColdAfter: -time.Hour},
+		"ColdInterval":   {ColdInterval: -time.Second},
+	} {
+		opts.AuthorityBits = 1024
+		s, err := Boot(opts)
+		if !errors.Is(err, ErrBadOptions) || s != nil {
+			t.Errorf("%s negative: Boot = %v, %v; want nil, ErrBadOptions", name, s, err)
+		}
 	}
 }
 

@@ -15,10 +15,9 @@
 // collection sources, register purpose-annotated processings, ps_invoke
 // them, and serve data-subject rights.
 //
-// Runtime knobs flow through one door: ApplyTuning applies a validated
-// core.Tuning document atomically per knob (nothing applies if any knob is
-// invalid) and Tuning() snapshots the live configuration. DESIGN.md
-// ("Tuning API") lists the knobs.
+// Options is the machine's whole configuration: Boot validates it and
+// hands each layer its value as it builds that layer, and nothing
+// re-tunes a running machine.
 package core
 
 import (
@@ -26,7 +25,6 @@ import (
 	"fmt"
 	"io"
 	"runtime"
-	"sync"
 	"time"
 
 	"repro/internal/admission"
@@ -101,18 +99,15 @@ type Options struct {
 	// on depth.
 	AdmissionQueue int
 	// SweepInterval is the retention sweeper's pass cadence when
-	// StartSweeper runs it (0 = rights.DefaultSweepInterval). Runtime
-	// adjustable via ApplyTuning.
+	// StartSweeper runs it (0 = rights.DefaultSweepInterval).
 	SweepInterval time.Duration
 	// ColdAfter enables the DBFS cold tier: records untouched this long
 	// are demoted into compressed per-subject content-addressed archives
 	// by the repacker's next pass. 0 (the default) disables demotion;
-	// promotion of already-archived records always works. Runtime
-	// adjustable via ApplyTuning.
+	// promotion of already-archived records always works.
 	ColdAfter time.Duration
 	// ColdInterval is the cold-tier repacker's pass cadence when
-	// StartRepacker runs it (0 = coldtier.DefaultRepackInterval). Runtime
-	// adjustable via ApplyTuning (RepackInterval).
+	// StartRepacker runs it (0 = coldtier.DefaultRepackInterval).
 	ColdInterval time.Duration
 	// CryptoRand overrides the vault's entropy source. ONLY for
 	// deterministic experiments (the SC8 and SC9 golden tests need
@@ -124,6 +119,31 @@ type Options struct {
 	// status output and per-node error reports. Empty for standalone
 	// machines.
 	NodeName string
+}
+
+// ErrBadOptions reports Options that Boot rejected; nothing was built.
+var ErrBadOptions = errors.New("core: invalid options")
+
+// validate rejects the negative durations and queue bound that no layer
+// gives a meaning to; zero keeps its documented default.
+func (o *Options) validate() error {
+	for _, d := range []struct {
+		name string
+		v    time.Duration
+	}{
+		{"CommitWindow", o.CommitWindow},
+		{"SweepInterval", o.SweepInterval},
+		{"ColdAfter", o.ColdAfter},
+		{"ColdInterval", o.ColdInterval},
+	} {
+		if d.v < 0 {
+			return fmt.Errorf("%w: %s %v is negative", ErrBadOptions, d.name, d.v)
+		}
+	}
+	if o.AdmissionQueue < 0 {
+		return fmt.Errorf("%w: AdmissionQueue %d is negative", ErrBadOptions, o.AdmissionQueue)
+	}
+	return nil
 }
 
 func (o *Options) withDefaults() {
@@ -151,15 +171,6 @@ func (o *Options) withDefaults() {
 	if o.FSInstances <= 0 {
 		o.FSInstances = 1
 	}
-	if o.Shards == 0 {
-		o.Shards = dbfs.DefaultShards
-	}
-	if o.SweepInterval <= 0 {
-		o.SweepInterval = rights.DefaultSweepInterval
-	}
-	if o.ColdInterval <= 0 {
-		o.ColdInterval = coldtier.DefaultRepackInterval
-	}
 }
 
 // System is a booted rgpdOS machine.
@@ -185,18 +196,17 @@ type System struct {
 	sources *collect.Registry
 	acq     *builtins.Acquirer
 
-	// tuneMu serializes ApplyTuning documents (individual knob writes are
-	// already safe; the mutex makes multi-knob documents apply without
-	// interleaving).
-	tuneMu sync.Mutex
 	// repacker is the cold-tier repacker, built at Boot and stopped until
-	// StartRepacker; like the rights engine's sweeper it holds its own
-	// interval, so ApplyTuning and Tuning() talk to the live object.
+	// StartRepacker.
 	repacker *coldtier.Repacker
 }
 
-// Boot assembles and starts a machine.
+// Boot assembles and starts a machine. Options that fail validation
+// return an error wrapping ErrBadOptions.
 func Boot(opts Options) (*System, error) {
+	if err := opts.validate(); err != nil {
+		return nil, err
+	}
 	opts.withDefaults()
 	s := &System{opts: opts}
 
@@ -250,7 +260,9 @@ func Boot(opts Options) (*System, error) {
 			}
 		}
 	}
-	if s.store, err = dbfs.CreateShards(s.pdFSs, s.guard, s.vault, opts.Clock, opts.Shards); err != nil {
+	if s.store, err = dbfs.Create(s.pdFSs, s.guard, s.vault, opts.Clock, dbfs.Config{
+		Shards: opts.Shards, MembraneCache: opts.MembraneCache, ColdAfter: opts.ColdAfter,
+	}); err != nil {
 		return nil, fmt.Errorf("core: dbfs: %w", err)
 	}
 	if s.npdFS, err = plainfs.Format(npdView, inode.Options{
@@ -274,30 +286,40 @@ func Boot(opts Options) (*System, error) {
 	if err := builtins.Register(s.ps); err != nil {
 		return nil, fmt.Errorf("core: builtins: %w", err)
 	}
-	s.rights = rights.New(s.ps, s.ded, s.log, opts.Clock)
-	s.rights.Sweeper().SetInterval(opts.SweepInterval)
+	s.rights = rights.New(s.ps, s.ded, s.log, opts.Clock, opts.SweepInterval)
 	s.repacker = coldtier.NewRepacker(opts.Clock, coldtier.TargetFunc(
 		func(now time.Time) (coldtier.PassStats, error) {
 			return s.store.RepackCold(dedTok, now)
 		}), coldtier.Options{Interval: opts.ColdInterval})
-	// Boot-time knob installs go through the same door an operator uses
-	// (ApplyTuning), so the tuning snapshot is coherent from boot.
-	var boot Tuning
-	if opts.MembraneCache != 0 {
-		mc := opts.MembraneCache
-		boot.MembraneCache = &mc
-	}
-	if opts.ColdAfter > 0 {
-		ca := opts.ColdAfter
-		boot.ColdAfter = &ca
-	}
-	if boot.MembraneCache != nil || boot.ColdAfter != nil {
-		if err := s.ApplyTuning(boot); err != nil {
-			return nil, fmt.Errorf("core: boot tuning: %w", err)
-		}
-	}
 	return s, nil
 }
+
+// StartSweeper starts the machine's background retention sweeper — the
+// rights engine's one sweeper — and returns it; if it is already running it
+// is returned unchanged. Its cadence is Options.SweepInterval.
+func (s *System) StartSweeper() *rights.Sweeper {
+	sw := s.rights.Sweeper()
+	sw.Start()
+	return sw
+}
+
+// Sweeper returns the machine's retention sweeper (stopped until
+// StartSweeper).
+func (s *System) Sweeper() *rights.Sweeper { return s.rights.Sweeper() }
+
+// StartRepacker starts the machine's background cold-tier repacker and
+// returns it; if it is already running it is returned unchanged. The
+// repacker drives dbfs.Store.RepackCold with the DED's capability at
+// Options.ColdInterval. With ColdAfter unset the passes run and demote
+// nothing.
+func (s *System) StartRepacker() *coldtier.Repacker {
+	s.repacker.Start()
+	return s.repacker
+}
+
+// Repacker returns the machine's cold-tier repacker (stopped until
+// StartRepacker).
+func (s *System) Repacker() *coldtier.Repacker { return s.repacker }
 
 // --- component accessors ---
 

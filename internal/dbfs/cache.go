@@ -28,9 +28,9 @@ import (
 	"repro/internal/membrane"
 )
 
-// DefaultMembraneCacheCap is the store-wide entry bound used when the cache
-// capacity is left unconfigured.
-const DefaultMembraneCacheCap = 8192
+// defaultMembraneCacheCap is the store-wide entry bound used when
+// Config.MembraneCache is 0.
+const defaultMembraneCacheCap = 8192
 
 // cacheEntry is one cached decoded membrane with the record version it was
 // captured at.
@@ -67,7 +67,7 @@ type membraneCache struct {
 // nshards shards.
 func newMembraneCache(capacity, nshards int) *membraneCache {
 	if capacity <= 0 {
-		capacity = DefaultMembraneCacheCap
+		capacity = defaultMembraneCacheCap
 	}
 	if nshards < 1 {
 		nshards = 1
@@ -86,32 +86,6 @@ func newMembraneCache(capacity, nshards int) *membraneCache {
 		}
 	}
 	return c
-}
-
-// resize re-bounds the cache to roughly capacity entries in place,
-// preserving entries, versions and counters: each shard's cap is adjusted
-// under its own mutex and overflow evicts from the LRU tail. Preserving
-// entries matters because ApplyTuning resizes a live cache: an operator's
-// resize must not cold-start the cache and send every following membrane
-// read to disk.
-func (c *membraneCache) resize(capacity int) {
-	if capacity <= 0 {
-		capacity = DefaultMembraneCacheCap
-	}
-	per := (capacity + len(c.shards) - 1) / len(c.shards)
-	if per < 1 {
-		per = 1
-	}
-	for i := range c.shards {
-		cs := &c.shards[i]
-		cs.mu.Lock()
-		cs.cap = per
-		for cs.lru.Len() > cs.cap {
-			cs.removeLocked(cs.lru.Back())
-			c.evictions.Add(1)
-		}
-		cs.mu.Unlock()
-	}
 }
 
 // get returns a clone of the cached membrane for pdid, or nil on a miss

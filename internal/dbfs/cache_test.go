@@ -159,9 +159,8 @@ func TestCacheCoherenceStress(t *testing.T) {
 // every read must still return the right membrane, and the counters must
 // account for hits, misses and evictions.
 func TestCacheEvictionUnderCapacity(t *testing.T) {
-	e := newEnv(t)
+	e := newEnvWith(t, Config{MembraneCache: 1}) // 1 entry per shard
 	e.mustCreateUser(t)
-	e.store.ConfigureMembraneCache(1) // 1 entry per shard
 	const records = 10
 	subject := "evict-subject"
 	pdids := make([]string, records)
@@ -193,8 +192,7 @@ func TestCacheEvictionUnderCapacity(t *testing.T) {
 	if want := uint64(3 * records); st.MembraneReads != want {
 		t.Errorf("MembraneReads = %d, want %d", st.MembraneReads, want)
 	}
-	// Same-record rereads with ample capacity must hit.
-	e.store.ConfigureMembraneCache(0)
+	// Same-record rereads must hit: one entry per shard is enough.
 	if _, err := e.store.GetMembrane(e.tok, pdids[0]); err != nil { // fill
 		t.Fatal(err)
 	}
@@ -229,9 +227,8 @@ func TestCacheDeleteDropsEntry(t *testing.T) {
 // TestCacheDisabled checks the ablation switch: reads still work and the
 // cache counters stay zero.
 func TestCacheDisabled(t *testing.T) {
-	e := newEnv(t)
+	e := newEnvWith(t, Config{MembraneCache: -1})
 	e.mustCreateUser(t)
-	e.store.ConfigureMembraneCache(-1)
 	pdid, err := e.store.Insert(e.tok, "user", "eve", aliceRecord(), nil)
 	if err != nil {
 		t.Fatal(err)

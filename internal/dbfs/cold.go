@@ -46,7 +46,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/coldtier"
@@ -79,7 +78,7 @@ var (
 // written under an earlier configuration stay readable) and the per-shard
 // index slices.
 type coldState struct {
-	after  atomic.Int64 // idle threshold in nanoseconds
+	after  time.Duration // idle threshold, fixed at Create/Open
 	shards []coldShard
 	// roots / snapRoots are the per-instance cold and snapshot trees.
 	roots     []inode.Ino
@@ -114,28 +113,12 @@ func (cs *coldShard) init() {
 	}
 }
 
-// ConfigureColdTier sets the cold tier's idle threshold: records untouched
-// for this long are demoted into their subject's archive by the next
-// repack pass. Zero (the default) disables demotion; promotion of
-// already-archived records always works. Safe at runtime.
-//
-// For a store owned by a core.System, System.ApplyTuning
-// (core.Tuning.ColdAfter) is the door: it calls this setter.
-func (s *Store) ConfigureColdTier(after time.Duration) {
-	if after < 0 {
-		after = 0
-	}
-	s.cold.after.Store(int64(after))
-}
-
 // ColdAfter reports the configured idle threshold (0 = demotion disabled).
-func (s *Store) ColdAfter() time.Duration {
-	return time.Duration(s.cold.after.Load())
-}
+func (s *Store) ColdAfter() time.Duration { return s.cold.after }
 
 // coldTouch stamps a record's last-touch instant; caller holds the
 // subject's shard lock (either side). Skipped while demotion is disabled
-// so the disabled tier costs one atomic load per operation.
+// so the disabled tier costs one field read per operation.
 func (s *Store) coldTouch(sr shardRef, pdid string) {
 	if s.ColdAfter() == 0 {
 		return
@@ -582,7 +565,7 @@ func (s *Store) removeRecordFilesLocked(sr shardRef, r ref, tree inode.Ino) erro
 		s.cacheInvalidate(sr, r.pdid)
 		return err
 	}
-	if mc := s.mcache.Load(); mc != nil {
+	if mc := s.mcache; mc != nil {
 		mc.drop(sr.idx, r.pdid)
 	}
 	return nil

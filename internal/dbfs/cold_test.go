@@ -16,8 +16,7 @@ import (
 // demote on the next repack pass.
 func coldEnv(t *testing.T) *testEnv {
 	t.Helper()
-	e := newEnv(t)
-	e.store.ConfigureColdTier(time.Hour)
+	e := newEnvWith(t, Config{ColdAfter: time.Hour})
 	e.mustCreateUser(t)
 	return e
 }
@@ -171,7 +170,7 @@ func TestColdIndexSurvivesRemount(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st2, err := Open([]*inode.FS{e.fs}, e.guard, e.vault, e.clock)
+	st2, err := Open([]*inode.FS{e.fs}, e.guard, e.vault, e.clock, Config{ColdAfter: time.Hour})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

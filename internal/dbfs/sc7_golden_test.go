@@ -86,11 +86,10 @@ func newSC7Rig(t *testing.T, seed uint64, coldAfter time.Duration) *sc7Rig {
 	guard := lsm.NewGuard()
 	vault := cryptoshred.NewVault(auth.PublicKey())
 	vault.SetRand(xrand.NewReader(seed))
-	store, err := dbfs.Create([]*inode.FS{fs}, guard, vault, clock)
+	store, err := dbfs.Create([]*inode.FS{fs}, guard, vault, clock, dbfs.Config{ColdAfter: coldAfter})
 	if err != nil {
 		t.Fatal(err)
 	}
-	store.ConfigureColdTier(coldAfter)
 	tok := guard.Mint("ded", lsm.CapDBFS)
 	sch := &dbfs.Schema{
 		Name: "user",

@@ -117,7 +117,7 @@ func newCrashEnv(t *testing.T) *crashEnv {
 	if e.fs, err = inode.Format(e.cut, inode.Options{NInodes: 256, JournalBlocks: 64, Clock: e.clock}); err != nil {
 		t.Fatalf("inode.Format: %v", err)
 	}
-	if e.store, err = Create([]*inode.FS{e.fs}, e.guard, e.vault, e.clock); err != nil {
+	if e.store, err = Create([]*inode.FS{e.fs}, e.guard, e.vault, e.clock, Config{}); err != nil {
 		t.Fatalf("dbfs.Create: %v", err)
 	}
 	if err := e.store.CreateType(e.tok, userSchema()); err != nil {
@@ -140,7 +140,7 @@ func (e *crashEnv) reboot(t *testing.T) (*Store, inode.CheckReport) {
 		t.Fatalf("fsck after the cut: %v", err)
 	}
 	lookupsMatchDisk(t, fs)
-	s, err := Open([]*inode.FS{fs}, e.guard, e.vault, e.clock)
+	s, err := Open([]*inode.FS{fs}, e.guard, e.vault, e.clock, Config{})
 	if err != nil {
 		t.Fatalf("dbfs.Open after the cut: %v", err)
 	}

@@ -1,6 +1,6 @@
 package dbfs
 
-// Shard-geometry tests: the mount-time shard count (CreateShards /
+// Shard-geometry tests: the mount-time shard count (Config.Shards /
 // core.Options.Shards), its persistence in the per-instance shard config,
 // the legacy 16-byte config fallback, and the shard-collision balance
 // sweep — the measured basis for DefaultShards = 64.
@@ -41,9 +41,9 @@ func newShardedEnvShards(t *testing.T, n, shards int) *shardedEnv {
 		t.Fatal(err)
 	}
 	guard := lsm.NewGuard()
-	store, err := CreateShards(fss, guard, cryptoshred.NewVault(auth.PublicKey()), clock, shards)
+	store, err := Create(fss, guard, cryptoshred.NewVault(auth.PublicKey()), clock, Config{Shards: shards})
 	if err != nil {
-		t.Fatalf("CreateShards: %v", err)
+		t.Fatalf("Create: %v", err)
 	}
 	if err := store.CreateType(store.guard.Mint("boot", lsm.CapDBFS), userSchema()); err != nil {
 		t.Fatalf("CreateType: %v", err)
@@ -51,8 +51,8 @@ func newShardedEnvShards(t *testing.T, n, shards int) *shardedEnv {
 	return &shardedEnv{dev: dev, fss: fss, store: store, tok: guard.Mint("ded", lsm.CapDBFS)}
 }
 
-// remount re-mounts an env's device into a fresh Open.
-func remount(t *testing.T, e *shardedEnv) (*Store, error) {
+// remount re-mounts an env's device into a fresh Open with cfg.
+func remount(t *testing.T, e *shardedEnv, cfg Config) (*Store, error) {
 	t.Helper()
 	clock := simclock.NewSim(simclock.Epoch)
 	per := e.dev.NumBlocks() / uint64(len(e.fss))
@@ -66,14 +66,14 @@ func remount(t *testing.T, e *shardedEnv) (*Store, error) {
 			t.Fatalf("Mount %d: %v", i, err)
 		}
 	}
-	return Open(fss2, e.store.guard, e.store.vault, clock)
+	return Open(fss2, e.store.guard, e.store.vault, clock, cfg)
 }
 
 func TestCreateShardsValidation(t *testing.T) {
 	e := newShardedEnv(t, 2)
 	// Fewer shards than instances would leave instances unreachable.
-	if _, err := CreateShards(e.fss, e.store.guard, e.store.vault, e.store.clock, 1); err == nil {
-		t.Fatal("CreateShards with shards < instances succeeded")
+	if _, err := Create(e.fss, e.store.guard, e.store.vault, e.store.clock, Config{Shards: 1}); err == nil {
+		t.Fatal("Create with shards < instances succeeded")
 	}
 }
 
@@ -99,7 +99,11 @@ func TestCustomShardCountPersistsAcrossRemount(t *testing.T) {
 			t.Fatalf("ShardOf(%q) = %d, outside 16-shard geometry", subj, sh)
 		}
 	}
-	store2, err := remount(t, e)
+	// Open may name the shard count, but only the persisted one.
+	if _, err := remount(t, e, Config{Shards: 8}); err == nil {
+		t.Fatal("Open with 8 shards over a 16-shard store succeeded")
+	}
+	store2, err := remount(t, e, Config{Shards: 16})
 	if err != nil {
 		t.Fatalf("remount: %v", err)
 	}
@@ -138,7 +142,7 @@ func TestLegacyShardConfigMeansDefaultShards(t *testing.T) {
 		binary.LittleEndian.PutUint64(cfg[8:], uint64(i))
 		rewriteShardCfg(t, fs, cfg[:])
 	}
-	store2, err := remount(t, e)
+	store2, err := remount(t, e, Config{})
 	if err != nil {
 		t.Fatalf("remount with legacy config: %v", err)
 	}
@@ -156,7 +160,7 @@ func TestShardCountMismatchRejected(t *testing.T) {
 	binary.LittleEndian.PutUint64(cfg[8:], 1)
 	binary.LittleEndian.PutUint64(cfg[16:], 32)
 	rewriteShardCfg(t, e.fss[1], cfg[:])
-	if _, err := remount(t, e); err == nil {
+	if _, err := remount(t, e, Config{}); err == nil {
 		t.Fatal("remount with mismatched shard counts succeeded")
 	}
 }
@@ -190,53 +194,6 @@ func TestShardBalanceSweep(t *testing.T) {
 		if n == DefaultShards && skew > 2.0 {
 			t.Fatalf("default %d shards skew %.3f exceeds 2x", n, skew)
 		}
-	}
-}
-
-func TestMembraneCacheRuntimeResize(t *testing.T) {
-	e := newShardedEnv(t, 2)
-	subj := "resize-subj"
-	pdid, err := e.store.Insert(e.tok, "user", subj, Record{
-		"name": S("R"), "pwd": S("pw"), "year_of_birthdate": I(1990),
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	read := func() {
-		t.Helper()
-		if _, err := e.store.GetMembrane(e.tok, pdid); err != nil {
-			t.Fatal(err)
-		}
-	}
-	read() // insert write-through makes this a hit already
-	base := e.store.Stats()
-	if base.CacheHits == 0 {
-		t.Fatalf("expected warm cache, stats %+v", base)
-	}
-	// Growing the cache must preserve entries: the next read is a hit
-	// with no new miss.
-	e.store.ConfigureMembraneCache(2 * DefaultMembraneCacheCap)
-	read()
-	st := e.store.Stats()
-	if st.CacheHits != base.CacheHits+1 || st.CacheMisses != base.CacheMisses {
-		t.Fatalf("resize dropped entries: before %+v after %+v", base, st)
-	}
-	if got := e.store.MembraneCacheCap(); got != 2*DefaultMembraneCacheCap {
-		t.Fatalf("MembraneCacheCap = %d, want %d", got, 2*DefaultMembraneCacheCap)
-	}
-	// Disabling swaps the cache out; reads still serve correct data.
-	e.store.ConfigureMembraneCache(-1)
-	if got := e.store.MembraneCacheCap(); got != -1 {
-		t.Fatalf("MembraneCacheCap after disable = %d, want -1", got)
-	}
-	read()
-	// Re-enabling starts empty and refills: one miss, then hits.
-	e.store.ConfigureMembraneCache(0)
-	read()
-	read()
-	st2 := e.store.Stats()
-	if st2.CacheMisses == 0 || st2.CacheHits == 0 {
-		t.Fatalf("re-enabled cache not refilling: %+v", st2)
 	}
 }
 

@@ -184,16 +184,11 @@ type Store struct {
 	nshards uint32
 	shards  []sync.RWMutex
 
-	// mcache memoizes decoded membranes per record (see cache.go); a nil
-	// pointer means caching is disabled. Entries are maintained under the
-	// shard locks, so readers can never observe a membrane older than the
-	// last committed mutation; the pointer itself is atomic so the cache
-	// can be resized (in place, entries preserved) or enabled/disabled at
-	// runtime — a swapped-in cache starts empty and refills under the
-	// shard locks, which keeps the coherence argument intact. mcacheCap
-	// remembers the configured capacity (-1 disabled) for snapshots.
-	mcache    atomic.Pointer[membraneCache]
-	mcacheCap atomic.Int64
+	// mcache memoizes decoded membranes per record (see cache.go); nil
+	// when Config.MembraneCache disabled it. Entries are maintained under
+	// the shard locks, so readers can never observe a membrane older than
+	// the last committed mutation.
+	mcache *membraneCache
 
 	// expiryNote, when set, observes the retention deadline
 	// (CreatedAt+TTL) of every membrane as it is persisted — the feed for
@@ -279,24 +274,37 @@ func (s *Store) bumpStats(f func(*Stats)) {
 	s.statsMu.Unlock()
 }
 
-// Create formats the DBFS trees across freshly formatted inode filesystem
-// instances with the default shard count. See CreateShards.
-func Create(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock simclock.Clock) (*Store, error) {
-	return CreateShards(fss, guard, vault, clock, DefaultShards)
+// Config is what a store is created or opened with; it is fixed for the
+// store's lifetime.
+type Config struct {
+	// Shards is the subject-shard count. At Create 0 means DefaultShards;
+	// at Open 0 means the persisted count, and any other value must match
+	// it.
+	Shards int
+	// MembraneCache bounds the decoded-membrane cache (entries across all
+	// shards): 0 means the default bound of 8192, negative disables the
+	// cache, so every membrane read reaches the device.
+	MembraneCache int
+	// ColdAfter is the cold tier's idle threshold: records untouched this
+	// long are demoted into their subject's archive by the next repack
+	// pass. 0 disables demotion; promotion of already-archived records
+	// always works.
+	ColdAfter time.Duration
 }
 
-// CreateShards formats the DBFS trees across freshly formatted inode
-// filesystem instances with an explicit subject-shard count (0 means
-// DefaultShards). Every instance gets its own "subjects" and "tables"
-// major trees; instance 0 additionally holds the schema and format trees.
-// The subject-shard → instance routing is shard mod len(fss), so the shard
-// and instance counts are persisted per instance and must stay the same
-// across remounts of the same devices (Open validates both). shards must
-// be at least len(fss), or trailing instances could never receive traffic.
-func CreateShards(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock simclock.Clock, shards int) (*Store, error) {
+// Create formats the DBFS trees across freshly formatted inode
+// filesystem instances. Every instance gets its own "subjects" and
+// "tables" major trees; instance 0 additionally holds the schema and
+// format trees. The subject-shard → instance routing is shard mod
+// len(fss), so the shard and instance counts are persisted per instance
+// and must stay the same across remounts of the same devices (Open
+// validates both). cfg.Shards must be at least len(fss), or trailing
+// instances could never receive traffic.
+func Create(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock simclock.Clock, cfg Config) (*Store, error) {
 	if len(fss) == 0 {
 		return nil, fmt.Errorf("dbfs: need at least one filesystem instance")
 	}
+	shards := cfg.Shards
 	if shards == 0 {
 		shards = DefaultShards
 	}
@@ -306,12 +314,12 @@ func CreateShards(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, c
 	if clock == nil {
 		clock = simclock.Real{}
 	}
-	s := newStore(fss, guard, vault, clock, uint32(shards))
+	s := newStore(fss, guard, vault, clock, uint32(shards), cfg)
 	for i, fs := range fss {
-		var cfg [24]byte
-		binary.LittleEndian.PutUint64(cfg[0:], uint64(len(fss)))
-		binary.LittleEndian.PutUint64(cfg[8:], uint64(i))
-		binary.LittleEndian.PutUint64(cfg[16:], uint64(shards))
+		var shardCfg [24]byte
+		binary.LittleEndian.PutUint64(shardCfg[0:], uint64(len(fss)))
+		binary.LittleEndian.PutUint64(shardCfg[8:], uint64(i))
+		binary.LittleEndian.PutUint64(shardCfg[16:], uint64(shards))
 		trees := []struct {
 			name string
 			dst  *inode.Ino
@@ -333,7 +341,7 @@ func CreateShards(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, c
 				}
 				*spec.dst = ino
 			}
-			_, err := createFile(op, inode.RootIno, shardCfgName, "shard-config", cfg[:])
+			_, err := createFile(op, inode.RootIno, shardCfgName, "shard-config", shardCfg[:])
 			return err
 		})
 		if err != nil {
@@ -347,7 +355,7 @@ func CreateShards(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, c
 }
 
 // newStore builds the in-memory Store shell for nshards subject shards.
-func newStore(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock simclock.Clock, nshards uint32) *Store {
+func newStore(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock simclock.Clock, nshards uint32, cfg Config) *Store {
 	s := &Store{
 		fss:          fss,
 		guard:        guard,
@@ -364,8 +372,10 @@ func newStore(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock
 		scanLocks:    make([]atomic.Uint64, nshards),
 	}
 	s.cold.shards = make([]coldShard, nshards)
-	s.mcache.Store(newMembraneCache(0, int(nshards)))
-	s.mcacheCap.Store(DefaultMembraneCacheCap)
+	s.cold.after = max(cfg.ColdAfter, 0)
+	if cfg.MembraneCache >= 0 {
+		s.mcache = newMembraneCache(cfg.MembraneCache, int(nshards))
+	}
 	return s
 }
 
@@ -399,10 +409,11 @@ func readShardCfg(fs *inode.FS) (count, idx, shards uint64, err error) {
 // Open mounts an existing DBFS from its mounted instances (same order and
 // count as at Create): it reads the persisted shard geometry (instance
 // count and subject-shard count — both fixed at Create, both validated on
-// every instance so remounts can never silently re-route subjects),
+// every instance and against a nonzero cfg.Shards, so remounts can never
+// silently re-route subjects),
 // resolves the major trees on every instance, then loads every schema and
 // the format descriptors from instance 0 (the once-per-session read).
-func Open(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock simclock.Clock) (*Store, error) {
+func Open(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock simclock.Clock, cfg Config) (*Store, error) {
 	if len(fss) == 0 {
 		return nil, fmt.Errorf("dbfs: need at least one filesystem instance")
 	}
@@ -413,7 +424,10 @@ func Open(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock sim
 	if err != nil {
 		return nil, fmt.Errorf("dbfs: open instance 0: %w", err)
 	}
-	s := newStore(fss, guard, vault, clock, uint32(nsh))
+	if cfg.Shards != 0 && uint64(cfg.Shards) != nsh {
+		return nil, fmt.Errorf("dbfs: open: %d subject shards requested, the store has %d — shard routing would change", cfg.Shards, nsh)
+	}
+	s := newStore(fss, guard, vault, clock, uint32(nsh), cfg)
 	if s.schemaRoot, err = s.metaFS().Lookup(inode.RootIno, schemaRootName); err != nil {
 		return nil, fmt.Errorf("dbfs: open: %w", err)
 	}
@@ -588,7 +602,7 @@ func (s *Store) Stats() Stats {
 	s.statsMu.Lock()
 	st := s.stats
 	s.statsMu.Unlock()
-	if mc := s.mcache.Load(); mc != nil {
+	if mc := s.mcache; mc != nil {
 		st.CacheHits, st.CacheMisses, st.CacheEvictions = mc.counters()
 	}
 	for _, fs := range s.fss {
@@ -631,38 +645,6 @@ func (s *Store) ShardScans() []uint64 {
 	}
 	return out
 }
-
-// ConfigureMembraneCache resizes (or disables) the decoded-membrane cache:
-// capacity 0 restores the default bound (DefaultMembraneCacheCap), a
-// negative capacity disables caching entirely — the ablation configuration
-// benchmarks compare against. Safe at runtime: resizing an enabled cache
-// preserves its entries (per-shard cap adjustment with LRU overflow
-// eviction), while disable/enable transitions swap the cache pointer —
-// a freshly enabled cache starts empty and refills under the shard locks.
-//
-// For a store owned by a core.System, System.ApplyTuning
-// (core.Tuning.MembraneCache) is the door: it calls this setter.
-func (s *Store) ConfigureMembraneCache(capacity int) {
-	if capacity < 0 {
-		s.mcacheCap.Store(-1)
-		s.mcache.Store(nil)
-		return
-	}
-	eff := capacity
-	if eff == 0 {
-		eff = DefaultMembraneCacheCap
-	}
-	s.mcacheCap.Store(int64(eff))
-	if mc := s.mcache.Load(); mc != nil {
-		mc.resize(eff)
-		return
-	}
-	s.mcache.Store(newMembraneCache(eff, int(s.nshards)))
-}
-
-// MembraneCacheCap reports the configured membrane-cache capacity:
-// -1 when disabled, otherwise the effective store-wide entry bound.
-func (s *Store) MembraneCacheCap() int { return int(s.mcacheCap.Load()) }
 
 // schemaFor resolves a type's schema under the meta lock. Schemas are
 // immutable once created, so the returned pointer is safe to use lock-free.
@@ -1013,7 +995,7 @@ func (s *Store) Insert(tok *lsm.Token, typeName, subjectID string, rec Record, m
 	if err != nil {
 		return fail(err)
 	}
-	if mc := s.mcache.Load(); mc != nil {
+	if mc := s.mcache; mc != nil {
 		// m is private to this insert (cloned or schema-built above), so the
 		// write-through costs one clone and first reads decode nothing.
 		mc.writeThrough(sr.idx, pdid, m)
@@ -1089,7 +1071,7 @@ func (s *Store) GetMembrane(tok *lsm.Token, pdid string) (*membrane.Membrane, er
 // which is what makes a cache fill here coherent — no mutator can commit
 // concurrently, so the filled value is the freshest stored state.
 func (s *Store) getMembraneLocked(sr shardRef, r ref) (*membrane.Membrane, error) {
-	if mc := s.mcache.Load(); mc != nil {
+	if mc := s.mcache; mc != nil {
 		if m := mc.get(sr.idx, r.pdid); m != nil {
 			s.coldTouch(sr, r.pdid)
 			s.bumpStats(func(st *Stats) { st.MembraneReads++ })
@@ -1108,7 +1090,7 @@ func (s *Store) getMembraneLocked(sr shardRef, r ref) (*membrane.Membrane, error
 	if err != nil {
 		return nil, fmt.Errorf("dbfs: membrane %s: %w", r.pdid, err)
 	}
-	if mc := s.mcache.Load(); mc != nil {
+	if mc := s.mcache; mc != nil {
 		mc.fill(sr.idx, r.pdid, m)
 	}
 	s.coldTouch(sr, r.pdid)
@@ -1231,7 +1213,7 @@ func (s *Store) putMembraneLocked(sr shardRef, r ref, m *membrane.Membrane) erro
 		s.cacheInvalidate(sr, r.pdid)
 		return err
 	}
-	if mc := s.mcache.Load(); mc != nil {
+	if mc := s.mcache; mc != nil {
 		mc.writeThrough(sr.idx, r.pdid, m)
 	}
 	s.coldTouch(sr, r.pdid)
@@ -1243,7 +1225,7 @@ func (s *Store) putMembraneLocked(sr shardRef, r ref, m *membrane.Membrane) erro
 // cacheInvalidate bumps a record's cache version and drops its entry; caller
 // holds the subject's shard write lock.
 func (s *Store) cacheInvalidate(sr shardRef, pdid string) {
-	if mc := s.mcache.Load(); mc != nil {
+	if mc := s.mcache; mc != nil {
 		mc.invalidate(sr.idx, pdid)
 	}
 }
@@ -1454,7 +1436,7 @@ func (s *Store) Delete(tok *lsm.Token, pdid string) error {
 	}
 	// The record is gone; forget it in the cache so no read can resurrect
 	// its membrane.
-	if mc := s.mcache.Load(); mc != nil {
+	if mc := s.mcache; mc != nil {
 		mc.drop(sr.idx, pdid)
 	}
 	// Shred keys so any residues (ciphertext) stay unreadable forever.

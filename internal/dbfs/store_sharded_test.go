@@ -45,7 +45,7 @@ func newShardedEnv(t *testing.T, n int) *shardedEnv {
 		t.Fatal(err)
 	}
 	guard := lsm.NewGuard()
-	store, err := Create(fss, guard, cryptoshred.NewVault(auth.PublicKey()), clock)
+	store, err := Create(fss, guard, cryptoshred.NewVault(auth.PublicKey()), clock, Config{})
 	if err != nil {
 		t.Fatalf("Create: %v", err)
 	}
@@ -190,7 +190,7 @@ func TestShardedReopen(t *testing.T) {
 			t.Fatalf("Mount %d: %v", i, err)
 		}
 	}
-	store2, err := Open(fss2, e.store.guard, e.store.vault, clock)
+	store2, err := Open(fss2, e.store.guard, e.store.vault, clock, Config{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
@@ -206,7 +206,7 @@ func TestShardedReopen(t *testing.T) {
 	}
 	// Reopening with a different instance count would change shard
 	// routing and orphan records; the persisted shard config rejects it.
-	if _, err := Open(fss2[:1], e.store.guard, e.store.vault, clock); err == nil {
+	if _, err := Open(fss2[:1], e.store.guard, e.store.vault, clock, Config{}); err == nil {
 		t.Fatal("Open with wrong instance count succeeded; shard config check broken")
 	}
 }

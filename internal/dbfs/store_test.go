@@ -27,6 +27,12 @@ type testEnv struct {
 
 func newEnv(t *testing.T) *testEnv {
 	t.Helper()
+	return newEnvWith(t, Config{})
+}
+
+// newEnvWith is newEnv with a store created from cfg.
+func newEnvWith(t *testing.T, cfg Config) *testEnv {
+	t.Helper()
 	dev := blockdev.MustMem(4096)
 	clock := simclock.NewSim(simclock.Epoch)
 	fs, err := inode.Format(dev, inode.Options{NInodes: 2048, JournalBlocks: 128, Clock: clock})
@@ -39,7 +45,7 @@ func newEnv(t *testing.T) *testEnv {
 	}
 	guard := lsm.NewGuard()
 	vault := cryptoshred.NewVault(auth.PublicKey())
-	store, err := Create([]*inode.FS{fs}, guard, vault, clock)
+	store, err := Create([]*inode.FS{fs}, guard, vault, clock, cfg)
 	if err != nil {
 		t.Fatalf("dbfs.Create: %v", err)
 	}
@@ -406,7 +412,7 @@ func TestOpenReloadsState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	store2, err := Open([]*inode.FS{fs2}, e.guard, e.vault, e.clock)
+	store2, err := Open([]*inode.FS{fs2}, e.guard, e.vault, e.clock, Config{})
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}

@@ -42,7 +42,7 @@ func newEnv(t *testing.T) *env {
 	}
 	guard := lsm.NewGuard()
 	vault := cryptoshred.NewVault(auth.PublicKey())
-	store, err := dbfs.Create([]*inode.FS{fs}, guard, vault, clock)
+	store, err := dbfs.Create([]*inode.FS{fs}, guard, vault, clock, dbfs.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

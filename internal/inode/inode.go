@@ -172,9 +172,6 @@ type Options struct {
 	// transactions before flushing a commit group (0 drains immediately;
 	// see wal.Log.Configure).
 	CommitWindow time.Duration
-	// GroupMaxBatch bounds transactions per commit group (0 = the wal
-	// default, 1 disables group commit).
-	GroupMaxBatch int
 	// CacheBlocks bounds the shared write-back block buffer cache placed
 	// between the inode layer (journal included) and the device, in
 	// blocks. 0 selects DefaultCacheBlocks; negative disables the cache
@@ -373,7 +370,7 @@ func Format(dev blockdev.Device, opts Options) (*FS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("inode: open journal: %w", err)
 	}
-	log.Configure(opts.CommitWindow, opts.GroupMaxBatch)
+	log.Configure(opts.CommitWindow)
 	fs.log = log
 
 	// Create the root tree inode (ino 1) through the normal journaled path.
@@ -481,25 +478,6 @@ func (fs *FS) JournalStats() wal.Stats { return fs.log.Stats() }
 // hit/miss/eviction/writeback counts merged with the underlying device
 // stats. With the cache disabled the cache counters are zero.
 func (fs *FS) CacheStats() blockdev.Stats { return fs.dev.Stats() }
-
-// ConfigureJournal sets the group-commit parameters on a mounted
-// filesystem (see wal.Log.Configure). Format applies Options.CommitWindow
-// and GroupMaxBatch itself; Mount cannot take options without breaking its
-// signature, so remount paths that need a tuned window call this right
-// after Mount.
-// Safe at runtime: the journal re-reads both parameters per commit group.
-//
-// For a filesystem owned by a core.System, System.ApplyTuning
-// (core.Tuning.CommitWindow/GroupMaxBatch) is the door: it calls this
-// setter on every instance.
-func (fs *FS) ConfigureJournal(window time.Duration, maxBatch int) {
-	fs.log.Configure(window, maxBatch)
-}
-
-// JournalConfig reports the current group-commit parameters.
-func (fs *FS) JournalConfig() (window time.Duration, maxBatch int) {
-	return fs.log.Config()
-}
 
 // UsedBlocks reports how many device blocks are currently allocated
 // (metadata region included) — the footprint number the cold-tier

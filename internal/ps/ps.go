@@ -170,32 +170,17 @@ func (s *Store) DefaultWorkers() int {
 // InvokeBatch. Admission applies at submission time to non-maintenance
 // requests; maintenance invocations (rights execution — a legal
 // obligation) are never shed. Passing nil removes admission control.
-//
-// core.Boot installs a core.System's controller with this setter; at
-// runtime System.ApplyTuning (core.Tuning.AdmissionMaxPending) is the door,
-// since swapping the controller would discard its counters.
+// core.Boot installs a core.System's controller with this setter.
 func (s *Store) ConfigureAdmission(c *admission.Controller) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.adm = c
 }
 
-// Admission returns the installed admission controller (nil when
-// admission control is off) — the handle the core tuning API adjusts
-// bounds and rate limits through.
-func (s *Store) Admission() *admission.Controller {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.adm
-}
-
 // SetRateLimit installs a token-bucket rate limit (ratePerSec, burst) for
 // one purpose, keyed by the purpose registry: the purpose must name a
 // registered processing, so limits cannot silently target a typo. A rate
 // <= 0 removes the limit. Requires a configured admission controller.
-//
-// For a store owned by a core.System, System.ApplyTuning
-// (core.Tuning.RateLimits) is the door: it calls this setter.
 func (s *Store) SetRateLimit(purposeName string, ratePerSec, burst float64) error {
 	s.mu.Lock()
 	c := s.adm

@@ -32,18 +32,14 @@ import (
 // Engine executes data-subject rights. The cross-record rights — access
 // export, subject-wide erasure and consent changes, the TTL sweep — fan
 // their per-record work out over a worker pool (the DED executor for
-// mutations, a local pool for read-side scans), sized by SetWorkers or, by
-// default, the Processing Store's InvokeBatch pool. Reports stay
-// deterministic: results are index-addressed and sorted exactly as the
-// serial engine produced them.
+// mutations, a local pool for read-side scans), sized by the Processing
+// Store's InvokeBatch pool. Reports stay deterministic: results are
+// index-addressed and sorted exactly as the serial engine produced them.
 type Engine struct {
 	ps    *ps.Store
 	d     *ded.DED
 	log   *audit.Log
 	clock simclock.Clock
-
-	mu      sync.Mutex
-	workers int // 0 = follow ps.DefaultWorkers
 
 	// due is the retention due-index (see sweeper.go), fed by the DBFS
 	// expiry notifier; sweeper is the engine's one background sweeper,
@@ -59,17 +55,18 @@ type Engine struct {
 	sweepScanHook func()
 }
 
-// New wires a rights engine. It registers the engine's retention
+// New wires a rights engine whose sweeper paces itself at sweepInterval
+// (0 = DefaultSweepInterval). It registers the engine's retention
 // due-index as the store's expiry notifier, so every membrane written
 // from here on feeds the deadline-aware sweeper.
-func New(p *ps.Store, d *ded.DED, log *audit.Log, clock simclock.Clock) *Engine {
+func New(p *ps.Store, d *ded.DED, log *audit.Log, clock simclock.Clock, sweepInterval time.Duration) *Engine {
 	if clock == nil {
 		clock = simclock.Real{}
 	}
 	store := d.Store()
 	e := &Engine{ps: p, d: d, log: log, clock: clock,
 		due: newDueIndex(store.NumShards(), store.ShardOf)}
-	e.sweeper = newSweeper(e)
+	e.sweeper = newSweeper(e, sweepInterval)
 	store.SetExpiryNotifier(e.due.note)
 	return e
 }
@@ -78,37 +75,8 @@ func New(p *ps.Store, d *ded.DED, log *audit.Log, clock simclock.Clock) *Engine 
 // until its Start is called.
 func (e *Engine) Sweeper() *Sweeper { return e.sweeper }
 
-// SetWorkers overrides the per-record fan-out width of the cross-record
-// rights. Zero (the default) follows the Processing Store's pool size; one
-// runs them serially (TestParallelRightsMatchSerial checks both agree).
-//
-// For an engine owned by a core.System, System.ApplyTuning
-// (core.Tuning.RightsWorkers) is the door: it calls this setter.
-func (e *Engine) SetWorkers(n int) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	e.workers = n
-}
-
-// Workers reports the configured override (0 = follow the Processing
-// Store's pool size).
-func (e *Engine) Workers() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.workers
-}
-
-// workerCount resolves the effective fan-out width.
+// workerCount resolves the fan-out width: the Processing Store's pool.
 func (e *Engine) workerCount() int {
-	e.mu.Lock()
-	w := e.workers
-	e.mu.Unlock()
-	if w > 0 {
-		return w
-	}
 	if w := e.ps.DefaultWorkers(); w > 0 {
 		return w
 	}

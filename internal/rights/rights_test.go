@@ -38,6 +38,12 @@ type rig struct {
 
 func newRig(t *testing.T) *rig {
 	t.Helper()
+	return newRigWith(t, dbfs.Config{})
+}
+
+// newRigWith is newRig with a store created from cfg.
+func newRigWith(t *testing.T, cfg dbfs.Config) *rig {
+	t.Helper()
 	dev := blockdev.MustMem(8192)
 	clock := simclock.NewSim(simclock.Epoch)
 	fs, err := inode.Format(dev, inode.Options{NInodes: 4096, JournalBlocks: 128, Clock: clock})
@@ -50,7 +56,7 @@ func newRig(t *testing.T) *rig {
 	}
 	guard := lsm.NewGuard()
 	vault := cryptoshred.NewVault(auth.PublicKey())
-	store, err := dbfs.Create([]*inode.FS{fs}, guard, vault, clock)
+	store, err := dbfs.Create([]*inode.FS{fs}, guard, vault, clock, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +69,7 @@ func newRig(t *testing.T) *rig {
 	}
 	return &rig{
 		dev: dev, store: store, vault: vault, auth: auth, log: log,
-		clock: clock, d: d, ps: p, engine: New(p, d, log, clock), tok: tok,
+		clock: clock, d: d, ps: p, engine: New(p, d, log, clock, 0), tok: tok,
 	}
 }
 
@@ -420,7 +426,7 @@ func TestParallelRightsMatchSerial(t *testing.T) {
 
 	// Access: serial data sections are the reference.
 	serial := seed(t)
-	serial.engine.SetWorkers(1)
+	serial.ps.SetDefaultWorkers(1)
 	wantData := make([]string, len(subjects))
 	for i, subject := range subjects {
 		rep, err := serial.engine.Access(subject)
@@ -434,7 +440,7 @@ func TestParallelRightsMatchSerial(t *testing.T) {
 		wantData[i] = string(raw)
 	}
 	par := seed(t)
-	par.engine.SetWorkers(4)
+	par.ps.SetDefaultWorkers(4)
 	reps, err := par.engine.AccessBatch(subjects)
 	if err != nil {
 		t.Fatal(err)
@@ -519,10 +525,9 @@ func TestParallelRightsMatchSerial(t *testing.T) {
 // nothing about what Access (GDPR Art. 15) returns, and Erase still kills
 // every copy.
 func TestAccessOverArchivedRecords(t *testing.T) {
-	r := newRig(t)
+	r := newRigWith(t, dbfs.Config{ColdAfter: time.Hour})
 	pdid := r.seedUser(t, "chiraz", "Chiraz Benamor", 1990)
 
-	r.store.ConfigureColdTier(time.Hour)
 	r.clock.Advance(2 * time.Hour)
 	ps, err := r.store.RepackCold(r.tok, r.clock.Now())
 	if err != nil {

@@ -418,8 +418,8 @@ type SweeperStats struct {
 	LastPass time.Time
 }
 
-// DefaultSweepInterval is the sweeper's pass cadence until SetInterval
-// changes it.
+// DefaultSweepInterval is the sweeper's pass cadence when New is given
+// none.
 const DefaultSweepInterval = time.Minute
 
 // Sweeper is the engine's deadline-aware background retention sweeper: a
@@ -437,11 +437,15 @@ type Sweeper struct {
 	stats SweeperStats
 }
 
-// newSweeper builds the engine's sweeper and points the due-index's
-// deadline notifications at it.
-func newSweeper(e *Engine) *Sweeper {
+// newSweeper builds the engine's sweeper, pacing itself at interval (0 =
+// DefaultSweepInterval), and points the due-index's deadline notifications
+// at it.
+func newSweeper(e *Engine, interval time.Duration) *Sweeper {
+	if interval <= 0 {
+		interval = DefaultSweepInterval
+	}
 	sw := &Sweeper{eng: e}
-	sw.Loop = simclock.NewLoop(e.clock, DefaultSweepInterval, sw.pass, sw.due)
+	sw.Loop = simclock.NewLoop(e.clock, interval, sw.pass, sw.due)
 	e.due.kick = sw.Kick
 	return sw
 }

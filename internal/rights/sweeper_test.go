@@ -58,12 +58,12 @@ func (r *rig) countRecords(t *testing.T, subject string) int {
 	return len(pdids)
 }
 
-// startSweeper starts the engine's sweeper with the given grace window.
+// startSweeper gives a fresh engine a sweeper with the given grace window
+// and starts it.
 func startSweeper(e *Engine, interval time.Duration) *Sweeper {
-	sw := e.Sweeper()
-	sw.SetInterval(interval)
-	sw.Start()
-	return sw
+	e.sweeper = newSweeper(e, interval)
+	e.sweeper.Start()
+	return e.sweeper
 }
 
 // waitFor polls cond (real time) until it holds or the deadline passes —
@@ -249,11 +249,13 @@ func TestSweeperSingleLoopKeepsDeadlineWakeups(t *testing.T) {
 	r.ensureUserType(t)
 	// The loop goes to sleep a handful of times here; 64 never blocks it.
 	spy := sleepSpy{Sim: r.clock, entered: make(chan time.Time, 64)}
-	eng := New(r.ps, r.d, r.log, spy)
 	const interval = 12 * time.Hour
+	eng := New(r.ps, r.d, r.log, spy, interval)
 
-	first := startSweeper(eng, interval)
-	second := startSweeper(eng, interval)
+	first := eng.Sweeper()
+	first.Start()
+	second := eng.Sweeper()
+	second.Start()
 	if first != second {
 		t.Fatal("a second start minted a second sweeper")
 	}

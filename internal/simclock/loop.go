@@ -20,31 +20,28 @@ import (
 // through the sleep, so work whose deadline stays in the past (a delete
 // that keeps failing, an unreachable node) is retried once per interval,
 // never spun. It sleeps in a single Waiter.WaitUntil whose cancel channel
-// is the one buffered wake slot that Stop, Sync, Kick and SetInterval all
-// nudge, so simulated-clock tests drive it deterministically (advance,
+// is the one buffered wake slot that Stop, Sync and Kick all nudge, so simulated-clock tests drive it deterministically (advance,
 // Sync, assert).
 type Loop struct {
-	clock Waiter
-	pass  func(now time.Time, forced bool)
-	due   func(now time.Time) (time.Time, bool)
-	def   time.Duration // the constructor's interval
-	wake  chan struct{}
+	clock    Waiter
+	pass     func(now time.Time, forced bool)
+	due      func(now time.Time) (time.Time, bool)
+	interval time.Duration
+	wake     chan struct{}
 
 	life sync.Mutex // serializes Start and Stop: no Start overlaps a join
 
-	mu       sync.Mutex
-	cond     *sync.Cond
-	interval time.Duration
-	running  bool
-	done     chan struct{}
-	last     time.Time // previous pass (or Start): the periodic anchor
-	asked    uint64    // Sync calls so far
-	served   uint64    // Sync calls covered by a completed pass
+	mu      sync.Mutex
+	cond    *sync.Cond
+	running bool
+	done    chan struct{}
+	last    time.Time // previous pass (or Start): the periodic anchor
+	asked   uint64    // Sync calls so far
+	served  uint64    // Sync calls covered by a completed pass
 }
 
 // NewLoop builds a stopped loop on clock (nil = Real; the clock must be a
 // Waiter, which both clocks of this package are) pacing itself at interval.
-// interval is also what SetInterval(d <= 0) restores.
 func NewLoop(clock Clock, interval time.Duration, pass func(now time.Time, forced bool), due func(now time.Time) (time.Time, bool)) *Loop {
 	if clock == nil {
 		clock = Real{}
@@ -53,7 +50,7 @@ func NewLoop(clock Clock, interval time.Duration, pass func(now time.Time, force
 	if !ok {
 		panic("simclock: Loop needs a Clock that implements Waiter")
 	}
-	l := &Loop{clock: w, pass: pass, due: due, def: interval, interval: interval, wake: make(chan struct{}, 1)}
+	l := &Loop{clock: w, pass: pass, due: due, interval: interval, wake: make(chan struct{}, 1)}
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
@@ -99,26 +96,6 @@ func (l *Loop) Running() bool {
 	return l.running
 }
 
-// Interval reports the current pass cadence.
-func (l *Loop) Interval() time.Duration {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.interval
-}
-
-// SetInterval changes the pass cadence (d <= 0 restores the constructor's)
-// and re-aims a sleep already in progress. A stopped loop remembers the
-// value for its next Start.
-func (l *Loop) SetInterval(d time.Duration) {
-	if d <= 0 {
-		d = l.def
-	}
-	l.mu.Lock()
-	l.interval = d
-	l.mu.Unlock()
-	l.Kick()
-}
-
 // Kick makes a sleeping loop re-evaluate due — call it when a deadline
 // moved earlier. It never blocks: a pending nudge is enough, extra ones
 // drop.
@@ -155,7 +132,7 @@ func (l *Loop) run(done chan struct{}) {
 			l.mu.Unlock()
 			return
 		}
-		asked, interval, next := l.asked, l.interval, l.last.Add(l.interval)
+		asked, next := l.asked, l.last.Add(l.interval)
 		forced := asked > l.served
 		l.mu.Unlock()
 		// The clock is read after the Sync count, so a forced pass covers
@@ -180,7 +157,7 @@ func (l *Loop) run(done chan struct{}) {
 			ranPass = true
 			continue
 		}
-		target := now.Add(interval)
+		target := now.Add(l.interval)
 		if hasDue && next.After(now) && next.Before(target) {
 			target = next
 		}

@@ -197,7 +197,6 @@ func TestLoopNoPassAfterStop(t *testing.T) {
 	before, _ := r.count()
 	r.setDue(r.clk.Now().Add(time.Second))
 	r.loop.Kick()
-	r.loop.SetInterval(time.Second)
 	r.clk.Advance(1000 * time.Hour)
 	r.loop.Sync()
 	if after, _ := r.count(); after != before {
@@ -227,25 +226,6 @@ func TestLoopKickReaimsAtEarlierDue(t *testing.T) {
 	r.setDue(time.Time{})
 	if n := r.settle(); n != base+2 {
 		t.Fatalf("passes = %d, want %d (settle, deadline, settle)", n, base+2)
-	}
-}
-
-func TestLoopSetIntervalShortensWaitInProgress(t *testing.T) {
-	r := newLoopRig(time.Hour, false)
-	r.loop.Start()
-	defer r.loop.Stop()
-	r.awaitSleep(t) // in WaitUntil(epoch+1h)
-	r.loop.SetInterval(time.Minute)
-	if got := r.loop.Interval(); got != time.Minute {
-		t.Fatalf("Interval = %v, want 1m", got)
-	}
-	r.clk.Advance(time.Minute)
-	if at := r.awaitPass(t); !at.Equal(Epoch.Add(time.Minute)) {
-		t.Fatalf("pass at %v, want one NEW interval after Start", at)
-	}
-	r.loop.SetInterval(0) // restores the constructor's
-	if got := r.loop.Interval(); got != time.Hour {
-		t.Fatalf("Interval after SetInterval(0) = %v, want 1h", got)
 	}
 }
 

@@ -59,9 +59,8 @@ const (
 	// in one descriptor block.
 	MaxBlocksPerTxn = (blockdev.BlockSize - headerSize) / 8
 
-	// DefaultGroupBatch is the default bound on transactions per commit
-	// group. 1 disables batching (every transaction is its own group).
-	DefaultGroupBatch = 32
+	// maxGroupBatch bounds transactions per commit group.
+	maxGroupBatch = 32
 )
 
 // castagnoli is the CRC32C table the commit-block checksum uses (the
@@ -123,9 +122,10 @@ type Log struct {
 	start  uint64
 	length uint64
 
+	// window is the group-commit window, set by Configure before use.
+	window time.Duration
+
 	mu         sync.Mutex
-	window     time.Duration
-	maxBatch   int
 	idle       sync.Cond // signaled when no transaction is queued or in flight
 	head       uint64    // next journal-region block index to write (relative)
 	seq        uint64    // next transaction id
@@ -153,36 +153,18 @@ func Open(dev blockdev.Device, start, length uint64) (*Log, error) {
 		start:    start,
 		length:   length,
 		seq:      1,
-		maxBatch: DefaultGroupBatch,
 		inflight: make(map[uint64]*inflightBlock),
 	}
 	l.idle.L = &l.mu
 	return l, nil
 }
 
-// Configure sets the group-commit parameters: window is how long a freshly
-// woken committer waits for more transactions to arrive before draining the
+// Configure sets the group-commit window: how long a freshly woken
+// committer waits for more transactions to arrive before draining the
 // queue (0 = drain immediately, batching only what queued during the
-// previous flush); maxBatch bounds transactions per group (<= 0 restores
-// DefaultGroupBatch, 1 disables batching). Safe to call at any time, even
-// with transactions in flight: the committer re-reads both parameters
-// under the lock, so a running group finishes with the values it started
-// with and the next group picks up the new ones.
-func (l *Log) Configure(window time.Duration, maxBatch int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if maxBatch <= 0 {
-		maxBatch = DefaultGroupBatch
-	}
+// previous flush). Call it once, before the log is used.
+func (l *Log) Configure(window time.Duration) {
 	l.window = window
-	l.maxBatch = maxBatch
-}
-
-// Config reports the current group-commit parameters.
-func (l *Log) Config() (window time.Duration, maxBatch int) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.window, l.maxBatch
 }
 
 // Stats returns a snapshot of the journal counters.
@@ -354,13 +336,13 @@ func (t *Txn) Commit() error {
 	return tk.Wait()
 }
 
-// takeBatchLocked pops the next commit group off the queue: up to maxBatch
+// takeBatchLocked pops the next commit group off the queue: up to maxGroupBatch
 // transactions whose descriptors, data and shared commit block fit the
 // journal region together. It returns the group and its block count.
 func (l *Log) takeBatchLocked() ([]*pendingTxn, uint64) {
 	needed := uint64(1) // shared commit block
 	var batch []*pendingTxn
-	for len(l.queue) > 0 && len(batch) < l.maxBatch {
+	for len(l.queue) > 0 && len(batch) < maxGroupBatch {
 		p := l.queue[0]
 		pn := uint64(len(p.home)) + 1 // descriptor + data
 		if len(batch) > 0 && needed+pn > l.length {
@@ -378,11 +360,8 @@ func (l *Log) takeBatchLocked() ([]*pendingTxn, uint64) {
 // exits; the next Enqueue starts a fresh one. Only one committer runs at a
 // time, so groups are logged and checkpointed strictly in queue order.
 func (l *Log) committer() {
-	l.mu.Lock()
-	window := l.window
-	l.mu.Unlock()
-	if window > 0 {
-		time.Sleep(window)
+	if l.window > 0 {
+		time.Sleep(l.window)
 	}
 	for {
 		l.mu.Lock()

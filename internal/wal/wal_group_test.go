@@ -33,7 +33,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Configure(50*time.Millisecond, 8)
+	l.Configure(50 * time.Millisecond)
 
 	tickets := make([]*Ticket, 4)
 	for i := range tickets {
@@ -75,7 +75,7 @@ func TestGroupReplayRestoresAllTxns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Configure(50*time.Millisecond, 8)
+	l.Configure(50 * time.Millisecond)
 	tk1 := enqueueOne(t, l, 50, 0xA1)
 	tk2 := enqueueOne(t, l, 51, 0xB2)
 	if err := tk1.Wait(); err != nil {
@@ -135,7 +135,7 @@ func TestCrashMidGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Configure(50*time.Millisecond, 8)
+	l.Configure(50 * time.Millisecond)
 	if err := enqueueOne(t, l, 40, 0x40).Wait(); err != nil {
 		t.Fatalf("earlier group: %v", err)
 	}
