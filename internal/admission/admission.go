@@ -2,25 +2,19 @@
 // the "heavy traffic" half of the north star. rgpdOS's GDPR guarantees are
 // runtime properties: purposes are only enforced on invocations that
 // actually execute, and retention deadlines are only met if the machine is
-// not drowning in a backlog. The admission controller therefore bounds
-// what ps_invoke accepts instead of queueing without limit, and rejects
-// the excess explicitly — a rejected invocation is a visible, typed
-// outcome the caller can retry, never a silent drop and never an unbounded
-// latency tail.
+// not drowning in a backlog. The admission controller therefore limits
+// what ps_invoke accepts and rejects the excess explicitly — a rejected
+// invocation is a visible, typed outcome the caller can retry, never a
+// silent drop.
 //
-// Two mechanisms compose, both checked at submission time:
-//
-//   - a bounded admission queue: at most MaxPending invocations may be
-//     admitted-but-unfinished at once (queued or running on the DED
-//     executor). Beyond that, Admit fails with ErrQueueFull.
-//   - per-purpose token buckets: each registered purpose may carry a
-//     rate limit (tokens/sec with a burst bound), keyed by the purpose
-//     registry in the Processing Store. An empty bucket fails Admit with
-//     ErrRateLimited.
-//
-// Both rejection errors wrap ErrOverloaded, so callers shed load with one
-// errors.Is check. Refill time comes from a simclock.Clock so tests drive
-// the buckets deterministically.
+// The limit is a per-purpose token bucket, checked at submission time:
+// each registered purpose may carry a rate limit (tokens/sec with a burst
+// bound), keyed by the purpose registry in the Processing Store. An empty
+// bucket fails Admit with ErrRateLimited, which wraps ErrOverloaded, so
+// callers shed load with one errors.Is check. Refill time comes from a
+// simclock.Clock so tests drive the buckets deterministically. The
+// controller also tracks the admitted-but-unfinished depth and the
+// admit-to-release latency of every invocation.
 package admission
 
 import (
@@ -33,24 +27,17 @@ import (
 	"repro/internal/simclock"
 )
 
-// Sentinel errors. Both concrete rejections wrap ErrOverloaded.
+// Sentinel errors. The concrete rejection wraps ErrOverloaded.
 var (
 	// ErrOverloaded is the umbrella rejection: the machine refused to
 	// admit the invocation right now. Retry later, with backoff.
 	ErrOverloaded = errors.New("admission: overloaded")
-	// ErrQueueFull reports the bounded admission queue at capacity.
-	ErrQueueFull = fmt.Errorf("%w: admission queue full", ErrOverloaded)
 	// ErrRateLimited reports an empty token bucket for the purpose.
 	ErrRateLimited = fmt.Errorf("%w: purpose rate limit exceeded", ErrOverloaded)
 )
 
 // Options configures a Controller.
 type Options struct {
-	// MaxPending bounds how many invocations may be admitted but not yet
-	// finished (queued or running). Zero or negative means unbounded —
-	// the controller still counts depth and latency, it just never
-	// rejects on queue depth.
-	MaxPending int
 	// Clock is the token-bucket refill time source. Nil means the wall
 	// clock.
 	Clock simclock.Clock
@@ -59,18 +46,15 @@ type Options struct {
 // Stats is a snapshot of the controller's counters, surfaced through
 // ps.Stats.
 type Stats struct {
-	// MaxPending echoes the configured queue bound (0 = unbounded).
-	MaxPending int
 	// Depth is the number of currently admitted-but-unfinished
 	// invocations; PeakDepth is its high-water mark.
 	Depth     int
 	PeakDepth int
-	// Admitted / Completed count invocations through the queue;
-	// RejectedQueue / RejectedRate count the two rejection paths.
-	Admitted      uint64
-	Completed     uint64
-	RejectedQueue uint64
-	RejectedRate  uint64
+	// Admitted / Completed count invocations through the gate;
+	// RejectedRate counts the rate-limit rejections.
+	Admitted     uint64
+	Completed    uint64
+	RejectedRate uint64
 	// LatencyTotal sums the admit-to-release latency of completed
 	// invocations; LatencyMax is the slowest single one. Wall-clock
 	// measured by the caller, independent of the refill clock.
@@ -92,8 +76,8 @@ func (s Stats) Quantile(q float64) time.Duration {
 	return s.LatencyHist.Quantile(q)
 }
 
-// Rejected reports the total invocations shed by either mechanism.
-func (s Stats) Rejected() uint64 { return s.RejectedQueue + s.RejectedRate }
+// Rejected reports the total invocations shed.
+func (s Stats) Rejected() uint64 { return s.RejectedRate }
 
 // bucket is one purpose's token bucket. tokens refills at rate/sec up to
 // burst, timed by the controller's clock.
@@ -115,8 +99,7 @@ func (b *bucket) refill(now time.Time) {
 // Controller is the admission gate in front of ps_invoke. Safe for
 // concurrent use.
 type Controller struct {
-	clock      simclock.Clock
-	maxPending int
+	clock simclock.Clock
 
 	mu      sync.Mutex
 	pending int
@@ -130,14 +113,9 @@ func New(opts Options) *Controller {
 	if clock == nil {
 		clock = simclock.Real{}
 	}
-	max := opts.MaxPending
-	if max < 0 {
-		max = 0
-	}
 	return &Controller{
-		clock:      clock,
-		maxPending: max,
-		buckets:    make(map[string]*bucket),
+		clock:   clock,
+		buckets: make(map[string]*bucket),
 	}
 }
 
@@ -172,13 +150,9 @@ func (c *Controller) SetPurposeLimit(purpose string, ratePerSec, burst float64) 
 // Admit asks to admit one invocation for the purpose. On success it
 // returns a release function that MUST be called exactly once when the
 // invocation finishes (however it finishes), with the wall-clock latency
-// from admission to completion; release keeps the queue depth and the
-// latency counters truthful. On rejection the error wraps ErrOverloaded
-// (ErrRateLimited or ErrQueueFull) and nothing is held.
-//
-// Order matters: the rate check runs first so a purpose over its budget
-// never consumes queue capacity, and a full queue never burns the
-// purpose's tokens.
+// from admission to completion; release keeps the depth and the
+// latency counters truthful. On rejection the error is ErrRateLimited,
+// wrapping ErrOverloaded, and nothing is held.
 func (c *Controller) Admit(purpose string) (release func(latency time.Duration), err error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -188,16 +162,7 @@ func (c *Controller) Admit(purpose string) (release func(latency time.Duration),
 			c.stats.RejectedRate++
 			return nil, fmt.Errorf("%w: purpose %q", ErrRateLimited, purpose)
 		}
-		if c.maxPending > 0 && c.pending >= c.maxPending {
-			// Queue rejection must not consume the token: the purpose
-			// did nothing wrong, the machine is just full.
-			c.stats.RejectedQueue++
-			return nil, fmt.Errorf("%w: %d pending", ErrQueueFull, c.pending)
-		}
 		b.tokens--
-	} else if c.maxPending > 0 && c.pending >= c.maxPending {
-		c.stats.RejectedQueue++
-		return nil, fmt.Errorf("%w: %d pending", ErrQueueFull, c.pending)
 	}
 	c.pending++
 	c.stats.Admitted++
@@ -225,7 +190,6 @@ func (c *Controller) Snapshot() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	st := c.stats
-	st.MaxPending = c.maxPending
 	st.Depth = c.pending
 	return st
 }

@@ -9,47 +9,31 @@ import (
 	"repro/internal/simclock"
 )
 
-func TestQueueBound(t *testing.T) {
-	c := New(Options{MaxPending: 2})
-	r1, err := c.Admit("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := c.Admit("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Admit("p"); !errors.Is(err, ErrQueueFull) || !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("third admit err = %v, want ErrQueueFull wrapping ErrOverloaded", err)
+// TestUnboundedNeverRejectsOnDepth: without a rate limit every invocation
+// is admitted however deep the gate; release keeps depth and the latency
+// counters truthful.
+func TestUnboundedNeverRejectsOnDepth(t *testing.T) {
+	c := New(Options{})
+	releases := make([]func(time.Duration), 100)
+	for i := range releases {
+		rel, err := c.Admit("p")
+		if err != nil {
+			t.Fatalf("admit %d: %v", i, err)
+		}
+		releases[i] = rel
 	}
 	st := c.Snapshot()
-	if st.Depth != 2 || st.PeakDepth != 2 || st.Admitted != 2 || st.RejectedQueue != 1 {
+	if st.Depth != 100 || st.PeakDepth != 100 || st.Admitted != 100 || st.Rejected() != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
-	r1(3 * time.Millisecond)
-	if _, err := c.Admit("p"); err != nil {
-		t.Fatalf("admit after release: %v", err)
-	}
-	r2(5 * time.Millisecond)
+	releases[0](3 * time.Millisecond)
+	releases[1](5 * time.Millisecond)
 	st = c.Snapshot()
-	if st.Depth != 1 || st.Completed != 2 {
+	if st.Depth != 98 || st.PeakDepth != 100 || st.Completed != 2 {
 		t.Fatalf("stats after releases = %+v", st)
 	}
 	if st.LatencyTotal != 8*time.Millisecond || st.LatencyMax != 5*time.Millisecond {
 		t.Fatalf("latency counters = total %v max %v", st.LatencyTotal, st.LatencyMax)
-	}
-}
-
-func TestUnboundedNeverRejectsOnDepth(t *testing.T) {
-	c := New(Options{})
-	for i := 0; i < 100; i++ {
-		if _, err := c.Admit("p"); err != nil {
-			t.Fatalf("admit %d: %v", i, err)
-		}
-	}
-	st := c.Snapshot()
-	if st.Depth != 100 || st.PeakDepth != 100 || st.Rejected() != 0 {
-		t.Fatalf("stats = %+v", st)
 	}
 }
 
@@ -95,26 +79,6 @@ func TestTokenBucketRefill(t *testing.T) {
 	st := c.Snapshot()
 	if st.RejectedRate != 3 {
 		t.Fatalf("RejectedRate = %d, want 3", st.RejectedRate)
-	}
-}
-
-func TestQueueRejectionKeepsToken(t *testing.T) {
-	clk := simclock.NewSim(simclock.Epoch)
-	c := New(Options{MaxPending: 1, Clock: clk})
-	c.SetPurposeLimit("p", 1, 1)
-	rel, err := c.Admit("p")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Bucket refills while the queue is full; the queue rejection must not
-	// consume the refilled token.
-	clk.Advance(2 * time.Second)
-	if _, err := c.Admit("p"); !errors.Is(err, ErrQueueFull) {
-		t.Fatalf("full-queue err = %v, want ErrQueueFull", err)
-	}
-	rel(0)
-	if _, err := c.Admit("p"); err != nil {
-		t.Fatalf("admit after drain should spend the kept token: %v", err)
 	}
 }
 

@@ -28,7 +28,7 @@
 //
 // Fan-out reads merge deterministically: AccessBatch groups subjects by
 // home node, runs the node batches concurrently (lowest-node-index error
-// wins, via the same rights.ForEachIndexed contract the single-node engine
+// wins, via the same ded.ForEachIndexed contract the single-node engine
 // uses), then folds each subject's remote-copy reports into the home
 // report with stable sorts. SweepExpired sweeps every node and returns the
 // union, sorted. PDIDs are node-scoped (each node runs its own per-type
@@ -50,6 +50,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/dbfs"
+	"repro/internal/ded"
 	"repro/internal/membrane"
 	"repro/internal/rights"
 	"repro/internal/simclock"
@@ -239,8 +240,8 @@ func (c *Cluster) PropagationWindow() time.Duration { return c.window }
 
 // HomeOf places a subject: the raw FNV-1a subject hash mod the node count.
 // A pure function of (subject, fleet size) — independent of any store's
-// shard geometry, so a node remount with different Options.Shards never
-// re-homes a subject.
+// shard geometry, so a node with a different dbfs shard count or
+// FSInstances never re-homes a subject.
 func (c *Cluster) HomeOf(subjectID string) int {
 	return int(dbfs.SubjectHash(subjectID) % uint32(len(c.nodes)))
 }
@@ -559,7 +560,7 @@ func (c *Cluster) Erase(subjectID string) (*EraseReport, error) {
 // AccessBatch builds Art. 15 access reports for many subjects: the
 // subjects are grouped by home node, each node's batch runs concurrently
 // through its own rights engine (lowest-node-index error, the same
-// rights.ForEachIndexed merge contract as the single-node engine), and
+// ded.ForEachIndexed merge contract as the single-node engine), and
 // each subject's ledger-named remote copies are folded into its report —
 // data exports appended and stably sorted by pdid within each type,
 // processing history merged by time. Reports keep request order.
@@ -575,7 +576,7 @@ func (c *Cluster) AccessBatch(subjectIDs []string) ([]*rights.AccessReport, erro
 	}
 	sort.Ints(homes)
 	out := make([]*rights.AccessReport, len(subjectIDs))
-	err := rights.ForEachIndexed(len(homes), len(homes), func(gi int) error {
+	err := ded.ForEachIndexed(len(homes), len(homes), func(gi int) error {
 		idxs := groups[homes[gi]]
 		subs := make([]string, len(idxs))
 		for j, i := range idxs {
@@ -648,7 +649,7 @@ func finishAccess(rep *rights.AccessReport) {
 // single-node contract. Ledger entries whose copies were swept are pruned.
 func (c *Cluster) SweepExpired() ([]string, error) {
 	per := make([][]string, len(c.nodes))
-	err := rights.ForEachIndexed(len(c.nodes), len(c.nodes), func(i int) error {
+	err := ded.ForEachIndexed(len(c.nodes), len(c.nodes), func(i int) error {
 		d, err := c.nodes[i].Rights().SweepExpired()
 		per[i] = d
 		return err

@@ -88,11 +88,11 @@ func remoteFor(c *Cluster, subject string) int {
 
 func TestPlacementGeometryIndependent(t *testing.T) {
 	// HomeOf must be the raw subject hash mod node count — a pure function
-	// of (subject, fleet size), never of any store's shard geometry.
+	// of (subject, fleet size), never of any node's storage geometry.
 	c, _ := bootCluster(t, 4, 0)
 	small := nodeOpts()
 	small.Clock = simclock.NewSim(simclock.Epoch)
-	small.Shards = 4 // radically different shard geometry
+	small.FSInstances = 4 // shards routed across four filesystems per node
 	c2, err := Boot(Options{Nodes: 4, Node: small})
 	if err != nil {
 		t.Fatalf("Boot: %v", err)
@@ -105,7 +105,7 @@ func TestPlacementGeometryIndependent(t *testing.T) {
 			t.Fatalf("HomeOf(%s) = %d, want SubjectHash%%4 = %d", s, got, want)
 		}
 		if got := c2.HomeOf(s); got != want {
-			t.Fatalf("HomeOf(%s) with Shards=4 nodes = %d, want %d (placement must not see shard geometry)", s, got, want)
+			t.Fatalf("HomeOf(%s) with FSInstances=4 nodes = %d, want %d (placement must not see shard geometry)", s, got, want)
 		}
 		spread[want]++
 	}

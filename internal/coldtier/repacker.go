@@ -52,19 +52,12 @@ type Stats struct {
 	LastPass time.Time
 }
 
-// DefaultRepackInterval is the fallback pass cadence when
-// Options.Interval is unset.
+// DefaultRepackInterval is the gap between repack passes.
 const DefaultRepackInterval = time.Minute
 
-// Options configures a Repacker.
-type Options struct {
-	// Interval is the gap between repack passes. Default one minute.
-	Interval time.Duration
-}
-
-// Repacker is the background demotion loop: every Interval it runs one
-// repack pass against its target. The embedded simclock.Loop is its whole
-// lifecycle (Start/Stop/Sync).
+// Repacker is the background demotion loop: every DefaultRepackInterval
+// it runs one repack pass against its target. The embedded simclock.Loop
+// is its whole lifecycle (Start/Stop/Sync).
 type Repacker struct {
 	*simclock.Loop
 	target Target
@@ -74,13 +67,9 @@ type Repacker struct {
 }
 
 // NewRepacker builds a repacker over target on clock. Call Start to run it.
-func NewRepacker(clock simclock.Clock, target Target, opts Options) *Repacker {
-	interval := opts.Interval
-	if interval <= 0 {
-		interval = DefaultRepackInterval
-	}
+func NewRepacker(clock simclock.Clock, target Target) *Repacker {
 	rp := &Repacker{target: target}
-	rp.Loop = simclock.NewLoop(clock, interval, rp.pass, nil)
+	rp.Loop = simclock.NewLoop(clock, DefaultRepackInterval, rp.pass, nil)
 	return rp
 }
 

@@ -31,12 +31,12 @@ func (ct *countTarget) count() int {
 }
 
 // TestRepackerLifecycle: the repacker is a periodic loop over its target —
-// one pass per Interval, each accumulated into Stats. (Start/Stop/Sync
+// one pass per DefaultRepackInterval, each accumulated into Stats. (Start/Stop/Sync
 // themselves are simclock.Loop's, tested there.)
 func TestRepackerLifecycle(t *testing.T) {
 	clk := simclock.NewSim(simclock.Epoch)
 	ct := &countTarget{stats: PassStats{Demoted: 3, DedupHits: 1}}
-	rp := NewRepacker(clk, ct, Options{Interval: time.Minute})
+	rp := NewRepacker(clk, ct)
 	rp.Start()
 	defer rp.Stop()
 	rp.Sync()
@@ -64,7 +64,7 @@ func TestRepackerLifecycle(t *testing.T) {
 func TestRepackerCountsErrors(t *testing.T) {
 	clk := simclock.NewSim(simclock.Epoch)
 	ct := &countTarget{err: errors.New("shard offline")}
-	rp := NewRepacker(clk, ct, Options{Interval: time.Minute})
+	rp := NewRepacker(clk, ct)
 	rp.Start()
 	defer rp.Stop()
 	rp.Sync()
@@ -88,13 +88,13 @@ func (s sleepSpy) WaitUntil(t time.Time, cancel <-chan struct{}) bool {
 	return s.Sim.WaitUntil(t, cancel)
 }
 
-// TestRepackerDefaultInterval: with Options.Interval unset, the started
-// repacker sleeps DefaultRepackInterval before its first pass.
+// TestRepackerDefaultInterval: the started repacker sleeps
+// DefaultRepackInterval before its first pass.
 func TestRepackerDefaultInterval(t *testing.T) {
 	spy := sleepSpy{Sim: simclock.NewSim(simclock.Epoch), entered: make(chan time.Time, 1)}
 	rp := NewRepacker(spy, TargetFunc(func(time.Time) (PassStats, error) {
 		return PassStats{}, nil
-	}), Options{})
+	}))
 	rp.Start()
 	defer rp.Stop()
 	if got, want := <-spy.entered, simclock.Epoch.Add(DefaultRepackInterval); !got.Equal(want) {

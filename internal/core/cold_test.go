@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/coldtier"
 	"repro/internal/dbfs"
 	"repro/internal/simclock"
 )
@@ -43,7 +44,7 @@ func newSleepSpy() sleepSpy {
 
 func TestBootColdTierWiring(t *testing.T) {
 	spy := newSleepSpy()
-	s, err := Boot(Options{AuthorityBits: 1024, Clock: spy, ColdAfter: time.Hour, ColdInterval: 30 * time.Second})
+	s, err := Boot(Options{AuthorityBits: 1024, Clock: spy, ColdAfter: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,8 +56,8 @@ func TestBootColdTierWiring(t *testing.T) {
 	if s.Repacker() != rp {
 		t.Fatal("Repacker() does not return the started repacker")
 	}
-	if got, want := <-spy.entered, simclock.Epoch.Add(30*time.Second); !got.Equal(want) {
-		t.Fatalf("repacker sleeps until %v, want one ColdInterval (%v)", got, want)
+	if got, want := <-spy.entered, simclock.Epoch.Add(coldtier.DefaultRepackInterval); !got.Equal(want) {
+		t.Fatalf("repacker sleeps until %v, want one DefaultRepackInterval (%v)", got, want)
 	}
 }
 
@@ -91,15 +92,12 @@ func TestBootOptionsReachLayers(t *testing.T) {
 	}
 }
 
-// TestBootRejectsBadOptions: a negative duration or queue bound fails Boot
-// with ErrBadOptions instead of silently meaning the default.
+// TestBootRejectsBadOptions: a negative duration fails Boot with
+// ErrBadOptions instead of silently meaning the default.
 func TestBootRejectsBadOptions(t *testing.T) {
 	for name, opts := range map[string]Options{
-		"CommitWindow":   {CommitWindow: -time.Millisecond},
-		"AdmissionQueue": {AdmissionQueue: -1},
-		"SweepInterval":  {SweepInterval: -time.Minute},
-		"ColdAfter":      {ColdAfter: -time.Hour},
-		"ColdInterval":   {ColdInterval: -time.Second},
+		"SweepInterval": {SweepInterval: -time.Minute},
+		"ColdAfter":     {ColdAfter: -time.Hour},
 	} {
 		opts.AuthorityBits = 1024
 		s, err := Boot(opts)

@@ -70,16 +70,6 @@ type Options struct {
 	// own journal) and subject shards are routed across them, so
 	// shard-disjoint inserts never share a filesystem lock. Default 1.
 	FSInstances int
-	// Shards is the DBFS subject-shard count — the unit of lock
-	// parallelism and of routing across FSInstances. 0 means
-	// dbfs.DefaultShards (64, the shard-collision sweep's pick); it must
-	// be at least FSInstances. Persisted in the store's shard config, so
-	// a remount of the same devices must not change it.
-	Shards int
-	// CommitWindow is how long each journal's group committer waits for
-	// more transactions before flushing a commit group. Default 0 (drain
-	// immediately; concurrent arrivals still coalesce).
-	CommitWindow time.Duration
 	// MembraneCache bounds DBFS's decoded-membrane cache (entries across
 	// all shards): 0 = the dbfs default, negative disables the cache, so
 	// every membrane read reaches the device (SC8 counts device ops that
@@ -90,14 +80,6 @@ type Options struct {
 	// (inode.DefaultCacheBlocks), negative disables the cache, so every
 	// block read and write reaches the device (as for MembraneCache).
 	BlockCache int
-	// AdmissionQueue bounds how many non-maintenance ps_invoke requests
-	// may be admitted (queued or running) at once; the excess is rejected
-	// with admission.ErrOverloaded instead of queueing without bound —
-	// the machine's protection against heavy traffic. Zero means unbounded
-	// admission: the controller still tracks depth, latency and
-	// per-purpose rate limits (refilled off Clock), it just never rejects
-	// on depth.
-	AdmissionQueue int
 	// SweepInterval is the retention sweeper's pass cadence when
 	// StartSweeper runs it (0 = rights.DefaultSweepInterval).
 	SweepInterval time.Duration
@@ -106,9 +88,6 @@ type Options struct {
 	// by the repacker's next pass. 0 (the default) disables demotion;
 	// promotion of already-archived records always works.
 	ColdAfter time.Duration
-	// ColdInterval is the cold-tier repacker's pass cadence when
-	// StartRepacker runs it (0 = coldtier.DefaultRepackInterval).
-	ColdInterval time.Duration
 	// CryptoRand overrides the vault's entropy source. ONLY for
 	// deterministic experiments (the SC8 and SC9 golden tests need
 	// byte-identical results across runs, hence reproducible ciphertext);
@@ -124,24 +103,19 @@ type Options struct {
 // ErrBadOptions reports Options that Boot rejected; nothing was built.
 var ErrBadOptions = errors.New("core: invalid options")
 
-// validate rejects the negative durations and queue bound that no layer
-// gives a meaning to; zero keeps its documented default.
+// validate rejects the negative durations that no layer gives a meaning
+// to; zero keeps its documented default.
 func (o *Options) validate() error {
 	for _, d := range []struct {
 		name string
 		v    time.Duration
 	}{
-		{"CommitWindow", o.CommitWindow},
 		{"SweepInterval", o.SweepInterval},
 		{"ColdAfter", o.ColdAfter},
-		{"ColdInterval", o.ColdInterval},
 	} {
 		if d.v < 0 {
 			return fmt.Errorf("%w: %s %v is negative", ErrBadOptions, d.name, d.v)
 		}
-	}
-	if o.AdmissionQueue < 0 {
-		return fmt.Errorf("%w: AdmissionQueue %d is negative", ErrBadOptions, o.AdmissionQueue)
 	}
 	return nil
 }
@@ -240,7 +214,6 @@ func Boot(opts Options) (*System, error) {
 		NInodes:       (opts.NInodes + uint64(opts.FSInstances) - 1) / uint64(opts.FSInstances),
 		JournalBlocks: opts.JournalBlocks,
 		Clock:         opts.Clock,
-		CommitWindow:  opts.CommitWindow,
 		CacheBlocks:   opts.BlockCache,
 	}
 	s.pdFSs = make([]*inode.FS, opts.FSInstances)
@@ -261,7 +234,7 @@ func Boot(opts Options) (*System, error) {
 		}
 	}
 	if s.store, err = dbfs.Create(s.pdFSs, s.guard, s.vault, opts.Clock, dbfs.Config{
-		Shards: opts.Shards, MembraneCache: opts.MembraneCache, ColdAfter: opts.ColdAfter,
+		MembraneCache: opts.MembraneCache, ColdAfter: opts.ColdAfter,
 	}); err != nil {
 		return nil, fmt.Errorf("core: dbfs: %w", err)
 	}
@@ -279,10 +252,7 @@ func Boot(opts Options) (*System, error) {
 	s.acq = builtins.NewAcquirer(s.ded, s.sources, s.log)
 	s.ps = ps.New(s.ded, s.log, s.acq.Acquire)
 	s.ps.SetDefaultWorkers(opts.Workers)
-	s.ps.ConfigureAdmission(admission.New(admission.Options{
-		MaxPending: opts.AdmissionQueue,
-		Clock:      opts.Clock,
-	}))
+	s.ps.ConfigureAdmission(admission.New(admission.Options{Clock: opts.Clock}))
 	if err := builtins.Register(s.ps); err != nil {
 		return nil, fmt.Errorf("core: builtins: %w", err)
 	}
@@ -290,7 +260,7 @@ func Boot(opts Options) (*System, error) {
 	s.repacker = coldtier.NewRepacker(opts.Clock, coldtier.TargetFunc(
 		func(now time.Time) (coldtier.PassStats, error) {
 			return s.store.RepackCold(dedTok, now)
-		}), coldtier.Options{Interval: opts.ColdInterval})
+		}))
 	return s, nil
 }
 
@@ -309,9 +279,9 @@ func (s *System) Sweeper() *rights.Sweeper { return s.rights.Sweeper() }
 
 // StartRepacker starts the machine's background cold-tier repacker and
 // returns it; if it is already running it is returned unchanged. The
-// repacker drives dbfs.Store.RepackCold with the DED's capability at
-// Options.ColdInterval. With ColdAfter unset the passes run and demote
-// nothing.
+// repacker drives dbfs.Store.RepackCold with the DED's capability every
+// coldtier.DefaultRepackInterval. With ColdAfter unset the passes run and
+// demote nothing.
 func (s *System) StartRepacker() *coldtier.Repacker {
 	s.repacker.Start()
 	return s.repacker

@@ -776,29 +776,6 @@ func (s *Store) snapshotSubjectLocked(sr shardRef, subject string, arch *coldtie
 	return n, nil
 }
 
-// Snapshots lists the snapshot labels, sorted.
-func (s *Store) Snapshots(tok *lsm.Token) ([]string, error) {
-	if err := s.check(tok, lsm.OpScan, "snapshots"); err != nil {
-		return nil, err
-	}
-	seen := make(map[string]bool)
-	for i, fs := range s.fss {
-		ents, err := fs.Children(s.cold.snapRoots[i])
-		if err != nil {
-			return nil, err
-		}
-		for _, e := range ents {
-			seen[e.Name] = true
-		}
-	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out, nil
-}
-
 // SnapshotMembrane reads one record's membrane as it was when the labeled
 // snapshot was taken. After the record is erased this fails with a
 // cryptoshred.ErrKeyDestroyed-wrapped error — the snapshot holds only

@@ -26,7 +26,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sort"
 	"time"
 
 	"repro/internal/membrane"
@@ -358,16 +357,6 @@ func (r Record) Clone() Record {
 	for k, v := range r {
 		out[k] = v
 	}
-	return out
-}
-
-// FieldNames returns the record's field names, sorted.
-func (r Record) FieldNames() []string {
-	out := make([]string, 0, len(r))
-	for k := range r {
-		out = append(out, k)
-	}
-	sort.Strings(out)
 	return out
 }
 

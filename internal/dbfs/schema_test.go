@@ -329,10 +329,6 @@ func TestValueHelpers(t *testing.T) {
 		t.Fatal("cross-type Equal")
 	}
 	r := Record{"b": I(1), "a": S("x")}
-	names := r.FieldNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Fatalf("FieldNames = %v", names)
-	}
 	cl := r.Clone()
 	cl["a"] = S("mutated")
 	if r["a"].S != "x" {

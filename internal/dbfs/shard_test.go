@@ -1,14 +1,15 @@
 package dbfs
 
-// Shard-geometry tests: the mount-time shard count (Config.Shards /
-// core.Options.Shards), its persistence in the per-instance shard config,
-// the legacy 16-byte config fallback, and the shard-collision balance
-// sweep — the measured basis for DefaultShards = 64.
+// Shard-geometry tests: the mount-time shard count (Config.Shards), its
+// persistence in the per-instance shard config, the rejection of a config
+// of the wrong size, and the shard-collision balance sweep — the measured
+// basis for DefaultShards = 64.
 
 import (
 	"encoding/binary"
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -132,22 +133,20 @@ func rewriteShardCfg(t *testing.T, fs *inode.FS, raw []byte) {
 	}
 }
 
-func TestLegacyShardConfigMeansDefaultShards(t *testing.T) {
+// TestShortShardConfigRejected: a shard config without the persisted
+// shard count (16 bytes: instance count and index only) is refused at
+// remount instead of being guessed at.
+func TestShortShardConfigRejected(t *testing.T) {
 	e := newShardedEnvShards(t, 2, DefaultShards)
-	// Rewrite both instances' configs in the pre-shard-count 16-byte
-	// format (instance count, instance index only).
 	for i, fs := range e.fss {
 		var cfg [16]byte
 		binary.LittleEndian.PutUint64(cfg[0:], uint64(len(e.fss)))
 		binary.LittleEndian.PutUint64(cfg[8:], uint64(i))
 		rewriteShardCfg(t, fs, cfg[:])
 	}
-	store2, err := remount(t, e, Config{})
-	if err != nil {
-		t.Fatalf("remount with legacy config: %v", err)
-	}
-	if got := store2.NumShards(); got != DefaultShards {
-		t.Fatalf("legacy config NumShards = %d, want %d", got, DefaultShards)
+	_, err := remount(t, e, Config{})
+	if err == nil || !strings.Contains(err.Error(), "bad shard config") {
+		t.Fatalf("remount with a 16-byte shard config = %v, want a bad shard config error", err)
 	}
 }
 

@@ -130,8 +130,8 @@ func hashSubject(subjectID string) uint32 {
 // the ID, independent of any store's shard geometry. Cross-store placement
 // (the cluster router's node choice) MUST derive from this full-entropy
 // value, never from ShardOf: `hash % shards` discards all but log2(shards)
-// bits and couples placement to the mount-time shard count, so a remount
-// with a different Options.Shards would silently re-home subjects.
+// bits and couples placement to the mount-time shard count, so a store
+// with a different Config.Shards would silently re-home subjects.
 func SubjectHash(subjectID string) uint32 { return hashSubject(subjectID) }
 
 // ShardOf reports the subject-shard index a subject ID hashes to under the
@@ -264,9 +264,6 @@ func (s *Store) shardOf(subjectID string) shardRef {
 // metaFS is the instance holding cross-subject metadata.
 func (s *Store) metaFS() *inode.FS { return s.fss[0] }
 
-// FSInstances reports how many inode filesystem instances back the store.
-func (s *Store) FSInstances() int { return len(s.fss) }
-
 // bumpStats applies a counter mutation under the stats lock.
 func (s *Store) bumpStats(f func(*Stats)) {
 	s.statsMu.Lock()
@@ -379,10 +376,8 @@ func newStore(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock
 	return s
 }
 
-// readShardCfg loads one instance's persisted shard config. The current
-// format is 24 bytes (instance count, instance index, subject-shard
-// count); 16-byte configs written before the shard count was persisted are
-// accepted and mean DefaultShards.
+// readShardCfg loads one instance's persisted shard config: 24 bytes
+// (instance count, instance index, subject-shard count).
 func readShardCfg(fs *inode.FS) (count, idx, shards uint64, err error) {
 	cfgIno, err := fs.Lookup(inode.RootIno, shardCfgName)
 	if err != nil {
@@ -392,16 +387,12 @@ func readShardCfg(fs *inode.FS) (count, idx, shards uint64, err error) {
 	if err != nil {
 		return 0, 0, 0, fmt.Errorf("bad shard config: %w", err)
 	}
-	switch len(raw) {
-	case 16:
-		shards = DefaultShards
-	case 24:
-		shards = binary.LittleEndian.Uint64(raw[16:])
-		if shards == 0 {
-			return 0, 0, 0, fmt.Errorf("bad shard config: zero shard count")
-		}
-	default:
-		return 0, 0, 0, fmt.Errorf("bad shard config: %d bytes, want 16 or 24", len(raw))
+	if len(raw) != 24 {
+		return 0, 0, 0, fmt.Errorf("bad shard config: %d bytes, want 24", len(raw))
+	}
+	shards = binary.LittleEndian.Uint64(raw[16:])
+	if shards == 0 {
+		return 0, 0, 0, fmt.Errorf("bad shard config: zero shard count")
 	}
 	return binary.LittleEndian.Uint64(raw[0:]), binary.LittleEndian.Uint64(raw[8:]), shards, nil
 }
@@ -729,21 +720,6 @@ func (s *Store) CreateType(tok *lsm.Token, sch *Schema) error {
 	s.seqHighs[sch.Name] = 0
 	s.bumpStats(func(st *Stats) { st.TypesCreated++ })
 	return nil
-}
-
-// Types lists the declared type names, sorted.
-func (s *Store) Types(tok *lsm.Token) ([]string, error) {
-	if err := s.check(tok, lsm.OpScan, "types"); err != nil {
-		return nil, err
-	}
-	s.metaMu.RLock()
-	defer s.metaMu.RUnlock()
-	out := make([]string, 0, len(s.schemas))
-	for name := range s.schemas {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out, nil
 }
 
 // SchemaOf returns the schema for a type.
@@ -1169,27 +1145,6 @@ func (s *Store) MutateMembrane(tok *lsm.Token, pdid string, mutate func(*membran
 		return nil, err
 	}
 	return m, nil
-}
-
-// PutMembrane persists an updated membrane (consent changes, erasure marks,
-// restriction flags). It writes the caller's snapshot as-is — concurrent
-// writers should prefer MutateMembrane, which read-modify-writes the stored
-// state atomically.
-func (s *Store) PutMembrane(tok *lsm.Token, m *membrane.Membrane) error {
-	if err := s.check(tok, lsm.OpWrite, m.PDID+memSuffix); err != nil {
-		return err
-	}
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	r, _, err := s.resolve(m.PDID)
-	if err != nil {
-		return err
-	}
-	sr := s.shardOf(r.subjectID)
-	sr.lk.Lock()
-	defer sr.lk.Unlock()
-	return s.putMembraneLocked(sr, r, m)
 }
 
 // putMembraneLocked persists a membrane and writes the decoded value through

@@ -93,12 +93,10 @@ func (e *env) seedUsers(t *testing.T) (alice, bob string) {
 		t.Fatal(err)
 	}
 	// Bob withdraws purpose3: his membrane must block compute_age.
-	m, err := e.store.GetMembrane(e.tok, bob)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m.WithdrawConsent("purpose3")
-	if err := e.store.PutMembrane(e.tok, m); err != nil {
+	if _, err := e.store.MutateMembrane(e.tok, bob, func(m *membrane.Membrane) error {
+		m.WithdrawConsent("purpose3")
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	return alice, bob
@@ -378,9 +376,10 @@ func TestFilterReasons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, _ := e.store.GetMembrane(e.tok, dave)
-	m.Restricted = true
-	if err := e.store.PutMembrane(e.tok, m); err != nil {
+	if _, err := e.store.MutateMembrane(e.tok, dave, func(m *membrane.Membrane) error {
+		m.Restricted = true
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
 	res, err = e.ded.Run(Invocation{Purpose: purpose3(), Impl: computeAge(), PDRef: dave})

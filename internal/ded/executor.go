@@ -34,46 +34,67 @@ type BatchItem struct {
 //
 // When non-nil, onDone(i, item) runs on the executing worker the moment
 // invocation i completes, before the batch returns. The Processing Store
-// uses it to release each request's admission-queue slot at its true
+// uses it to release each request's admission slot at its true
 // completion instant rather than at the end of the whole batch.
 func (d *DED) RunBatch(invs []Invocation, workers int, onDone func(i int, item BatchItem)) []BatchItem {
 	out := make([]BatchItem, len(invs))
-	if len(invs) == 0 {
-		return out
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(invs) {
-		workers = len(invs)
-	}
-	run := func(i int) {
+	// fn never fails: each item carries its own error, so one failing run
+	// never stops the serial loop either.
+	ForEachIndexed(len(invs), workers, func(i int) error {
 		out[i].Res, out[i].Err = d.Run(invs[i])
 		if onDone != nil {
 			onDone(i, out[i])
 		}
+		return nil
+	})
+	return out
+}
+
+// ForEachIndexed runs fn(i) for every i in [0, n) on up to workers
+// goroutines and returns the error of the LOWEST failing index — the same
+// error a serial loop would have surfaced first, so fanned-out work keeps
+// deterministic failure reporting. With one worker it is that serial loop
+// and stops at the first error. It is the one fan-out pool of the
+// machine: RunBatch, the rights engine's per-subject and per-record
+// fan-outs and the cluster router's per-node fan-outs all run on it, so a
+// multi-node sweep or batch access reports exactly the error a single-node
+// engine would have.
+func ForEachIndexed(n, workers int, fn func(int) error) error {
+	if n == 0 {
+		return nil
 	}
-	if workers == 1 {
-		for i := range invs {
-			run(i)
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			if err := fn(i); err != nil {
+				return err
+			}
 		}
-		return out
+		return nil
 	}
-	var wg sync.WaitGroup
+	errs := make([]error, n)
 	idx := make(chan int)
+	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				run(i)
+				errs[i] = fn(i)
 			}
 		}()
 	}
-	for i := range invs {
+	for i := 0; i < n; i++ {
 		idx <- i
 	}
 	close(idx)
 	wg.Wait()
-	return out
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -168,10 +168,6 @@ type Options struct {
 	JournalBlocks uint64
 	// Clock supplies mtimes. Default simclock.Real.
 	Clock simclock.Clock
-	// CommitWindow is how long the journal committer waits for more
-	// transactions before flushing a commit group (0 drains immediately;
-	// see wal.Log.Configure).
-	CommitWindow time.Duration
 	// CacheBlocks bounds the shared write-back block buffer cache placed
 	// between the inode layer (journal included) and the device, in
 	// blocks. 0 selects DefaultCacheBlocks; negative disables the cache
@@ -370,7 +366,6 @@ func Format(dev blockdev.Device, opts Options) (*FS, error) {
 	if err != nil {
 		return nil, fmt.Errorf("inode: open journal: %w", err)
 	}
-	log.Configure(opts.CommitWindow)
 	fs.log = log
 
 	// Create the root tree inode (ino 1) through the normal journaled path.
@@ -465,11 +460,6 @@ func Mount(dev blockdev.Device, clock simclock.Clock) (*FS, error) {
 // (used by residue-scanning experiments and by the IO-driver kernel
 // wiring).
 func (fs *FS) Device() blockdev.Device { return fs.raw }
-
-// JournalRegion reports the journal block range for residue attribution.
-func (fs *FS) JournalRegion() (start, length uint64) {
-	return fs.sb.JournalStart, fs.sb.JournalBlocks
-}
 
 // JournalStats exposes the journal counters.
 func (fs *FS) JournalStats() wal.Stats { return fs.log.Stats() }

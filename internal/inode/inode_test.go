@@ -264,7 +264,7 @@ func TestSecureFreeScrubsHomeBlocks(t *testing.T) {
 	// Home blocks are scrubbed, but the journal still holds the old image:
 	// SecureFree alone is NOT enough for the right to be forgotten.
 	hits := blockdev.FindResidue(dev, secret)
-	jStart, jLen := fs.JournalRegion()
+	jStart, jLen := fs.sb.JournalStart, fs.sb.JournalBlocks
 	for _, h := range hits {
 		if h < jStart || h >= jStart+jLen {
 			t.Fatalf("residue outside journal at block %d after SecureFree", h)

@@ -269,7 +269,7 @@ func TestCacheWriteBackCrashOrdering(t *testing.T) {
 	if !bytes.Equal(got, committed) {
 		t.Fatal("committed pre-cut image lost after recovery")
 	}
-	jStart, jLen := fs2.JournalRegion()
+	jStart, jLen := fs2.sb.JournalStart, fs2.sb.JournalBlocks
 	for _, b := range blockdev.FindResidue(mem, torn[:16]) {
 		if b < jStart || b >= jStart+jLen {
 			t.Fatalf("torn write became durable at home block %d (write-back reordered around the WAL)", b)

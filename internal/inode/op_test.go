@@ -354,7 +354,14 @@ func TestScopesOverlappingNoDeadlock(t *testing.T) {
 			defer wg.Done()
 			rng := xrand.New(uint64(w) + 1)
 			for r := 0; r < rounds; r++ {
-				perm := rng.Perm(ntrees)
+				perm := make([]int, ntrees)
+				for i := range perm {
+					perm[i] = i
+				}
+				for i := ntrees - 1; i > 0; i-- {
+					j := rng.Intn(i + 1)
+					perm[i], perm[j] = perm[j], perm[i]
+				}
 				a, b, c := trees[perm[0]], trees[perm[1]], trees[perm[2]]
 				name := fmt.Sprintf("w%d", w)
 				// A scope over three trees, declared in random order: a

@@ -18,7 +18,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 )
@@ -281,17 +280,6 @@ func (m *Membrane) WithdrawConsent(purpose string) {
 	}
 	m.Consents[purpose] = Grant{Kind: GrantNone}
 	m.Version++
-}
-
-// Purposes lists the purposes with recorded consent, sorted for
-// deterministic output.
-func (m *Membrane) Purposes() []string {
-	out := make([]string, 0, len(m.Consents))
-	for p := range m.Consents {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Clone returns a deep copy. A nil map stays nil — Clone sits on the

@@ -133,20 +133,6 @@ func TestWithdrawOnNilMap(t *testing.T) {
 	}
 }
 
-func TestPurposesSorted(t *testing.T) {
-	m := New("t/s/1", "t", "s")
-	for _, p := range []string{"zeta", "alpha", "mid"} {
-		m.SetConsent(p, Grant{Kind: GrantAll})
-	}
-	got := m.Purposes()
-	want := []string{"alpha", "mid", "zeta"}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Purposes = %v, want %v", got, want)
-		}
-	}
-}
-
 func TestCloneIsDeep(t *testing.T) {
 	m := validMembrane()
 	cp := m.Clone()

@@ -69,10 +69,6 @@ func Mount(dev blockdev.Device, clock simclock.Clock) (*FS, error) {
 	return &FS{in: in}, nil
 }
 
-// Inode exposes the underlying inode filesystem for experiments (journal
-// region attribution, residue scans).
-func (f *FS) Inode() *inode.FS { return f.in }
-
 // splitPath normalizes "/a/b/c" into components. The root is "/" or "".
 func splitPath(path string) ([]string, error) {
 	if strings.Contains(path, "//") {
@@ -219,26 +215,6 @@ func (f *FS) WriteFile(path string, data []byte) error {
 	default:
 		return err
 	}
-}
-
-// AppendFile appends data to the file at path, creating it if missing.
-func (f *FS) AppendFile(path string, data []byte) error {
-	ino, err := f.walk(path)
-	if errors.Is(err, ErrNotFound) {
-		return f.WriteFile(path, data)
-	}
-	if err != nil {
-		return err
-	}
-	info, err := f.in.Stat(ino)
-	if err != nil {
-		return err
-	}
-	if info.Mode == inode.ModeTree {
-		return fmt.Errorf("%w: %q", ErrIsDir, path)
-	}
-	_, err = f.in.WriteAt(ino, info.Size, data)
-	return err
 }
 
 // ReadFile returns the full contents of the file at path.

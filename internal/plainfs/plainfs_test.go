@@ -52,23 +52,6 @@ func TestWriteFileReplaces(t *testing.T) {
 	}
 }
 
-func TestAppendFile(t *testing.T) {
-	_, fs := newFS(t)
-	if err := fs.AppendFile("/log", []byte("line1\n")); err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.AppendFile("/log", []byte("line2\n")); err != nil {
-		t.Fatal(err)
-	}
-	got, err := fs.ReadFile("/log")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "line1\nline2\n" {
-		t.Fatalf("append result: %q", got)
-	}
-}
-
 func TestMkdirHierarchy(t *testing.T) {
 	_, fs := newFS(t)
 	if err := fs.Mkdir("/data"); err != nil {
@@ -142,9 +125,6 @@ func TestReadErrors(t *testing.T) {
 	}
 	if err := fs.WriteFile("/dir", []byte("x")); !errors.Is(err, ErrIsDir) {
 		t.Fatalf("WriteFile on dir err = %v, want ErrIsDir", err)
-	}
-	if err := fs.AppendFile("/dir", []byte("x")); !errors.Is(err, ErrIsDir) {
-		t.Fatalf("AppendFile on dir err = %v, want ErrIsDir", err)
 	}
 }
 

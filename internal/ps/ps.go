@@ -135,7 +135,7 @@ type Store struct {
 
 // Stats is a snapshot of Processing Store load counters: how many
 // invocations ran, and — when an admission controller is configured — the
-// queue depth, rejection and latency counters of the admission gate.
+// depth, rejection and latency counters of the admission gate.
 type Stats struct {
 	Invocations uint64
 	Admission   admission.Stats
@@ -322,17 +322,6 @@ func (s *Store) resolve(alertID uint64, sysadmin string, approve bool) error {
 	return nil
 }
 
-// Alerts returns copies of all alerts.
-func (s *Store) Alerts() []Alert {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Alert, 0, len(s.alerts))
-	for _, a := range s.alerts {
-		out = append(out, *a)
-	}
-	return out
-}
-
 // PendingAlerts returns unresolved alerts.
 func (s *Store) PendingAlerts() []Alert {
 	s.mu.Lock()
@@ -450,8 +439,8 @@ func (s *Store) prepare(req InvokeRequest) (ded.Invocation, error) {
 }
 
 // Invoke is ps_invoke. When an admission controller is configured the
-// request passes the admission gate first (queue bound, then the
-// purpose's token bucket); a rejection returns an error wrapping
+// request passes the admission gate first (the purpose's token bucket);
+// a rejection returns an error wrapping
 // admission.ErrOverloaded without touching the DED.
 func (s *Store) Invoke(req InvokeRequest) (*ded.Result, error) {
 	release, err := s.admit(req)
@@ -485,9 +474,9 @@ func (s *Store) Invoke(req InvokeRequest) (*ded.Result, error) {
 // drop. Every successful run counts toward Invocations.
 //
 // The whole batch is admitted up front: a batch is a burst arrival, so a
-// batch larger than the admission queue's free capacity sheds its tail.
-// Each admitted request occupies queue depth from submission until its
-// invocation completes.
+// batch larger than its purpose's remaining burst sheds its tail. Each
+// admitted request counts toward the gate's depth from submission until
+// its invocation completes.
 func (s *Store) InvokeBatch(reqs []InvokeRequest, workers int) []ded.BatchItem {
 	if workers <= 0 {
 		s.mu.Lock()
@@ -530,7 +519,7 @@ func (s *Store) InvokeBatch(reqs []InvokeRequest, workers int) []ded.BatchItem {
 	}
 	// The DED executor runs the admitted invocations; the completion hook
 	// counts each successful run and releases its admission slot the
-	// moment it finishes, so queue depth stays truthful.
+	// moment it finishes, so the gate's depth stays truthful.
 	invs := make([]ded.Invocation, len(jobs))
 	for j, jb := range jobs {
 		invs[j] = jb.inv

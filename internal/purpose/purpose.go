@@ -197,18 +197,6 @@ func Parse(src string) ([]*Decl, error) {
 	return decls, nil
 }
 
-// ParseOne parses exactly one purpose declaration.
-func ParseOne(src string) (*Decl, error) {
-	decls, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(decls) != 1 {
-		return nil, fmt.Errorf("%w: expected one purpose, got %d", ErrSyntax, len(decls))
-	}
-	return decls[0], nil
-}
-
 func skipSpace(s string, line *int) string {
 	for {
 		i := 0

@@ -2,6 +2,7 @@ package purpose
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -17,7 +18,7 @@ purpose compute_age "Compute the age of the input user" {
 `
 
 func TestParseComputeAge(t *testing.T) {
-	d, err := ParseOne(computeAge)
+	d, err := parseSingle(computeAge)
 	if err != nil {
 		t.Fatalf("Parse: %v", err)
 	}
@@ -146,11 +147,11 @@ func TestMatchProperty(t *testing.T) {
 }
 
 func TestFormatRoundTrip(t *testing.T) {
-	d, err := ParseOne(computeAge)
+	d, err := parseSingle(computeAge)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, err := ParseOne(Format(d))
+	d2, err := parseSingle(Format(d))
 	if err != nil {
 		t.Fatalf("reparse: %v", err)
 	}
@@ -171,4 +172,16 @@ func TestBasisRoundTrip(t *testing.T) {
 	if _, err := ParseBasis("vibes"); err == nil {
 		t.Fatal("ParseBasis accepted garbage")
 	}
+}
+
+// parseSingle parses a source that must hold exactly one declaration.
+func parseSingle(src string) (*Decl, error) {
+	decls, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(decls) != 1 {
+		return nil, fmt.Errorf("%w: expected one purpose, got %d", ErrSyntax, len(decls))
+	}
+	return decls[0], nil
 }

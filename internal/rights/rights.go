@@ -83,53 +83,6 @@ func (e *Engine) workerCount() int {
 	return 1
 }
 
-// ForEachIndexed runs fn(i) for every i in [0, n) on up to workers
-// goroutines and returns the error of the LOWEST failing index — the same
-// error a serial loop would have surfaced first, so parallel rights keep
-// deterministic failure reporting. Exported because it is the merge
-// contract of every fanned-out rights op: the cluster router uses the
-// same helper for its per-node fan-outs, so a multi-node sweep or batch
-// access reports exactly the error a single-node engine would have.
-func ForEachIndexed(n, workers int, fn func(int) error) error {
-	if n == 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	errs := make([]error, n)
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // RecordExport is one PD record in a subject-access report: the data with
 // meaningful keys (the §4 point about exploitable structure) plus the
 // membrane metadata the subject is entitled to see.
@@ -191,7 +144,7 @@ func (e *Engine) Access(subjectID string) (*AccessReport, error) {
 // not oversubscribed.
 func (e *Engine) AccessBatch(subjectIDs []string) ([]*AccessReport, error) {
 	out := make([]*AccessReport, len(subjectIDs))
-	err := ForEachIndexed(len(subjectIDs), e.workerCount(), func(i int) error {
+	err := ded.ForEachIndexed(len(subjectIDs), e.workerCount(), func(i int) error {
 		rep, err := e.access(subjectIDs[i], 1)
 		if err != nil {
 			return err
@@ -222,7 +175,7 @@ func (e *Engine) access(subjectID string, workers int) (*AccessReport, error) {
 		return nil, fmt.Errorf("rights: access %s: %w", subjectID, err)
 	}
 	exps := make([]RecordExport, len(pdids))
-	err = ForEachIndexed(len(pdids), workers, func(i int) error {
+	err = ded.ForEachIndexed(len(pdids), workers, func(i int) error {
 		pdid, m := pdids[i], ms[i]
 		exp := RecordExport{
 			PDID:        pdid,

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"repro/internal/builtins"
+	"repro/internal/ded"
 	"repro/internal/ps"
 	"repro/internal/simclock"
 )
@@ -317,7 +318,7 @@ func (e *Engine) sweepOnce() ([]string, sweepPassInfo, error) {
 	// deadline. Shards (and subjects) not in scans are never locked.
 	targets := make([][]sweepTarget, len(scans))
 	next := make([]map[string]time.Time, len(scans))
-	err := ForEachIndexed(len(scans), workers, func(i int) error {
+	err := ded.ForEachIndexed(len(scans), workers, func(i int) error {
 		sc := scans[i]
 		nx := make(map[string]time.Time)
 		for _, subject := range sc.subjects {

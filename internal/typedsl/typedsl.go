@@ -219,18 +219,6 @@ func Parse(src string) ([]*TypeDecl, error) {
 	return decls, nil
 }
 
-// ParseOne parses exactly one declaration.
-func ParseOne(src string) (*TypeDecl, error) {
-	decls, err := Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	if len(decls) != 1 {
-		return nil, fmt.Errorf("%w: expected one type, got %d", ErrSyntax, len(decls))
-	}
-	return decls[0], nil
-}
-
 func (p *parser) parseType() (*TypeDecl, error) {
 	kw, err := p.expect(tokIdent, `"type"`)
 	if err != nil {

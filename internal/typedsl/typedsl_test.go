@@ -2,6 +2,7 @@ package typedsl
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -44,7 +45,7 @@ type user {
 `
 
 func TestParseListing1Verbatim(t *testing.T) {
-	d, err := ParseOne(listing1)
+	d, err := parseSingle(listing1)
 	if err != nil {
 		t.Fatalf("Parse Listing 1: %v", err)
 	}
@@ -69,7 +70,7 @@ func TestParseListing1Verbatim(t *testing.T) {
 }
 
 func TestCompileListing1WithAlias(t *testing.T) {
-	d, err := ParseOne(listing1)
+	d, err := parseSingle(listing1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +111,7 @@ func TestCompileListing1WithAlias(t *testing.T) {
 }
 
 func TestCompileListing1StrictFails(t *testing.T) {
-	d, err := ParseOne(listing1)
+	d, err := parseSingle(listing1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +175,7 @@ type c {
   fields { x: int, y: float };
 };
 `
-	d, err := ParseOne(src)
+	d, err := parseSingle(src)
 	if err != nil {
 		t.Fatalf("comments not handled: %v", err)
 	}
@@ -287,12 +288,12 @@ func TestParseAge(t *testing.T) {
 }
 
 func TestFormatRoundTrip(t *testing.T) {
-	d, err := ParseOne(listing1)
+	d, err := parseSingle(listing1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	printed := Format(d)
-	d2, err := ParseOne(printed)
+	d2, err := parseSingle(printed)
 	if err != nil {
 		t.Fatalf("reparse printed form: %v\n%s", err, printed)
 	}
@@ -377,7 +378,7 @@ func TestFormatParsePropertyRandomDecls(t *testing.T) {
 		}
 		d.Origin = origins[int(originSeed)%len(origins)]
 		printed := Format(d)
-		d2, err := ParseOne(printed)
+		d2, err := parseSingle(printed)
 		if err != nil {
 			t.Logf("reparse failed: %v\n%s", err, printed)
 			return false
@@ -410,4 +411,16 @@ func TestCompileIntegrationWithDBFSSchema(t *testing.T) {
 	if !strings.Contains(Format(&TypeDecl{Name: "user", Fields: []FieldDecl{{Name: "x", Type: "int"}}}), "type user") {
 		t.Fatal("Format output malformed")
 	}
+}
+
+// parseSingle parses a source that must hold exactly one declaration.
+func parseSingle(src string) (*TypeDecl, error) {
+	decls, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if len(decls) != 1 {
+		return nil, fmt.Errorf("%w: expected one type, got %d", ErrSyntax, len(decls))
+	}
+	return decls[0], nil
 }

@@ -40,7 +40,6 @@ import (
 	"hash/crc32"
 	"slices"
 	"sync"
-	"time"
 
 	"repro/internal/blockdev"
 )
@@ -122,9 +121,6 @@ type Log struct {
 	start  uint64
 	length uint64
 
-	// window is the group-commit window, set by Configure before use.
-	window time.Duration
-
 	mu         sync.Mutex
 	idle       sync.Cond // signaled when no transaction is queued or in flight
 	head       uint64    // next journal-region block index to write (relative)
@@ -159,25 +155,11 @@ func Open(dev blockdev.Device, start, length uint64) (*Log, error) {
 	return l, nil
 }
 
-// Configure sets the group-commit window: how long a freshly woken
-// committer waits for more transactions to arrive before draining the
-// queue (0 = drain immediately, batching only what queued during the
-// previous flush). Call it once, before the log is used.
-func (l *Log) Configure(window time.Duration) {
-	l.window = window
-}
-
 // Stats returns a snapshot of the journal counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.stats
-}
-
-// Region reports the journal's block range [start, start+length) so
-// experiments can attribute residue hits to the journal area.
-func (l *Log) Region() (start, length uint64) {
-	return l.start, l.length
 }
 
 // ReadThrough reads block n, preferring the image of the newest enqueued
@@ -360,9 +342,6 @@ func (l *Log) takeBatchLocked() ([]*pendingTxn, uint64) {
 // exits; the next Enqueue starts a fresh one. Only one committer runs at a
 // time, so groups are logged and checkpointed strictly in queue order.
 func (l *Log) committer() {
-	if l.window > 0 {
-		time.Sleep(l.window)
-	}
 	for {
 		l.mu.Lock()
 		batch, needed := l.takeBatchLocked()

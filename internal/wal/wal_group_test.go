@@ -3,9 +3,9 @@ package wal
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/blockdev"
 )
@@ -24,21 +24,38 @@ func enqueueOne(t *testing.T, l *Log, n uint64, v byte) *Ticket {
 	return tk
 }
 
-// TestGroupCommitCoalesces verifies that transactions enqueued within the
-// commit window share one commit group (and one flush), and that every
-// image still reaches its home block.
+// holdCommitter waits until no committer runs, then marks one as running
+// so that Enqueue starts none: the transactions enqueued next wait in the
+// queue together. The returned function starts the committer, which takes
+// them as one commit group.
+func holdCommitter(l *Log) (start func()) {
+	for {
+		l.mu.Lock()
+		if !l.committing {
+			l.committing = true
+			l.mu.Unlock()
+			return func() { go l.committer() }
+		}
+		l.mu.Unlock()
+		runtime.Gosched()
+	}
+}
+
+// TestGroupCommitCoalesces verifies that transactions queued together
+// share one commit group (and one flush), and that every image still
+// reaches its home block.
 func TestGroupCommitCoalesces(t *testing.T) {
 	dev := blockdev.MustMem(64)
 	l, err := Open(dev, 0, 32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Configure(50 * time.Millisecond)
-
+	start := holdCommitter(l)
 	tickets := make([]*Ticket, 4)
 	for i := range tickets {
 		tickets[i] = enqueueOne(t, l, uint64(50+i), byte(i+1))
 	}
+	start()
 	for i, tk := range tickets {
 		if err := tk.Wait(); err != nil {
 			t.Fatalf("txn %d: %v", i, err)
@@ -50,7 +67,7 @@ func TestGroupCommitCoalesces(t *testing.T) {
 		t.Fatalf("TxnsCommitted = %d, want 4", s.TxnsCommitted)
 	}
 	if s.GroupCommits != 1 {
-		t.Fatalf("GroupCommits = %d, want 1 (all txns inside the window)", s.GroupCommits)
+		t.Fatalf("GroupCommits = %d, want 1 (all txns queued together)", s.GroupCommits)
 	}
 	if s.MaxGroupTxns != 4 {
 		t.Fatalf("MaxGroupTxns = %d, want 4", s.MaxGroupTxns)
@@ -75,9 +92,10 @@ func TestGroupReplayRestoresAllTxns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Configure(50 * time.Millisecond)
+	start := holdCommitter(l)
 	tk1 := enqueueOne(t, l, 50, 0xA1)
 	tk2 := enqueueOne(t, l, 51, 0xB2)
+	start()
 	if err := tk1.Wait(); err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +153,6 @@ func TestCrashMidGroupCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l.Configure(50 * time.Millisecond)
 	if err := enqueueOne(t, l, 40, 0x40).Wait(); err != nil {
 		t.Fatalf("earlier group: %v", err)
 	}
@@ -144,8 +161,10 @@ func TestCrashMidGroupCommit(t *testing.T) {
 	// [desc1][data1][desc2][data2][commit]; a budget of 4 cuts the power
 	// after data2, before the commit marker.
 	cut.SetBudget(4)
+	start := holdCommitter(l)
 	tk1 := enqueueOne(t, l, 50, 0x51)
 	tk2 := enqueueOne(t, l, 51, 0x52)
+	start()
 	err1, err2 := tk1.Wait(), tk2.Wait()
 	if err1 == nil || err2 == nil {
 		t.Fatalf("cut group committed: err1=%v err2=%v", err1, err2)

@@ -182,7 +182,7 @@ func TestJournalRetainsOldImages(t *testing.T) {
 	if len(hits) == 0 {
 		t.Fatal("expected journal residue of deleted data, found none")
 	}
-	start, length := l.Region()
+	start, length := l.start, l.length
 	inJournal := false
 	for _, h := range hits {
 		if h >= start && h < start+length {

@@ -214,7 +214,7 @@ func TestSoakCluster2(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, rejected, denied, failed, err := Soak(NewClusterTarget(cl), sc, mix, ops, 8)
+	ok, rejected, denied, failed, err := Soak(&ClusterTarget{C: cl}, sc, mix, ops, 8)
 	if err != nil {
 		t.Fatal(err)
 	}

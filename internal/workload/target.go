@@ -159,9 +159,6 @@ func (t *SystemTarget) SimClock() *simclock.Sim {
 // every node, and invariant scans sum across nodes.
 type ClusterTarget struct{ C *cluster.Cluster }
 
-// NewClusterTarget wraps a booted cluster.
-func NewClusterTarget(c *cluster.Cluster) *ClusterTarget { return &ClusterTarget{C: c} }
-
 // Name labels the target with its node count.
 func (t *ClusterTarget) Name() string { return fmt.Sprintf("cluster-%d", t.C.Nodes()) }
 

@@ -102,19 +102,6 @@ func (rd *Reader) Read(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		p[i], p[j] = p[j], p[i]
-	}
-	return p
-}
-
 // Pick returns a pseudo-random element of xs. It panics on an empty slice.
 func Pick[T any](r *RNG, xs []T) T {
 	if len(xs) == 0 {

@@ -116,18 +116,6 @@ func TestBytesFills(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	r := New(6)
-	p := r.Perm(50)
-	seen := make(map[int]bool, 50)
-	for _, v := range p {
-		if v < 0 || v >= 50 || seen[v] {
-			t.Fatalf("Perm produced invalid permutation: %v", p)
-		}
-		seen[v] = true
-	}
-}
-
 func TestPickPanicsOnEmpty(t *testing.T) {
 	defer func() {
 		if recover() == nil {
