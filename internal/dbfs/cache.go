@@ -3,16 +3,17 @@ package dbfs
 // The membrane cache memoizes decoded *membrane.Membrane values so the read
 // path — ded_load_membrane, the rights engine's per-record scans, and the
 // consent mutators' read-modify-write — stops paying an inode walk plus a
-// JSON decode for every membrane fetch. Entries are keyed by pdid and
+// membrane decode for every membrane fetch. Entries are keyed by pdid and
 // stamped with a per-record version; every membrane-affecting mutation bumps
 // the version under the subject's shard write lock and either writes the new
 // decoded value through (membrane writes) or drops the entry (data updates,
 // physical deletes). Readers fill the cache under the shard read lock, so a
 // fill always captures the freshest committed state: no writer can run
 // concurrently, and two racing readers fill the same value. A cached
-// membrane is never handed out by pointer — get returns a clone, and put
-// stores one — so caller-side mutation (MutateMembrane's mutate func, the
-// builtins' WriteCtx) cannot alias the cached copy.
+// membrane is shared: get hands out the cached pointer and store keeps the
+// pointer it is given, so every holder treats it as read-only. The two
+// in-place mutators (MutateMembrane, Erase) clone before they change a
+// membrane, and a caller hands store a membrane it no longer changes.
 //
 // The cache is sharded like the store's lock table (one cache shard per
 // subject shard, same index), so cache maintenance for a record is
@@ -88,9 +89,9 @@ func newMembraneCache(capacity, nshards int) *membraneCache {
 	return c
 }
 
-// get returns a clone of the cached membrane for pdid, or nil on a miss
-// (absent, stale-versioned, or evicted). Caller holds the subject's shard
-// lock (either side).
+// get returns the cached membrane for pdid, shared and read-only, or nil on
+// a miss (absent, stale-versioned, or evicted). Caller holds the subject's
+// shard lock (either side).
 func (c *membraneCache) get(shard uint32, pdid string) *membrane.Membrane {
 	cs := &c.shards[shard]
 	cs.mu.Lock()
@@ -102,9 +103,7 @@ func (c *membraneCache) get(shard uint32, pdid string) *membrane.Membrane {
 			m := e.m
 			cs.mu.Unlock()
 			c.hits.Add(1)
-			// Clone outside the shard mutex: cached values are immutable
-			// once stored, only the pointer needs the lock.
-			return m.Clone()
+			return m
 		}
 		// Version moved under us (a mutator invalidated without writing
 		// through); drop the stale entry.
@@ -115,9 +114,9 @@ func (c *membraneCache) get(shard uint32, pdid string) *membrane.Membrane {
 	return nil
 }
 
-// fill records a read-side miss resolution: m (already private to the
-// cache's caller) is cloned in at the record's current version. Caller holds
-// the subject's shard lock, so m is the freshest committed state.
+// fill records a read-side miss resolution: m, freshly decoded, is cached at
+// the record's current version. Caller holds the subject's shard lock, so m
+// is the freshest committed state.
 func (c *membraneCache) fill(shard uint32, pdid string, m *membrane.Membrane) {
 	c.store(shard, pdid, m, false)
 }
@@ -128,15 +127,15 @@ func (c *membraneCache) writeThrough(shard uint32, pdid string, m *membrane.Memb
 	c.store(shard, pdid, m, true)
 }
 
+// store caches m itself; from here on m is shared and must not change.
 func (c *membraneCache) store(shard uint32, pdid string, m *membrane.Membrane, bump bool) {
-	cp := m.Clone()
 	cs := &c.shards[shard]
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	if bump {
 		cs.ver[pdid]++
 	}
-	e := &cacheEntry{pdid: pdid, ver: cs.ver[pdid], m: cp}
+	e := &cacheEntry{pdid: pdid, ver: cs.ver[pdid], m: m}
 	if el, ok := cs.entries[pdid]; ok {
 		el.Value = e
 		cs.lru.MoveToFront(el)

@@ -2,9 +2,11 @@ package dbfs
 
 // Tests for the decoded-membrane cache: coherence under concurrent
 // read/mutate/erase pressure (run with -race), eviction under a tiny
-// capacity, the version-bump invalidation paths, and the disable switch.
+// capacity, the version-bump invalidation paths, the disable switch, and
+// the read-only sharing of cached membranes.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -280,5 +282,86 @@ func TestGetMembranesBatch(t *testing.T) {
 	}
 	if _, err := e.store.GetMembranes(e.tok, append(pdids, "user/ghost/99")); !errors.Is(err, ErrNoRecord) {
 		t.Fatalf("batch with ghost pdid err = %v, want ErrNoRecord", err)
+	}
+}
+
+// TestSharedMembraneIsReadOnly checks the sharing contract of the cache:
+// two hits on one pdid return the same pointer, and a membrane a reader
+// holds never changes while MutateMembrane and Erase rewrite the record
+// (they clone before they mutate). Run with -race: an in-place mutation of
+// the shared value is also a data race with the readers below.
+func TestSharedMembraneIsReadOnly(t *testing.T) {
+	e := newEnv(t)
+	e.mustCreateUser(t)
+	pdid, err := e.store.Insert(e.tok, "user", "hana", aliceRecord(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := e.store.GetMembranes(e.tok, []string{pdid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := e.store.GetMembranes(e.tok, []string{pdid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := first[0]
+	if second[0] != held {
+		t.Fatal("two cache hits on one pdid returned different membranes")
+	}
+	want, err := held.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const rounds = 30
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	for rd := 0; rd < 2; rd++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				if got, err := held.Encode(); err != nil || !bytes.Equal(got, want) {
+					t.Errorf("held membrane changed under a reader (err %v)", err)
+					return
+				}
+				if _, err := e.store.GetMembranes(e.tok, []string{pdid}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	for r := 1; r <= rounds; r++ {
+		if _, err := e.store.MutateMembrane(e.tok, pdid, func(m *membrane.Membrane) error {
+			m.SetConsent("purpose1", membrane.Grant{Kind: membrane.GrantAll})
+			if m.Collection == nil {
+				m.Collection = make(map[string]string)
+			}
+			m.Collection[ctrKey] = strconv.Itoa(r)
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := e.store.Erase(e.tok, pdid); err != nil {
+		t.Fatal(err)
+	}
+	close(done)
+	wg.Wait()
+	if got, err := held.Encode(); err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("held membrane changed (err %v)", err)
+	}
+	m, err := e.store.GetMembrane(e.tok, pdid)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !m.Erased || membraneCtr(m) != rounds {
+		t.Fatalf("stored membrane: erased %t ctr %d, want erased and ctr %d", m.Erased, membraneCtr(m), rounds)
 	}
 }

@@ -290,27 +290,6 @@ func B(v bool) Value { return Value{Type: TypeBool, B: v} }
 // T constructs a time value.
 func T(v time.Time) Value { return Value{Type: TypeTime, T: v} }
 
-// Equal reports deep equality of two values.
-func (v Value) Equal(o Value) bool {
-	if v.Type != o.Type {
-		return false
-	}
-	switch v.Type {
-	case TypeString:
-		return v.S == o.S
-	case TypeInt:
-		return v.I == o.I
-	case TypeFloat:
-		return v.F == o.F
-	case TypeBool:
-		return v.B == o.B
-	case TypeTime:
-		return v.T.Equal(o.T)
-	default:
-		return false
-	}
-}
-
 // String renders the value for humans.
 func (v Value) String() string {
 	switch v.Type {

@@ -250,8 +250,8 @@ func recordState(t *testing.T, s *Store, tok *lsm.Token, pdid string) string {
 	}
 	for n, state := range map[int]string{1: "old", 2: "new"} {
 		want := recordV(n)
-		if rec["name"].Equal(want["name"]) && rec["pwd"].Equal(want["pwd"]) &&
-			rec["year_of_birthdate"].Equal(want["year_of_birthdate"]) {
+		if valueEqual(rec["name"], want["name"]) && valueEqual(rec["pwd"], want["pwd"]) &&
+			valueEqual(rec["year_of_birthdate"], want["year_of_birthdate"]) {
 			return state
 		}
 	}

@@ -973,7 +973,7 @@ func (s *Store) Insert(tok *lsm.Token, typeName, subjectID string, rec Record, m
 	}
 	if mc := s.mcache; mc != nil {
 		// m is private to this insert (cloned or schema-built above), so the
-		// write-through costs one clone and first reads decode nothing.
+		// cache can keep it and first reads decode nothing.
 		mc.writeThrough(sr.idx, pdid, m)
 	}
 	s.coldTouch(sr, pdid)
@@ -1028,6 +1028,8 @@ func (s *Store) recordInos(sr shardRef, r ref) (tree inode.Ino, data, sens, mem 
 }
 
 // GetMembrane loads a record's membrane (the DED's ded_load_membrane step).
+// The result is shared with the membrane cache and other readers: it is
+// read-only. Change a membrane through MutateMembrane.
 func (s *Store) GetMembrane(tok *lsm.Token, pdid string) (*membrane.Membrane, error) {
 	if err := s.check(tok, lsm.OpRead, pdid+memSuffix); err != nil {
 		return nil, err
@@ -1045,7 +1047,8 @@ func (s *Store) GetMembrane(tok *lsm.Token, pdid string) (*membrane.Membrane, er
 // getMembraneLocked loads a membrane, serving from the decoded-membrane
 // cache when possible; caller holds the subject's shard lock (either side),
 // which is what makes a cache fill here coherent — no mutator can commit
-// concurrently, so the filled value is the freshest stored state.
+// concurrently, so the filled value is the freshest stored state. The result
+// is shared and read-only; a mutator clones it first.
 func (s *Store) getMembraneLocked(sr shardRef, r ref) (*membrane.Membrane, error) {
 	if mc := s.mcache; mc != nil {
 		if m := mc.get(sr.idx, r.pdid); m != nil {
@@ -1078,7 +1081,8 @@ func (s *Store) getMembraneLocked(sr shardRef, r ref) (*membrane.Membrane, error
 // subject shard so each shard lock is taken once per batch instead of once
 // per record (the DED's ded_load_membrane stage and the rights engine fetch
 // whole candidate lists at a time). Results keep input order; the first
-// failing pdid aborts the batch.
+// failing pdid aborts the batch. Like GetMembrane's, the results are shared
+// and read-only.
 func (s *Store) GetMembranes(tok *lsm.Token, pdids []string) ([]*membrane.Membrane, error) {
 	out := make([]*membrane.Membrane, len(pdids))
 	type item struct {
@@ -1119,7 +1123,8 @@ func (s *Store) GetMembranes(tok *lsm.Token, pdids []string) ([]*membrane.Membra
 // state, applies mutate, validates and persists. Concurrent mutations of
 // the same record therefore compose instead of overwriting each other
 // (and a mutation can never resurrect an erasure tombstone it did not
-// see). It returns the membrane as persisted.
+// see). mutate receives a private copy. MutateMembrane returns the membrane
+// as persisted, which is then shared with the cache: read-only.
 func (s *Store) MutateMembrane(tok *lsm.Token, pdid string, mutate func(*membrane.Membrane) error) (*membrane.Membrane, error) {
 	if err := s.check(tok, lsm.OpWrite, pdid+memSuffix); err != nil {
 		return nil, err
@@ -1131,10 +1136,11 @@ func (s *Store) MutateMembrane(tok *lsm.Token, pdid string, mutate func(*membran
 	sr := s.shardOf(r.subjectID)
 	sr.lk.Lock()
 	defer sr.lk.Unlock()
-	m, err := s.getMembraneLocked(sr, r)
+	cached, err := s.getMembraneLocked(sr, r)
 	if err != nil {
 		return nil, err
 	}
+	m := cached.Clone() // readers may hold the cached value
 	if err := mutate(m); err != nil {
 		return nil, err
 	}
@@ -1148,7 +1154,8 @@ func (s *Store) MutateMembrane(tok *lsm.Token, pdid string, mutate func(*membran
 }
 
 // putMembraneLocked persists a membrane and writes the decoded value through
-// the cache; caller holds the subject's shard write lock.
+// the cache, which keeps m itself: the caller must not change m afterwards.
+// Caller holds the subject's shard write lock.
 func (s *Store) putMembraneLocked(sr shardRef, r ref, m *membrane.Membrane) error {
 	_, _, _, memIno, err := s.recordInos(sr, r)
 	if err != nil {
@@ -1329,12 +1336,12 @@ func (s *Store) Erase(tok *lsm.Token, pdid string) (escrowRef string, err error)
 	sr := s.shardOf(r.subjectID)
 	sr.lk.Lock()
 	defer sr.lk.Unlock()
-	m, err := s.getMembraneLocked(sr, r)
+	cached, err := s.getMembraneLocked(sr, r)
 	if err != nil {
 		return "", err
 	}
-	if m.Erased {
-		return m.EscrowRef, nil // idempotent
+	if cached.Erased {
+		return cached.EscrowRef, nil // idempotent
 	}
 	rec, err := s.vault.Shred(pdid)
 	if err != nil && !errors.Is(err, cryptoshred.ErrNoKey) {
@@ -1345,6 +1352,7 @@ func (s *Store) Erase(tok *lsm.Token, pdid string) (escrowRef string, err error)
 		!errors.Is(serr, cryptoshred.ErrNoKey) && !errors.Is(serr, cryptoshred.ErrKeyDestroyed) {
 		return "", fmt.Errorf("dbfs: erase %s sensitive: %w", pdid, serr)
 	}
+	m := cached.Clone() // readers may hold the cached value
 	m.Erased = true
 	m.EscrowRef = rec.Ref
 	m.Version++

@@ -23,17 +23,6 @@ type WriteCtx struct {
 	generated []string
 }
 
-// PDID identifies the record being mutated.
-func (w *WriteCtx) PDID() string { return w.pdid }
-
-// SubjectID identifies the data subject.
-func (w *WriteCtx) SubjectID() string { return w.m.SubjectID }
-
-// Membrane returns a copy of the record's membrane as admitted by
-// ded_filter (a snapshot; consent mutations below re-read the stored state
-// atomically rather than writing this snapshot back).
-func (w *WriteCtx) Membrane() *membrane.Membrane { return w.m.Clone() }
-
 // Params returns the operator-supplied arguments of the invocation.
 func (w *WriteCtx) Params() map[string]any { return w.inv.Params }
 

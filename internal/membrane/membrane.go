@@ -15,9 +15,10 @@
 package membrane
 
 import (
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -152,40 +153,40 @@ var (
 // DBFS carries exactly one membrane (enforcement rule 3, §2).
 type Membrane struct {
 	// PDID identifies the wrapped PD, format "type/subject/record".
-	PDID string `json:"pdid"`
+	PDID string
 	// TypeName is the PD type (DBFS table) this PD belongs to.
-	TypeName string `json:"type"`
+	TypeName string
 	// SubjectID identifies the data subject.
-	SubjectID string `json:"subject"`
+	SubjectID string
 
-	Origin      Origin      `json:"origin"`
-	Sensitivity Sensitivity `json:"sensitivity"`
+	Origin      Origin
+	Sensitivity Sensitivity
 
 	// Consents maps purpose name to the recorded grant.
-	Consents map[string]Grant `json:"consents"`
+	Consents map[string]Grant
 
 	// TTL is the time to live; zero means no automatic expiry.
-	TTL time.Duration `json:"ttl"`
+	TTL time.Duration
 	// CreatedAt is when the PD entered the system (collection time).
-	CreatedAt time.Time `json:"created_at"`
+	CreatedAt time.Time
 
 	// Collection maps collection method name (e.g. "web_form") to the
 	// interface reference (e.g. "user_form.html").
-	Collection map[string]string `json:"collection,omitempty"`
+	Collection map[string]string
 
 	// Version increments on every consent mutation; the copy ledger uses
 	// it to detect stale copies.
-	Version uint64 `json:"version"`
+	Version uint64
 	// CopyOf holds the original PDID when this PD is a built-in copy.
-	CopyOf string `json:"copy_of,omitempty"`
+	CopyOf string
 
 	// Erased marks PD removed under the right to be forgotten; the
 	// ciphertext is retained for the authorities under EscrowRef.
-	Erased bool `json:"erased,omitempty"`
+	Erased bool
 	// EscrowRef names the escrow record created at erasure time.
-	EscrowRef string `json:"escrow_ref,omitempty"`
+	EscrowRef string
 	// Restricted marks PD under a GDPR Art. 18 processing restriction.
-	Restricted bool `json:"restricted,omitempty"`
+	Restricted bool
 }
 
 // New returns a membrane with the mandatory identity fields set and empty
@@ -282,9 +283,9 @@ func (m *Membrane) WithdrawConsent(purpose string) {
 	m.Version++
 }
 
-// Clone returns a deep copy. A nil map stays nil — Clone sits on the
-// membrane-cache hit path, so it must not allocate more than the source
-// actually holds (SetConsent and friends lazily allocate on first write).
+// Clone returns a deep copy. A nil map stays nil (SetConsent and friends
+// allocate on first write). DBFS clones a shared, cached membrane before it
+// changes one.
 func (m *Membrane) Clone() *Membrane {
 	cp := *m
 	if m.Consents != nil {
@@ -317,25 +318,275 @@ func (m *Membrane) CloneForCopy(newPDID string) *Membrane {
 	return cp
 }
 
-// Encode serializes the membrane.
+// Encode serializes the membrane in the binary layout described at
+// codecVersion. Equal membranes give equal bytes: map keys are written in
+// sorted order and CreatedAt as its UTC instant, so the cold archive's
+// content dedup sees one copy of a repeated membrane.
 func (m *Membrane) Encode() ([]byte, error) {
-	b, err := json.Marshal(m)
+	created, err := m.CreatedAt.UTC().MarshalBinary()
 	if err != nil {
 		return nil, fmt.Errorf("membrane: encode %s: %w", m.PDID, err)
 	}
+	// One allocation: the version byte, CreatedAt, the two flags, four
+	// varints of at most ten bytes, and two bytes for each length or count
+	// prefix (five strings, two maps), which covers strings under 16 KiB.
+	// append grows b past a short guess.
+	size := 1 + len(created) + 2 + 4*binary.MaxVarintLen64 + 7*2 +
+		len(m.PDID) + len(m.TypeName) + len(m.SubjectID) + len(m.CopyOf) + len(m.EscrowRef)
+	for k, g := range m.Consents {
+		size += 2 + len(k) + 1 + 2 + len(g.View)
+	}
+	for k, v := range m.Collection {
+		size += 2 + len(k) + 2 + len(v)
+	}
+	b := make([]byte, 0, size)
+	b = append(b, codecVersion)
+	b = appendString(b, m.PDID)
+	b = appendString(b, m.TypeName)
+	b = appendString(b, m.SubjectID)
+	b = binary.AppendVarint(b, int64(m.Origin))
+	b = binary.AppendVarint(b, int64(m.Sensitivity))
+	var keyBuf [8]string
+	keys := sortedKeys(keyBuf[:0], m.Consents)
+	b = binary.AppendUvarint(b, uint64(len(keys)))
+	for _, k := range keys {
+		g := m.Consents[k]
+		b = appendString(b, k)
+		b = binary.AppendVarint(b, int64(g.Kind))
+		b = appendString(b, g.View)
+	}
+	b = binary.AppendVarint(b, int64(m.TTL))
+	b = append(b, created...)
+	keys = sortedKeys(keyBuf[:0], m.Collection)
+	b = binary.AppendUvarint(b, uint64(len(keys)))
+	for _, k := range keys {
+		b = appendString(b, k)
+		b = appendString(b, m.Collection[k])
+	}
+	b = binary.AppendUvarint(b, m.Version)
+	b = appendString(b, m.CopyOf)
+	b = appendBool(b, m.Erased)
+	b = appendString(b, m.EscrowRef)
+	b = appendBool(b, m.Restricted)
 	return b, nil
 }
 
-// Decode deserializes a membrane and validates it.
+// Decode deserializes a membrane and validates it. Every failure wraps
+// ErrInvalid. Only the canonical encoding is accepted (minimal varints,
+// strictly sorted keys, flags of 0 or 1, a UTC CreatedAt, no trailing
+// bytes), so a decoded membrane re-encodes to the bytes it came from.
+//
+// The decoded strings are substrings of one copy of b: a decode costs one
+// string allocation however many strings the membrane holds, and any of
+// them keeps that copy alive.
 func Decode(b []byte) (*Membrane, error) {
-	var m Membrane
-	if err := json.Unmarshal(b, &m); err != nil {
-		return nil, fmt.Errorf("membrane: decode: %w", err)
+	d := decoder{b: b}
+	if d.byte() != codecVersion {
+		return nil, d.fail("unknown version")
+	}
+	d.s = string(b)
+	m := &Membrane{
+		PDID:        d.str(),
+		TypeName:    d.str(),
+		SubjectID:   d.str(),
+		Origin:      Origin(d.varint()),
+		Sensitivity: Sensitivity(d.varint()),
+	}
+	// A consent entry is at least a key length, a kind and a view length.
+	if n := d.count(3); n > 0 {
+		m.Consents = make(map[string]Grant, n)
+		prev := ""
+		for i := 0; i < n && d.err == nil; i++ {
+			k := d.key(i, prev)
+			m.Consents[k] = Grant{Kind: GrantKind(d.varint()), View: d.str()}
+			prev = k
+		}
+	}
+	m.TTL = time.Duration(d.varint())
+	m.CreatedAt = d.time()
+	if n := d.count(2); n > 0 {
+		m.Collection = make(map[string]string, n)
+		prev := ""
+		for i := 0; i < n && d.err == nil; i++ {
+			k := d.key(i, prev)
+			m.Collection[k] = d.str()
+			prev = k
+		}
+	}
+	m.Version = d.uvarint()
+	m.CopyOf = d.str()
+	m.Erased = d.bool()
+	m.EscrowRef = d.str()
+	m.Restricted = d.bool()
+	if d.err == nil && d.off != len(b) {
+		d.fail("trailing bytes")
+	}
+	if d.err != nil {
+		return nil, d.err
 	}
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	return &m, nil
+	return m, nil
+}
+
+// codecVersion is the first byte of every encoding. The fields follow in
+// declaration order: strings as a uvarint length and the bytes; Origin,
+// Sensitivity, a grant's Kind and TTL as varints; Version as a uvarint;
+// each map as a uvarint count and its entries in ascending key order (a
+// consent entry is key, kind, view); CreatedAt as the 15 bytes of
+// time.MarshalBinary of its UTC instant; Erased and Restricted as one byte,
+// 0 or 1.
+const codecVersion = 1
+
+// timeLen is the length of time.MarshalBinary's form of a UTC time.
+const timeLen = 15
+
+func appendString(b []byte, s string) []byte {
+	b = binary.AppendUvarint(b, uint64(len(s)))
+	return append(b, s...)
+}
+
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+// sortedKeys appends mp's keys to dst in ascending order.
+func sortedKeys[V any](dst []string, mp map[string]V) []string {
+	for k := range mp {
+		dst = append(dst, k)
+	}
+	slices.Sort(dst)
+	return dst
+}
+
+// decoder reads one encoding front to back. After the first failure err is
+// set and every read returns a zero value.
+type decoder struct {
+	b   []byte
+	s   string // b as a string; decoded strings are substrings of it
+	off int
+	err error
+}
+
+func (d *decoder) fail(why string) error {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: decode: %s at byte %d", ErrInvalid, why, d.off)
+	}
+	return d.err
+}
+
+func (d *decoder) byte() byte {
+	if d.err != nil {
+		return 0
+	}
+	if d.off >= len(d.b) {
+		d.fail("truncated")
+		return 0
+	}
+	d.off++
+	return d.b[d.off-1]
+}
+
+func (d *decoder) uvarint() uint64 {
+	if d.err != nil {
+		return 0
+	}
+	v, n := binary.Uvarint(d.b[d.off:])
+	if n <= 0 {
+		d.fail("bad varint")
+		return 0
+	}
+	if n > 1 && d.b[d.off+n-1] == 0 {
+		d.fail("non-minimal varint")
+		return 0
+	}
+	d.off += n
+	return v
+}
+
+func (d *decoder) varint() int64 {
+	u := d.uvarint()
+	// Zigzag, as binary.Varint decodes it.
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v
+}
+
+// count reads a map's entry count. Every entry takes at least min bytes,
+// so a count the bytes left cannot hold is rejected before it sizes a map.
+func (d *decoder) count(min int) int {
+	n := d.uvarint()
+	if n > uint64((len(d.b)-d.off)/min) {
+		d.fail("count exceeds input")
+		return 0
+	}
+	return int(n)
+}
+
+func (d *decoder) str() string {
+	n := d.uvarint()
+	if d.err != nil {
+		return ""
+	}
+	if n > uint64(len(d.b)-d.off) {
+		d.fail("length exceeds input")
+		return ""
+	}
+	s := d.s[d.off : d.off+int(n)]
+	d.off += int(n)
+	return s
+}
+
+// key reads the i-th map key, which must sort strictly after prev.
+func (d *decoder) key(i int, prev string) string {
+	k := d.str()
+	if i > 0 && k <= prev {
+		d.fail("map keys out of order")
+	}
+	return k
+}
+
+func (d *decoder) bool() bool {
+	switch d.byte() {
+	case 0:
+		return false
+	case 1:
+		return true
+	default:
+		d.fail("bad flag")
+		return false
+	}
+}
+
+// time reads CreatedAt. Only the form Encode writes is accepted: version 1,
+// nanoseconds below one second and the UTC zone marker.
+func (d *decoder) time() time.Time {
+	if d.err != nil {
+		return time.Time{}
+	}
+	if len(d.b)-d.off < timeLen {
+		d.fail("truncated")
+		return time.Time{}
+	}
+	raw := d.b[d.off : d.off+timeLen]
+	nsec := binary.BigEndian.Uint32(raw[9:13])
+	if raw[0] != 1 || nsec >= 1e9 || raw[13] != 0xff || raw[14] != 0xff {
+		d.fail("non-canonical created_at")
+		return time.Time{}
+	}
+	var t time.Time
+	if err := t.UnmarshalBinary(raw); err != nil {
+		d.fail("bad created_at")
+		return time.Time{}
+	}
+	d.off += timeLen
+	return t
 }
 
 // Ledger tracks the copy families of PD so that consent changes and

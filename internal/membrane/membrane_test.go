@@ -1,7 +1,10 @@
 package membrane
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"runtime"
 	"testing"
 	"testing/quick"
 	"time"
@@ -185,41 +188,149 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 }
 
 func TestDecodeRejectsInvalid(t *testing.T) {
-	if _, err := Decode([]byte(`{"pdid":""}`)); !errors.Is(err, ErrInvalid) {
-		t.Fatalf("Decode invalid err = %v, want ErrInvalid", err)
+	m := validMembrane()
+	m.Collection["web_form"] = "user_form.html"
+	valid, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := Decode([]byte(`not json`)); err == nil {
-		t.Fatal("Decode accepted garbage")
+	// patch returns a copy of valid with the bytes at off replaced.
+	patch := func(off int, with ...byte) []byte {
+		b := append([]byte(nil), valid[:off]...)
+		b = append(b, with...)
+		return append(b, valid[off+len(with):]...)
+	}
+	noPDID := New("x", "user", "alice")
+	noPDID.PDID = ""
+	unvalidated, err := noPDID.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Offsets into valid, found by content.
+	at := func(sub []byte) int {
+		i := bytes.Index(valid, sub)
+		if i < 0 {
+			t.Fatalf("%q not in the encoding", sub)
+		}
+		return i
+	}
+	created, err := m.CreatedAt.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	timeAt := at(created)
+	firstKey := at([]byte("purpose1"))
+	consentCount := firstKey - 2 // the count, then the key's length prefix
+	pdidLen := 1                 // right after the version byte
+	cases := map[string][]byte{
+		"empty":                nil,
+		"json":                 []byte(`{"pdid":"user/alice/1","type":"user","subject":"alice","origin":1,"sensitivity":1}`),
+		"not json":             []byte(`not json`),
+		"unknown version":      patch(0, 2),
+		"trailing byte":        append(append([]byte(nil), valid...), 0),
+		"oversized length":     patch(pdidLen, 0xff, 0xff, 0xff, 0xff, 0x0f),
+		"oversized count":      patch(consentCount, 0xff, 0xff, 0xff, 0xff, 0x0f),
+		"overlong varint":      append([]byte{codecVersion, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01}, valid[2:]...),
+		"non-minimal varint":   append([]byte{codecVersion, 0x80 | byte(len(m.PDID)), 0x00}, valid[2:]...),
+		"unsorted keys":        patch(firstKey+len("purpose"), '9'),
+		"bad flag":             patch(len(valid)-1, 2),
+		"non-utc created_at":   patch(timeAt+13, 0, 0),
+		"nanoseconds overflow": patch(timeAt+9, 0x7f, 0xff, 0xff, 0xff),
+		"fails validate":       unvalidated,
+	}
+	for i := 0; i < len(valid); i++ {
+		cases[fmt.Sprintf("truncated to %d", i)] = valid[:i]
+	}
+	for name, b := range cases {
+		if _, err := Decode(b); !errors.Is(err, ErrInvalid) {
+			t.Errorf("%s: Decode err = %v, want ErrInvalid", name, err)
+		}
+	}
+
+	// A length or count prefix must not size an allocation before it is
+	// checked against the bytes that follow it.
+	for _, name := range []string{"oversized length", "oversized count"} {
+		b := cases[name]
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 100; i++ {
+			_, _ = Decode(b)
+		}
+		runtime.ReadMemStats(&after)
+		if per := (after.TotalAlloc - before.TotalAlloc) / 100; per > 4096 {
+			t.Errorf("%s: Decode allocated %d B per call", name, per)
+		}
+	}
+}
+
+// TestCodecAllocs bounds the allocations of the membrane codec, which runs
+// on every membrane-cache miss and every membrane write.
+func TestCodecAllocs(t *testing.T) {
+	m := validMembrane()
+	m.Collection["web_form"] = "user_form.html"
+	b, err := m.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := Decode(b); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 8 {
+		t.Errorf("Decode: %v allocations, want <= 8", n)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if _, err := m.Encode(); err != nil {
+			t.Fatal(err)
+		}
+	}); n > 4 {
+		t.Errorf("Encode: %v allocations, want <= 4", n)
 	}
 }
 
 func TestEncodeDecodeProperty(t *testing.T) {
-	cfg := &quick.Config{MaxCount: 100}
-	err := quick.Check(func(pd, ty, subj string, ttlHours uint16, sens uint8, npurp uint8) bool {
+	cfg := &quick.Config{MaxCount: 200}
+	err := quick.Check(func(pd, ty, subj string, ttlHours uint16, sens, origin, npurp uint8,
+		coll map[string]string, copyOf, escrow string, erased, restricted bool,
+		version uint64, sec int64, nsec uint32, zoneMin int16) bool {
 		if pd == "" || ty == "" || subj == "" {
 			return true // identity fields required; skip
 		}
 		m := New(pd, ty, subj)
+		m.Origin = Origin(int(origin)%4 + 1)
 		m.Sensitivity = Sensitivity(int(sens)%3 + 1)
 		m.TTL = time.Duration(ttlHours) * time.Hour
-		m.CreatedAt = simclock.Epoch
+		// Any instant in any whole-minute zone; Decode gives it back in UTC.
+		m.CreatedAt = time.Unix(sec%(1<<40), int64(nsec%1e9)).In(time.FixedZone("z", int(zoneMin)*60))
 		for i := 0; i < int(npurp%8); i++ {
 			kind := GrantKind(i%3 + 1)
 			g := Grant{Kind: kind}
 			if kind == GrantView {
-				g.View = "v"
+				g.View = "v" + string(rune('a'+i))
 			}
 			m.SetConsent("p"+string(rune('a'+i)), g)
 		}
+		m.Collection = coll
+		m.Version = version
+		m.CopyOf = copyOf
+		m.EscrowRef = escrow
+		m.Erased = erased
+		m.Restricted = restricted
 		b, err := m.Encode()
 		if err != nil {
 			return false
 		}
 		got, err := Decode(b)
 		if err != nil {
+			t.Logf("decode: %v", err)
 			return false
 		}
-		if got.PDID != m.PDID || got.TTL != m.TTL || len(got.Consents) != len(m.Consents) {
+		if got.PDID != m.PDID || got.TypeName != m.TypeName || got.SubjectID != m.SubjectID ||
+			got.Origin != m.Origin || got.Sensitivity != m.Sensitivity || got.TTL != m.TTL ||
+			!got.CreatedAt.Equal(m.CreatedAt) || got.Version != m.Version ||
+			got.CopyOf != m.CopyOf || got.EscrowRef != m.EscrowRef ||
+			got.Erased != m.Erased || got.Restricted != m.Restricted ||
+			len(got.Consents) != len(m.Consents) || len(got.Collection) != len(m.Collection) {
 			return false
 		}
 		for p, g := range m.Consents {
@@ -227,11 +338,56 @@ func TestEncodeDecodeProperty(t *testing.T) {
 				return false
 			}
 		}
-		return true
+		for k, v := range m.Collection {
+			if gv, ok := got.Collection[k]; !ok || gv != v {
+				return false
+			}
+		}
+		again, err := got.Encode()
+		return err == nil && bytes.Equal(again, b)
 	}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzDecode feeds arbitrary bytes to Decode: it must fail with ErrInvalid
+// or return a membrane that re-encodes to exactly the input.
+func FuzzDecode(f *testing.F) {
+	m := validMembrane()
+	m.Collection["web_form"] = "user_form.html"
+	m.CopyOf, m.EscrowRef, m.Erased, m.Restricted = "user/alice/0", "escrow-1", true, true
+	valid, err := m.Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	bare, err := New("t/s/1", "t", "s").Encode()
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	f.Add(bare)
+	for i := 0; i < len(valid); i++ {
+		f.Add(valid[:i])
+	}
+	f.Add([]byte(`{"pdid":"user/alice/1","type":"user","subject":"alice","origin":1,"sensitivity":1,"consents":{}}`))
+	f.Add(append([]byte{codecVersion, 0xff, 0xff, 0xff, 0xff, 0x0f}, valid[2:]...))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		m, err := Decode(b)
+		if err != nil {
+			if !errors.Is(err, ErrInvalid) {
+				t.Fatalf("Decode err = %v, want ErrInvalid", err)
+			}
+			return
+		}
+		again, err := m.Encode()
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(again, b) {
+			t.Fatalf("re-encoding differs:\n in: %x\nout: %x", b, again)
+		}
+	})
 }
 
 func TestParseOriginSensitivity(t *testing.T) {
