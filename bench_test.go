@@ -522,13 +522,14 @@ func BenchmarkMembraneRead(b *testing.B) {
 
 // BenchmarkAccessBatch sweeps the rights engine's per-subject fan-out,
 // which follows the executor pool (Options.Workers): subject-access
-// reports for 16 subjects at 1 vs 8 workers over 8 per-shard FS instances.
+// reports for 16 subjects at 1 vs 8 workers over the PD disk's four
+// partition filesystems.
 func BenchmarkAccessBatch(b *testing.B) {
 	for _, workers := range []int{1, 8} {
 		b.Run("workers="+strconv.Itoa(workers), func(b *testing.B) {
 			s, err := core.Boot(core.Options{
 				AuthorityBits: 1024, PDDiskBlocks: 1 << 16, NInodes: 1 << 14,
-				FSInstances: 8, Workers: workers,
+				Workers: workers,
 			})
 			if err != nil {
 				b.Fatal(err)

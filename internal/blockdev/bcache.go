@@ -285,13 +285,6 @@ func (c *Cached) Sync() error {
 // NumBlocks reports the underlying device size.
 func (c *Cached) NumBlocks() uint64 { return c.dev.NumBlocks() }
 
-// Len reports the current number of cached blocks.
-func (c *Cached) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
-
 // Stats merges the underlying device counters with the cache counters.
 func (c *Cached) Stats() Stats {
 	s := c.dev.Stats()

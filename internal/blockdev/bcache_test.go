@@ -139,7 +139,7 @@ func TestCachedLRUBound(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if n := c.Len(); n > 4 {
+	if n := cachedLen(c); n > 4 {
 		t.Fatalf("cache holds %d blocks, cap 4", n)
 	}
 	s := c.Stats()
@@ -188,8 +188,8 @@ func TestCachedReadErrorNoPoison(t *testing.T) {
 	if err := c.ReadBlock(3, buf); !errors.Is(err, ErrIO) {
 		t.Fatalf("read err = %v, want ErrIO", err)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("failed fill left %d poisoned entries", c.Len())
+	if cachedLen(c) != 0 {
+		t.Fatalf("failed fill left %d poisoned entries", cachedLen(c))
 	}
 	flaky.set(false, false)
 	if err := c.ReadBlock(3, buf); err != nil {
@@ -299,8 +299,8 @@ func TestCachedBypass(t *testing.T) {
 	if err := c.ReadBlock(25, got); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("bypassed blocks occupy %d cache slots", c.Len())
+	if cachedLen(c) != 0 {
+		t.Fatalf("bypassed blocks occupy %d cache slots", cachedLen(c))
 	}
 	s := c.Stats()
 	if s.CacheHits != 0 || s.CacheMisses != 0 {
@@ -310,8 +310,8 @@ func TestCachedBypass(t *testing.T) {
 	if err := c.WriteBlock(40, pat(0x40)); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 1 {
-		t.Fatalf("cacheable block not cached (len=%d)", c.Len())
+	if cachedLen(c) != 1 {
+		t.Fatalf("cacheable block not cached (len=%d)", cachedLen(c))
 	}
 }
 
@@ -521,4 +521,11 @@ func TestCachedConcurrentOwnership(t *testing.T) {
 		}
 		readEq(t, mem, n, want)
 	}
+}
+
+// cachedLen reports how many blocks c holds.
+func cachedLen(c *Cached) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.entries)
 }

@@ -430,7 +430,6 @@ type PowerCut struct {
 
 	mu     sync.Mutex
 	budget int // writes still allowed; negative = unlimited
-	writes uint64
 }
 
 var _ Device = (*PowerCut)(nil)
@@ -445,13 +444,6 @@ func (c *PowerCut) SetBudget(n int) {
 	c.mu.Unlock()
 }
 
-// Writes reports how many block writes have passed through.
-func (c *PowerCut) Writes() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.writes
-}
-
 // ReadBlock implements Device.
 func (c *PowerCut) ReadBlock(n uint64, buf []byte) error { return c.dev.ReadBlock(n, buf) }
 
@@ -459,11 +451,8 @@ func (c *PowerCut) ReadBlock(n uint64, buf []byte) error { return c.dev.ReadBloc
 func (c *PowerCut) WriteBlock(n uint64, data []byte) error {
 	c.mu.Lock()
 	ok := c.budget != 0
-	if ok {
-		c.writes++
-		if c.budget > 0 {
-			c.budget--
-		}
+	if ok && c.budget > 0 {
+		c.budget--
 	}
 	c.mu.Unlock()
 	if !ok {
@@ -502,7 +491,7 @@ var (
 // NewPartition creates a view of dev covering [start, start+nblocks).
 func NewPartition(dev Device, start, nblocks uint64) (*Partition, error) {
 	if nblocks == 0 {
-		return nil, fmt.Errorf("blockdev: partition must have at least one block")
+		return nil, fmt.Errorf("%w: partition must have at least one block", ErrOutOfRange)
 	}
 	if start+nblocks > dev.NumBlocks() {
 		return nil, fmt.Errorf("%w: partition [%d,%d) beyond device end %d",
@@ -510,9 +499,6 @@ func NewPartition(dev Device, start, nblocks uint64) (*Partition, error) {
 	}
 	return &Partition{dev: dev, start: start, nblocks: nblocks}, nil
 }
-
-// Start reports the partition's offset on the parent device.
-func (p *Partition) Start() uint64 { return p.start }
 
 func (p *Partition) check(n uint64) error {
 	if n >= p.nblocks {

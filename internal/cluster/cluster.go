@@ -240,8 +240,8 @@ func (c *Cluster) PropagationWindow() time.Duration { return c.window }
 
 // HomeOf places a subject: the raw FNV-1a subject hash mod the node count.
 // A pure function of (subject, fleet size) — independent of any store's
-// shard geometry, so a node with a different dbfs shard count or
-// FSInstances never re-homes a subject.
+// shard or partition geometry, so a node with a different dbfs shard count
+// never re-homes a subject.
 func (c *Cluster) HomeOf(subjectID string) int {
 	return int(dbfs.SubjectHash(subjectID) % uint32(len(c.nodes)))
 }

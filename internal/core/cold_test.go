@@ -53,8 +53,8 @@ func TestBootColdTierWiring(t *testing.T) {
 	}
 	rp := s.StartRepacker()
 	defer rp.Stop()
-	if s.Repacker() != rp {
-		t.Fatal("Repacker() does not return the started repacker")
+	if s.StartRepacker() != rp {
+		t.Fatal("a second StartRepacker does not return the running repacker")
 	}
 	if got, want := <-spy.entered, simclock.Epoch.Add(coldtier.DefaultRepackInterval); !got.Equal(want) {
 		t.Fatalf("repacker sleeps until %v, want one DefaultRepackInterval (%v)", got, want)
@@ -70,8 +70,8 @@ func TestBootOptionsReachLayers(t *testing.T) {
 		t.Fatal(err)
 	}
 	sw := s.StartSweeper()
-	if s.Sweeper() != sw {
-		t.Fatal("Sweeper() does not return the started sweeper")
+	if s.StartSweeper() != sw {
+		t.Fatal("a second StartSweeper does not return the running sweeper")
 	}
 	got := <-spy.entered
 	sw.Stop()

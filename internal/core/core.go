@@ -52,7 +52,10 @@ type Options struct {
 	// PDDiskBlocks / NPDDiskBlocks size the two simulated disks.
 	PDDiskBlocks  uint64
 	NPDDiskBlocks uint64
-	// NInodes and JournalBlocks shape both filesystems.
+	// NInodes sizes the inode tables: the PD disk's pdPartitions
+	// filesystems split it evenly (each gets a quarter, rounded up) and
+	// the NPD filesystem gets half. JournalBlocks is the journal region of
+	// each PD partition and of the NPD filesystem.
 	NInodes       uint64
 	JournalBlocks uint64
 	// Clock drives membranes, audit and TTLs. Defaults to a Sim clock at
@@ -65,19 +68,14 @@ type Options struct {
 	// invocations (for distinct subjects, thanks to DBFS subject sharding)
 	// run concurrently. Defaults to GOMAXPROCS.
 	Workers int
-	// FSInstances is how many inode filesystem instances back DBFS. Above
-	// one, the PD disk is split into that many partitions (each with its
-	// own journal) and subject shards are routed across them, so
-	// shard-disjoint inserts never share a filesystem lock. Default 1.
-	FSInstances int
 	// MembraneCache bounds DBFS's decoded-membrane cache (entries across
 	// all shards): 0 = the dbfs default, negative disables the cache, so
 	// every membrane read reaches the device (SC8 counts device ops that
 	// way).
 	MembraneCache int
-	// BlockCache bounds each inode filesystem instance's shared write-back
-	// block buffer cache (in blocks): 0 = the inode default
-	// (inode.DefaultCacheBlocks), negative disables the cache, so every
+	// BlockCache bounds the write-back block buffer cache of each PD
+	// partition's filesystem (in blocks): 0 = the inode default
+	// (inode.DefaultCacheBlocks), negative disables the caches, so every
 	// block read and write reaches the device (as for MembraneCache).
 	BlockCache int
 	// SweepInterval is the retention sweeper's pass cadence when
@@ -99,6 +97,14 @@ type Options struct {
 	// machines.
 	NodeName string
 }
+
+// pdPartitions is how many equal partitions of the PD disk back DBFS, each
+// one inode filesystem with its own journal. Acknowledged writes wait only
+// for their own partition's commit queue, so commits on different
+// partitions overlap. It is a constant, not GOMAXPROCS, so a machine's disk
+// layout (and every device count) is the same on every host; the 64 subject
+// shards divide evenly across it.
+const pdPartitions = 4
 
 // ErrBadOptions reports Options that Boot rejected; nothing was built.
 var ErrBadOptions = errors.New("core: invalid options")
@@ -141,9 +147,6 @@ func (o *Options) withDefaults() {
 	}
 	if o.Workers == 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
-	}
-	if o.FSInstances <= 0 {
-		o.FSInstances = 1
 	}
 }
 
@@ -206,31 +209,25 @@ func Boot(opts Options) (*System, error) {
 		s.vault.SetRand(opts.CryptoRand)
 	}
 
-	// Filesystems. DBFS sits on FSInstances inode filesystems: one over
-	// the whole PD view, or — when sharding storage — one per equal
-	// partition of it, each with its own journal region. Partitions wrap
-	// the bus-routed view, so split-kernel IO accounting is unchanged.
+	// Filesystems. DBFS sits on pdPartitions inode filesystems, one per
+	// equal partition of the PD view, each with its own journal, committer
+	// and block cache; subject shards are routed across them. Partitions
+	// wrap the bus-routed view, so split-kernel IO accounting is unchanged.
 	inodeOpts := inode.Options{
-		NInodes:       (opts.NInodes + uint64(opts.FSInstances) - 1) / uint64(opts.FSInstances),
+		NInodes:       (opts.NInodes + pdPartitions - 1) / pdPartitions,
 		JournalBlocks: opts.JournalBlocks,
 		Clock:         opts.Clock,
 		CacheBlocks:   opts.BlockCache,
 	}
-	s.pdFSs = make([]*inode.FS, opts.FSInstances)
-	if opts.FSInstances == 1 {
-		if s.pdFSs[0], err = inode.Format(pdView, inodeOpts); err != nil {
-			return nil, fmt.Errorf("core: pd filesystem: %w", err)
+	per := opts.PDDiskBlocks / pdPartitions
+	s.pdFSs = make([]*inode.FS, pdPartitions)
+	for i := range s.pdFSs {
+		part, err := blockdev.NewPartition(pdView, uint64(i)*per, per)
+		if err != nil {
+			return nil, fmt.Errorf("core: pd partition %d: %w", i, err)
 		}
-	} else {
-		per := opts.PDDiskBlocks / uint64(opts.FSInstances)
-		for i := range s.pdFSs {
-			part, err := blockdev.NewPartition(pdView, uint64(i)*per, per)
-			if err != nil {
-				return nil, fmt.Errorf("core: pd partition %d: %w", i, err)
-			}
-			if s.pdFSs[i], err = inode.Format(part, inodeOpts); err != nil {
-				return nil, fmt.Errorf("core: pd filesystem %d: %w", i, err)
-			}
+		if s.pdFSs[i], err = inode.Format(part, inodeOpts); err != nil {
+			return nil, fmt.Errorf("core: pd filesystem %d: %w", i, err)
 		}
 	}
 	if s.store, err = dbfs.Create(s.pdFSs, s.guard, s.vault, opts.Clock, dbfs.Config{
@@ -273,10 +270,6 @@ func (s *System) StartSweeper() *rights.Sweeper {
 	return sw
 }
 
-// Sweeper returns the machine's retention sweeper (stopped until
-// StartSweeper).
-func (s *System) Sweeper() *rights.Sweeper { return s.rights.Sweeper() }
-
 // StartRepacker starts the machine's background cold-tier repacker and
 // returns it; if it is already running it is returned unchanged. The
 // repacker drives dbfs.Store.RepackCold with the DED's capability every
@@ -286,10 +279,6 @@ func (s *System) StartRepacker() *coldtier.Repacker {
 	s.repacker.Start()
 	return s.repacker
 }
-
-// Repacker returns the machine's cold-tier repacker (stopped until
-// StartRepacker).
-func (s *System) Repacker() *coldtier.Repacker { return s.repacker }
 
 // --- component accessors ---
 

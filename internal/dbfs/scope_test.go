@@ -372,11 +372,11 @@ func TestCrashCutAllOrNothing(t *testing.T) {
 			// Dry run: how many raw writes does the operation issue?
 			e := newCrashEnv(t)
 			op, probe := c.setup(t, e)
-			before := e.cut.Writes()
+			before := e.cut.Stats().Writes
 			if err := op(); err != nil {
 				t.Fatalf("uncut run: %v", err)
 			}
-			writes := int(e.cut.Writes() - before)
+			writes := int(e.cut.Stats().Writes - before)
 			if s, _ := e.reboot(t); probe(t, s) != "new" {
 				t.Fatalf("uncut run left state %q", probe(t, s))
 			}
@@ -429,11 +429,11 @@ func TestFirstTouchInsertRetryAfterCrash(t *testing.T) {
 		return err
 	}
 	e := newCrashEnv(t)
-	before := e.cut.Writes()
+	before := e.cut.Stats().Writes
 	if err := insert(e, e.store); err != nil {
 		t.Fatal(err)
 	}
-	writes := int(e.cut.Writes() - before)
+	writes := int(e.cut.Stats().Writes - before)
 	_, clean := e.reboot(t)
 
 	for k := 0; k <= writes; k++ {

@@ -15,7 +15,7 @@ import (
 
 // shardedEnv builds a DBFS over n inode filesystem instances, each on its
 // own partition of one shared device — the same topology core.Boot wires
-// for Options.FSInstances > 1.
+// for the PD disk.
 type shardedEnv struct {
 	dev   *blockdev.Mem
 	fss   []*inode.FS

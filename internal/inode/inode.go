@@ -215,8 +215,7 @@ func (o *Options) withDefaults() {
 // cache. Multi-inode operations take inode locks in ascending inode order
 // only (see execAll), so wait cycles cannot form.
 type FS struct {
-	dev   blockdev.Device // I/O path: the buffer cache when enabled, else raw
-	raw   blockdev.Device // the device handed to Format/Mount, below the cache
+	dev   blockdev.Device // I/O path: the buffer cache when enabled, else the device handed to Format/Mount
 	clock simclock.Clock
 	sb    superblock
 	log   *wal.Log
@@ -314,7 +313,6 @@ func Format(dev blockdev.Device, opts Options) (*FS, error) {
 	}
 	fs := &FS{
 		dev:      io,
-		raw:      dev,
 		clock:    opts.Clock,
 		sb:       sb,
 		bitmap:   make([]byte, bitmapBlocks*blockdev.BlockSize),
@@ -423,7 +421,6 @@ func Mount(dev blockdev.Device, clock simclock.Clock) (*FS, error) {
 
 	fs := &FS{
 		dev:      io,
-		raw:      dev,
 		clock:    clock,
 		sb:       sb,
 		log:      log,
@@ -455,11 +452,6 @@ func Mount(dev blockdev.Device, clock simclock.Clock) (*FS, error) {
 	}
 	return fs, nil
 }
-
-// Device returns the raw underlying block device, below the buffer cache
-// (used by residue-scanning experiments and by the IO-driver kernel
-// wiring).
-func (fs *FS) Device() blockdev.Device { return fs.raw }
 
 // JournalStats exposes the journal counters.
 func (fs *FS) JournalStats() wal.Stats { return fs.log.Stats() }
@@ -984,11 +976,6 @@ func (fs *FS) Stat(ino Ino) (Info, error) {
 		Tag:   d.Tag,
 		Links: d.Links,
 	}, nil
-}
-
-// SetTag replaces the tag of ino.
-func (fs *FS) SetTag(ino Ino, tag string) error {
-	return fs.Do([]Ino{ino}, func(op *Op) error { return op.SetTag(ino, tag) })
 }
 
 // bmap maps file-relative block bi of the working copy d to a device

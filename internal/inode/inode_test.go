@@ -73,11 +73,8 @@ func TestTagLimits(t *testing.T) {
 	if _, err := fs.AllocInode(ModeFile, long); !errors.Is(err, ErrTagTooLong) {
 		t.Fatalf("long tag err = %v, want ErrTagTooLong", err)
 	}
-	ino, err := fs.AllocInode(ModeFile, "a")
+	ino, err := fs.AllocInode(ModeFile, "schema:user")
 	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.SetTag(ino, "schema:user"); err != nil {
 		t.Fatal(err)
 	}
 	info, _ := fs.Stat(ino)

@@ -578,17 +578,3 @@ func (op *Op) Free(ino Ino) error {
 	*w = opInode{ino: w.ino, fresh: w.fresh, dirty: true}
 	return nil
 }
-
-// SetTag replaces the tag of ino.
-func (op *Op) SetTag(ino Ino, tag string) error {
-	if len(tag) > MaxTagLen {
-		return fmt.Errorf("%w: %d bytes", ErrTagTooLong, len(tag))
-	}
-	w, err := op.alive(ino)
-	if err != nil {
-		return err
-	}
-	w.d.Tag = tag
-	w.dirty = true
-	return nil
-}

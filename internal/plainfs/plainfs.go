@@ -299,15 +299,6 @@ func (f *FS) List(path string) ([]Entry, error) {
 	return out, nil
 }
 
-// Stat returns metadata for the node at path.
-func (f *FS) Stat(path string) (inode.Info, error) {
-	ino, err := f.walk(path)
-	if err != nil {
-		return inode.Info{}, err
-	}
-	return f.in.Stat(ino)
-}
-
 // Exists reports whether path resolves.
 func (f *FS) Exists(path string) bool {
 	_, err := f.walk(path)

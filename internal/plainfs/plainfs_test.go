@@ -171,7 +171,11 @@ func TestRemoveDir(t *testing.T) {
 
 func TestStatRoot(t *testing.T) {
 	_, fs := newFS(t)
-	info, err := fs.Stat("/")
+	ino, err := fs.walk("/")
+	if err != nil {
+		t.Fatalf("walk(/): %v", err)
+	}
+	info, err := fs.in.Stat(ino)
 	if err != nil {
 		t.Fatalf("Stat(/): %v", err)
 	}

@@ -138,7 +138,7 @@ func (e *Engine) Access(subjectID string) (*AccessReport, error) {
 // AccessBatch builds access reports for many subjects at once, fanning the
 // subjects out over the worker pool — the portal-under-load shape, where
 // per-subject parallelism pays best: distinct subjects live on distinct
-// DBFS shards (and, with FSInstances > 1, distinct filesystems), so their
+// DBFS shards (and often distinct PD partitions), so their
 // record reads overlap end to end. Reports keep the order of the requested
 // subjects; each report is built serially inside its worker, so the pool is
 // not oversubscribed.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/dbfs"
 	"repro/internal/ded"
+	"repro/internal/inode"
 	"repro/internal/membrane"
 	"repro/internal/ps"
 	"repro/internal/purpose"
@@ -186,6 +187,45 @@ func TestValidateMalformedMix(t *testing.T) {
 				t.Fatalf("Prepare on bad mix made %d target calls", ct.calls)
 			}
 		})
+	}
+}
+
+// TestSkewedInsertsFitBootSizing: the PD disk is split into equal
+// partitions and subjects route to them by hash, so a Zipf-hot subject
+// loads one partition more than the rest. A skew-1.2 insert stream on a
+// machine sized by BootSizing must still find space on every partition.
+func TestSkewedInsertsFitBootSizing(t *testing.T) {
+	sc, _ := LookupScenario("health-records")
+	mix := MacroMix{
+		Name: "skewed-ingest", Duration: 50 * time.Second, Subjects: 500, Skew: 1.2,
+		Rates: map[OpClass]Rate{ClassInsert: {PerSec: 40}},
+	}
+	ops, err := Generate(mix, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tgt := NewSystemTarget(bootMacroSystem(t, mix, ops, 5))
+	if _, err := Prepare(tgt, sc, mix); err != nil {
+		t.Fatal(err)
+	}
+	perSubject := make(map[string]int)
+	for _, op := range ops {
+		perSubject[op.Subject]++
+		if _, err := tgt.Insert(sc.TypeName, op.Subject, sc.Record(op.Subject, secretOf(sc.Name, op.Subject, op.Seq), op.Seq)); err != nil {
+			if errors.Is(err, inode.ErrNoSpace) {
+				t.Fatalf("insert %d of %d (subject %s): out of space: %v", op.Seq, len(ops), op.Subject, err)
+			}
+			t.Fatalf("insert %d: %v", op.Seq, err)
+		}
+	}
+	// The stream is really skewed: its hottest subject takes far more
+	// than a uniform share.
+	hottest := 0
+	for _, n := range perSubject {
+		hottest = max(hottest, n)
+	}
+	if hottest < 10*len(ops)/mix.Subjects {
+		t.Fatalf("hottest subject has %d of %d inserts over %d subjects: not skewed", hottest, len(ops), mix.Subjects)
 	}
 }
 
