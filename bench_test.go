@@ -334,8 +334,8 @@ func BenchmarkMembraneAblation(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := s.PS().Invoke(ps.InvokeRequest{
 				Processing: "__builtin_restrict", TypeName: "user",
-				SubjectFilter: subjects[i%len(subjects)], Maintenance: true,
-				Params: map[string]any{"restricted": false},
+				SubjectFilter: subjects[i%len(subjects)],
+				Params:        map[string]any{"restricted": false},
 			}); err != nil {
 				b.Fatal(err)
 			}

@@ -62,18 +62,9 @@ type Stats struct {
 	LatencyMax   time.Duration
 	// LatencyHist buckets completed-invocation latencies by power of two
 	// (see internal/latencyhist). Coarse by design — it lets readers of
-	// ps.Stats estimate a tail (Quantile, or a windowed p99 via
-	// latencyhist.Hist.Delta) without per-sample history.
+	// ps.Stats estimate a tail (LatencyHist.Quantile, or a windowed p99
+	// via latencyhist.Hist.Delta) without per-sample history.
 	LatencyHist latencyhist.Hist
-}
-
-// Quantile estimates the q-quantile (q in [0,1], e.g. 0.99) of the
-// latencies recorded in the histogram — a thin wrapper over
-// latencyhist.Hist.Quantile, which takes each bucket at its upper bound
-// (conservative), returns zero when empty, and clamps q to [0,1] (NaN
-// counts as 0) so a reported admitted-latency tail never goes undefined.
-func (s Stats) Quantile(q float64) time.Duration {
-	return s.LatencyHist.Quantile(q)
 }
 
 // Rejected reports the total invocations shed.

@@ -150,14 +150,14 @@ func TestQuantileClampsQ(t *testing.T) {
 		{2, hi},          // above range clamps to 1
 		{math.NaN(), lo}, // NaN counts as 0, never implementation-defined
 	} {
-		if got := s.Quantile(tc.q); got != tc.want {
+		if got := s.LatencyHist.Quantile(tc.q); got != tc.want {
 			t.Errorf("Quantile(%v) = %v, want %v", tc.q, got, tc.want)
 		}
 	}
 	// Empty stats stay zero whatever q is.
 	var empty Stats
 	for _, q := range []float64{-1, 0, 0.5, 0.99, 1, 2, math.NaN()} {
-		if got := empty.Quantile(q); got != 0 {
+		if got := empty.LatencyHist.Quantile(q); got != 0 {
 			t.Errorf("empty Quantile(%v) = %v, want 0", q, got)
 		}
 	}

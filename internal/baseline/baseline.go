@@ -93,9 +93,6 @@ func New(dev blockdev.Device, clock simclock.Clock) (*Engine, error) {
 	}, nil
 }
 
-// FS exposes the underlying filesystem (residue scans).
-func (e *Engine) FS() *plainfs.FS { return e.fs }
-
 // CreateTable declares a table.
 func (e *Engine) CreateTable(name string) error {
 	e.mu.Lock()

@@ -101,7 +101,8 @@ type Device interface {
 // implement it (Mem: one lock acquisition, kernel.RemoteDevice: one bus
 // message per batch, buffers passed by reference) amortize their
 // per-operation cost across the batch. Writes are applied in slice order,
-// so a later entry for the same block wins.
+// so a later entry for the same block wins. An implementation may keep the
+// data buffers but not ns: the caller may reuse ns once the call returns.
 type VectorWriter interface {
 	// WriteBlocks writes data[i] to block ns[i] for every i. len(ns) must
 	// equal len(data) and every buffer must be exactly BlockSize.
@@ -523,20 +524,32 @@ func (p *Partition) WriteBlock(n uint64, data []byte) error {
 	return p.dev.WriteBlock(p.start+n, data)
 }
 
+// shiftPool recycles the translated block-number slices of
+// Partition.WriteBlocks; the parent keeps no ns past the call, so a slice
+// is free again once the write returns.
+var shiftPool = sync.Pool{New: func() any { return new([]uint64) }}
+
 // WriteBlocks implements VectorWriter by translating the batch onto the
-// parent (which may itself batch further, e.g. into one bus message).
+// parent (which may itself batch further, e.g. into one bus message). The
+// translated numbers go in a pooled slice, never in the caller's.
 func (p *Partition) WriteBlocks(ns []uint64, data [][]byte) error {
 	if len(ns) != len(data) {
 		return fmt.Errorf("blockdev: WriteBlocks: %d block numbers, %d buffers", len(ns), len(data))
 	}
-	shifted := make([]uint64, len(ns))
-	for i, n := range ns {
+	for _, n := range ns {
 		if err := p.check(n); err != nil {
 			return err
 		}
-		shifted[i] = p.start + n
 	}
-	return WriteBlocks(p.dev, shifted, data)
+	buf := shiftPool.Get().(*[]uint64)
+	shifted := (*buf)[:0]
+	for _, n := range ns {
+		shifted = append(shifted, p.start+n)
+	}
+	err := WriteBlocks(p.dev, shifted, data)
+	*buf = shifted
+	shiftPool.Put(buf)
+	return err
 }
 
 // NumBlocks implements Device.

@@ -288,3 +288,92 @@ func TestRoundTripProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestPartitionWriteBlocks checks the partition's vectored write: blocks
+// land at start+n on the parent, the caller's block numbers are left as
+// they were, an out-of-range entry writes nothing, and a steady-state
+// write allocates nothing (the translated numbers come from a pool).
+func TestPartitionWriteBlocks(t *testing.T) {
+	dev := MustMem(64)
+	part, err := NewPartition(dev, 16, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ns := []uint64{0, 3, 15}
+	data := make([][]byte, len(ns))
+	for i := range data {
+		data[i] = bytes.Repeat([]byte{byte(i + 1)}, BlockSize)
+	}
+	if err := part.WriteBlocks(ns, data); err != nil {
+		t.Fatalf("WriteBlocks: %v", err)
+	}
+	if ns[0] != 0 || ns[1] != 3 || ns[2] != 15 {
+		t.Fatalf("caller's block numbers changed: %v", ns)
+	}
+	out := make([]byte, BlockSize)
+	for i, n := range ns {
+		if err := dev.ReadBlock(16+n, out); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(out, data[i]) {
+			t.Fatalf("parent block %d does not hold partition block %d", 16+n, n)
+		}
+	}
+	before := dev.Stats().Writes
+	if err := part.WriteBlocks([]uint64{1, 16}, data[:2]); !errors.Is(err, ErrOutOfRange) {
+		t.Fatalf("out-of-range WriteBlocks err = %v, want ErrOutOfRange", err)
+	}
+	if dev.Stats().Writes != before {
+		t.Fatal("a rejected batch wrote blocks")
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := part.WriteBlocks(ns, data); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Fatalf("Partition.WriteBlocks allocates %.1f times per call, want 0", n)
+	}
+}
+
+// TestPartitionConcurrentWriteBlocks runs vectored writes on two
+// partitions of one device at once; under -race it checks that the pooled
+// translation slices are never shared between calls.
+func TestPartitionConcurrentWriteBlocks(t *testing.T) {
+	dev := MustMem(64)
+	var wg sync.WaitGroup
+	for p := 0; p < 4; p++ {
+		part, err := NewPartition(dev, uint64(p)*16, 16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func(p int, part *Partition) {
+			defer wg.Done()
+			img := bytes.Repeat([]byte{byte(p + 1)}, BlockSize)
+			ns := make([]uint64, 16)
+			data := make([][]byte, 16)
+			for i := range ns {
+				ns[i], data[i] = uint64(i), img
+			}
+			for round := 0; round < 50; round++ {
+				if err := part.WriteBlocks(ns[:1+round%16], data[:1+round%16]); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}(p, part)
+	}
+	wg.Wait()
+	out := make([]byte, BlockSize)
+	for b := uint64(0); b < 64; b++ {
+		if err := dev.ReadBlock(b, out); err != nil {
+			t.Fatal(err)
+		}
+		if want := byte(b/16 + 1); out[0] != want || out[BlockSize-1] != want {
+			t.Fatalf("block %d holds partition %d's data, want partition %d's", b, out[0]-1, want-1)
+		}
+	}
+}

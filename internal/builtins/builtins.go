@@ -10,7 +10,9 @@
 // rights and retention duties, not operator interests) paired with a WriteFn
 // executed inside the DED. Builtins therefore enjoy no special path around
 // the enforcement architecture; they differ from operator processings only
-// in being pre-registered and invocable in maintenance mode.
+// in being pre-registered and in running in maintenance mode, which the
+// Processing Store grants to every builtin registration and to nothing
+// else.
 package builtins
 
 import (

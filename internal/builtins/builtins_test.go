@@ -46,7 +46,7 @@ func newRig(t *testing.T) *rig {
 	}
 	tok := guard.Mint("ded", lsm.CapDBFS)
 	log := audit.NewLog(clock)
-	d := ded.New(store, tok, log, membrane.NewLedger(), clock)
+	d := ded.New(store, tok, log, clock)
 	reg := collect.NewRegistry()
 	p := ps.New(d, log, nil)
 	if err := Register(p); err != nil {
@@ -161,7 +161,7 @@ func TestUpdateBuiltinThroughPS(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := r.ps.Invoke(ps.InvokeRequest{
-		Processing: UpdateName, PDRef: pdid, Maintenance: true,
+		Processing: UpdateName, PDRef: pdid,
 		Params: map[string]any{ParamFields: dbfs.Record{"year_of_birthdate": dbfs.I(1991)}},
 	}); err != nil {
 		t.Fatal(err)
@@ -172,7 +172,7 @@ func TestUpdateBuiltinThroughPS(t *testing.T) {
 	}
 	// Wrong param type is rejected.
 	if _, err := r.ps.Invoke(ps.InvokeRequest{
-		Processing: UpdateName, PDRef: pdid, Maintenance: true,
+		Processing: UpdateName, PDRef: pdid,
 		Params: map[string]any{ParamFields: "not-a-record"},
 	}); !errors.Is(err, ErrBadParams) {
 		t.Fatalf("bad fields err = %v", err)
@@ -189,7 +189,7 @@ func TestConsentBuiltinGrantAndWithdraw(t *testing.T) {
 	}
 	// Grant.
 	if _, err := r.ps.Invoke(ps.InvokeRequest{
-		Processing: ConsentName, PDRef: pdid, Maintenance: true,
+		Processing: ConsentName, PDRef: pdid,
 		Params: map[string]any{ParamPurpose: "newsletter", ParamGrant: membrane.Grant{Kind: membrane.GrantAll}},
 	}); err != nil {
 		t.Fatal(err)
@@ -200,7 +200,7 @@ func TestConsentBuiltinGrantAndWithdraw(t *testing.T) {
 	}
 	// Withdraw (no grant param).
 	if _, err := r.ps.Invoke(ps.InvokeRequest{
-		Processing: ConsentName, PDRef: pdid, Maintenance: true,
+		Processing: ConsentName, PDRef: pdid,
 		Params: map[string]any{ParamPurpose: "newsletter"},
 	}); err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestDeleteBuiltinRemoves(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ps.Invoke(ps.InvokeRequest{Processing: DeleteName, PDRef: pdid, Maintenance: true}); err != nil {
+	if _, err := r.ps.Invoke(ps.InvokeRequest{Processing: DeleteName, PDRef: pdid}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.store.GetRecord(r.tok, pdid); !errors.Is(err, dbfs.ErrNoRecord) {

@@ -235,9 +235,6 @@ func (c *Cluster) Node(i int) *core.System { return c.nodes[i] }
 // Clock is the fleet's shared timebase.
 func (c *Cluster) Clock() simclock.Clock { return c.clock }
 
-// PropagationWindow reports the configured retry bound.
-func (c *Cluster) PropagationWindow() time.Duration { return c.window }
-
 // HomeOf places a subject: the raw FNV-1a subject hash mod the node count.
 // A pure function of (subject, fleet size) — independent of any store's
 // shard or partition geometry, so a node with a different dbfs shard count
@@ -369,15 +366,6 @@ type FanoutReport struct {
 	// Failed lists the per-node failures, ascending by node index. Every
 	// failed node is also queued for Propagator retry.
 	Failed []NodeError
-}
-
-// Err returns the lowest-node-index failure, or nil — the cluster's analog
-// of the single-node engine's lowest-index-error merge contract.
-func (r *FanoutReport) Err() error {
-	if len(r.Failed) == 0 {
-		return nil
-	}
-	return r.Failed[0]
 }
 
 // OK reports a fully-propagated fan-out.

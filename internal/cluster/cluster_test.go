@@ -321,7 +321,7 @@ func TestErasePartialFailureRetriesWithinWindow(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Erase: %v", err)
 	}
-	if rep.Fanout.OK() || !errors.Is(rep.Fanout.Err(), ErrInjected) {
+	if rep.Fanout.OK() || !errors.Is(rep.Fanout.Failed[0], ErrInjected) {
 		t.Fatalf("fanout = %+v, want injected failure on node %d", rep.Fanout, target)
 	}
 	if n := c.PendingSyncs(); n != 1 {

@@ -112,9 +112,6 @@ func (p *Propagator) Start() { p.loop.Start() }
 // finishes. Stopping a stopped propagator is a no-op.
 func (p *Propagator) Stop() { p.loop.Stop() }
 
-// Running reports whether the loop is active.
-func (p *Propagator) Running() bool { return p.loop.Running() }
-
 // Sync forces a pass retrying every queued sync — due or not — and blocks
 // until it completes (or the propagator stops): the deterministic join
 // point for simclock tests.

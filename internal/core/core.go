@@ -39,7 +39,6 @@ import (
 	"repro/internal/inode"
 	"repro/internal/kernel"
 	"repro/internal/lsm"
-	"repro/internal/membrane"
 	"repro/internal/plainfs"
 	"repro/internal/ps"
 	"repro/internal/rights"
@@ -244,7 +243,7 @@ func Boot(opts Options) (*System, error) {
 	// rgpdOS components.
 	s.log = audit.NewLog(opts.Clock)
 	dedTok := s.guard.Mint("ded", lsm.CapDBFS)
-	s.ded = ded.New(s.store, dedTok, s.log, membrane.NewLedger(), opts.Clock)
+	s.ded = ded.New(s.store, dedTok, s.log, opts.Clock)
 	s.sources = collect.NewRegistry()
 	s.acq = builtins.NewAcquirer(s.ded, s.sources, s.log)
 	s.ps = ps.New(s.ded, s.log, s.acq.Acquire)

@@ -57,6 +57,9 @@ var (
 	// ErrPDInOutput reports a processing returning raw PD in its non-PD
 	// output slot (caught by the return-scrubbing check).
 	ErrPDInOutput = errors.New("ded: processing attempted to return raw personal data")
+	// ErrCrossSubject reports generated PD filed under a subject other
+	// than its source's; the run stores none of its generated PD.
+	ErrCrossSubject = errors.New("ded: generated personal data names another subject than its source")
 )
 
 // Output is what an F_pd^r function produces for one record.
@@ -201,6 +204,7 @@ type Invocation struct {
 	// Maintenance marks runs executing a data-subject right or legal
 	// obligation: the membrane's consent/TTL checks are bypassed (the
 	// legal basis is the request itself), while identity checks remain.
+	// The Processing Store sets it exactly for built-in processings.
 	Maintenance bool
 }
 
@@ -248,27 +252,20 @@ type Result struct {
 // locks, so invocations for distinct subjects execute in parallel (see
 // RunBatch).
 type DED struct {
-	store  *dbfs.Store
-	tok    *lsm.Token
-	log    *audit.Log
-	clock  simclock.Clock
-	ledger *membrane.Ledger
+	store *dbfs.Store
+	tok   *lsm.Token
+	log   *audit.Log
+	clock simclock.Clock
 }
 
 // New wires a DED. The token must carry lsm.CapDBFS (minted by the kernel
-// at boot); the ledger tracks copy families for consent propagation.
-func New(store *dbfs.Store, tok *lsm.Token, log *audit.Log, ledger *membrane.Ledger, clock simclock.Clock) *DED {
+// at boot).
+func New(store *dbfs.Store, tok *lsm.Token, log *audit.Log, clock simclock.Clock) *DED {
 	if clock == nil {
 		clock = simclock.Real{}
 	}
-	if ledger == nil {
-		ledger = membrane.NewLedger()
-	}
-	return &DED{store: store, tok: tok, log: log, clock: clock, ledger: ledger}
+	return &DED{store: store, tok: tok, log: log, clock: clock}
 }
-
-// Ledger exposes the copy ledger (used by the rights engine).
-func (d *DED) Ledger() *membrane.Ledger { return d.ledger }
 
 // Store exposes the underlying DBFS for components that legitimately run
 // inside the DED's trust domain (the rights engine); external callers have
@@ -315,11 +312,13 @@ func (d *DED) decide(m *membrane.Membrane, inv Invocation, now time.Time) (membr
 // buildMembrane implements ded_build_membrane for generated PD: derived
 // origin, inherited consents, TTL and sensitivity from the source membrane
 // (the conservative policy: derived data is no more permissive than its
-// source).
+// source), and CopyOf set to the source's family root, so the record is
+// erased with its source.
 func (d *DED) buildMembrane(g *GeneratedPD, src *membrane.Membrane, now time.Time) *membrane.Membrane {
 	gm := membrane.New("", g.TypeName, g.SubjectID) // identity fixed by Insert
 	gm.PDID = "pending"                             // placeholder; Insert overrides
 	gm.Origin = membrane.OriginDerived
+	gm.CopyOf = src.Root()
 	gm.Sensitivity = src.Sensitivity
 	gm.TTL = src.TTL
 	gm.CreatedAt = now

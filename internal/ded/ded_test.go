@@ -48,7 +48,7 @@ func newEnv(t *testing.T) *env {
 	}
 	tok := guard.Mint("ded", lsm.CapDBFS)
 	log := audit.NewLog(clock)
-	d := New(store, tok, log, membrane.NewLedger(), clock)
+	d := New(store, tok, log, clock)
 	return &env{dev: dev, store: store, guard: guard, vault: vault, log: log, clock: clock, ded: d, tok: tok}
 }
 
@@ -328,10 +328,63 @@ func TestGeneratedPDGetsMembraneAndRef(t *testing.T) {
 	if g := gm.Consents["purpose3"]; g.View != "v_ano" {
 		t.Fatalf("inherited consents = %+v", gm.Consents)
 	}
-	// The copy family links source and derived PD.
-	fam := e.ded.Ledger().Family(alice)
-	if len(fam) != 2 {
-		t.Fatalf("family = %v", fam)
+	// The durable CopyOf link puts derived PD in its source's family.
+	if gm.CopyOf != alice || gm.Root() != alice {
+		t.Fatalf("derived CopyOf = %q, want source %q", gm.CopyOf, alice)
+	}
+}
+
+// TestGeneratedPDCrossSubjectRejected checks the same-subject rule for
+// generated PD: a family is read from its subject's listing, so a run that
+// files generated PD under another subject fails with ErrCrossSubject and
+// one audit alert, and stores none of its generated PD — not even the
+// outputs of rows that kept the rule.
+func TestGeneratedPDCrossSubjectRejected(t *testing.T) {
+	e := newEnv(t)
+	e.seedUsers(t)
+	if _, err := e.store.Insert(e.tok, "user", "carol", dbfs.Record{
+		"name": dbfs.S("Carol"), "year_of_birthdate": dbfs.I(2000),
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.store.CreateType(e.tok, &dbfs.Schema{
+		Name:   "age_pd",
+		Fields: []dbfs.Field{{Name: "age", Type: dbfs.TypeInt}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	gen := &Func{
+		Name:          "file_under_alice",
+		Purpose:       "purpose3",
+		DeclaredReads: []string{"user.year_of_birthdate"},
+		Fn: func(c *Ctx) (Output, error) {
+			yob, err := c.Field("year_of_birthdate")
+			if err != nil {
+				return Output{}, err
+			}
+			// Every row's output is filed under alice: right for alice's
+			// own record, a cross-subject write for carol's.
+			return Output{Generated: &GeneratedPD{
+				TypeName:  "age_pd",
+				SubjectID: "alice",
+				Fields:    dbfs.Record{"age": dbfs.I(2023 - yob.I)},
+			}}, nil
+		},
+	}
+	alertsBefore := e.log.CountByKind()[audit.KindAlert]
+	_, err := e.ded.Run(Invocation{Purpose: purpose3(), Impl: gen, TypeName: "user"})
+	if !errors.Is(err, ErrCrossSubject) {
+		t.Fatalf("Run err = %v, want ErrCrossSubject", err)
+	}
+	if got := e.log.CountByKind()[audit.KindAlert] - alertsBefore; got != 1 {
+		t.Fatalf("alerts appended = %d, want 1", got)
+	}
+	stored, err := e.store.ListByType(e.tok, "age_pd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stored) != 0 {
+		t.Fatalf("generated PD stored despite the rejected run: %v", stored)
 	}
 }
 
@@ -424,7 +477,7 @@ func TestMaintenanceBypassesConsent(t *testing.T) {
 	}
 }
 
-func TestWriteCtxCopyAndLedger(t *testing.T) {
+func TestWriteCtxCopyLinksFamily(t *testing.T) {
 	e := newEnv(t)
 	alice, _ := e.seedUsers(t)
 	var copied string
@@ -451,12 +504,8 @@ func TestWriteCtxCopyAndLedger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cm.CopyOf != alice {
-		t.Fatalf("CopyOf = %q, want %q", cm.CopyOf, alice)
-	}
-	fam := e.ded.Ledger().Family(alice)
-	if len(fam) != 2 {
-		t.Fatalf("family = %v", fam)
+	if cm.CopyOf != alice || cm.Origin != membrane.OriginSubject {
+		t.Fatalf("CopyOf = %q, origin %v; want %q, the source's origin", cm.CopyOf, cm.Origin, alice)
 	}
 	// The copied record's data matches.
 	rec, err := e.store.GetRecord(e.tok, copied)

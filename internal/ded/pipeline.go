@@ -198,8 +198,19 @@ func (d *DED) stageExecute(st *runState) error {
 
 // stageBuildAndStore wraps any generated PD in a membrane (ded_build_membrane)
 // and persists it in DBFS (ded_store), splitting its own time across the two
-// timing slots.
+// timing slots. Generated PD must belong to its source's subject: a family
+// is found from the subject's own listing, so a record filed under another
+// subject would escape its source's erasure. One such output fails the run
+// before anything is stored.
 func (d *DED) stageBuildAndStore(st *runState) error {
+	for i, out := range st.outputs {
+		if g := out.Generated; g != nil && g.SubjectID != st.rows[i].m.SubjectID {
+			src := st.rows[i]
+			d.log.Append(audit.KindAlert, st.inv.Purpose.Name, src.pdid, src.m.SubjectID, "blocked",
+				"generated PD for subject "+g.SubjectID)
+			return fmt.Errorf("ded: store generated PD of %s: %w: %q", src.pdid, ErrCrossSubject, g.SubjectID)
+		}
+	}
 	for i, out := range st.outputs {
 		if out.Generated == nil {
 			continue
@@ -214,7 +225,6 @@ func (d *DED) stageBuildAndStore(st *runState) error {
 		if err != nil {
 			return fmt.Errorf("ded: store generated PD: %w", err)
 		}
-		d.ledger.RegisterCopy(st.rows[i].pdid, ref)
 		st.res.PDRefs = append(st.res.PDRefs, ref)
 		st.res.Timings.Store += time.Since(stStart)
 	}

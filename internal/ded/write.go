@@ -42,9 +42,9 @@ func (w *WriteCtx) Update(rec dbfs.Record) error {
 }
 
 // Copy duplicates the record for the same subject. The copy's membrane is
-// derived with CloneForCopy and the family is registered in the ledger so
-// consent changes and erasures reach every copy — the paper's membrane
-// consistency obligation for the copy builtin.
+// derived with CloneForCopy, whose durable CopyOf link names the family
+// root, so consent changes and erasures reach every copy — the paper's
+// membrane consistency obligation for the copy builtin.
 func (w *WriteCtx) Copy() (string, error) {
 	rec, err := w.Record()
 	if err != nil {
@@ -55,7 +55,6 @@ func (w *WriteCtx) Copy() (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("ded: copy %s: %w", w.pdid, err)
 	}
-	w.d.ledger.RegisterCopy(w.pdid, ref)
 	w.generated = append(w.generated, ref)
 	w.d.log.Append(audit.KindProcessing, w.inv.Purpose.Name, w.pdid, w.m.SubjectID, "ok", "copy -> "+ref)
 	return ref, nil

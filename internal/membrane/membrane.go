@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"time"
 )
 
@@ -174,10 +173,13 @@ type Membrane struct {
 	// interface reference (e.g. "user_form.html").
 	Collection map[string]string
 
-	// Version increments on every consent mutation; the copy ledger uses
-	// it to detect stale copies.
+	// Version increments on every consent mutation; the cluster's copy
+	// sync carries it to remote copies with the consents.
 	Version uint64
-	// CopyOf holds the original PDID when this PD is a built-in copy.
+	// CopyOf links a built-in copy or derived PD to its family root: the
+	// record every copy and derivation ultimately came from. It is empty
+	// on a root. A derived record has Origin OriginDerived; a copy keeps
+	// its source's Origin.
 	CopyOf string
 
 	// Erased marks PD removed under the right to be forgotten; the
@@ -304,18 +306,24 @@ func (m *Membrane) Clone() *Membrane {
 }
 
 // CloneForCopy derives the membrane for a built-in copy of this PD: same
-// consents and properties, new identity, provenance recorded in CopyOf.
-// The paper's copy builtin "must ensure membrane consistency across all
-// copies of the same PD" — the Ledger tracks the family.
+// consents and properties, new identity, CopyOf set to this PD's family
+// root. The paper's copy builtin "must ensure membrane consistency across
+// all copies of the same PD"; the stored CopyOf links are the family.
 func (m *Membrane) CloneForCopy(newPDID string) *Membrane {
 	cp := m.Clone()
 	cp.PDID = newPDID
-	if m.CopyOf != "" {
-		cp.CopyOf = m.CopyOf // copies of copies point at the root
-	} else {
-		cp.CopyOf = m.PDID
-	}
+	cp.CopyOf = m.Root()
 	return cp
+}
+
+// Root names the family this PD belongs to: CopyOf for a copy or derived
+// record, its own PDID for an original. Copies of copies point at the
+// root, so two records are in one family exactly when their roots match.
+func (m *Membrane) Root() string {
+	if m.CopyOf != "" {
+		return m.CopyOf
+	}
+	return m.PDID
 }
 
 // Encode serializes the membrane in the binary layout described at
@@ -587,69 +595,4 @@ func (d *decoder) time() time.Time {
 	}
 	d.off += timeLen
 	return t
-}
-
-// Ledger tracks the copy families of PD so that consent changes and
-// erasures propagate to every copy (the copy builtin's consistency
-// obligation). It is safe for concurrent use.
-type Ledger struct {
-	mu sync.RWMutex
-	// root maps any pdid to its family root (the original PD).
-	root map[string]string
-	// members maps a family root to every pdid in the family, root included.
-	members map[string][]string
-}
-
-// NewLedger returns an empty copy ledger.
-func NewLedger() *Ledger {
-	return &Ledger{
-		root:    make(map[string]string),
-		members: make(map[string][]string),
-	}
-}
-
-// RegisterCopy records that copyID is a copy of origID (directly or
-// transitively). Both ids join the same family.
-func (l *Ledger) RegisterCopy(origID, copyID string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	root, ok := l.root[origID]
-	if !ok {
-		root = origID
-		l.root[origID] = root
-		l.members[root] = append(l.members[root], origID)
-	}
-	if _, dup := l.root[copyID]; dup {
-		return
-	}
-	l.root[copyID] = root
-	l.members[root] = append(l.members[root], copyID)
-}
-
-// Family returns every pdid sharing a family with pdid (pdid included).
-// An unregistered pdid is its own family.
-func (l *Ledger) Family(pdid string) []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	root, ok := l.root[pdid]
-	if !ok {
-		return []string{pdid}
-	}
-	out := make([]string, len(l.members[root]))
-	copy(out, l.members[root])
-	return out
-}
-
-// Forget removes a whole family from the ledger (after erasure).
-func (l *Ledger) Forget(pdid string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	root, ok := l.root[pdid]
-	if !ok {
-		return
-	}
-	for _, id := range l.members[root] {
-		delete(l.root, id)
-	}
-	delete(l.members, root)
 }

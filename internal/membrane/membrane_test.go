@@ -159,6 +159,9 @@ func TestCloneForCopyProvenance(t *testing.T) {
 	if c2.CopyOf != m.PDID {
 		t.Fatalf("copy-of-copy CopyOf = %q, want root %q", c2.CopyOf, m.PDID)
 	}
+	if m.Root() != m.PDID || c1.Root() != m.PDID || c2.Root() != m.PDID {
+		t.Fatalf("roots = %q, %q, %q, want %q", m.Root(), c1.Root(), c2.Root(), m.PDID)
+	}
 	// Consents travel with the copy.
 	if g := c2.Consents["purpose3"]; g.View != "v_ano" {
 		t.Fatalf("copy lost consents: %+v", c2.Consents)
@@ -411,50 +414,6 @@ func TestParseOriginSensitivity(t *testing.T) {
 	if _, err := ParseSensitivity("extreme"); err == nil {
 		t.Fatal("ParseSensitivity accepted garbage")
 	}
-}
-
-func TestLedgerFamilies(t *testing.T) {
-	l := NewLedger()
-	l.RegisterCopy("a", "b")
-	l.RegisterCopy("a", "c")
-	l.RegisterCopy("b", "d") // copy of a copy joins the same family
-
-	fam := l.Family("d")
-	if len(fam) != 4 {
-		t.Fatalf("Family(d) = %v, want 4 members", fam)
-	}
-	seen := map[string]bool{}
-	for _, id := range fam {
-		seen[id] = true
-	}
-	for _, id := range []string{"a", "b", "c", "d"} {
-		if !seen[id] {
-			t.Fatalf("Family(d) missing %q: %v", id, fam)
-		}
-	}
-	// Unregistered id is its own family.
-	if fam := l.Family("solo"); len(fam) != 1 || fam[0] != "solo" {
-		t.Fatalf("Family(solo) = %v", fam)
-	}
-}
-
-func TestLedgerDuplicateRegistration(t *testing.T) {
-	l := NewLedger()
-	l.RegisterCopy("a", "b")
-	l.RegisterCopy("a", "b") // duplicate must not double-count
-	if fam := l.Family("a"); len(fam) != 2 {
-		t.Fatalf("Family after dup registration = %v", fam)
-	}
-}
-
-func TestLedgerForget(t *testing.T) {
-	l := NewLedger()
-	l.RegisterCopy("a", "b")
-	l.Forget("b")
-	if fam := l.Family("a"); len(fam) != 1 {
-		t.Fatalf("Family after Forget = %v", fam)
-	}
-	l.Forget("ghost") // no-op, must not panic
 }
 
 func TestGrantString(t *testing.T) {

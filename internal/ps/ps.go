@@ -72,9 +72,6 @@ var (
 	ErrNotActive = errors.New("ps: processing is not active")
 	// ErrNoAlert reports an unknown alert id.
 	ErrNoAlert = errors.New("ps: no such alert")
-	// ErrMaintenanceReserved reports a maintenance invoke of a
-	// non-builtin processing.
-	ErrMaintenanceReserved = errors.New("ps: maintenance mode is reserved for built-in processings")
 	// ErrNoCollector reports InitCollect without a wired collector.
 	ErrNoCollector = errors.New("ps: no collector wired")
 )
@@ -127,9 +124,10 @@ type Store struct {
 	// defaultWorkers is the executor pool size InvokeBatch falls back to
 	// when the caller passes workers <= 0; set by the kernel at boot.
 	defaultWorkers int
-	// adm is the admission controller gating non-maintenance invokes;
-	// nil means no admission control (everything is admitted, nothing is
-	// counted). Set once at boot via ConfigureAdmission.
+	// adm is the admission controller gating invokes of operator
+	// (non-builtin) processings; nil means no admission control
+	// (everything is admitted, nothing is counted). Set once at boot via
+	// ConfigureAdmission.
 	adm *admission.Controller
 }
 
@@ -167,8 +165,8 @@ func (s *Store) DefaultWorkers() int {
 }
 
 // ConfigureAdmission installs the admission controller gating Invoke and
-// InvokeBatch. Admission applies at submission time to non-maintenance
-// requests; maintenance invocations (rights execution — a legal
+// InvokeBatch. Admission applies at submission time to operator
+// processings; built-in processings (rights execution — a legal
 // obligation) are never shed. Passing nil removes admission control.
 // core.Boot installs a core.System's controller with this setter.
 func (s *Store) ConfigureAdmission(c *admission.Controller) {
@@ -212,12 +210,14 @@ func (s *Store) Stats() Stats {
 // release exactly when the request was admitted by a configured
 // controller; the caller must invoke release once with the request's
 // completion latency. A nil, nil return means "no admission control
-// applies" (no controller, or a maintenance request).
+// applies" (no controller, or a built-in processing: rights execution is a
+// legal obligation and is never shed).
 func (s *Store) admit(req InvokeRequest) (func(time.Duration), error) {
 	s.mu.Lock()
 	c := s.adm
+	p := s.procs[req.Processing]
 	s.mu.Unlock()
-	if c == nil || req.Maintenance {
+	if c == nil || (p != nil && p.Builtin) {
 		return nil, nil
 	}
 	return c.Admit(req.Processing)
@@ -389,14 +389,14 @@ type InvokeRequest struct {
 	InitCollect   bool
 	// CollectSubjects lists the subjects to acquire for.
 	CollectSubjects []string
-	// Maintenance bypasses consent for rights execution; reserved for
-	// built-in processings.
-	Maintenance bool
 }
 
 // prepare validates an invoke request against the registry, runs the
-// optional collection step, and lowers the request to a DED invocation. It
-// is the shared front half of Invoke and InvokeBatch.
+// optional collection step, and lowers the request to a DED invocation. A
+// built-in processing runs in maintenance mode (consent and TTL checks
+// bypassed, the legal basis being the request itself); an operator
+// processing never does. It is the shared front half of Invoke and
+// InvokeBatch.
 func (s *Store) prepare(req InvokeRequest) (ded.Invocation, error) {
 	s.mu.Lock()
 	p, ok := s.procs[req.Processing]
@@ -407,10 +407,6 @@ func (s *Store) prepare(req InvokeRequest) (ded.Invocation, error) {
 	if p.State != StateActive {
 		s.mu.Unlock()
 		return ded.Invocation{}, fmt.Errorf("%w: %q is %v", ErrNotActive, req.Processing, p.State)
-	}
-	if req.Maintenance && !p.Builtin {
-		s.mu.Unlock()
-		return ded.Invocation{}, fmt.Errorf("%w: %q", ErrMaintenanceReserved, req.Processing)
 	}
 	acquire := s.acquire
 	s.mu.Unlock()
@@ -434,7 +430,7 @@ func (s *Store) prepare(req InvokeRequest) (ded.Invocation, error) {
 		TypeName:      req.TypeName,
 		SubjectFilter: req.SubjectFilter,
 		Params:        req.Params,
-		Maintenance:   req.Maintenance,
+		Maintenance:   p.Builtin,
 	}, nil
 }
 
@@ -466,9 +462,9 @@ func (s *Store) Invoke(req InvokeRequest) (*ded.Result, error) {
 
 // InvokeBatch is the concurrent form of ps_invoke: the requests pass the
 // admission gate and are validated and collection-initialized one by one,
-// in request order (approval state and maintenance rules apply exactly as
-// in Invoke), then the admitted invocations run on a worker pool through
-// the DED. Outcomes keep request order and are per-request — one failure
+// in request order (approval state and the builtins' maintenance mode
+// apply exactly as in Invoke), then the admitted invocations run on a
+// worker pool through the DED. Outcomes keep request order and are per-request — one failure
 // never aborts its siblings, and an admission rejection is a typed outcome
 // (Rejected set, Err wrapping admission.ErrOverloaded), never a silent
 // drop. Every successful run counts toward Invocations.

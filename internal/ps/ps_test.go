@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/admission"
 	"repro/internal/audit"
 	"repro/internal/blockdev"
 	"repro/internal/cryptoshred"
@@ -45,7 +46,7 @@ func newEnv(t *testing.T, acquire AcquireFunc) *env {
 	}
 	tok := guard.Mint("ded", lsm.CapDBFS)
 	log := audit.NewLog(clock)
-	d := ded.New(store, tok, log, membrane.NewLedger(), clock)
+	d := ded.New(store, tok, log, clock)
 	return &env{store: store, log: log, clock: clock, ps: New(d, log, acquire), tok: tok}
 }
 
@@ -304,15 +305,55 @@ func TestInvokeUnknown(t *testing.T) {
 	}
 }
 
+// TestMaintenanceReservedForBuiltins checks that maintenance mode — the
+// consent bypass and the admission skip — belongs to the built-in
+// processings alone: an operator processing on the same record is still
+// consent-filtered and still shed by its rate limit, while a processing
+// registered as a builtin is neither.
 func TestMaintenanceReservedForBuiltins(t *testing.T) {
 	e := newEnv(t, nil)
-	e.seed(t)
+	pdid := e.seed(t)
+	if _, err := e.store.MutateMembrane(e.tok, pdid, func(m *membrane.Membrane) error {
+		m.WithdrawConsent("purpose3")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if err := e.ps.Register(decl3(), ageImpl(), false); err != nil {
 		t.Fatal(err)
 	}
-	_, err := e.ps.Invoke(InvokeRequest{Processing: "purpose3", TypeName: "user", Maintenance: true})
-	if !errors.Is(err, ErrMaintenanceReserved) {
-		t.Fatalf("maintenance err = %v", err)
+	builtinDecl := decl3()
+	builtinDecl.Name = "builtin_age"
+	builtinImpl := ageImpl()
+	builtinImpl.Purpose = "builtin_age"
+	if err := e.ps.Register(builtinDecl, builtinImpl, true); err != nil {
+		t.Fatal(err)
+	}
+	e.ps.ConfigureAdmission(admission.New(admission.Options{Clock: e.clock}))
+	for _, name := range []string{"purpose3", "builtin_age"} {
+		if err := e.ps.SetRateLimit(name, 1, 1); err != nil { // the clock never refills
+			t.Fatal(err)
+		}
+	}
+
+	res, err := e.ps.Invoke(InvokeRequest{Processing: "purpose3", PDRef: pdid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Processed != 0 || res.Filtered["consent-denied"] != 1 {
+		t.Fatalf("operator processing: processed %d, filtered %v; want consent-denied", res.Processed, res.Filtered)
+	}
+	if _, err := e.ps.Invoke(InvokeRequest{Processing: "purpose3", PDRef: pdid}); !errors.Is(err, admission.ErrOverloaded) {
+		t.Fatalf("operator processing past its burst: err = %v, want admission.ErrOverloaded", err)
+	}
+	for i := 0; i < 3; i++ {
+		res, err := e.ps.Invoke(InvokeRequest{Processing: "builtin_age", PDRef: pdid})
+		if err != nil {
+			t.Fatalf("builtin invoke %d: %v", i, err)
+		}
+		if res.Processed != 1 {
+			t.Fatalf("builtin invoke %d: processed %d, filtered %v", i, res.Processed, res.Filtered)
+		}
 	}
 }
 

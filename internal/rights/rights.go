@@ -5,17 +5,20 @@
 // TTL sweeper that enforces storage limitation).
 //
 // Every mutation is routed through the Processing Store's built-in
-// processings in maintenance mode: rights execution is itself a data
-// processing, with a legal-obligation basis, executed by the DED, and
+// processings, which run in maintenance mode: rights execution is itself a
+// data processing, with a legal-obligation basis, executed by the DED, and
 // recorded in the audit log. The engine adds the cross-record logic the
-// builtins don't have: expanding a subject to all their PD, and following
-// the copy ledger so erasure and consent changes reach every copy
-// (membrane consistency).
+// builtins don't have: expanding a subject to all their PD, and finding a
+// record's family (its copies and derived PD, linked by the durable
+// membrane.CopyOf) so erasure and consent changes reach every copy
+// (membrane consistency). Copies and derived PD always belong to their
+// source's subject, so the subject's listing holds every family member.
 package rights
 
 import (
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -271,77 +274,76 @@ type EraseReport struct {
 	Erased []string
 }
 
-// Erase executes the right to be forgotten for every PD of the subject,
-// following the copy ledger so copies are erased with their originals. The
-// family-expanded targets run as one ps.InvokeBatch on the DED executor
-// pool — crypto-erasure of a subject's records is per-record independent
-// (erasure is idempotent and distinct records never share a data key).
+// Erase executes the right to be forgotten for every PD of the subject.
+// The subject's listing already holds every copy and derived record of
+// their PD, so copies are erased with their originals. The records run as
+// one ps.InvokeBatch on the DED executor pool — crypto-erasure of a
+// subject's records is per-record independent (erasure is idempotent and
+// distinct records never share a data key).
 func (e *Engine) Erase(subjectID string) (*EraseReport, error) {
 	store, tok := e.d.Store(), e.d.Token()
 	pdids, err := store.ListBySubject(tok, subjectID)
 	if err != nil {
 		return nil, fmt.Errorf("rights: erase %s: %w", subjectID, err)
 	}
-	targets := e.expandFamilies(pdids)
-	reqs := make([]ps.InvokeRequest, len(targets))
-	for i, member := range targets {
-		reqs[i] = ps.InvokeRequest{
-			Processing:  builtins.EraseName,
-			PDRef:       member,
-			Maintenance: true,
-		}
+	reqs := make([]ps.InvokeRequest, len(pdids))
+	for i, pdid := range pdids {
+		reqs[i] = ps.InvokeRequest{Processing: builtins.EraseName, PDRef: pdid}
 	}
 	for i, item := range e.ps.InvokeBatch(reqs, e.workerCount()) {
 		if item.Err != nil {
-			return nil, fmt.Errorf("rights: erase %s: %w", targets[i], item.Err)
+			return nil, fmt.Errorf("rights: erase %s: %w", pdids[i], item.Err)
 		}
 	}
-	report := &EraseReport{SubjectID: subjectID, Erased: targets}
+	report := &EraseReport{SubjectID: subjectID, Erased: pdids}
 	sort.Strings(report.Erased)
 	return report, nil
 }
 
-// expandFamilies maps pdids through the copy ledger to the deduplicated
-// union of their families, in first-seen order.
-func (e *Engine) expandFamilies(pdids []string) []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, pdid := range pdids {
-		for _, member := range e.d.Ledger().Family(pdid) {
-			if seen[member] {
-				continue
-			}
-			seen[member] = true
-			out = append(out, member)
-		}
-	}
-	return out
-}
-
-// EraseRecord erases one record and every copy in its family.
+// EraseRecord erases one record and every other member of its family:
+// the records of its subject whose membranes name the same root (see
+// membrane.Root), found with one listing and one membrane batch. It
+// returns the erased pdids, sorted.
 func (e *Engine) EraseRecord(pdid string) ([]string, error) {
-	var erased []string
-	for _, member := range e.d.Ledger().Family(pdid) {
-		if _, err := e.ps.Invoke(ps.InvokeRequest{
-			Processing:  builtins.EraseName,
-			PDRef:       member,
-			Maintenance: true,
-		}); err != nil {
-			return erased, fmt.Errorf("rights: erase %s: %w", member, err)
-		}
-		erased = append(erased, member)
+	_, subjectID, _, err := dbfs.SplitPDID(pdid)
+	if err != nil {
+		return nil, fmt.Errorf("rights: erase %s: %w", pdid, err)
 	}
-	sort.Strings(erased)
-	return erased, nil
+	store, tok := e.d.Store(), e.d.Token()
+	pdids, err := store.ListBySubject(tok, subjectID)
+	if err != nil {
+		return nil, fmt.Errorf("rights: erase %s: %w", pdid, err)
+	}
+	ms, err := store.GetMembranes(tok, pdids)
+	if err != nil {
+		return nil, fmt.Errorf("rights: erase %s: %w", pdid, err)
+	}
+	self := slices.Index(pdids, pdid)
+	if self < 0 {
+		return nil, fmt.Errorf("rights: erase %s: %w", pdid, dbfs.ErrNoRecord)
+	}
+	root := ms[self].Root()
+	var family []string
+	for i, m := range ms {
+		if m.Root() == root {
+			family = append(family, pdids[i])
+		}
+	}
+	sort.Strings(family)
+	for i, member := range family {
+		if _, err := e.ps.Invoke(ps.InvokeRequest{Processing: builtins.EraseName, PDRef: member}); err != nil {
+			return family[:i], fmt.Errorf("rights: erase %s: %w", member, err)
+		}
+	}
+	return family, nil
 }
 
 // Rectify replaces fields of one record (Art. 16).
 func (e *Engine) Rectify(pdid string, fields dbfs.Record) error {
 	_, err := e.ps.Invoke(ps.InvokeRequest{
-		Processing:  builtins.UpdateName,
-		PDRef:       pdid,
-		Params:      map[string]any{builtins.ParamFields: fields},
-		Maintenance: true,
+		Processing: builtins.UpdateName,
+		PDRef:      pdid,
+		Params:     map[string]any{builtins.ParamFields: fields},
 	})
 	return err
 }
@@ -363,8 +365,9 @@ func (e *Engine) WithdrawConsent(subjectID, purposeName string) error {
 	})
 }
 
-// consentAll applies one consent mutation to every PD of the subject (and
-// every copy) as a batch on the DED executor pool. Records are disjoint, so
+// consentAll applies one consent mutation to every PD of the subject —
+// which includes every copy and derived record — as a batch on the DED
+// executor pool. Records are disjoint, so
 // the per-record atomic read-modify-write (dbfs.MutateMembrane) is the only
 // ordering that matters and the fan-out preserves it.
 func (e *Engine) consentAll(subjectID, purposeName string, params map[string]any) error {
@@ -373,19 +376,13 @@ func (e *Engine) consentAll(subjectID, purposeName string, params map[string]any
 	if err != nil {
 		return fmt.Errorf("rights: consent %s: %w", subjectID, err)
 	}
-	targets := e.expandFamilies(pdids)
-	reqs := make([]ps.InvokeRequest, len(targets))
-	for i, member := range targets {
-		reqs[i] = ps.InvokeRequest{
-			Processing:  builtins.ConsentName,
-			PDRef:       member,
-			Params:      params,
-			Maintenance: true,
-		}
+	reqs := make([]ps.InvokeRequest, len(pdids))
+	for i, pdid := range pdids {
+		reqs[i] = ps.InvokeRequest{Processing: builtins.ConsentName, PDRef: pdid, Params: params}
 	}
 	for i, item := range e.ps.InvokeBatch(reqs, e.workerCount()) {
 		if item.Err != nil {
-			return fmt.Errorf("rights: consent %s on %s: %w", purposeName, targets[i], item.Err)
+			return fmt.Errorf("rights: consent %s on %s: %w", purposeName, pdids[i], item.Err)
 		}
 	}
 	return nil
@@ -394,10 +391,9 @@ func (e *Engine) consentAll(subjectID, purposeName string, params map[string]any
 // Restrict toggles the Art. 18 restriction mark on one record.
 func (e *Engine) Restrict(pdid string, restricted bool) error {
 	_, err := e.ps.Invoke(ps.InvokeRequest{
-		Processing:  builtins.RestrictName,
-		PDRef:       pdid,
-		Params:      map[string]any{builtins.ParamRestricted: restricted},
-		Maintenance: true,
+		Processing: builtins.RestrictName,
+		PDRef:      pdid,
+		Params:     map[string]any{builtins.ParamRestricted: restricted},
 	})
 	return err
 }

@@ -3,6 +3,7 @@ package rights
 import (
 	"encoding/json"
 	"errors"
+	"sort"
 	"strings"
 	"testing"
 	"time"
@@ -26,6 +27,7 @@ import (
 type rig struct {
 	dev    *blockdev.Mem
 	store  *dbfs.Store
+	guard  *lsm.Guard
 	vault  *cryptoshred.Vault
 	auth   *cryptoshred.Authority
 	log    *audit.Log
@@ -60,17 +62,66 @@ func newRigWith(t *testing.T, cfg dbfs.Config) *rig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tok := guard.Mint("ded", lsm.CapDBFS)
-	log := audit.NewLog(clock)
-	d := ded.New(store, tok, log, membrane.NewLedger(), clock)
-	p := ps.New(d, log, nil)
-	if err := builtins.Register(p); err != nil {
+	return wireRig(t, &rig{dev: dev, store: store, guard: guard, vault: vault, auth: auth, clock: clock})
+}
+
+// wireRig builds the DED, Processing Store (builtins registered) and rights
+// engine over r's store.
+func wireRig(t *testing.T, r *rig) *rig {
+	t.Helper()
+	r.tok = r.guard.Mint("ded", lsm.CapDBFS)
+	r.log = audit.NewLog(r.clock)
+	r.d = ded.New(r.store, r.tok, r.log, r.clock)
+	r.ps = ps.New(r.d, r.log, nil)
+	if err := builtins.Register(r.ps); err != nil {
 		t.Fatal(err)
 	}
-	return &rig{
-		dev: dev, store: store, vault: vault, auth: auth, log: log,
-		clock: clock, d: d, ps: p, engine: New(p, d, log, clock, 0), tok: tok,
+	r.engine = New(r.ps, r.d, r.log, r.clock, 0)
+	return r
+}
+
+// remount is a restart: the rig's device is mounted again (journal
+// replay), DBFS is reopened on it, and a fresh DED, Processing Store and
+// rights engine are built on top. Only the key vault and the capability
+// guard carry over; whatever lived in the old engines' memory is gone.
+func (r *rig) remount(t *testing.T) *rig {
+	t.Helper()
+	fs, err := inode.Mount(r.dev, r.clock)
+	if err != nil {
+		t.Fatalf("remount: %v", err)
 	}
+	store, err := dbfs.Open([]*inode.FS{fs}, r.guard, r.vault, r.clock, dbfs.Config{})
+	if err != nil {
+		t.Fatalf("dbfs.Open: %v", err)
+	}
+	return wireRig(t, &rig{dev: r.dev, store: store, guard: r.guard, vault: r.vault, auth: r.auth, clock: r.clock})
+}
+
+// copyOf runs the copy builtin on pdid and returns the copy's pdid.
+func (r *rig) copyOf(t *testing.T, pdid string) string {
+	t.Helper()
+	res, err := r.ps.Invoke(ps.InvokeRequest{Processing: builtins.CopyName, PDRef: pdid})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PDRefs) != 1 {
+		t.Fatalf("copy refs = %v", res.PDRefs)
+	}
+	return res.PDRefs[0]
+}
+
+// erasedSet reports, per pdid, whether its stored membrane is erased.
+func (r *rig) erasedSet(t *testing.T, pdids ...string) map[string]bool {
+	t.Helper()
+	out := make(map[string]bool, len(pdids))
+	for _, id := range pdids {
+		m, err := r.store.GetMembrane(r.tok, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[id] = m.Erased
+	}
+	return out
 }
 
 func (r *rig) seedUser(t *testing.T, subject, name string, yob int64) string {
@@ -230,7 +281,7 @@ func TestEraseFollowsCopies(t *testing.T) {
 	pdid := r.seedUser(t, "bob", "Bob Stone", 1970)
 	// Copy via the builtin.
 	res, err := r.ps.Invoke(ps.InvokeRequest{
-		Processing: builtins.CopyName, PDRef: pdid, Maintenance: true,
+		Processing: builtins.CopyName, PDRef: pdid,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -258,6 +309,88 @@ func TestEraseFollowsCopies(t *testing.T) {
 	}
 }
 
+// TestEraseRecordFollowsCopiesAfterRemount checks that copy families are
+// durable: after a restart, erasing any member of a family — here a copy
+// of a copy — erases the original and every copy, and nothing else of the
+// subject.
+func TestEraseRecordFollowsCopiesAfterRemount(t *testing.T) {
+	r := newRig(t)
+	orig := r.seedUser(t, "bob", "Bob Stone", 1970)
+	other := r.seedUser(t, "bob", "Robert Stone", 1970)
+	cp := r.copyOf(t, orig)
+	cpcp := r.copyOf(t, cp)
+
+	r2 := r.remount(t)
+	erased, err := r2.engine.EraseRecord(cpcp)
+	if err != nil {
+		t.Fatalf("EraseRecord: %v", err)
+	}
+	want := []string{orig, cp, cpcp}
+	sort.Strings(want)
+	if strings.Join(erased, ",") != strings.Join(want, ",") {
+		t.Fatalf("EraseRecord erased %v, want %v", erased, want)
+	}
+	got := r2.erasedSet(t, orig, cp, cpcp, other)
+	if !got[orig] || !got[cp] || !got[cpcp] || got[other] {
+		t.Fatalf("erased after remount = %v, want the family only", got)
+	}
+}
+
+// TestEraseRecordFollowsDerivedAfterRemount checks that PD derived by a
+// processing joins its source's family durably: after a restart, erasing
+// the source erases the derived record too, and nothing else.
+func TestEraseRecordFollowsDerivedAfterRemount(t *testing.T) {
+	r := newRig(t)
+	src := r.seedUser(t, "dora", "Dora", 1969)
+	other := r.seedUser(t, "dora", "Dora B.", 1969)
+	if err := r.store.CreateType(r.tok, &dbfs.Schema{
+		Name:   "age_pd",
+		Fields: []dbfs.Field{{Name: "age", Type: dbfs.TypeInt}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	decl := &purpose.Decl{Name: "purpose3", Description: "Derive the age",
+		Basis: purpose.BasisConsent, Reads: []string{"user.year_of_birthdate"}, Produces: "age_pd"}
+	impl := &ded.Func{Name: "derive_age", Purpose: "purpose3",
+		DeclaredReads: []string{"user.year_of_birthdate"},
+		Fn: func(c *ded.Ctx) (ded.Output, error) {
+			v, err := c.Field("year_of_birthdate")
+			if err != nil {
+				return ded.Output{}, err
+			}
+			return ded.Output{Generated: &ded.GeneratedPD{
+				TypeName: "age_pd", SubjectID: c.SubjectID(),
+				Fields: dbfs.Record{"age": dbfs.I(2023 - v.I)},
+			}}, nil
+		}}
+	if err := r.ps.Register(decl, impl, false); err != nil {
+		t.Fatal(err)
+	}
+	res, err := r.ps.Invoke(ps.InvokeRequest{Processing: "purpose3", PDRef: src})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.PDRefs) != 1 {
+		t.Fatalf("derived refs = %v", res.PDRefs)
+	}
+	derived := res.PDRefs[0]
+
+	r2 := r.remount(t)
+	erased, err := r2.engine.EraseRecord(src)
+	if err != nil {
+		t.Fatalf("EraseRecord: %v", err)
+	}
+	want := []string{src, derived}
+	sort.Strings(want)
+	if strings.Join(erased, ",") != strings.Join(want, ",") {
+		t.Fatalf("EraseRecord erased %v, want %v", erased, want)
+	}
+	got := r2.erasedSet(t, src, derived, other)
+	if !got[src] || !got[derived] || got[other] {
+		t.Fatalf("erased after remount = %v, want source and derived only", got)
+	}
+}
+
 func TestRectify(t *testing.T) {
 	r := newRig(t)
 	pdid := r.seedUser(t, "carol", "Carole", 1991)
@@ -276,7 +409,7 @@ func TestRectify(t *testing.T) {
 func TestConsentPropagationToCopies(t *testing.T) {
 	r := newRig(t)
 	pdid := r.seedUser(t, "dora", "Dora", 1969)
-	res, err := r.ps.Invoke(ps.InvokeRequest{Processing: builtins.CopyName, PDRef: pdid, Maintenance: true})
+	res, err := r.ps.Invoke(ps.InvokeRequest{Processing: builtins.CopyName, PDRef: pdid})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,18 +506,18 @@ func TestBuiltinBadParams(t *testing.T) {
 	r := newRig(t)
 	pdid := r.seedUser(t, "ivy", "Ivy", 1993)
 	// update without fields param
-	_, err := r.ps.Invoke(ps.InvokeRequest{Processing: builtins.UpdateName, PDRef: pdid, Maintenance: true})
+	_, err := r.ps.Invoke(ps.InvokeRequest{Processing: builtins.UpdateName, PDRef: pdid})
 	if !errors.Is(err, builtins.ErrBadParams) {
 		t.Fatalf("update no params err = %v", err)
 	}
 	// consent without purpose
-	_, err = r.ps.Invoke(ps.InvokeRequest{Processing: builtins.ConsentName, PDRef: pdid, Maintenance: true})
+	_, err = r.ps.Invoke(ps.InvokeRequest{Processing: builtins.ConsentName, PDRef: pdid})
 	if !errors.Is(err, builtins.ErrBadParams) {
 		t.Fatalf("consent no params err = %v", err)
 	}
 	// restrict with wrong type
 	_, err = r.ps.Invoke(ps.InvokeRequest{Processing: builtins.RestrictName, PDRef: pdid,
-		Params: map[string]any{builtins.ParamRestricted: "yes"}, Maintenance: true})
+		Params: map[string]any{builtins.ParamRestricted: "yes"}})
 	if !errors.Is(err, builtins.ErrBadParams) {
 		t.Fatalf("restrict bad type err = %v", err)
 	}

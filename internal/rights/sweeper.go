@@ -366,11 +366,7 @@ func (e *Engine) sweepOnce() ([]string, sweepPassInfo, error) {
 	}
 	reqs := make([]ps.InvokeRequest, len(flat))
 	for i, t := range flat {
-		reqs[i] = ps.InvokeRequest{
-			Processing:  builtins.DeleteName,
-			PDRef:       t.pdid,
-			Maintenance: true,
-		}
+		reqs[i] = ps.InvokeRequest{Processing: builtins.DeleteName, PDRef: t.pdid}
 	}
 	var deleted []string
 	var failed []sweepTarget
@@ -383,7 +379,6 @@ func (e *Engine) sweepOnce() ([]string, sweepPassInfo, error) {
 			failed = append(failed, flat[i])
 			continue
 		}
-		e.d.Ledger().Forget(flat[i].pdid)
 		deleted = append(deleted, flat[i].pdid)
 	}
 
