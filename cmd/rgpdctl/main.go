@@ -243,8 +243,9 @@ func cmdStatus() error {
 
 // cmdNodes boots a small 4-node probe cluster and walks the multi-node
 // contract end to end: geometry-independent placement, a cross-node copy
-// recorded in the durable ledger, and an Erase whose propagation to a
-// briefly-failing copy node completes within one propagation window.
+// whose node joins the subject's durable copy-node set, and an Erase whose
+// propagation to a briefly-failing copy node completes within one
+// propagation window.
 func cmdNodes() error {
 	const window = time.Minute
 	c, err := cluster.Boot(cluster.Options{
@@ -281,7 +282,8 @@ func cmdNodes() error {
 	}
 
 	// Materialize a cross-node copy of subject-0 on its home's neighbor:
-	// the copy is named in the durable ledger before it becomes readable.
+	// the target joins the subject's durable copy-node set before the copy
+	// becomes readable.
 	victim := subjects[0]
 	pdid, err := c.Insert("probe", victim, dbfs.Record{"name": dbfs.S(victim + "-extra")})
 	if err != nil {
@@ -293,10 +295,7 @@ func cmdNodes() error {
 		return err
 	}
 	fmt.Printf("copy: %s materialized on node %d as %s\n", pdid, target, copyID)
-	for _, e := range c.LedgerFor(victim) {
-		fmt.Printf("ledger: subject=%s pdid=%s node=%d home=%d origin=%s\n",
-			e.Subject, e.PDID, e.Node, e.Home, e.Origin)
-	}
+	fmt.Printf("ledger: subject=%s home=%d copy-nodes=%v\n", victim, c.HomeOf(victim), c.CopyNodes(victim))
 
 	status, err := c.Status()
 	if err != nil {
@@ -324,8 +323,8 @@ func cmdNodes() error {
 	prop.Stop()
 	tn := c.Node(target)
 	_, readErr := tn.DBFS().GetRecord(tn.DEDToken(), copyID)
-	fmt.Printf("after one window: copy readable=%v ledger entries=%d pending=%d (retried=%d)\n",
-		readErr == nil, len(c.LedgerFor(victim)), c.PendingSyncs(), prop.Stats().Retried)
+	fmt.Printf("after one window: copy readable=%v ledger copy-nodes=%d pending=%d (retried=%d)\n",
+		readErr == nil, len(c.CopyNodes(victim)), c.PendingSyncs(), prop.Stats().Retried)
 	if readErr == nil || c.PendingSyncs() != 0 {
 		return fmt.Errorf("nodes: erasure did not propagate within one window")
 	}

@@ -7,7 +7,7 @@
 // admission-and-deadlines story, the per-inode locks + block buffer cache,
 // the boot-time configuration, the content-addressed compressed
 // cold tier with shred-safe membrane snapshots, the multi-node
-// subject router with its durable cross-node copy ledger, and the
+// subject router with its durable per-subject copy-node sets, and the
 // deterministic macro-workload subsystem with its regulator-grade
 // scenario scorecards), the runnable entry points under cmd/ and
 // examples/, and the benchmark harness: micro-benchmarks in bench_test.go,

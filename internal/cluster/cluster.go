@@ -14,17 +14,21 @@
 //
 // Cross-node copies are the hard part — the paper's obligation is that
 // erasure and consent reach every copy. MaterializeCopy places a record on
-// a non-home node only after writing a durable ledger entry (subject,
-// pdid, node) on the home node's NPD filesystem (see ledger.go): the
-// ledger may name a copy that never appeared, but a live copy is never
-// unknown to the ledger. Consent mutations and Erase apply on the home
-// node first, then fan out to exactly the nodes the ledger names, syncing
-// each copy's membrane from its origin (erased origin ⇒ the copy is
-// crypto-erased and the entry dropped). Per-node failures are reported,
-// not hidden, and enqueued for retry: the Propagator (propagator.go)
-// retries every pending sync at least once per PropagationWindow, so a
-// mutation reaches every reachable copy within one window of the failure
-// clearing.
+// a non-home node only after naming that node in the subject's durable
+// node set on the home node's NPD filesystem (see ledger.go): the set may
+// name a node that holds nothing, but a node holding a copy is never
+// missing from it. Consent mutations and Erase apply on the home node
+// first, then fan out to exactly the nodes the set names. There one
+// routine, syncNode, lists the subject's records — every one a copy, or a
+// node-local copy of a copy — and makes each follow its family on the
+// home node, the home records whose membrane.Root is the copy's CopyOf
+// (family erased ⇒ the copy is crypto-erased; once the node holds no
+// unerased record it leaves the set). Per-node failures are
+// reported, not hidden, and enqueued for retry: the Propagator
+// (propagator.go) retries every pending sync at least once per
+// PropagationWindow, so a mutation reaches every reachable copy within one
+// window of the failure clearing. New and SweepExpired run the same
+// routine over every named node.
 //
 // Fan-out reads merge deterministically: AccessBatch groups subjects by
 // home node, runs the node batches concurrently (lowest-node-index error
@@ -32,18 +36,19 @@
 // uses), then folds each subject's remote-copy reports into the home
 // report with stable sorts. SweepExpired sweeps every node and returns the
 // union, sorted. PDIDs are node-scoped (each node runs its own per-type
-// sequence), so merged pdid lists are multisets — the ledger triple
-// (subject, pdid, node) is the globally unique name, and copies carry
-// CopyOf for provenance.
+// sequence), so merged pdid lists are multisets — (pdid, node) is the
+// globally unique name, and copies carry CopyOf for provenance.
 //
-// Lock order: per-subject op lock → node internals (rights/DBFS/PS) →
-// ledger.mu → NPD plainfs. The ledger and pending-queue mutexes are leaf
-// locks; nothing below them calls back up.
+// Lock order: per-subject op lock → node internals (rights/DBFS/PS), and
+// per-subject op lock → ledger.mu → NPD plainfs. The ledger and
+// pending-queue mutexes are leaf locks; nothing below them calls back up.
 package cluster
 
 import (
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -145,9 +150,9 @@ func Boot(opts Options) (*Cluster, error) {
 }
 
 // New builds a router over existing nodes, reloading the durable copy
-// ledger from their NPD filesystems and reconciling it: any entry whose
-// origin is already erased (a propagation the previous router never
-// finished) is re-queued, so restarting the router never strands an
+// ledger from their NPD filesystems and syncing every node it names, so a
+// propagation the previous router never finished completes here (a sync
+// that fails is queued for retry): restarting the router never strands an
 // erasure. The nodes must share one clock; node 0's is used.
 func New(nodes []*core.System, window time.Duration) (*Cluster, error) {
 	if len(nodes) < 1 || len(nodes) > MaxNodes {
@@ -169,61 +174,8 @@ func New(nodes []*core.System, window time.Duration) (*Cluster, error) {
 		faults:  make(map[int]int),
 	}
 	c.prop = newPropagator(c)
-	c.reconcile()
+	c.syncLedger()
 	return c, nil
-}
-
-// reconcile re-queues syncs the durable state proves unfinished: a ledger
-// entry whose origin membrane is erased, or whose origin consents differ
-// from the copy's, means a previous router died mid-fanout.
-func (c *Cluster) reconcile() {
-	deadline := c.clock.Now().Add(c.window)
-	for _, subject := range c.ledger.subjects() {
-		home := c.HomeOf(subject)
-		for _, e := range c.ledger.entriesFor(subject) {
-			if c.needsSync(e, home) {
-				c.mu.Lock()
-				k := pendKey{subject: subject, node: e.Node}
-				if _, ok := c.pending[k]; !ok {
-					c.pending[k] = deadline
-				}
-				c.mu.Unlock()
-			}
-		}
-	}
-}
-
-// needsSync reports whether an entry's copy visibly lags its origin.
-func (c *Cluster) needsSync(e Entry, home int) bool {
-	hn := c.nodes[home]
-	om, err := hn.DBFS().GetMembrane(hn.DEDToken(), e.Origin)
-	if err != nil {
-		return false // origin physically gone: the copy's own TTL governs
-	}
-	if e.PDID == "" {
-		return om.Erased // crashed intent: only erasure must chase it
-	}
-	rn := c.nodes[e.Node]
-	cm, err := rn.DBFS().GetMembrane(rn.DEDToken(), e.PDID)
-	if err != nil {
-		return false // copy gone; the sweep prune will drop the entry
-	}
-	if om.Erased {
-		return !cm.Erased
-	}
-	return cm.Restricted != om.Restricted || !consentsEqual(cm.Consents, om.Consents)
-}
-
-func consentsEqual(a, b map[string]membrane.Grant) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k, v := range a {
-		if b[k] != v {
-			return false
-		}
-	}
-	return true
 }
 
 // Nodes reports the fleet size.
@@ -239,9 +191,7 @@ func (c *Cluster) Clock() simclock.Clock { return c.clock }
 // A pure function of (subject, fleet size) — independent of any store's
 // shard or partition geometry, so a node with a different dbfs shard count
 // never re-homes a subject.
-func (c *Cluster) HomeOf(subjectID string) int {
-	return int(dbfs.SubjectHash(subjectID) % uint32(len(c.nodes)))
-}
+func (c *Cluster) HomeOf(subjectID string) int { return homeOf(subjectID, len(c.nodes)) }
 
 // lockSubject serializes subject-level mutations. Returns the unlock.
 func (c *Cluster) lockSubject(subject string) func() {
@@ -292,11 +242,11 @@ func (c *Cluster) GetRecord(pdid string) (dbfs.Record, error) {
 
 // MaterializeCopy places a copy of the record pdid (which lives on its
 // subject's home node) onto node target, and returns the copy's pdid on
-// that node. The durable ledger entry is written BEFORE the copy is
-// inserted — a crash can leave an entry without a copy (erasure tolerates
-// that, subject-wide), never a copy without an entry. The copy's membrane
-// is CloneForCopy of the origin's: same consents and TTL, CopyOf naming
-// the origin.
+// that node. target joins the subject's durable node set BEFORE the copy
+// is inserted — a crash or a failed insert can leave the node named with
+// no copy (its next sync drops it), never a copy on an unnamed node. The
+// copy's membrane is CloneForCopy of the origin's: same consents and TTL,
+// CopyOf naming the origin's family root.
 func (c *Cluster) MaterializeCopy(pdid string, target int) (string, error) {
 	typeName, subject, _, err := dbfs.SplitPDID(pdid)
 	if err != nil {
@@ -324,22 +274,13 @@ func (c *Cluster) MaterializeCopy(pdid string, target int) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	intent := Entry{Subject: subject, Node: target, Origin: pdid, Home: home}
-	if err := c.ledger.record(intent); err != nil {
+	if err := c.ledger.add(subject, home, target); err != nil {
 		return "", err
 	}
 	tn := c.nodes[target]
 	// Insert overrides the clone's identity fields with the pdid it
 	// assigns; CopyOf and the cloned consents/TTL/CreatedAt survive.
-	copyPDID, err := tn.DBFS().Insert(tn.DEDToken(), typeName, subject, rec, m.CloneForCopy(""))
-	if err != nil {
-		_ = c.ledger.remove(intent)
-		return "", err
-	}
-	if err := c.ledger.setPDID(subject, home, target, pdid, copyPDID); err != nil {
-		return "", err
-	}
-	return copyPDID, nil
+	return tn.DBFS().Insert(tn.DEDToken(), typeName, subject, rec, m.CloneForCopy(""))
 }
 
 // NodeError is one node's failure inside a fan-out.
@@ -361,7 +302,7 @@ func (e NodeError) Unwrap() error { return e.Err }
 // queued for retry within one PropagationWindow.
 type FanoutReport struct {
 	Subject string
-	// Nodes lists the remote nodes the ledger named, ascending.
+	// Nodes lists the remote nodes the subject's node set named, ascending.
 	Nodes []int
 	// Failed lists the per-node failures, ascending by node index. Every
 	// failed node is also queued for Propagator retry.
@@ -395,67 +336,121 @@ func (c *Cluster) FailNode(node, n int) {
 	c.faults[node] = n
 }
 
-// syncNode reconciles every ledger-named copy of subject on node with its
-// origin on the home node: erased origin ⇒ crypto-erase the copy (through
-// the node's rights engine, so the erasure is audited) and drop the entry;
-// live origin ⇒ overwrite the copy's consents/restriction with the
-// origin's. Caller holds the subject lock.
+// syncNode makes the subject's records on node follow their families on
+// the home node. Insert writes only the home node, so every record of the
+// subject elsewhere is a copy (or a node-local copy of one), and its
+// membrane.Root names a family that began on home. The family is read from
+// the home node's listing, grouped by membrane.Root — the rule
+// rights.EraseRecord uses — so a derived record or home copy that outlives
+// its swept root still governs the copies made from it. Per copy: family
+// erased on home ⇒ crypto-erase the copy's family on node (through the
+// node's rights engine, so the erasure is audited); family live ⇒ take its
+// consents, restriction and version, writing only when one differs; no
+// family member left on home ⇒ leave the copy to its own TTL. A node left
+// with no unerased record of the subject is dropped from the subject's
+// set. Caller holds the subject lock.
 func (c *Cluster) syncNode(subject string, home, node int) error {
 	if c.takeFault(node) {
 		return ErrInjected
 	}
-	hn, rn := c.nodes[home], c.nodes[node]
-	for _, e := range c.ledger.forNode(subject, node) {
-		om, err := hn.DBFS().GetMembrane(hn.DEDToken(), e.Origin)
-		if err != nil {
-			continue // origin physically gone: the copy's own TTL governs
-		}
-		if om.Erased {
-			if e.PDID == "" {
-				// Crashed materialize intent: no copy pdid known, so erase
-				// the subject wholesale on that node (idempotent, and every
-				// record of the subject there is a copy by construction).
-				if _, err := rn.Rights().Erase(subject); err != nil {
-					return err
-				}
-				return c.ledger.removeNode(subject, home, node)
-			}
-			if _, err := rn.Rights().EraseRecord(e.PDID); err != nil {
-				return err
-			}
-			if err := c.ledger.remove(e); err != nil {
-				return err
-			}
+	rn := c.nodes[node]
+	pdids, ms, err := subjectMembranes(rn, subject)
+	if err != nil {
+		return err
+	}
+	if !slices.ContainsFunc(ms, func(m *membrane.Membrane) bool { return !m.Erased }) {
+		return c.ledger.drop(subject, home, node)
+	}
+	_, hms, err := subjectMembranes(c.nodes[home], subject)
+	if err != nil {
+		return err
+	}
+	src := familySources(hms)
+	store, tok := rn.DBFS(), rn.DEDToken()
+	erased := make(map[string]bool) // roots whose family was erased here
+	held := false
+	for i, cm := range ms {
+		root := cm.Root()
+		if cm.Erased || erased[root] {
 			continue
 		}
-		if e.PDID == "" {
-			continue // intent without a copy and a live origin: nothing to sync
-		}
-		_, err = rn.DBFS().MutateMembrane(rn.DEDToken(), e.PDID, func(cm *membrane.Membrane) error {
-			if cm.Erased {
-				return nil // a locally-erased copy stays erased
-			}
-			cm.Consents = make(map[string]membrane.Grant, len(om.Consents))
-			for k, v := range om.Consents {
-				cm.Consents[k] = v
-			}
-			cm.Restricted = om.Restricted
-			cm.Version = om.Version
-			return nil
-		})
-		if err != nil {
+		om := src[root]
+		switch {
+		case om == nil:
+			held = true // no family member left on home: the copy's own TTL governs
+		case om.Erased:
+			_, err := rn.Rights().EraseRecord(pdids[i])
 			if errors.Is(err, dbfs.ErrNoRecord) {
-				continue // copy already swept; the prune will drop the entry
+				continue // swept since the listing; a later member re-runs the family erase
 			}
-			return err
+			if err != nil {
+				return err
+			}
+			erased[root] = true
+		default:
+			held = true
+			if cm.Restricted == om.Restricted && cm.Version == om.Version && maps.Equal(cm.Consents, om.Consents) {
+				continue
+			}
+			_, err := store.MutateMembrane(tok, pdids[i], func(m *membrane.Membrane) error {
+				if m.Erased {
+					return nil // a locally-erased copy stays erased
+				}
+				m.Consents = maps.Clone(om.Consents)
+				m.Restricted = om.Restricted
+				m.Version = om.Version
+				return nil
+			})
+			if err != nil && !errors.Is(err, dbfs.ErrNoRecord) { // ErrNoRecord: swept since the listing
+				return err
+			}
 		}
 	}
-	return nil
+	if held {
+		return nil
+	}
+	return c.ledger.drop(subject, home, node)
 }
 
-// fanout syncs every ledger-named node for the subject, in ascending node
-// order, reporting per-node failures and queueing each for retry. Caller
-// holds the subject lock.
+// subjectMembranes lists a node's records of subject with their membranes.
+// The node's retention sweep runs outside the subject lock and may delete a
+// listed record before its membrane is read; the listing is then taken once
+// more (a second race fails the sync, which is retried one window later).
+func subjectMembranes(n *core.System, subject string) ([]string, []*membrane.Membrane, error) {
+	store, tok := n.DBFS(), n.DEDToken()
+	for try := 0; ; try++ {
+		pdids, err := store.ListBySubject(tok, subject)
+		if err != nil {
+			return nil, nil, err
+		}
+		ms, err := store.GetMembranes(tok, pdids)
+		if errors.Is(err, dbfs.ErrNoRecord) && try == 0 {
+			continue
+		}
+		return pdids, ms, err
+	}
+}
+
+// familySources maps each family root among the home node's membranes to
+// the membrane its copies follow: the root record while it exists, else
+// the family's first live member, else (every member erased) its first
+// member. Erasure through the rights engine is family-wide, so a family is
+// erased on home exactly when no member of it is live.
+func familySources(hms []*membrane.Membrane) map[string]*membrane.Membrane {
+	src := make(map[string]*membrane.Membrane)
+	for _, m := range hms {
+		root := m.Root()
+		cur, ok := src[root]
+		if !ok || m.PDID == root || (cur.PDID != root && cur.Erased && !m.Erased) {
+			src[root] = m
+		}
+	}
+	return src
+}
+
+// fanout syncs every node in the subject's set, in ascending node order,
+// reporting per-node failures and queueing each for retry. Caller holds
+// the subject lock.
 func (c *Cluster) fanout(subject string, home int) *FanoutReport {
 	rep := &FanoutReport{Subject: subject}
 	for _, node := range c.ledger.nodesFor(subject) {
@@ -466,6 +461,16 @@ func (c *Cluster) fanout(subject string, home int) *FanoutReport {
 		}
 	}
 	return rep
+}
+
+// syncLedger fans out every subject the ledger names, each under its
+// subject lock: New's restart reconcile and SweepExpired's prune.
+func (c *Cluster) syncLedger() {
+	for _, subject := range c.ledger.subjects() {
+		unlock := c.lockSubject(subject)
+		c.fanout(subject, c.HomeOf(subject))
+		unlock()
+	}
 }
 
 // enqueue schedules a (subject, node) sync for Propagator retry within one
@@ -488,9 +493,10 @@ func (c *Cluster) PendingSyncs() int {
 }
 
 // SetConsent records a consent grant for every record of the subject on
-// its home node, then propagates it to every ledger-named copy. A home
-// failure returns (nil, err) and touches nothing else; remote failures are
-// reported in the FanoutReport (and retried), not returned as the error.
+// its home node, then propagates it to every copy on the nodes the
+// subject's set names. A home failure returns (nil, err) and touches
+// nothing else; remote failures are reported in the FanoutReport (and
+// retried), not returned as the error.
 func (c *Cluster) SetConsent(subjectID, purposeName string, g membrane.Grant) (*FanoutReport, error) {
 	unlock := c.lockSubject(subjectID)
 	defer unlock()
@@ -502,8 +508,8 @@ func (c *Cluster) SetConsent(subjectID, purposeName string, g membrane.Grant) (*
 }
 
 // WithdrawConsent withdraws a purpose's consent subject-wide on the home
-// node and propagates the withdrawal to every ledger-named copy. Error
-// semantics match SetConsent.
+// node and propagates the withdrawal to every copy on the nodes the
+// subject's set names. Error semantics match SetConsent.
 func (c *Cluster) WithdrawConsent(subjectID, purposeName string) (*FanoutReport, error) {
 	unlock := c.lockSubject(subjectID)
 	defer unlock()
@@ -522,16 +528,16 @@ type EraseReport struct {
 	// there (the single-node report, sorted).
 	Home   int
 	Erased []string
-	// Fanout reports the per-node propagation to ledger-named copies.
+	// Fanout reports the per-node propagation to the copy-holding nodes.
 	Fanout FanoutReport
 }
 
 // Erase executes the right to be forgotten cluster-wide: crypto-shred on
-// the home node, then erase every ledger-named copy. A home failure
-// returns (nil, err); per-copy-node failures land in Fanout.Failed, each
-// queued so the Propagator retries it within one PropagationWindow — the
-// paper's erasure obligation holds for every copy within one window of the
-// node being reachable again.
+// the home node, then erase every copy on the nodes the subject's set
+// names. A home failure returns (nil, err); per-copy-node failures land
+// in Fanout.Failed, each queued so the Propagator retries it within one
+// PropagationWindow — the paper's erasure obligation holds for every copy
+// within one window of the node being reachable again.
 func (c *Cluster) Erase(subjectID string) (*EraseReport, error) {
 	unlock := c.lockSubject(subjectID)
 	defer unlock()
@@ -549,9 +555,10 @@ func (c *Cluster) Erase(subjectID string) (*EraseReport, error) {
 // subjects are grouped by home node, each node's batch runs concurrently
 // through its own rights engine (lowest-node-index error, the same
 // ded.ForEachIndexed merge contract as the single-node engine), and
-// each subject's ledger-named remote copies are folded into its report —
-// data exports appended and stably sorted by pdid within each type,
-// processing history merged by time. Reports keep request order.
+// each subject's remote copies (on the nodes its set names) are folded
+// into its report — data exports appended and stably sorted by pdid
+// within each type, processing history merged by time. Reports keep
+// request order.
 func (c *Cluster) AccessBatch(subjectIDs []string) ([]*rights.AccessReport, error) {
 	groups := make(map[int][]int) // home node -> request indices, in order
 	for i, s := range subjectIDs {
@@ -634,7 +641,8 @@ func finishAccess(rep *rights.AccessReport) {
 // SweepExpired runs the retention sweep on every node concurrently and
 // returns the union of deleted pdids, sorted (a multiset: pdids are
 // node-scoped). Error is the lowest-node-index failure, matching the
-// single-node contract. Ledger entries whose copies were swept are pruned.
+// single-node contract. Every node the ledger names is then synced, which
+// drops the nodes whose copies the sweep deleted.
 func (c *Cluster) SweepExpired() ([]string, error) {
 	per := make([][]string, len(c.nodes))
 	err := ded.ForEachIndexed(len(c.nodes), len(c.nodes), func(i int) error {
@@ -650,31 +658,13 @@ func (c *Cluster) SweepExpired() ([]string, error) {
 		all = append(all, d...)
 	}
 	sort.Strings(all)
-	c.pruneLedger()
+	c.syncLedger()
 	return all, nil
 }
 
-// pruneLedger drops entries whose copy no longer exists on its node (the
-// record was physically deleted, e.g. by a TTL sweep). Intent entries
-// (empty pdid) are kept — only erasure may resolve those.
-func (c *Cluster) pruneLedger() {
-	for _, e := range c.ledger.all() {
-		if e.PDID == "" {
-			continue
-		}
-		rn := c.nodes[e.Node]
-		if _, err := rn.DBFS().GetMembrane(rn.DEDToken(), e.PDID); errors.Is(err, dbfs.ErrNoRecord) {
-			_ = c.ledger.remove(e)
-		}
-	}
-}
-
-// LedgerEntries snapshots the whole copy ledger, sorted by subject then
-// (node, origin, pdid).
-func (c *Cluster) LedgerEntries() []Entry { return c.ledger.all() }
-
-// LedgerFor snapshots one subject's ledger entries.
-func (c *Cluster) LedgerFor(subject string) []Entry { return c.ledger.entriesFor(subject) }
+// CopyNodes reports the non-home nodes that may hold the subject's copies,
+// ascending.
+func (c *Cluster) CopyNodes(subject string) []int { return c.ledger.nodesFor(subject) }
 
 // NodeStatus is one node's row in Status.
 type NodeStatus struct {
@@ -682,8 +672,9 @@ type NodeStatus struct {
 	Name  string `json:"name"`
 	// Subjects counts subjects with records on the node (homes and copies).
 	Subjects int `json:"subjects"`
-	// CopiesHeld counts ledger entries naming this node as copy holder;
-	// CopiesTracked counts entries this node tracks as home.
+	// CopiesHeld counts subjects whose node set names this node;
+	// CopiesTracked counts the (subject, node) pairs this node's ledger
+	// files name as home.
 	CopiesHeld    int `json:"copies_held"`
 	CopiesTracked int `json:"copies_tracked"`
 	// PendingSyncs counts queued retries targeting this node.
@@ -700,9 +691,11 @@ func (c *Cluster) Status() ([]NodeStatus, error) {
 		}
 		out[i] = NodeStatus{Index: i, Name: n.NodeName(), Subjects: len(subs)}
 	}
-	for _, e := range c.ledger.all() {
-		out[e.Node].CopiesHeld++
-		out[e.Home].CopiesTracked++
+	for _, s := range c.ledger.subjects() {
+		for _, node := range c.ledger.nodesFor(s) {
+			out[node].CopiesHeld++
+			out[c.HomeOf(s)].CopiesTracked++
+		}
 	}
 	c.mu.Lock()
 	for k := range c.pending {

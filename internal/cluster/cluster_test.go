@@ -4,12 +4,18 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/builtins"
 	"repro/internal/core"
 	"repro/internal/dbfs"
+	"repro/internal/ded"
 	"repro/internal/membrane"
+	"repro/internal/ps"
+	"repro/internal/purpose"
 	"repro/internal/simclock"
 	"repro/internal/typedsl"
 )
@@ -166,9 +172,8 @@ func TestMaterializeCopy(t *testing.T) {
 	if cm.CopyOf != pdid {
 		t.Fatalf("copy CopyOf = %q, want origin %q", cm.CopyOf, pdid)
 	}
-	want := []Entry{{Subject: subject, PDID: copyPDID, Node: target, Origin: pdid, Home: home}}
-	if got := c.LedgerFor(subject); !reflect.DeepEqual(got, want) {
-		t.Fatalf("ledger = %+v, want %+v", got, want)
+	if got := c.CopyNodes(subject); !reflect.DeepEqual(got, []int{target}) {
+		t.Fatalf("CopyNodes = %v, want [%d]", got, target)
 	}
 
 	// Copying an erased record must fail.
@@ -194,23 +199,36 @@ func TestLedgerSurvivesRouterRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	before := c.LedgerEntries()
-	if len(before) != 6 {
-		t.Fatalf("ledger has %d entries, want 6", len(before))
+	before := make(map[string][]int)
+	for _, s := range subjects {
+		before[s] = c.CopyNodes(s)
+		if len(before[s]) != 1 {
+			t.Fatalf("CopyNodes(%s) = %v, want one node", s, before[s])
+		}
 	}
 
-	// A new router over the same nodes must reload the full copy map from
-	// node storage — the ledger is durable state, not router memory.
+	// A new router over the same nodes must reload every node set from
+	// node storage — the ledger is durable state, not router memory — and
+	// its sync of in-sync copies must write nothing.
 	nodes := make([]*core.System, c.Nodes())
+	writes := make([]uint64, len(nodes))
 	for i := range nodes {
 		nodes[i] = c.Node(i)
+		writes[i] = nodes[i].Stats().PDDisk.Writes
 	}
 	c2, err := New(nodes, 0)
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	if got := c2.LedgerEntries(); !reflect.DeepEqual(got, before) {
-		t.Fatalf("reloaded ledger = %+v, want %+v", got, before)
+	for _, s := range subjects {
+		if got := c2.CopyNodes(s); !reflect.DeepEqual(got, before[s]) {
+			t.Fatalf("reloaded CopyNodes(%s) = %v, want %v", s, got, before[s])
+		}
+	}
+	for i, n := range nodes {
+		if w := n.Stats().PDDisk.Writes; w != writes[i] {
+			t.Fatalf("restart over in-sync nodes wrote %d PD blocks on node %d, want 0", w-writes[i], i)
+		}
 	}
 	if n := c2.PendingSyncs(); n != 0 {
 		t.Fatalf("clean restart queued %d syncs, want 0", n)
@@ -291,8 +309,8 @@ func TestEraseKillsRemoteCopies(t *testing.T) {
 	if err != nil || !cm.Erased {
 		t.Fatalf("copy membrane after erase = %+v, %v, want Erased", cm, err)
 	}
-	if entries := c.LedgerFor(subject); len(entries) != 0 {
-		t.Fatalf("ledger after erase = %+v, want empty", entries)
+	if nodes := c.CopyNodes(subject); len(nodes) != 0 {
+		t.Fatalf("CopyNodes after erase = %v, want empty", nodes)
 	}
 	// Shredded everywhere: no node's disk holds the plaintext password.
 	for i := 0; i < c.Nodes(); i++ {
@@ -344,8 +362,8 @@ func TestErasePartialFailureRetriesWithinWindow(t *testing.T) {
 	if n := c.PendingSyncs(); n != 0 {
 		t.Fatalf("pending syncs after retry = %d, want 0", n)
 	}
-	if entries := c.LedgerFor(subject); len(entries) != 0 {
-		t.Fatalf("ledger after retry = %+v, want empty", entries)
+	if nodes := c.CopyNodes(subject); len(nodes) != 0 {
+		t.Fatalf("CopyNodes after retry = %v, want empty", nodes)
 	}
 	st := p.Stats()
 	if st.Passes == 0 || st.Retried != 1 || st.Failed != 0 {
@@ -391,7 +409,7 @@ func TestPersistentFaultKeepsRetryingOncePerWindow(t *testing.T) {
 
 func TestRouterRestartResumesErasure(t *testing.T) {
 	const window = time.Minute
-	c, clk := bootCluster(t, 2, window)
+	c, _ := bootCluster(t, 2, window)
 	subject := "ivan"
 	pdid, err := c.Insert("user", subject, rec(subject))
 	if err != nil {
@@ -408,9 +426,9 @@ func TestRouterRestartResumesErasure(t *testing.T) {
 	}
 
 	// The router dies with the retry still queued. A new router over the
-	// same nodes must rediscover the unfinished erasure from durable state
-	// alone: the ledger still names the node, and the origin membrane is
-	// marked erased.
+	// same nodes must finish the erasure from durable state alone — the
+	// ledger still names the node, and the copy's root is erased — before
+	// New returns.
 	nodes := make([]*core.System, c.Nodes())
 	for i := range nodes {
 		nodes[i] = c.Node(i)
@@ -419,19 +437,15 @@ func TestRouterRestartResumesErasure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := c2.PendingSyncs(); n != 1 {
-		t.Fatalf("reconcile queued %d syncs, want 1", n)
-	}
-	p := c2.StartPropagator()
-	defer p.Stop()
-	clk.Advance(window + time.Second)
-	p.Sync()
 	tn := c2.Node(target)
 	if _, err := tn.DBFS().GetRecord(tn.DEDToken(), copyPDID); err == nil {
-		t.Fatal("copy still readable after restart+retry")
+		t.Fatal("copy still readable after restart")
 	}
-	if entries := c2.LedgerFor(subject); len(entries) != 0 {
-		t.Fatalf("ledger after restart+retry = %+v, want empty", entries)
+	if nodes := c2.CopyNodes(subject); len(nodes) != 0 {
+		t.Fatalf("CopyNodes after restart = %v, want empty", nodes)
+	}
+	if n := c2.PendingSyncs(); n != 0 {
+		t.Fatalf("restart queued %d syncs, want 0", n)
 	}
 }
 
@@ -513,8 +527,8 @@ func TestSweepExpiredFansOutAndPrunes(t *testing.T) {
 	}
 
 	// Past the 1-year TTL both the original and the copy expire — the
-	// sweep reaches every node, and the ledger entry is pruned with the
-	// copy.
+	// sweep reaches every node, and the copy's node leaves the subject's
+	// set with the copy.
 	clk.Advance(366 * 24 * time.Hour)
 	deleted, err = c.SweepExpired()
 	if err != nil {
@@ -527,8 +541,8 @@ func TestSweepExpiredFansOutAndPrunes(t *testing.T) {
 	if !found[pdid] || !found[copyPDID] {
 		t.Fatalf("sweep deleted %v, want both %s and %s", deleted, pdid, copyPDID)
 	}
-	if entries := c.LedgerFor(subject); len(entries) != 0 {
-		t.Fatalf("ledger after sweep = %+v, want pruned", entries)
+	if nodes := c.CopyNodes(subject); len(nodes) != 0 {
+		t.Fatalf("CopyNodes after sweep = %v, want pruned", nodes)
 	}
 }
 
@@ -554,5 +568,322 @@ func TestBootRejectsBadFleetSize(t *testing.T) {
 	}
 	if _, err := Boot(Options{Nodes: -1, Node: nodeOpts()}); err == nil {
 		t.Fatal("Boot with -1 nodes should fail")
+	}
+}
+
+func TestLoadLedgerRejectsMalformed(t *testing.T) {
+	c, _ := bootCluster(t, 3, 0)
+	nodes := []*core.System{c.Node(0), c.Node(1), c.Node(2)}
+	const subject = "olga"
+	home := c.HomeOf(subject)
+	remote := remoteFor(c, subject)
+	for _, tc := range []struct {
+		name string
+		node int
+		file string
+		data []byte
+	}{
+		{"empty file", home, subjectFile(subject), []byte{}},
+		{"two bytes", home, subjectFile(subject), []byte{1 << remote, 0}},
+		{"bit at the node count", home, subjectFile(subject), []byte{1<<remote | 1<<3}},
+		{"top bit", home, subjectFile(subject), []byte{1 << 7}},
+		{"home bit", home, subjectFile(subject), []byte{1<<remote | 1<<home}},
+		{"non-hex name", home, ledgerDir + "/not-hex", []byte{1 << remote}},
+		{"file off the home node", remote, subjectFile(subject), []byte{1 << home}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fs := nodes[tc.node].NPD()
+			if err := fs.MkdirAll(ledgerDir); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.WriteFile(tc.file, tc.data); err != nil {
+				t.Fatal(err)
+			}
+			defer func() {
+				if err := fs.Remove(tc.file); err != nil {
+					t.Fatal(err)
+				}
+			}()
+			_, err := New(nodes, 0)
+			if err == nil {
+				t.Fatalf("New accepted ledger file %s = %v on node %d", tc.file, tc.data, tc.node)
+			}
+			t.Log(err)
+		})
+	}
+	// The same fleet with a well-formed file loads it.
+	fs := nodes[home].NPD()
+	if err := fs.WriteFile(subjectFile(subject), []byte{1 << remote}); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := New(nodes, 0)
+	if err != nil {
+		t.Fatalf("New over a well-formed ledger: %v", err)
+	}
+	// The named node holds nothing, so the restart sync drops it.
+	if got := c2.CopyNodes(subject); len(got) != 0 {
+		t.Fatalf("CopyNodes over a node without copies = %v, want empty", got)
+	}
+	if fs.Exists(subjectFile(subject)) {
+		t.Fatal("ledger file kept after its node set emptied")
+	}
+}
+
+func TestConsentReachesLocalCopyOfRemoteCopy(t *testing.T) {
+	c, _ := bootCluster(t, 2, 0)
+	subject := "pia"
+	pdid, err := c.Insert("user", subject, rec(subject))
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := remoteFor(c, subject)
+	copyPDID, err := c.MaterializeCopy(pdid, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A node-local copy of the remote copy: the router never sees it, but
+	// its CopyOf names the same root on the home node.
+	tn := c.Node(target)
+	res, err := tn.PS().Invoke(ps.InvokeRequest{Processing: builtins.CopyName, PDRef: copyPDID})
+	if err != nil || len(res.PDRefs) != 1 {
+		t.Fatalf("copy builtin = %+v, %v, want one copy", res, err)
+	}
+	if _, err := c.WithdrawConsent(subject, "purpose1"); err != nil {
+		t.Fatalf("WithdrawConsent: %v", err)
+	}
+	for _, p := range append([]string{copyPDID}, res.PDRefs...) {
+		cm, err := tn.DBFS().GetMembrane(tn.DEDToken(), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := cm.Consents["purpose1"]; g.Kind != membrane.GrantNone {
+			t.Fatalf("copy %s on node %d: purpose1 = %v after cluster withdraw, want none", p, target, g)
+		}
+	}
+}
+
+func TestFanoutLeavesLiveCopyOfLiveOrigin(t *testing.T) {
+	// A ledger that over-names (a materialize that died before its insert)
+	// must cost no live copy: the fan-out erases only copies whose root is
+	// erased, and drops a named node that holds nothing.
+	c, _ := bootCluster(t, 3, 0)
+	subject := "quinn"
+	a, err := c.Insert("user", subject, rec(subject))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.Insert("user", subject, rec(subject+"-b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	home := c.HomeOf(subject)
+	target := remoteFor(c, subject)
+	empty := (home + 2) % c.Nodes()
+	copyPDID, err := c.MaterializeCopy(a, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Crashed copies of b: both nodes named, no copy of b inserted.
+	for _, n := range []int{target, empty} {
+		if err := c.ledger.add(subject, home, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Node(home).Rights().EraseRecord(b); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := c.SetConsent(subject, "purpose2", membrane.Grant{Kind: membrane.GrantAll})
+	if err != nil || !rep.OK() {
+		t.Fatalf("SetConsent = %+v, %v", rep, err)
+	}
+	tn := c.Node(target)
+	if _, err := tn.DBFS().GetRecord(tn.DEDToken(), copyPDID); err != nil {
+		t.Fatalf("live copy of live origin %s unreadable after fan-out: %v", a, err)
+	}
+	cm, err := tn.DBFS().GetMembrane(tn.DEDToken(), copyPDID)
+	if err != nil || cm.Consents["purpose2"].Kind != membrane.GrantAll {
+		t.Fatalf("copy membrane = %+v, %v, want purpose2 all", cm, err)
+	}
+	if got := c.CopyNodes(subject); !reflect.DeepEqual(got, []int{target}) {
+		t.Fatalf("CopyNodes = %v, want [%d]", got, target)
+	}
+}
+
+func TestMaterializeEraseSweepInterleave(t *testing.T) {
+	c, _ := bootCluster(t, 3, 0)
+	const rounds = 12
+	subjects := []string{"rita-0", "rita-1", "rita-2", "rita-3"}
+	origins := make(map[string][]string)
+	for _, s := range subjects {
+		for i := 0; i < 2; i++ {
+			pdid, err := c.Insert("user", s, rec(s))
+			if err != nil {
+				t.Fatal(err)
+			}
+			origins[s] = append(origins[s], pdid)
+		}
+	}
+	// Subjects 0 and 2 are erased part-way through; the others keep
+	// copying and changing consent.
+	erased := map[string]bool{subjects[0]: true, subjects[2]: true}
+	var wg sync.WaitGroup
+	errc := make(chan error, 4*rounds*len(subjects)) // room for every send, so no worker blocks
+	run := func(f func(i int)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				f(i)
+			}
+		}()
+	}
+	run(func(i int) {
+		for _, s := range subjects {
+			target := (c.HomeOf(s) + 1 + i%2) % c.Nodes()
+			if _, err := c.MaterializeCopy(origins[s][i%2], target); err != nil && !errors.Is(err, membrane.ErrErased) {
+				errc <- fmt.Errorf("MaterializeCopy %s: %w", s, err)
+			}
+		}
+	})
+	run(func(i int) {
+		for _, s := range subjects {
+			var err error
+			if i%2 == 0 {
+				_, err = c.SetConsent(s, "purpose2", membrane.Grant{Kind: membrane.GrantAll})
+			} else {
+				_, err = c.WithdrawConsent(s, "purpose2")
+			}
+			if err != nil {
+				errc <- fmt.Errorf("consent %s: %w", s, err)
+			}
+		}
+	})
+	run(func(i int) {
+		if i != rounds/2 {
+			return
+		}
+		for s := range erased {
+			if _, err := c.Erase(s); err != nil {
+				errc <- fmt.Errorf("Erase %s: %w", s, err)
+			}
+		}
+	})
+	run(func(int) {
+		if _, err := c.SweepExpired(); err != nil {
+			errc <- fmt.Errorf("SweepExpired: %w", err)
+		}
+	})
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	c.retryPending(true)
+	if n := c.PendingSyncs(); n != 0 {
+		t.Fatalf("%d syncs still pending after a forced retry", n)
+	}
+	for _, s := range subjects {
+		named := c.CopyNodes(s)
+		for n := 0; n < c.Nodes(); n++ {
+			if n == c.HomeOf(s) {
+				continue
+			}
+			sys := c.Node(n)
+			pdids, err := sys.DBFS().ListBySubject(sys.DEDToken(), s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ms, err := sys.DBFS().GetMembranes(sys.DEDToken(), pdids)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, m := range ms {
+				if m.Erased {
+					continue
+				}
+				if !slices.Contains(named, n) {
+					t.Errorf("%s: node %d holds unerased %s but CopyNodes = %v", s, n, pdids[i], named)
+				}
+				if erased[s] {
+					t.Errorf("%s: erased subject's copy %s on node %d is live", s, pdids[i], n)
+				}
+			}
+			for _, p := range pdids {
+				if _, err := sys.DBFS().GetRecord(sys.DEDToken(), p); err == nil && erased[s] {
+					t.Errorf("%s: erased subject's copy %s on node %d is readable", s, p, n)
+				}
+			}
+		}
+	}
+}
+
+func TestCopyOfDerivedFollowsFamilyAfterRootSwept(t *testing.T) {
+	// A derived record names its source's root as CopyOf but has its own,
+	// later CreatedAt, so it outlives the root. A remote copy of it must
+	// still follow the family on the home node once the root is swept:
+	// consent reaches it and a cluster Erase crypto-erases it.
+	c, clk := bootCluster(t, 2, 0)
+	if err := c.CreateType(&dbfs.Schema{
+		Name:   "age_pd",
+		Fields: []dbfs.Field{{Name: "age", Type: dbfs.TypeInt}},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	subject := "sven"
+	home := c.HomeOf(subject)
+	hn := c.Node(home)
+	decl := &purpose.Decl{Name: "purpose3", Description: "Derive the age",
+		Basis: purpose.BasisConsent, Reads: []string{"user.year_of_birthdate"}, Produces: "age_pd"}
+	impl := &ded.Func{Name: "derive_age", Purpose: "purpose3",
+		DeclaredReads: []string{"user.year_of_birthdate"},
+		Fn: func(x *ded.Ctx) (ded.Output, error) {
+			v, err := x.Field("year_of_birthdate")
+			if err != nil {
+				return ded.Output{}, err
+			}
+			return ded.Output{Generated: &ded.GeneratedPD{
+				TypeName: "age_pd", SubjectID: x.SubjectID(),
+				Fields: dbfs.Record{"age": dbfs.I(2023 - v.I)},
+			}}, nil
+		}}
+	if err := hn.PS().Register(decl, impl, false); err != nil {
+		t.Fatal(err)
+	}
+	root, err := c.Insert("user", subject, rec(subject))
+	if err != nil {
+		t.Fatal(err)
+	}
+	clk.Advance(180 * 24 * time.Hour)
+	res, err := hn.PS().Invoke(ps.InvokeRequest{Processing: "purpose3", PDRef: root})
+	if err != nil || len(res.PDRefs) != 1 {
+		t.Fatalf("derive = %+v, %v, want one derived record", res, err)
+	}
+	target := remoteFor(c, subject)
+	copyPDID, err := c.MaterializeCopy(res.PDRefs[0], target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Past the root's 1-year TTL, before the derived record's.
+	clk.Advance(200 * 24 * time.Hour)
+	deleted, err := c.SweepExpired()
+	if err != nil || !reflect.DeepEqual(deleted, []string{root}) {
+		t.Fatalf("sweep = %v, %v, want only the root %s", deleted, err, root)
+	}
+	tn := c.Node(target)
+	if rep, err := c.WithdrawConsent(subject, "purpose1"); err != nil || !rep.OK() {
+		t.Fatalf("WithdrawConsent = %+v, %v", rep, err)
+	}
+	cm, err := tn.DBFS().GetMembrane(tn.DEDToken(), copyPDID)
+	if err != nil || cm.Consents["purpose1"].Kind != membrane.GrantNone {
+		t.Fatalf("copy membrane = %+v, %v, want purpose1 none", cm, err)
+	}
+	if rep, err := c.Erase(subject); err != nil || !rep.Fanout.OK() {
+		t.Fatalf("Erase = %+v, %v", rep, err)
+	}
+	if _, err := tn.DBFS().GetRecord(tn.DEDToken(), copyPDID); err == nil {
+		t.Fatalf("copy %s of the erased derived record is still readable", copyPDID)
+	}
+	if got := c.CopyNodes(subject); len(got) != 0 {
+		t.Fatalf("CopyNodes after erase = %v, want empty", got)
 	}
 }

@@ -1,41 +1,29 @@
-// The durable cross-node copy ledger. When a subject's record is
-// materialized on a non-home node, the ledger records (subject, pdid,
-// node) — plus the origin pdid and home index — so rights operations know
-// exactly which nodes hold copies and must be reached. Entries live on the
-// SUBJECT'S HOME NODE, as one JSON file per subject under ledgerDir on the
-// node's NPD filesystem, written through BEFORE the copy becomes visible:
-// the ledger can name a copy that was never created (harmless — erasure on
-// the named node is subject-wide and idempotent), but a live copy is never
-// invisible to the ledger. Because the files sit in node storage, a router
-// rebuilt over the same nodes (New) reloads the full copy map and — via
-// reconcile — resumes any propagation the old router left unfinished.
+// The durable cross-node copy ledger. For each subject it keeps only what
+// a node cannot tell the router: the set of non-home nodes that may hold
+// the subject's copies. The copies themselves are found on their node (a
+// record of the subject on a non-home node is a copy, and its CopyOf names
+// its family root on the home node), so the ledger names no record. Each
+// set is one byte, a node bitmask (MaxNodes is 8), stored as
+// /cluster/ledger/<hex subject> on the SUBJECT'S HOME NODE's NPD
+// filesystem. MaterializeCopy adds the target BEFORE the copy is inserted,
+// and syncNode drops a node once it holds no unerased record of the
+// subject: the ledger may over-name nodes, never under-name them. A router
+// rebuilt over the same nodes (New) reloads every set and syncs each named
+// node, which finishes any propagation the old router left undone.
 package cluster
 
 import (
-	"encoding/json"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync"
 
 	"repro/internal/core"
+	"repro/internal/dbfs"
 )
 
 // ledgerDir is the per-node NPD directory holding the ledger files.
 const ledgerDir = "/cluster/ledger"
-
-// Entry records one cross-node copy: the subject's record Origin (a pdid on
-// the Home node) was materialized as PDID on node Node. PDID is empty in
-// the transient intent state — the entry is persisted before the copy is
-// inserted, then updated with the assigned pdid (both steps under the
-// subject lock, so readers outside MaterializeCopy only see it after a
-// mid-call crash; erasure handles that state subject-wide).
-type Entry struct {
-	Subject string `json:"subject"`
-	PDID    string `json:"pdid,omitempty"`
-	Node    int    `json:"node"`
-	Origin  string `json:"origin"`
-	Home    int    `json:"home"`
-}
 
 // ledger is the in-memory index over the per-subject files. The mutex is a
 // leaf lock below the per-subject op locks: ledger methods call into
@@ -44,20 +32,28 @@ type Entry struct {
 type ledger struct {
 	nodes []*core.System
 
-	mu        sync.Mutex
-	bySubject map[string][]Entry
+	mu   sync.Mutex
+	sets map[string]uint8 // subject -> bit i set: node i may hold copies
+}
+
+// homeOf places a subject on a fleet of n nodes (Cluster.HomeOf).
+func homeOf(subject string, n int) int {
+	return int(dbfs.SubjectHash(subject) % uint32(n))
 }
 
 // subjectFile maps a subject ID to its ledger file path. Subject IDs are
 // hex-encoded: plainfs treats "/" as a separator and subject IDs are
 // operator-chosen strings.
 func subjectFile(subject string) string {
-	return fmt.Sprintf("%s/%x", ledgerDir, subject)
+	return ledgerDir + "/" + hex.EncodeToString([]byte(subject))
 }
 
-// loadLedger rebuilds the index from every node's NPD ledger directory.
+// loadLedger rebuilds the index from every node's NPD ledger directory. A
+// file that is not one byte, names a node outside the fleet or the
+// subject's home, has a non-hex name or sits on another node than the
+// subject's home fails the load.
 func loadLedger(nodes []*core.System) (*ledger, error) {
-	l := &ledger{nodes: nodes, bySubject: make(map[string][]Entry)}
+	l := &ledger{nodes: nodes, sets: make(map[string]uint8)}
 	for i, n := range nodes {
 		fs := n.NPD()
 		if !fs.Exists(ledgerDir) {
@@ -71,194 +67,101 @@ func loadLedger(nodes []*core.System) (*ledger, error) {
 			if f.IsDir {
 				continue
 			}
+			subject, err := hex.DecodeString(f.Name)
+			if err != nil {
+				return nil, fmt.Errorf("cluster: ledger file %q on node %d: name is not hex", f.Name, i)
+			}
 			b, err := fs.ReadFile(ledgerDir + "/" + f.Name)
 			if err != nil {
 				return nil, fmt.Errorf("cluster: load ledger %s on node %d: %w", f.Name, i, err)
 			}
-			var entries []Entry
-			if err := json.Unmarshal(b, &entries); err != nil {
-				return nil, fmt.Errorf("cluster: decode ledger %s on node %d: %w", f.Name, i, err)
+			if len(b) != 1 {
+				return nil, fmt.Errorf("cluster: ledger %s on node %d: %d bytes, want 1", f.Name, i, len(b))
 			}
-			for _, e := range entries {
-				l.bySubject[e.Subject] = append(l.bySubject[e.Subject], e)
+			home := homeOf(string(subject), len(nodes))
+			if home != i {
+				return nil, fmt.Errorf("cluster: ledger %s on node %d, the subject's home is node %d", f.Name, i, home)
+			}
+			if b[0]>>len(nodes) != 0 || b[0]&(1<<home) != 0 {
+				return nil, fmt.Errorf("cluster: ledger %s on node %d: node set %08b names a node outside the fleet or the home node", f.Name, i, b[0])
+			}
+			if b[0] != 0 {
+				l.sets[string(subject)] = b[0]
 			}
 		}
-	}
-	for s := range l.bySubject {
-		sortEntries(l.bySubject[s])
 	}
 	return l, nil
 }
 
-// sortEntries orders entries deterministically: node, then origin, then
-// copy pdid.
-func sortEntries(es []Entry) {
-	sort.SliceStable(es, func(i, j int) bool {
-		if es[i].Node != es[j].Node {
-			return es[i].Node < es[j].Node
-		}
-		if es[i].Origin != es[j].Origin {
-			return es[i].Origin < es[j].Origin
-		}
-		return es[i].PDID < es[j].PDID
-	})
-}
-
-// persistLocked writes the subject's current entries through to the home
-// node's NPD (removing the file when no entries remain). Caller holds l.mu.
-func (l *ledger) persistLocked(subject string, home int) error {
+// setLocked persists the subject's node set on the home node's NPD (the
+// file goes when the set empties), then updates the index. Caller holds
+// l.mu.
+func (l *ledger) setLocked(subject string, home int, set uint8) error {
 	fs := l.nodes[home].NPD()
 	path := subjectFile(subject)
-	entries := l.bySubject[subject]
-	if len(entries) == 0 {
+	if set == 0 {
 		if fs.Exists(path) {
-			return fs.Remove(path)
+			if err := fs.Remove(path); err != nil {
+				return fmt.Errorf("cluster: remove ledger %s on node %d: %w", path, home, err)
+			}
 		}
+		delete(l.sets, subject)
 		return nil
-	}
-	b, err := json.Marshal(entries)
-	if err != nil {
-		return fmt.Errorf("cluster: encode ledger for %s: %w", subject, err)
 	}
 	if err := fs.MkdirAll(ledgerDir); err != nil {
 		return fmt.Errorf("cluster: ledger dir on node %d: %w", home, err)
 	}
-	return fs.WriteFile(path, b)
-}
-
-// record adds an entry (durably, before the caller makes the copy visible).
-func (l *ledger) record(e Entry) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.bySubject[e.Subject] = append(l.bySubject[e.Subject], e)
-	sortEntries(l.bySubject[e.Subject])
-	if err := l.persistLocked(e.Subject, e.Home); err != nil {
-		// Keep memory and disk consistent: an unpersisted entry must not
-		// admit a copy the reloaded ledger would not know about.
-		l.bySubject[e.Subject] = removeEntry(l.bySubject[e.Subject], e)
-		return err
+	if err := fs.WriteFile(path, []byte{set}); err != nil {
+		return fmt.Errorf("cluster: write ledger %s on node %d: %w", path, home, err)
 	}
+	l.sets[subject] = set
 	return nil
 }
 
-// setPDID fills in the copy pdid of an intent entry and re-persists.
-func (l *ledger) setPDID(subject string, home, node int, origin, pdid string) error {
+// add names node in the subject's set (durably, before the caller makes a
+// copy visible there). A node already named costs no write.
+func (l *ledger) add(subject string, home, node int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	es := l.bySubject[subject]
-	for i := range es {
-		if es[i].Node == node && es[i].Origin == origin && es[i].PDID == "" {
-			es[i].PDID = pdid
-			sortEntries(es)
-			return l.persistLocked(subject, home)
-		}
-	}
-	return fmt.Errorf("cluster: no intent entry for %s origin %s on node %d", subject, origin, node)
-}
-
-// remove drops one entry and re-persists.
-func (l *ledger) remove(e Entry) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.bySubject[e.Subject] = removeEntry(l.bySubject[e.Subject], e)
-	if len(l.bySubject[e.Subject]) == 0 {
-		delete(l.bySubject, e.Subject)
-		fs := l.nodes[e.Home].NPD()
-		if p := subjectFile(e.Subject); fs.Exists(p) {
-			return fs.Remove(p)
-		}
+	set := l.sets[subject]
+	if set&(1<<node) != 0 {
 		return nil
 	}
-	return l.persistLocked(e.Subject, e.Home)
+	return l.setLocked(subject, home, set|1<<node)
 }
 
-// removeNode drops every entry naming node for the subject.
-func (l *ledger) removeNode(subject string, home, node int) error {
+// drop removes node from the subject's set.
+func (l *ledger) drop(subject string, home, node int) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	es := l.bySubject[subject][:0]
-	for _, e := range l.bySubject[subject] {
-		if e.Node != node {
-			es = append(es, e)
-		}
+	set := l.sets[subject]
+	if set&(1<<node) == 0 {
+		return nil
 	}
-	if len(es) == 0 {
-		delete(l.bySubject, subject)
-	} else {
-		l.bySubject[subject] = es
-	}
-	return l.persistLocked(subject, home)
+	return l.setLocked(subject, home, set&^(1<<node))
 }
 
-func removeEntry(es []Entry, e Entry) []Entry {
-	out := es[:0]
-	for _, x := range es {
-		if x != e {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// entriesFor returns the subject's entries, sorted (a copy).
-func (l *ledger) entriesFor(subject string) []Entry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Entry(nil), l.bySubject[subject]...)
-}
-
-// forNode returns the subject's entries naming node, sorted (a copy).
-func (l *ledger) forNode(subject string, node int) []Entry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	var out []Entry
-	for _, e := range l.bySubject[subject] {
-		if e.Node == node {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// nodesFor returns the distinct nodes holding copies for the subject,
-// ascending.
+// nodesFor returns the nodes named in the subject's set, ascending.
 func (l *ledger) nodesFor(subject string) []int {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	seen := make(map[int]bool)
+	set := l.sets[subject]
+	l.mu.Unlock()
 	var out []int
-	for _, e := range l.bySubject[subject] {
-		if !seen[e.Node] {
-			seen[e.Node] = true
-			out = append(out, e.Node)
+	for i := 0; set != 0; i++ {
+		if set&1 != 0 {
+			out = append(out, i)
 		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// all returns every entry, sorted by subject then the entry order.
-func (l *ledger) all() []Entry {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	subjects := make([]string, 0, len(l.bySubject))
-	for s := range l.bySubject {
-		subjects = append(subjects, s)
-	}
-	sort.Strings(subjects)
-	var out []Entry
-	for _, s := range subjects {
-		out = append(out, l.bySubject[s]...)
+		set >>= 1
 	}
 	return out
 }
 
-// subjects returns every subject with ledger entries, sorted.
+// subjects returns every subject with a non-empty set, sorted.
 func (l *ledger) subjects() []string {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	out := make([]string, 0, len(l.bySubject))
-	for s := range l.bySubject {
+	out := make([]string, 0, len(l.sets))
+	for s := range l.sets {
 		out = append(out, s)
 	}
 	sort.Strings(out)

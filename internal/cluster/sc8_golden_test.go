@@ -184,9 +184,9 @@ func TestSC8Golden(t *testing.T) {
 
 	s.ErasePropagated, s.LedgerDrained = true, true
 	for _, subj := range copySubjects {
-		if n := len(c.LedgerFor(subj)); n != 0 {
+		if n := len(c.CopyNodes(subj)); n != 0 {
 			s.LedgerDrained = false
-			t.Errorf("ledger_drained: %s still has %d ledger entries", subj, n)
+			t.Errorf("ledger_drained: %s still names %d copy nodes", subj, n)
 		}
 		node := c.Node(targets[subj])
 		_, err := node.DBFS().GetRecord(node.DEDToken(), copies[subj])

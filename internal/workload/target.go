@@ -228,8 +228,8 @@ func (t *ClusterTarget) AccessBatch(subjectIDs []string) ([]*rights.AccessReport
 	return t.C.AccessBatch(subjectIDs)
 }
 
-// Erase shreds the subject cluster-wide (home records + ledger-named
-// copies).
+// Erase shreds the subject cluster-wide (home records + the copies on
+// every node the subject's copy-node set names).
 func (t *ClusterTarget) Erase(subjectID string) ([]string, error) {
 	rep, err := t.C.Erase(subjectID)
 	if err != nil {
