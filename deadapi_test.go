@@ -46,7 +46,6 @@ var uncalledAllowed = map[string]string{
 	"cryptoshred.Vault.HasKey":       "test support",
 	"cryptoshred.Vault.LiveKeys":     "test support",
 	"dbfs.Open":                      "test support",
-	"dbfs.ShardOf":                   "test support",
 	"dbfs.Store.ColdRaw":             "test support",
 	"dbfs.Store.ShardScans":          "test support",
 	"dbfs.Store.SnapshotMembrane":    "test support",

@@ -5,12 +5,11 @@
 // audit); the cluster is a thin router on top, and every GDPR property is
 // still enforced by the node that holds the data.
 //
-// Placement is by geometry-independent subject hash: a subject's home node
-// is dbfs.SubjectHash(subject) mod the node count — the raw FNV-1a hash,
-// never dbfs.ShardOf, whose `hash % shards` value discards all but a few
-// bits and would couple cross-node placement to each store's mount-time
-// shard count. All of a subject's records are inserted on the home node;
-// remounting a node with a different shard geometry never re-homes anyone.
+// Placement is by subject hash: a subject's home node is
+// dbfs.SubjectHash(subject) mod the node count — the raw FNV-1a hash,
+// never dbfs.ShardOf, whose `hash % dbfs.DefaultShards` value keeps only
+// six bits and would load a fleet whose size does not divide 64 unevenly.
+// All of a subject's records are inserted on the home node.
 //
 // Cross-node copies are the hard part — the paper's obligation is that
 // erasure and consent reach every copy. MaterializeCopy places a record on
@@ -188,9 +187,8 @@ func (c *Cluster) Node(i int) *core.System { return c.nodes[i] }
 func (c *Cluster) Clock() simclock.Clock { return c.clock }
 
 // HomeOf places a subject: the raw FNV-1a subject hash mod the node count.
-// A pure function of (subject, fleet size) — independent of any store's
-// shard or partition geometry, so a node with a different dbfs shard count
-// never re-homes a subject.
+// A pure function of (subject, fleet size), so every router over the same
+// fleet agrees, and a restart never re-homes a subject.
 func (c *Cluster) HomeOf(subjectID string) int { return homeOf(subjectID, len(c.nodes)) }
 
 // lockSubject serializes subject-level mutations. Returns the unlock.

@@ -252,7 +252,9 @@ func Boot(opts Options) (*System, error) {
 	if err := builtins.Register(s.ps); err != nil {
 		return nil, fmt.Errorf("core: builtins: %w", err)
 	}
-	s.rights = rights.New(s.ps, s.ded, s.log, opts.Clock, opts.SweepInterval)
+	if s.rights, err = rights.New(s.ps, s.ded, s.log, opts.Clock, opts.SweepInterval); err != nil {
+		return nil, fmt.Errorf("core: %w", err)
+	}
 	s.repacker = coldtier.NewRepacker(opts.Clock, coldtier.TargetFunc(
 		func(now time.Time) (coldtier.PassStats, error) {
 			return s.store.RepackCold(dedTok, now)

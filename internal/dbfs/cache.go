@@ -58,26 +58,20 @@ type cacheShard struct {
 // membraneCache is the store-wide cache: one cache shard per subject
 // shard (same count and index as the store's lock table) plus counters.
 type membraneCache struct {
-	shards    []cacheShard
+	shards    [DefaultShards]cacheShard
 	hits      atomic.Uint64
 	misses    atomic.Uint64
 	evictions atomic.Uint64
 }
 
 // newMembraneCache builds a cache bounding roughly capacity entries across
-// nshards shards.
-func newMembraneCache(capacity, nshards int) *membraneCache {
+// the subject shards.
+func newMembraneCache(capacity int) *membraneCache {
 	if capacity <= 0 {
 		capacity = defaultMembraneCacheCap
 	}
-	if nshards < 1 {
-		nshards = 1
-	}
-	per := (capacity + nshards - 1) / nshards
-	if per < 1 {
-		per = 1
-	}
-	c := &membraneCache{shards: make([]cacheShard, nshards)}
+	per := (capacity + DefaultShards - 1) / DefaultShards
+	c := &membraneCache{}
 	for i := range c.shards {
 		c.shards[i] = cacheShard{
 			cap:     per,

@@ -17,8 +17,8 @@ package dbfs
 // "shred the key, every copy dies" exact (see the coldtier package doc).
 //
 // Locking: each subject shard owns a coldShard whose mutex is a leaf
-// under the shard lock — lock order shard → cold.mu → statsMu, and a
-// cold section never takes metaMu. Demotion runs under the shard WRITE
+// under the shard lock — lock order shard → cold.mu, and a cold
+// section never takes metaMu. Demotion runs under the shard WRITE
 // lock (it removes hot files); promotion runs under whichever side the
 // triggering reader holds, serialized per shard by cold.mu (the shard
 // read lock already excludes every mutator, and the inode layer is
@@ -79,7 +79,7 @@ var (
 // index slices.
 type coldState struct {
 	after  time.Duration // idle threshold, fixed at Create/Open
-	shards []coldShard
+	shards [DefaultShards]coldShard
 	// roots / snapRoots are the per-instance cold and snapshot trees.
 	roots     []inode.Ino
 	snapRoots []inode.Ino
@@ -130,36 +130,11 @@ func (s *Store) coldTouch(sr shardRef, pdid string) {
 	cs.mu.Unlock()
 }
 
-// ensureColdRoots resolves (creating if absent) the per-instance cold and
-// snapshot trees. Called at Create and at Open — Open creates them too so
-// volumes formatted before the cold tier existed mount cleanly.
-func (s *Store) ensureColdRoots() error {
-	s.cold.roots = make([]inode.Ino, len(s.fss))
-	s.cold.snapRoots = make([]inode.Ino, len(s.fss))
-	for i, fs := range s.fss {
-		for _, spec := range []struct {
-			name string
-			dst  *inode.Ino
-		}{
-			{coldRootName, &s.cold.roots[i]},
-			{snapRootName, &s.cold.snapRoots[i]},
-		} {
-			ino, err := fs.Lookup(inode.RootIno, spec.name)
-			if errors.Is(err, inode.ErrChildNotFound) {
-				err = fs.Do([]inode.Ino{inode.RootIno}, func(op *inode.Op) (err error) {
-					ino, err = makeTree(op, inode.RootIno, spec.name, spec.name+"-root")
-					return err
-				})
-				if err != nil {
-					return fmt.Errorf("dbfs: create %s tree on instance %d: %w", spec.name, i, err)
-				}
-			} else if err != nil {
-				return fmt.Errorf("dbfs: resolve %s tree on instance %d: %w", spec.name, i, err)
-			}
-			*spec.dst = ino
-		}
-	}
-	return nil
+// coldTrees pairs instance i's cold and snapshot tree names with their
+// root slots: Create makes both trees on every instance, Open looks them
+// up.
+func (s *Store) coldTrees(i int) []treeSlot {
+	return []treeSlot{{coldRootName, &s.cold.roots[i]}, {snapRootName, &s.cold.snapRoots[i]}}
 }
 
 // rebuildColdIndex reloads the in-memory archive index from the cold trees
@@ -180,7 +155,7 @@ func (s *Store) rebuildColdIndex() error {
 			if err != nil {
 				return fmt.Errorf("dbfs: cold archive %q: %w", e.Name, err)
 			}
-			cs := &s.cold.shards[s.ShardOf(e.Name)]
+			cs := &s.cold.shards[ShardOf(e.Name)]
 			cs.mu.Lock()
 			cs.init()
 			for _, pdid := range arch.IDs() {
@@ -316,7 +291,7 @@ func (s *Store) promoteIfCold(sr shardRef, r ref, tree inode.Ino) (bool, error) 
 		return false, err
 	}
 	cs.touches[r.pdid] = s.clock.Now()
-	s.bumpStats(func(st *Stats) { st.Promotions++ })
+	s.stats.promotions.Add(1)
 	return true, nil
 }
 
@@ -387,7 +362,7 @@ func (s *Store) RepackCold(tok *lsm.Token, now time.Time) (coldtier.PassStats, e
 			return ps, err
 		}
 		for _, e := range ents {
-			sh := s.ShardOf(e.Name)
+			sh := ShardOf(e.Name)
 			byShard[sh] = append(byShard[sh], e.Name)
 		}
 	}
@@ -500,10 +475,8 @@ func (s *Store) repackShardLocked(sr shardRef, subjects []string, cutoff time.Ti
 		ps.RawBytes += int64(raw)
 		ps.StoredBytes += int64(stored1 - stored0)
 		ps.Subjects++
-		s.bumpStats(func(st *Stats) {
-			st.Demotions += uint64(demoted)
-			st.ColdDedupHits += uint64(dedup)
-		})
+		s.stats.demotions.Add(uint64(demoted))
+		s.stats.coldDedupHits.Add(uint64(dedup))
 	}
 	return nil
 }
@@ -685,7 +658,7 @@ func (s *Store) SnapshotMembranes(tok *lsm.Token, label string) (int, error) {
 			return 0, fmt.Errorf("dbfs: write snapshot %q: %w", label, err)
 		}
 	}
-	s.bumpStats(func(st *Stats) { st.SnapshotsTaken++ })
+	s.stats.snapshotsTaken.Add(1)
 	return total, nil
 }
 

@@ -3,6 +3,7 @@ package dbfs
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -363,5 +364,27 @@ func TestEraseKillsArchiveAndSnapshot(t *testing.T) {
 	}
 	if _, err := e.store.SnapshotMembrane(e.tok, "post-erase", pdid); !errors.Is(err, cryptoshred.ErrKeyDestroyed) {
 		t.Fatalf("SnapshotMembrane(post-erase) = %v, want ErrKeyDestroyed", err)
+	}
+}
+
+// TestOpenRequiresColdTrees: Create makes the cold and snapshot trees on
+// every instance, so Open only looks them up — a volume missing either
+// one is refused, not repaired.
+func TestOpenRequiresColdTrees(t *testing.T) {
+	for _, name := range []string{coldRootName, snapRootName} {
+		e := coldEnv(t)
+		ino, err := e.fs.Lookup(inode.RootIno, name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := e.fs.Do([]inode.Ino{inode.RootIno, ino}, func(op *inode.Op) error {
+			return op.Unlink(inode.RootIno, name, ino)
+		}); err != nil {
+			t.Fatal(err)
+		}
+		_, err = Open([]*inode.FS{e.fs}, e.guard, e.vault, e.clock, Config{})
+		if err == nil || !strings.Contains(err.Error(), name+" tree") {
+			t.Fatalf("Open without the %s tree = %v, want an error naming it", name, err)
+		}
 	}
 }

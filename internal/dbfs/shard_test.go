@@ -1,56 +1,20 @@
 package dbfs
 
-// Shard-geometry tests: the mount-time shard count (Config.Shards), its
-// persistence in the per-instance shard config, the rejection of a config
-// of the wrong size, and the shard-collision balance sweep — the measured
-// basis for DefaultShards = 64.
+// Shard-geometry tests: the persisted per-instance shard config and the
+// rejection of a config of the wrong size or shard count, and the
+// shard-collision balance sweep — the measured basis for DefaultShards =
+// 64.
 
 import (
 	"encoding/binary"
 	"fmt"
-	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/blockdev"
-	"repro/internal/cryptoshred"
 	"repro/internal/inode"
-	"repro/internal/lsm"
 	"repro/internal/simclock"
 )
-
-// newShardedEnvShards is newShardedEnv with an explicit shard count.
-func newShardedEnvShards(t *testing.T, n, shards int) *shardedEnv {
-	t.Helper()
-	const devBlocks = 8192
-	dev := blockdev.MustMem(devBlocks)
-	clock := simclock.NewSim(simclock.Epoch)
-	per := uint64(devBlocks / n)
-	fss := make([]*inode.FS, n)
-	for i := range fss {
-		part, err := blockdev.NewPartition(dev, uint64(i)*per, per)
-		if err != nil {
-			t.Fatalf("NewPartition %d: %v", i, err)
-		}
-		fss[i], err = inode.Format(part, inode.Options{NInodes: 1024, JournalBlocks: 64, Clock: clock})
-		if err != nil {
-			t.Fatalf("inode.Format %d: %v", i, err)
-		}
-	}
-	auth, err := cryptoshred.NewAuthority(1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	guard := lsm.NewGuard()
-	store, err := Create(fss, guard, cryptoshred.NewVault(auth.PublicKey()), clock, Config{Shards: shards})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	if err := store.CreateType(store.guard.Mint("boot", lsm.CapDBFS), userSchema()); err != nil {
-		t.Fatalf("CreateType: %v", err)
-	}
-	return &shardedEnv{dev: dev, fss: fss, store: store, tok: guard.Mint("ded", lsm.CapDBFS)}
-}
 
 // remount re-mounts an env's device into a fresh Open with cfg.
 func remount(t *testing.T, e *shardedEnv, cfg Config) (*Store, error) {
@@ -72,49 +36,14 @@ func remount(t *testing.T, e *shardedEnv, cfg Config) (*Store, error) {
 
 func TestCreateShardsValidation(t *testing.T) {
 	e := newShardedEnv(t, 2)
-	// Fewer shards than instances would leave instances unreachable.
-	if _, err := Create(e.fss, e.store.guard, e.store.vault, e.store.clock, Config{Shards: 1}); err == nil {
-		t.Fatal("Create with shards < instances succeeded")
+	// More instances than shards would leave instances unreachable; the
+	// check runs before any instance is touched.
+	fss := make([]*inode.FS, DefaultShards+1)
+	for i := range fss {
+		fss[i] = e.fss[0]
 	}
-}
-
-func TestCustomShardCountPersistsAcrossRemount(t *testing.T) {
-	e := newShardedEnvShards(t, 2, 16)
-	if got := e.store.NumShards(); got != 16 {
-		t.Fatalf("NumShards = %d, want 16", got)
-	}
-	if got := len(e.store.ShardScans()); got != 16 {
-		t.Fatalf("len(ShardScans) = %d, want 16", got)
-	}
-	pdids := make([]string, 0, 8)
-	for i := 0; i < 8; i++ {
-		subj := "subj" + strconv.Itoa(i)
-		pdid, err := e.store.Insert(e.tok, "user", subj, Record{
-			"name": S("user " + subj), "pwd": S("pw"), "year_of_birthdate": I(1990),
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pdids = append(pdids, pdid)
-		if sh := e.store.ShardOf(subj); sh >= 16 {
-			t.Fatalf("ShardOf(%q) = %d, outside 16-shard geometry", subj, sh)
-		}
-	}
-	// Open may name the shard count, but only the persisted one.
-	if _, err := remount(t, e, Config{Shards: 8}); err == nil {
-		t.Fatal("Open with 8 shards over a 16-shard store succeeded")
-	}
-	store2, err := remount(t, e, Config{Shards: 16})
-	if err != nil {
-		t.Fatalf("remount: %v", err)
-	}
-	if got := store2.NumShards(); got != 16 {
-		t.Fatalf("remounted NumShards = %d, want 16", got)
-	}
-	for _, pdid := range pdids {
-		if _, err := store2.GetRecord(e.tok, pdid); err != nil {
-			t.Fatalf("GetRecord %s after remount: %v", pdid, err)
-		}
+	if _, err := Create(fss, e.store.guard, e.store.vault, e.store.clock, Config{}); err == nil {
+		t.Fatal("Create with more instances than shards succeeded")
 	}
 }
 
@@ -137,7 +66,7 @@ func rewriteShardCfg(t *testing.T, fs *inode.FS, raw []byte) {
 // shard count (16 bytes: instance count and index only) is refused at
 // remount instead of being guessed at.
 func TestShortShardConfigRejected(t *testing.T) {
-	e := newShardedEnvShards(t, 2, DefaultShards)
+	e := newShardedEnv(t, 2)
 	for i, fs := range e.fss {
 		var cfg [16]byte
 		binary.LittleEndian.PutUint64(cfg[0:], uint64(len(e.fss)))
@@ -150,8 +79,27 @@ func TestShortShardConfigRejected(t *testing.T) {
 	}
 }
 
+// TestNonDefaultShardCountRejected: the subject-shard count is the
+// constant DefaultShards, so a store whose shard config names another
+// count (16 here, on every instance) is refused at remount rather than
+// routed with the wrong geometry.
+func TestNonDefaultShardCountRejected(t *testing.T) {
+	e := newShardedEnv(t, 2)
+	for i, fs := range e.fss {
+		var cfg [24]byte
+		binary.LittleEndian.PutUint64(cfg[0:], uint64(len(e.fss)))
+		binary.LittleEndian.PutUint64(cfg[8:], uint64(i))
+		binary.LittleEndian.PutUint64(cfg[16:], 16)
+		rewriteShardCfg(t, fs, cfg[:])
+	}
+	_, err := remount(t, e, Config{})
+	if err == nil || !strings.Contains(err.Error(), "bad shard config") {
+		t.Fatalf("remount of a 16-shard config = %v, want a bad shard config error", err)
+	}
+}
+
 func TestShardCountMismatchRejected(t *testing.T) {
-	e := newShardedEnvShards(t, 2, 16)
+	e := newShardedEnv(t, 2)
 	// Doctor instance 1 to claim a different shard count: remount must
 	// refuse rather than silently re-route subjects.
 	var cfg [24]byte
@@ -196,27 +144,24 @@ func TestShardBalanceSweep(t *testing.T) {
 	}
 }
 
-// TestShardScansSizedToGeometry pins ShardScans to the mounted geometry
-// so shard-congruent consumers (the rights due-index) can trust its
-// length.
+// TestShardScansSizedToGeometry pins ShardScans to the shard geometry,
+// so shard-congruent consumers (the rights due-index) can index it with
+// ShardOf.
 func TestShardScansSizedToGeometry(t *testing.T) {
-	for _, shards := range []int{8, 64} {
-		e := newShardedEnvShards(t, 2, shards)
-		if got := len(e.store.ShardScans()); got != shards {
-			t.Fatalf("shards=%d: len(ShardScans) = %d", shards, got)
-		}
-		subj := fmt.Sprintf("scan-subj-%d", shards)
-		if _, err := e.store.Insert(e.tok, "user", subj, Record{
-			"name": S("X"), "pwd": S("pw"), "year_of_birthdate": I(1990),
-		}, nil); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.store.ListBySubject(e.tok, subj); err != nil {
-			t.Fatal(err)
-		}
-		scans := e.store.ShardScans()
-		if scans[e.store.ShardOf(subj)] == 0 {
-			t.Fatalf("shards=%d: subject scan not counted on its shard", shards)
-		}
+	e := newShardedEnv(t, 2)
+	if got := len(e.store.ShardScans()); got != DefaultShards {
+		t.Fatalf("len(ShardScans) = %d, want %d", got, DefaultShards)
+	}
+	const subj = "scan-subj"
+	if _, err := e.store.Insert(e.tok, "user", subj, Record{
+		"name": S("X"), "pwd": S("pw"), "year_of_birthdate": I(1990),
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.store.ListBySubject(e.tok, subj); err != nil {
+		t.Fatal(err)
+	}
+	if e.store.ShardScans()[ShardOf(subj)] == 0 {
+		t.Fatal("subject scan not counted on its shard")
 	}
 }

@@ -109,11 +109,12 @@ type formatEntry struct {
 	Sensitive bool      `json:"sensitive,omitempty"`
 }
 
-// DefaultShards sizes the subject-shard lock table when no explicit count
-// is configured at Create. Subjects hash onto shards, so operations on
-// distinct subjects almost never contend; the shard-collision sweep
-// (TestShardBalanceSweep) picked 64 as the largest count keeping
-// worst-shard skew near 1x at realistic subject populations.
+// DefaultShards is the subject-shard count of every store: it sizes the
+// shard lock table and every shard-congruent structure (the membrane
+// cache, the cold index, the rights due-index). Subjects hash onto shards,
+// so operations on distinct subjects almost never contend; the
+// shard-collision sweep (TestShardBalanceSweep) picked 64 as the largest
+// count keeping worst-shard skew near 1x at realistic subject populations.
 const DefaultShards = 64
 
 // hashSubject is the raw FNV-1a hash of a subject ID (inline: this runs on
@@ -126,18 +127,14 @@ func hashSubject(subjectID string) uint32 {
 	return h
 }
 
-// SubjectHash is the raw FNV-1a hash of a subject ID — a pure function of
-// the ID, independent of any store's shard geometry. Cross-store placement
-// (the cluster router's node choice) MUST derive from this full-entropy
-// value, never from ShardOf: `hash % shards` discards all but log2(shards)
-// bits and couples placement to the mount-time shard count, so a store
-// with a different Config.Shards would silently re-home subjects.
+// SubjectHash is the raw FNV-1a hash of a subject ID. Cross-store
+// placement (the cluster router's node choice) derives from this
+// full-entropy value, never from ShardOf: `hash % DefaultShards` keeps
+// only six bits, so placing modulo a node count that does not divide 64
+// would load the nodes unevenly.
 func SubjectHash(subjectID string) uint32 { return hashSubject(subjectID) }
 
-// ShardOf reports the subject-shard index a subject ID hashes to under the
-// DEFAULT geometry (DefaultShards). Stores mounted with a custom shard
-// count route through the Store.ShardOf method instead; geometry-
-// independent placement routes on SubjectHash.
+// ShardOf reports the subject-shard index a subject ID hashes to.
 func ShardOf(subjectID string) uint32 { return hashSubject(subjectID) % DefaultShards }
 
 // Store is the mounted DBFS. All methods demand an LSM token carrying
@@ -149,7 +146,7 @@ func ShardOf(subjectID string) uint32 { return hashSubject(subjectID) % DefaultS
 // the natural unit of parallelism because every DED executes on behalf of
 // exactly one subject's data at a time. Schema, format and sequence state is
 // cross-subject and stays behind a narrow global metaMu. Lock order:
-// shard → metaMu → statsMu (never the reverse). Insert seals its record
+// shard → metaMu (never the reverse). Insert seals its record
 // before taking any Store lock; reads, updates and erasures run their
 // crypto under the subject's shard lock (blocking only that shard), because
 // sealing/unsealing there must serialize with key shredding.
@@ -178,11 +175,8 @@ type Store struct {
 	// nextSeq.
 	seqHighs map[string]uint64
 
-	// nshards is the subject-shard count, fixed at Create and persisted in
-	// the per-instance shard config (remounts validate it); shards is the
-	// lock table it sizes. See shardOf.
-	nshards uint32
-	shards  []sync.RWMutex
+	// shards is the subject-shard lock table. See shardOf.
+	shards [DefaultShards]sync.RWMutex
 
 	// mcache memoizes decoded membranes per record (see cache.go); nil
 	// when Config.MembraneCache disabled it. Entries are maintained under
@@ -202,16 +196,15 @@ type Store struct {
 	// subject-scoped scans (ListBySubject and batched membrane fetches).
 	// The retention sweeper's skip-untouched-shards property is asserted
 	// against these counters.
-	scanLocks []atomic.Uint64
+	scanLocks [DefaultShards]atomic.Uint64
 
 	// cold is the cold-tier state: idle threshold, per-shard archive index
 	// and touch clocks, and the per-instance cold/snapshot tree roots. See
 	// cold.go; its per-shard mutex is a leaf under the shard lock (lock
-	// order shard → cold.mu → statsMu).
+	// order shard → cold.mu).
 	cold coldState
 
-	statsMu sync.Mutex
-	stats   Stats
+	stats storeCounters
 
 	schemaRoot inode.Ino // on fss[0]
 	formatRoot inode.Ino // on fss[0]
@@ -232,17 +225,6 @@ type shardRef struct {
 	coldRoot   inode.Ino
 }
 
-// NumShards reports the store's subject-shard count — the size callers
-// with shard-congruent state (the rights due-index) size themselves to.
-func (s *Store) NumShards() int { return int(s.nshards) }
-
-// ShardOf reports the subject-shard index a subject ID hashes to under
-// this store's geometry. Stable across remounts (the shard count is
-// persisted and validated at Open).
-func (s *Store) ShardOf(subjectID string) uint32 {
-	return hashSubject(subjectID) % s.nshards
-}
-
 // shardAt resolves a shard index to its lock and filesystem instance.
 func (s *Store) shardAt(shard uint32) shardRef {
 	fi := int(shard) % len(s.fss)
@@ -258,26 +240,23 @@ func (s *Store) shardAt(shard uint32) shardRef {
 
 // shardOf maps a subject ID onto its lock shard and filesystem instance.
 func (s *Store) shardOf(subjectID string) shardRef {
-	return s.shardAt(s.ShardOf(subjectID))
+	return s.shardAt(ShardOf(subjectID))
 }
 
 // metaFS is the instance holding cross-subject metadata.
 func (s *Store) metaFS() *inode.FS { return s.fss[0] }
 
-// bumpStats applies a counter mutation under the stats lock.
-func (s *Store) bumpStats(f func(*Stats)) {
-	s.statsMu.Lock()
-	f(&s.stats)
-	s.statsMu.Unlock()
+// storeCounters are the event counters of Stats, each bumped without a
+// lock on its operation's path.
+type storeCounters struct {
+	typesCreated, inserts, updates, dataReads            atomic.Uint64
+	membraneReads, membraneWrites, erasures, deletes     atomic.Uint64
+	demotions, promotions, coldDedupHits, snapshotsTaken atomic.Uint64
 }
 
 // Config is what a store is created or opened with; it is fixed for the
 // store's lifetime.
 type Config struct {
-	// Shards is the subject-shard count. At Create 0 means DefaultShards;
-	// at Open 0 means the persisted count, and any other value must match
-	// it.
-	Shards int
 	// MembraneCache bounds the decoded-membrane cache (entries across all
 	// shards): 0 means the default bound of 8192, negative disables the
 	// cache, so every membrane read reaches the device.
@@ -289,38 +268,37 @@ type Config struct {
 	ColdAfter time.Duration
 }
 
+// treeSlot names a root tree and where its inode number goes.
+type treeSlot struct {
+	name string
+	dst  *inode.Ino
+}
+
 // Create formats the DBFS trees across freshly formatted inode
-// filesystem instances. Every instance gets its own "subjects" and
-// "tables" major trees; instance 0 additionally holds the schema and
-// format trees. The subject-shard → instance routing is shard mod
+// filesystem instances. Every instance gets its own "subjects", "tables",
+// "cold" and "snapshots" trees; instance 0 additionally holds the schema
+// and format trees. The subject-shard → instance routing is shard mod
 // len(fss), so the shard and instance counts are persisted per instance
 // and must stay the same across remounts of the same devices (Open
-// validates both). cfg.Shards must be at least len(fss), or trailing
-// instances could never receive traffic.
+// validates both). There must be no more instances than DefaultShards, or
+// trailing instances could never receive traffic.
 func Create(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock simclock.Clock, cfg Config) (*Store, error) {
 	if len(fss) == 0 {
 		return nil, fmt.Errorf("dbfs: need at least one filesystem instance")
 	}
-	shards := cfg.Shards
-	if shards == 0 {
-		shards = DefaultShards
-	}
-	if shards < len(fss) {
-		return nil, fmt.Errorf("dbfs: shard count %d below instance count %d — instances would be unreachable", shards, len(fss))
+	if len(fss) > DefaultShards {
+		return nil, fmt.Errorf("dbfs: %d instances above the shard count %d — instances would be unreachable", len(fss), DefaultShards)
 	}
 	if clock == nil {
 		clock = simclock.Real{}
 	}
-	s := newStore(fss, guard, vault, clock, uint32(shards), cfg)
+	s := newStore(fss, guard, vault, clock, cfg)
 	for i, fs := range fss {
 		var shardCfg [24]byte
 		binary.LittleEndian.PutUint64(shardCfg[0:], uint64(len(fss)))
 		binary.LittleEndian.PutUint64(shardCfg[8:], uint64(i))
-		binary.LittleEndian.PutUint64(shardCfg[16:], uint64(shards))
-		trees := []struct {
-			name string
-			dst  *inode.Ino
-		}{
+		binary.LittleEndian.PutUint64(shardCfg[16:], DefaultShards)
+		trees := []treeSlot{
 			{schemaRootName, &s.schemaRoot},
 			{formatRootName, &s.formatRoot},
 			{subjectRootName, &s.subjectRoots[i]},
@@ -345,14 +323,23 @@ func Create(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock s
 			return nil, fmt.Errorf("dbfs: format instance %d: %w", i, err)
 		}
 	}
-	if err := s.ensureColdRoots(); err != nil {
-		return nil, err
+	// The cold-tier trees: one transaction each.
+	for i, fs := range fss {
+		for _, t := range s.coldTrees(i) {
+			err := fs.Do([]inode.Ino{inode.RootIno}, func(op *inode.Op) (err error) {
+				*t.dst, err = makeTree(op, inode.RootIno, t.name, t.name+"-root")
+				return err
+			})
+			if err != nil {
+				return nil, fmt.Errorf("dbfs: create %s tree on instance %d: %w", t.name, i, err)
+			}
+		}
 	}
 	return s, nil
 }
 
-// newStore builds the in-memory Store shell for nshards subject shards.
-func newStore(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock simclock.Clock, nshards uint32, cfg Config) *Store {
+// newStore builds the in-memory Store shell.
+func newStore(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock simclock.Clock, cfg Config) *Store {
 	s := &Store{
 		fss:          fss,
 		guard:        guard,
@@ -364,46 +351,43 @@ func newStore(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock
 		seqHighs:     make(map[string]uint64),
 		subjectRoots: make([]inode.Ino, len(fss)),
 		tablesRoots:  make([]inode.Ino, len(fss)),
-		nshards:      nshards,
-		shards:       make([]sync.RWMutex, nshards),
-		scanLocks:    make([]atomic.Uint64, nshards),
 	}
-	s.cold.shards = make([]coldShard, nshards)
+	s.cold.roots = make([]inode.Ino, len(fss))
+	s.cold.snapRoots = make([]inode.Ino, len(fss))
 	s.cold.after = max(cfg.ColdAfter, 0)
 	if cfg.MembraneCache >= 0 {
-		s.mcache = newMembraneCache(cfg.MembraneCache, int(nshards))
+		s.mcache = newMembraneCache(cfg.MembraneCache)
 	}
 	return s
 }
 
 // readShardCfg loads one instance's persisted shard config: 24 bytes
-// (instance count, instance index, subject-shard count).
-func readShardCfg(fs *inode.FS) (count, idx, shards uint64, err error) {
+// (instance count, instance index, subject-shard count), the last of which
+// must be DefaultShards.
+func readShardCfg(fs *inode.FS) (count, idx uint64, err error) {
 	cfgIno, err := fs.Lookup(inode.RootIno, shardCfgName)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("shard config: %w", err)
+		return 0, 0, fmt.Errorf("shard config: %w", err)
 	}
 	raw, err := readAll(fs, cfgIno)
 	if err != nil {
-		return 0, 0, 0, fmt.Errorf("bad shard config: %w", err)
+		return 0, 0, fmt.Errorf("bad shard config: %w", err)
 	}
 	if len(raw) != 24 {
-		return 0, 0, 0, fmt.Errorf("bad shard config: %d bytes, want 24", len(raw))
+		return 0, 0, fmt.Errorf("bad shard config: %d bytes, want 24", len(raw))
 	}
-	shards = binary.LittleEndian.Uint64(raw[16:])
-	if shards == 0 {
-		return 0, 0, 0, fmt.Errorf("bad shard config: zero shard count")
+	if sh := binary.LittleEndian.Uint64(raw[16:]); sh != DefaultShards {
+		return 0, 0, fmt.Errorf("bad shard config: %d subject shards, want %d — shard routing would change", sh, DefaultShards)
 	}
-	return binary.LittleEndian.Uint64(raw[0:]), binary.LittleEndian.Uint64(raw[8:]), shards, nil
+	return binary.LittleEndian.Uint64(raw[0:]), binary.LittleEndian.Uint64(raw[8:]), nil
 }
 
 // Open mounts an existing DBFS from its mounted instances (same order and
-// count as at Create): it reads the persisted shard geometry (instance
-// count and subject-shard count — both fixed at Create, both validated on
-// every instance and against a nonzero cfg.Shards, so remounts can never
-// silently re-route subjects),
-// resolves the major trees on every instance, then loads every schema and
-// the format descriptors from instance 0 (the once-per-session read).
+// count as at Create): it validates the persisted shard geometry on every
+// instance (the instance count and index, and the subject-shard count, so
+// a remount can never silently re-route subjects), resolves the root trees
+// on every instance, then loads every schema and the format descriptors
+// from instance 0 (the once-per-session read).
 func Open(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock simclock.Clock, cfg Config) (*Store, error) {
 	if len(fss) == 0 {
 		return nil, fmt.Errorf("dbfs: need at least one filesystem instance")
@@ -411,14 +395,8 @@ func Open(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock sim
 	if clock == nil {
 		clock = simclock.Real{}
 	}
-	_, _, nsh, err := readShardCfg(fss[0])
-	if err != nil {
-		return nil, fmt.Errorf("dbfs: open instance 0: %w", err)
-	}
-	if cfg.Shards != 0 && uint64(cfg.Shards) != nsh {
-		return nil, fmt.Errorf("dbfs: open: %d subject shards requested, the store has %d — shard routing would change", cfg.Shards, nsh)
-	}
-	s := newStore(fss, guard, vault, clock, uint32(nsh), cfg)
+	s := newStore(fss, guard, vault, clock, cfg)
+	var err error
 	if s.schemaRoot, err = s.metaFS().Lookup(inode.RootIno, schemaRootName); err != nil {
 		return nil, fmt.Errorf("dbfs: open: %w", err)
 	}
@@ -432,17 +410,18 @@ func Open(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock sim
 		if s.tablesRoots[i], err = fs.Lookup(inode.RootIno, tablesRootName); err != nil {
 			return nil, fmt.Errorf("dbfs: open instance %d: %w", i, err)
 		}
-		count, idx, sh, err := readShardCfg(fs)
+		for _, t := range s.coldTrees(i) {
+			if *t.dst, err = fs.Lookup(inode.RootIno, t.name); err != nil {
+				return nil, fmt.Errorf("dbfs: open instance %d: %s tree: %w", i, t.name, err)
+			}
+		}
+		count, idx, err := readShardCfg(fs)
 		if err != nil {
 			return nil, fmt.Errorf("dbfs: open instance %d: %w", i, err)
 		}
 		if count != uint64(len(fss)) || idx != uint64(i) {
 			return nil, fmt.Errorf("dbfs: open instance %d: shard config says instance %d of %d, got %d of %d — shard routing would change",
 				i, idx, count, i, len(fss))
-		}
-		if sh != nsh {
-			return nil, fmt.Errorf("dbfs: open instance %d: shard config says %d subject shards, instance 0 says %d — shard routing would change",
-				i, sh, nsh)
 		}
 	}
 	meta := s.metaFS()
@@ -493,12 +472,8 @@ func Open(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock sim
 		}
 		s.formats[fe.Name] = entries
 	}
-	// Cold tier: resolve (or, on volumes formatted before the tier
-	// existed, create) the cold and snapshot trees, then rebuild the
-	// in-memory archive index — the tier's once-per-session read.
-	if err := s.ensureColdRoots(); err != nil {
-		return nil, err
-	}
+	// Cold tier: rebuild the in-memory archive index — the tier's
+	// once-per-session read.
 	if err := s.rebuildColdIndex(); err != nil {
 		return nil, err
 	}
@@ -590,9 +565,21 @@ func (s *Store) check(tok *lsm.Token, op lsm.Operation, id string) error {
 
 // Stats returns a snapshot of the counters.
 func (s *Store) Stats() Stats {
-	s.statsMu.Lock()
-	st := s.stats
-	s.statsMu.Unlock()
+	c := &s.stats
+	st := Stats{
+		TypesCreated:   c.typesCreated.Load(),
+		Inserts:        c.inserts.Load(),
+		Updates:        c.updates.Load(),
+		DataReads:      c.dataReads.Load(),
+		MembraneReads:  c.membraneReads.Load(),
+		MembraneWrites: c.membraneWrites.Load(),
+		Erasures:       c.erasures.Load(),
+		Deletes:        c.deletes.Load(),
+		Demotions:      c.demotions.Load(),
+		Promotions:     c.promotions.Load(),
+		ColdDedupHits:  c.coldDedupHits.Load(),
+		SnapshotsTaken: c.snapshotsTaken.Load(),
+	}
 	if mc := s.mcache; mc != nil {
 		st.CacheHits, st.CacheMisses, st.CacheEvictions = mc.counters()
 	}
@@ -609,10 +596,12 @@ func (s *Store) Stats() Stats {
 
 // SetExpiryNotifier registers fn to observe the retention deadline
 // (CreatedAt+TTL) of every membrane DBFS persists — inserts and membrane
-// rewrites alike. Only membranes with a TTL are reported. fn runs under
-// the subject's shard write lock: it must be fast and must not call back
-// into the store. Register before concurrent use; the rights engine wires
-// its retention due-index here at boot.
+// rewrites alike. Only membranes with a TTL are reported, and only those
+// persisted after the call: deadlines already stored are not replayed, so
+// the rights engine registers here and then seeds its retention due-index
+// with one scan of the stored records. fn runs under the subject's shard
+// write lock: it must be fast and must not call back into the store.
+// Register before concurrent use.
 func (s *Store) SetExpiryNotifier(fn func(subjectID string, expiry time.Time)) {
 	s.expiryNote = fn
 }
@@ -630,7 +619,7 @@ func (s *Store) noteExpiry(m *membrane.Membrane) {
 // touched it. A shard the retention sweeper skipped shows an unchanged
 // counter — the observable form of "no due records ⇒ no shard lock".
 func (s *Store) ShardScans() []uint64 {
-	out := make([]uint64, len(s.scanLocks))
+	out := make([]uint64, DefaultShards)
 	for i := range s.scanLocks {
 		out[i] = s.scanLocks[i].Load()
 	}
@@ -718,7 +707,7 @@ func (s *Store) CreateType(tok *lsm.Token, sch *Schema) error {
 	s.formats[sch.Name] = entries
 	s.seqs[sch.Name] = 0
 	s.seqHighs[sch.Name] = 0
-	s.bumpStats(func(st *Stats) { st.TypesCreated++ })
+	s.stats.typesCreated.Add(1)
 	return nil
 }
 
@@ -978,7 +967,7 @@ func (s *Store) Insert(tok *lsm.Token, typeName, subjectID string, rec Record, m
 	}
 	s.coldTouch(sr, pdid)
 	s.noteExpiry(m)
-	s.bumpStats(func(st *Stats) { st.Inserts++ })
+	s.stats.inserts.Add(1)
 	return pdid, nil
 }
 
@@ -1053,7 +1042,7 @@ func (s *Store) getMembraneLocked(sr shardRef, r ref) (*membrane.Membrane, error
 	if mc := s.mcache; mc != nil {
 		if m := mc.get(sr.idx, r.pdid); m != nil {
 			s.coldTouch(sr, r.pdid)
-			s.bumpStats(func(st *Stats) { st.MembraneReads++ })
+			s.stats.membraneReads.Add(1)
 			return m, nil
 		}
 	}
@@ -1073,7 +1062,7 @@ func (s *Store) getMembraneLocked(sr shardRef, r ref) (*membrane.Membrane, error
 		mc.fill(sr.idx, r.pdid, m)
 	}
 	s.coldTouch(sr, r.pdid)
-	s.bumpStats(func(st *Stats) { st.MembraneReads++ })
+	s.stats.membraneReads.Add(1)
 	return m, nil
 }
 
@@ -1098,7 +1087,7 @@ func (s *Store) GetMembranes(tok *lsm.Token, pdids []string) ([]*membrane.Membra
 		if err != nil {
 			return nil, err
 		}
-		shard := s.ShardOf(r.subjectID)
+		shard := ShardOf(r.subjectID)
 		groups[shard] = append(groups[shard], item{idx: i, r: r})
 	}
 	for shard, items := range groups {
@@ -1180,7 +1169,7 @@ func (s *Store) putMembraneLocked(sr shardRef, r ref, m *membrane.Membrane) erro
 	}
 	s.coldTouch(sr, r.pdid)
 	s.noteExpiry(m)
-	s.bumpStats(func(st *Stats) { st.MembraneWrites++ })
+	s.stats.membraneWrites.Add(1)
 	return nil
 }
 
@@ -1247,7 +1236,7 @@ func (s *Store) getRecordLocked(sr shardRef, r ref, sch *Schema) (Record, error)
 		}
 	}
 	s.coldTouch(sr, r.pdid)
-	s.bumpStats(func(st *Stats) { st.DataReads++ })
+	s.stats.dataReads.Add(1)
 	return rec, nil
 }
 
@@ -1317,7 +1306,7 @@ func (s *Store) Update(tok *lsm.Token, pdid string, rec Record) error {
 	// cache version so any cached membrane re-validates against disk.
 	s.cacheInvalidate(sr, pdid)
 	s.coldTouch(sr, pdid)
-	s.bumpStats(func(st *Stats) { st.Updates++ })
+	s.stats.updates.Add(1)
 	return nil
 }
 
@@ -1359,7 +1348,7 @@ func (s *Store) Erase(tok *lsm.Token, pdid string) (escrowRef string, err error)
 	if err := s.putMembraneLocked(sr, r, m); err != nil {
 		return "", err
 	}
-	s.bumpStats(func(st *Stats) { st.Erasures++ })
+	s.stats.erasures.Add(1)
 	return rec.Ref, nil
 }
 
@@ -1416,7 +1405,7 @@ func (s *Store) Delete(tok *lsm.Token, pdid string) error {
 	if err := s.coldForget(sr, r); err != nil {
 		return err
 	}
-	s.bumpStats(func(st *Stats) { st.Deletes++ })
+	s.stats.deletes.Add(1)
 	return nil
 }
 

@@ -47,12 +47,10 @@ type Engine struct {
 	// due is the retention due-index (see sweeper.go), fed by the DBFS
 	// expiry notifier; sweeper is the engine's one background sweeper,
 	// woken by the index; sweepMu serializes whole sweep passes (manual
-	// SweepExpired calls and background Sweeper passes alike); swept
-	// records whether the priming full pass has completed.
-	due     *dueIndex
+	// SweepExpired calls and background Sweeper passes alike).
+	due     dueIndex
 	sweeper *Sweeper
 	sweepMu sync.Mutex
-	swept   bool
 	// sweepScanHook, when set (tests only), runs between a sweep pass's
 	// scan and delete phases.
 	sweepScanHook func()
@@ -61,17 +59,19 @@ type Engine struct {
 // New wires a rights engine whose sweeper paces itself at sweepInterval
 // (0 = DefaultSweepInterval). It registers the engine's retention
 // due-index as the store's expiry notifier, so every membrane written
-// from here on feeds the deadline-aware sweeper.
-func New(p *ps.Store, d *ded.DED, log *audit.Log, clock simclock.Clock, sweepInterval time.Duration) *Engine {
+// from here on feeds the deadline-aware sweeper, and then seeds the index
+// from the records already stored; it fails only when that scan does.
+func New(p *ps.Store, d *ded.DED, log *audit.Log, clock simclock.Clock, sweepInterval time.Duration) (*Engine, error) {
 	if clock == nil {
 		clock = simclock.Real{}
 	}
-	store := d.Store()
-	e := &Engine{ps: p, d: d, log: log, clock: clock,
-		due: newDueIndex(store.NumShards(), store.ShardOf)}
+	e := &Engine{ps: p, d: d, log: log, clock: clock}
 	e.sweeper = newSweeper(e, sweepInterval)
-	store.SetExpiryNotifier(e.due.note)
-	return e
+	d.Store().SetExpiryNotifier(e.due.note)
+	if err := e.seedDue(); err != nil {
+		return nil, fmt.Errorf("rights: seed retention deadlines: %w", err)
+	}
+	return e, nil
 }
 
 // Sweeper returns the engine's background retention sweeper — stopped
@@ -402,16 +402,15 @@ func (e *Engine) Restrict(pdid string, restricted bool) error {
 // storage-limitation duty ("the time to live ... can be used to implement
 // the right to be forgotten", §2). It returns the deleted pdids, sorted.
 //
-// Since PR 4 the sweep is deadline-aware: the first call is a priming
-// pass that scans every subject and seeds the retention due-index; later
-// calls are scoped — they consult the index and scan only subjects with a
-// deadline actually due, so shards with no due records take no shard lock
-// (see sweeper.go, and Engine.Sweeper for the background ticker form). The
-// scan fans out over the worker pool, the expired records are deleted as
-// one maintenance ps.InvokeBatch on the DED executor, and on a delete
-// failure the successfully deleted pdids are still returned alongside the
-// first error while the failed record's deadline is re-armed for the next
-// pass.
+// The sweep is deadline-aware: every call takes from the retention
+// due-index only the subjects with a deadline actually due and scans
+// those, so shards with no due records take no shard lock (see
+// sweeper.go, and Engine.Sweeper for the background form). The scan fans
+// out over the worker pool, the expired records are deleted as one
+// maintenance ps.InvokeBatch on the DED executor, and on a delete failure
+// the successfully deleted pdids are still returned alongside the first
+// error while the failed record's deadline goes back into the index for
+// the next pass.
 func (e *Engine) SweepExpired() ([]string, error) {
 	deleted, _, err := e.sweepOnce()
 	return deleted, err

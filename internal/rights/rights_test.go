@@ -76,7 +76,10 @@ func wireRig(t *testing.T, r *rig) *rig {
 	if err := builtins.Register(r.ps); err != nil {
 		t.Fatal(err)
 	}
-	r.engine = New(r.ps, r.d, r.log, r.clock, 0)
+	var err error
+	if r.engine, err = New(r.ps, r.d, r.log, r.clock, 0); err != nil {
+		t.Fatal(err)
+	}
 	return r
 }
 

@@ -5,13 +5,14 @@
 // SweepExpired. Three pieces deliver that here:
 //
 //   - a due-index (dueIndex): per subject shard, the earliest known
-//     retention deadline of every subject with TTL-carrying records. DBFS
-//     feeds it through the expiry notifier on every membrane write, so the
+//     retention deadline of every subject with TTL-carrying records. New
+//     seeds it from the records already stored, and DBFS feeds it through
+//     the expiry notifier on every membrane write from then on, so the
 //     index is maintained at the exact point a deadline enters the system.
-//   - scoped sweeps: SweepExpired consults the index and scans only the
-//     subjects that are actually due — shards with no due records take no
-//     shard lock at all (dbfs.ShardScans proves it). The first sweep is a
-//     full priming pass that scans everything and seeds exact deadlines.
+//   - scoped sweeps: every pass takes the subjects that are due out of the
+//     index, scans only them, and notes each one's next deadline back —
+//     shards with no due records take no shard lock at all (dbfs.ShardScans
+//     proves it), from the first pass on.
 //   - the Sweeper: a simclock.Loop that sleeps until the earliest deadline
 //     (or one Interval, whichever is sooner), wakes on deadline
 //     notifications, and fires scoped sweeps. Simulated-clock tests drive
@@ -27,34 +28,26 @@ import (
 	"time"
 
 	"repro/internal/builtins"
+	"repro/internal/dbfs"
 	"repro/internal/ded"
 	"repro/internal/ps"
 	"repro/internal/simclock"
 )
 
 // dueIndex tracks, per subject shard, the earliest known retention
-// deadline of each subject. Entries are conservative: they are never later
-// than the subject's true earliest deadline (a stale-early entry costs one
-// wasted scan, never a missed deadline). Notes arrive from the DBFS expiry
-// notifier under the subject's shard write lock, so the per-shard mutexes
-// here must stay leaf locks: the index never calls into the store.
+// deadline of each subject. An entry is never later than its subject's
+// true earliest deadline (a stale-early entry costs one wasted scan, never
+// a missed deadline), except while the sweep pass that took it out holds
+// it. Notes arrive from the DBFS expiry notifier under the subject's shard
+// write lock, so the per-shard mutexes here must stay leaf locks: the
+// index never calls into the store.
 type dueIndex struct {
 	// kick is the engine sweeper's Loop.Kick, wired once by newSweeper: a
 	// non-blocking nudge, safe under the caller's shard lock.
 	kick func()
 
-	// shardOf and shards mirror the store's subject-shard geometry (count
-	// and hash), fixed at construction — see newDueIndex.
-	shardOf func(subjectID string) uint32
-	shards  []dueShard
-}
-
-// newDueIndex builds an index with nshards shards routed by shardOf —
-// always the owning store's geometry, so "shards with no due records take
-// no shard lock" stays exact whatever shard count the store was mounted
-// with.
-func newDueIndex(nshards int, shardOf func(string) uint32) *dueIndex {
-	return &dueIndex{shardOf: shardOf, shards: make([]dueShard, nshards)}
+	// shards follows the store's subject shards (dbfs.ShardOf).
+	shards [dbfs.DefaultShards]dueShard
 }
 
 // dueShard is one shard's slice of the index.
@@ -64,61 +57,39 @@ type dueShard struct {
 	subjects map[string]time.Time
 	// earliest caches the minimum of subjects (zero = none).
 	earliest time.Time
-	// scanning marks a sweep pass in flight over this shard; fresh
-	// collects deadlines noted during the scan, so install never loses a
-	// deadline that raced the scan.
-	scanning bool
-	fresh    map[string]time.Time
-}
-
-// dueScan is one shard's scan work within a sweep pass.
-type dueScan struct {
-	shard    uint32
-	subjects []string
 }
 
 // note min-merges a subject's retention deadline — the DBFS expiry
 // notifier lands here on every membrane write. When the shard's earliest
 // deadline moves down, the sweeper is kicked so it can re-aim its sleep.
 func (ix *dueIndex) note(subjectID string, expiry time.Time) {
-	ix.noteDeadline(subjectID, expiry, true)
-}
-
-// rearm is note without the sweeper kick — used when a sweep pass
-// re-arms a record whose delete failed. The deadline is necessarily in
-// the past, so a kick would cancel the loop's Interval backoff and spin
-// failing passes back to back; the re-armed record is retried on the
-// next regular wakeup instead.
-func (ix *dueIndex) rearm(subjectID string, expiry time.Time) {
-	ix.noteDeadline(subjectID, expiry, false)
-}
-
-func (ix *dueIndex) noteDeadline(subjectID string, expiry time.Time, kick bool) {
-	d := &ix.shards[ix.shardOf(subjectID)]
-	d.mu.Lock()
-	if d.scanning {
-		if cur, ok := d.fresh[subjectID]; !ok || expiry.Before(cur) {
-			if d.fresh == nil {
-				d.fresh = make(map[string]time.Time)
-			}
-			d.fresh[subjectID] = expiry
-		}
-	}
-	lowered := false
-	if cur, ok := d.subjects[subjectID]; !ok || expiry.Before(cur) {
-		if d.subjects == nil {
-			d.subjects = make(map[string]time.Time)
-		}
-		d.subjects[subjectID] = expiry
-		if d.earliest.IsZero() || expiry.Before(d.earliest) {
-			d.earliest = expiry
-			lowered = true
-		}
-	}
-	d.mu.Unlock()
-	if lowered && kick {
+	if ix.put(subjectID, expiry) {
 		ix.kick()
 	}
+}
+
+// put is note without the sweeper kick, reporting whether the shard's
+// earliest deadline moved down. The seed and the sweep passes write with
+// it: the seed runs before the sweeper can start, a pass never puts back
+// a deadline earlier than the one it took, and the loop re-aims after
+// every pass anyway — a kick there would cut its post-pass sleep short and
+// retry a failing delete at once instead of one Interval later.
+func (ix *dueIndex) put(subjectID string, expiry time.Time) bool {
+	d := &ix.shards[dbfs.ShardOf(subjectID)]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if cur, ok := d.subjects[subjectID]; ok && !expiry.Before(cur) {
+		return false
+	}
+	if d.subjects == nil {
+		d.subjects = make(map[string]time.Time)
+	}
+	d.subjects[subjectID] = expiry
+	if d.earliest.IsZero() || expiry.Before(d.earliest) {
+		d.earliest = expiry
+		return true
+	}
+	return false
 }
 
 // earliestDeadline reports the minimum deadline across all shards.
@@ -136,24 +107,13 @@ func (ix *dueIndex) earliestDeadline() (time.Time, bool) {
 	return min, !min.IsZero()
 }
 
-// recomputeEarliestLocked refreshes the cached shard minimum; caller holds
-// d.mu.
-func (d *dueShard) recomputeEarliestLocked() {
-	var min time.Time
-	for _, dl := range d.subjects {
-		if min.IsZero() || dl.Before(min) {
-			min = dl
-		}
-	}
-	d.earliest = min
-}
-
-// beginDue collects the scan work for a scoped pass at instant now — per
-// shard, the subjects whose deadline strictly precedes now (ExpiredAt is
-// strict-after, so a deadline exactly at now has not expired yet) — and
-// marks those shards scanning. Shards with nothing due are not touched.
-func (ix *dueIndex) beginDue(now time.Time) []dueScan {
-	var scans []dueScan
+// take removes and returns the subjects due at instant now — whose
+// deadline strictly precedes now (ExpiredAt is strict-after, so a deadline
+// exactly at now has not expired yet) — with the deadlines they had, in
+// shard order and sorted within each shard, and counts the shards they
+// came from. Shards with nothing due are not locked beyond reading their
+// cached minimum, and never reach the store.
+func (ix *dueIndex) take(now time.Time) (subjects []string, deadlines []time.Time, shards int) {
 	for sh := range ix.shards {
 		d := &ix.shards[sh]
 		d.mu.Lock()
@@ -161,97 +121,27 @@ func (ix *dueIndex) beginDue(now time.Time) []dueScan {
 			d.mu.Unlock()
 			continue
 		}
-		var subs []string
+		first := len(subjects)
 		for s, dl := range d.subjects {
 			if dl.Before(now) {
-				subs = append(subs, s)
+				subjects = append(subjects, s)
 			}
 		}
-		if len(subs) == 0 {
-			// Defensive: a stale cached minimum; refresh it.
-			d.recomputeEarliestLocked()
-			d.mu.Unlock()
-			continue
+		sort.Strings(subjects[first:])
+		d.earliest = time.Time{}
+		for _, s := range subjects[first:] {
+			deadlines = append(deadlines, d.subjects[s])
+			delete(d.subjects, s)
 		}
-		sort.Strings(subs)
-		d.scanning = true
-		d.fresh = nil
-		scans = append(scans, dueScan{shard: uint32(sh), subjects: subs})
-		d.mu.Unlock()
-	}
-	return scans
-}
-
-// beginFull marks every shard scanning for a priming pass.
-func (ix *dueIndex) beginFull() {
-	for sh := range ix.shards {
-		d := &ix.shards[sh]
-		d.mu.Lock()
-		d.scanning = true
-		d.fresh = nil
-		d.mu.Unlock()
-	}
-}
-
-// abort clears the scanning marks after a failed pass, leaving the index
-// contents untouched (conservative: everything stays due).
-func (ix *dueIndex) abort() {
-	for sh := range ix.shards {
-		d := &ix.shards[sh]
-		d.mu.Lock()
-		d.scanning = false
-		d.fresh = nil
-		d.mu.Unlock()
-	}
-}
-
-// installDue applies a scoped pass's results: for each scanned subject the
-// exact recomputed next deadline (zero = none left), min-merged with any
-// deadline noted during the scan. Unscanned subjects keep their entries
-// (notes during the scan updated them directly).
-func (ix *dueIndex) installDue(scans []dueScan, next []map[string]time.Time) {
-	for i, sc := range scans {
-		d := &ix.shards[sc.shard]
-		d.mu.Lock()
-		for _, s := range sc.subjects {
-			v := next[i][s]
-			if f, ok := d.fresh[s]; ok && (v.IsZero() || f.Before(v)) {
-				v = f
-			}
-			if v.IsZero() {
-				delete(d.subjects, s)
-			} else {
-				d.subjects[s] = v
+		for _, dl := range d.subjects {
+			if d.earliest.IsZero() || dl.Before(d.earliest) {
+				d.earliest = dl
 			}
 		}
-		d.scanning = false
-		d.fresh = nil
-		d.recomputeEarliestLocked()
 		d.mu.Unlock()
+		shards++
 	}
-}
-
-// installFull replaces the whole index with a priming pass's results,
-// min-merged with everything noted during the scan.
-func (ix *dueIndex) installFull(next map[uint32]map[string]time.Time) {
-	for sh := range ix.shards {
-		d := &ix.shards[sh]
-		d.mu.Lock()
-		m := next[uint32(sh)]
-		if m == nil {
-			m = make(map[string]time.Time)
-		}
-		for s, f := range d.fresh {
-			if cur, ok := m[s]; !ok || f.Before(cur) {
-				m[s] = f
-			}
-		}
-		d.subjects = m
-		d.scanning = false
-		d.fresh = nil
-		d.recomputeEarliestLocked()
-		d.mu.Unlock()
-	}
+	return subjects, deadlines, shards
 }
 
 // sweepTarget is one expired record found by a scan.
@@ -263,137 +153,118 @@ type sweepTarget struct {
 
 // sweepPassInfo describes the shape of one completed sweep pass.
 type sweepPassInfo struct {
-	full            bool
 	shardsScanned   int
 	subjectsScanned int
 }
 
-// sweepOnce runs one sweep pass: the scoped (or, the first time, the
-// priming) scan, the batched deletion of every expired record found, and
-// the index install. Caller semantics match the public SweepExpired.
-func (e *Engine) sweepOnce() ([]string, sweepPassInfo, error) {
-	e.sweepMu.Lock()
-	defer e.sweepMu.Unlock()
+// scan lists and fetches the records of subjects, fanned out one subject
+// per task over the worker pool. It returns the records expired at now, in
+// subject order, and each subject's earliest deadline still ahead of now
+// (absent when it has none). Subjects not named are never locked.
+func (e *Engine) scan(subjects []string, now time.Time) ([]sweepTarget, map[string]time.Time, error) {
 	store, tok := e.d.Store(), e.d.Token()
-	now := e.clock.Now()
-	workers := e.workerCount()
-
-	var info sweepPassInfo
-	var scans []dueScan
-	if !e.swept {
-		// Priming pass: scan every subject to seed exact deadlines. Mark
-		// every shard scanning BEFORE listing, so a membrane written
-		// between the listing and the install lands in the fresh-note
-		// merge instead of being wiped by installFull's map replacement.
-		info.full = true
-		e.due.beginFull()
-		subjects, err := store.Subjects(tok)
+	targets := make([][]sweepTarget, len(subjects))
+	next := make([]time.Time, len(subjects))
+	err := ded.ForEachIndexed(len(subjects), e.workerCount(), func(i int) error {
+		subject := subjects[i]
+		pdids, err := store.ListBySubject(tok, subject)
+		if err != nil || len(pdids) == 0 {
+			return err
+		}
+		ms, err := store.GetMembranes(tok, pdids)
 		if err != nil {
-			e.due.abort()
-			return nil, info, fmt.Errorf("rights: sweep: %w", err)
+			return err
 		}
-		byShard := make(map[uint32][]string)
-		for _, s := range subjects {
-			sh := store.ShardOf(s)
-			byShard[sh] = append(byShard[sh], s)
-		}
-		shs := make([]uint32, 0, len(byShard))
-		for sh := range byShard {
-			shs = append(shs, sh)
-		}
-		sort.Slice(shs, func(i, j int) bool { return shs[i] < shs[j] })
-		for _, sh := range shs {
-			scans = append(scans, dueScan{shard: sh, subjects: byShard[sh]})
-		}
-	} else {
-		scans = e.due.beginDue(now)
-	}
-	info.shardsScanned = len(scans)
-	for _, sc := range scans {
-		info.subjectsScanned += len(sc.subjects)
-	}
-
-	// Scan phase: per due shard, list and fetch only the due subjects'
-	// records, collecting the expired ones and each subject's next
-	// deadline. Shards (and subjects) not in scans are never locked.
-	targets := make([][]sweepTarget, len(scans))
-	next := make([]map[string]time.Time, len(scans))
-	err := ded.ForEachIndexed(len(scans), workers, func(i int) error {
-		sc := scans[i]
-		nx := make(map[string]time.Time)
-		for _, subject := range sc.subjects {
-			pdids, err := store.ListBySubject(tok, subject)
-			if err != nil {
-				return err
-			}
-			if len(pdids) == 0 {
-				continue
-			}
-			ms, err := store.GetMembranes(tok, pdids)
-			if err != nil {
-				return err
-			}
-			for j, m := range ms {
-				if m.ExpiredAt(now) {
-					targets[i] = append(targets[i], sweepTarget{
-						pdid: pdids[j], subject: subject, expiry: m.CreatedAt.Add(m.TTL),
-					})
-				} else if m.TTL > 0 && !m.CreatedAt.IsZero() {
-					dl := m.CreatedAt.Add(m.TTL)
-					if cur, ok := nx[subject]; !ok || dl.Before(cur) {
-						nx[subject] = dl
-					}
+		for j, m := range ms {
+			if m.ExpiredAt(now) {
+				targets[i] = append(targets[i], sweepTarget{
+					pdid: pdids[j], subject: subject, expiry: m.CreatedAt.Add(m.TTL),
+				})
+			} else if m.TTL > 0 && !m.CreatedAt.IsZero() {
+				if dl := m.CreatedAt.Add(m.TTL); next[i].IsZero() || dl.Before(next[i]) {
+					next[i] = dl
 				}
 			}
 		}
-		next[i] = nx
 		return nil
 	})
 	if err != nil {
-		e.due.abort()
+		return nil, nil, err
+	}
+	var flat []sweepTarget
+	ahead := make(map[string]time.Time)
+	for i, s := range subjects {
+		flat = append(flat, targets[i]...)
+		if !next[i].IsZero() {
+			ahead[s] = next[i]
+		}
+	}
+	return flat, ahead, nil
+}
+
+// seedDue fills the due-index from the records already stored: one scan
+// of every subject at the zero instant, before which nothing has expired,
+// so every TTL-carrying record's deadline comes back as a deadline ahead.
+func (e *Engine) seedDue() error {
+	subjects, err := e.d.Store().Subjects(e.d.Token())
+	if err != nil {
+		return err
+	}
+	_, next, err := e.scan(subjects, time.Time{})
+	if err != nil {
+		return err
+	}
+	for s, dl := range next {
+		e.due.put(s, dl)
+	}
+	return nil
+}
+
+// sweepOnce runs one sweep pass: it takes the due subjects out of the
+// index, scans them, notes each one's next deadline back, and deletes every
+// expired record found as one batch. A deadline noted while the pass runs
+// lands in the index directly and min-merges with the pass's own notes. A
+// failed scan puts every taken deadline back; a failed delete puts back
+// its record's deadline — either way the next pass retries. Caller
+// semantics match the public SweepExpired.
+func (e *Engine) sweepOnce() ([]string, sweepPassInfo, error) {
+	e.sweepMu.Lock()
+	defer e.sweepMu.Unlock()
+	now := e.clock.Now()
+	subjects, deadlines, shards := e.due.take(now)
+	info := sweepPassInfo{shardsScanned: shards, subjectsScanned: len(subjects)}
+
+	targets, next, err := e.scan(subjects, now)
+	if err != nil {
+		for i, s := range subjects {
+			e.due.put(s, deadlines[i])
+		}
 		return nil, info, fmt.Errorf("rights: sweep: %w", err)
+	}
+	for s, dl := range next {
+		e.due.put(s, dl)
 	}
 	if e.sweepScanHook != nil {
 		e.sweepScanHook()
 	}
 
 	// Delete phase: one maintenance batch on the DED executor. A failed
-	// delete keeps partial progress and re-arms the record's deadline so
-	// the next pass retries it.
-	var flat []sweepTarget
-	for _, list := range targets {
-		flat = append(flat, list...)
-	}
-	reqs := make([]ps.InvokeRequest, len(flat))
-	for i, t := range flat {
+	// delete keeps partial progress.
+	reqs := make([]ps.InvokeRequest, len(targets))
+	for i, t := range targets {
 		reqs[i] = ps.InvokeRequest{Processing: builtins.DeleteName, PDRef: t.pdid}
 	}
 	var deleted []string
-	var failed []sweepTarget
 	var firstErr error
-	for i, item := range e.ps.InvokeBatch(reqs, workers) {
+	for i, item := range e.ps.InvokeBatch(reqs, e.workerCount()) {
 		if item.Err != nil {
 			if firstErr == nil {
-				firstErr = fmt.Errorf("rights: sweep %s: %w", flat[i].pdid, item.Err)
+				firstErr = fmt.Errorf("rights: sweep %s: %w", targets[i].pdid, item.Err)
 			}
-			failed = append(failed, flat[i])
+			e.due.put(targets[i].subject, targets[i].expiry)
 			continue
 		}
-		deleted = append(deleted, flat[i].pdid)
-	}
-
-	if info.full {
-		nm := make(map[uint32]map[string]time.Time, len(scans))
-		for i, sc := range scans {
-			nm[sc.shard] = next[i]
-		}
-		e.due.installFull(nm)
-		e.swept = true
-	} else {
-		e.due.installDue(scans, next)
-	}
-	for _, t := range failed {
-		e.due.rearm(t.subject, t.expiry)
+		deleted = append(deleted, targets[i].pdid)
 	}
 	sort.Strings(deleted)
 	return deleted, info, firstErr
@@ -401,11 +272,10 @@ func (e *Engine) sweepOnce() ([]string, sweepPassInfo, error) {
 
 // SweeperStats counts the background sweeper's activity.
 type SweeperStats struct {
-	// Passes counts completed sweep passes; FullPasses the priming
-	// subset. Errors counts passes that returned an error.
-	Passes     uint64
-	FullPasses uint64
-	Errors     uint64
+	// Passes counts completed sweep passes; Errors those that returned
+	// an error.
+	Passes uint64
+	Errors uint64
 	// Deleted / ShardsScanned / SubjectsScanned accumulate across passes.
 	Deleted         uint64
 	ShardsScanned   uint64
@@ -466,9 +336,6 @@ func (sw *Sweeper) pass(start time.Time, _ bool) {
 	sw.mu.Lock()
 	defer sw.mu.Unlock()
 	sw.stats.Passes++
-	if info.full {
-		sw.stats.FullPasses++
-	}
 	if err != nil {
 		sw.stats.Errors++
 	}

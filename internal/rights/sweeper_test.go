@@ -1,11 +1,16 @@
 package rights
 
 import (
+	"errors"
 	"fmt"
+	"sort"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/dbfs"
+	"repro/internal/lsm"
 	"repro/internal/membrane"
 	"repro/internal/simclock"
 )
@@ -132,12 +137,9 @@ func TestSweeperExpiryDuringRunningSweep(t *testing.T) {
 	pdA := r.seedWithTTL(t, "early", time.Hour, time.Time{})
 	r.seedWithTTL(t, "late", 2*time.Hour, time.Time{})
 
-	// Prime the index, then run one pass (the exact code path the
-	// background sweeper drives) whose scan has already snapshotted its
-	// instant when "late"'s deadline passes mid-pass.
-	if _, err := r.engine.SweepExpired(); err != nil {
-		t.Fatal(err)
-	}
+	// One pass (the exact code path the background sweeper drives) whose
+	// scan has already snapshotted its instant when "late"'s deadline
+	// passes mid-pass.
 	fired := false
 	r.engine.sweepScanHook = func() {
 		if !fired {
@@ -179,7 +181,7 @@ func TestSweeperAlreadyExpiredInsert(t *testing.T) {
 	r := newRig(t)
 	sw := startSweeper(r.engine, 12*time.Hour)
 	defer sw.Stop()
-	sw.Sync() // prime on an empty store
+	sw.Sync() // a pass on an empty store
 
 	r.clock.Advance(48 * time.Hour)
 	// CreatedAt at the epoch with a 1h TTL: expired 47h ago at insert.
@@ -250,7 +252,10 @@ func TestSweeperSingleLoopKeepsDeadlineWakeups(t *testing.T) {
 	// The loop goes to sleep a handful of times here; 64 never blocks it.
 	spy := sleepSpy{Sim: r.clock, entered: make(chan time.Time, 64)}
 	const interval = 12 * time.Hour
-	eng := New(r.ps, r.d, r.log, spy, interval)
+	eng, err := New(r.ps, r.d, r.log, spy, interval)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	first := eng.Sweeper()
 	first.Start()
@@ -327,55 +332,252 @@ func TestSweeperGraceWindow(t *testing.T) {
 	}
 }
 
-// TestScopedSweepSkipsUntouchedShards is the due-index satellite: after
-// priming, a sweep with one due subject must take shard locks only on that
-// subject's shard — the other subject's shard-scan counter does not move.
+// TestScopedSweepSkipsUntouchedShards checks that a sweep with one due
+// subject takes shard locks only on that subject's shard — the other
+// subject's shard-scan counter does not move. There is no priming pass:
+// the very first sweep is already scoped.
 func TestScopedSweepSkipsUntouchedShards(t *testing.T) {
 	r := newRig(t)
-	// Find two subjects hashing to different shards.
 	subjA := "shard-a-0"
-	subjB := ""
-	for i := 0; i < 1000 && subjB == ""; i++ {
-		cand := fmt.Sprintf("shard-b-%d", i)
-		if r.store.ShardOf(cand) != r.store.ShardOf(subjA) {
-			subjB = cand
-		}
-	}
-	if subjB == "" {
-		t.Fatal("could not find a second shard")
-	}
+	subjB := subjectOnShard(t, "shard-b", func(sh uint32) bool { return sh != dbfs.ShardOf(subjA) })
 	pdA := r.seedWithTTL(t, subjA, time.Hour, time.Time{})
 	r.seedWithTTL(t, subjB, 1000*time.Hour, time.Time{})
 
-	// Priming pass: scans everything, seeds exact deadlines.
-	if deleted, err := r.engine.SweepExpired(); err != nil || len(deleted) != 0 {
-		t.Fatalf("priming sweep = %v, %v", deleted, err)
-	}
-
 	r.clock.Advance(time.Hour + time.Nanosecond) // only subjA due
+	assertScopedSweep(t, r, subjA, pdA)
+	if got := r.countRecords(t, subjB); got != 1 {
+		t.Fatalf("subjB records = %d, want 1", got)
+	}
+}
+
+// subjectOnShard returns the first "<prefix>-<n>" subject whose shard
+// satisfies want.
+func subjectOnShard(t *testing.T, prefix string, want func(uint32) bool) string {
+	t.Helper()
+	for i := 0; i < 1000; i++ {
+		if cand := fmt.Sprintf("%s-%d", prefix, i); want(dbfs.ShardOf(cand)) {
+			return cand
+		}
+	}
+	t.Fatal("no subject on a wanted shard")
+	return ""
+}
+
+// assertScopedSweep runs one SweepExpired that must delete exactly pdid,
+// subject's one due record, and scan-lock no shard but subject's.
+func assertScopedSweep(t *testing.T, r *rig, subject, pdid string) {
+	t.Helper()
 	before := r.store.ShardScans()
 	deleted, err := r.engine.SweepExpired()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(deleted) != 1 || deleted[0] != pdA {
-		t.Fatalf("scoped sweep deleted %v, want [%s]", deleted, pdA)
+	if len(deleted) != 1 || deleted[0] != pdid {
+		t.Fatalf("scoped sweep deleted %v, want [%s]", deleted, pdid)
 	}
 	after := r.store.ShardScans()
-	shardA := r.store.ShardOf(subjA)
-	if after[shardA] <= before[shardA] {
-		t.Fatalf("due shard %d took no scan lock (before %d, after %d)", shardA, before[shardA], after[shardA])
+	due := dbfs.ShardOf(subject)
+	if after[due] <= before[due] {
+		t.Fatalf("due shard %d took no scan lock (before %d, after %d)", due, before[due], after[due])
 	}
 	for sh := range after {
-		if uint32(sh) == shardA {
-			continue
-		}
-		if after[sh] != before[sh] {
+		if uint32(sh) != due && after[sh] != before[sh] {
 			t.Fatalf("untouched shard %d was scan-locked (%d -> %d); only shard %d had due records",
-				sh, before[sh], after[sh], shardA)
+				sh, before[sh], after[sh], due)
 		}
 	}
-	if got := r.countRecords(t, subjB); got != 1 {
+}
+
+// TestFirstSweepAfterRemountIsScoped: an engine built over a populated
+// store seeds its due-index from the stored records, so its first sweep is
+// already scoped — it deletes the one expired record and scan-locks no
+// other shard.
+func TestFirstSweepAfterRemountIsScoped(t *testing.T) {
+	r := newRig(t)
+	subjA := "remount-a-0"
+	subjB := subjectOnShard(t, "remount-b", func(sh uint32) bool { return sh != dbfs.ShardOf(subjA) })
+	pdA := r.seedWithTTL(t, subjA, time.Hour, time.Time{})
+	r.seedWithTTL(t, subjB, 1000*time.Hour, time.Time{})
+
+	r2 := r.remount(t)
+	r2.clock.Advance(time.Hour + time.Nanosecond) // only subjA due
+	assertScopedSweep(t, r2, subjA, pdA)
+	if got := r2.countRecords(t, subjB); got != 1 {
 		t.Fatalf("subjB records = %d, want 1", got)
+	}
+}
+
+// denyWhile registers a guard hook denying op on object id while the
+// returned flag is set (it starts set).
+func denyWhile(r *rig, op lsm.Operation, id string) *atomic.Bool {
+	var on atomic.Bool
+	on.Store(true)
+	r.guard.RegisterHook(func(_ string, o lsm.Operation, obj lsm.ObjectRef) lsm.Decision {
+		if on.Load() && o == op && obj.ID == id {
+			return lsm.DecisionDeny
+		}
+		return lsm.DecisionAbstain
+	})
+	return &on
+}
+
+// TestSweepRearmsFailedDelete: a record whose delete fails stays stored,
+// the pass reports the error alongside the deletes that succeeded, and
+// the record's deadline goes back into the index, so the next pass
+// deletes it once the delete is allowed again.
+func TestSweepRearmsFailedDelete(t *testing.T) {
+	r := newRig(t)
+	stuck := r.seedWithTTL(t, "rearm-stuck", time.Hour, time.Time{})
+	ok := r.seedWithTTL(t, "rearm-ok", time.Hour, time.Time{})
+	deny := denyWhile(r, lsm.OpDelete, stuck)
+	r.clock.Advance(time.Hour + time.Nanosecond)
+
+	deleted, err := r.engine.SweepExpired()
+	if !errors.Is(err, lsm.ErrDeniedByHook) {
+		t.Fatalf("sweep with a denied delete: err = %v, want ErrDeniedByHook", err)
+	}
+	if len(deleted) != 1 || deleted[0] != ok {
+		t.Fatalf("sweep with a denied delete deleted %v, want [%s]", deleted, ok)
+	}
+	if got := r.countRecords(t, "rearm-stuck"); got != 1 {
+		t.Fatalf("denied record: %d left, want 1", got)
+	}
+
+	deny.Store(false)
+	deleted, err = r.engine.SweepExpired()
+	if err != nil || len(deleted) != 1 || deleted[0] != stuck {
+		t.Fatalf("retry sweep = %v, %v; want [%s]", deleted, err, stuck)
+	}
+}
+
+// TestSweepScanErrorKeepsDeadlines: a pass whose scan fails deletes
+// nothing and puts every deadline it took back, so the next pass deletes
+// the expired record once the scan is allowed again.
+func TestSweepScanErrorKeepsDeadlines(t *testing.T) {
+	r := newRig(t)
+	pdid := r.seedWithTTL(t, "scan-fail", time.Hour, time.Time{})
+	deny := denyWhile(r, lsm.OpScan, "subject/scan-fail")
+	r.clock.Advance(time.Hour + time.Nanosecond)
+
+	deleted, err := r.engine.SweepExpired()
+	if !errors.Is(err, lsm.ErrDeniedByHook) || len(deleted) != 0 {
+		t.Fatalf("sweep with a denied scan = %v, %v; want nothing and ErrDeniedByHook", deleted, err)
+	}
+	deny.Store(false)
+	if got := r.countRecords(t, "scan-fail"); got != 1 {
+		t.Fatalf("records after the failed pass = %d, want 1", got)
+	}
+	deleted, err = r.engine.SweepExpired()
+	if err != nil || len(deleted) != 1 || deleted[0] != pdid {
+		t.Fatalf("retry sweep = %v, %v; want [%s]", deleted, err, pdid)
+	}
+}
+
+// TestNoteDuringScanSurvives: deadlines written while a pass holds its
+// subjects — one for a subject the pass took, one for a subject on the
+// same shard it did not take — land in the index and are not overwritten
+// by the pass's own notes. Every record is deleted by the first pass after
+// its deadline, and by no earlier pass.
+func TestNoteDuringScanSurvives(t *testing.T) {
+	r := newRig(t)
+	taken := "during-taken"
+	other := subjectOnShard(t, "during-other", func(sh uint32) bool { return sh == dbfs.ShardOf(taken) })
+	deadline := map[string]time.Time{}
+	seed := func(subject string, ttl time.Duration) {
+		deadline[r.seedWithTTL(t, subject, ttl, time.Time{})] = r.clock.Now().Add(ttl)
+	}
+	seed(taken, time.Hour)    // due at the first pass
+	seed(taken, 10*time.Hour) // the taken subject's next deadline
+	seed(other, 10*time.Hour) // in the index, not due
+	fired := false
+	r.engine.sweepScanHook = func() {
+		if !fired {
+			fired = true
+			seed(taken, 2*time.Hour)
+			seed(other, 3*time.Hour)
+		}
+	}
+
+	r.clock.Advance(time.Hour + time.Nanosecond)
+	gone := map[string]bool{}
+	pass := func() {
+		t.Helper()
+		now := r.clock.Now()
+		deleted, err := r.engine.SweepExpired()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for pdid, dl := range deadline {
+			if dl.Before(now) && !gone[pdid] {
+				want = append(want, pdid)
+				gone[pdid] = true
+			}
+		}
+		sort.Strings(want)
+		if strings.Join(deleted, ",") != strings.Join(want, ",") {
+			t.Fatalf("pass at %v deleted %v, want %v", now, deleted, want)
+		}
+	}
+	pass()
+	if !fired {
+		t.Fatal("scan hook did not fire")
+	}
+	// Visit each deadline and the instant after it.
+	var marks []time.Time
+	for _, dl := range deadline {
+		marks = append(marks, dl, dl.Add(time.Nanosecond))
+	}
+	sort.Slice(marks, func(i, j int) bool { return marks[i].Before(marks[j]) })
+	for _, m := range marks {
+		if m.After(r.clock.Now()) {
+			r.clock.Advance(m.Sub(r.clock.Now()))
+			pass()
+		}
+	}
+	if len(gone) != len(deadline) {
+		t.Fatalf("deleted %d of %d records", len(gone), len(deadline))
+	}
+}
+
+// TestSweeperFailedDeleteWaitsOneInterval: a background pass puts a failed
+// delete's deadline back without kicking the loop, even when the same pass
+// notes another subject's next deadline into an emptied shard, so the loop
+// sleeps a full Interval before it retries instead of spinning on the
+// failure.
+func TestSweeperFailedDeleteWaitsOneInterval(t *testing.T) {
+	r := newRig(t)
+	stuck := r.seedWithTTL(t, "wait-stuck", time.Hour, time.Time{})
+	other := subjectOnShard(t, "wait-other", func(sh uint32) bool { return sh != dbfs.ShardOf("wait-stuck") })
+	r.seedWithTTL(t, other, time.Hour, time.Time{})
+	r.seedWithTTL(t, other, 5*time.Hour, time.Time{})
+	denyWhile(r, lsm.OpDelete, stuck)
+	spy := sleepSpy{Sim: r.clock, entered: make(chan time.Time, 64)}
+	const interval = 12 * time.Hour
+	eng, err := New(r.ps, r.d, r.log, spy, interval)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sw := eng.Sweeper()
+	sw.Start()
+	defer sw.Stop()
+	<-spy.entered // asleep until the one-hour deadline
+
+	now := r.clock.Advance(time.Hour + time.Nanosecond)
+	select {
+	case target := <-spy.entered:
+		if want := now.Add(interval); !target.Equal(want) {
+			t.Fatalf("after the failing pass the sweeper sleeps until %v, want one Interval (%v)", target, want)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("sweeper never went back to sleep")
+	}
+	select {
+	case target := <-spy.entered:
+		t.Fatalf("sweeper woke again at once (next sleep until %v): the failed delete was retried without waiting", target)
+	case <-time.After(100 * time.Millisecond):
+	}
+	if st := sw.Stats(); st.Passes != 1 || st.Errors != 1 || st.Deleted != 1 {
+		t.Fatalf("sweeper stats = %+v, want one failing pass that deleted one record", st)
 	}
 }
