@@ -235,9 +235,8 @@ func cmdStatus() error {
 		}
 	}
 	st = sys.Stats()
-	fmt.Printf("cold tier:   records=%d demotions=%d promotions=%d dedup-hits=%d snapshots=%d bytes-saved=%d\n",
-		st.DBFS.ColdRecords, st.DBFS.Demotions, st.DBFS.Promotions, st.DBFS.ColdDedupHits,
-		st.DBFS.SnapshotsTaken, st.DBFS.ColdBytesSaved)
+	fmt.Printf("cold tier:   records=%d demotions=%d promotions=%d snapshots=%d bytes-saved=%d\n",
+		st.DBFS.ColdRecords, st.DBFS.Demotions, st.DBFS.Promotions, st.DBFS.SnapshotsTaken, st.DBFS.ColdBytesSaved)
 	return nil
 }
 

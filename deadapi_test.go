@@ -37,7 +37,6 @@ var uncalledAllowed = map[string]string{
 	"blockdev.NewFaulty":             "test support",
 	"blockdev.NewPowerCut":           "test support",
 	"blockdev.PowerCut.SetBudget":    "test support",
-	"coldtier.Repacker.Stats":        "test support",
 	"collect.NewThirdPartySource":    "paper mechanism",
 	"collect.WebFormSource.Pending":  "test support",
 	"core.System.NPDResidueScan":     "test support",

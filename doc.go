@@ -5,7 +5,7 @@
 // The implementation lives under internal/ (see DESIGN.md for the system
 // inventory, the storage commit path, the membrane read path, the
 // admission-and-deadlines story, the per-inode locks + block buffer cache,
-// the boot-time configuration, the content-addressed compressed
+// the boot-time configuration, the compressed
 // cold tier with shred-safe membrane snapshots, the multi-node
 // subject router with its durable per-subject copy-node sets, and the
 // deterministic macro-workload subsystem with its regulator-grade
@@ -28,9 +28,10 @@
 //     internal/blockdev's write-back buffer cache.
 //   - ext3/JBD2 journaling — the model for internal/wal's group commit
 //     (multi-transaction commit records sealed by one flush barrier).
-//   - djafs (SNIPPETS.md section 3) — the model for internal/coldtier's
-//     content-addressed compressed archives (hash-based dedup, lazy
-//     repacking of cold JSON records).
+//   - djafs (SNIPPETS.md section 3) — the model for internal/dbfs's
+//     compressed cold archives (lazy repacking of cold JSON records). Its
+//     hash-based dedup is left out: every archived part is ciphertext
+//     under its own record's key, so no two parts are equal.
 //   - Shah, Banakar, Shastri, Wasserman, Chidambaram, "Analyzing the
 //     Impact of GDPR on Storage Systems" (arXiv:1903.04880) — the
 //     GDPR-storage benchmark whose op classes (ordinary traffic

@@ -887,3 +887,48 @@ func TestCopyOfDerivedFollowsFamilyAfterRootSwept(t *testing.T) {
 		t.Fatalf("CopyNodes after erase = %v, want empty", got)
 	}
 }
+
+// TestNodeSubjectsSpanAllPartitions: a node holds the subjects of one
+// residue of the subject hash, and dbfs must still spread them over all
+// four PD partitions, so every partition's journal serves the node. The
+// partition a subject landed on is read off the raw PD disk: the blocks
+// holding its name (tree entries, membranes) lie in its partition's range.
+func TestNodeSubjectsSpanAllPartitions(t *testing.T) {
+	const partitions = 4 // core's pdPartitions
+	for _, n := range []int{2, 4} {
+		opts := nodeOpts()
+		opts.PDDiskBlocks, opts.NInodes, opts.JournalBlocks = 2048, 512, 64
+		c, err := Boot(Options{Nodes: n, Node: opts, PropagationWindow: time.Minute})
+		if err != nil {
+			t.Fatalf("Boot: %v", err)
+		}
+		if err := c.DeclareTypesDSL(userDSL, aliasOpts()); err != nil {
+			t.Fatal(err)
+		}
+		reached := make([]map[uint64]bool, n)
+		for i := range reached {
+			reached[i] = make(map[uint64]bool)
+		}
+		for i := 0; i < 16*n; i++ {
+			subject := fmt.Sprintf("s%06d", i)
+			if _, err := c.Insert("user", subject, dbfs.Record{
+				"name": dbfs.S("n"), "pwd": dbfs.S("p"), "year_of_birthdate": dbfs.I(1990),
+			}); err != nil {
+				t.Fatalf("Insert %s: %v", subject, err)
+			}
+			home := c.HomeOf(subject)
+			blocks := c.Node(home).ResidueScan([]byte(subject))
+			if len(blocks) == 0 {
+				t.Fatalf("%s: name not found on its home node %d", subject, home)
+			}
+			for _, b := range blocks {
+				reached[home][b/(opts.PDDiskBlocks/partitions)] = true
+			}
+		}
+		for node, parts := range reached {
+			if len(parts) != partitions {
+				t.Errorf("%d-node fleet: node %d's subjects reach partitions %v, want all %d", n, node, parts, partitions)
+			}
+		}
+	}
+}

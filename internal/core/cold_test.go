@@ -6,11 +6,12 @@ package core
 
 import (
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/coldtier"
 	"repro/internal/dbfs"
+	"repro/internal/lsm"
 	"repro/internal/simclock"
 )
 
@@ -56,8 +57,27 @@ func TestBootColdTierWiring(t *testing.T) {
 	if s.StartRepacker() != rp {
 		t.Fatal("a second StartRepacker does not return the running repacker")
 	}
-	if got, want := <-spy.entered, simclock.Epoch.Add(coldtier.DefaultRepackInterval); !got.Equal(want) {
-		t.Fatalf("repacker sleeps until %v, want one DefaultRepackInterval (%v)", got, want)
+	if got, want := <-spy.entered, simclock.Epoch.Add(repackInterval); !got.Equal(want) {
+		t.Fatalf("repacker sleeps until %v, want one repackInterval (%v)", got, want)
+	}
+}
+
+// TestRepackerDefaultInterval: the started repacker sleeps one
+// repackInterval before its first pass and one more after each pass.
+func TestRepackerDefaultInterval(t *testing.T) {
+	spy := newSleepSpy()
+	s, err := Boot(Options{AuthorityBits: 1024, Clock: spy})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rp := s.StartRepacker()
+	defer rp.Stop()
+	if got, want := <-spy.entered, simclock.Epoch.Add(repackInterval); !got.Equal(want) {
+		t.Fatalf("first sleep until %v, want %v", got, want)
+	}
+	spy.Advance(repackInterval)
+	if got, want := <-spy.entered, simclock.Epoch.Add(2*repackInterval); !got.Equal(want) {
+		t.Fatalf("sleep after the first pass until %v, want %v", got, want)
 	}
 }
 
@@ -123,9 +143,6 @@ func TestRepackerDemotesAndReadsStayTransparent(t *testing.T) {
 
 	sim.Advance(2 * time.Hour)
 	rp.Sync()
-	if st := rp.Stats(); st.Demoted < 1 {
-		t.Fatalf("repacker Stats = %+v, want at least one demotion", st)
-	}
 	if st := s.DBFS().Stats(); st.Demotions < 1 || st.ColdRecords < 1 {
 		t.Fatalf("store Stats = %+v, want demoted record in the cold gauge", st)
 	}
@@ -139,5 +156,45 @@ func TestRepackerDemotesAndReadsStayTransparent(t *testing.T) {
 	}
 	if st := s.DBFS().Stats(); st.Promotions != 1 {
 		t.Fatalf("store Promotions = %d, want 1", st.Promotions)
+	}
+}
+
+// TestRepackerCountsErrors: a background repack pass the LSM denies
+// is counted in dbfs.Stats.RepackErrors, and the loop keeps running — the
+// next allowed pass demotes.
+func TestRepackerCountsErrors(t *testing.T) {
+	s, err := Boot(Options{AuthorityBits: 1024, ColdAfter: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	setupUserType(t, s)
+	insertUser(t, s, "alice")
+	var deny atomic.Bool
+	deny.Store(true)
+	s.Guard().RegisterHook(func(_ string, _ lsm.Operation, obj lsm.ObjectRef) lsm.Decision {
+		if deny.Load() && obj.ID == "cold/repack" {
+			return lsm.DecisionDeny
+		}
+		return lsm.DecisionAbstain
+	})
+	sim, _ := s.SimClock()
+	rp := s.StartRepacker()
+	defer rp.Stop()
+
+	sim.Advance(2 * time.Hour)
+	rp.Sync()
+	if st := s.DBFS().Stats(); st.RepackErrors < 1 || st.Demotions != 0 {
+		t.Fatalf("denied pass: RepackErrors %d, Demotions %d; want >= 1 and 0", st.RepackErrors, st.Demotions)
+	}
+	failed := s.DBFS().Stats().RepackErrors
+
+	deny.Store(false)
+	sim.Advance(repackInterval)
+	rp.Sync()
+	if !rp.Running() {
+		t.Fatal("repacker stopped after a failed pass")
+	}
+	if st := s.DBFS().Stats(); st.Demotions != 1 || st.RepackErrors != failed {
+		t.Fatalf("allowed pass: Demotions %d, RepackErrors %d; want 1 and %d", st.Demotions, st.RepackErrors, failed)
 	}
 }

@@ -31,7 +31,6 @@ import (
 	"repro/internal/audit"
 	"repro/internal/blockdev"
 	"repro/internal/builtins"
-	"repro/internal/coldtier"
 	"repro/internal/collect"
 	"repro/internal/cryptoshred"
 	"repro/internal/dbfs"
@@ -81,7 +80,7 @@ type Options struct {
 	// StartSweeper runs it (0 = rights.DefaultSweepInterval).
 	SweepInterval time.Duration
 	// ColdAfter enables the DBFS cold tier: records untouched this long
-	// are demoted into compressed per-subject content-addressed archives
+	// are demoted into compressed per-subject archives
 	// by the repacker's next pass. 0 (the default) disables demotion;
 	// promotion of already-archived records always works.
 	ColdAfter time.Duration
@@ -101,9 +100,15 @@ type Options struct {
 // one inode filesystem with its own journal. Acknowledged writes wait only
 // for their own partition's commit queue, so commits on different
 // partitions overlap. It is a constant, not GOMAXPROCS, so a machine's disk
-// layout (and every device count) is the same on every host; the 64 subject
-// shards divide evenly across it.
+// layout (and every device count) is the same on every host. The 64
+// subject shards divide evenly across it: each partition holds a contiguous
+// range of 16 (dbfs routes shard sh to partition sh*4/64), so a cluster
+// node, which holds the subjects of one residue of the subject hash, still
+// spreads them over every partition.
 const pdPartitions = 4
+
+// repackInterval is the gap between the background repacker's passes.
+const repackInterval = time.Minute
 
 // ErrBadOptions reports Options that Boot rejected; nothing was built.
 var ErrBadOptions = errors.New("core: invalid options")
@@ -173,8 +178,8 @@ type System struct {
 	acq     *builtins.Acquirer
 
 	// repacker is the cold-tier repacker, built at Boot and stopped until
-	// StartRepacker.
-	repacker *coldtier.Repacker
+	// StartRepacker: every repackInterval it runs one dbfs RepackCold pass.
+	repacker *simclock.Loop
 }
 
 // Boot assembles and starts a machine. Options that fail validation
@@ -255,10 +260,10 @@ func Boot(opts Options) (*System, error) {
 	if s.rights, err = rights.New(s.ps, s.ded, s.log, opts.Clock, opts.SweepInterval); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	s.repacker = coldtier.NewRepacker(opts.Clock, coldtier.TargetFunc(
-		func(now time.Time) (coldtier.PassStats, error) {
-			return s.store.RepackCold(dedTok, now)
-		}))
+	s.repacker = simclock.NewLoop(opts.Clock, repackInterval, func(now time.Time, _ bool) {
+		// A failed pass is counted in dbfs.Stats.RepackErrors.
+		_, _ = s.store.RepackCold(dedTok, now)
+	}, nil)
 	return s, nil
 }
 
@@ -274,9 +279,8 @@ func (s *System) StartSweeper() *rights.Sweeper {
 // StartRepacker starts the machine's background cold-tier repacker and
 // returns it; if it is already running it is returned unchanged. The
 // repacker drives dbfs.Store.RepackCold with the DED's capability every
-// coldtier.DefaultRepackInterval. With ColdAfter unset the passes run and
-// demote nothing.
-func (s *System) StartRepacker() *coldtier.Repacker {
+// repackInterval. With ColdAfter unset the passes run and demote nothing.
+func (s *System) StartRepacker() *simclock.Loop {
 	s.repacker.Start()
 	return s.repacker
 }

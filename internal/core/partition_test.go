@@ -11,12 +11,12 @@ import (
 )
 
 // subjectOnPartition returns a subject ID whose shard routes to PD
-// partition p (shard mod pdPartitions, as dbfs routes it).
+// partition p (the contiguous shard range dbfs routes there).
 func subjectOnPartition(t *testing.T, p int) string {
 	t.Helper()
 	for i := 0; i < 1000; i++ {
 		s := fmt.Sprintf("part%d-subject%d", p, i)
-		if int(dbfs.ShardOf(s))%pdPartitions == p {
+		if int(dbfs.ShardOf(s))*pdPartitions/dbfs.DefaultShards == p {
 			return s
 		}
 	}

@@ -1,10 +1,9 @@
 package dbfs
 
-// The DBFS side of the cold tier (internal/coldtier): demotion of idle
-// records into per-subject content-addressed compressed archives, an
-// in-memory archive index for O(1) cold lookups, transparent promotion
-// back to the hot tier on first read, and immutable membrane snapshots
-// riding the same archive format.
+// The cold tier: demotion of idle records into per-subject compressed
+// archives (archive.go), an in-memory archive index for O(1) cold lookups,
+// transparent promotion back to the hot tier on first read, and immutable
+// membrane snapshots riding the same archive format.
 //
 // Layout: each filesystem instance carries two more root trees, "cold"
 // (one archive file per subject, named by subject ID) and "snapshots"
@@ -12,9 +11,9 @@ package dbfs
 // exact ciphertext bytes the hot tier stored — crypto-shredding therefore
 // covers archived copies for free — plus their plaintext membrane bytes
 // (membranes are stored in clear in the hot tier too; tombstones must
-// stay readable for idempotent erasure). Dedup is per subject archive by
-// construction: chunks can never be shared across subjects, which keeps
-// "shred the key, every copy dies" exact (see the coldtier package doc).
+// stay readable for idempotent erasure). An archive holds one subject's
+// records only, so shredding a record's key leaves nothing of it readable
+// in any archive.
 //
 // Locking: each subject shard owns a coldShard whose mutex is a leaf
 // under the shard lock — lock order shard → cold.mu, and a cold
@@ -32,9 +31,9 @@ package dbfs
 // the subject rewrites the archive entry.
 //
 // A promoted record's archive entry is retained (stale, never served —
-// hot wins): if the record re-idles unchanged, re-demotion
-// content-addresses onto the existing chunks and costs dedup hits instead
-// of new bytes. Delete physically removes the archive entry; Erase leaves
+// hot wins): if the record re-idles unchanged, re-demotion replaces the
+// entry with the same bytes, so the rewritten archive is byte-identical.
+// Delete physically removes the archive entry; Erase leaves
 // it, because erased ciphertext is exactly as dead as the hot tier's
 // (ErrKeyDestroyed) and the tombstoned membrane overwrites the entry at
 // its next demotion.
@@ -48,7 +47,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/coldtier"
 	"repro/internal/cryptoshred"
 	"repro/internal/inode"
 	"repro/internal/lsm"
@@ -151,18 +149,17 @@ func (s *Store) rebuildColdIndex() error {
 			if err != nil {
 				return fmt.Errorf("dbfs: read cold archive %q: %w", e.Name, err)
 			}
-			arch, err := coldtier.Decode(raw)
+			arch, err := decodeArchive(raw)
 			if err != nil {
 				return fmt.Errorf("dbfs: cold archive %q: %w", e.Name, err)
 			}
 			cs := &s.cold.shards[ShardOf(e.Name)]
 			cs.mu.Lock()
 			cs.init()
-			for _, pdid := range arch.IDs() {
+			for pdid := range arch {
 				cs.archived[pdid] = true
 			}
-			rawSz, _ := arch.Sizes()
-			cs.saved[e.Name] = int64(rawSz) - int64(len(raw))
+			cs.saved[e.Name] = arch.rawSize() - int64(len(raw))
 			cs.mu.Unlock()
 		}
 	}
@@ -172,10 +169,10 @@ func (s *Store) rebuildColdIndex() error {
 // coldArchiveLoad reads and decodes a subject's archive, or returns a
 // fresh one if none exists yet. Caller holds the subject's shard lock and
 // the shard's cold mutex.
-func (s *Store) coldArchiveLoad(sr shardRef, subjectID string) (*coldtier.Archive, error) {
+func (s *Store) coldArchiveLoad(sr shardRef, subjectID string) (archive, error) {
 	ino, err := sr.fs.Lookup(sr.coldRoot, subjectID)
 	if errors.Is(err, inode.ErrChildNotFound) {
-		return coldtier.New(), nil
+		return archive{}, nil
 	}
 	if err != nil {
 		return nil, err
@@ -184,7 +181,7 @@ func (s *Store) coldArchiveLoad(sr shardRef, subjectID string) (*coldtier.Archiv
 	if err != nil {
 		return nil, fmt.Errorf("dbfs: read cold archive %q: %w", subjectID, err)
 	}
-	arch, err := coldtier.Decode(raw)
+	arch, err := decodeArchive(raw)
 	if err != nil {
 		return nil, fmt.Errorf("dbfs: cold archive %q: %w", subjectID, err)
 	}
@@ -195,9 +192,9 @@ func (s *Store) coldArchiveLoad(sr shardRef, subjectID string) (*coldtier.Archiv
 // file when the archive emptied — and refreshes the subject's saved-bytes
 // accounting. Caller holds the subject's shard lock and the shard's cold
 // mutex.
-func (s *Store) coldArchiveStore(sr shardRef, cs *coldShard, subjectID string, arch *coldtier.Archive) error {
+func (s *Store) coldArchiveStore(sr shardRef, cs *coldShard, subjectID string, arch archive) error {
 	cs.init()
-	if arch.Len() == 0 {
+	if len(arch) == 0 {
 		ino, err := sr.fs.Lookup(sr.coldRoot, subjectID)
 		if errors.Is(err, inode.ErrChildNotFound) {
 			delete(cs.saved, subjectID)
@@ -215,15 +212,14 @@ func (s *Store) coldArchiveStore(sr shardRef, cs *coldShard, subjectID string, a
 		delete(cs.saved, subjectID)
 		return nil
 	}
-	enc, err := arch.Encode()
+	enc, err := arch.encode()
 	if err != nil {
 		return err
 	}
 	if err := writeOrReplaceFile(sr.fs, sr.coldRoot, subjectID, "cold-archive", enc); err != nil {
 		return err
 	}
-	rawSz, _ := arch.Sizes()
-	cs.saved[subjectID] = int64(rawSz) - int64(len(enc))
+	cs.saved[subjectID] = arch.rawSize() - int64(len(enc))
 	return nil
 }
 
@@ -253,8 +249,9 @@ func writeOrReplaceFile(fs *inode.FS, parent inode.Ino, name, tag string, conten
 // transparent promotion on first read. Caller holds the subject's shard
 // lock (either side) and has resolved tree, the record's type tree. It
 // reports whether the record was promoted (false: not archived, or
-// already promoted by a racing reader). The archive entry is retained for
-// re-demotion dedup; hot wins on every read path.
+// already promoted by a racing reader). The archive entry is retained, so
+// an unchanged re-demotion rewrites the same bytes; hot wins on every read
+// path.
 func (s *Store) promoteIfCold(sr shardRef, r ref, tree inode.Ino) (bool, error) {
 	cs := &s.cold.shards[sr.idx]
 	cs.mu.Lock()
@@ -275,8 +272,8 @@ func (s *Store) promoteIfCold(sr shardRef, r ref, tree inode.Ino) (bool, error) 
 	if err != nil {
 		return false, err
 	}
-	parts, ok := arch.Get(r.pdid)
-	if !ok || parts == nil || parts[coldPartData] == nil || parts[coldPartMem] == nil {
+	parts := arch[r.pdid].Parts
+	if parts[coldPartData] == nil || parts[coldPartMem] == nil {
 		// Stale index entry (e.g. a crash between archive write and index
 		// maintenance); drop it and let the caller report ErrNoRecord.
 		delete(cs.archived, r.pdid)
@@ -311,7 +308,7 @@ func (s *Store) coldForget(sr shardRef, r ref) error {
 	if err != nil {
 		return err
 	}
-	arch.Remove(r.pdid)
+	delete(arch, r.pdid)
 	if err := s.coldArchiveStore(sr, cs, r.subjectID, arch); err != nil {
 		return err
 	}
@@ -338,18 +335,23 @@ func (s *Store) coldPDIDs(sr shardRef, subjectID string) []string {
 // RepackCold runs one demotion pass at instant now: every record untouched
 // for the configured ColdAfter threshold is moved out of the hot tier into
 // its subject's archive (archive written durably before the hot files are
-// removed). A zero threshold makes the pass a no-op. The pass scans shard
-// by shard under the shard write locks, in deterministic order; the
-// background coldtier.Repacker drives it, and experiments call it
-// directly for deterministic single passes.
-func (s *Store) RepackCold(tok *lsm.Token, now time.Time) (coldtier.PassStats, error) {
-	var ps coldtier.PassStats
+// removed), and the number demoted is returned. A zero threshold makes the
+// pass a no-op. The pass scans shard by shard under the shard write locks,
+// in deterministic order; core's background repacker drives it, and tests
+// call it directly for deterministic single passes. A failed pass counts
+// in Stats.RepackErrors, so a background pass's error stays visible.
+func (s *Store) RepackCold(tok *lsm.Token, now time.Time) (demoted int, err error) {
+	defer func() {
+		if err != nil {
+			s.stats.repackErrors.Add(1)
+		}
+	}()
 	if err := s.check(tok, lsm.OpWrite, "cold/repack"); err != nil {
-		return ps, err
+		return 0, err
 	}
 	after := s.ColdAfter()
 	if after == 0 {
-		return ps, nil
+		return 0, nil
 	}
 	cutoff := now.Add(-after)
 
@@ -359,7 +361,7 @@ func (s *Store) RepackCold(tok *lsm.Token, now time.Time) (coldtier.PassStats, e
 	for i, fs := range s.fss {
 		ents, err := fs.Children(s.subjectRoots[i])
 		if err != nil {
-			return ps, err
+			return 0, err
 		}
 		for _, e := range ents {
 			sh := ShardOf(e.Name)
@@ -377,106 +379,110 @@ func (s *Store) RepackCold(tok *lsm.Token, now time.Time) (coldtier.PassStats, e
 		sort.Strings(subjects)
 		sr := s.shardAt(sh)
 		sr.lk.Lock()
-		err := s.repackShardLocked(sr, subjects, cutoff, &ps)
+		n, err := s.repackShardLocked(sr, subjects, cutoff)
 		sr.lk.Unlock()
+		demoted += n
 		if err != nil {
-			return ps, err
+			return demoted, err
 		}
 	}
-	return ps, nil
+	return demoted, nil
 }
 
-// repackShardLocked demotes one shard's idle records; caller holds the
-// shard write lock.
-func (s *Store) repackShardLocked(sr shardRef, subjects []string, cutoff time.Time, ps *coldtier.PassStats) error {
+// repackShardLocked demotes one shard's idle records and returns how many
+// it demoted; caller holds the shard write lock.
+func (s *Store) repackShardLocked(sr shardRef, subjects []string, cutoff time.Time) (int, error) {
 	cs := &s.cold.shards[sr.idx]
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	cs.init()
+	demoted := 0
 	for _, subject := range subjects {
-		subjIno, err := sr.fs.Lookup(sr.subjRoot, subject)
-		if errors.Is(err, inode.ErrChildNotFound) {
-			continue // raced a concurrent view; nothing hot here
-		}
-		if err != nil {
-			return err
-		}
-		typeTrees, err := sr.fs.Children(subjIno)
-		if err != nil {
-			return err
-		}
-		sort.Slice(typeTrees, func(i, j int) bool { return typeTrees[i].Name < typeTrees[j].Name })
 		type candidate struct {
 			r    ref
 			tree inode.Ino
 		}
 		var cands []candidate
-		for _, tt := range typeTrees {
-			recs, err := sr.fs.Children(tt.Ino)
-			if err != nil {
-				return err
+		err := s.forEachHotRecord(sr, subject, func(r ref, tree inode.Ino) error {
+			if t, ok := cs.touches[r.pdid]; !ok || !t.After(cutoff) {
+				cands = append(cands, candidate{r, tree})
 			}
-			names := make([]string, 0, len(recs))
-			for _, rc := range recs {
-				if name, ok := strings.CutSuffix(rc.Name, memSuffix); ok {
-					names = append(names, name)
-				}
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				recNo, err := strconv.ParseUint(name, 10, 64)
-				if err != nil {
-					continue // not a record file
-				}
-				pdid := PDID(tt.Name, subject, recNo)
-				if t, ok := cs.touches[pdid]; ok && t.After(cutoff) {
-					continue // still hot
-				}
-				cands = append(cands, candidate{
-					r:    ref{pdid: pdid, typeName: tt.Name, subjectID: subject, recNo: recNo},
-					tree: tt.Ino,
-				})
-			}
+			return nil
+		})
+		if err != nil {
+			return demoted, err
 		}
 		if len(cands) == 0 {
 			continue
 		}
 		arch, err := s.coldArchiveLoad(sr, subject)
 		if err != nil {
-			return err
+			return demoted, err
 		}
-		_, stored0 := arch.Sizes()
-		demoted, dedup, raw := 0, 0, 0
 		for _, c := range cands {
 			parts, err := s.readRecordPartsLocked(sr, c.r, c.tree)
 			if err != nil {
-				return err
+				return demoted, err
 			}
-			d, rw := arch.Put(c.r.pdid, parts)
-			dedup += d
-			raw += rw
-			demoted++
+			arch[c.r.pdid] = archiveEntry{Parts: parts}
 		}
 		// Archive lands durably BEFORE any hot file goes away: a crash
 		// between the two leaves the record in both tiers, and hot wins.
 		if err := s.coldArchiveStore(sr, cs, subject, arch); err != nil {
-			return err
+			return demoted, err
 		}
 		for _, c := range cands {
 			if err := s.removeRecordFilesLocked(sr, c.r, c.tree); err != nil {
-				return err
+				return demoted, err
 			}
 			cs.archived[c.r.pdid] = true
 			delete(cs.touches, c.r.pdid)
 		}
-		_, stored1 := arch.Sizes()
-		ps.Demoted += demoted
-		ps.DedupHits += dedup
-		ps.RawBytes += int64(raw)
-		ps.StoredBytes += int64(stored1 - stored0)
-		ps.Subjects++
-		s.stats.demotions.Add(uint64(demoted))
-		s.stats.coldDedupHits.Add(uint64(dedup))
+		demoted += len(cands)
+		s.stats.demotions.Add(uint64(len(cands)))
+	}
+	return demoted, nil
+}
+
+// forEachHotRecord calls fn for every hot record of subject, in type-name
+// order and, within a type, in record-name order; tree is the record's
+// type tree. A subject with no hot tree has no records. Caller holds the
+// subject's shard lock (either side).
+func (s *Store) forEachHotRecord(sr shardRef, subject string, fn func(r ref, tree inode.Ino) error) error {
+	subjIno, err := sr.fs.Lookup(sr.subjRoot, subject)
+	if errors.Is(err, inode.ErrChildNotFound) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	typeTrees, err := sr.fs.Children(subjIno)
+	if err != nil {
+		return err
+	}
+	sort.Slice(typeTrees, func(i, j int) bool { return typeTrees[i].Name < typeTrees[j].Name })
+	for _, tt := range typeTrees {
+		recs, err := sr.fs.Children(tt.Ino)
+		if err != nil {
+			return err
+		}
+		names := make([]string, 0, len(recs))
+		for _, rc := range recs {
+			if name, ok := strings.CutSuffix(rc.Name, memSuffix); ok {
+				names = append(names, name)
+			}
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			recNo, err := strconv.ParseUint(name, 10, 64)
+			if err != nil {
+				continue // not a record file
+			}
+			r := ref{pdid: PDID(tt.Name, subject, recNo), typeName: tt.Name, subjectID: subject, recNo: recNo}
+			if err := fn(r, tt.Ino); err != nil {
+				return err
+			}
+		}
 	}
 	return nil
 }
@@ -534,14 +540,10 @@ func (s *Store) removeRecordFilesLocked(sr shardRef, r ref, tree inode.Ino) erro
 	err := sr.fs.Do(declared, func(op *inode.Op) error {
 		return removeRecordFiles(op, tree, recName, inos[0], inos[1], inos[2])
 	})
-	if err != nil {
-		s.cacheInvalidate(sr, r.pdid)
-		return err
-	}
-	if mc := s.mcache; mc != nil {
-		mc.drop(sr.idx, r.pdid)
-	}
-	return nil
+	// Dropped on failure too: a commit that failed after the enqueue can
+	// leave memory ahead of the disk.
+	s.mcache.drop(sr.idx, r.pdid)
+	return err
 }
 
 // ColdRaw returns a record's archived bytes — the ciphertext parts and
@@ -571,11 +573,11 @@ func (s *Store) ColdRaw(tok *lsm.Token, pdid string) (map[string][]byte, error) 
 	if err != nil {
 		return nil, err
 	}
-	parts, ok := arch.Get(r.pdid)
+	e, ok := arch[r.pdid]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s not archived", ErrNoRecord, pdid)
 	}
-	return parts, nil
+	return e.Parts, nil
 }
 
 // coldGauges sums the index gauges for Stats(): archived entry count and
@@ -625,7 +627,7 @@ func (s *Store) SnapshotMembranes(tok *lsm.Token, label string) (int, error) {
 	}
 	total := 0
 	for i, fs := range s.fss {
-		arch := coldtier.New()
+		arch := archive{}
 		ents, err := fs.Children(s.subjectRoots[i])
 		if err != nil {
 			return 0, err
@@ -645,7 +647,7 @@ func (s *Store) SnapshotMembranes(tok *lsm.Token, label string) (int, error) {
 			}
 			total += n
 		}
-		enc, err := arch.Encode()
+		enc, err := arch.encode()
 		if err != nil {
 			return 0, err
 		}
@@ -664,69 +666,48 @@ func (s *Store) SnapshotMembranes(tok *lsm.Token, label string) (int, error) {
 
 // snapshotSubjectLocked captures one subject's membranes (hot then
 // archived) into arch; caller holds the subject's shard read lock.
-func (s *Store) snapshotSubjectLocked(sr shardRef, subject string, arch *coldtier.Archive) (int, error) {
+func (s *Store) snapshotSubjectLocked(sr shardRef, subject string, arch archive) (int, error) {
 	n := 0
 	put := func(pdid string, memBytes []byte) error {
 		sealed, err := s.vault.Seal(pdid, memBytes)
 		if errors.Is(err, cryptoshred.ErrKeyDestroyed) {
-			arch.MarkErased(pdid)
+			arch[pdid] = archiveEntry{Erased: true}
 			n++
 			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("dbfs: snapshot seal %s: %w", pdid, err)
 		}
-		arch.Put(pdid, map[string][]byte{coldPartMem: sealed})
+		arch[pdid] = archiveEntry{Parts: map[string][]byte{coldPartMem: sealed}}
 		n++
 		return nil
 	}
-	subjIno, err := sr.fs.Lookup(sr.subjRoot, subject)
-	if err != nil && !errors.Is(err, inode.ErrChildNotFound) {
+	err := s.forEachHotRecord(sr, subject, func(r ref, tree inode.Ino) error {
+		memIno, err := sr.fs.Lookup(tree, strconv.FormatUint(r.recNo, 10)+memSuffix)
+		if err != nil {
+			return err
+		}
+		memBytes, err := readAll(sr.fs, memIno)
+		if err != nil {
+			return err
+		}
+		return put(r.pdid, memBytes)
+	})
+	if err != nil {
 		return 0, err
 	}
-	if err == nil {
-		typeTrees, err := sr.fs.Children(subjIno)
-		if err != nil {
-			return 0, err
-		}
-		sort.Slice(typeTrees, func(i, j int) bool { return typeTrees[i].Name < typeTrees[j].Name })
-		for _, tt := range typeTrees {
-			recs, err := sr.fs.Children(tt.Ino)
-			if err != nil {
-				return 0, err
-			}
-			names := make([]string, 0, len(recs))
-			for _, rc := range recs {
-				if name, ok := strings.CutSuffix(rc.Name, memSuffix); ok {
-					names = append(names, name)
-				}
-			}
-			sort.Strings(names)
-			for _, name := range names {
-				memIno, err := sr.fs.Lookup(tt.Ino, name+memSuffix)
-				if err != nil {
-					return 0, err
-				}
-				memBytes, err := readAll(sr.fs, memIno)
-				if err != nil {
-					return 0, err
-				}
-				if err := put(tt.Name+"/"+subject+"/"+name, memBytes); err != nil {
-					return 0, err
-				}
-			}
-		}
-	}
-	// Archived records not shadowed by a hot copy (arch.Has filters the
-	// stale entries of promoted records, already captured above).
+	// Archived records not shadowed by a hot copy (the stale entries of
+	// promoted records are already captured above).
 	cs := &s.cold.shards[sr.idx]
 	cs.mu.Lock()
 	defer cs.mu.Unlock()
 	cs.init()
 	var coldIDs []string
 	for pdid := range cs.archived {
-		if _, subj, _, err := SplitPDID(pdid); err == nil && subj == subject && !arch.Has(pdid) {
-			coldIDs = append(coldIDs, pdid)
+		if _, captured := arch[pdid]; !captured {
+			if _, subj, _, err := SplitPDID(pdid); err == nil && subj == subject {
+				coldIDs = append(coldIDs, pdid)
+			}
 		}
 	}
 	if len(coldIDs) == 0 {
@@ -738,11 +719,11 @@ func (s *Store) snapshotSubjectLocked(sr shardRef, subject string, arch *coldtie
 		return 0, err
 	}
 	for _, pdid := range coldIDs {
-		parts, ok := sub.Get(pdid)
-		if !ok || parts[coldPartMem] == nil {
+		mem := sub[pdid].Parts[coldPartMem]
+		if mem == nil {
 			continue // stale index entry
 		}
-		if err := put(pdid, parts[coldPartMem]); err != nil {
+		if err := put(pdid, mem); err != nil {
 			return 0, err
 		}
 	}
@@ -763,33 +744,30 @@ func (s *Store) SnapshotMembrane(tok *lsm.Token, label, pdid string) (*membrane.
 		return nil, err
 	}
 	sr := s.shardOf(r.subjectID)
-	fi := int(sr.idx) % len(s.fss)
-	snapIno, err := s.fss[fi].Lookup(s.cold.snapRoots[fi], label)
+	snapIno, err := sr.fs.Lookup(sr.snapRoot, label)
 	if errors.Is(err, inode.ErrChildNotFound) {
 		return nil, fmt.Errorf("%w: %q", ErrNoSnapshot, label)
 	}
 	if err != nil {
 		return nil, err
 	}
-	raw, err := readAll(s.fss[fi], snapIno)
+	raw, err := readAll(sr.fs, snapIno)
 	if err != nil {
 		return nil, fmt.Errorf("dbfs: read snapshot %q: %w", label, err)
 	}
-	arch, err := coldtier.Decode(raw)
+	arch, err := decodeArchive(raw)
 	if err != nil {
 		return nil, fmt.Errorf("dbfs: snapshot %q: %w", label, err)
 	}
-	entry, ok := arch.Lookup(pdid)
+	entry, ok := arch[pdid]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s not in snapshot %q", ErrNoRecord, pdid, label)
 	}
 	if entry.Erased {
 		return nil, fmt.Errorf("dbfs: snapshot %q: %s erased before capture: %w", label, pdid, cryptoshred.ErrKeyDestroyed)
 	}
-	parts, _ := arch.Get(pdid)
-	sealed := parts[coldPartMem]
 	sr.lk.RLock()
-	memBytes, err := s.vault.Open(pdid, sealed)
+	memBytes, err := s.vault.Open(pdid, entry.Parts[coldPartMem])
 	sr.lk.RUnlock()
 	if err != nil {
 		return nil, fmt.Errorf("dbfs: snapshot %q: unseal %s: %w", label, pdid, err)

@@ -34,28 +34,38 @@ func TestColdDemoteThenTransparentPromote(t *testing.T) {
 	}
 
 	// Freshly touched records stay hot.
-	ps, err := e.store.RepackCold(e.tok, e.clock.Now())
+	n, err := e.store.RepackCold(e.tok, e.clock.Now())
 	if err != nil {
 		t.Fatalf("RepackCold: %v", err)
 	}
-	if ps.Demoted != 0 {
-		t.Fatalf("fresh records demoted: %+v", ps)
+	if n != 0 {
+		t.Fatalf("fresh records demoted: %d", n)
 	}
 
 	e.clock.Advance(2 * time.Hour)
-	ps, err = e.store.RepackCold(e.tok, e.clock.Now())
+	n, err = e.store.RepackCold(e.tok, e.clock.Now())
 	if err != nil {
 		t.Fatalf("RepackCold: %v", err)
 	}
-	if ps.Demoted != 2 || ps.Subjects != 1 {
-		t.Fatalf("PassStats = %+v, want Demoted 2 over 1 subject", ps)
-	}
-	if ps.RawBytes <= 0 || ps.StoredBytes <= 0 || ps.StoredBytes > ps.RawBytes {
-		t.Fatalf("PassStats bytes = %+v, want 0 < stored <= raw", ps)
+	if n != 2 {
+		t.Fatalf("RepackCold demoted %d, want 2", n)
 	}
 	st := e.store.Stats()
 	if st.Demotions != 2 || st.ColdRecords != 2 || st.Promotions != 0 {
 		t.Fatalf("Stats = %+v, want 2 demotions, 2 cold records", st)
+	}
+	// Both records sit in the subject's one archive file, and the gauge is
+	// their stored parts' bytes minus that file's bytes.
+	if files, err := e.fs.Children(e.store.cold.roots[0]); err != nil || len(files) != 1 {
+		t.Fatalf("cold tree = %v, %v; want one archive file", files, err)
+	}
+	enc := coldArchiveBytes(t, e, "alice")
+	arch, err := decodeArchive(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := arch.rawSize() - int64(len(enc)); st.ColdBytesSaved != want {
+		t.Fatalf("ColdBytesSaved = %d, want raw %d - encoded %d = %d", st.ColdBytesSaved, arch.rawSize(), len(enc), want)
 	}
 
 	// First read promotes transparently — same namespace, same answer.
@@ -129,7 +139,21 @@ func TestColdListingsIncludeArchived(t *testing.T) {
 	}
 }
 
-func TestColdRedemotionDedups(t *testing.T) {
+// coldArchiveBytes reads subject's encoded archive file from the cold tree.
+func coldArchiveBytes(t *testing.T, e *testEnv, subject string) []byte {
+	t.Helper()
+	ino, err := e.fs.Lookup(e.store.cold.roots[0], subject)
+	if err != nil {
+		t.Fatalf("archive of %s: %v", subject, err)
+	}
+	b, err := readAll(e.fs, ino)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+func TestColdRedemotionWritesNoNewBytes(t *testing.T) {
 	e := coldEnv(t)
 	pdid, err := e.store.Insert(e.tok, "user", "alice", aliceRecord(), nil)
 	if err != nil {
@@ -139,24 +163,26 @@ func TestColdRedemotionDedups(t *testing.T) {
 	if _, err := e.store.RepackCold(e.tok, e.clock.Now()); err != nil {
 		t.Fatal(err)
 	}
+	before, usedBefore := coldArchiveBytes(t, e, "alice"), e.fs.UsedBlocks()
 	if _, err := e.store.GetRecord(e.tok, pdid); err != nil {
 		t.Fatal(err)
 	}
-	// The record re-idles unchanged: re-demotion content-addresses onto the
-	// retained chunks — every part is a dedup hit, no new archive bytes.
+	// The record re-idles unchanged: re-demotion replaces its retained entry
+	// with the same parts, so the archive is rewritten byte for byte and
+	// the volume ends where it started.
 	e.clock.Advance(2 * time.Hour)
-	ps, err := e.store.RepackCold(e.tok, e.clock.Now())
+	n, err := e.store.RepackCold(e.tok, e.clock.Now())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ps.Demoted != 1 || ps.DedupHits != 3 {
-		t.Fatalf("PassStats = %+v, want 1 demoted with 3 dedup hits (data, sens, mem)", ps)
+	if n != 1 {
+		t.Fatalf("re-demotion demoted %d, want 1", n)
 	}
-	if ps.StoredBytes != 0 {
-		t.Fatalf("PassStats.StoredBytes = %d on unchanged re-demotion, want 0", ps.StoredBytes)
+	if after := coldArchiveBytes(t, e, "alice"); !bytes.Equal(after, before) {
+		t.Fatalf("archive changed on unchanged re-demotion: %d bytes -> %d", len(before), len(after))
 	}
-	if st := e.store.Stats(); st.ColdDedupHits != 3 {
-		t.Fatalf("Stats.ColdDedupHits = %d, want 3", st.ColdDedupHits)
+	if used := e.fs.UsedBlocks(); used != usedBefore {
+		t.Fatalf("UsedBlocks %d after re-demotion, want %d", used, usedBefore)
 	}
 }
 

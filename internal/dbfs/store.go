@@ -33,7 +33,7 @@ const (
 	// shardCfgName is the per-instance config file at each FS root,
 	// recording (instance count, instance index). Open validates it so a
 	// remount with a different instance count — which would silently
-	// misroute every shard (shard mod N changes) — fails loudly instead.
+	// misroute every shard (shardAt's ranges change) — fails loudly instead.
 	shardCfgName = "shardcfg"
 
 	dataSuffix = ".data"
@@ -86,15 +86,15 @@ type Stats struct {
 
 	// Cold-tier counters (see cold.go): Demotions counts records repacked
 	// hot → archive, Promotions records rematerialized on first read,
-	// ColdDedupHits archive parts that content-addressed onto existing
-	// chunks, SnapshotsTaken membrane snapshots captured. ColdRecords and
-	// ColdBytesSaved are gauges snapshotted by Stats(): entries currently
-	// archived, and the raw bytes those entries represent minus the
-	// encoded archive bytes holding them (dedup + compression win; can go
-	// negative for tiny archives, where container overhead dominates).
+	// RepackErrors repack passes that failed, SnapshotsTaken membrane
+	// snapshots captured. ColdRecords and ColdBytesSaved are gauges
+	// snapshotted by Stats(): entries currently archived, and the raw bytes
+	// those entries represent minus the encoded archive bytes holding them
+	// (the compression win; can go negative for tiny archives, where
+	// container overhead dominates).
 	Demotions      uint64
 	Promotions     uint64
-	ColdDedupHits  uint64
+	RepackErrors   uint64
 	SnapshotsTaken uint64
 	ColdRecords    uint64
 	ColdBytesSaved int64
@@ -151,10 +151,10 @@ func ShardOf(subjectID string) uint32 { return hashSubject(subjectID) % DefaultS
 // crypto under the subject's shard lock (blocking only that shard), because
 // sealing/unsealing there must serialize with key shredding.
 //
-// Storage is shard-routed too: each subject shard maps to
-// one of N inode filesystem instances (shard mod N), each with its own
-// superblock, allocation bitmap and journal — typically one
-// blockdev.Partition of the PD disk per instance. Shard-disjoint inserts
+// Storage is shard-routed too: each subject shard maps to one of N inode
+// filesystem instances (a contiguous range of shards per instance, see
+// shardAt), each with its own superblock, allocation bitmap and journal —
+// typically one blockdev.Partition of the PD disk per instance. Shard-disjoint inserts
 // therefore never contend on a filesystem lock or a journal, which removes
 // the storage-layer serialization point left after subject sharding. Every
 // instance carries its own "subjects" and "tables" trees; cross-subject
@@ -223,11 +223,14 @@ type shardRef struct {
 	subjRoot   inode.Ino
 	tablesRoot inode.Ino
 	coldRoot   inode.Ino
+	snapRoot   inode.Ino
 }
 
-// shardAt resolves a shard index to its lock and filesystem instance.
+// shardAt resolves a shard index to its lock and filesystem instance. Each
+// instance holds a contiguous range of shards, so the instance does not
+// repeat the low bits of the subject hash that a cluster places nodes by.
 func (s *Store) shardAt(shard uint32) shardRef {
-	fi := int(shard) % len(s.fss)
+	fi := int(shard) * len(s.fss) / DefaultShards
 	return shardRef{
 		idx:        shard,
 		lk:         &s.shards[shard],
@@ -235,6 +238,7 @@ func (s *Store) shardAt(shard uint32) shardRef {
 		subjRoot:   s.subjectRoots[fi],
 		tablesRoot: s.tablesRoots[fi],
 		coldRoot:   s.cold.roots[fi],
+		snapRoot:   s.cold.snapRoots[fi],
 	}
 }
 
@@ -249,9 +253,9 @@ func (s *Store) metaFS() *inode.FS { return s.fss[0] }
 // storeCounters are the event counters of Stats, each bumped without a
 // lock on its operation's path.
 type storeCounters struct {
-	typesCreated, inserts, updates, dataReads            atomic.Uint64
-	membraneReads, membraneWrites, erasures, deletes     atomic.Uint64
-	demotions, promotions, coldDedupHits, snapshotsTaken atomic.Uint64
+	typesCreated, inserts, updates, dataReads           atomic.Uint64
+	membraneReads, membraneWrites, erasures, deletes    atomic.Uint64
+	demotions, promotions, repackErrors, snapshotsTaken atomic.Uint64
 }
 
 // Config is what a store is created or opened with; it is fixed for the
@@ -277,8 +281,8 @@ type treeSlot struct {
 // Create formats the DBFS trees across freshly formatted inode
 // filesystem instances. Every instance gets its own "subjects", "tables",
 // "cold" and "snapshots" trees; instance 0 additionally holds the schema
-// and format trees. The subject-shard → instance routing is shard mod
-// len(fss), so the shard and instance counts are persisted per instance
+// and format trees. The subject-shard → instance routing (shardAt) depends
+// on len(fss), so the shard and instance counts are persisted per instance
 // and must stay the same across remounts of the same devices (Open
 // validates both). There must be no more instances than DefaultShards, or
 // trailing instances could never receive traffic.
@@ -577,12 +581,10 @@ func (s *Store) Stats() Stats {
 		Deletes:        c.deletes.Load(),
 		Demotions:      c.demotions.Load(),
 		Promotions:     c.promotions.Load(),
-		ColdDedupHits:  c.coldDedupHits.Load(),
+		RepackErrors:   c.repackErrors.Load(),
 		SnapshotsTaken: c.snapshotsTaken.Load(),
 	}
-	if mc := s.mcache; mc != nil {
-		st.CacheHits, st.CacheMisses, st.CacheEvictions = mc.counters()
-	}
+	st.CacheHits, st.CacheMisses, st.CacheEvictions = s.mcache.counters()
 	for _, fs := range s.fss {
 		ds := fs.CacheStats()
 		st.BlockCacheHits += ds.CacheHits
@@ -960,11 +962,9 @@ func (s *Store) Insert(tok *lsm.Token, typeName, subjectID string, rec Record, m
 	if err != nil {
 		return fail(err)
 	}
-	if mc := s.mcache; mc != nil {
-		// m is private to this insert (cloned or schema-built above), so the
-		// cache can keep it and first reads decode nothing.
-		mc.writeThrough(sr.idx, pdid, m)
-	}
+	// m is private to this insert (cloned or schema-built above), so the
+	// cache can keep it and first reads decode nothing.
+	s.mcache.put(sr.idx, pdid, m)
 	s.coldTouch(sr, pdid)
 	s.noteExpiry(m)
 	s.stats.inserts.Add(1)
@@ -1039,12 +1039,10 @@ func (s *Store) GetMembrane(tok *lsm.Token, pdid string) (*membrane.Membrane, er
 // concurrently, so the filled value is the freshest stored state. The result
 // is shared and read-only; a mutator clones it first.
 func (s *Store) getMembraneLocked(sr shardRef, r ref) (*membrane.Membrane, error) {
-	if mc := s.mcache; mc != nil {
-		if m := mc.get(sr.idx, r.pdid); m != nil {
-			s.coldTouch(sr, r.pdid)
-			s.stats.membraneReads.Add(1)
-			return m, nil
-		}
+	if m := s.mcache.get(sr.idx, r.pdid); m != nil {
+		s.coldTouch(sr, r.pdid)
+		s.stats.membraneReads.Add(1)
+		return m, nil
 	}
 	_, _, _, memIno, err := s.recordInos(sr, r)
 	if err != nil {
@@ -1058,9 +1056,7 @@ func (s *Store) getMembraneLocked(sr shardRef, r ref) (*membrane.Membrane, error
 	if err != nil {
 		return nil, fmt.Errorf("dbfs: membrane %s: %w", r.pdid, err)
 	}
-	if mc := s.mcache; mc != nil {
-		mc.fill(sr.idx, r.pdid, m)
-	}
+	s.mcache.put(sr.idx, r.pdid, m)
 	s.coldTouch(sr, r.pdid)
 	s.stats.membraneReads.Add(1)
 	return m, nil
@@ -1158,27 +1154,17 @@ func (s *Store) putMembraneLocked(sr shardRef, r ref, m *membrane.Membrane) erro
 	// are the old membrane or the new one, never a mix. A failure that
 	// surfaces after the enqueue (the journal refused the commit group) can
 	// still leave memory ahead of the disk, so the cache entry is
-	// invalidated on any error and the next read surfaces the stored state.
+	// dropped on any error and the next read surfaces the stored state.
 	err = sr.fs.Do([]inode.Ino{memIno}, func(op *inode.Op) error { return op.Replace(memIno, raw) })
 	if err != nil {
-		s.cacheInvalidate(sr, r.pdid)
+		s.mcache.drop(sr.idx, r.pdid)
 		return err
 	}
-	if mc := s.mcache; mc != nil {
-		mc.writeThrough(sr.idx, r.pdid, m)
-	}
+	s.mcache.put(sr.idx, r.pdid, m)
 	s.coldTouch(sr, r.pdid)
 	s.noteExpiry(m)
 	s.stats.membraneWrites.Add(1)
 	return nil
-}
-
-// cacheInvalidate bumps a record's cache version and drops its entry; caller
-// holds the subject's shard write lock.
-func (s *Store) cacheInvalidate(sr shardRef, pdid string) {
-	if mc := s.mcache; mc != nil {
-		mc.invalidate(sr.idx, pdid)
-	}
 }
 
 // GetRecord loads and decrypts a record's fields (the DED's ded_load_data
@@ -1302,9 +1288,9 @@ func (s *Store) Update(tok *lsm.Token, pdid string, rec Record) error {
 	if err != nil {
 		return err
 	}
-	// The membrane bytes are untouched, but the record moved: bump its
-	// cache version so any cached membrane re-validates against disk.
-	s.cacheInvalidate(sr, pdid)
+	// The membrane bytes are untouched, but the record moved: drop its
+	// cached membrane so the next read re-validates against disk.
+	s.mcache.drop(sr.idx, pdid)
 	s.coldTouch(sr, pdid)
 	s.stats.updates.Add(1)
 	return nil
@@ -1380,16 +1366,13 @@ func (s *Store) Delete(tok *lsm.Token, pdid string) error {
 	err = sr.fs.Do(declared, func(op *inode.Op) error {
 		return removeRecordFiles(op, tree, strconv.FormatUint(r.recNo, 10), dataIno, sensIno, memIno)
 	})
+	// The record is gone, so no read may resurrect its membrane; and a
+	// commit that failed after the enqueue leaves memory ahead of the disk,
+	// so the next read must surface the stored state. Either way the cached
+	// membrane goes.
+	s.mcache.drop(sr.idx, pdid)
 	if err != nil {
-		// A commit that failed after the enqueue leaves memory ahead of the
-		// disk; the next read must surface the stored state.
-		s.cacheInvalidate(sr, pdid)
 		return err
-	}
-	// The record is gone; forget it in the cache so no read can resurrect
-	// its membrane.
-	if mc := s.mcache; mc != nil {
-		mc.drop(sr.idx, pdid)
 	}
 	// Shred keys so any residues (ciphertext) stay unreadable forever.
 	if _, err := s.vault.Shred(pdid); err != nil &&

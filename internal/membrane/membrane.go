@@ -328,8 +328,8 @@ func (m *Membrane) Root() string {
 
 // Encode serializes the membrane in the binary layout described at
 // codecVersion. Equal membranes give equal bytes: map keys are written in
-// sorted order and CreatedAt as its UTC instant, so the cold archive's
-// content dedup sees one copy of a repeated membrane.
+// sorted order and CreatedAt as its UTC instant, so re-archiving an
+// unchanged record writes the same cold-archive bytes.
 func (m *Membrane) Encode() ([]byte, error) {
 	created, err := m.CreatedAt.UTC().MarshalBinary()
 	if err != nil {

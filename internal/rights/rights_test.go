@@ -665,12 +665,12 @@ func TestAccessOverArchivedRecords(t *testing.T) {
 	pdid := r.seedUser(t, "chiraz", "Chiraz Benamor", 1990)
 
 	r.clock.Advance(2 * time.Hour)
-	ps, err := r.store.RepackCold(r.tok, r.clock.Now())
+	n, err := r.store.RepackCold(r.tok, r.clock.Now())
 	if err != nil {
 		t.Fatalf("RepackCold: %v", err)
 	}
-	if ps.Demoted != 1 {
-		t.Fatalf("PassStats = %+v, want the seeded record demoted", ps)
+	if n != 1 {
+		t.Fatalf("RepackCold demoted %d, want the seeded record", n)
 	}
 
 	report, err := r.engine.Access("chiraz")
