@@ -156,12 +156,12 @@ func run() error {
 	}
 	clk.Advance(5*365*24*time.Hour + time.Hour) // the account type's age is 5Y
 	sweeper.Sync()
-	leftover, err := sys.DBFS().ListBySubject(sys.DEDToken(), "nora")
+	live, erasedLeft, err := sys.DBFS().ListErased(sys.DEDToken(), "nora")
 	if err != nil {
 		return err
 	}
-	if len(leftover) != 0 {
-		return fmt.Errorf("retention deadline passed but records remain: %v", leftover)
+	if len(live)+len(erasedLeft) != 0 {
+		return fmt.Errorf("retention deadline passed but records remain: live %v, erased %v", live, erasedLeft)
 	}
 	st := sweeper.Stats()
 	fmt.Printf("  [Art.5]  retention ran out: background sweeper deleted %d record(s) in %d pass(es), nothing left on disk\n",

@@ -391,15 +391,14 @@ func (c *Cluster) syncNode(subject string, home, node int) error {
 				continue
 			}
 			_, err := store.MutateMembrane(tok, pdids[i], func(m *membrane.Membrane) error {
-				if m.Erased {
-					return nil // a locally-erased copy stays erased
-				}
 				m.Consents = maps.Clone(om.Consents)
 				m.Restricted = om.Restricted
 				m.Version = om.Version
 				return nil
 			})
-			if err != nil && !errors.Is(err, dbfs.ErrNoRecord) { // ErrNoRecord: swept since the listing
+			// ErrNoRecord: swept since the listing; ErrErased: a locally
+			// erased copy stays erased.
+			if err != nil && !errors.Is(err, dbfs.ErrNoRecord) && !errors.Is(err, membrane.ErrErased) {
 				return err
 			}
 		}
@@ -410,17 +409,21 @@ func (c *Cluster) syncNode(subject string, home, node int) error {
 	return c.ledger.drop(subject, home, node)
 }
 
-// subjectMembranes lists a node's records of subject with their membranes.
-// The node's retention sweep runs outside the subject lock and may delete a
-// listed record before its membrane is read; the listing is then taken once
-// more (a second race fails the sync, which is retried one window later).
+// subjectMembranes lists a node's records of subject, erased ones included
+// (an erased family on the home node is what erases its copies), sorted,
+// with their membranes. The node's retention sweep runs outside the
+// subject lock and may delete a listed record before its membrane is read;
+// the listing is then taken once more (a second race fails the sync, which
+// is retried one window later).
 func subjectMembranes(n *core.System, subject string) ([]string, []*membrane.Membrane, error) {
 	store, tok := n.DBFS(), n.DEDToken()
 	for try := 0; ; try++ {
-		pdids, err := store.ListBySubject(tok, subject)
+		live, erased, err := store.ListErased(tok, subject)
 		if err != nil {
 			return nil, nil, err
 		}
+		pdids := append(live, erased...)
+		slices.Sort(pdids)
 		ms, err := store.GetMembranes(tok, pdids)
 		if errors.Is(err, dbfs.ErrNoRecord) && try == 0 {
 			continue

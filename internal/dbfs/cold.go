@@ -33,10 +33,11 @@ package dbfs
 // A promoted record's archive entry is retained (stale, never served —
 // hot wins): if the record re-idles unchanged, re-demotion replaces the
 // entry with the same bytes, so the rewritten archive is byte-identical.
-// Delete physically removes the archive entry; Erase leaves
-// it, because erased ciphertext is exactly as dead as the hot tier's
-// (ErrKeyDestroyed) and the tombstoned membrane overwrites the entry at
-// its next demotion.
+// Delete physically removes the archive entry. Erase leaves it, because
+// erased ciphertext is exactly as dead as the hot tier's (ErrKeyDestroyed)
+// and is retained for the authority like the hot copy. An erased record
+// stays hot as <n>.erased and is never demoted again; that name shadows
+// the entry in both listings, across a remount too.
 
 import (
 	"errors"
@@ -403,7 +404,10 @@ func (s *Store) repackShardLocked(sr shardRef, subjects []string, cutoff time.Ti
 			tree inode.Ino
 		}
 		var cands []candidate
-		err := s.forEachHotRecord(sr, subject, func(r ref, tree inode.Ino) error {
+		err := s.forEachHotRecord(sr, subject, func(r ref, tree inode.Ino, erased bool) error {
+			if erased {
+				return nil // an erased record stays where it is
+			}
 			if t, ok := cs.touches[r.pdid]; !ok || !t.After(cutoff) {
 				cands = append(cands, candidate{r, tree})
 			}
@@ -444,11 +448,11 @@ func (s *Store) repackShardLocked(sr shardRef, subjects []string, cutoff time.Ti
 	return demoted, nil
 }
 
-// forEachHotRecord calls fn for every hot record of subject, in type-name
-// order and, within a type, in record-name order; tree is the record's
-// type tree. A subject with no hot tree has no records. Caller holds the
-// subject's shard lock (either side).
-func (s *Store) forEachHotRecord(sr shardRef, subject string, fn func(r ref, tree inode.Ino) error) error {
+// forEachHotRecord calls fn for every hot record of subject, erased ones
+// included, in type-name order and, within a type, in record-name order;
+// tree is the record's type tree. A subject with no hot tree has no
+// records. Caller holds the subject's shard lock (either side).
+func (s *Store) forEachHotRecord(sr shardRef, subject string, fn func(r ref, tree inode.Ino, erased bool) error) error {
 	subjIno, err := sr.fs.Lookup(sr.subjRoot, subject)
 	if errors.Is(err, inode.ErrChildNotFound) {
 		return nil
@@ -466,20 +470,26 @@ func (s *Store) forEachHotRecord(sr shardRef, subject string, fn func(r ref, tre
 		if err != nil {
 			return err
 		}
-		names := make([]string, 0, len(recs))
+		type hotName struct {
+			name   string
+			erased bool
+		}
+		names := make([]hotName, 0, len(recs))
 		for _, rc := range recs {
 			if name, ok := strings.CutSuffix(rc.Name, memSuffix); ok {
-				names = append(names, name)
+				names = append(names, hotName{name, false})
+			} else if name, ok := strings.CutSuffix(rc.Name, erasedSuffix); ok {
+				names = append(names, hotName{name, true})
 			}
 		}
-		sort.Strings(names)
-		for _, name := range names {
-			recNo, err := strconv.ParseUint(name, 10, 64)
+		sort.Slice(names, func(i, j int) bool { return names[i].name < names[j].name })
+		for _, n := range names {
+			recNo, err := strconv.ParseUint(n.name, 10, 64)
 			if err != nil {
 				continue // not a record file
 			}
 			r := ref{pdid: PDID(tt.Name, subject, recNo), typeName: tt.Name, subjectID: subject, recNo: recNo}
-			if err := fn(r, tt.Ino); err != nil {
+			if err := fn(r, tt.Ino, n.erased); err != nil {
 				return err
 			}
 		}
@@ -538,7 +548,7 @@ func (s *Store) removeRecordFilesLocked(sr shardRef, r ref, tree inode.Ino) erro
 		declared = append(declared, ino)
 	}
 	err := sr.fs.Do(declared, func(op *inode.Op) error {
-		return removeRecordFiles(op, tree, recName, inos[0], inos[1], inos[2])
+		return removeRecordFiles(op, recName, recordFiles{tree: tree, data: inos[0], sens: inos[1], mem: inos[2]})
 	})
 	// Dropped on failure too: a commit that failed after the enqueue can
 	// leave memory ahead of the disk.
@@ -682,7 +692,12 @@ func (s *Store) snapshotSubjectLocked(sr shardRef, subject string, arch archive)
 		n++
 		return nil
 	}
-	err := s.forEachHotRecord(sr, subject, func(r ref, tree inode.Ino) error {
+	err := s.forEachHotRecord(sr, subject, func(r ref, tree inode.Ino, erased bool) error {
+		if erased {
+			arch[r.pdid] = archiveEntry{Erased: true}
+			n++
+			return nil
+		}
 		memIno, err := sr.fs.Lookup(tree, strconv.FormatUint(r.recNo, 10)+memSuffix)
 		if err != nil {
 			return err

@@ -237,6 +237,75 @@ func TestColdDeleteRemovesArchiveEntry(t *testing.T) {
 	}
 }
 
+// TestColdErasedStaysOutOfListings: a record demoted, promoted and then
+// erased keeps its archive entry, but its hot <n>.erased name shadows that
+// entry in both listings — also after a remount rebuilds the cold index.
+// It is never demoted again, and a snapshot stores it as an erased marker.
+func TestColdErasedStaysOutOfListings(t *testing.T) {
+	e := coldEnv(t)
+	pdid, err := e.store.Insert(e.tok, "user", "alice", aliceRecord(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.clock.Advance(2 * time.Hour)
+	if n, err := e.store.RepackCold(e.tok, e.clock.Now()); err != nil || n != 1 {
+		t.Fatalf("RepackCold = %d, %v; want 1 demoted", n, err)
+	}
+	if _, err := e.store.GetRecord(e.tok, pdid); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	if _, err := e.store.Erase(e.tok, pdid); err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *Store, when string) {
+		t.Helper()
+		byType, err := s.ListByType(e.tok, "user")
+		if err != nil {
+			t.Fatal(err)
+		}
+		live, erased, err := s.ListErased(e.tok, "alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(byType) != 0 || len(live) != 0 || len(erased) != 1 || erased[0] != pdid {
+			t.Fatalf("%s: ListByType = %v, ListErased = %v, %v; want only [%s] erased", when, byType, live, erased, pdid)
+		}
+		if _, err := s.ColdRaw(e.tok, pdid); err != nil {
+			t.Fatalf("%s: the archive entry went: %v", when, err)
+		}
+	}
+	check(e.store, "after erase")
+	e.clock.Advance(2 * time.Hour)
+	if n, err := e.store.RepackCold(e.tok, e.clock.Now()); err != nil || n != 0 {
+		t.Fatalf("RepackCold after erase = %d, %v; want nothing demoted", n, err)
+	}
+	if _, err := e.store.SnapshotMembranes(e.tok, "post-erase"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.store.SnapshotMembrane(e.tok, "post-erase", pdid); !errors.Is(err, cryptoshred.ErrKeyDestroyed) {
+		t.Fatalf("SnapshotMembrane(erased) = %v, want ErrKeyDestroyed", err)
+	}
+
+	st2, err := Open([]*inode.FS{e.fs}, e.guard, e.vault, e.clock, Config{ColdAfter: time.Hour})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	check(st2, "after remount")
+	if m, err := st2.GetMembrane(e.tok, pdid); err != nil || !m.Erased {
+		t.Fatalf("tombstone after remount = %+v, %v", m, err)
+	}
+	// Delete takes the hot files and the archive entry.
+	if err := st2.Delete(e.tok, pdid); err != nil {
+		t.Fatal(err)
+	}
+	if live, erased, err := st2.ListErased(e.tok, "alice"); err != nil || len(live)+len(erased) != 0 {
+		t.Fatalf("ListErased after Delete = %v, %v, %v; want both empty", live, erased, err)
+	}
+	if _, err := st2.ColdRaw(e.tok, pdid); !errors.Is(err, ErrNoRecord) {
+		t.Fatalf("ColdRaw after Delete = %v, want ErrNoRecord", err)
+	}
+}
+
 func TestColdConcurrentPromotion(t *testing.T) {
 	e := coldEnv(t)
 	pdid, err := e.store.Insert(e.tok, "user", "alice", aliceRecord(), nil)

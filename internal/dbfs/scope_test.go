@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -336,9 +337,34 @@ var crashCases = []crashCase{
 			return err
 		},
 		membraneState(func(m *membrane.Membrane) bool { return m.Consents["purpose1"].Kind == membrane.GrantNone })),
-	rewriteCase("Erase",
-		func(e *crashEnv, pdid string) error { _, err := e.store.Erase(e.tok, pdid); return err },
-		membraneState(func(m *membrane.Membrane) bool { return m.Erased })),
+	// Erase tombstones the membrane and renames it in one transaction:
+	// "old" is live-listed with an untouched membrane, "new" is listed only
+	// as erased, with a decodable tombstone that carries the escrow ref.
+	{name: "Erase", setup: func(t *testing.T, e *crashEnv) (func() error, func(*testing.T, *Store) string) {
+		pdid, err := e.store.Insert(e.tok, "user", "alice", recordV(1), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return func() error { _, err := e.store.Erase(e.tok, pdid); return err }, func(t *testing.T, s *Store) string {
+			live := listed(t, s, e.tok, pdid)
+			_, erased, err := s.ListErased(e.tok, "alice")
+			if err != nil {
+				t.Fatal(err)
+			}
+			listedErased := slices.Contains(erased, pdid)
+			m, err := s.GetMembrane(e.tok, pdid)
+			if err != nil {
+				return "undecodable membrane: " + err.Error()
+			}
+			switch {
+			case live && !listedErased && !m.Erased:
+				return "old"
+			case !live && listedErased && m.Erased && m.EscrowRef != "":
+				return "new"
+			}
+			return fmt.Sprintf("torn erase: live %t, listed erased %t, tombstone %t, escrow %q", live, listedErased, m.Erased, m.EscrowRef)
+		}
+	}},
 	{name: "Delete", inodes: -3, setup: func(t *testing.T, e *crashEnv) (func() error, func(*testing.T, *Store) string) {
 		pdid, err := e.store.Insert(e.tok, "user", "alice", recordV(1), nil)
 		if err != nil {

@@ -39,6 +39,10 @@ const (
 	dataSuffix = ".data"
 	sensSuffix = ".sens"
 	memSuffix  = ".mem"
+	// erasedSuffix names an erased record's tombstoned membrane: Erase
+	// renames <n>.mem to <n>.erased, so the listings, which pick .mem
+	// names, skip the record while lookups by pdid still find it.
+	erasedSuffix = ".erased"
 
 	// sensKeySuffix derives the separate data key for sensitive fields.
 	sensKeySuffix = "#sens"
@@ -545,17 +549,35 @@ func createRecordFiles(op *inode.Op, tree inode.Ino, recName string, data, sens,
 	return err
 }
 
+// recordFiles are the inode numbers of one stored record on its shard's
+// instance: its type tree, data, sensitive part (0 when the type has none)
+// and membrane. The membrane is linked as <n>.erased once the record is
+// erased, <n>.mem before.
+type recordFiles struct {
+	tree, data, sens, mem inode.Ino
+	erased                bool
+}
+
+// memName is the name the record's membrane is linked under.
+func (f recordFiles) memName(recName string) string {
+	if f.erased {
+		return recName + erasedSuffix
+	}
+	return recName + memSuffix
+}
+
 // removeRecordFiles is the scope step that unlinks and frees one record's
-// files; an inode number of 0 means the record has no such file.
-func removeRecordFiles(op *inode.Op, tree inode.Ino, recName string, data, sens, mem inode.Ino) error {
-	for _, f := range []struct {
-		suffix string
-		ino    inode.Ino
-	}{{memSuffix, mem}, {sensSuffix, sens}, {dataSuffix, data}} {
-		if f.ino == 0 {
+// files, whichever name its membrane has; an inode number of 0 means the
+// record has no such file.
+func removeRecordFiles(op *inode.Op, recName string, f recordFiles) error {
+	for _, file := range []struct {
+		name string
+		ino  inode.Ino
+	}{{f.memName(recName), f.mem}, {recName + sensSuffix, f.sens}, {recName + dataSuffix, f.data}} {
+		if file.ino == 0 {
 			continue
 		}
-		if err := removeFile(op, tree, recName+f.suffix, f.ino); err != nil {
+		if err := removeFile(op, f.tree, file.name, file.ino); err != nil {
 			return err
 		}
 	}
@@ -972,48 +994,54 @@ func (s *Store) Insert(tok *lsm.Token, typeName, subjectID string, rec Record, m
 }
 
 // recordInos resolves the inode numbers of a record's files on its shard's
-// instance. Caller holds the subject's shard lock and has already validated
-// the type (resolve). The sens inode is 0 when the type has no sensitive
-// part.
-func (s *Store) recordInos(sr shardRef, r ref) (tree inode.Ino, data, sens, mem inode.Ino, err error) {
-	tree, err = s.subjectTypeTree(sr, r.typeName, r.subjectID, false)
+// instance, erased records included. Caller holds the subject's shard lock
+// and has already validated the type (resolve).
+func (s *Store) recordInos(sr shardRef, r ref) (recordFiles, error) {
+	var f recordFiles
+	tree, err := s.subjectTypeTree(sr, r.typeName, r.subjectID, false)
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return f, err
 	}
+	f.tree = tree
 	recName := strconv.FormatUint(r.recNo, 10)
-	data, err = sr.fs.Lookup(tree, recName+dataSuffix)
+	f.data, err = sr.fs.Lookup(tree, recName+dataSuffix)
 	if errors.Is(err, inode.ErrChildNotFound) {
 		// Not hot — the record may live in its subject's cold archive.
 		// Promote it back and retry: callers see one namespace, the first
 		// read of a demoted record just pays the rematerialization.
 		promoted, perr := s.promoteIfCold(sr, r, tree)
 		if perr != nil {
-			return 0, 0, 0, 0, perr
+			return f, perr
 		}
 		if !promoted {
-			return 0, 0, 0, 0, fmt.Errorf("%w: %s", ErrNoRecord, r.pdid)
+			return f, fmt.Errorf("%w: %s", ErrNoRecord, r.pdid)
 		}
-		data, err = sr.fs.Lookup(tree, recName+dataSuffix)
+		f.data, err = sr.fs.Lookup(tree, recName+dataSuffix)
 	}
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return f, err
 	}
 	// A record's files are linked by one transaction (Insert, promotion), so
-	// a visible data file proves the membrane and sens part are visible too.
-	mem, err = sr.fs.Lookup(tree, recName+memSuffix)
+	// a visible data file proves the membrane and sens part are visible too;
+	// Erase renames the membrane in one transaction as well.
+	f.mem, err = sr.fs.Lookup(tree, recName+memSuffix)
 	if errors.Is(err, inode.ErrChildNotFound) {
-		return 0, 0, 0, 0, fmt.Errorf("%w: %s", ErrNoMembrane, r.pdid)
+		f.erased = true
+		f.mem, err = sr.fs.Lookup(tree, recName+erasedSuffix)
+	}
+	if errors.Is(err, inode.ErrChildNotFound) {
+		return f, fmt.Errorf("%w: %s", ErrNoMembrane, r.pdid)
 	}
 	if err != nil {
-		return 0, 0, 0, 0, err
+		return f, err
 	}
-	sens, err = sr.fs.Lookup(tree, recName+sensSuffix)
+	f.sens, err = sr.fs.Lookup(tree, recName+sensSuffix)
 	if errors.Is(err, inode.ErrChildNotFound) {
-		sens = 0
+		f.sens = 0
 	} else if err != nil {
-		return 0, 0, 0, 0, err
+		return f, err
 	}
-	return tree, data, sens, mem, nil
+	return f, nil
 }
 
 // GetMembrane loads a record's membrane (the DED's ded_load_membrane step).
@@ -1044,11 +1072,11 @@ func (s *Store) getMembraneLocked(sr shardRef, r ref) (*membrane.Membrane, error
 		s.stats.membraneReads.Add(1)
 		return m, nil
 	}
-	_, _, _, memIno, err := s.recordInos(sr, r)
+	f, err := s.recordInos(sr, r)
 	if err != nil {
 		return nil, err
 	}
-	raw, err := readAll(sr.fs, memIno)
+	raw, err := readAll(sr.fs, f.mem)
 	if err != nil {
 		return nil, fmt.Errorf("dbfs: read membrane %s: %w", r.pdid, err)
 	}
@@ -1108,8 +1136,10 @@ func (s *Store) GetMembranes(tok *lsm.Token, pdids []string) ([]*membrane.Membra
 // state, applies mutate, validates and persists. Concurrent mutations of
 // the same record therefore compose instead of overwriting each other
 // (and a mutation can never resurrect an erasure tombstone it did not
-// see). mutate receives a private copy. MutateMembrane returns the membrane
-// as persisted, which is then shared with the cache: read-only.
+// see). An erased record's membrane is final: mutating it fails with an
+// error wrapping membrane.ErrErased and writes nothing. mutate receives a
+// private copy. MutateMembrane returns the membrane as persisted, which is
+// then shared with the cache: read-only.
 func (s *Store) MutateMembrane(tok *lsm.Token, pdid string, mutate func(*membrane.Membrane) error) (*membrane.Membrane, error) {
 	if err := s.check(tok, lsm.OpWrite, pdid+memSuffix); err != nil {
 		return nil, err
@@ -1124,6 +1154,9 @@ func (s *Store) MutateMembrane(tok *lsm.Token, pdid string, mutate func(*membran
 	cached, err := s.getMembraneLocked(sr, r)
 	if err != nil {
 		return nil, err
+	}
+	if cached.Erased {
+		return nil, fmt.Errorf("dbfs: mutate %s: %w", pdid, membrane.ErrErased)
 	}
 	m := cached.Clone() // readers may hold the cached value
 	if err := mutate(m); err != nil {
@@ -1142,7 +1175,7 @@ func (s *Store) MutateMembrane(tok *lsm.Token, pdid string, mutate func(*membran
 // the cache, which keeps m itself: the caller must not change m afterwards.
 // Caller holds the subject's shard write lock.
 func (s *Store) putMembraneLocked(sr shardRef, r ref, m *membrane.Membrane) error {
-	_, _, _, memIno, err := s.recordInos(sr, r)
+	f, err := s.recordInos(sr, r)
 	if err != nil {
 		return err
 	}
@@ -1151,12 +1184,18 @@ func (s *Store) putMembraneLocked(sr shardRef, r ref, m *membrane.Membrane) erro
 		return err
 	}
 	// Replace the contents in place, as one transaction: the stored bytes
-	// are the old membrane or the new one, never a mix. A failure that
-	// surfaces after the enqueue (the journal refused the commit group) can
-	// still leave memory ahead of the disk, so the cache entry is
-	// dropped on any error and the next read surfaces the stored state.
-	err = sr.fs.Do([]inode.Ino{memIno}, func(op *inode.Op) error { return op.Replace(memIno, raw) })
-	if err != nil {
+	// are the old membrane or the new one, never a mix.
+	return s.commitMembraneLocked(sr, r, m, []inode.Ino{f.mem}, func(op *inode.Op) error { return op.Replace(f.mem, raw) })
+}
+
+// commitMembraneLocked runs the scope that persists membrane m over the
+// declared inodes and writes m through the cache, which keeps it. A
+// failure that surfaces after the enqueue (the journal refused the commit
+// group) can still leave memory ahead of the disk, so the cache entry is
+// dropped on any error and the next read surfaces the stored state.
+// Caller holds the subject's shard write lock.
+func (s *Store) commitMembraneLocked(sr shardRef, r ref, m *membrane.Membrane, declared []inode.Ino, fn func(*inode.Op) error) error {
+	if err := sr.fs.Do(declared, fn); err != nil {
 		s.mcache.drop(sr.idx, r.pdid)
 		return err
 	}
@@ -1187,12 +1226,12 @@ func (s *Store) GetRecord(tok *lsm.Token, pdid string) (Record, error) {
 // getRecordLocked loads and decrypts a record; caller holds the subject's
 // shard lock (either side) and has resolved the schema.
 func (s *Store) getRecordLocked(sr shardRef, r ref, sch *Schema) (Record, error) {
-	_, dataIno, sensIno, _, err := s.recordInos(sr, r)
+	f, err := s.recordInos(sr, r)
 	if err != nil {
 		return nil, err
 	}
 	plainPart, sensPart := partsOf(sch)
-	sealed, err := readAll(sr.fs, dataIno)
+	sealed, err := readAll(sr.fs, f.data)
 	if err != nil {
 		return nil, fmt.Errorf("dbfs: read %s: %w", r.pdid, err)
 	}
@@ -1204,8 +1243,8 @@ func (s *Store) getRecordLocked(sr shardRef, r ref, sch *Schema) (Record, error)
 	if err != nil {
 		return nil, err
 	}
-	if sensIno != 0 && len(sensPart) > 0 {
-		sealedSens, err := readAll(sr.fs, sensIno)
+	if f.sens != 0 && len(sensPart) > 0 {
+		sealedSens, err := readAll(sr.fs, f.sens)
 		if err != nil {
 			return nil, fmt.Errorf("dbfs: read sensitive %s: %w", r.pdid, err)
 		}
@@ -1227,7 +1266,8 @@ func (s *Store) getRecordLocked(sr shardRef, r ref, sch *Schema) (Record, error)
 }
 
 // Update overwrites the stored fields of pdid with rec (a full replacement
-// of both parts).
+// of both parts). Updating an erased record fails with an error wrapping
+// membrane.ErrErased and writes nothing.
 func (s *Store) Update(tok *lsm.Token, pdid string, rec Record) error {
 	if err := s.check(tok, lsm.OpWrite, pdid); err != nil {
 		return err
@@ -1240,10 +1280,9 @@ func (s *Store) Update(tok *lsm.Token, pdid string, rec Record) error {
 		return err
 	}
 	// Encode outside the shard lock, but seal INSIDE it: sealing must
-	// serialize with a concurrent Erase's key shredding, so an update of
-	// an already-erased record fails with ErrKeyDestroyed instead of
-	// silently re-writing ciphertext under an escrowed key. The record is
-	// resolved before sealing so a nonexistent pdid never mints keys.
+	// serialize with a concurrent Erase, so an update never re-writes
+	// ciphertext under an escrowed key. The record is resolved before
+	// sealing so a nonexistent or erased pdid never mints keys.
 	plainPart, sensPart := partsOf(sch)
 	plainBytes, err := encodeRecordPart(sch, rec, plainPart)
 	if err != nil {
@@ -1258,9 +1297,12 @@ func (s *Store) Update(tok *lsm.Token, pdid string, rec Record) error {
 	sr := s.shardOf(r.subjectID)
 	sr.lk.Lock()
 	defer sr.lk.Unlock()
-	_, dataIno, sensIno, _, err := s.recordInos(sr, r)
+	f, err := s.recordInos(sr, r)
 	if err != nil {
 		return err
+	}
+	if f.erased {
+		return fmt.Errorf("dbfs: update %s: %w", pdid, membrane.ErrErased)
 	}
 	sealed, err := s.vault.Seal(pdid, plainBytes)
 	if err != nil {
@@ -1274,16 +1316,16 @@ func (s *Store) Update(tok *lsm.Token, pdid string, rec Record) error {
 	}
 	// Both parts are replaced in place by one transaction: a reader or a
 	// crash sees the old record or the new one, never one part of each.
-	declared := []inode.Ino{dataIno}
-	withSens := sensIno != 0 && sealedSens != nil
+	declared := []inode.Ino{f.data}
+	withSens := f.sens != 0 && sealedSens != nil
 	if withSens {
-		declared = append(declared, sensIno)
+		declared = append(declared, f.sens)
 	}
 	err = sr.fs.Do(declared, func(op *inode.Op) error {
-		if err := op.Replace(dataIno, sealed); err != nil || !withSens {
+		if err := op.Replace(f.data, sealed); err != nil || !withSens {
 			return err
 		}
-		return op.Replace(sensIno, sealedSens)
+		return op.Replace(f.sens, sealedSens)
 	})
 	if err != nil {
 		return err
@@ -1298,8 +1340,12 @@ func (s *Store) Update(tok *lsm.Token, pdid string, rec Record) error {
 
 // Erase implements the crypto-erasure step of the right to be forgotten:
 // the record's data keys are shredded with escrow to the authority, and its
-// membrane is tombstoned (Erased + EscrowRef). The ciphertext remains on
-// disk, readable only by the authority.
+// membrane is tombstoned (Erased + EscrowRef) and renamed <n>.mem →
+// <n>.erased in the same transaction, so the record leaves ListBySubject
+// and ListByType while lookups by pdid still find it. The ciphertext stays
+// on disk, readable only by the authority (RawCiphertext + the escrow), and
+// so does an archived copy. Erasing an erased record returns its escrow
+// reference again.
 func (s *Store) Erase(tok *lsm.Token, pdid string) (escrowRef string, err error) {
 	if err := s.check(tok, lsm.OpDelete, pdid); err != nil {
 		return "", err
@@ -1318,6 +1364,10 @@ func (s *Store) Erase(tok *lsm.Token, pdid string) (escrowRef string, err error)
 	if cached.Erased {
 		return cached.EscrowRef, nil // idempotent
 	}
+	f, err := s.recordInos(sr, r)
+	if err != nil {
+		return "", err
+	}
 	rec, err := s.vault.Shred(pdid)
 	if err != nil && !errors.Is(err, cryptoshred.ErrNoKey) {
 		return "", fmt.Errorf("dbfs: erase %s: %w", pdid, err)
@@ -1331,7 +1381,23 @@ func (s *Store) Erase(tok *lsm.Token, pdid string) (escrowRef string, err error)
 	m.Erased = true
 	m.EscrowRef = rec.Ref
 	m.Version++
-	if err := s.putMembraneLocked(sr, r, m); err != nil {
+	raw, err := m.Encode()
+	if err != nil {
+		return "", err
+	}
+	// One commit point: the tombstone and the rename land together, so a
+	// listing (or a crash) sees the live record or the erased one.
+	recName := strconv.FormatUint(r.recNo, 10)
+	err = s.commitMembraneLocked(sr, r, m, []inode.Ino{f.tree, f.mem}, func(op *inode.Op) error {
+		if err := op.Replace(f.mem, raw); err != nil {
+			return err
+		}
+		if err := op.Unlink(f.tree, recName+memSuffix, f.mem); err != nil {
+			return err
+		}
+		return op.Link(f.tree, recName+erasedSuffix, f.mem)
+	})
+	if err != nil {
 		return "", err
 	}
 	s.stats.erasures.Add(1)
@@ -1352,19 +1418,19 @@ func (s *Store) Delete(tok *lsm.Token, pdid string) error {
 	sr := s.shardOf(r.subjectID)
 	sr.lk.Lock()
 	defer sr.lk.Unlock()
-	tree, dataIno, sensIno, memIno, err := s.recordInos(sr, r)
+	f, err := s.recordInos(sr, r)
 	if err != nil {
 		return err
 	}
 	// One commit point: the three unlinks and frees are one transaction, so
 	// the lock-free listings (and a crash) see the whole record or none of
 	// it — never a membrane whose data is already gone.
-	declared := []inode.Ino{tree, dataIno, memIno}
-	if sensIno != 0 {
-		declared = append(declared, sensIno)
+	declared := []inode.Ino{f.tree, f.data, f.mem}
+	if f.sens != 0 {
+		declared = append(declared, f.sens)
 	}
 	err = sr.fs.Do(declared, func(op *inode.Op) error {
-		return removeRecordFiles(op, tree, strconv.FormatUint(r.recNo, 10), dataIno, sensIno, memIno)
+		return removeRecordFiles(op, strconv.FormatUint(r.recNo, 10), f)
 	})
 	// The record is gone, so no read may resurrect its membrane; and a
 	// commit that failed after the enqueue leaves memory ahead of the disk,
@@ -1405,11 +1471,11 @@ func (s *Store) RawCiphertext(tok *lsm.Token, pdid string) ([]byte, error) {
 	sr := s.shardOf(r.subjectID)
 	sr.lk.RLock()
 	defer sr.lk.RUnlock()
-	_, dataIno, _, _, err := s.recordInos(sr, r)
+	f, err := s.recordInos(sr, r)
 	if err != nil {
 		return nil, err
 	}
-	return readAll(sr.fs, dataIno)
+	return readAll(sr.fs, f.data)
 }
 
 // Subjects lists every subject with data in DBFS, sorted — the union of
@@ -1434,7 +1500,8 @@ func (s *Store) Subjects(tok *lsm.Token) ([]string, error) {
 	return out, nil
 }
 
-// ListBySubject returns every pdid belonging to subjectID, sorted.
+// ListBySubject returns every live pdid belonging to subjectID, sorted.
+// Erased records are not listed (see ListErased).
 func (s *Store) ListBySubject(tok *lsm.Token, subjectID string) ([]string, error) {
 	if err := s.check(tok, lsm.OpScan, "subject/"+subjectID); err != nil {
 		return nil, err
@@ -1442,50 +1509,83 @@ func (s *Store) ListBySubject(tok *lsm.Token, subjectID string) ([]string, error
 	sr := s.shardOf(subjectID)
 	sr.lk.RLock()
 	defer sr.lk.RUnlock()
+	live, _, err := s.listSubjectLocked(sr, subjectID, false)
+	return live, err
+}
+
+// ListErased lists subjectID's records with one walk of its trees: live
+// holds exactly what ListBySubject returns, erased the pdids of its erased
+// records, whose tombstones and ciphertext remain until their retention
+// deletes them. Both are sorted. The callers that must see erased records —
+// the retention sweep, the access report, the cluster's copy sync — read
+// both.
+func (s *Store) ListErased(tok *lsm.Token, subjectID string) (live, erased []string, err error) {
+	if err := s.check(tok, lsm.OpScan, "subject/"+subjectID); err != nil {
+		return nil, nil, err
+	}
+	sr := s.shardOf(subjectID)
+	sr.lk.RLock()
+	defer sr.lk.RUnlock()
+	return s.listSubjectLocked(sr, subjectID, true)
+}
+
+// listSubjectLocked walks subjectID's type trees once: live is the hot
+// <n>.mem names plus the archived records no hot name shadows, erased the
+// <n>.erased names (collected when withErased is set, or when an archive
+// entry needs shadowing). Caller holds the subject's shard lock (either
+// side).
+func (s *Store) listSubjectLocked(sr shardRef, subjectID string, withErased bool) (live, erased []string, err error) {
 	s.scanLocks[sr.idx].Add(1)
 	subjIno, err := sr.fs.Lookup(sr.subjRoot, subjectID)
 	if errors.Is(err, inode.ErrChildNotFound) {
-		return nil, nil
+		return nil, nil, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	typeTrees, err := sr.fs.Children(subjIno)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var out []string
+	cold := s.coldPDIDs(sr, subjectID)
+	withErased = withErased || len(cold) != 0
 	for _, tt := range typeTrees {
 		recs, err := sr.fs.Children(tt.Ino)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		for _, r := range recs {
 			if name, ok := strings.CutSuffix(r.Name, memSuffix); ok {
-				out = append(out, tt.Name+"/"+subjectID+"/"+name)
+				live = append(live, tt.Name+"/"+subjectID+"/"+name)
+			} else if name, ok := strings.CutSuffix(r.Name, erasedSuffix); ok && withErased {
+				erased = append(erased, tt.Name+"/"+subjectID+"/"+name)
 			}
 		}
 	}
 	// Archived records are part of the namespace too (reads promote them
-	// transparently); a promoted record's stale archive entry is shadowed
-	// by its hot copy.
-	if cold := s.coldPDIDs(sr, subjectID); len(cold) != 0 {
-		hot := make(map[string]bool, len(out))
-		for _, p := range out {
+	// transparently). A hot name shadows its archive entry: the stale entry
+	// of a promoted record, erased since or not.
+	if len(cold) != 0 {
+		hot := make(map[string]bool, len(live)+len(erased))
+		for _, p := range live {
+			hot[p] = true
+		}
+		for _, p := range erased {
 			hot[p] = true
 		}
 		for _, p := range cold {
 			if !hot[p] {
-				out = append(out, p)
+				live = append(live, p)
 			}
 		}
 	}
-	sort.Strings(out)
-	return out, nil
+	sort.Strings(live)
+	sort.Strings(erased)
+	return live, erased, nil
 }
 
-// ListByType returns every pdid of a type across all subjects, sorted. It
-// walks each instance's per-table subject links (the second major tree).
+// ListByType returns every live pdid of a type across all subjects, sorted.
+// It walks each instance's per-table subject links (the second major tree).
 func (s *Store) ListByType(tok *lsm.Token, typeName string) ([]string, error) {
 	if err := s.check(tok, lsm.OpScan, "type/"+typeName); err != nil {
 		return nil, err
@@ -1496,6 +1596,7 @@ func (s *Store) ListByType(tok *lsm.Token, typeName string) ([]string, error) {
 	// Cross-subject scan: like Subjects, a point-in-time view without shard
 	// locks; per-record files are only read later under their shard lock.
 	var out []string
+	hot := make(map[string]bool) // every hot name, live or erased
 	for i, fs := range s.fss {
 		subs, err := fs.Lookup(s.tablesRoots[i], typeName)
 		if errors.Is(err, inode.ErrChildNotFound) {
@@ -1515,16 +1616,16 @@ func (s *Store) ListByType(tok *lsm.Token, typeName string) ([]string, error) {
 			}
 			for _, r := range recs {
 				if name, ok := strings.CutSuffix(r.Name, memSuffix); ok {
-					out = append(out, typeName+"/"+sj.Name+"/"+name)
+					pdid := typeName + "/" + sj.Name + "/" + name
+					out = append(out, pdid)
+					hot[pdid] = true
+				} else if name, ok := strings.CutSuffix(r.Name, erasedSuffix); ok {
+					hot[typeName+"/"+sj.Name+"/"+name] = true
 				}
 			}
 		}
 	}
-	// Add this type's archived records, hot copies shadowing stale entries.
-	hot := make(map[string]bool, len(out))
-	for _, p := range out {
-		hot[p] = true
-	}
+	// Add this type's archived records that no hot name shadows.
 	prefix := typeName + "/"
 	for i := range s.cold.shards {
 		cs := &s.cold.shards[i]

@@ -3,6 +3,7 @@ package dbfs
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 	"testing"
@@ -153,12 +154,21 @@ func TestConcurrentOverlappingSubject(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
+	// The erased seed leaves the live listing and is listed as erased.
 	listed, err := e.store.ListBySubject(e.tok, subject)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := 1 + goroutines*4; len(listed) != want {
-		t.Errorf("ListBySubject: %d records, want %d", len(listed), want)
+	if want := goroutines * 4; len(listed) != want || slices.Contains(listed, seedID) {
+		t.Errorf("ListBySubject: %d records (seed listed: %t), want %d without the seed",
+			len(listed), slices.Contains(listed, seedID), want)
+	}
+	live, erased, err := e.store.ListErased(e.tok, subject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(live, listed) || !slices.Equal(erased, []string{seedID}) {
+		t.Errorf("ListErased = %v, %v; want the live listing and [%s]", live, erased, seedID)
 	}
 	if st := e.store.Stats(); st.Erasures != 1 {
 		t.Errorf("stats.Erasures = %d, want 1 (idempotent)", st.Erasures)
@@ -178,8 +188,8 @@ func TestUpdateAfterEraseFails(t *testing.T) {
 	if _, err := e.store.Erase(e.tok, pdid); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.store.Update(e.tok, pdid, aliceRecord()); err == nil {
-		t.Fatal("Update succeeded on an erased record")
+	if err := e.store.Update(e.tok, pdid, aliceRecord()); !errors.Is(err, membrane.ErrErased) {
+		t.Fatalf("Update(erased) err = %v, want membrane.ErrErased", err)
 	}
 }
 
@@ -237,15 +247,16 @@ func TestMutateMembraneComposes(t *testing.T) {
 			t.Errorf("grant for %s lost: %+v", purpose, m.Consents)
 		}
 	}
-	// A consent change after erasure must not resurrect the tombstone.
+	// A consent change after erasure fails and must not resurrect the
+	// tombstone.
 	if _, err := e.store.Erase(e.tok, pdid); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.store.MutateMembrane(e.tok, pdid, func(m *membrane.Membrane) error {
 		m.SetConsent("late", membrane.Grant{Kind: membrane.GrantAll})
 		return nil
-	}); err != nil {
-		t.Fatal(err)
+	}); !errors.Is(err, membrane.ErrErased) {
+		t.Fatalf("MutateMembrane(erased) err = %v, want membrane.ErrErased", err)
 	}
 	m, err = e.store.GetMembrane(e.tok, pdid)
 	if err != nil {
@@ -315,5 +326,99 @@ func TestConcurrentInsertVsScan(t *testing.T) {
 	}
 	if want := writers * 8; len(pdids) != want {
 		t.Errorf("final ListByType: %d, want %d", len(pdids), want)
+	}
+}
+
+// TestEraseRacesListingsAndInserts runs Erase on one subject while other
+// goroutines list its type, batch-fetch the listed membranes and insert
+// more of its records. A pdid listed live and erased before its fetch is
+// still found by pdid (as a tombstone), an erasure's rename is never seen
+// half done, and at the end the live and erased listings partition the
+// subject's records exactly.
+func TestEraseRacesListingsAndInserts(t *testing.T) {
+	e := newEnv(t)
+	e.mustCreateUser(t)
+	const subject, seeded, inserted = "racy", 24, 24
+	var victims []string
+	for i := 0; i < seeded; i++ {
+		pdid, err := e.store.Insert(e.tok, "user", subject, aliceRecord(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		victims = append(victims, pdid)
+	}
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	errs := make(chan error, 3)
+	var fresh []string
+	writers.Add(2)
+	go func() {
+		defer writers.Done()
+		for _, pdid := range victims {
+			if _, err := e.store.Erase(e.tok, pdid); err != nil {
+				errs <- fmt.Errorf("erase %s: %w", pdid, err)
+				return
+			}
+		}
+	}()
+	go func() {
+		defer writers.Done()
+		for i := 0; i < inserted; i++ {
+			pdid, err := e.store.Insert(e.tok, "user", subject, aliceRecord(), nil)
+			if err != nil {
+				errs <- fmt.Errorf("insert: %w", err)
+				return
+			}
+			fresh = append(fresh, pdid)
+		}
+	}()
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			pdids, err := e.store.ListByType(e.tok, "user")
+			if err != nil {
+				errs <- fmt.Errorf("list: %w", err)
+				return
+			}
+			ms, err := e.store.GetMembranes(e.tok, pdids)
+			if err != nil {
+				errs <- fmt.Errorf("fetch listed membranes: %w", err)
+				return
+			}
+			for i, m := range ms {
+				if m.PDID != pdids[i] || (m.Erased && m.EscrowRef == "") {
+					errs <- fmt.Errorf("membrane of %s = %+v", pdids[i], m)
+					return
+				}
+			}
+		}
+	}()
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	live, erased, err := e.store.ListErased(e.tok, subject)
+	if err != nil {
+		t.Fatal(err)
+	}
+	slices.Sort(victims)
+	slices.Sort(fresh)
+	if !slices.Equal(live, fresh) || !slices.Equal(erased, victims) {
+		t.Fatalf("ListErased = %d live, %d erased; want the %d inserted and the %d erased", len(live), len(erased), len(fresh), len(victims))
+	}
+	if byType, err := e.store.ListByType(e.tok, "user"); err != nil || !slices.Equal(byType, fresh) {
+		t.Fatalf("final ListByType = %v, %v; want the inserted records", byType, err)
+	}
+	if _, err := e.fs.Check(); err != nil {
+		t.Fatal(err)
 	}
 }

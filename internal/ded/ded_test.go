@@ -391,7 +391,9 @@ func TestGeneratedPDCrossSubjectRejected(t *testing.T) {
 func TestFilterReasons(t *testing.T) {
 	e := newEnv(t)
 	alice, bob := e.seedUsers(t)
-	// Erase alice, expire nothing yet; bob already lacks consent.
+	// Erase alice, expire nothing yet; bob already lacks consent. An
+	// erased record leaves the type listing, so a type query filters bob
+	// only, and alice is reached by her pdid.
 	if _, err := e.store.Erase(e.tok, alice); err != nil {
 		t.Fatal(err)
 	}
@@ -399,8 +401,15 @@ func TestFilterReasons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Processed != 0 || res.Filtered["erased"] != 1 || res.Filtered["consent-denied"] != 1 {
+	if res.Processed != 0 || res.Filtered["erased"] != 0 || res.Filtered["consent-denied"] != 1 {
 		t.Fatalf("res = %+v", res)
+	}
+	res, err = e.ded.Run(Invocation{Purpose: purpose3(), Impl: computeAge(), PDRef: alice})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Processed != 0 || res.Filtered["erased"] != 1 {
+		t.Fatalf("erased by pdid: res = %+v", res)
 	}
 	_ = bob
 

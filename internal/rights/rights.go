@@ -125,11 +125,14 @@ type AccessReport struct {
 	PerPD       map[string][]ProcessingEntry `json:"per_pd"`
 }
 
-// Access builds the subject-access report. Erased records appear with their
-// membrane metadata but no field values (the operator cannot read them).
+// Access builds the subject-access report. Erased records appear as their
+// pdid and type, marked erased, with no membrane metadata and no field
+// values (the operator cannot read them), and keep their processing
+// history.
 //
-// The membranes are fetched as one DBFS batch (one shard-lock pass, served
-// by the membrane cache), the per-record exports — including the decrypt in
+// One listing walk yields the live and the erased pdids. The live
+// membranes are fetched as one DBFS batch (one shard-lock pass, served by
+// the membrane cache), the per-record exports — including the decrypt in
 // GetRecord — are built on the worker pool, and the per-PD processing
 // history is one bulk audit query instead of a log-lock round-trip per
 // record. The report is byte-identical to the serial engine's: exports are
@@ -163,7 +166,7 @@ func (e *Engine) AccessBatch(subjectIDs []string) ([]*AccessReport, error) {
 
 func (e *Engine) access(subjectID string, workers int) (*AccessReport, error) {
 	store, tok := e.d.Store(), e.d.Token()
-	pdids, err := store.ListBySubject(tok, subjectID)
+	pdids, erased, err := store.ListErased(tok, subjectID)
 	if err != nil {
 		return nil, fmt.Errorf("rights: access %s: %w", subjectID, err)
 	}
@@ -213,10 +216,14 @@ func (e *Engine) access(subjectID string, workers int) (*AccessReport, error) {
 	if err != nil {
 		return nil, err
 	}
+	for _, pdid := range erased {
+		typeName, _, _, _ := dbfs.SplitPDID(pdid) // listed, so well-formed
+		exps = append(exps, RecordExport{PDID: pdid, Type: typeName, Erased: true})
+	}
 	for _, exp := range exps {
 		report.Data[exp.Type] = append(report.Data[exp.Type], exp)
 	}
-	for pdid, entries := range e.log.ByPDs(pdids) {
+	for pdid, entries := range e.log.ByPDs(append(pdids, erased...)) {
 		for _, entry := range entries {
 			report.PerPD[pdid] = append(report.PerPD[pdid], toEntry(entry))
 		}
@@ -300,27 +307,32 @@ func (e *Engine) Erase(subjectID string) (*EraseReport, error) {
 	return report, nil
 }
 
-// EraseRecord erases one record and every other member of its family:
-// the records of its subject whose membranes name the same root (see
-// membrane.Root), found with one listing and one membrane batch. It
-// returns the erased pdids, sorted.
+// EraseRecord erases one record and every other live member of its
+// family: the records of its subject whose membranes name the same root
+// (see membrane.Root), found with one listing and one membrane batch. An
+// already-erased pdid is found among the erased records, and erasing it
+// again is idempotent. It returns the erased pdids, sorted.
 func (e *Engine) EraseRecord(pdid string) ([]string, error) {
 	_, subjectID, _, err := dbfs.SplitPDID(pdid)
 	if err != nil {
 		return nil, fmt.Errorf("rights: erase %s: %w", pdid, err)
 	}
 	store, tok := e.d.Store(), e.d.Token()
-	pdids, err := store.ListBySubject(tok, subjectID)
-	if err != nil {
-		return nil, fmt.Errorf("rights: erase %s: %w", pdid, err)
-	}
-	ms, err := store.GetMembranes(tok, pdids)
+	pdids, erased, err := store.ListErased(tok, subjectID)
 	if err != nil {
 		return nil, fmt.Errorf("rights: erase %s: %w", pdid, err)
 	}
 	self := slices.Index(pdids, pdid)
 	if self < 0 {
-		return nil, fmt.Errorf("rights: erase %s: %w", pdid, dbfs.ErrNoRecord)
+		if !slices.Contains(erased, pdid) {
+			return nil, fmt.Errorf("rights: erase %s: %w", pdid, dbfs.ErrNoRecord)
+		}
+		self = len(pdids)
+		pdids = append(pdids, pdid)
+	}
+	ms, err := store.GetMembranes(tok, pdids)
+	if err != nil {
+		return nil, fmt.Errorf("rights: erase %s: %w", pdid, err)
 	}
 	root := ms[self].Root()
 	var family []string

@@ -167,10 +167,17 @@ func (e *Engine) scan(subjects []string, now time.Time) ([]sweepTarget, map[stri
 	next := make([]time.Time, len(subjects))
 	err := ded.ForEachIndexed(len(subjects), e.workerCount(), func(i int) error {
 		subject := subjects[i]
-		pdids, err := store.ListBySubject(tok, subject)
-		if err != nil || len(pdids) == 0 {
+		// Erased records keep their retention: an expired tombstone is
+		// deleted with its ciphertext.
+		live, erased, err := store.ListErased(tok, subject)
+		if err != nil {
 			return err
 		}
+		pdids := append(live, erased...)
+		if len(pdids) == 0 {
+			return nil
+		}
+		sort.Strings(pdids)
 		ms, err := store.GetMembranes(tok, pdids)
 		if err != nil {
 			return err
