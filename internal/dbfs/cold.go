@@ -171,14 +171,10 @@ func (s *Store) rebuildColdIndex() error {
 // fresh one if none exists yet. Caller holds the subject's shard lock and
 // the shard's cold mutex.
 func (s *Store) coldArchiveLoad(sr shardRef, subjectID string) (archive, error) {
-	ino, err := sr.fs.Lookup(sr.coldRoot, subjectID)
+	raw, err := readChild(sr.fs, sr.coldRoot, subjectID)
 	if errors.Is(err, inode.ErrChildNotFound) {
 		return archive{}, nil
 	}
-	if err != nil {
-		return nil, err
-	}
-	raw, err := readAll(sr.fs, ino)
 	if err != nil {
 		return nil, fmt.Errorf("dbfs: read cold archive %q: %w", subjectID, err)
 	}
@@ -356,29 +352,22 @@ func (s *Store) RepackCold(tok *lsm.Token, now time.Time) (demoted int, err erro
 	}
 	cutoff := now.Add(-after)
 
-	// Point-in-time subject listing, grouped by shard (same doctrine as
-	// Subjects: the scan view is racy, the per-subject work is locked).
-	byShard := make(map[uint32][]string)
-	for i, fs := range s.fss {
-		ents, err := fs.Children(s.subjectRoots[i])
-		if err != nil {
-			return 0, err
-		}
-		for _, e := range ents {
-			sh := ShardOf(e.Name)
-			byShard[sh] = append(byShard[sh], e.Name)
-		}
+	// Point-in-time subject listing, grouped by shard (the scan view is
+	// racy, the per-subject work is locked).
+	subjects, err := s.subjectNames()
+	if err != nil {
+		return 0, err
 	}
-	shards := make([]uint32, 0, len(byShard))
-	for sh := range byShard {
-		shards = append(shards, sh)
+	var byShard [DefaultShards][]string
+	for _, subject := range subjects {
+		sh := ShardOf(subject)
+		byShard[sh] = append(byShard[sh], subject)
 	}
-	sort.Slice(shards, func(i, j int) bool { return shards[i] < shards[j] })
-
-	for _, sh := range shards {
-		subjects := byShard[sh]
-		sort.Strings(subjects)
-		sr := s.shardAt(sh)
+	for sh, subjects := range byShard {
+		if len(subjects) == 0 {
+			continue
+		}
+		sr := s.shardAt(uint32(sh))
 		sr.lk.Lock()
 		n, err := s.repackShardLocked(sr, subjects, cutoff)
 		sr.lk.Unlock()
@@ -390,170 +379,93 @@ func (s *Store) RepackCold(tok *lsm.Token, now time.Time) (demoted int, err erro
 	return demoted, nil
 }
 
-// repackShardLocked demotes one shard's idle records and returns how many
-// it demoted; caller holds the shard write lock.
+// repackShardLocked demotes one shard's idle records, subject by subject
+// and in type-name then record-name order, and returns how many it demoted;
+// caller holds the shard write lock.
 func (s *Store) repackShardLocked(sr shardRef, subjects []string, cutoff time.Time) (int, error) {
 	cs := &s.cold.shards[sr.idx]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.init()
 	demoted := 0
 	for _, subject := range subjects {
-		type candidate struct {
-			r    ref
-			tree inode.Ino
-		}
-		var cands []candidate
-		err := s.forEachHotRecord(sr, subject, func(r ref, tree inode.Ino, erased bool) error {
-			if erased {
-				return nil // an erased record stays where it is
+		var idle []hotRecord
+		cs.mu.Lock()
+		err := s.walkSubjectLocked(sr, subject, func(h hotRecord) {
+			if h.erased {
+				return // an erased record stays where it is
 			}
-			if t, ok := cs.touches[r.pdid]; !ok || !t.After(cutoff) {
-				cands = append(cands, candidate{r, tree})
+			if t, ok := cs.touches[h.typeName+"/"+subject+"/"+h.name]; !ok || !t.After(cutoff) {
+				idle = append(idle, h)
 			}
-			return nil
 		})
+		cs.mu.Unlock()
 		if err != nil {
 			return demoted, err
 		}
-		if len(cands) == 0 {
+		if len(idle) == 0 {
 			continue
 		}
-		arch, err := s.coldArchiveLoad(sr, subject)
+		sortHot(idle)
+		// Resolve and read every idle record before taking the cold mutex:
+		// recordInos may promote, which takes it.
+		refs := make([]ref, len(idle))
+		files := make([]recordFiles, len(idle))
+		add := make(archive, len(idle))
+		for i, h := range idle {
+			if refs[i], err = parseRef(h.typeName + "/" + subject + "/" + h.name); err != nil {
+				return demoted, err
+			}
+			if files[i], err = s.recordInos(sr, refs[i]); err != nil {
+				return demoted, err
+			}
+			parts := make(map[string][]byte, 3)
+			for _, p := range []struct {
+				name string
+				ino  inode.Ino
+			}{{coldPartData, files[i].data}, {coldPartSens, files[i].sens}, {coldPartMem, files[i].mem}} {
+				if p.ino == 0 {
+					continue
+				}
+				if parts[p.name], err = readAll(sr.fs, p.ino); err != nil {
+					return demoted, fmt.Errorf("dbfs: read %s %s: %w", refs[i].pdid, p.name, err)
+				}
+			}
+			add[refs[i].pdid] = archiveEntry{Parts: parts}
+		}
+		n, err := s.demoteLocked(sr, cs, subject, refs, files, add)
+		demoted += n
 		if err != nil {
 			return demoted, err
 		}
-		for _, c := range cands {
-			parts, err := s.readRecordPartsLocked(sr, c.r, c.tree)
-			if err != nil {
-				return demoted, err
-			}
-			arch[c.r.pdid] = archiveEntry{Parts: parts}
-		}
-		// Archive lands durably BEFORE any hot file goes away: a crash
-		// between the two leaves the record in both tiers, and hot wins.
-		if err := s.coldArchiveStore(sr, cs, subject, arch); err != nil {
-			return demoted, err
-		}
-		for _, c := range cands {
-			if err := s.removeRecordFilesLocked(sr, c.r, c.tree); err != nil {
-				return demoted, err
-			}
-			cs.archived[c.r.pdid] = true
-			delete(cs.touches, c.r.pdid)
-		}
-		demoted += len(cands)
-		s.stats.demotions.Add(uint64(len(cands)))
 	}
 	return demoted, nil
 }
 
-// forEachHotRecord calls fn for every hot record of subject, erased ones
-// included, in type-name order and, within a type, in record-name order;
-// tree is the record's type tree. A subject with no hot tree has no
-// records. Caller holds the subject's shard lock (either side).
-func (s *Store) forEachHotRecord(sr shardRef, subject string, fn func(r ref, tree inode.Ino, erased bool) error) error {
-	subjIno, err := sr.fs.Lookup(sr.subjRoot, subject)
-	if errors.Is(err, inode.ErrChildNotFound) {
-		return nil
-	}
+// demoteLocked writes add into subject's archive, then removes the hot
+// files of refs (whose entries add holds) and returns how many it removed.
+// The archive lands durably BEFORE any hot file goes away: a crash between
+// the two leaves the records in both tiers, and hot wins. Caller holds the
+// shard write lock.
+func (s *Store) demoteLocked(sr shardRef, cs *coldShard, subject string, refs []ref, files []recordFiles, add archive) (int, error) {
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	arch, err := s.coldArchiveLoad(sr, subject)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	typeTrees, err := sr.fs.Children(subjIno)
-	if err != nil {
-		return err
+	for pdid, e := range add {
+		arch[pdid] = e
 	}
-	sort.Slice(typeTrees, func(i, j int) bool { return typeTrees[i].Name < typeTrees[j].Name })
-	for _, tt := range typeTrees {
-		recs, err := sr.fs.Children(tt.Ino)
-		if err != nil {
-			return err
-		}
-		type hotName struct {
-			name   string
-			erased bool
-		}
-		names := make([]hotName, 0, len(recs))
-		for _, rc := range recs {
-			if name, ok := strings.CutSuffix(rc.Name, memSuffix); ok {
-				names = append(names, hotName{name, false})
-			} else if name, ok := strings.CutSuffix(rc.Name, erasedSuffix); ok {
-				names = append(names, hotName{name, true})
-			}
-		}
-		sort.Slice(names, func(i, j int) bool { return names[i].name < names[j].name })
-		for _, n := range names {
-			recNo, err := strconv.ParseUint(n.name, 10, 64)
-			if err != nil {
-				continue // not a record file
-			}
-			r := ref{pdid: PDID(tt.Name, subject, recNo), typeName: tt.Name, subjectID: subject, recNo: recNo}
-			if err := fn(r, tt.Ino, n.erased); err != nil {
-				return err
-			}
-		}
+	if err := s.coldArchiveStore(sr, cs, subject, arch); err != nil {
+		return 0, err
 	}
-	return nil
-}
-
-// readRecordPartsLocked reads a hot record's stored bytes (data and mem,
-// sens when present) for archiving; caller holds the shard write lock.
-func (s *Store) readRecordPartsLocked(sr shardRef, r ref, tree inode.Ino) (map[string][]byte, error) {
-	recName := strconv.FormatUint(r.recNo, 10)
-	parts := make(map[string][]byte, 3)
-	for _, spec := range []struct {
-		suffix, part string
-		required     bool
-	}{
-		{dataSuffix, coldPartData, true},
-		{sensSuffix, coldPartSens, false},
-		{memSuffix, coldPartMem, true},
-	} {
-		ino, err := sr.fs.Lookup(tree, recName+spec.suffix)
-		if errors.Is(err, inode.ErrChildNotFound) {
-			if spec.required {
-				return nil, fmt.Errorf("%w: %s", ErrNoRecord, r.pdid)
-			}
-			continue
+	for i, r := range refs {
+		if err := s.removeRecordFiles(sr, r, files[i]); err != nil {
+			return i, err
 		}
-		if err != nil {
-			return nil, err
-		}
-		b, err := readAll(sr.fs, ino)
-		if err != nil {
-			return nil, fmt.Errorf("dbfs: read %s%s: %w", r.pdid, spec.suffix, err)
-		}
-		parts[spec.part] = b
+		cs.archived[r.pdid] = true
+		delete(cs.touches, r.pdid)
+		s.stats.demotions.Add(1)
 	}
-	return parts, nil
-}
-
-// removeRecordFilesLocked unlinks and frees a hot record's files in one
-// transaction (listings see the whole record or none of it) and forgets its
-// cached membrane. Caller holds the shard write lock.
-func (s *Store) removeRecordFilesLocked(sr shardRef, r ref, tree inode.Ino) error {
-	recName := strconv.FormatUint(r.recNo, 10)
-	var inos [3]inode.Ino // data, sens, mem
-	declared := []inode.Ino{tree}
-	for i, suffix := range []string{dataSuffix, sensSuffix, memSuffix} {
-		ino, err := sr.fs.Lookup(tree, recName+suffix)
-		if errors.Is(err, inode.ErrChildNotFound) {
-			continue
-		}
-		if err != nil {
-			return err
-		}
-		inos[i] = ino
-		declared = append(declared, ino)
-	}
-	err := sr.fs.Do(declared, func(op *inode.Op) error {
-		return removeRecordFiles(op, recName, recordFiles{tree: tree, data: inos[0], sens: inos[1], mem: inos[2]})
-	})
-	// Dropped on failure too: a commit that failed after the enqueue can
-	// leave memory ahead of the disk.
-	s.mcache.drop(sr.idx, r.pdid)
-	return err
+	return len(refs), nil
 }
 
 // ColdRaw returns a record's archived bytes — the ciphertext parts and
@@ -635,20 +547,18 @@ func (s *Store) SnapshotMembranes(tok *lsm.Token, label string) (int, error) {
 			return 0, err
 		}
 	}
+	subjects, err := s.subjectNames()
+	if err != nil {
+		return 0, err
+	}
 	total := 0
 	for i, fs := range s.fss {
 		arch := archive{}
-		ents, err := fs.Children(s.subjectRoots[i])
-		if err != nil {
-			return 0, err
-		}
-		subjects := make([]string, 0, len(ents))
-		for _, e := range ents {
-			subjects = append(subjects, e.Name)
-		}
-		sort.Strings(subjects)
 		for _, subject := range subjects {
 			sr := s.shardOf(subject)
+			if sr.fs != fs {
+				continue // the subject's records are on another instance
+			}
 			sr.lk.RLock()
 			n, err := s.snapshotSubjectLocked(sr, subject, arch)
 			sr.lk.RUnlock()
@@ -692,43 +602,40 @@ func (s *Store) snapshotSubjectLocked(sr shardRef, subject string, arch archive)
 		n++
 		return nil
 	}
-	err := s.forEachHotRecord(sr, subject, func(r ref, tree inode.Ino, erased bool) error {
-		if erased {
-			arch[r.pdid] = archiveEntry{Erased: true}
-			n++
-			return nil
-		}
-		memIno, err := sr.fs.Lookup(tree, strconv.FormatUint(r.recNo, 10)+memSuffix)
-		if err != nil {
-			return err
-		}
-		memBytes, err := readAll(sr.fs, memIno)
-		if err != nil {
-			return err
-		}
-		return put(r.pdid, memBytes)
-	})
-	if err != nil {
+	var hot []hotRecord
+	if err := s.walkSubjectLocked(sr, subject, func(h hotRecord) { hot = append(hot, h) }); err != nil {
 		return 0, err
+	}
+	sortHot(hot)
+	for _, h := range hot {
+		pdid := h.typeName + "/" + subject + "/" + h.name
+		if h.erased {
+			arch[pdid] = archiveEntry{Erased: true}
+			n++
+			continue
+		}
+		memBytes, err := readAll(sr.fs, h.mem)
+		if err != nil {
+			return 0, err
+		}
+		if err := put(pdid, memBytes); err != nil {
+			return 0, err
+		}
 	}
 	// Archived records not shadowed by a hot copy (the stale entries of
 	// promoted records are already captured above).
-	cs := &s.cold.shards[sr.idx]
-	cs.mu.Lock()
-	defer cs.mu.Unlock()
-	cs.init()
 	var coldIDs []string
-	for pdid := range cs.archived {
+	for _, pdid := range s.coldPDIDs(sr, subject) {
 		if _, captured := arch[pdid]; !captured {
-			if _, subj, _, err := SplitPDID(pdid); err == nil && subj == subject {
-				coldIDs = append(coldIDs, pdid)
-			}
+			coldIDs = append(coldIDs, pdid)
 		}
 	}
 	if len(coldIDs) == 0 {
 		return n, nil
 	}
-	sort.Strings(coldIDs)
+	cs := &s.cold.shards[sr.idx]
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
 	sub, err := s.coldArchiveLoad(sr, subject)
 	if err != nil {
 		return 0, err
@@ -759,14 +666,10 @@ func (s *Store) SnapshotMembrane(tok *lsm.Token, label, pdid string) (*membrane.
 		return nil, err
 	}
 	sr := s.shardOf(r.subjectID)
-	snapIno, err := sr.fs.Lookup(sr.snapRoot, label)
+	raw, err := readChild(sr.fs, sr.snapRoot, label)
 	if errors.Is(err, inode.ErrChildNotFound) {
 		return nil, fmt.Errorf("%w: %q", ErrNoSnapshot, label)
 	}
-	if err != nil {
-		return nil, err
-	}
-	raw, err := readAll(sr.fs, snapIno)
 	if err != nil {
 		return nil, fmt.Errorf("dbfs: read snapshot %q: %w", label, err)
 	}

@@ -465,20 +465,52 @@ func decodeRecordPart(s *Schema, data []byte, part map[string]bool) (Record, err
 	return out, nil
 }
 
-// partsOf splits a schema's fields into the plain part and the sensitive
-// part (stored separately, §2).
-func partsOf(s *Schema) (plain, sensitive map[string]bool) {
+// formatEntry is one row of the format tree: the session-loaded descriptor
+// of how a type's record bytes are laid out (§3's "dedicated set of inodes
+// ... accessed only once ... during a given live session").
+type formatEntry struct {
+	Field     string    `json:"field"`
+	Type      FieldType `json:"type"`
+	Sensitive bool      `json:"sensitive,omitempty"`
+}
+
+// pdType is a declared type as the session holds it: its schema and its
+// format descriptor, which is the codec's split of the fields into the
+// plain part and the sensitive part (stored separately, §2). Both are
+// built once per type, at CreateType or at Open from the schema and format
+// trees, and never change.
+type pdType struct {
+	sch         *Schema
+	plain, sens map[string]bool
+}
+
+// formatOf is a schema's format descriptor, as the format tree stores it.
+func formatOf(s *Schema) []formatEntry {
+	entries := make([]formatEntry, 0, len(s.Fields))
+	for _, f := range s.Fields {
+		entries = append(entries, formatEntry{Field: f.Name, Type: f.Type, Sensitive: f.Sensitive})
+	}
+	return entries
+}
+
+// splitFormat splits a format descriptor's fields into the plain part and
+// the sensitive part.
+func splitFormat(entries []formatEntry) (plain, sensitive map[string]bool) {
 	plain = make(map[string]bool)
 	sensitive = make(map[string]bool)
-	for _, f := range s.Fields {
-		if f.Sensitive {
-			sensitive[f.Name] = true
+	for _, e := range entries {
+		if e.Sensitive {
+			sensitive[e.Field] = true
 		} else {
-			plain[f.Name] = true
+			plain[e.Field] = true
 		}
 	}
 	return plain, sensitive
 }
+
+// partsOf splits a schema's fields into the plain part and the sensitive
+// part.
+func partsOf(s *Schema) (plain, sensitive map[string]bool) { return splitFormat(formatOf(s)) }
 
 // ProjectView filters rec down to the fields that the grant exposes and
 // that declared (a purpose's reads of this type) contains: the view a

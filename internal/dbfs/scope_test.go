@@ -79,13 +79,16 @@ func TestOpsCommitOneTxn(t *testing.T) {
 	}
 }
 
-// crashEnv is a DBFS whose device can be cut: the filesystem (and its
-// write-back buffer cache) sits on a blockdev.PowerCut over mem, and a
-// "reboot" mounts a fresh filesystem from mem's bytes.
+// crashEnv is a DBFS whose device can be cut: the filesystems (and their
+// write-back buffer caches) sit on a blockdev.PowerCut over mem, and a
+// "reboot" mounts fresh filesystems from mem's bytes. With parts > 1 the
+// store spans that many equal partitions of the one device, each its own
+// filesystem, the way core.Boot lays out the PD disk; one budget cuts them
+// all at once.
 type crashEnv struct {
 	mem   *blockdev.Mem
 	cut   *blockdev.PowerCut
-	fs    *inode.FS
+	parts int
 	store *Store
 	guard *lsm.Guard
 	vault *cryptoshred.Vault
@@ -96,9 +99,27 @@ type crashEnv struct {
 var (
 	crashAuthOnce sync.Once
 	crashAuth     *cryptoshred.Authority
+
+	// crashParts is the partition count newCrashEnv builds;
+	// TestCrashCutFourPartitions raises it for the tests it runs.
+	crashParts = 1
 )
 
+// crashPartBlocks is the size of one partition of a crash device.
+const crashPartBlocks = 1024
+
 func newCrashEnv(t *testing.T) *crashEnv {
+	t.Helper()
+	e := newUntypedCrashEnv(t, crashParts)
+	if err := e.store.CreateType(e.tok, userSchema()); err != nil {
+		t.Fatalf("CreateType: %v", err)
+	}
+	return e
+}
+
+// newUntypedCrashEnv is a crash environment over parts partitions with no
+// type declared yet.
+func newUntypedCrashEnv(t *testing.T, parts int) *crashEnv {
 	t.Helper()
 	crashAuthOnce.Do(func() {
 		var err error
@@ -107,45 +128,84 @@ func newCrashEnv(t *testing.T) *crashEnv {
 		}
 	})
 	e := &crashEnv{
-		mem:   blockdev.MustMem(2048),
+		mem:   blockdev.MustMem(uint64(max(2048, parts*crashPartBlocks))),
+		parts: parts,
 		guard: lsm.NewGuard(),
 		vault: cryptoshred.NewVault(crashAuth.PublicKey()),
 		clock: simclock.NewSim(simclock.Epoch),
 	}
 	e.cut = blockdev.NewPowerCut(e.mem)
 	e.tok = e.guard.Mint("ded", lsm.CapDBFS)
+	fss := make([]*inode.FS, parts)
+	for i, dev := range e.devices(t, e.cut) {
+		var err error
+		if fss[i], err = inode.Format(dev, inode.Options{NInodes: 256, JournalBlocks: 64, Clock: e.clock}); err != nil {
+			t.Fatalf("inode.Format: %v", err)
+		}
+	}
 	var err error
-	if e.fs, err = inode.Format(e.cut, inode.Options{NInodes: 256, JournalBlocks: 64, Clock: e.clock}); err != nil {
-		t.Fatalf("inode.Format: %v", err)
-	}
-	if e.store, err = Create([]*inode.FS{e.fs}, e.guard, e.vault, e.clock, Config{}); err != nil {
+	if e.store, err = Create(fss, e.guard, e.vault, e.clock, Config{}); err != nil {
 		t.Fatalf("dbfs.Create: %v", err)
-	}
-	if err := e.store.CreateType(e.tok, userSchema()); err != nil {
-		t.Fatalf("CreateType: %v", err)
 	}
 	return e
 }
 
-// reboot mounts what the raw device holds — the buffer cache's dirty blocks
+// devices is the env's filesystem devices over dev: dev itself, or its
+// partitions.
+func (e *crashEnv) devices(t *testing.T, dev blockdev.Device) []blockdev.Device {
+	t.Helper()
+	if e.parts == 1 {
+		return []blockdev.Device{dev}
+	}
+	devs := make([]blockdev.Device, e.parts)
+	for i := range devs {
+		part, err := blockdev.NewPartition(dev, uint64(i*crashPartBlocks), crashPartBlocks)
+		if err != nil {
+			t.Fatalf("NewPartition %d: %v", i, err)
+		}
+		devs[i] = part
+	}
+	return devs
+}
+
+// reboot mounts what the raw device holds — the buffer caches' dirty blocks
 // and everything past the cut are gone — and reopens DBFS on it, after the
-// fsck walk.
+// fsck walk of every filesystem. The report sums all of them.
 func (e *crashEnv) reboot(t *testing.T) (*Store, inode.CheckReport) {
 	t.Helper()
-	fs, err := inode.Mount(e.mem, e.clock)
-	if err != nil {
-		t.Fatalf("remount: %v", err)
+	var fss []*inode.FS
+	for i, dev := range e.devices(t, e.mem) {
+		fs, err := inode.Mount(dev, e.clock)
+		if err != nil {
+			t.Fatalf("remount %d: %v", i, err)
+		}
+		fss = append(fss, fs)
 	}
-	rep, err := fs.Check()
-	if err != nil {
-		t.Fatalf("fsck after the cut: %v", err)
+	rep := fsckAll(t, fss)
+	for _, fs := range fss {
+		lookupsMatchDisk(t, fs)
 	}
-	lookupsMatchDisk(t, fs)
-	s, err := Open([]*inode.FS{fs}, e.guard, e.vault, e.clock, Config{})
+	s, err := Open(fss, e.guard, e.vault, e.clock, Config{})
 	if err != nil {
 		t.Fatalf("dbfs.Open after the cut: %v", err)
 	}
 	return s, rep
+}
+
+// fsckAll runs the fsck walk on every filesystem and sums the reports.
+func fsckAll(t *testing.T, fss []*inode.FS) inode.CheckReport {
+	t.Helper()
+	var sum inode.CheckReport
+	for i, fs := range fss {
+		rep, err := fs.Check()
+		if err != nil {
+			t.Fatalf("fsck of filesystem %d: %v", i, err)
+		}
+		sum.Inodes += rep.Inodes
+		sum.Blocks += rep.Blocks
+		sum.LeakedBlocks += rep.LeakedBlocks
+	}
+	return sum
 }
 
 // lookupsMatchDisk walks every tree from the root, decoding each payload
@@ -324,7 +384,9 @@ func membraneState(newer func(*membrane.Membrane) bool) func(*testing.T, *crashE
 
 var crashCases = []crashCase{
 	insertCase("Insert", "alice", 3, 0),
-	insertCase("InsertFirstTouch", "bob", 5, 2),
+	// dan shares alice's partition when the store spans four, so the type's
+	// tree is there already and the first touch makes the subject's two.
+	insertCase("InsertFirstTouch", "dan", 5, 2),
 	rewriteCase("Update",
 		func(e *crashEnv, pdid string) error { return e.store.Update(e.tok, pdid, recordV(2)) },
 		func(t *testing.T, e *crashEnv, s *Store, pdid string) string { return recordState(t, s, e.tok, pdid) }),
@@ -486,12 +548,98 @@ func TestFirstTouchInsertRetryAfterCrash(t *testing.T) {
 		if len(bySubject) != 1 || strings.Join(byType, ",") != strings.Join(bySubject, ",") {
 			t.Fatalf("cut after %d writes: ListBySubject = %v, ListByType = %v", k, bySubject, byType)
 		}
-		rep, err := s.fss[0].Check()
-		if err != nil {
-			t.Fatalf("cut after %d writes: fsck after retry: %v", k, err)
-		}
-		if rep.Inodes != clean.Inodes {
+		if rep := fsckAll(t, s.fss); rep.Inodes != clean.Inodes {
 			t.Fatalf("cut after %d writes: %d live inodes after retry, a clean insert leaves %d", k, rep.Inodes, clean.Inodes)
+		}
+	}
+}
+
+// TestCrashCutFourPartitions runs the crash-cut tests over the PD layout
+// core.Boot builds: four partitions of one device, one power cut over all.
+// Their subjects sit on different partitions, and the first insert of a
+// subject on a partition the type has not reached yet also makes the
+// partition's tables/<type> tree.
+func TestCrashCutFourPartitions(t *testing.T) {
+	crashParts = 4
+	defer func() { crashParts = 1 }()
+	t.Run("AllOrNothing", TestCrashCutAllOrNothing)
+	t.Run("FirstTouchRetry", TestFirstTouchInsertRetryAfterCrash)
+}
+
+// TestCrashCutCreateTypeFourPartitions cuts the power after every device
+// write of CreateType followed by one insert per partition, each the type's
+// first touch there, on the four-partition layout. After each cut it
+// reboots, declares the type again if it did not land, and inserts one
+// record per partition: every insert must succeed, every filesystem must be
+// clean with Lookup agreeing with the disk, and both major trees must list
+// the same records. Every landed record must also sit below the seq lease
+// persisted on partition 0: the lease is durable before an insert on
+// another partition commits, so no record number is handed out twice. The
+// first insert is on partition 1, so its lease and its commit are on
+// different partitions.
+func TestCrashCutCreateTypeFourPartitions(t *testing.T) {
+	subjects := []string{"bob", "alice", "erin", "frank"} // partitions 1, 2, 3, 0
+	run := func(s *Store, tok *lsm.Token) error {
+		if err := s.CreateType(tok, userSchema()); err != nil {
+			return err
+		}
+		for _, subj := range subjects {
+			if _, err := s.Insert(tok, "user", subj, recordV(1), nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	e := newUntypedCrashEnv(t, 4)
+	before := e.cut.Stats().Writes
+	if err := run(e.store, e.tok); err != nil {
+		t.Fatal(err)
+	}
+	writes := int(e.cut.Stats().Writes - before)
+	t.Logf("%d raw device writes", writes)
+
+	for k := 0; k <= writes; k++ {
+		e := newUntypedCrashEnv(t, 4)
+		e.cut.SetBudget(k)
+		_ = run(e.store, e.tok)
+		s, _ := e.reboot(t)
+		if _, err := s.SchemaOf(e.tok, "user"); errors.Is(err, ErrNoType) {
+			if err := s.CreateType(e.tok, userSchema()); err != nil {
+				t.Fatalf("cut after %d writes: CreateType again: %v", k, err)
+			}
+		} else if err != nil {
+			t.Fatal(err)
+		}
+		landed, err := s.ListByType(e.tok, "user")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, pdid := range landed {
+			if _, _, n, _ := SplitPDID(pdid); n > s.seqHighs["user"] {
+				t.Fatalf("cut after %d writes: %s landed above the persisted seq lease %d", k, pdid, s.seqHighs["user"])
+			}
+		}
+		var bySubject []string
+		for _, subj := range subjects {
+			if _, err := s.Insert(e.tok, "user", subj, recordV(2), nil); err != nil {
+				t.Fatalf("cut after %d writes: insert for %s: %v", k, subj, err)
+			}
+			live, err := s.ListBySubject(e.tok, subj)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bySubject = append(bySubject, live...)
+		}
+		for _, fs := range s.fss {
+			lookupsMatchDisk(t, fs)
+		}
+		byType, err := s.ListByType(e.tok, "user")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sort.Strings(bySubject)
+		if len(byType) != len(landed)+len(subjects) || !slices.Equal(byType, bySubject) {
+			t.Fatalf("cut after %d writes: %d records had landed; ListByType = %v, ListBySubject = %v", k, len(landed), byType, bySubject)
 		}
 	}
 }

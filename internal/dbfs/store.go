@@ -104,15 +104,6 @@ type Stats struct {
 	ColdBytesSaved int64
 }
 
-// formatEntry is one row of the format tree: the session-loaded descriptor
-// of how a type's record bytes are laid out (§3's "dedicated set of inodes
-// ... accessed only once ... during a given live session").
-type formatEntry struct {
-	Field     string    `json:"field"`
-	Type      FieldType `json:"type"`
-	Sensitive bool      `json:"sensitive,omitempty"`
-}
-
 // DefaultShards is the subject-shard count of every store: it sizes the
 // shard lock table and every shard-congruent structure (the membrane
 // cache, the cold index, the rights due-index). Subjects hash onto shards,
@@ -161,19 +152,21 @@ func ShardOf(subjectID string) uint32 { return hashSubject(subjectID) % DefaultS
 // typically one blockdev.Partition of the PD disk per instance. Shard-disjoint inserts
 // therefore never contend on a filesystem lock or a journal, which removes
 // the storage-layer serialization point left after subject sharding. Every
-// instance carries its own "subjects" and "tables" trees; cross-subject
-// metadata (schema defs, formats, seq counters) lives only on instance 0.
+// instance carries its own "subjects" and "tables" root trees, and a type's
+// tables/<type> tree on an instance is made by the first insert there of a
+// subject of that type (subjectTypeTree); cross-subject metadata (schema
+// defs, formats, seq counters) lives only on instance 0.
 type Store struct {
 	fss   []*inode.FS
 	guard *lsm.Guard
 	vault *cryptoshred.Vault
 	clock simclock.Clock
 
-	// metaMu guards the type-level maps and the persisted seq files.
-	metaMu  sync.RWMutex
-	schemas map[string]*Schema
-	formats map[string][]formatEntry
-	seqs    map[string]uint64
+	// metaMu guards the type-level maps and the persisted seq files, and
+	// serializes the creation of a tables/<type> tree (subjectTypeTree).
+	metaMu sync.RWMutex
+	types  map[string]pdType
+	seqs   map[string]uint64
 	// seqHighs is each type's durably reserved id watermark: ids up to
 	// seqHighs[t] may be handed out without touching the disk. See
 	// nextSeq.
@@ -353,8 +346,7 @@ func newStore(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock
 		guard:        guard,
 		vault:        vault,
 		clock:        clock,
-		schemas:      make(map[string]*Schema),
-		formats:      make(map[string][]formatEntry),
+		types:        make(map[string]pdType),
 		seqs:         make(map[string]uint64),
 		seqHighs:     make(map[string]uint64),
 		subjectRoots: make([]inode.Ino, len(fss)),
@@ -373,13 +365,9 @@ func newStore(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock
 // (instance count, instance index, subject-shard count), the last of which
 // must be DefaultShards.
 func readShardCfg(fs *inode.FS) (count, idx uint64, err error) {
-	cfgIno, err := fs.Lookup(inode.RootIno, shardCfgName)
+	raw, err := readChild(fs, inode.RootIno, shardCfgName)
 	if err != nil {
 		return 0, 0, fmt.Errorf("shard config: %w", err)
-	}
-	raw, err := readAll(fs, cfgIno)
-	if err != nil {
-		return 0, 0, fmt.Errorf("bad shard config: %w", err)
 	}
 	if len(raw) != 24 {
 		return 0, 0, fmt.Errorf("bad shard config: %d bytes, want 24", len(raw))
@@ -438,11 +426,7 @@ func Open(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock sim
 		return nil, fmt.Errorf("dbfs: open: list tables: %w", err)
 	}
 	for _, tb := range tables {
-		defIno, err := meta.Lookup(tb.Ino, defFileName)
-		if err != nil {
-			return nil, fmt.Errorf("dbfs: open table %q: %w", tb.Name, err)
-		}
-		raw, err := readAll(meta, defIno)
+		raw, err := readChild(meta, tb.Ino, defFileName)
 		if err != nil {
 			return nil, fmt.Errorf("dbfs: open table %q: %w", tb.Name, err)
 		}
@@ -450,35 +434,29 @@ func Open(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock sim
 		if err != nil {
 			return nil, fmt.Errorf("dbfs: open table %q: %w", tb.Name, err)
 		}
-		s.schemas[sch.Name] = sch
-		seqIno, err := meta.Lookup(tb.Ino, seqFileName)
+		seqRaw, err := readChild(meta, tb.Ino, seqFileName)
 		if err != nil {
 			return nil, fmt.Errorf("dbfs: open table %q seq: %w", tb.Name, err)
 		}
-		seqRaw, err := readAll(meta, seqIno)
-		if err != nil || len(seqRaw) != 8 {
-			return nil, fmt.Errorf("dbfs: open table %q seq: %w", tb.Name, err)
+		if len(seqRaw) != 8 {
+			return nil, fmt.Errorf("dbfs: open table %q seq: %d bytes, want 8", tb.Name, len(seqRaw))
 		}
+		// The format descriptor, read once per session, is the codec split.
+		raw, err = readChild(meta, s.formatRoot, tb.Name)
+		if err != nil {
+			return nil, fmt.Errorf("dbfs: open format %q: %w", tb.Name, err)
+		}
+		var entries []formatEntry
+		if err := json.Unmarshal(raw, &entries); err != nil {
+			return nil, fmt.Errorf("dbfs: decode format %q: %w", tb.Name, err)
+		}
+		t := pdType{sch: sch}
+		t.plain, t.sens = splitFormat(entries)
+		s.types[sch.Name] = t
 		// The persisted value is the reserved watermark (see nextSeq):
 		// resuming from it skips unused leased ids but never reuses one.
 		s.seqs[sch.Name] = binary.LittleEndian.Uint64(seqRaw)
 		s.seqHighs[sch.Name] = s.seqs[sch.Name]
-	}
-	// Format descriptors: the single per-session read of the format tree.
-	fmts, err := meta.Children(s.formatRoot)
-	if err != nil {
-		return nil, fmt.Errorf("dbfs: open formats: %w", err)
-	}
-	for _, fe := range fmts {
-		raw, err := readAll(meta, fe.Ino)
-		if err != nil {
-			return nil, fmt.Errorf("dbfs: open format %q: %w", fe.Name, err)
-		}
-		var entries []formatEntry
-		if err := json.Unmarshal(raw, &entries); err != nil {
-			return nil, fmt.Errorf("dbfs: decode format %q: %w", fe.Name, err)
-		}
-		s.formats[fe.Name] = entries
 	}
 	// Cold tier: rebuild the in-memory archive index — the tier's
 	// once-per-session read.
@@ -486,6 +464,15 @@ func Open(fss []*inode.FS, guard *lsm.Guard, vault *cryptoshred.Vault, clock sim
 		return nil, err
 	}
 	return s, nil
+}
+
+// readChild reads the full contents of the file parent/name.
+func readChild(fs *inode.FS, parent inode.Ino, name string) ([]byte, error) {
+	ino, err := fs.Lookup(parent, name)
+	if err != nil {
+		return nil, err
+	}
+	return readAll(fs, ino)
 }
 
 // readAll reads the full contents of a file inode.
@@ -566,22 +553,38 @@ func (f recordFiles) memName(recName string) string {
 	return recName + memSuffix
 }
 
-// removeRecordFiles is the scope step that unlinks and frees one record's
-// files, whichever name its membrane has; an inode number of 0 means the
-// record has no such file.
-func removeRecordFiles(op *inode.Op, recName string, f recordFiles) error {
-	for _, file := range []struct {
-		name string
-		ino  inode.Ino
-	}{{f.memName(recName), f.mem}, {recName + sensSuffix, f.sens}, {recName + dataSuffix, f.data}} {
-		if file.ino == 0 {
-			continue
-		}
-		if err := removeFile(op, f.tree, file.name, file.ino); err != nil {
-			return err
-		}
+// removeRecordFiles unlinks and frees one record's files, whichever name
+// its membrane has, and drops its cached membrane; Delete and demotion both
+// remove a record this way. Caller holds the subject's shard write lock.
+func (s *Store) removeRecordFiles(sr shardRef, r ref, f recordFiles) error {
+	recName := strconv.FormatUint(r.recNo, 10)
+	declared := []inode.Ino{f.tree, f.data, f.mem}
+	if f.sens != 0 {
+		declared = append(declared, f.sens)
 	}
-	return nil
+	// One commit point: the unlinks and frees are one transaction, so the
+	// lock-free listings (and a crash) see the whole record or none of it —
+	// never a membrane whose data is already gone.
+	err := sr.fs.Do(declared, func(op *inode.Op) error {
+		for _, file := range []struct {
+			name string
+			ino  inode.Ino
+		}{{f.memName(recName), f.mem}, {recName + sensSuffix, f.sens}, {recName + dataSuffix, f.data}} {
+			if file.ino == 0 {
+				continue
+			}
+			if err := removeFile(op, f.tree, file.name, file.ino); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	// The record is gone, so no read may resurrect its membrane; and a
+	// commit that failed after the enqueue leaves memory ahead of the disk,
+	// so the next read must surface the stored state. Either way the cached
+	// membrane goes.
+	s.mcache.drop(sr.idx, r.pdid)
+	return err
 }
 
 // check mediates an access through the LSM guard.
@@ -650,20 +653,22 @@ func (s *Store) ShardScans() []uint64 {
 	return out
 }
 
-// schemaFor resolves a type's schema under the meta lock. Schemas are
-// immutable once created, so the returned pointer is safe to use lock-free.
-func (s *Store) schemaFor(typeName string) (*Schema, error) {
+// typeFor resolves a declared type under the meta lock. A type is
+// immutable once created, so the result is safe to use lock-free.
+func (s *Store) typeFor(typeName string) (pdType, error) {
 	s.metaMu.RLock()
 	defer s.metaMu.RUnlock()
-	sch, ok := s.schemas[typeName]
+	t, ok := s.types[typeName]
 	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoType, typeName)
+		return pdType{}, fmt.Errorf("%w: %q", ErrNoType, typeName)
 	}
-	return sch, nil
+	return t, nil
 }
 
-// CreateType declares a new PD type: it validates the schema, creates the
-// table inodes in the schema tree, and records the format descriptor.
+// CreateType declares a new PD type: it validates the schema and, in one
+// transaction on instance 0, makes the type's entry in the schema tree (def
+// and seq) and its format descriptor. The per-instance tables/<type> trees
+// are made later, each by the type's first insert on that instance.
 func (s *Store) CreateType(tok *lsm.Token, sch *Schema) error {
 	if err := s.check(tok, lsm.OpCreate, "type/"+sch.Name); err != nil {
 		return err
@@ -676,28 +681,18 @@ func (s *Store) CreateType(tok *lsm.Token, sch *Schema) error {
 	}
 	s.metaMu.Lock()
 	defer s.metaMu.Unlock()
-	if _, ok := s.schemas[sch.Name]; ok {
+	if _, ok := s.types[sch.Name]; ok {
 		return fmt.Errorf("%w: %q", ErrTypeExists, sch.Name)
 	}
 	raw, err := EncodeSchema(sch)
 	if err != nil {
 		return err
 	}
-	entries := make([]formatEntry, 0, len(sch.Fields))
-	for _, f := range sch.Fields {
-		entries = append(entries, formatEntry{Field: f.Name, Type: f.Type, Sensitive: f.Sensitive})
-	}
-	fraw, err := json.Marshal(entries)
+	fraw, err := json.Marshal(formatOf(sch))
 	if err != nil {
 		return fmt.Errorf("dbfs: encode format %q: %w", sch.Name, err)
 	}
-	// Second major tree, per instance: tables/<type> links every subject's
-	// record tree of this type on that instance, for fast per-table
-	// enumeration without crossing filesystems.
-	subsTag := "table-subjects:" + clipTag(sch.Name)
-	// Everything the type needs on the metadata instance — table tree, def,
-	// seq, subject list, format descriptor — is one transaction.
-	err = s.metaFS().Do([]inode.Ino{s.schemaRoot, s.formatRoot, s.tablesRoots[0]}, func(op *inode.Op) error {
+	err = s.metaFS().Do([]inode.Ino{s.schemaRoot, s.formatRoot}, func(op *inode.Op) error {
 		tb, err := makeTree(op, s.schemaRoot, sch.Name, "table:"+sch.Name)
 		if err != nil {
 			return err
@@ -709,26 +704,15 @@ func (s *Store) CreateType(tok *lsm.Token, sch *Schema) error {
 		if _, err := createFile(op, tb, seqFileName, "schema-seq", seq[:]); err != nil {
 			return err
 		}
-		if _, err := makeTree(op, s.tablesRoots[0], sch.Name, subsTag); err != nil {
-			return err
-		}
 		_, err = createFile(op, s.formatRoot, sch.Name, "format:"+sch.Name, fraw)
 		return err
 	})
 	if err != nil {
 		return fmt.Errorf("dbfs: create type %q: %w", sch.Name, err)
 	}
-	for i := 1; i < len(s.fss); i++ {
-		err := s.fss[i].Do([]inode.Ino{s.tablesRoots[i]}, func(op *inode.Op) error {
-			_, err := makeTree(op, s.tablesRoots[i], sch.Name, subsTag)
-			return err
-		})
-		if err != nil {
-			return fmt.Errorf("dbfs: create type %q subjects on instance %d: %w", sch.Name, i, err)
-		}
-	}
-	s.schemas[sch.Name] = sch
-	s.formats[sch.Name] = entries
+	t := pdType{sch: sch}
+	t.plain, t.sens = partsOf(sch)
+	s.types[sch.Name] = t
 	s.seqs[sch.Name] = 0
 	s.seqHighs[sch.Name] = 0
 	s.stats.typesCreated.Add(1)
@@ -740,11 +724,11 @@ func (s *Store) SchemaOf(tok *lsm.Token, name string) (*Schema, error) {
 	if err := s.check(tok, lsm.OpRead, "type/"+name); err != nil {
 		return nil, err
 	}
-	sch, err := s.schemaFor(name)
+	t, err := s.typeFor(name)
 	if err != nil {
 		return nil, err
 	}
-	cp := *sch
+	cp := *t.sch
 	return &cp, nil
 }
 
@@ -784,29 +768,30 @@ func parseRef(pdid string) (ref, error) {
 	return ref{pdid: pdid, typeName: typeName, subjectID: subjectID, recNo: recNo}, nil
 }
 
-// resolve parses a pdid and resolves its type's schema — the one metaMu
-// round-trip each record operation pays. Schemas are immutable once
-// created, so the pointer stays valid outside the lock.
-func (s *Store) resolve(pdid string) (ref, *Schema, error) {
+// resolve parses a pdid and resolves its type — the one metaMu round-trip
+// each record operation pays.
+func (s *Store) resolve(pdid string) (ref, pdType, error) {
 	r, err := parseRef(pdid)
 	if err != nil {
-		return ref{}, nil, err
+		return ref{}, pdType{}, err
 	}
-	sch, err := s.schemaFor(r.typeName)
+	t, err := s.typeFor(r.typeName)
 	if err != nil {
-		return ref{}, nil, err
+		return ref{}, pdType{}, err
 	}
-	return r, sch, nil
+	return r, t, nil
 }
 
 // subjectTypeTree resolves (creating if create is set) the tree inode
 // holding subject's records of the given type on the subject's filesystem
 // instance, maintaining both major trees: subjects/<subj>/<type> and
 // tables/<type>/<subj>. Caller holds the subject's shard lock (write-side
-// when create is set). First touch — the subject tree if the subject is new,
-// its record tree, and the link from the instance's table subject list — is
-// one operation scope over the shared parents it mutates, so a subject is
-// never left in one major tree but not the other.
+// when create is set). First touch is one operation scope over the shared
+// parents it mutates, so a subject is never left in one major tree but not
+// the other. It makes what is missing: the instance's tables/<type> tree
+// when this is the type's first insert there (the only place a per-instance
+// tree is made), the subject tree when the subject is new, its record tree,
+// and the link from the table's subject list.
 func (s *Store) subjectTypeTree(sr shardRef, typeName, subjectID string, create bool) (inode.Ino, error) {
 	subjIno, err := sr.fs.Lookup(sr.subjRoot, subjectID)
 	newSubject := errors.Is(err, inode.ErrChildNotFound)
@@ -826,15 +811,32 @@ func (s *Store) subjectTypeTree(sr shardRef, typeName, subjectID string, create 
 		}
 	}
 	subs, err := sr.fs.Lookup(sr.tablesRoot, typeName)
-	if err != nil {
+	newTable := errors.Is(err, inode.ErrChildNotFound)
+	if newTable {
+		// Subjects of other shards on this instance may be making the
+		// same tree: look again, and make it, under metaMu.
+		s.metaMu.Lock()
+		defer s.metaMu.Unlock()
+		subs, err = sr.fs.Lookup(sr.tablesRoot, typeName)
+		newTable = errors.Is(err, inode.ErrChildNotFound)
+	}
+	if err != nil && !newTable {
 		return 0, err
 	}
 	declared := []inode.Ino{subs, subjIno}
+	if newTable {
+		declared[0] = sr.tablesRoot
+	}
 	if newSubject {
 		declared[1] = sr.subjRoot
 	}
 	var tIno inode.Ino
 	err = sr.fs.Do(declared, func(op *inode.Op) (err error) {
+		if newTable {
+			if subs, err = makeTree(op, sr.tablesRoot, typeName, "table-subjects:"+clipTag(typeName)); err != nil {
+				return err
+			}
+		}
 		if newSubject {
 			if subjIno, err = makeTree(op, sr.subjRoot, subjectID, "subject:"+clipTag(subjectID)); err != nil {
 				return err
@@ -908,10 +910,11 @@ func (s *Store) Insert(tok *lsm.Token, typeName, subjectID string, rec Record, m
 	if subjectID == "" || strings.ContainsRune(subjectID, '/') {
 		return "", fmt.Errorf("%w: bad subject id %q", ErrBadPDID, subjectID)
 	}
-	sch, err := s.schemaFor(typeName)
+	t, err := s.typeFor(typeName)
 	if err != nil {
 		return "", err
 	}
+	sch := t.sch
 	if err := validateRecord(sch, rec); err != nil {
 		return "", err
 	}
@@ -945,8 +948,7 @@ func (s *Store) Insert(tok *lsm.Token, typeName, subjectID string, rec Record, m
 		_, _ = s.vault.Shred(pdid + sensKeySuffix)
 		return "", fmt.Errorf("dbfs: insert %s: %w", pdid, err)
 	}
-	plainPart, sensPart := partsOf(sch)
-	plainBytes, err := encodeRecordPart(sch, rec, plainPart)
+	plainBytes, err := encodeRecordPart(sch, rec, t.plain)
 	if err != nil {
 		return "", err
 	}
@@ -955,8 +957,8 @@ func (s *Store) Insert(tok *lsm.Token, typeName, subjectID string, rec Record, m
 		return fail(fmt.Errorf("seal: %w", err))
 	}
 	var sealedSens []byte
-	if len(sensPart) > 0 {
-		sensBytes, err := encodeRecordPart(sch, rec, sensPart)
+	if len(t.sens) > 0 {
+		sensBytes, err := encodeRecordPart(sch, rec, t.sens)
 		if err != nil {
 			return fail(err)
 		}
@@ -1213,24 +1215,23 @@ func (s *Store) GetRecord(tok *lsm.Token, pdid string) (Record, error) {
 	if err := s.check(tok, lsm.OpRead, pdid); err != nil {
 		return nil, err
 	}
-	r, sch, err := s.resolve(pdid)
+	r, t, err := s.resolve(pdid)
 	if err != nil {
 		return nil, err
 	}
 	sr := s.shardOf(r.subjectID)
 	sr.lk.RLock()
 	defer sr.lk.RUnlock()
-	return s.getRecordLocked(sr, r, sch)
+	return s.getRecordLocked(sr, r, t)
 }
 
 // getRecordLocked loads and decrypts a record; caller holds the subject's
-// shard lock (either side) and has resolved the schema.
-func (s *Store) getRecordLocked(sr shardRef, r ref, sch *Schema) (Record, error) {
+// shard lock (either side) and has resolved the type.
+func (s *Store) getRecordLocked(sr shardRef, r ref, t pdType) (Record, error) {
 	f, err := s.recordInos(sr, r)
 	if err != nil {
 		return nil, err
 	}
-	plainPart, sensPart := partsOf(sch)
 	sealed, err := readAll(sr.fs, f.data)
 	if err != nil {
 		return nil, fmt.Errorf("dbfs: read %s: %w", r.pdid, err)
@@ -1239,11 +1240,11 @@ func (s *Store) getRecordLocked(sr shardRef, r ref, sch *Schema) (Record, error)
 	if err != nil {
 		return nil, fmt.Errorf("dbfs: unseal %s: %w", r.pdid, err)
 	}
-	rec, err := decodeRecordPart(sch, plainBytes, plainPart)
+	rec, err := decodeRecordPart(t.sch, plainBytes, t.plain)
 	if err != nil {
 		return nil, err
 	}
-	if f.sens != 0 && len(sensPart) > 0 {
+	if f.sens != 0 && len(t.sens) > 0 {
 		sealedSens, err := readAll(sr.fs, f.sens)
 		if err != nil {
 			return nil, fmt.Errorf("dbfs: read sensitive %s: %w", r.pdid, err)
@@ -1252,7 +1253,7 @@ func (s *Store) getRecordLocked(sr shardRef, r ref, sch *Schema) (Record, error)
 		if err != nil {
 			return nil, fmt.Errorf("dbfs: unseal sensitive %s: %w", r.pdid, err)
 		}
-		sensRec, err := decodeRecordPart(sch, sensBytes, sensPart)
+		sensRec, err := decodeRecordPart(t.sch, sensBytes, t.sens)
 		if err != nil {
 			return nil, err
 		}
@@ -1272,25 +1273,24 @@ func (s *Store) Update(tok *lsm.Token, pdid string, rec Record) error {
 	if err := s.check(tok, lsm.OpWrite, pdid); err != nil {
 		return err
 	}
-	r, sch, err := s.resolve(pdid)
+	r, t, err := s.resolve(pdid)
 	if err != nil {
 		return err
 	}
-	if err := validateRecord(sch, rec); err != nil {
+	if err := validateRecord(t.sch, rec); err != nil {
 		return err
 	}
 	// Encode outside the shard lock, but seal INSIDE it: sealing must
 	// serialize with a concurrent Erase, so an update never re-writes
 	// ciphertext under an escrowed key. The record is resolved before
 	// sealing so a nonexistent or erased pdid never mints keys.
-	plainPart, sensPart := partsOf(sch)
-	plainBytes, err := encodeRecordPart(sch, rec, plainPart)
+	plainBytes, err := encodeRecordPart(t.sch, rec, t.plain)
 	if err != nil {
 		return err
 	}
 	var sensBytes []byte
-	if len(sensPart) > 0 {
-		if sensBytes, err = encodeRecordPart(sch, rec, sensPart); err != nil {
+	if len(t.sens) > 0 {
+		if sensBytes, err = encodeRecordPart(t.sch, rec, t.sens); err != nil {
 			return err
 		}
 	}
@@ -1422,22 +1422,7 @@ func (s *Store) Delete(tok *lsm.Token, pdid string) error {
 	if err != nil {
 		return err
 	}
-	// One commit point: the three unlinks and frees are one transaction, so
-	// the lock-free listings (and a crash) see the whole record or none of
-	// it — never a membrane whose data is already gone.
-	declared := []inode.Ino{f.tree, f.data, f.mem}
-	if f.sens != 0 {
-		declared = append(declared, f.sens)
-	}
-	err = sr.fs.Do(declared, func(op *inode.Op) error {
-		return removeRecordFiles(op, strconv.FormatUint(r.recNo, 10), f)
-	})
-	// The record is gone, so no read may resurrect its membrane; and a
-	// commit that failed after the enqueue leaves memory ahead of the disk,
-	// so the next read must surface the stored state. Either way the cached
-	// membrane goes.
-	s.mcache.drop(sr.idx, pdid)
-	if err != nil {
+	if err := s.removeRecordFiles(sr, r, f); err != nil {
 		return err
 	}
 	// Shred keys so any residues (ciphertext) stay unreadable forever.
@@ -1484,8 +1469,14 @@ func (s *Store) Subjects(tok *lsm.Token) ([]string, error) {
 	if err := s.check(tok, lsm.OpScan, "subjects"); err != nil {
 		return nil, err
 	}
-	// No shard lock: the inode FS returns a consistent child snapshot, and
-	// a scan concurrent with inserts is inherently a racy point-in-time view.
+	return s.subjectNames()
+}
+
+// subjectNames lists the subject trees of every instance, sorted. No shard
+// lock: the inode FS returns a consistent child snapshot, and a scan
+// concurrent with inserts is inherently a racy point-in-time view; callers
+// that act on a subject take its shard lock then.
+func (s *Store) subjectNames() ([]string, error) {
 	var out []string
 	for i, fs := range s.fss {
 		ents, err := fs.Children(s.subjectRoots[i])
@@ -1529,38 +1520,24 @@ func (s *Store) ListErased(tok *lsm.Token, subjectID string) (live, erased []str
 	return s.listSubjectLocked(sr, subjectID, true)
 }
 
-// listSubjectLocked walks subjectID's type trees once: live is the hot
-// <n>.mem names plus the archived records no hot name shadows, erased the
-// <n>.erased names (collected when withErased is set, or when an archive
-// entry needs shadowing). Caller holds the subject's shard lock (either
-// side).
+// listSubjectLocked lists subjectID's records with one walk: live is the
+// hot <n>.mem names plus the archived records no hot name shadows, erased
+// the <n>.erased names (collected when withErased is set, or when an
+// archive entry needs shadowing). Caller holds the subject's shard lock
+// (either side).
 func (s *Store) listSubjectLocked(sr shardRef, subjectID string, withErased bool) (live, erased []string, err error) {
 	s.scanLocks[sr.idx].Add(1)
-	subjIno, err := sr.fs.Lookup(sr.subjRoot, subjectID)
-	if errors.Is(err, inode.ErrChildNotFound) {
-		return nil, nil, nil
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	typeTrees, err := sr.fs.Children(subjIno)
-	if err != nil {
-		return nil, nil, err
-	}
 	cold := s.coldPDIDs(sr, subjectID)
 	withErased = withErased || len(cold) != 0
-	for _, tt := range typeTrees {
-		recs, err := sr.fs.Children(tt.Ino)
-		if err != nil {
-			return nil, nil, err
+	err = s.walkSubjectLocked(sr, subjectID, func(h hotRecord) {
+		if !h.erased {
+			live = append(live, h.typeName+"/"+subjectID+"/"+h.name)
+		} else if withErased {
+			erased = append(erased, h.typeName+"/"+subjectID+"/"+h.name)
 		}
-		for _, r := range recs {
-			if name, ok := strings.CutSuffix(r.Name, memSuffix); ok {
-				live = append(live, tt.Name+"/"+subjectID+"/"+name)
-			} else if name, ok := strings.CutSuffix(r.Name, erasedSuffix); ok && withErased {
-				erased = append(erased, tt.Name+"/"+subjectID+"/"+name)
-			}
-		}
+	})
+	if err != nil {
+		return nil, nil, err
 	}
 	// Archived records are part of the namespace too (reads promote them
 	// transparently). A hot name shadows its archive entry: the stale entry
@@ -1584,13 +1561,66 @@ func (s *Store) listSubjectLocked(sr shardRef, subjectID string, withErased bool
 	return live, erased, nil
 }
 
+// hotRecord is one record in a subject's type trees: its type, its record
+// name, and its membrane's inode, linked as <n>.erased when erased is set
+// and as <n>.mem before.
+type hotRecord struct {
+	typeName string
+	name     string
+	mem      inode.Ino
+	erased   bool
+}
+
+// walkSubjectLocked is the one walk of a subject's type trees: it calls fn
+// for every hot record, erased ones included, in tree order (sortHot gives
+// type-name, then record-name order). A subject with no tree has no hot
+// records. The listings, demotion and snapshots all walk this way. Caller
+// holds the subject's shard lock (either side).
+func (s *Store) walkSubjectLocked(sr shardRef, subjectID string, fn func(hotRecord)) error {
+	subjIno, err := sr.fs.Lookup(sr.subjRoot, subjectID)
+	if errors.Is(err, inode.ErrChildNotFound) {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	typeTrees, err := sr.fs.Children(subjIno)
+	if err != nil {
+		return err
+	}
+	for _, tt := range typeTrees {
+		recs, err := sr.fs.Children(tt.Ino)
+		if err != nil {
+			return err
+		}
+		for _, r := range recs {
+			if name, ok := strings.CutSuffix(r.Name, memSuffix); ok {
+				fn(hotRecord{tt.Name, name, r.Ino, false})
+			} else if name, ok := strings.CutSuffix(r.Name, erasedSuffix); ok {
+				fn(hotRecord{tt.Name, name, r.Ino, true})
+			}
+		}
+	}
+	return nil
+}
+
+// sortHot orders hot records by type name, then record name.
+func sortHot(hs []hotRecord) {
+	sort.Slice(hs, func(i, j int) bool {
+		if hs[i].typeName != hs[j].typeName {
+			return hs[i].typeName < hs[j].typeName
+		}
+		return hs[i].name < hs[j].name
+	})
+}
+
 // ListByType returns every live pdid of a type across all subjects, sorted.
 // It walks each instance's per-table subject links (the second major tree).
 func (s *Store) ListByType(tok *lsm.Token, typeName string) ([]string, error) {
 	if err := s.check(tok, lsm.OpScan, "type/"+typeName); err != nil {
 		return nil, err
 	}
-	if _, err := s.schemaFor(typeName); err != nil {
+	if _, err := s.typeFor(typeName); err != nil {
 		return nil, err
 	}
 	// Cross-subject scan: like Subjects, a point-in-time view without shard

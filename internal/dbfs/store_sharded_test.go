@@ -2,6 +2,8 @@ package dbfs
 
 import (
 	"errors"
+	"slices"
+	"sort"
 	"strconv"
 	"sync"
 	"testing"
@@ -208,5 +210,77 @@ func TestShardedReopen(t *testing.T) {
 	// routing and orphan records; the persisted shard config rejects it.
 	if _, err := Open(fss2[:1], e.store.guard, e.store.vault, clock, Config{}); err == nil {
 		t.Fatal("Open with wrong instance count succeeded; shard config check broken")
+	}
+}
+
+// TestFirstTouchesOfTypeRace starts the first inserts of a fresh type for
+// subjects on every shard of one partition at once, for several types in
+// turn. The inserts hold different shard locks, so they race to make the
+// partition's tables/<type> tree: every insert must succeed, the partition
+// must hold exactly one tree per type, and ListByType must list every
+// insert.
+func TestFirstTouchesOfTypeRace(t *testing.T) {
+	e := newShardedEnv(t, 4)
+	const part = 1
+	var subjects []string
+	onShard := make(map[uint32]bool)
+	for i := 0; len(subjects) < DefaultShards/len(e.fss); i++ {
+		subj := "r" + strconv.Itoa(i)
+		if sh := ShardOf(subj); int(sh)*len(e.fss)/DefaultShards == part && !onShard[sh] {
+			onShard[sh] = true
+			subjects = append(subjects, subj)
+		}
+	}
+	const types = 8
+	for ty := 0; ty < types; ty++ {
+		sch := userSchema()
+		sch.Name = "t" + strconv.Itoa(ty)
+		if err := e.store.CreateType(e.tok, sch); err != nil {
+			t.Fatal(err)
+		}
+		// Take the type's seq lease first, on partition 0, so the racing
+		// inserts reach their first touch together.
+		lease, err := e.store.Insert(e.tok, sch.Name, "frank", Record{"name": S("frank")}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pdids := make([]string, len(subjects), len(subjects)+1)
+		errs := make([]error, len(subjects))
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i, subj := range subjects {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				pdids[i], errs[i] = e.store.Insert(e.tok, sch.Name, subj, Record{"name": S(subj)}, nil)
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for i, err := range errs {
+			if err != nil {
+				t.Fatalf("first %s insert for %s: %v", sch.Name, subjects[i], err)
+			}
+		}
+		all, err := e.store.ListByType(e.tok, sch.Name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pdids = append(pdids, lease)
+		sort.Strings(pdids)
+		if !slices.Equal(all, pdids) {
+			t.Fatalf("ListByType(%s) = %v, want %v", sch.Name, all, pdids)
+		}
+	}
+	tables, err := e.fss[part].Children(e.store.tablesRoots[part])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != types {
+		t.Fatalf("partition %d tables tree = %v, want one tree per type", part, tables)
+	}
+	if _, err := e.fss[part].Check(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -3,6 +3,7 @@ package dbfs
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/blockdev"
@@ -488,5 +489,33 @@ func TestPerSubjectIsolation(t *testing.T) {
 	}
 	if got["name"].S != "Bob Stone" {
 		t.Fatalf("bob record = %v", got)
+	}
+}
+
+// TestOpenNamesBadSeqLength: a type's seq file holds its 8-byte watermark;
+// Open refuses one of another length and says how long it is.
+func TestOpenNamesBadSeqLength(t *testing.T) {
+	e := newEnv(t)
+	e.mustCreateUser(t)
+	tb, err := e.fs.Lookup(e.store.schemaRoot, "user")
+	if err != nil {
+		t.Fatal(err)
+	}
+	seqIno, err := e.fs.Lookup(tb, seqFileName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.fs.Do([]inode.Ino{seqIno}, func(op *inode.Op) error {
+		return op.Replace(seqIno, make([]byte, 7))
+	}); err != nil {
+		t.Fatal(err)
+	}
+	fs2, err := inode.Mount(e.dev, e.clock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open([]*inode.FS{fs2}, e.guard, e.vault, e.clock, Config{})
+	if err == nil || !strings.Contains(err.Error(), `"user" seq: 7 bytes, want 8`) {
+		t.Fatalf("Open over a 7-byte seq file: %v", err)
 	}
 }
